@@ -1,26 +1,11 @@
-"""Benchmark: the fused single-pass analysis engine vs. the multi-pass
-pipeline (the pre-refactor baseline kept behind
-``AutoCheckConfig(analysis_engine="multipass")``).
+"""Benchmark: the single-pass analysis engine's walk throughput.
 
-The multi-pass pipeline walks the loop region at least four times — MLI
-identification, dependency analysis, R/W extraction, and the
-dynamic-induction fallback — and in streaming mode every walk re-streams
-the trace file.  The fused engine
-(:class:`repro.core.engine.AnalysisEngine`) dispatches all four stages over
-**one** record walk.  On the ``bigarray`` app (million-element-capable
-arrays, per-iteration callee scratch churn) the acceptance bar is a
-**≥1.5x** end-to-end ``analyze`` speedup in streaming mode (measured:
-~2.4x, with identical reports asserted record for record).
-
-The file also tracks the columnar block decode
-(`AutoCheckConfig(decode="columnar")`, the default for binary traces): the
-fused walk consumes column slices per block instead of one ``TraceRecord``
-object per record, materializing records only for the rare scope-changing
-opcodes.  Acceptance bars on the same bigarray trace: **≥3x records/second**
-in the ``fused_analysis`` stage vs the per-record walk, **≥1.0x** end to
-end (turning the default on must never regress), byte-identical reports.
-The measured numbers are also written to ``BENCH_columnar.json`` at the
-repository root for machine consumption.
+Every report comes from one walk of the trace's columnar blocks
+(:class:`repro.core.engine.AnalysisEngine` over
+:meth:`repro.trace.columnar.TraceColumnarReader.iter_blocks`).  This file
+times that walk on a ``bigarray`` trace (per-iteration callee scratch
+churn) and prints its records/second; the fleet-wide per-app numbers are
+``perfbench``'s ``engine.krec_per_s.<app>`` layer metrics.
 
 The file also tracks the opcode-dispatch micro-optimization the engine and
 ``dependency.py`` build on: classifying a record via the precomputed
@@ -32,8 +17,6 @@ FORWARDING_OPCODES``) — ~19x faster per check on this machine, bar 3x.
 from __future__ import annotations
 
 import gc
-import json
-import os
 import time
 
 import pytest
@@ -60,10 +43,8 @@ def bigarray_trace(tmp_path_factory):
     return {"path": path, "size": size, "spec": app.main_loop(source)}
 
 
-def _analyze(path, spec, engine, streaming):
-    config = AutoCheckConfig(main_loop=spec, streaming_preprocessing=streaming,
-                             analysis_engine=engine)
-    return AutoCheck(config, trace_path=path).run()
+def _analyze(path, spec):
+    return AutoCheck(AutoCheckConfig(main_loop=spec), trace_path=path).run()
 
 
 def _best_of(function, *args, rounds=3):
@@ -84,164 +65,15 @@ def _best_of(function, *args, rounds=3):
     return result, best
 
 
-def _assert_same_report(fused, multipass):
-    assert fused.dependency_string() == multipass.dependency_string()
-    assert fused.mli_variable_names == multipass.mli_variable_names
-    assert [(e.dyn_id, e.variable, e.kind, e.element_offset)
-            for e in fused.rw_sequence.loop_events] == \
-        [(e.dyn_id, e.variable, e.kind, e.element_offset)
-         for e in multipass.rw_sequence.loop_events]
-
-
 # --------------------------------------------------------------------------- #
-# End-to-end: fused vs. multi-pass
+# The walk
 # --------------------------------------------------------------------------- #
-def test_fused_streaming_speedup(bigarray_trace):
-    """The headline acceptance number: one streamed pass vs. one stream per
-    stage, same trace, same report."""
-    path, spec = bigarray_trace["path"], bigarray_trace["spec"]
-    multipass, multipass_seconds = _best_of(
-        _analyze, path, spec, "multipass", True)
-    fused, fused_seconds = _best_of(_analyze, path, spec, "fused", True)
-    _assert_same_report(fused, multipass)
-    records = fused.trace_stats.record_count
-    speedup = multipass_seconds / fused_seconds
-    print(f"\nstreaming analyze of {bigarray_trace['size']}B "
-          f"({records} records): multipass {multipass_seconds:.3f}s "
-          f"({records / multipass_seconds / 1000:.0f} krec/s) vs fused "
-          f"{fused_seconds:.3f}s ({records / fused_seconds / 1000:.0f} "
-          f"krec/s) -> {speedup:.2f}x")
-    assert speedup >= 1.5, (
-        f"fused single-pass analyze must be >= 1.5x faster than the "
-        f"multi-pass streaming pipeline ({multipass_seconds:.3f}s vs "
-        f"{fused_seconds:.3f}s = {speedup:.2f}x)")
-
-
-def test_fused_materialized_not_slower(bigarray_trace):
-    """With the trace resident in memory the re-walks are cheap, but the
-    fused engine must still at least hold its ground (it also skips the
-    per-stage re-iteration there)."""
-    path, spec = bigarray_trace["path"], bigarray_trace["spec"]
-    multipass, multipass_seconds = _best_of(
-        _analyze, path, spec, "multipass", False)
-    fused, fused_seconds = _best_of(_analyze, path, spec, "fused", False)
-    _assert_same_report(fused, multipass)
-    ratio = multipass_seconds / fused_seconds
-    print(f"\nmaterialized analyze: multipass {multipass_seconds:.3f}s vs "
-          f"fused {fused_seconds:.3f}s -> {ratio:.2f}x")
-    assert ratio >= 0.9
-
-
 def test_fused_pipeline_benchmark(benchmark, bigarray_trace):
     path, spec = bigarray_trace["path"], bigarray_trace["spec"]
-    report = benchmark(_analyze, path, spec, "fused", True)
+    report = benchmark(_analyze, path, spec)
     assert report.critical_variables
     rate = report.timings.records_per_second("fused_analysis")
-    print(f"\nfused streaming walk: {rate / 1000:.0f} krec/s")
-
-
-# --------------------------------------------------------------------------- #
-# Columnar block decode vs. per-record walk
-# --------------------------------------------------------------------------- #
-#: required ``fused_analysis``-stage (decode + walk) throughput ratio
-COLUMNAR_WALK_BAR = 3.0
-#: turning the columnar default on must never lose end to end
-COLUMNAR_END_TO_END_BAR = 1.0
-#: machine-readable result file, written at the repository root
-BENCH_COLUMNAR_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_columnar.json")
-
-
-def _analyze_decode(path, spec, decode):
-    # Streaming keeps the decode inside the ``fused_analysis`` stage for
-    # *both* modes (the materialized record walk decodes during
-    # preprocessing instead), so the stage timings compare decode + walk
-    # against decode + walk.
-    config = AutoCheckConfig(main_loop=spec, streaming_preprocessing=True,
-                             decode=decode)
-    return AutoCheck(config, trace_path=path).run()
-
-
-def _interleaved_best(path, spec, rounds):
-    """Best-of-N wall/walk seconds per decode mode, modes interleaved.
-
-    Machine noise on shared runners dwarfs the effect under test, so the
-    two modes alternate within each round (a slow round hits both) and
-    only the per-mode minimum is compared.
-    """
-    best = {mode: {"total": float("inf"), "walk": float("inf"),
-                   "report": None}
-            for mode in ("records", "columnar")}
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for mode in ("records", "columnar"):
-                started = time.perf_counter()
-                report = _analyze_decode(path, spec, mode)
-                total = time.perf_counter() - started
-                slot = best[mode]
-                slot["total"] = min(slot["total"], total)
-                slot["walk"] = min(slot["walk"],
-                                   report.timings.get("fused_analysis"))
-                slot["report"] = report
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best
-
-
-def test_columnar_walk_speedup(bigarray_trace):
-    """The columnar acceptance number: ≥3x records/second through the
-    fused walk (decode included — both modes decode inside the
-    ``fused_analysis`` stage), identical report, and no end-to-end loss.
-    Also writes ``BENCH_columnar.json``."""
-    path, spec = bigarray_trace["path"], bigarray_trace["spec"]
-    # Best-of-12: the per-round ratio wobbles +/-10% on shared runners,
-    # but both modes reach their floor well within twelve interleaved
-    # rounds, and the floor ratio is what the bar is about.
-    best = _interleaved_best(path, spec, rounds=12)
-    records, columnar = best["records"], best["columnar"]
-    _assert_same_report(columnar["report"], records["report"])
-    count = columnar["report"].trace_stats.record_count
-    walk_speedup = records["walk"] / columnar["walk"]
-    total_speedup = records["total"] / columnar["total"]
-    payload = {
-        "trace": {"records": count, "bytes": bigarray_trace["size"]},
-        "records": {
-            "walk_seconds": round(records["walk"], 4),
-            "walk_krec_per_s": round(count / records["walk"] / 1000, 1),
-            "total_seconds": round(records["total"], 4),
-        },
-        "columnar": {
-            "walk_seconds": round(columnar["walk"], 4),
-            "walk_krec_per_s": round(count / columnar["walk"] / 1000, 1),
-            "total_seconds": round(columnar["total"], 4),
-        },
-        "walk_speedup": round(walk_speedup, 2),
-        "end_to_end_speedup": round(total_speedup, 2),
-        "bars": {"walk": COLUMNAR_WALK_BAR,
-                 "end_to_end": COLUMNAR_END_TO_END_BAR},
-    }
-    with open(BENCH_COLUMNAR_JSON, "w", encoding="utf-8") as sink:
-        json.dump(payload, sink, indent=2)
-        sink.write("\n")
-    print(f"\ncolumnar walk of {count} records: records "
-          f"{records['walk']:.3f}s ({count / records['walk'] / 1000:.0f} "
-          f"krec/s) vs columnar {columnar['walk']:.3f}s "
-          f"({count / columnar['walk'] / 1000:.0f} krec/s) -> "
-          f"{walk_speedup:.2f}x walk, {total_speedup:.2f}x end to end "
-          f"-> {BENCH_COLUMNAR_JSON}")
-    assert walk_speedup >= COLUMNAR_WALK_BAR, (
-        f"columnar decode must be >= {COLUMNAR_WALK_BAR}x records/second "
-        f"through the fused walk ({records['walk']:.3f}s vs "
-        f"{columnar['walk']:.3f}s = {walk_speedup:.2f}x)")
-    assert total_speedup >= COLUMNAR_END_TO_END_BAR, (
-        f"columnar decode must not lose end to end "
-        f"({records['total']:.3f}s vs {columnar['total']:.3f}s = "
-        f"{total_speedup:.2f}x)")
+    print(f"\ncolumnar walk: {rate / 1000:.0f} krec/s")
 
 
 # --------------------------------------------------------------------------- #

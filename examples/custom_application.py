@@ -8,8 +8,7 @@ which is exactly the paper's Sec. VII "Use of AutoCheck" recipe:
    (here: write a mini-C heat-diffusion/statistics program and trace it to a
    file on disk);
 2. tell AutoCheck where the main computation loop is (function + line range);
-3. run the analysis — optionally with the parallel trace pre-processing
-   optimization — and read off the variables to checkpoint.
+3. run the analysis and read off the variables to checkpoint.
 
 Run with:  python examples/custom_application.py
 """
@@ -84,10 +83,10 @@ with tempfile.TemporaryDirectory(prefix="autocheck-custom-") as workdir:
           f"trace file {format_bytes(trace_bytes)} at {trace_path}")
 
     # ----------------------------------------------------------------- #
-    # 3. Analyse the trace file (parallel pre-processing enabled).
+    # 3. Analyse the trace file (a text trace is encoded into an
+    #    in-memory binary trace, then walked once).
     # ----------------------------------------------------------------- #
-    config = AutoCheckConfig(main_loop=MAIN_LOOP, parallel_preprocessing=True,
-                             preprocessing_workers=4)
+    config = AutoCheckConfig(main_loop=MAIN_LOOP)
     report = AutoCheck(config, trace_path=trace_path, module=module).run()
 
     print("\n" + report.summary())

@@ -30,11 +30,10 @@ def autocheck_module(module: Module, main_loop: MainLoopSpec,
         **config_kwargs: forwarded to
             :class:`~repro.core.config.AutoCheckConfig` (e.g.
             ``induction_variable``, ``include_global_accesses_in_calls``).
-            Note that the trace is in-memory here, so file-based options
-            (``streaming_preprocessing``, ``analysis_engine="parallel"``)
-            do not apply.  The artifact store (``use_cache=True``) *does*
-            apply: the in-memory trace is digested through the binary
-            encoder (same digest its on-disk binary form would carry), so
+            The trace is in-memory here; the walk reads it through one
+            in-memory binary encode.  The artifact store
+            (``use_cache=True``) applies too: that encode yields the same
+            digest the trace's on-disk binary form would carry, so
             repeated analyses of an identical trace return the stored
             report without a record walk — and share entries with
             file-based runs of the same trace.

@@ -92,16 +92,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = MainLoopSpec(function=args.function, start_line=args.start,
                         end_line=args.end)
     config = AutoCheckConfig(main_loop=spec,
-                             parallel_preprocessing=args.parallel,
-                             preprocessing_workers=args.workers,
-                             streaming_preprocessing=args.streaming,
                              induction_variable=args.induction,
-                             analysis_engine=args.engine,
-                             workers=args.workers,
                              use_cache=args.cache,
                              cache_dir=args.cache_dir,
-                             static_prefilter=args.static_prefilter,
-                             decode=args.decode)
+                             static_prefilter=args.static_prefilter)
     report = AutoCheck(config, trace_path=args.trace, module=module).run()
     print(report.summary())
     if args.static_check:
@@ -348,38 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--end", type=int, required=True,
                            help="main loop end line")
     p_analyze.add_argument("--induction", default=None)
-    p_analyze.add_argument("--parallel", action="store_true")
-    p_analyze.add_argument("--streaming", action="store_true",
-                           help="stream the trace file instead of "
-                                "materializing it (bounded memory for very "
-                                "large traces; with the default fused "
-                                "engine the file is streamed exactly once)")
-    p_analyze.add_argument("--engine",
-                           choices=("fused", "parallel", "multipass"),
-                           default="fused",
-                           help="'fused' (default): all analysis stages run "
-                                "as passes over one single-pass record "
-                                "walk; 'parallel': shard that walk across "
-                                "--workers worker processes over partitions "
-                                "of a binary trace (identical report, "
-                                "scales with cores); 'multipass': the "
-                                "legacy staged pipeline (each stage "
-                                "re-iterates its region)")
-    p_analyze.add_argument("--workers", type=int, default=4,
-                           help="worker count for --parallel preprocessing "
-                                "and for --engine parallel")
-    p_analyze.add_argument("--decode",
-                           choices=("columnar", "records"),
-                           default="columnar",
-                           help="how the fused/parallel engines consume a "
-                                "binary trace: 'columnar' (default) decodes "
-                                "whole record blocks into column arrays and "
-                                "sweeps them in bulk, materializing records "
-                                "only for the rare scope-changing opcodes; "
-                                "'records' is the classic one-object-per-"
-                                "record walk (identical report, lower "
-                                "throughput); non-binary inputs fall back "
-                                "to 'records' automatically")
     p_analyze.add_argument("--source", default=None,
                            help="the traced mini-C program; supplies the IR "
                                 "module the static analyses need (required "
@@ -393,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "violations are printed as named "
                                 "diagnostics and exit non-zero")
     p_analyze.add_argument("--static-prefilter", action="store_true",
-                           help="let the fused engine skip pass dispatch for "
+                           help="let the engine skip pass dispatch for "
                                 "records the static analysis proves "
                                 "irrelevant outside the main loop (the "
                                 "report is identical; the summary shows the "

@@ -2,11 +2,10 @@
 
 This package implements the three modules of the paper's design (Fig. 2):
 
-1. **Pre-processing** (:mod:`repro.core.preprocessing`) — partition the
-   dynamic trace around the main computation loop and identify the
+1. **Pre-processing** (:mod:`repro.core.preprocessing`) — identify the
    Main-Loop-Input (MLI) variables by matching the variables accessed before
-   and inside the loop (Sec. IV-A, Fig. 3), with the address-based
-   disambiguation of Challenges 1 and 2 (Sec. V-B/V-C).
+   and inside the main computation loop (Sec. IV-A, Fig. 3), with the
+   address-based disambiguation of Challenges 1 and 2 (Sec. V-B/V-C).
 2. **Data dependency analysis** (:mod:`repro.core.dependency`,
    :mod:`repro.core.regmaps`, :mod:`repro.core.ddg`,
    :mod:`repro.core.contraction`) — selectively iterate the dynamic
@@ -18,14 +17,13 @@ This package implements the three modules of the paper's design (Fig. 2):
    execution-time-ordered Read/Write sequence and apply the WAR / Outcome /
    RAPO / Index heuristics (Sec. IV-C, Fig. 7).
 
-:class:`repro.core.pipeline.AutoCheck` ties the three modules together and
-reports per-stage timings (the Table III breakdown).  By default all three
-run as passes over one single-pass record walk
-(:class:`repro.core.engine.AnalysisEngine`); the staged multi-pass pipeline
-remains available as ``AutoCheckConfig(analysis_engine="multipass")``.
+:class:`repro.core.pipeline.AutoCheck` ties the three modules together:
+all three run as passes over one single-pass columnar walk
+(:class:`repro.core.engine.AnalysisEngine`), which also partitions the
+trace around the loop on the fly.
 """
 
-from repro.core.config import ANALYSIS_ENGINES, AutoCheckConfig, MainLoopSpec
+from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.engine import (
     REGION_AFTER,
     REGION_BEFORE,
@@ -46,39 +44,21 @@ from repro.core.preprocessing import (
     MLICollectionPass,
     MLIVariable,
     PreprocessingResult,
-    StreamingTraceRegions,
-    TraceRecordRegionView,
-    TraceRegions,
-    identify_mli_variables,
-    identify_mli_variables_streaming,
-    partition_trace,
 )
 from repro.core.ddg import DDG, DDGNode, NodeKind
 from repro.core.regmaps import RegRegMap, RegVarMap
-from repro.core.dependency import (
-    DependencyAnalysis,
-    DependencyFrontierPass,
-    DependencyPass,
-    DependencyResult,
-)
-from repro.core.parallel import (
-    ParallelWalkResult,
-    PartitionSeed,
-    run_parallel_fused,
-    scan_scope_snapshots,
-)
+from repro.core.dependency import DependencyPass, DependencyResult
 from repro.core.contraction import contract_ddg
-from repro.core.rwdeps import (
-    AccessEvent,
-    AccessKind,
-    RWExtractionPass,
-    extract_rw_dependencies,
-)
+from repro.core.rwdeps import AccessEvent, AccessKind, RWExtractionPass
 from repro.core.classify import classify_variables
-from repro.core.pipeline import AutoCheck, InductionProbePass, analyze_trace
+from repro.core.pipeline import (
+    AutoCheck,
+    InductionProbePass,
+    PassWalk,
+    analyze_trace,
+)
 
 __all__ = [
-    "ANALYSIS_ENGINES",
     "AutoCheckConfig",
     "MainLoopSpec",
     "AnalysisError",
@@ -97,32 +77,20 @@ __all__ = [
     "MLICollectionPass",
     "MLIVariable",
     "PreprocessingResult",
-    "StreamingTraceRegions",
-    "TraceRecordRegionView",
-    "TraceRegions",
-    "identify_mli_variables",
-    "identify_mli_variables_streaming",
-    "partition_trace",
     "DDG",
     "DDGNode",
     "NodeKind",
     "RegRegMap",
     "RegVarMap",
-    "DependencyAnalysis",
-    "DependencyFrontierPass",
     "DependencyPass",
     "DependencyResult",
-    "ParallelWalkResult",
-    "PartitionSeed",
-    "run_parallel_fused",
-    "scan_scope_snapshots",
     "contract_ddg",
     "AccessEvent",
     "AccessKind",
     "RWExtractionPass",
-    "extract_rw_dependencies",
     "classify_variables",
     "AutoCheck",
     "InductionProbePass",
+    "PassWalk",
     "analyze_trace",
 ]

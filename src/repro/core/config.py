@@ -7,22 +7,14 @@ Per the paper (Sec. VII, "Use of AutoCheck") the user supplies:
 3. the name of the function containing the main computation loop.
 
 :class:`MainLoopSpec` captures (2) and (3); :class:`AutoCheckConfig` adds the
-implementation knobs (parallel pre-processing on/off and worker count —
-Sec. V-A — plus the optional global-variable workaround discussed for FT in
-Sec. V-B).
+optional global-variable workaround discussed for FT in Sec. V-B, a known
+induction variable, the artifact store and the static prefilter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-#: Valid values of :attr:`AutoCheckConfig.analysis_engine`.
-ANALYSIS_ENGINES = ("fused", "parallel", "multipass")
-
-#: Valid values of :attr:`AutoCheckConfig.decode`.
-DECODE_MODES = ("columnar", "records")
-
 
 @dataclass(frozen=True)
 class MainLoopSpec:
@@ -61,21 +53,6 @@ class AutoCheckConfig:
     """Tunable options of the analysis."""
 
     main_loop: MainLoopSpec
-    #: Enable the parallel trace pre-processing optimization (Sec. V-A) when
-    #: the input is a trace file.
-    parallel_preprocessing: bool = False
-    #: Number of workers used by the parallel pre-processing.
-    preprocessing_workers: int = 4
-    #: Use process- instead of thread-based workers for the parallel read.
-    preprocessing_use_processes: bool = False
-    #: Stream the trace file through the pre-processing stage in a single
-    #: pass instead of materializing every record in memory first.  The
-    #: region partitioning and the before/inside variable collection happen
-    #: on the fly, so memory stays bounded by the variable sets rather than
-    #: the trace size (the later pipeline stages re-stream only the
-    #: inside/after regions they need).  Requires a trace *file* input;
-    #: ignored for in-memory traces.
-    streaming_preprocessing: bool = False
     #: Also collect global-variable accesses made inside function calls when
     #: gathering the before/inside variable sets.  The paper keeps this off
     #: and instead initializes such globals right before the main loop (the
@@ -85,23 +62,6 @@ class AutoCheckConfig:
     #: from the static loop analysis).  When ``None`` the pipeline falls back
     #: to its own detection.
     induction_variable: Optional[str] = None
-    #: Which analysis pipeline to run.  ``"fused"`` (default) drives every
-    #: stage — region partitioning, MLI collection, dependency analysis,
-    #: R/W extraction, dynamic-induction probing — as passes over one
-    #: single-pass :class:`repro.core.engine.AnalysisEngine` walk; combined
-    #: with ``streaming_preprocessing`` the trace file is streamed exactly
-    #: once end to end.  ``"parallel"`` shards that same fused walk across
-    #: ``workers`` worker processes over partitions of a *block-indexed
-    #: binary* trace file (:mod:`repro.core.parallel`) and merges the
-    #: per-partition pass states into an identical report — the throughput
-    #: path for large traces on multi-core machines.  ``"multipass"`` is
-    #: the legacy staged pipeline (each stage re-iterates its region), kept
-    #: as the benchmark baseline.
-    analysis_engine: str = "fused"
-    #: Worker-process count (and partition count) of the parallel fused
-    #: engine; only read when ``analysis_engine="parallel"``.  ``1`` runs
-    #: the partition machinery inline without subprocesses.
-    workers: int = 4
     #: Consult the content-addressed artifact store (:mod:`repro.store`)
     #: before running the analysis, and publish the result into it after.
     #: A hit — same trace content digest, same semantic config fingerprint,
@@ -113,59 +73,20 @@ class AutoCheckConfig:
     #: ``$AUTOCHECK_CACHE_DIR`` or ``~/.cache/autocheck`` (see
     #: :func:`repro.store.cache.default_cache_dir`).
     cache_dir: Optional[str] = None
-    #: Hand the fused engine a static prefilter derived from the module's
+    #: Hand the engine a static prefilter derived from the module's
     #: IR (:mod:`repro.static.prefilter`): records outside the loop region
     #: that provably cannot reach the MLI / R/W passes skip pass dispatch
-    #: entirely.  Requires the module to be supplied to :class:`AutoCheck`
-    #: and ``analysis_engine="fused"``; the report is proven byte-identical
-    #: by ``tests/test_static_prefilter.py``.  When on, the static
+    #: entirely.  Requires the module to be supplied to :class:`AutoCheck`;
+    #: the report is proven byte-identical by
+    #: ``tests/test_static_prefilter.py``.  When on, the static
     #: analysis' fingerprint joins the artifact-store cache key.
     static_prefilter: bool = False
-    #: How the fused and parallel engines consume a *block-indexed binary*
-    #: trace file.  ``"columnar"`` (default) decodes whole record blocks
-    #: into parallel arrays (:mod:`repro.trace.columnar`) and lets the
-    #: passes sweep column slices, materializing per-record objects only
-    #: for the rare scope-changing opcodes; ``"records"`` is the classic
-    #: one-``TraceRecord``-per-record walk.  The reports are byte-identical
-    #: (``tests/test_columnar.py`` proves it fleet-wide) — this knob only
-    #: trades decode strategy for speed, so it does not join the artifact
-    #: store's semantic fingerprint.  Inputs the columnar reader cannot
-    #: serve (in-memory traces, text traces, v1 binary files without a
-    #: block index) silently fall back to the record walk.
-    decode: str = "columnar"
     #: Optional progress hook for long walks: called with the cumulative
-    #: number of trace records consumed so far, periodically during the
-    #: fused engine's walk (per columnar block, or every
-    #: :data:`repro.core.pipeline.PROGRESS_STRIDE` records on the record
-    #: walk).  The serve daemon points this at a job's progress counter so
-    #: ``GET /jobs/<id>`` can stream live progress; it is per-run plumbing,
-    #: not analysis semantics — excluded from equality, repr and the
-    #: artifact-store fingerprint, and it must be picklable (or ``None``)
-    #: if the config crosses process boundaries.
+    #: number of trace records consumed so far, once per decoded block of
+    #: the engine walk.  The serve daemon points this at a job's progress
+    #: counter so ``GET /jobs/<id>`` can stream live progress; it is per-run
+    #: plumbing, not analysis semantics — excluded from equality, repr and
+    #: the artifact-store fingerprint, and it must be picklable (or
+    #: ``None``) if the config crosses process boundaries.
     progress_callback: Optional[Callable[[int], None]] = field(
         default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.parallel_preprocessing and self.streaming_preprocessing:
-            raise ValueError(
-                "parallel_preprocessing and streaming_preprocessing are "
-                "mutually exclusive: the streaming mode is a single "
-                "sequential pass and would silently ignore the parallel "
-                "reader — pick one")
-        if self.analysis_engine not in ANALYSIS_ENGINES:
-            raise ValueError(
-                f"unknown analysis_engine {self.analysis_engine!r}; "
-                f"expected one of {ANALYSIS_ENGINES}")
-        if self.analysis_engine == "parallel" and self.workers < 1:
-            raise ValueError(
-                f"analysis_engine='parallel' needs workers >= 1, "
-                f"got {self.workers}")
-        if self.decode not in DECODE_MODES:
-            raise ValueError(
-                f"unknown decode {self.decode!r}; "
-                f"expected one of {DECODE_MODES}")
-        if self.static_prefilter and self.analysis_engine != "fused":
-            raise ValueError(
-                "static_prefilter is only implemented for the fused "
-                "single-pass engine (analysis_engine='fused'); the skip "
-                "rules are proven against exactly its pass set")

@@ -20,9 +20,9 @@ distinguishes MLI variables from same-named locals (Challenge 2) and follows
 data through pointer parameters.
 
 The walk itself is hosted by :class:`repro.core.engine.AnalysisEngine`:
-:class:`DependencyPass` subscribes to the record kinds that carry data
-dependencies and to the engine's call/ret scope events, which keep the
-attribution honest across calls:
+:class:`DependencyPass` reads the segments of data-carrying record kinds
+straight off the decoded columns and subscribes to the engine's call/ret
+scope events, which keep the attribution honest across calls:
 
 * the engine opens an allocation scope when a traced ``Call``'s body follows
   and retires the callee's Allocas on its ``Ret`` — a dead frame can never
@@ -31,20 +31,14 @@ attribution honest across calls:
   stack** (pushed on activation, popped on return), so recursive or
   repeated calls to the same callee cannot clobber each other's bindings.
 
-In the fused pipeline the pass shares the engine's live map with every other
-stage and decides MLI node kinds from the live before/inside variable sets
-(finalized after the walk, since a variable's qualifying access can come
-later in the stream).  One deliberate refinement over the legacy walk: when
-the main loop lives in a *called* function, the shared map can attribute a
-pointer access to the live ancestor frame's actual variable, where the
-legacy map (globals + loop-function + region allocations only) fell back to
-a parameter-binding or named-local vertex — the MLI/critical classification
+The pass shares the engine's live map with every other stage and decides
+MLI node kinds from the live before/inside variable sets of the
+MLI-collection pass (finalized after the walk, since a variable's
+qualifying access can come later in the stream).  When the main loop lives
+in a *called* function, the shared map can attribute a pointer access to
+the live ancestor frame's actual variable; the MLI/critical classification
 is unaffected (MLI candidacy is filtered to globals and loop-function
-locals either way), only the labeling of non-MLI intermediate DDG vertices
-is more precise.  :class:`DependencyAnalysis` is the legacy-shaped
-wrapper — pre-processing result in, :class:`DependencyResult` out — used by
-the multi-pass pipeline and the unit tests; it drives the same pass over an
-already-partitioned inside region.
+locals).
 """
 
 from __future__ import annotations
@@ -62,13 +56,11 @@ from repro.core.engine import (
     KIND_OTHER,
     KIND_STORE,
     REGION_INSIDE,
-    AnalysisEngine,
     AnalysisPass,
 )
-from repro.core.preprocessing import MLIVariable, PreprocessingResult, TraceRegions
 from repro.core.regmaps import RegRegMap, RegVarMap
 from repro.core.varmap import VariableInfo, VariableMap
-from repro.trace.records import TraceOperand, TraceRecord
+from repro.trace.records import TraceRecord
 
 try:  # numpy accelerates the columnar row preselection; loops otherwise
     import numpy as _np
@@ -76,58 +68,8 @@ except ImportError:  # pragma: no cover - exercised via the range fallback
     _np = None
 
 
-# --------------------------------------------------------------------------- #
-# Frontier events
-# --------------------------------------------------------------------------- #
-# The dependency analysis is the one pass whose state is inherently
-# sequential: register associations, parameter-binding frames and DDG edges
-# chain across records, so two trace partitions cannot build their DDG
-# fragments independently without losing cross-boundary bindings.  The
-# parallel fused engine therefore splits every record callback into
-#
-# * an **extract** step (the ``_extract_*`` helpers below) that performs all
-#   work requiring the *live* variable map at the record's own execution
-#   time — memory-operand and argument-address resolution — and packs the
-#   outcome into a compact *frontier event* tuple, and
-# * an **apply** step (``DependencyPass._apply_*``) that performs all work
-#   touching the sequential state (reg-var/reg-reg maps, binding stacks,
-#   the DDG).
-#
-# The serial pass runs extract→apply inline per record; a parallel worker
-# runs only extract (:class:`DependencyFrontierPass`), shipping its
-# partition's event stream back to the coordinator, which replays the
-# streams in partition order through :meth:`DependencyPass.merge` — so a
-# register associated in partition N and consumed in partition N+1 stitches
-# exactly as the serial walk would have bound it, by construction.
-#
-# Event tags (first element of every event tuple); the remaining elements
-# are exactly the positional arguments of the matching ``_apply_*`` method.
-_EV_LOAD = 0
-_EV_STORE = 1
-_EV_GEP = 2
-_EV_FORWARDING = 3
-_EV_ARITHMETIC = 4
-_EV_CALL_FLAT = 5
-_EV_CALL_BOUND = 6
-_EV_ACTIVATION = 7
-_EV_RETURN = 8
-
-#: A *memref* is a pre-resolved memory operand: ``(key, name)`` when the
-#: live map attributed the address to a variable, the bare operand name
-#: (``str``) when it did not — the apply step then consults the binding
-#: stacks — and ``None`` when the record had no memory operand at all.
-#:
-#: A register operand's *fallback* (forwarding operands, call arguments) is
-#: only consulted when the reg-var lookup misses, so its two shapes differ
-#: in *when* they resolve: the serial inline path carries the raw address
-#: (``int``) and resolves lazily on a miss — exactly the pre-refactor cost
-#: profile — while a frontier event must carry the ``(key, name)`` tuple
-#: resolved eagerly in the worker, because by replay time the map no longer
-#: reflects the record's execution state.
-
-
 #: raw opcode -> engine record kind, as a dense positional LUT for the
-#: columnar fast paths (segments only carry known non-scope opcodes, so
+#: columnar sweep (segments only carry known non-scope opcodes, so
 #: indexing is safe without a range check).
 _COLUMN_KIND = [KIND_OTHER] * (max(KIND_BY_OPCODE) + 1)
 for _op, _kind in KIND_BY_OPCODE.items():
@@ -190,91 +132,9 @@ def _row_tuples(block, rows):
         packed = (fid << 32 | op_name_id[hi - 1]) if hi > lo else fid << 32
         yield row, kind, lo, hi, has_result[row], fid, packed
 
+
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
 _MISS = object()
-
-
-def _memref_of(varmap: VariableMap, operand: TraceOperand):
-    """Resolve ``operand`` against the live map at execution time."""
-    info = varmap.resolve(operand.address)
-    if info is not None:
-        return (info.key, info.name)
-    return operand.name
-
-
-def _resolve_address(varmap: VariableMap,
-                     address: Optional[int]) -> Optional[Tuple[str, str]]:
-    """Eagerly resolve a fallback address to ``(key, name)`` (or None)."""
-    if address is None:
-        return None
-    info = varmap.resolve(address)
-    if info is None:
-        return None
-    return (info.key, info.name)
-
-
-def _extract_load(varmap: VariableMap, record: TraceRecord):
-    operand = record.memory_operand()
-    if operand is None or record.result is None:
-        return None
-    return (record.function, record.result.name, _memref_of(varmap, operand))
-
-
-def _extract_store(varmap: VariableMap, record: TraceRecord):
-    if len(record.operands) < 2:
-        return None
-    value_operand, memory_operand = record.operands[0], record.operands[1]
-    return (record.function, value_operand.is_register, value_operand.name,
-            _memref_of(varmap, memory_operand))
-
-
-def _extract_gep(varmap: VariableMap, record: TraceRecord):
-    if record.result is None:
-        return None
-    operand = record.memory_operand()
-    memref = _memref_of(varmap, operand) if operand is not None else None
-    index_registers = [op.name for op in record.operands[1:] if op.is_register]
-    return (record.function, record.result.name, memref, index_registers)
-
-
-def _extract_forwarding(record: TraceRecord):
-    """Fallbacks are raw addresses here — lazy for the serial path; the
-    frontier pass eagerly resolves them before shipping the event."""
-    if record.result is None:
-        return None
-    operands = [(op.name, op.address)
-                for op in record.operands if op.is_register]
-    return (record.function, record.result.name, operands)
-
-
-def _extract_arithmetic(record: TraceRecord):
-    if record.result is None:
-        return None
-    return (record.function, record.result.name,
-            [op.name for op in record.operands if op.is_register])
-
-
-def _extract_call(record: TraceRecord):
-    """Returns ``(tag, parts)`` — calls come in two shapes (Fig. 6a/6b).
-
-    As with :func:`_extract_forwarding`, argument fallbacks stay raw
-    addresses; the frontier pass pre-resolves them."""
-    params = record.parameter_operands()
-    args = record.argument_operands()
-    if not params:
-        result_name = record.result.name if record.result is not None else None
-        return _EV_CALL_FLAT, (
-            record.function, result_name,
-            [op.name for op in args if op.is_register], record.callee)
-    entries = []
-    for position, param in enumerate(params):
-        arg_info = None
-        if position < len(args):
-            arg = args[position]
-            if arg.is_register:
-                arg_info = (arg.name, arg.address)
-        entries.append((param.name, arg_info))
-    return _EV_CALL_BOUND, (record.function, record.callee, entries)
 
 
 @dataclass
@@ -295,23 +155,20 @@ class DependencyResult:
 class DependencyPass(AnalysisPass):
     """Engine pass building the complete DDG over the inside region.
 
-    MLI node kinds come from one of two sources:
-
-    * ``mli_keys`` — a fixed, already-matched set (the legacy wrapper path,
-      where pre-processing ran first);
-    * ``before_vars``/``inside_vars`` — the *live* collection dicts of a
-      :class:`~repro.core.preprocessing.MLICollectionPass` registered ahead
-      of this pass on the same engine.  A node is provisionally MLI when its
-      key is in both sets at creation time; :meth:`finalize` re-labels the
-      nodes whose membership was only proven later in the stream.
+    ``before_vars``/``inside_vars`` are the *live* collection dicts of a
+    :class:`~repro.core.preprocessing.MLICollectionPass` registered ahead
+    of this pass on the same engine.  A node is provisionally MLI when its
+    key is in both sets at creation time; :meth:`finalize` re-labels the
+    nodes whose membership was only proven later in the stream.
     """
 
+    column_kinds = frozenset((KIND_LOAD, KIND_STORE, KIND_GEP,
+                              KIND_FORWARDING, KIND_ARITHMETIC))
+
     def __init__(self, varmap: VariableMap,
-                 mli_keys: Optional[Set[str]] = None,
                  before_vars: Optional[Dict[str, VariableInfo]] = None,
                  inside_vars: Optional[Dict[str, VariableInfo]] = None) -> None:
         self.varmap = varmap
-        self._mli_keys = mli_keys
         self._before_vars = before_vars if before_vars is not None else {}
         self._inside_vars = inside_vars if inside_vars is not None else {}
         self.ddg = DDG()
@@ -353,23 +210,23 @@ class DependencyPass(AnalysisPass):
     # ------------------------------------------------------------------ #
     # Node helpers
     # ------------------------------------------------------------------ #
-    def _register_key(self, function: str, register: str) -> str:
-        return f"{function}%{register}"
-
     def _register_node(self, function: str, register: str) -> str:
-        key = self._register_key(function, register)
+        key = f"{function}%{register}"
         self.ddg.add_node(key, NodeKind.REGISTER, label=f"{function}:%{register}")
         return key
 
-    def _is_mli(self, key: str) -> bool:
-        if self._mli_keys is not None:
-            return key in self._mli_keys
-        return key in self._before_vars and key in self._inside_vars
-
     def _variable_node(self, key: str, name: str) -> str:
-        kind = NodeKind.MLI if self._is_mli(key) else NodeKind.LOCAL
-        self.ddg.add_node(key, kind, label=name)
+        is_mli = key in self._before_vars and key in self._inside_vars
+        self.ddg.add_node(key, NodeKind.MLI if is_mli else NodeKind.LOCAL,
+                          label=name)
         return key
+
+    def _address_node(self, address: int) -> Optional[str]:
+        """The variable node owning ``address`` in the live map, if any."""
+        info = self.varmap.resolve(address)
+        if info is None:
+            return None
+        return self._variable_node(info.key, info.name)
 
     def _lookup_binding(self, function: str, name: str) -> Optional[str]:
         """The innermost activation's binding for parameter ``name``.
@@ -386,27 +243,21 @@ class DependencyPass(AnalysisPass):
             return frames[-1][name]
         return self.param_bindings.get((function, name))
 
-    def _resolve_memref(self, function: str, memref) -> Optional[str]:
-        """Turn a pre-resolved memref into a variable node key.
-
-        A ``(key, name)`` memref resolved by address at execution time
-        becomes a variable node; a bare operand name falls back to the
-        binding stacks (apply-time state) and then to a function-local named
-        vertex, exactly the order the legacy ``_resolve_memory`` used.
-        """
-        if memref.__class__ is tuple:
-            return self._variable_node(*memref)
-        binding = self._lookup_binding(function, memref)
+    def _resolve_memref(self, function: str, name: str) -> Optional[str]:
+        """Variable node key for a memory operand the live map did not
+        attribute: the binding stacks first, then a function-local named
+        vertex."""
+        binding = self._lookup_binding(function, name)
         if binding is not None:
             return binding
-        if memref:
-            key = f"{function}:{memref}"
-            self.ddg.add_node(key, NodeKind.LOCAL, label=memref)
+        if name:
+            key = f"{function}:{name}"
+            self.ddg.add_node(key, NodeKind.LOCAL, label=name)
             return key
         return None
 
     # ------------------------------------------------------------------ #
-    # Engine callbacks (extract at execution time, apply immediately)
+    # Scope records
     # ------------------------------------------------------------------ #
     def on_alloca(self, record: TraceRecord, region: int) -> None:
         # Registration happens in the engine (shared map); the pass only
@@ -414,61 +265,60 @@ class DependencyPass(AnalysisPass):
         if region == REGION_INSIDE:
             self._inspected += 1
 
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self._inspected += 1
-        parts = _extract_load(self.varmap, record)
-        if parts is not None:
-            self._apply_load(*parts)
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self._inspected += 1
-        parts = _extract_store(self.varmap, record)
-        if parts is not None:
-            self._apply_store(*parts)
-
-    def on_gep(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self._inspected += 1
-        parts = _extract_gep(self.varmap, record)
-        if parts is not None:
-            self._apply_gep(*parts)
-
-    def on_forwarding(self, record: TraceRecord, region: int) -> None:
-        """BitCast and numeric casts forward their single operand."""
-        if region != REGION_INSIDE:
-            return
-        self._inspected += 1
-        parts = _extract_forwarding(record)
-        if parts is not None:
-            self._apply_forwarding(*parts)
-
-    def on_arithmetic(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self._inspected += 1
-        parts = _extract_arithmetic(record)
-        if parts is not None:
-            self._apply_arithmetic(*parts)
-
     def on_call(self, record: TraceRecord, region: int) -> None:
         if region != REGION_INSIDE:
             return
         self._inspected += 1
-        tag, parts = _extract_call(record)
-        if tag == _EV_CALL_FLAT:
-            self._apply_call_flat(*parts)
+        function = record.function
+        params = record.parameter_operands()
+        args = record.argument_operands()
+        frame: Dict[str, Optional[str]] = {}
+        if not params:
+            # Single-Call form (builtin / external, Fig. 6a): behave like an
+            # arithmetic instruction over the argument registers.  It may
+            # still be a zero-parameter *user* function whose body follows —
+            # the engine's activation detection on the next record decides.
+            if record.result is not None:
+                result_name = record.result.name
+                arg_registers = [op.name for op in args if op.is_register]
+                result_key = self._register_node(function, result_name)
+                for name in arg_registers:
+                    self.ddg.add_edge(self._register_node(function, name),
+                                      result_key)
+                self.reg_reg.link(function, result_name, arg_registers)
         else:
-            self._apply_call_bound(*parts)
+            # Call followed by its body (Fig. 6b): record the argument/
+            # parameter correlation so the callee's parameter accesses
+            # connect back to the caller's variables.  Every parameter gets
+            # a frame entry — None marks it explicitly unbound for this
+            # activation.
+            for position, param in enumerate(params):
+                source_key: Optional[str] = None
+                if position < len(args) and args[position].is_register:
+                    arg = args[position]
+                    source_key = self.reg_var.lookup(function, arg.name)
+                    if source_key is None and arg.address is not None:
+                        # The register holds a pointer — attribute it by
+                        # address.
+                        source_key = self._address_node(arg.address)
+                    if source_key is None:
+                        source_key = self._register_node(function, arg.name)
+                frame[param.name] = source_key
+                if source_key is not None:
+                    self.param_bindings[(record.callee, param.name)] = \
+                        source_key
+        if record.callee:
+            self._pending_frame = (record.callee, frame)
 
     def on_activation(self, callee: str, region: int) -> None:
         if region != REGION_INSIDE:
             return
-        self._apply_activation(callee)
+        pending = self._pending_frame
+        self._pending_frame = None
+        frame: Dict[str, Optional[str]] = {}
+        if pending is not None and pending[0] == callee:
+            frame = pending[1]
+        self._binding_stacks.setdefault(callee, []).append(frame)
 
     def on_return(self, record: TraceRecord, region: int) -> None:
         # Returns carry no data dependencies (not counted as "inspected"),
@@ -476,17 +326,18 @@ class DependencyPass(AnalysisPass):
         # retired its Allocas; pop its parameter-binding frame here.
         if region != REGION_INSIDE:
             return
-        self._apply_return(record.function)
+        frames = self._binding_stacks.get(record.function)
+        if frames:
+            frames.pop()
 
     # ------------------------------------------------------------------ #
-    # Columnar fast path
+    # Segments
     # ------------------------------------------------------------------ #
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows: Optional[List[int]] = None) -> None:
-        """Inline extract+apply straight off the columns.
+        """Build the DDG from one segment, straight off the columns.
 
-        Semantically the per-record callbacks verbatim — same gate order,
-        same state mutations — with three costs lifted out of the row loop:
+        Three costs are lifted out of the row loop:
 
         * register node keys cache per ``(function id, name id)`` pair
           (key strings and ``add_node`` probes are paid once per register,
@@ -742,166 +593,13 @@ class DependencyPass(AnalysisPass):
                             link_seen_add(link_key)
         self._inspected += inspected
 
-    # ------------------------------------------------------------------ #
-    # Apply: the sequential half (reg maps, binding stacks, the DDG)
-    # ------------------------------------------------------------------ #
-    def _fallback_node(self, fallback) -> Optional[str]:
-        """Materialize a register operand's by-address fallback.
-
-        ``fallback`` is a pre-resolved ``(key, name)`` tuple in replayed
-        frontier events, or a raw address (``int``) on the serial inline
-        path — resolved here, i.e. lazily on a reg-var lookup miss and at
-        the record's execution time (replay never reaches the address
-        branch, so the coordinator's post-scan map is never consulted).
-        """
-        if fallback.__class__ is tuple:
-            return self._variable_node(*fallback)
-        info = self.varmap.resolve(fallback)
-        if info is None:
-            return None
-        return self._variable_node(info.key, info.name)
-
-    def _apply_load(self, function: str, result_name: str, memref) -> None:
-        var_key = self._resolve_memref(function, memref)
-        if var_key is None:
-            return
-        reg_key = self._register_node(function, result_name)
-        self.ddg.add_edge(var_key, reg_key)
-        self.reg_var.associate(function, result_name, var_key)
-
-    def _apply_store(self, function: str, value_is_register: bool,
-                     value_name: str, memref) -> None:
-        var_key = self._resolve_memref(function, memref)
-        if var_key is None:
-            return
-        if value_is_register:
-            reg_key = self._register_node(function, value_name)
-            self.ddg.add_edge(reg_key, var_key)
-            self.reg_var.associate(function, value_name, var_key)
-        elif value_name:
-            # Storing a named non-register value: this is the callee spilling
-            # a formal parameter into its stack slot — connect it to the
-            # argument recorded by the preceding Call instruction (Fig. 6b).
-            binding = self._lookup_binding(function, value_name)
-            if binding is not None:
-                self.ddg.add_edge(binding, var_key)
-
-    def _apply_gep(self, function: str, result_name: str, memref,
-                   index_registers: List[str]) -> None:
-        result_key = self._register_node(function, result_name)
-        if memref is not None:
-            var_key = self._resolve_memref(function, memref)
-            if var_key is not None:
-                # Pointer assignment: the result register now stands for
-                # the variable (recursive source search of Sec. IV-A).
-                self.reg_var.associate(function, result_name, var_key)
-        # Index registers feeding the address computation also flow into
-        # the access (e.g. the DDG edge from `it` into `a` in Fig. 5c).
-        for name in index_registers:
-            reg_key = self._register_node(function, name)
-            self.ddg.add_edge(reg_key, result_key)
-
-    def _apply_forwarding(self, function: str, result_name: str,
-                          operands: List[Tuple[str, object]]) -> None:
-        result_key = self._register_node(function, result_name)
-        for name, fallback in operands:
-            reg_key = self._register_node(function, name)
-            self.ddg.add_edge(reg_key, result_key)
-            source = self.reg_var.lookup(function, name)
-            if source is None and fallback is not None:
-                # The register holds a pointer (e.g. the result of an array
-                # Alloca being decayed) — attribute it by address.
-                source = self._fallback_node(fallback)
-            if source is not None:
-                self.reg_var.associate(function, result_name, source)
-            self.reg_reg.link(function, result_name, [name])
-
-    def _apply_arithmetic(self, function: str, result_name: str,
-                          input_registers: List[str]) -> None:
-        result_key = self._register_node(function, result_name)
-        for name in input_registers:
-            reg_key = self._register_node(function, name)
-            self.ddg.add_edge(reg_key, result_key)
-        self.reg_reg.link(function, result_name, input_registers)
-
-    def _apply_call_flat(self, function: str, result_name: Optional[str],
-                         arg_registers: List[str], callee: str) -> None:
-        # Single-Call form (builtin / external, Fig. 6a): behave like an
-        # arithmetic instruction over the argument registers.  It may still
-        # be a zero-parameter *user* function whose body follows — the
-        # engine's activation detection on the next record decides.
-        if result_name is not None:
-            result_key = self._register_node(function, result_name)
-            for name in arg_registers:
-                reg_key = self._register_node(function, name)
-                self.ddg.add_edge(reg_key, result_key)
-            self.reg_reg.link(function, result_name, arg_registers)
-        if callee:
-            self._pending_frame = (callee, {})
-
-    def _apply_call_bound(self, function: str, callee: str,
-                          entries: List[Tuple[str, Optional[Tuple]]]) -> None:
-        # Call followed by its body (Fig. 6b): record the argument/
-        # parameter correlation so the callee's parameter accesses connect
-        # back to the caller's variables.  Every parameter gets a frame
-        # entry — None marks it explicitly unbound for this activation.
-        frame: Dict[str, Optional[str]] = {}
-        for param_name, arg_info in entries:
-            source_key: Optional[str] = None
-            if arg_info is not None:
-                arg_name, fallback = arg_info
-                source_key = self.reg_var.lookup(function, arg_name)
-                if source_key is None and fallback is not None:
-                    source_key = self._fallback_node(fallback)
-                if source_key is None:
-                    source_key = self._register_node(function, arg_name)
-            frame[param_name] = source_key
-            if source_key is not None:
-                self.param_bindings[(callee, param_name)] = source_key
-        if callee:
-            self._pending_frame = (callee, frame)
-
-    def _apply_activation(self, callee: str) -> None:
-        pending = self._pending_frame
-        self._pending_frame = None
-        frame: Dict[str, Optional[str]] = {}
-        if pending is not None and pending[0] == callee:
-            frame = pending[1]
-        self._binding_stacks.setdefault(callee, []).append(frame)
-
-    def _apply_return(self, function: str) -> None:
-        frames = self._binding_stacks.get(function)
-        if frames:
-            frames.pop()
-
-    # ------------------------------------------------------------------ #
-    # Parallel stitching
-    # ------------------------------------------------------------------ #
-    def merge(self, frontier: "DependencyFrontierPass") -> None:
-        """Stitch one partition's frontier event stream into this pass.
-
-        Call once per partition, in partition order: the events replay
-        through the same ``_apply_*`` handlers the serial walk uses, so the
-        sequential state (register associations, binding frames, DDG
-        last-writer structure) crosses each partition boundary exactly as
-        it would have in a single serial walk.
-        """
-        handlers = (self._apply_load, self._apply_store, self._apply_gep,
-                    self._apply_forwarding, self._apply_arithmetic,
-                    self._apply_call_flat, self._apply_call_bound,
-                    self._apply_activation, self._apply_return)
-        for event in frontier.events:
-            handlers[event[0]](*event[1:])
-        self._inspected += frontier.inspected
-
     def finalize(self) -> None:
-        if self._mli_keys is None:
-            # A node created before its owner's MLI membership was proven
-            # (the qualifying loop access came later) carries a stale LOCAL
-            # kind; the final before/inside intersection is now known.
-            for key in self._before_vars:
-                if key in self._inside_vars:
-                    self.ddg.set_node_kind(key, NodeKind.MLI)
+        # A node created before its owner's MLI membership was proven (the
+        # qualifying loop access came later) carries a stale LOCAL kind; the
+        # final before/inside intersection is now known.
+        for key in self._before_vars:
+            if key in self._inside_vars:
+                self.ddg.set_node_kind(key, NodeKind.MLI)
 
     def result(self) -> DependencyResult:
         return DependencyResult(
@@ -912,225 +610,3 @@ class DependencyPass(AnalysisPass):
             param_bindings=self.param_bindings,
             inspected_records=self._inspected,
         )
-
-
-class DependencyFrontierPass(AnalysisPass):
-    """Worker-side half of the parallel dependency analysis.
-
-    Performs, at each record's own execution time, exactly the address
-    resolution :class:`DependencyPass` would perform against the shared
-    live (snapshot-seeded) map, and records the outcome as a compact
-    *frontier event* — everything the sequential stitch needs and nothing
-    it can recompute.  The sequential state (reg-var/reg-reg maps,
-    parameter-binding stacks, the DDG itself) is deliberately **not**
-    touched here: lookups into it are deferred to
-    :meth:`DependencyPass.merge`, which replays the partitions' event
-    streams in stream order.
-
-    Args:
-        varmap: the engine's shared live map (the partition seed).
-    """
-
-    def __init__(self, varmap: VariableMap) -> None:
-        self.varmap = varmap
-        self.events: List[Tuple] = []
-        self.inspected = 0
-
-    def on_alloca(self, record: TraceRecord, region: int) -> None:
-        if region == REGION_INSIDE:
-            self.inspected += 1
-
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        parts = _extract_load(self.varmap, record)
-        if parts is not None:
-            self.events.append((_EV_LOAD,) + parts)
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        parts = _extract_store(self.varmap, record)
-        if parts is not None:
-            self.events.append((_EV_STORE,) + parts)
-
-    def on_gep(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        parts = _extract_gep(self.varmap, record)
-        if parts is not None:
-            self.events.append((_EV_GEP,) + parts)
-
-    def on_forwarding(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        parts = _extract_forwarding(record)
-        if parts is not None:
-            function, result_name, operands = parts
-            # Fallback addresses must resolve NOW (execution time) — by
-            # replay time the map no longer matches this record's state.
-            operands = [(name, _resolve_address(self.varmap, address))
-                        for name, address in operands]
-            self.events.append(
-                (_EV_FORWARDING, function, result_name, operands))
-
-    def on_arithmetic(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        parts = _extract_arithmetic(record)
-        if parts is not None:
-            self.events.append((_EV_ARITHMETIC,) + parts)
-
-    def on_call(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.inspected += 1
-        tag, parts = _extract_call(record)
-        if tag == _EV_CALL_BOUND:
-            function, callee, entries = parts
-            entries = [
-                (param_name,
-                 None if arg_info is None
-                 else (arg_info[0], _resolve_address(self.varmap,
-                                                     arg_info[1])))
-                for param_name, arg_info in entries]
-            parts = (function, callee, entries)
-        self.events.append((tag,) + parts)
-
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows: Optional[List[int]] = None) -> None:
-        """Columnar extract for workers: same events, straight off columns.
-
-        Mirrors :meth:`DependencyPass.consume_columns`, except the outcome
-        is appended as frontier events — with register fallbacks resolved
-        eagerly, as every frontier event requires.
-        """
-        if region != REGION_INSIDE:
-            return
-        strings = block.strings
-        opcode = block.opcode
-        function_id = block.function_id
-        op_start = block.op_start
-        has_result = block.has_result
-        op_flags = block.op_flags
-        op_name_id = block.op_name_id
-        op_address = block.op_address
-        varmap = self.varmap
-        resolve = varmap.resolve
-        kind_of = _COLUMN_KIND
-        append = self.events.append
-        inspected = 0
-        for row in (range(start, stop) if rows is None else rows):
-            kind = kind_of[opcode[row]]
-            if kind == KIND_OTHER:
-                continue
-            lo_slot = op_start[row]
-            hi_slot = op_start[row + 1]
-            result = has_result[row]
-            n_ops = hi_slot - lo_slot - result
-            inspected += 1
-            if kind == KIND_ARITHMETIC:
-                if not result:
-                    continue
-                append((_EV_ARITHMETIC,
-                        strings[function_id[row]],
-                        strings[op_name_id[hi_slot - 1]],
-                        [strings[op_name_id[slot]]
-                         for slot in range(lo_slot, lo_slot + n_ops)
-                         if op_flags[slot] & 1]))
-            elif kind == KIND_LOAD:
-                if not n_ops or not result:
-                    continue
-                info = resolve(op_address[lo_slot])
-                append((_EV_LOAD,
-                        strings[function_id[row]],
-                        strings[op_name_id[hi_slot - 1]],
-                        (info.key, info.name) if info is not None
-                        else strings[op_name_id[lo_slot]]))
-            elif kind == KIND_STORE:
-                if n_ops < 2:
-                    continue
-                info = resolve(op_address[lo_slot + 1])
-                append((_EV_STORE,
-                        strings[function_id[row]],
-                        op_flags[lo_slot] & 1,
-                        strings[op_name_id[lo_slot]],
-                        (info.key, info.name) if info is not None
-                        else strings[op_name_id[lo_slot + 1]]))
-            elif kind == KIND_GEP:
-                if not result:
-                    continue
-                memref = None
-                if n_ops:
-                    info = resolve(op_address[lo_slot])
-                    memref = ((info.key, info.name) if info is not None
-                              else strings[op_name_id[lo_slot]])
-                append((_EV_GEP,
-                        strings[function_id[row]],
-                        strings[op_name_id[hi_slot - 1]],
-                        memref,
-                        [strings[op_name_id[slot]]
-                         for slot in range(lo_slot + 1, lo_slot + n_ops)
-                         if op_flags[slot] & 1]))
-            elif kind == KIND_FORWARDING:
-                if not result:
-                    continue
-                append((_EV_FORWARDING,
-                        strings[function_id[row]],
-                        strings[op_name_id[hi_slot - 1]],
-                        [(strings[op_name_id[slot]],
-                          _resolve_address(varmap, op_address[slot]))
-                         for slot in range(lo_slot, lo_slot + n_ops)
-                         if op_flags[slot] & 1]))
-        self.inspected += inspected
-
-    def on_activation(self, callee: str, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.events.append((_EV_ACTIVATION, callee))
-
-    def on_return(self, record: TraceRecord, region: int) -> None:
-        if region != REGION_INSIDE:
-            return
-        self.events.append((_EV_RETURN, record.function))
-
-
-class DependencyAnalysis:
-    """Build the complete DDG for the main computation loop.
-
-    Legacy-shaped wrapper over :class:`DependencyPass`: takes a completed
-    pre-processing result and drives the pass (through an
-    :class:`~repro.core.engine.AnalysisEngine` for its dispatch table,
-    variable-map maintenance and scope tracking) over the already-partitioned
-    inside region.  The fused pipeline registers the pass on the shared
-    engine instead and never materializes the region.
-    """
-
-    def __init__(self, preprocessing: PreprocessingResult) -> None:
-        self.preprocessing = preprocessing
-        self.regions: TraceRegions = preprocessing.regions
-        self.mli_keys: Set[str] = set(preprocessing.mli_keys())
-        self.mli_by_key: Dict[str, MLIVariable] = {
-            var.key: var for var in preprocessing.mli_variables}
-
-        # The dependency analysis needs to attribute addresses to *any*
-        # variable, including locals of called functions; start from the
-        # pre-processing map (globals + main-loop-function allocations) and
-        # let the engine extend it on the fly with the Allocas seen inside
-        # the loop.
-        self.varmap = VariableMap()
-        for info in preprocessing.variable_map:
-            self.varmap.add(info)
-
-    def run(self) -> DependencyResult:
-        dep_pass = DependencyPass(self.varmap, mli_keys=self.mli_keys)
-        engine = AnalysisEngine(self.regions.spec, [dep_pass],
-                                variable_map=self.varmap)
-        engine.run_region(self.regions.inside, REGION_INSIDE)
-        engine.finalize()
-        return dep_pass.result()

@@ -1,48 +1,37 @@
-"""Single-pass analysis engine: one streamed walk drives every stage.
+"""Single-pass analysis engine: one columnar walk drives every stage.
 
-The multi-pass pipeline iterated the loop region at least four times —
-MLI identification over the whole trace, the dependency analysis over
-``regions.inside``, R/W extraction over ``inside`` and ``after``, and the
-dynamic-induction fallback over ``inside`` again — and in streaming mode
-every iteration re-streamed (for text traces: fully re-parsed) the file.
-Worse, the post-hoc stages resolved addresses against the dependency
-analysis' *end-of-region* :class:`~repro.core.varmap.VariableMap`, so stack
-reuse inside the loop could misattribute early accesses (see
-``tests/test_engine_fused.py::TestTemporalAttribution``).
+:class:`AnalysisEngine` walks a trace once, as the decoded
+:class:`~repro.trace.columnar.ColumnarBlock`\\ s of
+:meth:`~repro.trace.columnar.TraceColumnarReader.iter_blocks`:
 
-:class:`AnalysisEngine` replaces that with one event-driven walk:
-
-* records are streamed **exactly once** (from an in-memory list or a lazy
-  file iterator — the engine never indexes, only iterates);
 * the main loop's dynamic extent is tagged on the fly from the
-  :class:`~repro.core.config.MainLoopSpec`: records seen after the latest
-  loop-line record are buffered until a later loop-line record proves they
-  lie inside the extent (they are then flushed, in stream order, as
-  ``inside``) or the stream ends (they are the ``after`` region).  Memory is
-  bounded by the longest stretch of records between two loop-line records
-  plus the after region — never by the trace length;
+  :class:`~repro.core.config.MainLoopSpec`: one vectorized line/function
+  mask per block finds the loop-line rows, and the spans seen after the
+  latest loop-line row are buffered as ``(block, lo, hi)`` triples until a
+  later loop-line row proves they lie inside the extent (they are then
+  walked, in stream order, as ``inside``) or the stream ends (they are the
+  ``after`` region);
 * one **live, scoped** variable map is shared by every pass: the engine
   registers every ``Alloca`` the moment it executes, opens an allocation
   scope when a traced ``Call``'s body follows, and retires the callee's
   allocations on its ``Ret`` — so each access resolves against the
-  allocation state *at its own execution time*, which fixes the temporal
-  misattribution by construction;
-* registered :class:`AnalysisPass` objects receive callbacks per record
-  kind (load/store/GEP/forwarding/arithmetic/call/ret/alloca), per region
-  transition, and per call/ret scope event.  Dispatch goes through a
-  precomputed ``opcode -> (engine action, pass callbacks)`` table, so the
-  hot loop never constructs an :class:`~repro.ir.opcodes.Opcode` enum and
-  never calls a pass that did not subscribe to the kind.
+  allocation state *at its own execution time*;
+* the rows between two scope records (``Alloca`` / ``Call`` / ``Ret``) form
+  a *segment*: every registered :class:`AnalysisPass` consumes it through
+  :meth:`AnalysisPass.consume_columns`, straight off the columns.  Scope
+  records are materialized one at a time and dispatched to the passes'
+  ``on_alloca`` / ``on_call`` / ``on_ret`` handlers after the engine ran
+  its own action for them.
 
-Pass execution order is registration order; the fused pipeline registers
-the MLI-collection pass first so that later passes observe the variable
-sets updated through the current record.
+Pass execution order is registration order; the pipeline registers the
+MLI-collection pass first so that later passes observe the variable sets
+updated through the current segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MainLoopSpec
 from repro.core.errors import AnalysisError
@@ -79,17 +68,11 @@ KIND_ARITHMETIC = 6
 KIND_CALL = 7
 KIND_RET = 8
 
-#: kind -> name of the AnalysisPass callback that handles it
-_KIND_CALLBACKS = {
+#: scope kind -> name of the AnalysisPass handler that receives its records
+_SCOPE_CALLBACKS = {
     KIND_ALLOCA: "on_alloca",
-    KIND_LOAD: "on_load",
-    KIND_STORE: "on_store",
-    KIND_GEP: "on_gep",
-    KIND_FORWARDING: "on_forwarding",
-    KIND_ARITHMETIC: "on_arithmetic",
     KIND_CALL: "on_call",
     KIND_RET: "on_ret",
-    KIND_OTHER: "on_other",
 }
 
 
@@ -118,9 +101,9 @@ KIND_BY_OPCODE: Dict[int, int] = {int(op): _kind_of(int(op)) for op in Opcode}
 
 _MAX_OPCODE = max(KIND_BY_OPCODE)
 
-#: Opcodes the columnar walk materializes individually (engine actions
-#: mutate the shared map / scope structure mid-stream, so these break the
-#: vectorizable segments); every *other* known opcode stays columnar.
+#: Opcodes the walk materializes individually (engine actions mutate the
+#: shared map / scope structure mid-stream, so these break the segments);
+#: every *other* known opcode stays columnar.
 _SCOPE_KINDS = (KIND_RET, KIND_ALLOCA, KIND_CALL)
 _NONBREAK_OPCODES = frozenset(
     op for op, kind in KIND_BY_OPCODE.items() if kind not in _SCOPE_KINDS)
@@ -133,9 +116,9 @@ _COLUMNAR_POINTER_OPERAND = {
 _GEP_OPCODE = int(Opcode.GETELEMENTPTR)
 
 if _np is not None:
-    # True where the columnar walk must leave vectorized dispatch: scope
-    # opcodes and every in-range value that is not a known opcode (the
-    # walk clips out-of-range values onto index 0, which is unknown too).
+    # True where the walk must leave segment dispatch: scope opcodes and
+    # every in-range value that is not a known opcode (the walk clips
+    # out-of-range values onto index 0, which is unknown too).
     _NP_BREAK_LUT = _np.ones(_MAX_OPCODE + 1, dtype=bool)
     for _op in _NONBREAK_OPCODES:
         _NP_BREAK_LUT[_op] = False
@@ -143,33 +126,25 @@ if _np is not None:
 
 
 class AnalysisPass:
-    """Base class for engine passes; override only the callbacks you need.
+    """Base class for engine passes; override only what you need.
 
-    The engine inspects which ``on_*`` methods a subclass overrides and
-    builds its dispatch table from exactly those, so an un-overridden kind
-    costs nothing in the hot loop.  Every record callback receives the
-    record and the region constant (``REGION_BEFORE`` / ``REGION_INSIDE`` /
-    ``REGION_AFTER``) it executes in.
+    A pass reads segment rows through :meth:`consume_columns` and declares
+    the non-scope record kinds it reads there in :attr:`column_kinds`.
+    Scope records arrive through the ``on_alloca`` / ``on_call`` /
+    ``on_ret`` handlers; the engine inspects which of them a subclass
+    overrides and calls exactly those.  Every callback receives the region
+    constant (``REGION_BEFORE`` / ``REGION_INSIDE`` / ``REGION_AFTER``) it
+    executes in.
     """
 
-    # -- record-kind callbacks ----------------------------------------- #
+    #: Non-scope record kinds (``KIND_*``) :meth:`consume_columns` reads.
+    #: The static prefilter counts a row outside the loop as skipped only
+    #: when some registered pass declared its kind.
+    column_kinds: FrozenSet[int] = frozenset()
+
+    # -- scope records --------------------------------------------------- #
     def on_alloca(self, record: TraceRecord, region: int) -> None:
         """An ``Alloca`` record (already registered on the shared map)."""
-
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        """A ``Load`` record."""
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        """A ``Store`` record."""
-
-    def on_gep(self, record: TraceRecord, region: int) -> None:
-        """A ``GetElementPtr`` record."""
-
-    def on_forwarding(self, record: TraceRecord, region: int) -> None:
-        """A ``BitCast`` / numeric-cast record (pointer/value forwarding)."""
-
-    def on_arithmetic(self, record: TraceRecord, region: int) -> None:
-        """An arithmetic record (paper Table I's instruction family)."""
 
     def on_call(self, record: TraceRecord, region: int) -> None:
         """A ``Call`` record (scope opening, if any, follows on the next
@@ -179,41 +154,33 @@ class AnalysisPass:
         """A ``Ret`` record, as a plain record kind; scope closing is
         reported through :meth:`on_return`."""
 
-    def on_other(self, record: TraceRecord, region: int) -> None:
-        """Any record kind without a dedicated callback (Br, ICmp, ...)."""
-
-    # -- columnar fast path -------------------------------------------- #
+    # -- segments -------------------------------------------------------- #
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows: Optional[List[int]] = None) -> None:
-        """Optional columnar fast path over one decoded block segment.
+        """Consume one segment of a decoded block.
 
-        When overridden, the engine's columnar walk calls this **instead
-        of** the per-record kind callbacks for segment rows: consume rows
-        ``[start, stop)`` of ``block`` (a
+        Consume rows ``[start, stop)`` of ``block`` (a
         :class:`~repro.trace.columnar.ColumnarBlock`) — or exactly ``rows``
         (ascending, within that range) when the static prefilter narrowed
-        the segment — with semantics identical to receiving the per-record
-        callbacks for the same records in row order.  Segments never
-        contain ``Alloca`` / ``Call`` / ``Ret`` records (those carry engine
-        actions and always arrive through the per-record callbacks), all
-        rows of a segment share ``region``, and the shared variable map is
-        constant across the segment.  A pass that does not override this
-        keeps its exact per-record behavior via lazily materialized
-        records.
+        the segment — in row order.  Segments never contain ``Alloca`` /
+        ``Call`` / ``Ret`` records (those carry engine actions and arrive
+        through the scope handlers), all rows of a segment share
+        ``region``, and the shared variable map is constant across the
+        segment.
         """
 
     # -- structural callbacks ------------------------------------------ #
     def on_region_change(self, region: int) -> None:
         """The walk crossed into ``region``.  Fires exactly three times per
-        :meth:`AnalysisEngine.run`: ``REGION_BEFORE`` at the start of the
-        walk, ``REGION_INSIDE`` at the first loop-line record, and
+        :meth:`AnalysisEngine.run_columnar`: ``REGION_BEFORE`` at the start
+        of the walk, ``REGION_INSIDE`` at the first loop-line record, and
         ``REGION_AFTER`` once the stream ends (even when the after region
         is empty)."""
 
     def on_activation(self, callee: str, region: int) -> None:
         """A traced ``Call``'s body follows: the engine just opened an
         allocation scope for ``callee`` (fires before the first callee
-        record's kind callback)."""
+        record is dispatched)."""
 
     def on_return(self, record: TraceRecord, region: int) -> None:
         """``record`` is the ``Ret`` closing the innermost activation of
@@ -246,44 +213,7 @@ class EngineWalk:
         return self.record_count - self.last_index - 1
 
 
-class _SizedRegion:
-    """Sized stand-in for a region that was streamed, not materialized."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        raise TypeError(
-            "this region was consumed by the single-pass analysis engine "
-            "and is not re-iterable; run with analysis_engine='multipass' "
-            "if a stage needs to re-walk a region")
-
-
-class RegionCounts:
-    """A :class:`~repro.core.preprocessing.TraceRegions`-shaped object
-    carrying only sizes — what the fused pipeline's report needs.  The
-    record streams behind it were consumed exactly once by the engine."""
-
-    def __init__(self, spec: MainLoopSpec, walk: EngineWalk) -> None:
-        self.spec = spec
-        self.before = _SizedRegion(walk.before_count)
-        self.inside = _SizedRegion(walk.inside_count)
-        self.after = _SizedRegion(walk.after_count)
-        self.first_loop_dyn_id = walk.first_loop_dyn_id
-        self.last_loop_dyn_id = walk.last_loop_dyn_id
-
-    @property
-    def total_records(self) -> int:
-        return len(self.before) + len(self.inside) + len(self.after)
-
-
-# engine-internal actions baked into the dispatch plan
-_ACT_NONE = 0
+# engine-internal actions of the scope opcodes
 _ACT_ALLOCA = 1
 _ACT_CALL = 2
 _ACT_RET = 3
@@ -294,7 +224,7 @@ _ACTION_BY_KIND = {KIND_ALLOCA: _ACT_ALLOCA, KIND_CALL: _ACT_CALL,
 
 
 class AnalysisEngine:
-    """Drive registered passes over a record stream in one pass.
+    """Drive registered passes over a trace's columnar blocks in one pass.
 
     The engine owns the shared live variable map: it registers every
     ``Alloca`` (all functions) at execution time and mirrors the trace's
@@ -313,12 +243,12 @@ class AnalysisEngine:
         # Optional static skip filter (repro.static.prefilter.StaticPrefilter,
         # duck-typed to avoid a core -> static import cycle).  Consulted only
         # for records *outside* the loop region, and only valid for pass sets
-        # that — like the fused pipeline's — gate non-memory kinds to the
-        # inside region.  Engine-side actions (Alloca registration, scope
+        # that — like the pipeline's — gate non-memory kinds to the inside
+        # region.  Engine-side actions (Alloca registration, scope
         # open/close) always run; only pass dispatch is skipped.  Filters
         # exposing ``make_skip_plan()`` split the decision into a
         # membership-testable always-skip opcode set plus a closure for the
-        # rest — the per-record Python call is what the split avoids.
+        # rest.
         self._prefilter_obj = prefilter
         if prefilter is None:
             self._prefilter_skip = None
@@ -344,51 +274,43 @@ class AnalysisEngine:
         self._return_callbacks = tuple(
             p.on_return for p in self.passes
             if type(p).on_return is not AnalysisPass.on_return)
-        # opcode -> (engine action, subscribed pass callbacks); one dict
-        # probe per record replaces per-record Opcode(...) construction and
-        # per-pass "do I care?" tests.
+        self._consumers = tuple(
+            p.consume_columns for p in self.passes
+            if type(p).consume_columns is not AnalysisPass.consume_columns)
+        # scope opcode -> (engine action, subscribed pass handlers); any
+        # other opcode reaching :meth:`_process` is unknown (segments carry
+        # every known non-scope opcode) and fails loudly.
         self._plan: Dict[int, Tuple[int, Tuple[Callable, ...]]] = {}
         for raw, kind in KIND_BY_OPCODE.items():
-            method_name = _KIND_CALLBACKS[kind]
+            method_name = _SCOPE_CALLBACKS.get(kind)
+            if method_name is None:
+                continue
             callbacks = tuple(
                 getattr(p, method_name) for p in self.passes
                 if getattr(type(p), method_name)
                 is not getattr(AnalysisPass, method_name))
-            self._plan[raw] = (_ACTION_BY_KIND.get(kind, _ACT_NONE), callbacks)
-        # Opcodes outside the enum mean a corrupt or foreign trace; the old
-        # per-record Opcode(...) construction failed loudly on them and the
-        # dispatch table must too (only such records pay this branch).
+            self._plan[raw] = (_ACTION_BY_KIND[kind], callbacks)
         self._default_plan: Tuple[int, Tuple[Callable, ...]] = (_ACT_UNKNOWN, ())
-        # Columnar dispatch plan: per pass, its consume_columns override (or
-        # None) plus a per-opcode map of its own record callbacks for the
-        # materializing fallback.
-        self._col_passes: List[Tuple[Optional[Callable],
-                                     Optional[Callable]]] = []
-        for p in self.passes:
-            consume = (p.consume_columns
-                       if type(p).consume_columns
-                       is not AnalysisPass.consume_columns else None)
-            fallback: Dict[int, Callable] = {}
-            if consume is None:
-                for raw, kind in KIND_BY_OPCODE.items():
-                    method_name = _KIND_CALLBACKS[kind]
-                    if (getattr(type(p), method_name)
-                            is not getattr(AnalysisPass, method_name)):
-                        fallback[raw] = getattr(p, method_name)
-            self._col_passes.append(
-                (consume, fallback.get if fallback else None))
+        #: opcodes some pass listens to — outside the loop, the prefilter
+        #: counts exactly these rows as skipped
+        column_kinds = frozenset().union(*(p.column_kinds
+                                           for p in self.passes))
+        self._subscribed = frozenset(
+            [op for op, (_, cbs) in self._plan.items() if cbs]
+            + [op for op, kind in KIND_BY_OPCODE.items()
+               if kind in column_kinds])
 
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
     def add_globals(self, globals_: Iterable[GlobalSymbol]) -> None:
-        """Register the trace preamble's module globals on the shared map.
+        """Register the trace's module globals on the shared map.
 
-        Call once before :meth:`run` — globals must be resolvable from the
-        first record on.
+        Call once before :meth:`run_columnar` — globals must be resolvable
+        from the first record on.
 
         Args:
-            globals_: the preamble's :class:`GlobalSymbol` entries.
+            globals_: the trace's :class:`GlobalSymbol` entries.
         """
         for symbol in globals_:
             self.varmap.add_global_symbol(symbol)
@@ -396,174 +318,13 @@ class AnalysisEngine:
     # ------------------------------------------------------------------ #
     # Driving
     # ------------------------------------------------------------------ #
-    def run(self, records: Iterable[TraceRecord]) -> EngineWalk:
-        """Walk ``records`` once, tagging regions on the fly.
-
-        Args:
-            records: the full trace's records in stream order — a list or a
-                lazy file-backed iterator; consumed exactly once.
-
-        Returns:
-            The :class:`EngineWalk` shape of the trace (loop extent, region
-            sizes).  Passes are finalized before returning.
-
-        Raises:
-            AnalysisError: when no record falls inside the main computation
-                loop range, or a record carries an unknown opcode.
-        """
-        spec = self.spec
-        spec_function = spec.function
-        start_line = spec.start_line
-        end_line = spec.end_line
-        process = self._process
-        pending: List[TraceRecord] = []
-        pending_append = pending.append
-        first_index: Optional[int] = None
-        last_index = -1
-        first_dyn = last_dyn = 0
-        index = -1
-        # Prefilter fast path for the before region: records whose opcode
-        # carries no engine action resolve against precomputed sets without
-        # entering :meth:`_process` at all (its pending-activation check,
-        # plan probe and attribute loads cost more than the skip decision).
-        # Any record that might open an activation (the one right after a
-        # Call) or run an action takes the full path; skip-count semantics
-        # match _process exactly — only records with subscribed callbacks
-        # count.
-        fast_on = self._prefilter_skip is not None
-        if fast_on:
-            mem_skip = self._prefilter_skip
-            always = self._prefilter_always
-            fast_count = frozenset(
-                op for op, (act, cbs) in self._plan.items()
-                if act == _ACT_NONE and cbs and op in always)
-            fast_noop = frozenset(
-                op for op, (act, cbs) in self._plan.items()
-                if act == _ACT_NONE and not cbs)
-            mem_callbacks_get = {
-                op: cbs for op, (act, cbs) in self._plan.items()
-                if act == _ACT_NONE and cbs and op not in always}.get
-        fast_skipped = 0
-        self._emit_region(REGION_BEFORE)
-        for index, record in enumerate(records):
-            if (record.function == spec_function
-                    and start_line <= record.line <= end_line):
-                if first_index is None:
-                    first_index = index
-                    first_dyn = record.dyn_id
-                    self._emit_region(REGION_INSIDE)
-                if pending:
-                    # Everything buffered since the previous loop-line record
-                    # is now proven to lie inside the loop's dynamic extent:
-                    # flush it, in stream order, before this record.
-                    for buffered in pending:
-                        process(buffered, REGION_INSIDE)
-                    pending.clear()
-                last_index = index
-                last_dyn = record.dyn_id
-                process(record, REGION_INSIDE)
-            elif first_index is None:
-                if fast_on and self._pending_activation is None:
-                    opcode = record.opcode
-                    if opcode in fast_count:
-                        fast_skipped += 1
-                        continue
-                    if opcode in fast_noop:
-                        continue
-                    callbacks = mem_callbacks_get(opcode)
-                    if callbacks is not None:
-                        if mem_skip(record, REGION_BEFORE):
-                            fast_skipped += 1
-                        else:
-                            for callback in callbacks:
-                                callback(record, REGION_BEFORE)
-                        continue
-                process(record, REGION_BEFORE)
-            else:
-                pending_append(record)
-        self.skipped_records += fast_skipped
-        if first_index is None:
-            raise AnalysisError(
-                f"no trace record falls inside the main computation loop "
-                f"range {spec.mclr} of function {spec.function!r}")
-        # The still-buffered tail is the after region.
-        self._emit_region(REGION_AFTER)
-        for buffered in pending:
-            process(buffered, REGION_AFTER)
-        pending.clear()
-        for pass_ in self.passes:
-            pass_.finalize()
-        return EngineWalk(
-            record_count=index + 1,
-            first_index=first_index,
-            last_index=last_index,
-            first_loop_dyn_id=first_dyn,
-            last_loop_dyn_id=last_dyn,
-        )
-
-    def run_indexed(self, records: Iterable[TraceRecord], *,
-                    base_index: int, first_index: int, last_index: int,
-                    pending_activation: Optional[str] = None) -> int:
-        """Walk one partition of the trace with index-derived regions.
-
-        The parallel fused pipeline shards the record stream by global
-        record index after a sequential scope scan has located the main
-        loop's extent.  Each worker drives its partition through this
-        method: ``records`` must yield the records starting at global index
-        ``base_index``, and each record's region follows from its global
-        index — before ``first_index``, inside ``[first_index,
-        last_index]``, after — instead of from on-the-fly loop-line
-        detection.  Every engine-side effect (Alloca registration,
-        activation opening, scope retirement) still happens at the record's
-        own execution time against the (snapshot-seeded) shared map.
-
-        Args:
-            records: the partition's records, in stream order.
-            base_index: global index of the first yielded record.
-            first_index: global index of the first main-loop record.
-            last_index: global index of the last main-loop record.
-            pending_activation: callee name when the *previous* partition
-                ended on a traced ``Call`` whose body may follow — seeds the
-                engine's one-record activation lookahead.
-
-        Returns:
-            The number of records processed.  Region-change callbacks fire
-            for the regions the partition actually crosses (partition-local,
-            unlike :meth:`run`'s exactly-three guarantee); passes are *not*
-            finalized — the coordinator finalizes after merging.
-        """
-        self._pending_activation = pending_activation
-        process = self._process
-        index = base_index
-        region: Optional[int] = None
-        for record in records:
-            if index < first_index:
-                record_region = REGION_BEFORE
-            elif index <= last_index:
-                record_region = REGION_INSIDE
-            else:
-                record_region = REGION_AFTER
-            if record_region != region:
-                region = record_region
-                self._emit_region(region)
-            process(record, record_region)
-            index += 1
-        return index - base_index
-
-    # ------------------------------------------------------------------ #
-    # Columnar driving
-    # ------------------------------------------------------------------ #
     def run_columnar(self, blocks) -> EngineWalk:
-        """Walk :class:`~repro.trace.columnar.ColumnarBlock`s once.
+        """Walk :class:`~repro.trace.columnar.ColumnarBlock`\\ s once.
 
-        The columnar counterpart of :meth:`run`, with identical observable
-        semantics (regions, scope tracking, prefilter skip counts, error
-        messages): loop-extent detection becomes one vectorized line/
-        function mask per block, region-unresolved spans are buffered as
-        ``(block, lo, hi)`` triples instead of record lists, and segment
-        rows between scope records dispatch through each pass's
-        :meth:`AnalysisPass.consume_columns` fast path (or lazily
-        materialized records for passes without one).
+        Loop-extent detection is one vectorized line/function mask per
+        block, region-unresolved spans are buffered as ``(block, lo, hi)``
+        triples, and segment rows between scope records dispatch through
+        each pass's :meth:`AnalysisPass.consume_columns`.
 
         Args:
             blocks: the trace's blocks in stream order, e.g. from
@@ -634,43 +395,6 @@ class AnalysisEngine:
             last_loop_dyn_id=last_dyn,
         )
 
-    def run_indexed_columnar(self, blocks, *, first_index: int,
-                             last_index: int,
-                             pending_activation: Optional[str] = None) -> int:
-        """Columnar counterpart of :meth:`run_indexed` (parallel workers).
-
-        ``blocks`` must carry their global position in ``base_index`` (the
-        columnar reader sets it); each row's region follows from its global
-        index against ``[first_index, last_index]``.  Region-change
-        callbacks fire partition-locally and passes are not finalized,
-        exactly like :meth:`run_indexed`.
-
-        Returns:
-            The number of records processed.
-        """
-        self._pending_activation = pending_activation
-        region: Optional[int] = None
-        processed = 0
-        for block in blocks:
-            self._prepare_columnar(block)
-            base = block.base_index
-            count = block.count
-            spans = (
-                (0, min(count, first_index - base), REGION_BEFORE),
-                (max(0, first_index - base),
-                 min(count, last_index + 1 - base), REGION_INSIDE),
-                (max(0, last_index + 1 - base), count, REGION_AFTER),
-            )
-            for lo, hi, span_region in spans:
-                if lo >= hi:
-                    continue
-                if span_region != region:
-                    region = span_region
-                    self._emit_region(region)
-                self._walk_span(block, lo, hi, span_region)
-            processed += count
-        return processed
-
     def _prepare_columnar(self, block) -> None:
         """Build the per-trace columnar tables (id-keyed prefilter sets).
 
@@ -685,14 +409,13 @@ class AnalysisEngine:
         if self._prefilter_skip is None:
             return
         always = self._prefilter_always
-        #: opcodes record mode counts as skipped with one membership test
-        count_set = frozenset(
-            op for op, (act, cbs) in self._plan.items()
-            if cbs and op in always)
+        subscribed = self._subscribed
+        #: opcodes counted as skipped with one membership test
+        count_set = frozenset(op for op in subscribed if op in always)
         #: opcodes needing the per-record memory decision
-        mem_set = frozenset(
-            op for op, (act, cbs) in self._plan.items()
-            if cbs and op not in always)
+        mem_set = frozenset(op for op in subscribed
+                            if op not in always
+                            and KIND_BY_OPCODE[op] not in _SCOPE_KINDS)
         self._col_count_set = count_set
         self._col_mem_set = mem_set
         if _np is not None:
@@ -734,7 +457,7 @@ class AnalysisEngine:
     def _break_rows(self, block, lo: int, hi: int) -> List[int]:
         """Rows in ``[lo, hi)`` the walk must materialize individually:
         scope opcodes (engine actions) and unknown opcodes (loud failure
-        through :meth:`_process`, identical to record mode)."""
+        through :meth:`_process`)."""
         if _np is not None and block.np_opcode is not None:
             ops = block.np_opcode[lo:hi]
             clipped = _np.clip(ops, 0, _MAX_OPCODE)
@@ -776,26 +499,18 @@ class AnalysisEngine:
             self.skipped_records += skipped
             if not rows:
                 return
-        for consume, fallback_get in self._col_passes:
-            if consume is not None:
-                consume(block, lo, hi, region, rows)
-            elif fallback_get is not None:
-                record_of = block.record
-                opcode = block.opcode
-                for row in (range(lo, hi) if rows is None else rows):
-                    callback = fallback_get(opcode[row])
-                    if callback is not None:
-                        callback(record_of(row), region)
+        for consume in self._consumers:
+            consume(block, lo, hi, region, rows)
 
     def _columnar_survivors(self, block, lo: int, hi: int,
                             region: int) -> Tuple[List[int], int]:
         """Prefilter one outside-loop segment: (surviving rows, skipped).
 
-        Column translation of record mode's decision: rows whose opcode is
-        always-skippable *and* subscribed count as skipped in bulk; memory
-        rows go through the structured id-table decision (or the filter's
-        own closure over materialized records for non-structured filters);
-        rows without any subscribed callback contribute nothing.
+        Rows whose opcode is always-skippable *and* subscribed count as
+        skipped in bulk; memory rows go through the structured id-table
+        decision (or the filter's own closure over materialized records
+        for non-structured filters); rows no pass subscribed to contribute
+        nothing.
         """
         skipped = 0
         if _np is not None and block.np_opcode is not None:
@@ -862,32 +577,8 @@ class AnalysisEngine:
             keep(row)
         return survivors, skipped
 
-    def run_region(self, records: Iterable[TraceRecord],
-                   region: int = REGION_INSIDE) -> int:
-        """Walk an already-partitioned region (no loop detection).
-
-        Used by the legacy-shaped stage wrappers
-        (:class:`~repro.core.dependency.DependencyAnalysis`) that receive a
-        pre-partitioned region and only need the engine's dispatch, variable
-        map maintenance and scope tracking.  Returns the record count;
-        passes are *not* finalized (drive multiple regions, then call
-        :meth:`finalize`).
-        """
-        process = self._process
-        count = 0
-        for record in records:
-            process(record, region)
-            count += 1
-        return count
-
-    def finalize(self) -> None:
-        """Finalize every registered pass (for :meth:`run_region` /
-        :meth:`run_indexed` drivers; :meth:`run` finalizes itself)."""
-        for pass_ in self.passes:
-            pass_.finalize()
-
     # ------------------------------------------------------------------ #
-    # Per-record processing
+    # Scope records
     # ------------------------------------------------------------------ #
     def _process(self, record: TraceRecord, region: int) -> None:
         pending = self._pending_activation

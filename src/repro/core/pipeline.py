@@ -1,30 +1,24 @@
 """The AutoCheck pipeline: pre-processing → dependency analysis → identification.
 
-This is the top-level orchestration of the paper's Fig. 2 workflow, with the
-per-stage timing hooks used to regenerate Table III.  The pipeline accepts
-either an in-memory :class:`repro.trace.records.Trace` or a path to a trace
-file, and comes in two shapes selected by
-:attr:`repro.core.config.AutoCheckConfig.analysis_engine`:
+This is the top-level orchestration of the paper's Fig. 2 workflow.  Every
+report comes from one route: the trace is read as columnar blocks
+(:meth:`repro.trace.columnar.TraceColumnarReader.iter_blocks`) and one
+:class:`repro.core.engine.AnalysisEngine` walk drives every stage as an
+engine pass — MLI-variable collection, the dependency analysis, R/W
+extraction and the dynamic-induction probe all observe each record exactly
+once, sharing one live variable map so every access resolves against the
+allocation state at its own execution time.  The identify stage then
+contracts the DDG and classifies the critical variables.
 
-* ``"fused"`` (default) — one single-pass
-  :class:`repro.core.engine.AnalysisEngine` walk drives every stage as
-  engine passes: region partitioning, MLI-variable collection, the
-  dependency analysis, R/W extraction and the dynamic-induction probe all
-  observe each record exactly once, sharing one live variable map so every
-  access resolves against the allocation state at its own execution time.
-  With ``streaming_preprocessing`` the trace file is streamed exactly once
-  end to end and memory stays bounded; with the materialized readers the
-  trace is loaded (serially or via the parallel partitioned reader of
-  Sec. V-A) and then walked once in memory.
-* ``"multipass"`` — the legacy staged pipeline: pre-processing, dependency
-  analysis, R/W extraction and the induction fallback each re-iterate their
-  region (in streaming mode: re-stream the file).  Kept as the benchmark
-  baseline; its post-hoc address resolution also documents the temporal
-  misattribution the fused engine fixes.
+A version-2 binary trace file streams straight from disk.  Every other
+input — an in-memory :class:`repro.trace.records.Trace`, a text trace
+file, a version-1 binary file — is first encoded into an in-memory binary
+trace (:func:`repro.trace.binio.encode_trace`) and read back from there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.induction import find_induction_variable, find_main_loop
@@ -32,59 +26,38 @@ from repro.analysis.loops import find_loops
 from repro.core.classify import classify_variables
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.contraction import contract_ddg
-from repro.core.dependency import DependencyAnalysis, DependencyPass
+from repro.core.dependency import DependencyPass
 from repro.core.errors import AnalysisError
 from repro.core.engine import (
+    KIND_LOAD,
+    KIND_STORE,
     REGION_INSIDE,
     AnalysisEngine,
     AnalysisPass,
-    RegionCounts,
+    EngineWalk,
 )
-from repro.core.preprocessing import (
-    MLICollectionPass,
-    PreprocessingResult,
-    identify_mli_variables,
-    identify_mli_variables_streaming,
-)
+from repro.core.preprocessing import MLICollectionPass
 from repro.core.report import (
     AutoCheckReport,
     CacheInfo,
     PrefilterInfo,
     TraceStats,
 )
-from repro.core.rwdeps import RWExtractionPass, extract_rw_dependencies
+from repro.core.rwdeps import RWExtractionPass
 from repro.core.varmap import VariableInfo, VariableMap
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.static.prefilter import StaticPrefilter, build_prefilter
 from repro.static.summary import StaticModuleAnalysis, analyze_module
-from repro.trace.binio import is_binary_trace_file
+from repro.trace.binio import encode_trace, is_binary_trace_file, read_layout
 from repro.trace.columnar import TraceColumnarReader
-from repro.trace.partition import read_trace_file_parallel
-from repro.trace.records import TraceRecord, Trace
-from repro.trace.textio import iter_trace_records, read_preamble, read_trace_file
+from repro.trace.records import Trace
+from repro.trace.textio import iter_trace_records, read_preamble
 from repro.util.timing import TimingBreakdown
 
 
 _PROBE_LOAD = int(Opcode.LOAD)
 _PROBE_STORE = int(Opcode.STORE)
-
-#: How many records the fused engine's classic record walk consumes between
-#: two :attr:`AutoCheckConfig.progress_callback` firings (the columnar walk
-#: fires once per decoded block instead — blocks are already the natural
-#: bulk unit there).
-PROGRESS_STRIDE = 65536
-
-
-def _with_record_progress(records, callback, stride: int = PROGRESS_STRIDE):
-    """Tee a record iterable into ``callback(cumulative_count)`` firings."""
-    count = 0
-    for record in records:
-        yield record
-        count += 1
-        if not count % stride:
-            callback(count)
-    callback(count)
 
 
 def _with_block_progress(blocks, callback):
@@ -105,42 +78,22 @@ class InductionProbePass(AnalysisPass):
     goes through the engine's shared live map at access time.
     """
 
+    column_kinds = frozenset((KIND_LOAD, KIND_STORE))
+
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec) -> None:
         self.varmap = varmap
         self.spec = spec
         self.read: Dict[str, VariableInfo] = {}
         self.written: Dict[str, VariableInfo] = {}
 
-    def _probe(self, record: TraceRecord, region: int,
-               operand_index: int, sink: Dict[str, VariableInfo]) -> None:
-        if region != REGION_INSIDE:
-            return
-        if (record.function != self.spec.function
-                or record.line != self.spec.start_line):
-            return
-        operands = record.operands
-        if len(operands) <= operand_index:
-            return
-        info = self.varmap.resolve(operands[operand_index].address)
-        if info is None:
-            return
-        if not (info.is_global or info.function == self.spec.function):
-            # The legacy fallback resolved against the pre-processing map
-            # (globals + main-loop-function allocations only); reject other
-            # owners for identical answers when the loop lives in a nested
-            # function.
-            return
-        sink[info.name] = info
-
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        self._probe(record, region, 0, self.read)
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        self._probe(record, region, 1, self.written)
-
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows=None) -> None:
-        """Columnar :meth:`_probe`: same gates, straight off the columns."""
+        """Probe the segment's loads and stores at the controlling line.
+
+        Only globals and the main-loop function's own allocations qualify
+        (the MLI candidate population), so a callee local never poses as
+        the induction variable when the loop lives in a nested function.
+        """
         if region != REGION_INSIDE:
             return
         spec = self.spec
@@ -189,17 +142,29 @@ class InductionProbePass(AnalysisPass):
                 return name, info
         return None, None
 
-    def merge(self, other: "InductionProbePass") -> None:
-        """Absorb a partition's probe sets (parallel fused engine).
 
-        Call once per partition, in partition order, so :meth:`pick`
-        iterates candidates in first-occurrence stream order exactly as a
-        serial walk would have.
-        """
-        for name, info in other.read.items():
-            self.read.setdefault(name, info)
-        for name, info in other.written.items():
-            self.written.setdefault(name, info)
+@dataclass
+class PassWalk:
+    """The finalized pass states of one engine walk.
+
+    :meth:`AutoCheck.walk` returns it and the identify stage consumes it;
+    the stage-level tests inspect the same object.
+    """
+
+    walk: EngineWalk
+    varmap: VariableMap
+    global_count: int
+    mli: MLICollectionPass
+    dependency: DependencyPass
+    rw: RWExtractionPass
+    #: the dynamic-induction probe; ``None`` when the induction variable
+    #: was known before the walk
+    probe: Optional[InductionProbePass]
+    #: the induction variable known before the walk (config or static
+    #: loop analysis), if any
+    induction_name: Optional[str]
+    #: records the static prefilter kept from pass dispatch
+    skipped_records: int = 0
 
 
 class AutoCheck:
@@ -216,39 +181,40 @@ class AutoCheck:
         self._trace_path = trace_path
         self._module = module
         self._static: Optional[StaticModuleAnalysis] = None
+        #: the input as an in-memory binary trace and its content digest,
+        #: for inputs that are not a version-2 binary file (one encode
+        #: serves both the walk and :meth:`cache_key`; the bytes are
+        #: dropped once walked)
+        self._encoded_bytes: Optional[bytes] = None
+        self._encoded_digest: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _load_trace(self) -> Trace:
-        if self._trace is not None:
-            return self._trace
-        assert self._trace_path is not None
-        if self.config.parallel_preprocessing:
-            return read_trace_file_parallel(
-                self._trace_path,
-                num_workers=self.config.preprocessing_workers,
-                use_processes=self.config.preprocessing_use_processes)
-        return read_trace_file(self._trace_path)
+    def _encode(self) -> bytes:
+        """The input encoded as an in-memory binary trace (memoized)."""
+        if self._encoded_bytes is None:
+            if self._trace is not None:
+                trace = self._trace
+                encoded = encode_trace(trace.module_name, trace.globals,
+                                       trace.records)
+            else:
+                assert self._trace_path is not None
+                module_name, globals_ = read_preamble(self._trace_path)
+                encoded = encode_trace(module_name, globals_,
+                                       iter_trace_records(self._trace_path))
+            self._encoded_bytes, self._encoded_digest = encoded
+        return self._encoded_bytes
 
-    def _use_streaming(self) -> bool:
-        return (self.config.streaming_preprocessing
-                and self._trace is None
-                and self._trace_path is not None)
-
-    def _use_columnar(self) -> bool:
-        """True when the fused engine should consume columnar blocks.
-
-        The columnar decoder serves block-indexed binary trace *files*
-        only; in-memory traces, text traces and an explicitly requested
-        parallel pre-processing read keep the classic record walk (the
-        ``decode`` knob documents the silent fallback).
-        """
-        return (self.config.decode == "columnar"
-                and self._trace is None
-                and self._trace_path is not None
-                and not self.config.parallel_preprocessing
-                and is_binary_trace_file(self._trace_path))
+    def _open_reader(self) -> TraceColumnarReader:
+        """The input as columnar blocks: a version-2 binary file streams
+        from disk, anything else is encoded into memory first."""
+        path = self._trace_path
+        if self._trace is None and is_binary_trace_file(path):
+            layout = read_layout(path)
+            if layout.content_digest is not None:
+                return TraceColumnarReader(path, layout=layout)
+        return TraceColumnarReader(buffer=self._encode())
 
     def _static_induction_name(self) -> Optional[str]:
         """The induction variable from the static loop analysis over the IR
@@ -293,8 +259,7 @@ class AutoCheck:
     def _latest_main_loop_variable(varmap: VariableMap, spec: MainLoopSpec,
                                    name: str) -> Optional[VariableInfo]:
         """Latest registration of ``name`` among globals and the main-loop
-        function's own allocations — the scope the pre-processing map of the
-        multi-pass pipeline indexes (Challenge 2: a same-named callee local
+        function's own allocations (Challenge 2: a same-named callee local
         must not be mistaken for the loop's variable)."""
         latest: Optional[VariableInfo] = None
         for info in varmap.by_name(name):
@@ -306,36 +271,28 @@ class AutoCheck:
     # Entry point
     # ------------------------------------------------------------------ #
     def run(self) -> AutoCheckReport:
-        """Run the configured pipeline and return the full report.
+        """Run the analysis and return the full report.
 
         With :attr:`~repro.core.config.AutoCheckConfig.use_cache` set, the
         content-addressed artifact store is consulted first: a hit — same
         trace content digest, same semantic config fingerprint, same report
         schema — skips the record walk entirely and returns the stored
         report (its :attr:`~repro.core.report.AutoCheckReport.cache_info`
-        says so); a miss runs the configured engine and publishes the
-        result for the next run.
+        says so); a miss runs the walk and publishes the result for the
+        next run.
         """
         if not self.config.use_cache:
             return self._run_engine()
         return self._run_with_cache()
-
-    def _run_engine(self) -> AutoCheckReport:
-        """Dispatch to the configured analysis engine (no cache involved)."""
-        if self.config.analysis_engine == "multipass":
-            return self._run_multipass()
-        if self.config.analysis_engine == "parallel":
-            return self._run_parallel()
-        return self._run_fused()
 
     def cache_key(self):
         """The artifact-store address of this run, without running it.
 
         Computing the address costs zero record decodes for file inputs
         (binary footers carry the digest precomputed; text files hash raw
-        bytes); an in-memory trace is digested by streaming it through the
-        binary encoder into a hash sink, which yields the same digest its
-        on-disk binary form would carry.
+        bytes); an in-memory trace is encoded into the in-memory binary
+        trace the walk reads, which yields the same digest its on-disk
+        binary form would carry.
 
         Shared by the cache lookup below and by the serve daemon, whose
         request-coalescing table keys on exactly this address — "N
@@ -352,10 +309,12 @@ class AutoCheck:
             artifact_key,
             config_fingerprint,
         )
-        from repro.store.digest import compute_trace_digest, digest_trace
+        from repro.store.digest import compute_trace_digest
 
         if self._trace is not None:
-            trace_digest = digest_trace(self._trace)
+            if self._encoded_digest is None:
+                self._encode()
+            trace_digest = self._encoded_digest
         else:
             assert self._trace_path is not None
             trace_digest = compute_trace_digest(self._trace_path)
@@ -400,13 +359,23 @@ class AutoCheck:
         return report
 
     # ------------------------------------------------------------------ #
-    # Fused single-pass pipeline
+    # The walk and the identify stage
     # ------------------------------------------------------------------ #
-    def _run_fused(self) -> AutoCheckReport:
-        timings = TimingBreakdown()
+    def walk(self, timings: Optional[TimingBreakdown] = None) -> PassWalk:
+        """Walk the trace once and return the finalized pass states.
+
+        Args:
+            timings: receives the ``preprocessing`` (opening the input) and
+                ``fused_analysis`` (the walk) stages when given.
+
+        Raises:
+            AnalysisError: when no record falls inside the main loop range,
+                a record carries an unknown opcode, or ``static_prefilter``
+                is set without a usable module.
+        """
+        timings = timings if timings is not None else TimingBreakdown()
         config = self.config
         spec = config.main_loop
-        use_streaming = self._use_streaming()
 
         # Static analysis needs only the IR; resolving it before the walk
         # lets the engine skip the dynamic-induction probe entirely when the
@@ -415,125 +384,74 @@ class AutoCheck:
         if induction_name is None:
             induction_name = self._static_induction_name()
 
-        trace: Optional[Trace] = None
-        records = None
-        reader: Optional[TraceColumnarReader] = None
-        with timings.stage("preprocessing"):
-            if self._use_columnar():
-                # Columnar decode: the stage costs one footer parse; the
-                # record blocks stream through the walk itself.
-                assert self._trace_path is not None
-                reader = TraceColumnarReader(self._trace_path)
-                globals_ = reader.layout.globals
-            elif use_streaming:
-                assert self._trace_path is not None
-                _, globals_ = read_preamble(self._trace_path)
-                records = iter_trace_records(self._trace_path)
-            else:
-                trace = self._load_trace()
-                globals_ = trace.globals
-                records = trace.records
-                if self._trace is None:
-                    # Only a real file read processes records here; for an
-                    # in-memory trace the stage is a no-op and a throughput
-                    # number would be meaningless.
-                    timings.add_count("preprocessing", len(trace.records))
-
-        varmap = VariableMap()
-        mli_pass = MLICollectionPass(
-            varmap, spec,
-            include_global_accesses_in_calls=(
-                config.include_global_accesses_in_calls))
-        dep_pass = DependencyPass(varmap,
-                                  before_vars=mli_pass.before_vars,
-                                  inside_vars=mli_pass.inside_vars)
-        rw_pass = RWExtractionPass(varmap, candidates=mli_pass.before_vars)
-        # Order matters: the MLI pass must update the variable sets before
-        # the DDG / R/W passes consult them for the same record.
-        passes: List[AnalysisPass] = [mli_pass, dep_pass, rw_pass]
-        probe: Optional[InductionProbePass] = None
-        if induction_name is None:
-            probe = InductionProbePass(varmap, spec)
-            passes.append(probe)
-
         prefilter: Optional[StaticPrefilter] = None
         if config.static_prefilter:
             prefilter = build_prefilter(self._static_analysis())
 
-        engine = AnalysisEngine(spec, passes, variable_map=varmap,
-                                prefilter=prefilter)
-        engine.add_globals(globals_)
-        progress = config.progress_callback
-        with timings.stage("fused_analysis"):
-            if reader is not None:
-                blocks = reader.iter_blocks()
-                if progress is not None:
-                    blocks = _with_block_progress(blocks, progress)
-                try:
-                    walk = engine.run_columnar(blocks)
-                finally:
-                    reader.close()
-            else:
-                if progress is not None:
-                    records = _with_record_progress(records, progress)
-                walk = engine.run(records)
+        with timings.stage("preprocessing"):
+            reader = self._open_reader()
+        try:
+            varmap = VariableMap()
+            mli_pass = MLICollectionPass(
+                varmap, spec,
+                include_global_accesses_in_calls=(
+                    config.include_global_accesses_in_calls))
+            dep_pass = DependencyPass(varmap,
+                                      before_vars=mli_pass.before_vars,
+                                      inside_vars=mli_pass.inside_vars)
+            rw_pass = RWExtractionPass(varmap, candidates=mli_pass.before_vars)
+            # Order matters: the MLI pass must update the variable sets
+            # before the DDG / R/W passes consult them for the same segment.
+            passes: List[AnalysisPass] = [mli_pass, dep_pass, rw_pass]
+            probe: Optional[InductionProbePass] = None
+            if induction_name is None:
+                probe = InductionProbePass(varmap, spec)
+                passes.append(probe)
+
+            engine = AnalysisEngine(spec, passes, variable_map=varmap,
+                                    prefilter=prefilter)
+            globals_ = reader.layout.globals
+            engine.add_globals(globals_)
+            blocks = reader.iter_blocks()
+            if config.progress_callback is not None:
+                blocks = _with_block_progress(blocks, config.progress_callback)
+            with timings.stage("fused_analysis"):
+                walk = engine.run_columnar(blocks)
+        finally:
+            reader.close()
+            self._encoded_bytes = None
         timings.add_count("fused_analysis", walk.record_count)
+        return PassWalk(walk=walk, varmap=varmap, global_count=len(globals_),
+                        mli=mli_pass, dependency=dep_pass, rw=rw_pass,
+                        probe=probe, induction_name=induction_name,
+                        skipped_records=engine.skipped_records)
 
-        report = self._assemble_fused_report(
-            timings, spec, varmap, walk, len(globals_), mli_pass, dep_pass,
-            rw_pass, probe, induction_name)
-        if prefilter is not None:
-            report.prefilter_info = PrefilterInfo(
-                skipped_records=engine.skipped_records,
-                candidate_count=len(self._static_analysis().candidate_ids),
-                static_fingerprint=prefilter.fingerprint)
-        return report
-
-    def _assemble_fused_report(self, timings: TimingBreakdown,
-                               spec: MainLoopSpec, varmap: VariableMap,
-                               walk, global_count: int,
-                               mli_pass: MLICollectionPass,
-                               dep_pass: DependencyPass,
-                               rw_pass: RWExtractionPass,
-                               probe: Optional[InductionProbePass],
-                               induction_name: Optional[str],
-                               ) -> AutoCheckReport:
-        """The identify stage shared by the fused and parallel pipelines.
-
-        Takes the finalized pass states (however the walk was driven —
-        one serial pass or a partition merge) and packages the full report.
-        """
+    def _run_engine(self) -> AutoCheckReport:
+        """Walk, identify and package the report (no cache involved)."""
+        timings = TimingBreakdown()
+        spec = self.config.main_loop
+        passes = self.walk(timings)
+        walk = passes.walk
         with timings.stage("identify_variables"):
-            # The fused stages consumed the regions during the walk; the
-            # result object only needs their shape (materializing slices
-            # here would copy the whole trace for nothing).
-            preprocessing = mli_pass.result(RegionCounts(spec, walk))
-            dependency = dep_pass.result()
-            mli_keys = set(preprocessing.mli_keys())
+            preprocessing = passes.mli.result()
+            dependency = passes.dependency.result()
             contracted = contract_ddg(dependency.complete_ddg,
                                       preprocessing.mli_keys())
             mli_names = {var.key: var.name
                          for var in preprocessing.mli_variables}
-            rw = rw_pass.build(mli_keys, mli_names)
+            rw = passes.rw.build(set(preprocessing.mli_keys()), mli_names)
+            induction_name = passes.induction_name
             induction_info: Optional[VariableInfo] = None
             if induction_name is not None:
                 induction_info = self._latest_main_loop_variable(
-                    varmap, spec, induction_name)
-            elif probe is not None:
-                induction_name, induction_info = probe.pick()
+                    passes.varmap, spec, induction_name)
+            elif passes.probe is not None:
+                induction_name, induction_info = passes.probe.pick()
             critical = classify_variables(preprocessing, rw,
                                           induction=induction_name,
                                           induction_info=induction_info)
 
-        stats = TraceStats(
-            record_count=walk.record_count,
-            before_count=walk.before_count,
-            inside_count=walk.inside_count,
-            after_count=walk.after_count,
-            global_count=global_count,
-        )
-
-        return AutoCheckReport(
+        report = AutoCheckReport(
             main_loop=spec,
             critical_variables=critical,
             mli_variable_names=preprocessing.mli_names(),
@@ -542,147 +460,21 @@ class AutoCheck:
             contracted_ddg=contracted,
             rw_sequence=rw,
             timings=timings,
-            trace_stats=stats,
+            trace_stats=TraceStats(
+                record_count=walk.record_count,
+                before_count=walk.before_count,
+                inside_count=walk.inside_count,
+                after_count=walk.after_count,
+                global_count=passes.global_count,
+            ),
         )
-
-    # ------------------------------------------------------------------ #
-    # Parallel fused pipeline (sharded single-pass walk)
-    # ------------------------------------------------------------------ #
-    def _run_parallel(self) -> AutoCheckReport:
-        """Shard the fused walk over trace partitions in worker processes.
-
-        Requires a *block-indexed binary* trace file: the partitioning, the
-        phase-1 scope scan and the per-worker seeks all come from its block
-        index (see :mod:`repro.core.parallel`).  The report is identical to
-        the serial fused engine's.
-        """
-        from repro.core.parallel import run_parallel_fused
-
-        timings = TimingBreakdown()
-        config = self.config
-        spec = config.main_loop
-        if self._trace_path is None:
-            raise AnalysisError(
-                "analysis_engine='parallel' needs a trace file path; "
-                "in-memory traces are analysed by the serial 'fused' engine")
-
-        induction_name = config.induction_variable
-        if induction_name is None:
-            induction_name = self._static_induction_name()
-
-        result = run_parallel_fused(
-            self._trace_path, spec,
-            workers=config.workers,
-            include_global_accesses_in_calls=(
-                config.include_global_accesses_in_calls),
-            need_probe=induction_name is None,
-            timings=timings,
-            decode=config.decode)
-
-        return self._assemble_fused_report(
-            timings, spec, result.varmap, result.walk, result.global_count,
-            result.mli, result.dep, result.rw, result.probe, induction_name)
-
-    # ------------------------------------------------------------------ #
-    # Legacy multi-pass pipeline (benchmark baseline)
-    # ------------------------------------------------------------------ #
-    def _detect_induction(self, preprocessing: PreprocessingResult,
-                          ) -> Tuple[Optional[str], Optional[VariableInfo]]:
-        spec = self.config.main_loop
-        if self.config.induction_variable is not None:
-            name = self.config.induction_variable
-            return name, preprocessing.variable_map.latest_by_name(name)
-
-        # Preferred: static loop analysis over the IR.
-        name = self._static_induction_name()
-        if name is not None:
-            return name, preprocessing.variable_map.latest_by_name(name)
-
-        # Fallback: dynamic detection — the variable both read and written by
-        # records at the loop's controlling source line.  Resolution goes
-        # through the live interval store, so a controlling variable is found
-        # for any accessed byte address, not just element boundaries.
-        spec_line = spec.start_line
-        read_names = {}
-        written_names = {}
-        for record in preprocessing.regions.inside:
-            if record.function != spec.function or record.line != spec_line:
-                continue
-            operand = record.memory_operand()
-            if operand is None or operand.address is None:
-                continue
-            info = preprocessing.variable_map.resolve(operand.address)
-            if info is None:
-                continue
-            if record.is_load:
-                read_names[info.name] = info
-            elif record.is_store:
-                written_names[info.name] = info
-        for name, info in written_names.items():
-            if name in read_names:
-                return name, info
-        return None, None
-
-    def _run_multipass(self) -> AutoCheckReport:
-        timings = TimingBreakdown()
-        spec = self.config.main_loop
-
-        use_streaming = self._use_streaming()
-        with timings.stage("preprocessing"):
-            if use_streaming:
-                preprocessing = identify_mli_variables_streaming(
-                    self._trace_path, spec,
-                    include_global_accesses_in_calls=(
-                        self.config.include_global_accesses_in_calls))
-                record_count = preprocessing.regions.total_records
-                global_count = len(preprocessing.variable_map.globals())
-            else:
-                trace = self._load_trace()
-                preprocessing = identify_mli_variables(
-                    trace, spec,
-                    include_global_accesses_in_calls=(
-                        self.config.include_global_accesses_in_calls))
-                record_count = len(trace.records)
-                global_count = len(trace.globals)
-        timings.add_count("preprocessing", record_count)
-
-        with timings.stage("dependency_analysis"):
-            dependency = DependencyAnalysis(preprocessing).run()
-            contracted = contract_ddg(dependency.complete_ddg,
-                                      preprocessing.mli_keys())
-        timings.add_count("dependency_analysis",
-                          len(preprocessing.regions.inside))
-
-        with timings.stage("identify_variables"):
-            rw = extract_rw_dependencies(preprocessing,
-                                         variable_map=dependency.variable_map)
-            induction_name, induction_info = self._detect_induction(preprocessing)
-            critical = classify_variables(preprocessing, rw,
-                                          induction=induction_name,
-                                          induction_info=induction_info)
-        timings.add_count("identify_variables",
-                          len(preprocessing.regions.inside)
-                          + len(preprocessing.regions.after))
-
-        stats = TraceStats(
-            record_count=record_count,
-            before_count=len(preprocessing.regions.before),
-            inside_count=len(preprocessing.regions.inside),
-            after_count=len(preprocessing.regions.after),
-            global_count=global_count,
-        )
-
-        return AutoCheckReport(
-            main_loop=spec,
-            critical_variables=critical,
-            mli_variable_names=preprocessing.mli_names(),
-            induction_variable=induction_name,
-            complete_ddg=dependency.complete_ddg,
-            contracted_ddg=contracted,
-            rw_sequence=rw,
-            timings=timings,
-            trace_stats=stats,
-        )
+        if self.config.static_prefilter:
+            analysis = self._static_analysis()
+            report.prefilter_info = PrefilterInfo(
+                skipped_records=passes.skipped_records,
+                candidate_count=len(analysis.candidate_ids),
+                static_fingerprint=analysis.fingerprint())
+        return report
 
 
 def analyze_trace(trace: Union[Trace, str], main_loop: MainLoopSpec,

@@ -1,19 +1,21 @@
-"""Pre-processing: trace partitioning and MLI-variable identification.
+"""Pre-processing: MLI-variable identification (paper Fig. 3).
 
-Implements the workflow of paper Fig. 3:
+Implements the workflow of paper Fig. 3 as one pass of the engine walk:
 
-1. partition the dynamic trace into Part A (before the main computation
-   loop), Part B (the main computation loop's dynamic extent) and Part C
-   (after the loop), using the loop's source line range and containing
-   function supplied by the user;
-2. collect the variables accessed in Part A and in Part B — bypassing the
-   intervals of function calls inside the loop (Challenge 1, Sec. V-B) and
-   resolving every access to its owning allocation by memory address
-   (Challenge 2, Sec. V-C) through the bisect-indexed live-interval store of
+1. the walk partitions the dynamic trace into Part A (before the main
+   computation loop), Part B (the main computation loop's dynamic extent)
+   and Part C (after the loop), using the loop's source line range and
+   containing function supplied by the user (see
+   :class:`repro.core.engine.AnalysisEngine`);
+2. :class:`MLICollectionPass` collects the variables accessed in Part A and
+   in Part B — bypassing the intervals of function calls inside the loop
+   (Challenge 1, Sec. V-B) and resolving every access to its owning
+   allocation by memory address (Challenge 2, Sec. V-C) through the
+   bisect-indexed live-interval store of
    :class:`repro.core.varmap.VariableMap` (O(log intervals) per access, no
    per-element index);
-3. match the two collections: variables accessed both before and inside the
-   loop are the Main-Loop-Input (MLI) variables.
+3. the two collections are matched: variables accessed both before and
+   inside the loop are the Main-Loop-Input (MLI) variables.
 
 Note on "arithmetic variables": the paper collects variables *participating
 in arithmetic operations*.  At ``-O0`` every interesting variable access goes
@@ -27,19 +29,19 @@ superset interpretation that reproduces the paper's reported MLI sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.config import MainLoopSpec
 from repro.core.engine import (
     _COLUMNAR_POINTER_OPERAND,
+    KIND_GEP,
+    KIND_LOAD,
+    KIND_STORE,
     REGION_AFTER,
     AnalysisPass,
 )
-from repro.core.errors import AnalysisError
-from repro.core.varmap import VariableInfo, VariableMap, build_variable_map
-from repro.trace.records import Trace, TraceRecord
-from repro.trace.textio import iter_trace_records, read_preamble
+from repro.core.varmap import VariableInfo, VariableMap
 
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
 _MISS = object()
@@ -47,100 +49,6 @@ _MISS = object()
 #: the opcodes that carry a pointer operand — what the columnar MLI sweep
 #: preselects on
 _POINTER_OPCODES = tuple(_COLUMNAR_POINTER_OPERAND)
-
-
-@dataclass
-class TraceRegions:
-    """The trace split around the main computation loop's dynamic extent."""
-
-    spec: MainLoopSpec
-    before: List[TraceRecord] = field(default_factory=list)
-    inside: List[TraceRecord] = field(default_factory=list)
-    after: List[TraceRecord] = field(default_factory=list)
-    first_loop_dyn_id: int = 0
-    last_loop_dyn_id: int = 0
-
-    @property
-    def total_records(self) -> int:
-        return len(self.before) + len(self.inside) + len(self.after)
-
-
-class TraceRecordRegionView:
-    """A re-iterable, bounded-memory view of ``records[start:start + count]``.
-
-    Every iteration re-streams the trace file (binary traces seek straight
-    to the region via their block index; text traces skip forward — prefer
-    the binary format when streaming, since each iteration of a text view
-    re-parses the file from the top), so the region is never resident in
-    memory as a list.  Supports the operations the pipeline actually
-    performs on a region: iteration and ``len``.
-    """
-
-    def __init__(self, path: str, start_record: int, count: int,
-                 reader: Optional[object] = None) -> None:
-        self.path = path
-        self.start_record = start_record
-        self.count = count
-        #: cached :class:`repro.trace.binio.TraceBinaryReader` for binary
-        #: traces, so repeated iterations do not re-decode the footer
-        #: (globals + string table + block index)
-        self._reader = reader
-
-    def __len__(self) -> int:
-        return self.count
-
-    def _records(self) -> Iterator[TraceRecord]:
-        if self._reader is not None:
-            return self._reader.iter_records(start_record=self.start_record)
-        return iter_trace_records(self.path, start_record=self.start_record)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        remaining = self.count
-        if remaining <= 0:
-            return
-        for record in self._records():
-            yield record
-            remaining -= 1
-            if remaining == 0:
-                return
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<TraceRecordRegionView {self.path!r} "
-                f"[{self.start_record}:{self.start_record + self.count}]>")
-
-
-class StreamingTraceRegions:
-    """Trace regions backed by the trace *file* instead of record lists.
-
-    Mirrors the :class:`TraceRegions` interface (``before`` / ``inside`` /
-    ``after`` are iterable and sized, the loop's dynamic-id extent is
-    recorded) but each region is a :class:`TraceRecordRegionView`, so a
-    multi-hundred-MB trace never has to be materialized to run the pipeline.
-    """
-
-    def __init__(self, spec: MainLoopSpec, path: str, first_index: int,
-                 last_index: int, record_count: int,
-                 first_loop_dyn_id: int, last_loop_dyn_id: int) -> None:
-        self.spec = spec
-        self.path = path
-        self.first_loop_dyn_id = first_loop_dyn_id
-        self.last_loop_dyn_id = last_loop_dyn_id
-        # Decode the binary footer once and share it across all region views
-        # and iterations.
-        from repro.trace.binio import TraceBinaryReader, is_binary_trace_file
-
-        reader = TraceBinaryReader(path) if is_binary_trace_file(path) else None
-        self.before = TraceRecordRegionView(path, 0, first_index, reader)
-        self.inside = TraceRecordRegionView(path, first_index,
-                                            last_index - first_index + 1,
-                                            reader)
-        self.after = TraceRecordRegionView(path, last_index + 1,
-                                           record_count - last_index - 1,
-                                           reader)
-
-    @property
-    def total_records(self) -> int:
-        return len(self.before) + len(self.inside) + len(self.after)
 
 
 @dataclass(frozen=True)
@@ -174,7 +82,6 @@ class MLIVariable:
 class PreprocessingResult:
     """Output of the pre-processing module."""
 
-    regions: TraceRegions
     variable_map: VariableMap
     mli_variables: List[MLIVariable]
     before_variables: Dict[str, VariableInfo]
@@ -193,108 +100,6 @@ class PreprocessingResult:
         return None
 
 
-# --------------------------------------------------------------------------- #
-# Partitioning
-# --------------------------------------------------------------------------- #
-def partition_trace(trace: Trace, spec: MainLoopSpec) -> TraceRegions:
-    """Split the trace into before / inside / after the main computation loop.
-
-    The loop's *dynamic extent* spans from the first to the last record whose
-    function is the main-loop function and whose source line lies within the
-    declared range; records of functions called from inside the loop fall in
-    between and are therefore part of the "inside" region.
-    """
-    first_idx: Optional[int] = None
-    last_idx: Optional[int] = None
-    for idx, record in enumerate(trace.records):
-        if record.function == spec.function and spec.contains_line(record.line):
-            if first_idx is None:
-                first_idx = idx
-            last_idx = idx
-    if first_idx is None or last_idx is None:
-        raise AnalysisError(
-            f"no trace record falls inside the main computation loop range "
-            f"{spec.mclr} of function {spec.function!r}")
-
-    regions = TraceRegions(spec=spec)
-    regions.before = trace.records[:first_idx]
-    regions.inside = trace.records[first_idx:last_idx + 1]
-    regions.after = trace.records[last_idx + 1:]
-    regions.first_loop_dyn_id = trace.records[first_idx].dyn_id
-    regions.last_loop_dyn_id = trace.records[last_idx].dyn_id
-    return regions
-
-
-# --------------------------------------------------------------------------- #
-# Variable collection and matching
-# --------------------------------------------------------------------------- #
-def _accessed_variable(record: TraceRecord, spec: MainLoopSpec,
-                       varmap: VariableMap,
-                       include_global_accesses_in_calls: bool,
-                       ) -> Optional[VariableInfo]:
-    """The variable ``record`` accesses, if the collection rules admit it.
-
-    Records executing in functions other than the main-loop function are
-    bypassed (Challenge 1) unless ``include_global_accesses_in_calls`` is set
-    and the touched address belongs to a module global.
-    """
-    if not (record.is_load or record.is_store or record.is_gep):
-        return None
-    operand = record.memory_operand()
-    if operand is None or operand.address is None:
-        return None
-    info = varmap.resolve(operand.address)
-    if info is None:
-        return None
-    if (record.function != spec.function
-            and not (include_global_accesses_in_calls and info.is_global)):
-        return None
-    return info
-
-
-def _collect_variables(records: List[TraceRecord], spec: MainLoopSpec,
-                       varmap: VariableMap,
-                       include_global_accesses_in_calls: bool) -> Dict[str, VariableInfo]:
-    """Collect the variables accessed by ``records`` (keyed by identity)."""
-    collected: Dict[str, VariableInfo] = {}
-    for record in records:
-        info = _accessed_variable(record, spec, varmap,
-                                  include_global_accesses_in_calls)
-        if info is not None:
-            collected.setdefault(info.key, info)
-    return collected
-
-
-def identify_mli_variables(trace: Trace, spec: MainLoopSpec,
-                           include_global_accesses_in_calls: bool = False,
-                           regions: Optional[TraceRegions] = None,
-                           ) -> PreprocessingResult:
-    """Run the full pre-processing module (paper Fig. 3)."""
-    regions = regions or partition_trace(trace, spec)
-
-    # The address map for MLI identification indexes module globals plus the
-    # allocations made by the main-loop function itself (its locals/arrays);
-    # locals of other functions are deliberately absent so that a name
-    # collision cannot be mistaken for a match (Challenge 2).  The map stays
-    # unscoped (``scoped=False``): the main-loop function never returns
-    # within the analysed extent, and collection resolves accesses against
-    # the completed map, so its allocations must all stay live.
-    varmap = build_variable_map(trace.globals, trace.records, function=spec.function)
-
-    before_vars = _collect_variables(regions.before, spec, varmap,
-                                     include_global_accesses_in_calls)
-    inside_vars = _collect_variables(regions.inside, spec, varmap,
-                                     include_global_accesses_in_calls)
-
-    return PreprocessingResult(
-        regions=regions,
-        variable_map=varmap,
-        mli_variables=_match_mli(before_vars, inside_vars),
-        before_variables=before_vars,
-        inside_variables=inside_vars,
-    )
-
-
 def _match_mli(before_vars: Dict[str, VariableInfo],
                inside_vars: Dict[str, VariableInfo]) -> List[MLIVariable]:
     """Variables accessed both before and inside the loop, stably ordered."""
@@ -308,29 +113,23 @@ def _match_mli(before_vars: Dict[str, VariableInfo],
 class MLICollectionPass(AnalysisPass):
     """Engine pass: collect the before/inside variable sets in one walk.
 
-    The collection rules are those of :func:`_accessed_variable` — memory
-    operands of ``Load``/``Store``/``GetElementPtr``, records of other
-    functions bypassed (Challenge 1) unless the global-access switch admits
-    them — but resolution goes through the engine's shared *live* map, i.e.
-    against the allocations live at each access's own execution time.  Two
-    guarantees keep the collected sets equal to the post-hoc ones (the
-    equivalence tests assert this on every registered benchmark):
-
-    * at ``-O0`` every allocation precedes its accesses, and stack
-      addresses are only reused across dead frames (which the engine
-      retires on ``Ret``);
-    * the shared map indexes *every* function's allocations, whereas the
-      legacy pre-processing map deliberately indexes only globals plus the
-      main-loop function's own (Challenge 2) — so a resolved owner outside
-      that population (e.g. a live ancestor frame's local, reachable
-      through a pointer when the main loop lives in a nested function) is
-      rejected here exactly as the restricted map would have left it
-      unresolved.
+    The collection rules: memory operands of ``Load``/``Store``/
+    ``GetElementPtr`` records, records of other functions bypassed
+    (Challenge 1) unless the global-access switch admits globals they
+    touch.  Resolution goes through the engine's shared *live* map, i.e.
+    against the allocations live at each access's own execution time.  The
+    shared map indexes *every* function's allocations, but MLI candidates
+    are globals and the main-loop function's own allocations (Challenge 2):
+    a resolved owner outside that population (e.g. a live ancestor frame's
+    local, reachable through a pointer when the main loop lives in a nested
+    function) is rejected.
 
     Register this pass *first*: later passes (DDG, R/W extraction) read
     ``before_vars``/``inside_vars`` to decide MLI candidacy and must observe
-    the sets updated through the current record.
+    the sets updated through the current segment.
     """
+
+    column_kinds = frozenset((KIND_LOAD, KIND_STORE, KIND_GEP))
 
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec,
                  include_global_accesses_in_calls: bool = False) -> None:
@@ -344,43 +143,10 @@ class MLICollectionPass(AnalysisPass):
         self._col_memo: Dict = {}
         self._col_memo_rev = -1
 
-    def _collect(self, record: TraceRecord, region: int,
-                 operand_index: int) -> None:
-        if region == REGION_AFTER:
-            return
-        operands = record.operands
-        if len(operands) <= operand_index:
-            return
-        operand = operands[operand_index]
-        address = operand.address
-        if address is None:
-            return
-        info = self.varmap.resolve(address)
-        if info is None:
-            return
-        if not (info.is_global or info.function == self.spec.function):
-            # Owner outside the restricted map's population (Challenge 2).
-            return
-        if (record.function != self.spec.function
-                and not (self.include_global_accesses_in_calls
-                         and info.is_global)):
-            return
-        sink = self.inside_vars if region else self.before_vars
-        if info.key not in sink:
-            sink[info.key] = info
-
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        self._collect(record, region, 0)
-
-    def on_gep(self, record: TraceRecord, region: int) -> None:
-        self._collect(record, region, 0)
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        self._collect(record, region, 1)
-
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows: Optional[List[int]] = None) -> None:
-        """Columnar :meth:`_collect`: same gates, straight off the columns."""
+        """Collect the segment's accessed variables, straight off the
+        columns."""
         if region == REGION_AFTER:
             return
         opcode = block.opcode
@@ -416,10 +182,9 @@ class MLICollectionPass(AnalysisPass):
                 continue
             fid = function_id[row]
             if fid != spec_fid and not include:
-                # Gates reordered from _collect (pure filters — the sink
-                # outcome is identical): a foreign-function record can only
-                # survive through the global-access switch, so the common
-                # case resolves nothing at all.
+                # A foreign-function record can only survive through the
+                # global-access switch, so the common case resolves nothing
+                # at all.
                 continue
             lo_slot = op_start[row]
             if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
@@ -443,120 +208,11 @@ class MLICollectionPass(AnalysisPass):
     def finalize(self) -> None:
         self.mli_variables = _match_mli(self.before_vars, self.inside_vars)
 
-    def merge(self, other: "MLICollectionPass") -> None:
-        """Absorb a partition's collected sets (parallel fused engine).
-
-        Call once per partition, in partition order: first-seen wins, so
-        the merged dicts carry the same first-occurrence insertion order a
-        serial walk would have produced.  Run :meth:`finalize` after the
-        last merge to compute the matched MLI set.
-        """
-        for key, info in other.before_vars.items():
-            self.before_vars.setdefault(key, info)
-        for key, info in other.inside_vars.items():
-            self.inside_vars.setdefault(key, info)
-
-    def result(self, regions) -> PreprocessingResult:
+    def result(self) -> PreprocessingResult:
         """Package the collected sets as a :class:`PreprocessingResult`."""
         return PreprocessingResult(
-            regions=regions,
             variable_map=self.varmap,
             mli_variables=self.mli_variables,
             before_variables=self.before_vars,
             inside_variables=self.inside_vars,
         )
-
-
-def identify_mli_variables_streaming(path: str, spec: MainLoopSpec,
-                                     include_global_accesses_in_calls: bool = False,
-                                     ) -> PreprocessingResult:
-    """Run the pre-processing module in a single streaming pass over a file.
-
-    Functionally equivalent to reading the trace and calling
-    :func:`identify_mli_variables`, but the trace is never materialized:
-    one pass over the record stream simultaneously
-
-    * builds the variable map (globals preamble + the main-loop function's
-      ``Alloca`` records, registered in trace order exactly as
-      :func:`repro.core.varmap.build_variable_map` would),
-    * finds the main loop's dynamic extent (first/last record whose function
-      and source line match the spec), and
-    * collects the before/inside variable sets — records seen after the
-      latest loop record are collected *tentatively* and committed to the
-      inside set only when a later loop record proves they fall within the
-      loop's extent; at end of stream the still-pending set is the after
-      region and is discarded.
-
-    Memory is bounded by the variable sets, not the trace length.  The
-    returned regions are :class:`StreamingTraceRegions`, whose views
-    re-stream the file on demand (the binary format's block index makes the
-    seeks cheap), so the later pipeline stages run unchanged.
-
-    One semantic note: accesses are resolved against the allocations seen
-    *so far* rather than against the completed map.  At ``-O0`` every
-    ``Alloca`` of the main-loop function precedes any access to it, and a
-    new allocation shadows any stale overlap the moment it is registered
-    (the interval store splits/evicts, see :mod:`repro.core.varmap`), so the
-    two resolutions agree — the equivalence tests assert identical reports
-    on every registered benchmark.
-    """
-    module_name, globals_ = read_preamble(path)
-    del module_name
-    varmap = VariableMap()
-    for symbol in globals_:
-        varmap.add_global_symbol(symbol)
-
-    before_vars: Dict[str, VariableInfo] = {}
-    inside_vars: Dict[str, VariableInfo] = {}
-    pending_vars: Dict[str, VariableInfo] = {}
-    first_index: Optional[int] = None
-    last_index = -1
-    first_dyn_id = last_dyn_id = 0
-    index = -1
-
-    for index, record in enumerate(iter_trace_records(path)):
-        if record.is_alloca and record.function == spec.function:
-            varmap.add_alloca_record(record)
-        in_loop = (record.function == spec.function
-                   and spec.contains_line(record.line))
-        if in_loop:
-            if first_index is None:
-                first_index = index
-                first_dyn_id = record.dyn_id
-            last_index = index
-            last_dyn_id = record.dyn_id
-            # Everything seen since the previous loop record is now known to
-            # lie inside the loop's dynamic extent: commit it (in stream
-            # order, before this record's own access).
-            for key, info in pending_vars.items():
-                inside_vars.setdefault(key, info)
-            pending_vars.clear()
-        info = _accessed_variable(record, spec, varmap,
-                                  include_global_accesses_in_calls)
-        if info is not None:
-            if first_index is None:
-                before_vars.setdefault(info.key, info)
-            elif in_loop:
-                inside_vars.setdefault(info.key, info)
-            else:
-                pending_vars.setdefault(info.key, info)
-
-    if first_index is None:
-        raise AnalysisError(
-            f"no trace record falls inside the main computation loop range "
-            f"{spec.mclr} of function {spec.function!r}")
-    # pending_vars now holds accesses after the last loop record — the after
-    # region — which the matching deliberately ignores.
-
-    regions = StreamingTraceRegions(
-        spec=spec, path=path, first_index=first_index, last_index=last_index,
-        record_count=index + 1, first_loop_dyn_id=first_dyn_id,
-        last_loop_dyn_id=last_dyn_id)
-
-    return PreprocessingResult(
-        regions=regions,
-        variable_map=varmap,
-        mli_variables=_match_mli(before_vars, inside_vars),
-        before_variables=before_vars,
-        inside_variables=inside_vars,
-    )

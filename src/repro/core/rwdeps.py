@@ -13,31 +13,27 @@ against the live interval store, and the index is always relative to the
 owner's base address — stable even when later allocations have shadowed part
 of the owner's range.
 
-Two implementations live here:
-
-* :class:`RWExtractionPass` — the engine pass used by the fused pipeline.
-  Every access resolves against the shared live map *at its own execution
-  time*, so an access to an MLI byte range that a later callee ``Alloca``
-  shadows still attributes to the MLI variable.
-* :func:`extract_rw_dependencies` — the legacy post-hoc extraction used by
-  the multi-pass pipeline: it re-walks the regions and resolves against the
-  dependency analysis' *end-of-region* map, whose shadowing state reflects
-  the end of the loop rather than the moment of each access.  Kept as the
-  benchmark baseline and to document the temporal bug the engine fixes
-  (``tests/test_engine_fused.py::TestTemporalAttribution`` pins it down).
+:class:`RWExtractionPass` collects the events during the engine walk: every
+access resolves against the shared live map *at its own execution time*, so
+an access to an MLI byte range that a later callee ``Alloca`` shadows still
+attributes to the MLI variable.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Container, Dict, List, Optional, Set
+from typing import Container, Dict, List, Optional, Set
 
-from repro.core.engine import REGION_AFTER, REGION_INSIDE, AnalysisPass
-from repro.core.preprocessing import PreprocessingResult
+from repro.core.engine import (
+    KIND_LOAD,
+    KIND_STORE,
+    REGION_AFTER,
+    REGION_INSIDE,
+    AnalysisPass,
+)
 from repro.core.varmap import VariableMap
 from repro.ir.opcodes import Opcode
-from repro.trace.records import TraceRecord
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
@@ -97,22 +93,14 @@ class RWExtractionPass(AnalysisPass):
     first inside record is dispatched, so filtering on it at event time
     bounds the tentative event lists without losing any MLI event.  The
     final filter to the matched MLI set happens in :meth:`build`.
-
-    A parallel-partition worker cannot use ``candidates`` (the before set
-    is only complete after the cross-partition merge), so it passes
-    ``owner_filter`` instead: a predicate over the resolved
-    :class:`~repro.core.varmap.VariableInfo` that must admit every possible
-    MLI owner (e.g. "global or owned by the main-loop function" — the
-    population MLI collection draws from).  Events it rejects could never
-    survive :meth:`build`, so the filter only bounds the tentative lists.
     """
 
+    column_kinds = frozenset((KIND_LOAD, KIND_STORE))
+
     def __init__(self, varmap: VariableMap,
-                 candidates: Optional[Container[str]] = None,
-                 owner_filter: Optional[Callable[..., bool]] = None) -> None:
+                 candidates: Optional[Container[str]] = None) -> None:
         self.varmap = varmap
         self._candidates = candidates
-        self._owner_filter = owner_filter
         self._loop: List[AccessEvent] = []
         self._post: List[AccessEvent] = []
         #: columnar per-address decision memo + the map revision it is
@@ -120,46 +108,9 @@ class RWExtractionPass(AnalysisPass):
         self._col_memo: Dict = {}
         self._col_memo_rev = -1
 
-    def _record(self, record: TraceRecord, region: int,
-                kind: "AccessKind", operand_index: int) -> None:
-        if region == REGION_INSIDE:
-            sink = self._loop
-        elif region == REGION_AFTER:
-            sink = self._post
-        else:
-            return
-        operands = record.operands
-        if len(operands) <= operand_index:
-            return
-        resolved = self.varmap.resolve_access(operands[operand_index].address)
-        if resolved is None:
-            return
-        info, element_offset = resolved
-        candidates = self._candidates
-        if candidates is not None and info.key not in candidates:
-            return
-        owner_filter = self._owner_filter
-        if owner_filter is not None and not owner_filter(info):
-            return
-        sink.append(AccessEvent(
-            dyn_id=record.dyn_id,
-            variable=info.key,
-            name=info.name,
-            kind=kind,
-            line=record.line,
-            function=record.function,
-            element_offset=element_offset,
-        ))
-
-    def on_load(self, record: TraceRecord, region: int) -> None:
-        self._record(record, region, AccessKind.READ, 0)
-
-    def on_store(self, record: TraceRecord, region: int) -> None:
-        self._record(record, region, AccessKind.WRITE, 1)
-
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows: Optional[List[int]] = None) -> None:
-        """Columnar :meth:`_record`: same gates, straight off the columns."""
+        """Collect the segment's access events, straight off the columns."""
         if region == REGION_INSIDE:
             sink = self._loop
         elif region == REGION_AFTER:
@@ -178,13 +129,11 @@ class RWExtractionPass(AnalysisPass):
         op_address = block.op_address
         resolve_access = self.varmap.resolve_access
         candidates = self._candidates
-        owner_filter = self._owner_filter
         append = sink.append
         load = _LOAD
         store = _STORE
         # The *whole* per-address decision memoizes: the candidate set is
-        # complete before the first inside record and the owner filter is
-        # a pure predicate of the resolved info, so skip-or-emit is a
+        # complete before the first inside record, so skip-or-emit is a
         # function of the address alone — valid while the live map's
         # revision is unchanged (only scope records between segments can
         # mutate it; the revision check catches exactly those).
@@ -218,9 +167,7 @@ class RWExtractionPass(AnalysisPass):
                 hit = None
                 if resolved is not None:
                     info, element_offset = resolved
-                    if ((candidates is None or info.key in candidates)
-                            and (owner_filter is None
-                                 or owner_filter(info))):
+                    if candidates is None or info.key in candidates:
                         hit = (info.key, info.name, element_offset)
                 memo[address] = hit
             if hit is None:
@@ -235,16 +182,6 @@ class RWExtractionPass(AnalysisPass):
                 function=strings[function_id[row]],
                 element_offset=element_offset,
             ))
-
-    def merge(self, other: "RWExtractionPass") -> None:
-        """Append a partition's tentative events (parallel fused engine).
-
-        Call once per partition, in partition order — the concatenated
-        lists are then in stream order, exactly as a serial walk would have
-        appended them.
-        """
-        self._loop.extend(other._loop)
-        self._post.extend(other._post)
 
     def build(self, mli_keys: Set[str],
               mli_names: Optional[Dict[str, str]] = None) -> RWDependencies:
@@ -268,62 +205,3 @@ class RWExtractionPass(AnalysisPass):
                 by_variable.setdefault(event.variable, []).append(event)
         return result
 
-
-def _record_events(records: List[TraceRecord], varmap: VariableMap,
-                   mli_keys: Set[str], mli_names: Dict[str, str],
-                   sink: List[AccessEvent],
-                   by_variable: Dict[str, List[AccessEvent]]) -> None:
-    for record in records:
-        if record.is_load:
-            operand = record.memory_operand()
-            kind = AccessKind.READ
-        elif record.is_store:
-            operand = record.memory_operand()
-            kind = AccessKind.WRITE
-        else:
-            continue
-        if operand is None or operand.address is None:
-            continue
-        resolved = varmap.resolve_access(operand.address)
-        if resolved is None:
-            continue
-        info, element_offset = resolved
-        if info.key not in mli_keys:
-            continue
-        event = AccessEvent(
-            dyn_id=record.dyn_id,
-            variable=info.key,
-            name=mli_names.get(info.key, info.name),
-            kind=kind,
-            line=record.line,
-            function=record.function,
-            element_offset=element_offset,
-        )
-        sink.append(event)
-        by_variable.setdefault(info.key, []).append(event)
-
-
-def extract_rw_dependencies(preprocessing: PreprocessingResult,
-                            variable_map: Optional[VariableMap] = None,
-                            ) -> RWDependencies:
-    """Extract the ordered R/W events on MLI variables (post-hoc, legacy).
-
-    ``variable_map`` should be the dependency analysis' map (which knows
-    about every allocation); when omitted the pre-processing map is used.
-
-    This re-walks the regions and resolves every access against the given
-    map's *final* state, so shadowing that happened after an access can
-    steal or drop its attribution; the fused pipeline's
-    :class:`RWExtractionPass` resolves at execution time instead.  Kept as
-    the multi-pass baseline.
-    """
-    varmap = variable_map or preprocessing.variable_map
-    mli_keys = set(preprocessing.mli_keys())
-    mli_names = {var.key: var.name for var in preprocessing.mli_variables}
-
-    result = RWDependencies()
-    _record_events(preprocessing.regions.inside, varmap, mli_keys, mli_names,
-                   result.loop_events, result.by_variable)
-    _record_events(preprocessing.regions.after, varmap, mli_keys, mli_names,
-                   result.post_loop_events, result.post_by_variable)
-    return result

@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.ir.opcodes import Opcode
 from repro.trace.records import GlobalSymbol, TraceRecord
@@ -248,90 +248,6 @@ class VariableMap:
         for start, end, owner in self._shadow_undo.pop(id(info), ()):
             if id(owner) not in self._retired_ids:
                 self._restore_range(start, end, owner)
-
-    # ------------------------------------------------------------------ #
-    # Snapshots and transport (the parallel fused engine's seeding path)
-    # ------------------------------------------------------------------ #
-    def clone(self) -> "VariableMap":
-        """Return an independent copy of the map's full state.
-
-        The copy shares the (immutable) :class:`VariableInfo` objects but
-        owns its containers: registering, retiring or scoping on the clone
-        never affects the original.  Used by the parallel fused engine to
-        snapshot the live map at each partition boundary.
-
-        Returns:
-            A new :class:`VariableMap` equal in resolution behaviour,
-            registration history, open scopes and shadow-undo state.
-        """
-        clone = VariableMap.__new__(VariableMap)
-        clone._by_name = {name: list(infos)
-                         for name, infos in self._by_name.items()}
-        clone._intervals = list(self._intervals)
-        clone._seg_starts = list(self._seg_starts)
-        clone._seg_ends = list(self._seg_ends)
-        clone._seg_owners = list(self._seg_owners)
-        clone._scopes = []
-        for scope in self._scopes:
-            copied = _Scope(scope.function)
-            copied.infos = list(scope.infos)
-            clone._scopes.append(copied)
-        clone._shadow_undo = {owner_id: list(pieces)
-                              for owner_id, pieces in self._shadow_undo.items()}
-        clone._retired_ids = set(self._retired_ids)
-        clone.revision = self.revision
-        return clone
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support: encode identity-keyed state positionally.
-
-        ``_shadow_undo`` and ``_retired_ids`` are keyed by ``id(info)``,
-        which does not survive a process boundary; the state replaces every
-        identity key/reference with the owner's index in the registration
-        history so :meth:`__setstate__` can rebuild them with the new
-        object identities.  This is what lets a boundary snapshot be shipped
-        to a :mod:`multiprocessing` worker.
-        """
-        index_of = {id(info): index
-                    for index, info in enumerate(self._intervals)}
-        return {
-            "intervals": self._intervals,
-            "by_name": {name: [index_of[id(info)] for info in infos]
-                        for name, infos in self._by_name.items()},
-            "seg_starts": self._seg_starts,
-            "seg_ends": self._seg_ends,
-            "seg_owners": [index_of[id(owner)] for owner in self._seg_owners],
-            "scopes": [(scope.function,
-                        [index_of[id(info)] for info in scope.infos])
-                       for scope in self._scopes],
-            "shadow_undo": {
-                index_of[owner_id]: [(start, end, index_of[id(owner)])
-                                     for start, end, owner in pieces]
-                for owner_id, pieces in self._shadow_undo.items()},
-            "retired": [index_of[retired_id]
-                        for retired_id in self._retired_ids],
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        infos: List[VariableInfo] = state["intervals"]
-        self._intervals = infos
-        self._by_name = {name: [infos[index] for index in indices]
-                         for name, indices in state["by_name"].items()}
-        self._seg_starts = state["seg_starts"]
-        self._seg_ends = state["seg_ends"]
-        self._seg_owners = [infos[index] for index in state["seg_owners"]]
-        self._scopes = []
-        for function, indices in state["scopes"]:
-            scope = _Scope(function)
-            scope.infos = [infos[index] for index in indices]
-            self._scopes.append(scope)
-        self._shadow_undo = {
-            id(infos[owner_index]): [
-                (start, end, infos[piece_index])
-                for start, end, piece_index in pieces]
-            for owner_index, pieces in state["shadow_undo"].items()}
-        self._retired_ids = {id(infos[index]) for index in state["retired"]}
-        self.revision = 0
 
     # ------------------------------------------------------------------ #
     # Segment store

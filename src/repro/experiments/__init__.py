@@ -5,9 +5,9 @@ Each module regenerates one table or study of the paper's Sec. VI:
 * :mod:`repro.experiments.table2` — Table II: identified critical variables,
   dependency types, trace sizes, trace generation times and MCLR for the 14
   benchmarks (plus a column checking the result against the paper's).
-* :mod:`repro.experiments.table3` — Table III: analysis-time breakdown
-  (pre-processing / dependency analysis / identify variables) with and
-  without the parallel pre-processing optimization.
+* :mod:`repro.experiments.table3` — Table III: analysis time per
+  benchmark (trace generation, the single-pass walk, identification) and
+  the walk's record throughput.
 * :mod:`repro.experiments.table4` — Table IV: checkpoint storage cost of
   AutoCheck-selected variables vs. a BLCR-style whole-process image, on the
   larger inputs.

@@ -55,14 +55,12 @@ class AppAnalysis:
 
 def analyze_app(app: AppDefinition, params: Optional[Dict[str, int]] = None,
                 trace_dir: Optional[str] = None,
-                parallel_preprocessing: bool = False,
-                preprocessing_workers: int = 4,
                 seed: int = 314159) -> AppAnalysis:
     """Trace one application and run the AutoCheck pipeline on it.
 
     When ``trace_dir`` is given the dynamic trace is written to a file there
-    (mirroring the paper's LLVM-Tracer setup and enabling the parallel
-    pre-processing path); otherwise the trace stays in memory.
+    (mirroring the paper's LLVM-Tracer setup); otherwise the trace stays in
+    memory.
     """
     params = params or {}
     source = app.source(**params)
@@ -70,10 +68,7 @@ def analyze_app(app: AppDefinition, params: Optional[Dict[str, int]] = None,
     spec = app.main_loop(source)
     source_loc = len([line for line in source.splitlines() if line.strip()])
 
-    options = dict(app.autocheck_options)
-    options.setdefault("parallel_preprocessing", parallel_preprocessing)
-    options.setdefault("preprocessing_workers", preprocessing_workers)
-    config = AutoCheckConfig(main_loop=spec, **options)
+    config = AutoCheckConfig(main_loop=spec, **app.autocheck_options)
 
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)

@@ -1,28 +1,21 @@
 """Table III — efficiency study (analysis-time breakdown).
 
-The paper reports, per benchmark, the time spent in pre-processing (with and
-without the OpenMP parallel trace reading), dependency analysis and critical
-variable identification.  The harness reproduces the same breakdown with the
-staged multi-pass pipeline — traces are written to files, then analysed once
-with the serial reader and once with the parallel block-partitioned reader —
-and adds the fused single-pass engine as a third configuration: one streamed
-walk of the trace file producing the full report, with its record throughput
-(krec/s) and its end-to-end speedup over the serial multi-pass run, so the
-single-pass win is visible in the same table.
-
-A fourth configuration measures the parallel fused engine
-(``analysis_engine="parallel"``): the same single-pass walk sharded across
-worker processes over partitions of the binary trace, reported with its
-speedup over the serial fused engine *on the same binary trace* (the fair
-baseline — the text-trace columns pay text-parsing costs the sharded walk
-never sees).  On a single-core host that column shows the sharding
-overhead rather than a speedup.
+The paper reports, per benchmark, the time spent in pre-processing,
+dependency analysis and critical variable identification.  Here every
+stage up to identification runs as a pass of one single walk over the
+binary trace, so the harness reports, per benchmark: the trace generation
+time, the walk (``fused_analysis``: MLI collection, dependency analysis,
+R/W extraction and the induction probe together), the identify stage
+(contraction and classification), their total, and the walk's record
+throughput.  The paper's pre-processing / dependency split returns once the
+engine times each pass separately.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -41,82 +34,28 @@ class Table3Row:
 
     name: str
     trace_bytes: int
-    preprocessing_serial: float
-    preprocessing_parallel: float
-    dependency_analysis: float
+    #: tracing interpreter run writing the binary trace
+    trace_generation: float
+    #: the single-pass walk (every pass up to identification)
+    walk: float
+    #: DDG contraction and critical-variable classification
     identify_variables: float
-    #: end-to-end time of the fused single-pass engine (streaming walk)
-    fused_total: float = 0.0
-    #: records walked by the fused engine
+    #: records walked
     record_count: int = 0
-    #: end-to-end fused time on the *binary* trace (the parallel engine's
-    #: input format — the fair baseline for the parallel speedup)
-    fused_binary_total: float = 0.0
-    #: end-to-end time of the parallel fused engine (sharded walk)
-    parallel_total: float = 0.0
-    #: worker count used by the parallel engine run
-    parallel_workers: int = 0
 
     @property
-    def total_serial(self) -> float:
-        return (self.preprocessing_serial + self.dependency_analysis
-                + self.identify_variables)
+    def total(self) -> float:
+        return self.walk + self.identify_variables
 
     @property
-    def total_parallel(self) -> float:
-        return (self.preprocessing_parallel + self.dependency_analysis
-                + self.identify_variables)
-
-    @property
-    def preprocessing_speedup(self) -> float:
-        if self.preprocessing_parallel <= 0:
+    def records_per_second(self) -> float:
+        if self.walk <= 0:
             return 0.0
-        return self.preprocessing_serial / self.preprocessing_parallel
-
-    @property
-    def fused_records_per_second(self) -> float:
-        if self.fused_total <= 0:
-            return 0.0
-        return self.record_count / self.fused_total
-
-    @property
-    def fused_speedup(self) -> float:
-        """End-to-end gain of the single-pass engine over the serial
-        multi-pass pipeline."""
-        if self.fused_total <= 0:
-            return 0.0
-        return self.total_serial / self.fused_total
-
-    @property
-    def parallel_speedup(self) -> float:
-        """Gain of the sharded walk over the serial fused engine on the
-        same (binary) trace.  Bounded by the machine's core count — on a
-        single-core host this is the sharding overhead, not a speedup."""
-        if self.parallel_total <= 0:
-            return 0.0
-        return self.fused_binary_total / self.parallel_total
-
-
-def _analyse(trace_path: str, module, spec, options: Dict[str, object],
-             parallel: bool, workers: int, engine: str = "multipass",
-             streaming: bool = False):
-    config = AutoCheckConfig(main_loop=spec, parallel_preprocessing=parallel,
-                             preprocessing_workers=workers,
-                             streaming_preprocessing=streaming,
-                             analysis_engine=engine,
-                             workers=workers,
-                             **{k: v for k, v in options.items()
-                                if k not in ("parallel_preprocessing",
-                                             "preprocessing_workers",
-                                             "streaming_preprocessing",
-                                             "analysis_engine",
-                                             "workers")})
-    return AutoCheck(config, trace_path=trace_path, module=module).run()
+        return self.record_count / self.walk
 
 
 def run_table3(apps: Optional[Sequence[str]] = None,
                trace_dir: Optional[str] = None,
-               workers: int = 4,
                params_override: Optional[Dict[str, Dict[str, int]]] = None,
                ) -> List[Table3Row]:
     """Regenerate Table III for the selected benchmarks (default: all 14)."""
@@ -138,41 +77,21 @@ def run_table3(apps: Optional[Sequence[str]] = None,
             source = app.source(**params)
             module = compile_source(source, module_name=app.name)
             spec = app.main_loop(source)
-            trace_path = os.path.join(trace_dir, f"{app.name}.trace")
-            trace_bytes, _ = trace_to_file(module, trace_path, module_name=app.name)
-            binary_path = os.path.join(trace_dir, f"{app.name}.btrace")
-            trace_to_file(module, binary_path, module_name=app.name,
-                          fmt="binary")
-
-            serial_report = _analyse(trace_path, module, spec,
-                                     app.autocheck_options, parallel=False,
-                                     workers=workers)
-            parallel_report = _analyse(trace_path, module, spec,
-                                       app.autocheck_options, parallel=True,
-                                       workers=workers)
-            fused_report = _analyse(trace_path, module, spec,
-                                    app.autocheck_options, parallel=False,
-                                    workers=workers, engine="fused",
-                                    streaming=True)
-            fused_binary_report = _analyse(binary_path, module, spec,
-                                           app.autocheck_options,
-                                           parallel=False, workers=workers,
-                                           engine="fused", streaming=True)
-            sharded_report = _analyse(binary_path, module, spec,
-                                      app.autocheck_options, parallel=False,
-                                      workers=workers, engine="parallel")
+            trace_path = os.path.join(trace_dir, f"{app.name}.btrace")
+            start = time.perf_counter()
+            trace_bytes, _ = trace_to_file(module, trace_path,
+                                           module_name=app.name, fmt="binary")
+            generation = time.perf_counter() - start
+            config = AutoCheckConfig(main_loop=spec, **app.autocheck_options)
+            report = AutoCheck(config, trace_path=trace_path,
+                               module=module).run()
             rows.append(Table3Row(
                 name=app.title,
                 trace_bytes=trace_bytes,
-                preprocessing_serial=serial_report.timings.get("preprocessing"),
-                preprocessing_parallel=parallel_report.timings.get("preprocessing"),
-                dependency_analysis=serial_report.timings.get("dependency_analysis"),
-                identify_variables=serial_report.timings.get("identify_variables"),
-                fused_total=fused_report.timings.total,
-                record_count=fused_report.trace_stats.record_count,
-                fused_binary_total=fused_binary_report.timings.total,
-                parallel_total=sharded_report.timings.total,
-                parallel_workers=workers,
+                trace_generation=generation,
+                walk=report.timings.get("fused_analysis"),
+                identify_variables=report.timings.get("identify_variables"),
+                record_count=report.trace_stats.record_count,
             ))
     finally:
         if own_dir is not None:
@@ -185,22 +104,15 @@ def format_table3(rows: Sequence[Table3Row]) -> str:
     for row in rows:
         table_rows.append((
             row.name,
-            f"{row.preprocessing_serial:.3f} ({row.preprocessing_parallel:.3f})",
-            f"{row.dependency_analysis:.3f}",
+            f"{row.trace_generation:.3f}",
+            f"{row.walk:.3f}",
             f"{row.identify_variables:.4f}",
-            f"{row.total_serial:.3f} ({row.total_parallel:.3f})",
-            f"{row.fused_total:.3f} "
-            f"[{row.fused_records_per_second / 1000:.0f} krec/s]",
-            f"{row.fused_speedup:.2f}x",
-            f"{row.parallel_total:.3f} ({row.parallel_speedup:.2f}x "
-            f"@{row.parallel_workers}w)",
+            f"{row.total:.3f}",
+            f"{row.records_per_second / 1000:.0f}",
         ))
     return render_table(
-        ("Name", "Pre-processing (with optimization) (s)",
-         "Dependency Analysis (s)", "Identify Variables (s)",
-         "Total Time (with optimization) (s)",
-         "Fused single pass (s) [krec/s]", "Fused speedup",
-         "Parallel engine (s) (vs fused, binary)"),
+        ("Name", "Trace Generation (s)", "Walk (s)",
+         "Identify Variables (s)", "Total Time (s)", "Walk (krec/s)"),
         table_rows)
 
 

@@ -41,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -57,6 +58,7 @@ from repro.serve.progress import stream_progress
 from repro.store.batch import prepare_app_analysis
 from repro.store.cache import ArtifactAddress, ArtifactStore, default_cache_dir
 from repro.store.serialize import canonical_report_json
+from repro.trace.binio import BINARY_MAGIC, verify_content_digest
 
 # Named error codes (stable API surface; docs/serve.md documents each).
 ERR_BAD_JSON = "BAD_JSON"
@@ -71,6 +73,8 @@ ERR_NOT_FOUND = "NOT_FOUND"
 ERR_METHOD_NOT_ALLOWED = "METHOD_NOT_ALLOWED"
 ERR_ANALYSIS_FAILED = "ANALYSIS_FAILED"
 ERR_TIMEOUT = "TIMEOUT"
+ERR_BAD_CONTENT_LENGTH = "BAD_CONTENT_LENGTH"
+ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
 
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
 DEFAULT_WAIT_SECONDS = 600.0
@@ -320,6 +324,22 @@ class AnalysisServer:
             raise ServeError(400, ERR_MISSING_FIELD,
                              "empty body: upload a trace file, or send "
                              "application/json naming an app")
+        if body[:len(BINARY_MAGIC)] == BINARY_MAGIC:
+            # A binary trace is addressed by the digest its own footer
+            # declares; re-fold it over the body first, so an upload with
+            # altered record blocks or globals is refused.  The string
+            # table and header lie outside the digest and are not checked.
+            try:
+                genuine = verify_content_digest(body, name="<upload>")
+            except (ValueError, struct.error) as exc:
+                raise ServeError(400, ERR_BAD_FIELD,
+                                 f"cannot digest uploaded trace: "
+                                 f"{exc}") from exc
+            if not genuine:
+                raise ServeError(422, ERR_TRACE_DIGEST_MISMATCH,
+                                 "the uploaded trace's record blocks and "
+                                 "globals do not fold to the content "
+                                 "digest its footer declares")
         start, end = _int_param("start"), _int_param("end")
         function = query.get("function", ["main"])[0]
         induction = query.get("induction", [None])[0]
@@ -503,7 +523,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"code": code, "message": message}})
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: it cannot be skipped, so the
+            # connection cannot carry another request either.
+            self.close_connection = True
+            raise ServeError(400, ERR_BAD_CONTENT_LENGTH,
+                             f"Content-Length must be a non-negative "
+                             f"integer, got {raw!r}")
         return self.rfile.read(length) if length else b""
 
     # -- routing --------------------------------------------------------- #

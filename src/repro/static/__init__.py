@@ -8,7 +8,7 @@ DDG over-approximation — plus the three consumers built on top:
 
 * :mod:`repro.static.check` — the static-vs-dynamic cross-check oracle
   (``analyze --static-check``);
-* :mod:`repro.static.prefilter` — the fused engine's record skip filter
+* :mod:`repro.static.prefilter` — the engine's record skip filter
   (``static_prefilter`` config switch);
 * :mod:`repro.static.textreport` — the ``static-report`` CLI verb.
 

@@ -1,8 +1,8 @@
 """Static engine prefilter: skip pass dispatch for records the IR proves
 irrelevant.
 
-The fused :class:`~repro.core.engine.AnalysisEngine` decodes every record
-and dispatches it to every subscribed pass, even when the static analysis
+The :class:`~repro.core.engine.AnalysisEngine` decodes every record and
+dispatches it to every subscribed pass, even when the static analysis
 can prove the record cannot contribute to the report.  This module turns
 the static MLI-candidate set of :mod:`repro.static.summary` into a
 per-record skip decision the engine consults **outside the loop region**:
@@ -11,8 +11,8 @@ per-record skip decision the engine consults **outside the loop region**:
   materializes every inside record into the serialized complete DDG, so
   the inside region is bit-for-bit load-bearing;
 * outside the loop, only ``Load`` / ``Store`` / ``GetElementPtr``
-  records can reach a pass that does anything (the fused pipeline's
-  passes gate every other kind to the inside region), so other kinds
+  records can reach a pass that does anything (the pipeline's passes
+  gate every other kind to the inside region), so other kinds
   skip unconditionally — and ``GetElementPtr`` also skips in the after
   region, where only the R/W extraction (loads/stores) listens;
 * a memory record skips when its pointer operand provably resolves only
@@ -55,7 +55,7 @@ _GEP = int(Opcode.GETELEMENTPTR)
 _POINTER_OPERAND = {_LOAD: 0, _STORE: 1, _GEP: 0}
 
 #: opcodes that skip unconditionally outside the loop region: every kind
-#: that is not a Load/Store/GEP reaches no fused-pipeline pass there, so
+#: that is not a Load/Store/GEP reaches no pipeline pass there, so
 #: the engine can resolve them with a set-membership test and never call
 #: into the filter (the per-record call overhead would otherwise eat the
 #: savings on arithmetic/branch-heavy traces).

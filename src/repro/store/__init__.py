@@ -48,7 +48,6 @@ from repro.store.cache import (
 from repro.store.digest import (
     compute_trace_digest,
     digest_file_bytes,
-    digest_trace,
 )
 from repro.store.serialize import (
     SCHEMA_VERSION,
@@ -79,7 +78,6 @@ __all__ = [
     "config_fingerprint",
     "default_cache_dir",
     "digest_file_bytes",
-    "digest_trace",
     "load_manifest",
     "report_from_dict",
     "report_from_json",

@@ -9,9 +9,8 @@ so a byte-identical trace analysed under an equivalent configuration is an
 O(1) lookup instead of a full record walk.  The **config fingerprint**
 covers exactly the fields that determine the analysis *result* — the main
 loop location, the global-access switch, a pinned induction variable — and
-deliberately excludes execution strategy (engine choice, worker count,
-streaming): the engines are proven report-equivalent by the test suite, so
-a report computed by any of them serves all of them.
+deliberately excludes per-run plumbing such as the progress callback, so a
+store warmed by one caller serves every other.
 
 Layout under the store root (``AUTOCHECK_CACHE_DIR`` or
 ``~/.cache/autocheck``)::
@@ -71,9 +70,8 @@ def config_fingerprint(config: AutoCheckConfig,
                        static_fingerprint: Optional[str] = None) -> str:
     """Hex SHA-256 over the config fields that determine the report.
 
-    Strategy knobs (engine, workers, streaming/parallel preprocessing) are
-    excluded on purpose — they change how fast the answer arrives, not the
-    answer (the cross-engine equivalence tests are what licenses this).
+    Per-run plumbing (the progress callback) is excluded on purpose — it
+    changes how a run is observed, not the answer.
 
     ``static_induction`` is the induction-variable name the pipeline
     resolved from the IR's static loop analysis (``None`` when no module

@@ -10,8 +10,10 @@ a single trace record:
 * **text trace file, or a version-1 binary file** — fall back to a chunked
   SHA-256 over the raw file bytes (still zero record decodes — the bytes
   are hashed, never parsed);
-* **in-memory :class:`~repro.trace.records.Trace`** — encode it through
-  the same binary writer into a hash-only sink.  Because the writer's
+* **in-memory :class:`~repro.trace.records.Trace`** — the digest of the
+  in-memory binary trace the analysis walks
+  (:func:`repro.trace.binio.encode_trace`, called by
+  :meth:`repro.core.pipeline.AutoCheck.cache_key`).  Because the writer's
   footer digest covers exactly the record blocks plus the encoded globals
   (not the header, string table or index), an in-memory trace and the
   binary file written from it produce the *same* digest — an analysis
@@ -28,21 +30,8 @@ from __future__ import annotations
 import hashlib
 from typing import IO
 
-from repro.trace.records import Trace
-
 #: Read granularity of the raw-bytes fallback.
 _CHUNK_BYTES = 1 << 20
-
-
-class _DiscardSink:
-    """A write-only binary sink that drops every byte.
-
-    The binary writer maintains the content digest itself; encoding into
-    this sink buys the digest without buffering (or re-hashing) anything.
-    """
-
-    def write(self, data: bytes) -> int:
-        return len(data)
 
 
 def digest_file_bytes(path: str) -> str:
@@ -75,23 +64,3 @@ def compute_trace_digest(path: str) -> str:
             return layout.content_digest
     return digest_file_bytes(path)
 
-
-def digest_trace(trace: Trace) -> str:
-    """Content digest of an in-memory trace.
-
-    Encodes the trace through :class:`~repro.trace.binio.TraceBinaryWriter`
-    into a discard sink and reads the writer's incremental digest — byte
-    for byte the digest a binary trace file written from this trace would
-    carry in its footer.
-    """
-    from repro.trace.binio import TraceBinaryWriter
-
-    writer = TraceBinaryWriter(None, module_name=trace.module_name,
-                               fileobj=_DiscardSink())
-    for symbol in trace.globals:
-        writer.write_global(symbol)
-    for record in trace.records:
-        writer.write_record(record)
-    writer.close()
-    assert writer.digest_hex is not None
-    return writer.digest_hex

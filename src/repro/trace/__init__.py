@@ -1,7 +1,6 @@
 """``repro.trace`` — dynamic instruction execution trace data model and I/O.
 
-This package plays the role of LLVM-Tracer's output format plus the paper's
-trace pre-processing optimization:
+This package plays the role of LLVM-Tracer's output format:
 
 * :mod:`repro.trace.records` — the in-memory representation of one dynamic
   instruction record (source location, function, basic block, opcode, dynamic
@@ -14,21 +13,22 @@ trace pre-processing optimization:
   :func:`iter_trace_records`) that accept either encoding;
 * :mod:`repro.trace.binio` — the compact block-indexed binary encoding:
   struct-packed records, an interned string table, a block-offset index
-  footer (making partitioning exact byte arithmetic and parallel reading a
-  seek-and-decode) and, since format version 2, a streaming content digest
-  computed at write time — what the artifact store (:mod:`repro.store`)
-  keys analysis results on;
+  footer and, since format version 2, a streaming content digest computed
+  at write time — what the artifact store (:mod:`repro.store`) keys
+  analysis results on;
+* :mod:`repro.trace.columnar` — the decoder the analysis walks: whole runs
+  of binary record blocks become parallel column arrays;
 * :mod:`repro.trace.partition` — block-boundary-preserving partitioning of a
-  trace file into sub-streams parsed concurrently, reproducing the OpenMP
-  pre-processing optimization of paper Sec. V-A (byte-exact for both
-  encodings).
+  trace file into sub-streams parsed concurrently into an in-memory trace,
+  reproducing the OpenMP pre-processing optimization of paper Sec. V-A
+  (byte-exact for both encodings).
 
 Choosing an encoding: the text format is greppable and diff-friendly but
 slow to parse and unable to represent names containing commas or newlines;
 the binary format is the production path — smaller files, several times
-faster decoding, exact partitioning and O(1) seeks to any record.  All
-readers sniff the format, so callers never need to know which one they were
-handed.
+faster decoding and the only encoding the analysis walks (other inputs are
+encoded into memory first).  All readers sniff the format, so callers never
+need to know which one they were handed.
 """
 
 from repro.trace.records import (
@@ -56,19 +56,18 @@ from repro.trace.binio import (
     BinaryTraceError,
     TraceBinaryReader,
     TraceBinaryWriter,
+    encode_trace,
     is_binary_trace_file,
     iter_trace_file_binary,
     partition_offsets_binary,
     read_trace_file_binary,
     read_trace_file_binary_parallel,
-    scan_record_headers,
+    verify_content_digest,
     write_trace_file_binary,
 )
 from repro.trace.partition import (
-    RecordRange,
     TracePartition,
     partition_offsets,
-    partition_records,
     read_trace_file_parallel,
 )
 
@@ -93,16 +92,15 @@ __all__ = [
     "BinaryTraceError",
     "TraceBinaryReader",
     "TraceBinaryWriter",
+    "encode_trace",
     "is_binary_trace_file",
     "iter_trace_file_binary",
     "partition_offsets_binary",
     "read_trace_file_binary",
     "read_trace_file_binary_parallel",
-    "scan_record_headers",
+    "verify_content_digest",
     "write_trace_file_binary",
-    "RecordRange",
     "TracePartition",
     "partition_offsets",
-    "partition_records",
     "read_trace_file_parallel",
 ]

@@ -1,14 +1,12 @@
 """Compact block-indexed binary encoding of dynamic traces.
 
 The line-oriented text format (:mod:`repro.trace.textio`) is human readable
-but slow to parse and structurally fragile: partitioning it for the parallel
-pre-processing optimization (paper Sec. V-A) requires scanning for block
-boundaries, and any confusion between *bytes* and *characters* (multi-byte
-identifiers, ``\\r\\n`` line endings) silently corrupts the partitions.  This
-module provides the production trace encoding: struct-packed records plus a
-footer carrying a *block-offset index*, so partitioning is exact byte
-arithmetic by construction and parallel reading is an embarrassingly
-parallel seek-and-decode.
+but slow to parse.  This module provides the production trace encoding:
+struct-packed records plus a footer carrying a *block-offset index*, which
+is what lets :mod:`repro.trace.columnar` decode whole runs of records in
+lockstep.  Every analysis walks this encoding: inputs in any other form (an
+in-memory trace, a text file, a version-1 file) are first encoded into
+memory by :func:`encode_trace`.
 
 File layout (all integers little-endian)::
 
@@ -46,18 +44,20 @@ referenced by u32 id, which both shrinks the file and makes decoding a list
 lookup instead of a utf-8 decode.  The block index stores the byte offset of
 every ``INDEX_STRIDE``-th record block, so a reader can seek to (almost) any
 record without scanning, and :func:`partition_offsets_binary` can split the
-file into exact block-aligned byte ranges without reading record data at all.
+file into exact block-aligned byte ranges without reading record data at all
+(the parallel reader of :mod:`repro.trace.partition`, paper Sec. V-A).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.trace.records import (
     GlobalSymbol,
@@ -109,6 +109,23 @@ def is_binary_trace_file(path: str) -> bool:
 # --------------------------------------------------------------------------- #
 # Writer
 # --------------------------------------------------------------------------- #
+def encode_globals(globals_: Iterable[GlobalSymbol]) -> bytes:
+    """The footer's encoded globals section (without its count prefix).
+
+    The content digest covers exactly these bytes after the record blocks,
+    so the writer and :func:`verify_content_digest` share this encoding.
+    """
+    parts: List[bytes] = []
+    for symbol in globals_:
+        name_bytes = symbol.name.encode()
+        parts.append(_U16.pack(len(name_bytes)))
+        parts.append(name_bytes)
+        parts.append(_GLOBAL_FIXED.pack(symbol.address, symbol.size_bytes,
+                                        symbol.element_bits,
+                                        1 if symbol.is_array else 0))
+    return b"".join(parts)
+
+
 class TraceBinaryWriter:
     """Stream a trace to a binary file as it is generated.
 
@@ -231,16 +248,7 @@ class TraceBinaryWriter:
     def _write_footer(self) -> None:
         assert self._fh is not None
         footer_offset = self._offset
-        globals_parts: List[bytes] = []
-        for symbol in self._globals:
-            name_bytes = symbol.name.encode()
-            globals_parts.append(_U16.pack(len(name_bytes)))
-            globals_parts.append(name_bytes)
-            globals_parts.append(
-                _GLOBAL_FIXED.pack(symbol.address, symbol.size_bytes,
-                                   symbol.element_bits,
-                                   1 if symbol.is_array else 0))
-        globals_bytes = b"".join(globals_parts)
+        globals_bytes = encode_globals(self._globals)
         # Content digest = record blocks (already folded in, in stream
         # order) + encoded globals.  The string table and block index are
         # derived data and deliberately excluded.
@@ -291,6 +299,29 @@ def write_trace_file_binary(trace: Trace, path: str) -> int:
         for record in trace.records:
             writer.write_record(record)
     return os.path.getsize(path)
+
+
+def encode_trace(module_name: str, globals_: Iterable[GlobalSymbol],
+                 records: Iterable[TraceRecord]) -> Tuple[bytes, str]:
+    """Encode a trace into an in-memory binary file.
+
+    ``records`` may be any iterable (a list, or a file-backed record
+    stream); it is consumed once.
+
+    Returns:
+        ``(file bytes, content digest)`` — the bytes a
+        :class:`TraceBinaryWriter` would write to disk, and the digest its
+        footer carries.
+    """
+    sink = io.BytesIO()
+    with TraceBinaryWriter(None, module_name=module_name,
+                           fileobj=sink) as writer:
+        for symbol in globals_:
+            writer.write_global(symbol)
+        for record in records:
+            writer.write_record(record)
+    assert writer.digest_hex is not None
+    return sink.getvalue(), writer.digest_hex
 
 
 # --------------------------------------------------------------------------- #
@@ -486,6 +517,28 @@ def layout_from_buffer(buffer, name: Optional[str] = None,
                          footer_offset, name)
 
 
+def verify_content_digest(buffer, name: Optional[str] = None) -> bool:
+    """Check a whole binary file's footer digest against its content.
+
+    Re-folds the digest the writer computes — the record region followed
+    by the encoded globals — over ``buffer`` and compares it with the
+    footer's.  Hashes raw bytes only; no record is decoded.  Version-1
+    files carry no digest and always pass.  The header and the footer's
+    string table are outside the digest, so a file whose string table
+    was rewritten still passes.
+
+    Raises:
+        BinaryTraceError: when ``buffer`` is not a readable binary trace.
+    """
+    layout = layout_from_buffer(buffer, name=name)
+    if layout.content_digest is None:
+        return True
+    sha256 = hashlib.sha256(
+        memoryview(buffer)[layout.records_start:layout.records_end])
+    sha256.update(encode_globals(layout.globals))
+    return sha256.hexdigest() == layout.content_digest
+
+
 def read_preamble_binary(path: str) -> Tuple[str, List[GlobalSymbol]]:
     """Module name and globals of a binary trace (footer read only)."""
     layout = read_layout(path)
@@ -591,7 +644,7 @@ def decode_record_range(buf, start: int, end: int,
         record, position = decode(buf, position, strings)
         append(record)
     if position != end:
-        raise BinaryTraceError("record block overruns its partition")
+        raise BinaryTraceError("record block overruns the record region")
     return records
 
 
@@ -694,107 +747,6 @@ class TraceBinaryReader:
                     skip -= 1
                     continue
                 yield record
-
-
-def _skip_operands(buf, position: int, count: int) -> int:
-    """Advance ``position`` past ``count`` encoded operands without decoding.
-
-    The flags byte fully determines each operand's size (the same property
-    the decode dispatch table exploits), so skipping costs one byte peek and
-    one addition per operand.  Raises :class:`IndexError` / ``struct.error``
-    on a partial operand so chunked callers can refill and retry, exactly
-    like :func:`_decode_record`.
-    """
-    table = _OPERAND_TABLE
-    for _ in range(count):
-        flags = buf[position]
-        entry = table[flags]
-        if entry is not None:
-            position += entry[1]
-            continue
-        if (flags >> 4) != _VALUE_BIG:
-            raise BinaryTraceError(f"unknown operand value tag {flags >> 4}")
-        position += _OPERAND_FIXED.size
-        (digit_count,) = _U32.unpack_from(buf, position)
-        position += 4 + digit_count
-        if flags & 2:
-            position += 8
-    if position > len(buf):
-        raise struct.error("operand overruns the buffer")
-    return position
-
-
-_NO_FULL_OPCODES: frozenset = frozenset()
-
-
-def scan_record_headers(path: str,
-                        layout: Optional[BinaryTraceLayout] = None,
-                        full_opcodes: frozenset = _NO_FULL_OPCODES,
-                        chunk_bytes: int = 1 << 20,
-                        ) -> Iterator[Tuple[int, int, int, int, int,
-                                            Optional[TraceRecord]]]:
-    """Stream every record block's fixed header without decoding operands.
-
-    This is the parallel fused engine's phase-1 fast path: the sequential
-    scope scan needs each record's opcode, source line and function (to
-    locate the main loop and mirror the call/return structure) but not its
-    operands — except for the opcodes in ``full_opcodes`` (``Alloca``, whose
-    operands carry the allocation size), which are decoded in full.
-
-    Args:
-        path: binary trace file.
-        layout: pre-read footer (decoded from ``path`` when omitted).
-        full_opcodes: raw opcode values whose records are fully decoded.
-        chunk_bytes: read granularity; memory stays bounded by this.
-
-    Yields:
-        ``(dyn_id, opcode, line, function_id, callee_id, record)`` per
-        record block, in file order.  ``function_id`` / ``callee_id`` are
-        string-table ids (resolve via ``layout.strings``); ``record`` is the
-        fully decoded :class:`~repro.trace.records.TraceRecord` for opcodes
-        in ``full_opcodes`` and ``None`` otherwise.
-    """
-    layout = layout or read_layout(path)
-    strings = layout.strings
-    decode = _decode_record
-    skip = _skip_operands
-    fixed = _RECORD_FIXED
-    fixed_size = fixed.size
-    with open(path, "rb") as handle:
-        handle.seek(layout.records_start)
-        to_read = layout.records_end - layout.records_start
-        buffer = b""
-        position = 0
-        while True:
-            if position >= len(buffer):
-                if to_read <= 0:
-                    return
-                buffer = handle.read(min(chunk_bytes, to_read))
-                to_read -= len(buffer)
-                position = 0
-            try:
-                (dyn_id, opcode, line, _column, _bb_label, _opcode_name_id,
-                 function_id, _bb_id_id, callee_id, operand_count,
-                 has_result) = fixed.unpack_from(buffer, position)
-                if opcode in full_opcodes:
-                    record, next_position = decode(buffer, position, strings)
-                else:
-                    record = None
-                    next_position = skip(buffer, position + fixed_size,
-                                         operand_count + has_result)
-            except (IndexError, struct.error):
-                # Partial block at the end of the chunk: refill and retry
-                # (same protocol as TraceBinaryReader.iter_records).
-                if to_read <= 0:
-                    raise BinaryTraceError(
-                        f"truncated record block in {path!r}") from None
-                extra = handle.read(min(chunk_bytes, to_read))
-                to_read -= len(extra)
-                buffer = buffer[position:] + extra
-                position = 0
-                continue
-            position = next_position
-            yield dyn_id, opcode, line, function_id, callee_id, record
 
 
 def read_trace_file_binary(path: str) -> Trace:

@@ -2,15 +2,16 @@
 
 :mod:`repro.trace.binio` decodes a trace one record at a time: one
 ``unpack_from`` plus one slotted-dataclass construction per record (and per
-operand).  PR 4's header scan showed the fixed header alone costs a fraction
-of that walk — the per-record *object layer* is the dominant cost of
-analysis.  This module removes it: a :class:`TraceColumnarReader` turns
+operand).  Reading the fixed header alone costs a fraction of that — the
+per-record *object layer* is the dominant cost of analysis.  This module
+removes it: a :class:`TraceColumnarReader` turns
 whole runs of record blocks into :class:`ColumnarBlock` objects — parallel
 arrays (columns) for the fields the analysis engine actually consults per
 record — in a small number of bulk sweeps, with full
 :class:`~repro.trace.records.TraceRecord` materialization deferred to the
 rare records that need it (``Alloca`` / ``Call`` / ``Ret``, plus anything a
-pass explicitly requests via :meth:`ColumnarBlock.record`).
+pass explicitly requests via :meth:`ColumnarBlock.record`).  It is the only
+input of the analysis engine (:mod:`repro.core.engine`).
 
 Decoded columns (everything else stays lazy)::
 
@@ -219,29 +220,13 @@ class ColumnarBlock:
             self._records[row] = record
         return record
 
-    def records(self) -> Iterator[TraceRecord]:
-        """Materialize every record, in row order (testing aid)."""
-        for row in range(self.count):
-            yield self.record(row)
-
-    def rows_matching(self, *opcodes: int) -> List[int]:
-        """Rows whose opcode is one of ``opcodes`` (vectorized when able)."""
-        if self.np_opcode is not None:
-            mask = self.np_opcode == opcodes[0]
-            for op in opcodes[1:]:
-                mask |= self.np_opcode == op
-            return _np.flatnonzero(mask).tolist()
-        wanted = set(opcodes)
-        return [row for row, op in enumerate(self.opcode) if op in wanted]
-
     def span_rows_matching(self, start: int, stop: int, *opcodes: int,
                            function_id: Optional[int] = None,
                            line: Optional[int] = None) -> List[int]:
         """Ascending rows in ``[start, stop)`` whose opcode is one of
         ``opcodes`` — narrowed to one function id and/or source line when
-        given.  The segment-scoped sibling of :meth:`rows_matching`: the
-        passes use it to sweep only their interesting rows instead of
-        testing every record of a segment."""
+        given.  The passes use it to sweep only their interesting rows
+        instead of testing every record of a segment."""
         if self.np_opcode is not None:
             ops = self.np_opcode[start:stop]
             mask = ops == opcodes[0]

@@ -21,6 +21,10 @@ Two on-disk encodings are supported and sniffed automatically:
 * the block-indexed **binary** format (:mod:`repro.trace.binio`) — partition
   boundaries come straight from the block-offset index in the footer, so no
   scanning is needed at all.
+
+The result is an in-memory :class:`~repro.trace.records.Trace`: analysing it
+takes the in-memory encode into the one columnar walk, like any other
+in-memory trace.
 """
 
 from __future__ import annotations
@@ -49,57 +53,6 @@ class TracePartition:
     @property
     def size(self) -> int:
         return self.end - self.start
-
-
-@dataclass(frozen=True)
-class RecordRange:
-    """A half-open range of *record indices* ``[start, end)``.
-
-    The unit the parallel fused analysis engine shards on: unlike the byte
-    ranges of :class:`TracePartition`, record-index ranges are exact for any
-    encoding that can seek to a record (the binary format's block index
-    makes the seek O(1)).
-    """
-
-    index: int
-    start: int
-    end: int
-
-    @property
-    def count(self) -> int:
-        return self.end - self.start
-
-
-def partition_records(record_count: int,
-                      num_partitions: int) -> List[RecordRange]:
-    """Split ``record_count`` records into ``num_partitions`` contiguous ranges.
-
-    Always returns exactly ``num_partitions`` well-formed ranges that tile
-    ``[0, record_count)`` in order.  Edge cases need no caller-side guards:
-    an empty trace yields all-empty ranges, and more partitions than records
-    yields (interleaved) empty ranges — a range's :attr:`RecordRange.count`
-    may be zero.
-
-    Args:
-        record_count: total number of records (>= 0).
-        num_partitions: how many ranges to produce (>= 1).
-
-    Returns:
-        ``num_partitions`` :class:`RecordRange` objects, sized within one
-        record of each other.
-
-    Raises:
-        ValueError: when ``num_partitions < 1`` or ``record_count < 0``.
-    """
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    if record_count < 0:
-        raise ValueError("record_count must be >= 0")
-    boundaries = [(record_count * part) // num_partitions
-                  for part in range(num_partitions)] + [record_count]
-    return [RecordRange(index=part, start=boundaries[part],
-                        end=boundaries[part + 1])
-            for part in range(num_partitions)]
 
 
 def _align_to_block_start(handle, offset: int, file_size: int) -> int:

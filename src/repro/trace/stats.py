@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import MainLoopSpec
-from repro.core.preprocessing import partition_trace
+from repro.core.errors import AnalysisError
 from repro.trace.records import Trace
 from repro.util.formatting import render_table
 
@@ -64,9 +64,14 @@ def compute_trace_statistics(trace: Trace,
                              ) -> TraceStatistics:
     """Compute aggregate statistics for ``trace``.
 
-    When ``main_loop`` is given the trace is additionally partitioned around
-    the loop so the "how much of the trace is the main loop" characterization
-    (paper Sec. VI-C) can be reported.
+    When ``main_loop`` is given the trace is additionally split around the
+    loop's dynamic extent — from the first to the last record of the loop
+    function on a loop line — so the "how much of the trace is the main
+    loop" characterization (paper Sec. VI-C) can be reported.
+
+    Raises:
+        AnalysisError: when ``main_loop`` is given and no record falls
+            inside it.
     """
     stats = TraceStatistics(record_count=len(trace.records),
                             global_count=len(trace.globals))
@@ -85,8 +90,14 @@ def compute_trace_statistics(trace: Trace,
     stats.function_histogram = dict(function_counts)
 
     if main_loop is not None:
-        regions = partition_trace(trace, main_loop)
-        stats.before_count = len(regions.before)
-        stats.inside_count = len(regions.inside)
-        stats.after_count = len(regions.after)
+        loop_rows = [index for index, record in enumerate(trace.records)
+                     if record.function == main_loop.function
+                     and main_loop.contains_line(record.line)]
+        if not loop_rows:
+            raise AnalysisError(
+                f"no trace record falls inside the main computation loop "
+                f"range {main_loop.mclr} of function {main_loop.function!r}")
+        stats.before_count = loop_rows[0]
+        stats.inside_count = loop_rows[-1] - loop_rows[0] + 1
+        stats.after_count = len(trace.records) - loop_rows[-1] - 1
     return stats

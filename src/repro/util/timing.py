@@ -70,16 +70,15 @@ class Timer:
 class TimingBreakdown:
     """Named stage timings for one AutoCheck pipeline run.
 
-    Mirrors the columns of paper Table III: the multi-pass pipeline records
-    ``preprocessing``, ``dependency_analysis`` and ``identify_variables``;
-    the fused pipeline records ``preprocessing``, ``fused_analysis`` and
-    ``identify_variables``.  ``total`` is the sum of all recorded stages.
+    The pipeline records ``preprocessing`` (opening the input),
+    ``fused_analysis`` (the single-pass walk) and ``identify_variables`` —
+    the columns of the regenerated paper Table III.  ``total`` is the sum
+    of all recorded stages.
 
     Stages that walk trace records can additionally record how many records
-    they processed (:meth:`add_count`), which makes per-stage throughput
-    (:meth:`records_per_second`) comparable across pipeline shapes — the
-    number the efficiency study (``table3.py``) reports to show the
-    single-pass speedup.
+    they processed (:meth:`add_count`), which gives per-stage throughput
+    (:meth:`records_per_second`) — the walk's krec/s the efficiency study
+    (``table3.py``) reports.
     """
 
     stages: Dict[str, float] = field(default_factory=dict)

@@ -1,22 +1,30 @@
 """Shared fixtures for the test suite.
 
-Expensive artefacts (tracing + analysing the paper's example program and a
-couple of benchmarks) are produced once per session and reused across test
-modules.
+Expensive artefacts (tracing + analysing the paper's example program, the
+16-app bundled fleet and a couple of benchmarks) are produced once per
+session and reused across test modules.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Dict
+
 import pytest
 
 from repro.apps import EXAMPLE_APP, get_app
+from repro.apps.registry import app_names
 from repro.codegen.lowering import compile_source
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.pipeline import AutoCheck
-from repro.core.preprocessing import identify_mli_variables
+from repro.core.report import AutoCheckReport
+from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.trace.records import TraceOperand, TraceRecord
-from repro.tracer.driver import run_and_trace
+from repro.tracer.driver import run_and_trace, trace_to_file
+
+#: The bundled fleet: the 14 study benchmarks, the example and bigarray.
+FLEET_NAMES = app_names(include_example=True, include_extras=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -77,8 +85,15 @@ def example_execution(example_trace_and_result):
 
 
 @pytest.fixture(scope="session")
-def example_preprocessing(example_trace, example_spec):
-    return identify_mli_variables(example_trace, example_spec)
+def example_walk(example_trace, example_spec, example_module):
+    """The example's finalized pass states, from the walk ``run`` uses."""
+    config = AutoCheckConfig(main_loop=example_spec)
+    return AutoCheck(config, trace=example_trace, module=example_module).walk()
+
+
+@pytest.fixture(scope="session")
+def example_preprocessing(example_walk):
+    return example_walk.mli.result()
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +108,59 @@ def mg_analysis():
     from repro.experiments.common import analyze_app
 
     return analyze_app(get_app("mg"), params={"n": 24, "iters": 5})
+
+
+@dataclass
+class FleetApp:
+    """One bundled app, traced once for the whole session."""
+
+    name: str
+    app: Any
+    module: Module
+    spec: MainLoopSpec
+    #: the app's own AutoCheckConfig options (Table II settings)
+    options: Dict[str, Any]
+    #: binary trace at default parameters and the repository seed
+    trace_path: str
+    #: the cold report, analysed with the module through ``store_dir``
+    report: AutoCheckReport
+
+    def config(self, **overrides) -> AutoCheckConfig:
+        return AutoCheckConfig(main_loop=self.spec,
+                               **{**self.options, **overrides})
+
+
+@dataclass
+class Fleet:
+    """The 16-app bundled fleet and the artifact store its reports warmed."""
+
+    store_dir: str
+    apps: Dict[str, FleetApp]
+
+
+@pytest.fixture(scope="session")
+def fleet(tmp_path_factory) -> Fleet:
+    """Every bundled app compiled, traced to a binary file and analysed
+    cold once — shared by the store, golden-report and necessity suites."""
+    root = tmp_path_factory.mktemp("fleet")
+    store_dir = str(root / "store")
+    apps = {}
+    for name in FLEET_NAMES:
+        app = get_app(name)
+        source = app.source()
+        module = compile_source(source, module_name=app.name)
+        spec = app.main_loop(source)
+        trace_path = str(root / f"{name}.btrace")
+        trace_to_file(module, trace_path, module_name=app.name, fmt="binary")
+        options = dict(app.autocheck_options)
+        config = AutoCheckConfig(main_loop=spec, use_cache=True,
+                                 cache_dir=store_dir, **options)
+        report = AutoCheck(config, trace_path=trace_path, module=module).run()
+        assert report.cache_info is not None and not report.cache_info.hit
+        apps[name] = FleetApp(name=name, app=app, module=module, spec=spec,
+                              options=options, trace_path=trace_path,
+                              report=report)
+    return Fleet(store_dir=store_dir, apps=apps)
 
 
 SIMPLE_LOOP_SOURCE = """\
@@ -150,9 +218,9 @@ def decode_counter(monkeypatch):
     """Count decoded trace records, wherever the decode happens.
 
     Binary traces funnel every record through ``binio._decode_record``
-    (materializing read, streaming iterator, header scan's full decodes)
-    or through the columnar reader's bulk block decode, which counts once
-    per record in the block; text traces funnel through
+    (materializing read, streaming iterator, lazy scope-record
+    materialization) or through the columnar reader's bulk block decode,
+    which counts once per record in the block; text traces funnel through
     ``textio.iter_parsed_records``.  All are looked up as module/class
     attributes at call time, so patching them intercepts every path.
     """

@@ -18,10 +18,9 @@ import pytest
 from conftest import make_alloca_record, make_operand, make_record as record
 
 from repro.core.config import AutoCheckConfig, MainLoopSpec
-from repro.core.dependency import DependencyAnalysis
 from repro.core.pipeline import AutoCheck
-from repro.core.preprocessing import identify_mli_variables
 from repro.ir.opcodes import Opcode
+from repro.trace.binio import TraceBinaryReader
 from repro.trace.records import Trace, TraceOperand
 
 
@@ -40,6 +39,12 @@ def alloca(dyn_id, function, line, name, address, count, bits):
 
 
 SPEC = MainLoopSpec(function="main", start_line=10, end_line=20)
+
+
+def _dependency(trace):
+    """The dependency pass state after the walk ``AutoCheck.run`` uses."""
+    return AutoCheck(AutoCheckConfig(main_loop=SPEC),
+                     trace=trace).walk().dependency.result()
 
 ACC = 0x1000          # main's accumulator
 FRAME = 0x7F00        # stack base reused by helper1 and helper2
@@ -95,8 +100,7 @@ def reuse_trace():
 
 class TestAddressReuseShadowing:
     def test_access_attributes_to_live_allocation(self, reuse_trace):
-        preprocessing = identify_mli_variables(reuse_trace, SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _dependency(reuse_trace)
         ddg = dependency.complete_ddg
 
         window_key = f"window@{FRAME:#x}"
@@ -113,8 +117,7 @@ class TestAddressReuseShadowing:
         """Between helper1's return and helper2's call the frame is dead:
         main's probe of FRAME+12 must fall back to a named local node, not
         resolve into helper1's retired scratch."""
-        preprocessing = identify_mli_variables(reuse_trace, SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _dependency(reuse_trace)
         ddg = dependency.complete_ddg
         assert ddg.parents_of("main%9") == {"main:q"}
 
@@ -142,8 +145,7 @@ class TestAddressReuseShadowing:
                    operands=[reg("1", "1"), mem("2", "acc", ACC)]),
         ]
         trace = Trace(module_name="zeroparam", records=records)
-        preprocessing = identify_mli_variables(trace, SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _dependency(trace)
         assert dependency.complete_ddg.parents_of("main%9") == {"main:q"}
         assert dependency.variable_map.resolve(FRAME) is None
         assert dependency.variable_map.resolve(FRAME + 4) is None
@@ -168,14 +170,12 @@ class TestAddressReuseShadowing:
                    operands=[reg("1", "2"), mem("2", "acc", ACC)]),
         ]
         trace = Trace(module_name="builtin", records=records)
-        preprocessing = identify_mli_variables(trace, SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _dependency(trace)
         assert dependency.variable_map.open_scope_count == 0
         assert dependency.variable_map.resolve(ACC).name == "acc"
 
     def test_final_map_retires_both_frames(self, reuse_trace):
-        preprocessing = identify_mli_variables(reuse_trace, SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _dependency(reuse_trace)
         varmap = dependency.variable_map
         # both helper frames have returned: the reused base resolves to
         # nothing, while main's accumulator is still live
@@ -188,42 +188,24 @@ class TestAddressReuseShadowing:
 
 
 class TestBigarrayPipelineEquivalence:
-    """The million-element synthetic app: streaming and materialized
-    pipelines agree, through the interval store."""
+    """The million-element synthetic app: the binary file streamed from
+    disk and the same trace held in memory agree, through the interval
+    store."""
 
-    @pytest.fixture(scope="class")
-    def bigarray_trace_path(self, tmp_path_factory):
-        from repro.apps import get_app
-        from repro.codegen.lowering import compile_source
-        from repro.tracer.driver import trace_to_file
-
-        app = get_app("bigarray")
-        module = compile_source(app.source(), module_name="bigarray")
-        path = str(tmp_path_factory.mktemp("bigarray") / "bigarray.btrace")
-        trace_to_file(module, path, fmt="binary")
-        return path
-
-    def test_streaming_report_identical(self, bigarray_trace_path):
-        from repro.apps import get_app
-
-        app = get_app("bigarray")
-        spec = app.main_loop(app.source())
-        materialized = AutoCheck(AutoCheckConfig(main_loop=spec),
-                                 trace_path=bigarray_trace_path).run()
-        streaming = AutoCheck(
-            AutoCheckConfig(main_loop=spec, streaming_preprocessing=True),
-            trace_path=bigarray_trace_path).run()
+    def test_streaming_report_identical(self, fleet):
+        entry = fleet.apps["bigarray"]
+        config = AutoCheckConfig(main_loop=entry.spec)
+        streaming = AutoCheck(config, trace_path=entry.trace_path).run()
+        materialized = AutoCheck(
+            config, trace=TraceBinaryReader(entry.trace_path).read()).run()
         assert streaming.mli_variable_names == materialized.mli_variable_names
         assert [(v.name, v.dependency) for v in streaming.critical_variables] \
             == [(v.name, v.dependency) for v in materialized.critical_variables]
         assert streaming.dependency_string() == materialized.dependency_string()
 
-    def test_expected_classification(self, bigarray_trace_path):
-        from repro.apps import get_app
-
-        app = get_app("bigarray")
-        spec = app.main_loop(app.source())
-        report = AutoCheck(AutoCheckConfig(main_loop=spec),
-                           trace_path=bigarray_trace_path).run()
+    def test_expected_classification(self, fleet):
+        entry = fleet.apps["bigarray"]
+        report = AutoCheck(AutoCheckConfig(main_loop=entry.spec),
+                           trace_path=entry.trace_path).run()
         got = {v.name: v.dependency.value for v in report.critical_variables}
-        assert got == app.expected_critical
+        assert got == entry.app.expected_critical

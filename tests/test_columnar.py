@@ -1,35 +1,41 @@
-"""The columnar block decoder and the engines' columnar walk.
+"""The columnar block decoder and the walk over it.
 
-Three layers of evidence pin the columnar fast path down:
+Three layers of evidence pin the columnar route down:
 
 1. **Decode equivalence** — the columns (and lazily materialized records)
    of :class:`repro.trace.columnar.TraceColumnarReader` match the
-   per-record :class:`repro.trace.binio.TraceBinaryReader` walk exactly:
+   per-record :class:`repro.trace.binio.TraceBinaryReader` decoder exactly:
    property-tested on randomized round-tripped traces (hypothesis, reusing
    the binary-roundtrip strategies), and deterministically on traces large
    enough to exercise the numpy lockstep scan, the big-integer fallback
    and arbitrary ``start_record`` / ``end_record`` windows.
-2. **Report equivalence, fleet-wide** — ``decode="columnar"`` produces the
-   same full report as ``decode="records"`` on every registered benchmark
-   (plus the synthetic ``bigarray`` stress app), under the fused *and* the
-   parallel engine, with the static prefilter off *and* on (including
-   identical skip counts).
-3. **Fallback contract** — inputs the columnar reader cannot serve
-   (in-memory traces, text traces) silently keep the record walk.
+2. **Report equality, fleet-wide** — an in-memory trace (encoded into
+   memory, then walked) and a prefiltered walk of the binary file both
+   produce the committed golden report on every bundled app, and the
+   prefilter skips the committed number of records on each.
+3. **Every input form** — text files and version-1 binary files are
+   encoded into memory and walked the same way: same report as the
+   version-2 binary file.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_engine_fused import _assert_reports_equal
+from conftest import FLEET_NAMES
+from test_golden_reports import GOLDEN
 from test_property_based import _binary_record_strategy
 
-from repro.apps import all_apps, get_app
-from repro.codegen.lowering import compile_source
-from repro.core import AutoCheck, AutoCheckConfig
-from repro.trace.binio import TraceBinaryReader, write_trace_file_binary
+from repro.core import AutoCheck
+from repro.store.serialize import canonical_report_json, report_to_dict
+from repro.trace.binio import (
+    TraceBinaryReader,
+    read_layout,
+    write_trace_file_binary,
+)
 from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import (
     GlobalSymbol,
@@ -37,7 +43,6 @@ from repro.trace.records import (
     TraceOperand,
     TraceRecord,
 )
-from repro.tracer.driver import trace_to_file
 
 
 # --------------------------------------------------------------------------- #
@@ -165,93 +170,85 @@ def test_columnar_window_equals_records_property(lockstep_trace, a, b):
 
 
 # --------------------------------------------------------------------------- #
-# Report equivalence, fleet-wide
+# Report equality, fleet-wide
 # --------------------------------------------------------------------------- #
-def _equivalence_apps():
-    return all_apps() + [get_app("bigarray")]
+def _report_sha256(report) -> str:
+    return hashlib.sha256(canonical_report_json(report).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module", params=_equivalence_apps(),
-                ids=lambda app: app.name)
-def app_setup(request, tmp_path_factory):
-    """Binary trace + record-decode fused reference report, once per app."""
-    app = request.param
-    source = app.source()
-    module = compile_source(source, module_name=app.name)
-    spec = app.main_loop(source)
-    path = str(tmp_path_factory.mktemp("col") / f"{app.name}.btrace")
-    trace_to_file(module, path, fmt="binary")
-    options = dict(app.autocheck_options)
-    reference = AutoCheck(
-        AutoCheckConfig(main_loop=spec, decode="records", **options),
-        trace_path=path, module=module).run()
-    return spec, path, module, options, reference
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_fused_columnar_report_identical_on_all_apps(fleet, name):
+    """An in-memory trace takes the in-memory encode into the same
+    columnar walk: its report is the golden one."""
+    entry = fleet.apps[name]
+    trace = TraceBinaryReader(entry.trace_path).read()
+    report = AutoCheck(entry.config(), trace=trace,
+                       module=entry.module).run()
+    assert _report_sha256(report) == GOLDEN[name]["report_sha256"]
 
 
-def test_fused_columnar_report_identical_on_all_apps(app_setup):
-    spec, path, module, options, reference = app_setup
-    report = AutoCheck(
-        AutoCheckConfig(main_loop=spec, decode="columnar", **options),
-        trace_path=path, module=module).run()
-    _assert_reports_equal(report, reference)
+def _without_prefilter_stats(report) -> dict:
+    data = report_to_dict(report)
+    data.pop("timings", None)
+    data.pop("prefilter", None)
+    return data
 
 
-@pytest.mark.parametrize("workers", [2])
-def test_parallel_columnar_report_identical_on_all_apps(app_setup, workers):
-    spec, path, module, options, reference = app_setup
-    columnar = AutoCheck(
-        AutoCheckConfig(main_loop=spec, analysis_engine="parallel",
-                        workers=workers, decode="columnar", **options),
-        trace_path=path, module=module).run()
-    records = AutoCheck(
-        AutoCheckConfig(main_loop=spec, analysis_engine="parallel",
-                        workers=workers, decode="records", **options),
-        trace_path=path, module=module).run()
-    _assert_reports_equal(columnar, reference)
-    _assert_reports_equal(records, reference)
+#: Records the static prefilter skips on each app's default binary trace,
+#: as counted by both the per-record walk and the columnar walk before the
+#: per-record walk was removed (they agreed on every app).
+PREFILTER_SKIPPED_RECORDS = {
+    "amg": 696, "bigarray": 1160, "bt": 1311, "cg": 1460, "comd": 1193,
+    "ep": 94, "example": 89, "ft": 1609, "hacc": 1068, "himeno": 1899,
+    "hpccg": 878, "is": 742, "lu": 1929, "mg": 904, "miniamr": 457,
+    "sp": 712,
+}
 
 
-def test_prefilter_columnar_report_identical_on_all_apps(app_setup):
-    """With the static prefilter on, the columnar skip mask must agree
-    with the per-record skip decisions — same report, same skip count."""
-    spec, path, module, options, reference = app_setup
-    columnar = AutoCheck(
-        AutoCheckConfig(main_loop=spec, static_prefilter=True,
-                        decode="columnar", **options),
-        trace_path=path, module=module).run()
-    records = AutoCheck(
-        AutoCheckConfig(main_loop=spec, static_prefilter=True,
-                        decode="records", **options),
-        trace_path=path, module=module).run()
-    _assert_reports_equal(columnar, reference)
-    _assert_reports_equal(records, reference)
-    assert columnar.prefilter_info is not None
-    assert records.prefilter_info is not None
-    assert (columnar.prefilter_info.skipped_records
-            == records.prefilter_info.skipped_records)
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_prefilter_columnar_report_identical_on_all_apps(fleet, name):
+    """With the static prefilter on, the columnar skip mask skips exactly
+    the records the per-record skip decisions skipped, and leaves the
+    report unchanged."""
+    entry = fleet.apps[name]
+    filtered = AutoCheck(entry.config(static_prefilter=True),
+                         trace_path=entry.trace_path,
+                         module=entry.module).run()
+    assert filtered.prefilter_info is not None
+    assert (filtered.prefilter_info.skipped_records
+            == PREFILTER_SKIPPED_RECORDS[name])
+    assert _without_prefilter_stats(filtered) == \
+        _without_prefilter_stats(entry.report)
 
 
 # --------------------------------------------------------------------------- #
-# Fallback contract
+# Every input form
 # --------------------------------------------------------------------------- #
-def test_text_trace_falls_back_to_record_walk(tmp_path):
-    """A text trace cannot columnar-decode; decode='columnar' must still
-    analyse it (silently via the record walk), identically."""
-    app = get_app("example")
-    source = app.source()
-    module = compile_source(source, module_name="example")
-    spec = app.main_loop(source)
+def test_text_trace_report_equals_binary_report(fleet, tmp_path):
+    """A text trace is encoded into memory and walked: same report as the
+    binary file of the same execution."""
+    from repro.trace.textio import write_trace_file
+
+    entry = fleet.apps["example"]
     path = str(tmp_path / "example.trace")
-    trace_to_file(module, path, fmt="text")
-    columnar = AutoCheck(AutoCheckConfig(main_loop=spec, decode="columnar"),
-                         trace_path=path).run()
-    records = AutoCheck(AutoCheckConfig(main_loop=spec, decode="records"),
-                        trace_path=path).run()
-    _assert_reports_equal(columnar, records)
+    write_trace_file(TraceBinaryReader(entry.trace_path).read(), path)
+    report = AutoCheck(entry.config(), trace_path=path,
+                       module=entry.module).run()
+    assert _report_sha256(report) == GOLDEN["example"]["report_sha256"]
 
 
-def test_unknown_decode_rejected():
-    app = get_app("example")
-    spec = app.main_loop(app.source())
-    with pytest.raises(ValueError, match="decode"):
-        AutoCheckConfig(main_loop=spec, decode="vectorized")
+def test_version1_binary_trace_report_equals_version2_report(fleet,
+                                                             tmp_path):
+    """A version-1 file (no footer digest) is re-encoded into memory and
+    walked: same report as the version-2 file."""
+    entry = fleet.apps["example"]
+    with open(entry.trace_path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[4:6] = (1).to_bytes(2, "little")  # header version u16 -> 1
+    path = str(tmp_path / "v1.btrace")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    assert read_layout(path).content_digest is None
+    report = AutoCheck(entry.config(), trace_path=path,
+                       module=entry.module).run()
+    assert _report_sha256(report) == GOLDEN["example"]["report_sha256"]

@@ -4,21 +4,31 @@ import pytest
 from conftest import make_alloca_record, make_operand as _operand, \
     make_record as _rec
 
-from repro.core import MainLoopSpec
+from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
 from repro.core.classify import classify_variables
-from repro.core.dependency import DependencyAnalysis
 from repro.core.ddg import NodeKind
-from repro.core.preprocessing import identify_mli_variables
 from repro.core.report import DependencyType
-from repro.core.rwdeps import AccessKind, extract_rw_dependencies
+from repro.core.rwdeps import AccessKind
 from repro.core.varmap import VariableInfo
 from repro.ir.opcodes import Opcode
 from repro.trace.records import Trace
 
 
+def _walk(trace, spec):
+    return AutoCheck(AutoCheckConfig(main_loop=spec), trace=trace).walk()
+
+
 @pytest.fixture(scope="module")
-def example_dependency(example_preprocessing):
-    return DependencyAnalysis(example_preprocessing).run()
+def example_dependency(example_walk):
+    return example_walk.dependency.result()
+
+
+@pytest.fixture(scope="module")
+def example_rw(example_walk, example_preprocessing):
+    mli_names = {var.key: var.name
+                 for var in example_preprocessing.mli_variables}
+    return example_walk.rw.build(set(example_preprocessing.mli_keys()),
+                                 mli_names)
 
 
 class TestDependencyAnalysis:
@@ -47,9 +57,9 @@ class TestDependencyAnalysis:
         assert bindings[("foo", "q")].startswith("b@")
 
     def test_selective_iteration_skips_control_flow(self, example_dependency,
-                                                    example_preprocessing):
+                                                    example_walk):
         inspected = example_dependency.inspected_records
-        total_inside = len(example_preprocessing.regions.inside)
+        total_inside = example_walk.walk.inside_count
         assert 0 < inspected < total_inside
 
     def test_dependency_paths_from_r_to_a_to_sum(self, example_dependency,
@@ -63,33 +73,32 @@ class TestDependencyAnalysis:
 
 
 class TestRWExtraction:
-    def test_example_sequence_prefix_matches_figure5e(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
+    def test_example_sequence_prefix_matches_figure5e(self, example_rw):
+        rw = example_rw
         prefix = [str(event) for event in rw.loop_events[:6]]
         # Paper Fig. 5(e): s-Write; s-Read; r-Read; a-Write; a-Read; b-Write
         assert prefix == ["s-Write", "s-Read", "r-Read", "a-Write", "a-Read",
                           "b-Write"]
 
-    def test_events_sorted_by_dynamic_id(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
-        ids = [event.dyn_id for event in rw.loop_events]
+    def test_events_sorted_by_dynamic_id(self, example_rw):
+        ids = [event.dyn_id for event in example_rw.loop_events]
         assert ids == sorted(ids)
 
-    def test_post_loop_read_of_sum(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
+    def test_post_loop_read_of_sum(self, example_rw, example_preprocessing):
+        rw = example_rw
         sum_key = example_preprocessing.find("sum").key
         post = rw.post_events_for(sum_key)
         assert post and post[0].kind is AccessKind.READ
 
-    def test_element_offsets_recorded_for_arrays(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
+    def test_element_offsets_recorded_for_arrays(self, example_rw,
+                                                 example_preprocessing):
+        rw = example_rw
         a_key = example_preprocessing.find("a").key
         offsets = {event.element_offset for event in rw.events_for(a_key)}
         assert len(offsets) == 10  # a[0] .. a[9] all touched over the run
 
-    def test_sequence_string_format(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
-        text = rw.sequence_string(limit=3)
+    def test_sequence_string_format(self, example_rw):
+        text = example_rw.sequence_string(limit=3)
         assert text.startswith("1: s-Write; 2: s-Read; 3: r-Read")
 
 
@@ -111,15 +120,17 @@ class TestClassification:
         it = example_report.find("it")
         assert it.dependency is DependencyType.INDEX
 
-    def test_classification_without_induction(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
-        critical = classify_variables(example_preprocessing, rw, induction=None)
+    def test_classification_without_induction(self, example_preprocessing,
+                                              example_rw):
+        critical = classify_variables(example_preprocessing, example_rw,
+                                      induction=None)
         names = {v.name for v in critical}
         assert "it" not in names
         assert {"r", "a", "sum"} <= names
 
-    def test_induction_info_used_for_size(self, example_preprocessing):
-        rw = extract_rw_dependencies(example_preprocessing)
+    def test_induction_info_used_for_size(self, example_preprocessing,
+                                          example_rw):
+        rw = example_rw
         info = VariableInfo(name="it", base_address=0x42, size_bytes=4,
                             element_bits=32, is_array=False, is_global=False)
         critical = classify_variables(example_preprocessing, rw,
@@ -190,9 +201,7 @@ class TestRecursiveParamBindings:
 
     @pytest.fixture()
     def recursion_dependency(self):
-        trace = self._trace()
-        preprocessing = identify_mli_variables(trace, self.SPEC)
-        return DependencyAnalysis(preprocessing).run()
+        return _walk(self._trace(), self.SPEC).dependency.result()
 
     def test_outer_spill_binds_to_outer_argument(self, recursion_dependency):
         ddg = recursion_dependency.complete_ddg
@@ -256,9 +265,7 @@ class TestUnboundParameterDoesNotLeak:
         return Trace(module_name="unbound", records=records)
 
     def test_constant_argument_activation_gets_no_stale_edge(self):
-        trace = self._trace()
-        preprocessing = identify_mli_variables(trace, self.SPEC)
-        dependency = DependencyAnalysis(preprocessing).run()
+        dependency = _walk(self._trace(), self.SPEC).dependency.result()
         ddg = dependency.complete_ddg
         a_key = f"a@{self.A:#x}"
         # first activation: spill connects a to its slot

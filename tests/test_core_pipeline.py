@@ -46,21 +46,12 @@ class TestPipeline:
         assert report.induction_variable == "it"
 
     def test_timings_cover_three_stages(self, example_report):
-        # Default (fused) pipeline: one engine walk replaces the separate
-        # dependency-analysis iteration.
+        # One engine walk hosts both pre-processing and the dependency
+        # analysis; "preprocessing" is opening the input.
         stages = set(example_report.timings.stages)
         assert stages == {"preprocessing", "fused_analysis",
                           "identify_variables"}
         assert example_report.timings.total > 0
-
-    def test_multipass_timings_cover_legacy_stages(self, example_trace,
-                                                   example_spec):
-        report = AutoCheck(
-            AutoCheckConfig(main_loop=example_spec,
-                            analysis_engine="multipass"),
-            trace=example_trace).run()
-        assert set(report.timings.stages) == {
-            "preprocessing", "dependency_analysis", "identify_variables"}
 
     def test_fused_walk_reports_throughput(self, example_report,
                                            example_trace):

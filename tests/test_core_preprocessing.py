@@ -1,41 +1,59 @@
-"""Unit tests for trace partitioning and MLI identification (paper Sec. IV-A)."""
+"""Unit tests for trace partitioning and MLI identification (paper Sec. IV-A).
+
+The engine walk partitions the trace around the main loop's dynamic extent
+on the fly; these tests read the regions off the walk ``AutoCheck.run``
+performs.
+"""
 
 import pytest
 
-from repro.core import MainLoopSpec, partition_trace
+from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
 from repro.core.errors import AnalysisError
 
 
-class TestPartitioning:
-    def test_partition_covers_all_records(self, example_trace, example_spec):
-        regions = partition_trace(example_trace, example_spec)
-        assert regions.total_records == len(example_trace.records)
+def _regions(trace, walk):
+    records = trace.records
+    return (records[:walk.first_index],
+            records[walk.first_index:walk.last_index + 1],
+            records[walk.last_index + 1:])
 
-    def test_inside_region_within_loop_lines(self, example_trace, example_spec):
-        regions = partition_trace(example_trace, example_spec)
-        first, last = regions.inside[0], regions.inside[-1]
+
+class TestPartitioning:
+    def test_partition_covers_all_records(self, example_trace, example_walk):
+        walk = example_walk.walk
+        assert (walk.before_count + walk.inside_count + walk.after_count
+                == walk.record_count == len(example_trace.records))
+
+    def test_inside_region_within_loop_lines(self, example_trace,
+                                             example_spec, example_walk):
+        _, inside, _ = _regions(example_trace, example_walk.walk)
+        first, last = inside[0], inside[-1]
         assert first.function == "main"
         assert example_spec.contains_line(first.line)
         assert last.function == "main"
         assert example_spec.contains_line(last.line)
 
-    def test_before_region_precedes_loop(self, example_trace, example_spec):
-        regions = partition_trace(example_trace, example_spec)
-        assert all(r.dyn_id < regions.first_loop_dyn_id for r in regions.before)
+    def test_before_region_precedes_loop(self, example_trace, example_walk):
+        before, _, _ = _regions(example_trace, example_walk.walk)
+        first_loop_dyn_id = example_walk.walk.first_loop_dyn_id
+        assert all(r.dyn_id < first_loop_dyn_id for r in before)
 
-    def test_after_region_contains_final_print(self, example_trace, example_spec):
-        regions = partition_trace(example_trace, example_spec)
-        assert any(r.is_call and r.callee == "print" for r in regions.after)
+    def test_after_region_contains_final_print(self, example_trace,
+                                               example_walk):
+        _, _, after = _regions(example_trace, example_walk.walk)
+        assert any(r.is_call and r.callee == "print" for r in after)
 
-    def test_callee_records_are_inside_region(self, example_trace, example_spec):
-        regions = partition_trace(example_trace, example_spec)
-        assert any(r.function == "foo" for r in regions.inside)
-        assert not any(r.function == "foo" for r in regions.before)
+    def test_callee_records_are_inside_region(self, example_trace,
+                                              example_walk):
+        before, inside, _ = _regions(example_trace, example_walk.walk)
+        assert any(r.function == "foo" for r in inside)
+        assert not any(r.function == "foo" for r in before)
 
     def test_bad_range_raises(self, example_trace):
         spec = MainLoopSpec(function="main", start_line=500, end_line=600)
         with pytest.raises(AnalysisError):
-            partition_trace(example_trace, spec)
+            AutoCheck(AutoCheckConfig(main_loop=spec),
+                      trace=example_trace).walk()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

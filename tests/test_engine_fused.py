@@ -1,21 +1,26 @@
-"""The single-pass analysis engine: equivalence, temporal attribution, I/O.
+"""The single-pass analysis engine: regions, equivalence, temporal
+attribution, I/O.
 
-Three properties pin the fused pipeline down:
+Four properties pin the engine walk down:
 
-1. **Full-report equivalence** — on every registered benchmark (plus the
-   synthetic ``bigarray`` stress app), the fused engine produces the same
-   MLI sets, classified variables, DDG (edges *and* node kinds) and R/W
-   event sequences as the legacy multi-pass pipeline, in both materialized
-   and streaming modes.
-2. **Temporal attribution** — a loop-region access to an MLI array byte
+1. **Regions** — the walk tags the before / inside / after regions of the
+   main loop's dynamic extent on the fly, dispatches segments in stream
+   order and fails loudly on corrupt opcodes.
+2. **Full-report equivalence** — on every registered benchmark (plus the
+   synthetic ``bigarray`` stress app), a version-1 binary file, re-encoded
+   into memory record by record, walks to the same MLI sets, classified
+   variables, DDG (edges *and* node kinds), R/W event sequences and region
+   counts as the version-2 file streamed from disk.
+3. **Temporal attribution** — a loop-region access to an MLI array byte
    range that a later callee ``Alloca`` shadows attributes to the MLI
-   variable.  The legacy post-hoc :func:`extract_rw_dependencies` resolves
-   against the dependency analysis' end-of-region map and provably loses
-   the event (the regression this file documents); the engine resolves at
-   execution time and keeps it.
-3. **Single streamed pass** — in streaming mode the fused pipeline streams
-   the trace file's records exactly once end to end, while the multi-pass
-   pipeline re-streams per stage (the counting-reader tests).
+   variable: the engine resolves every access at its own execution time,
+   against the live map.  Post-hoc resolution against the end-of-walk map
+   provably loses the event (the regression this file documents).
+4. **One read of the file** — a trace file is read exactly once per
+   analysis, whatever its encoding (the counting-reader tests).
+
+Byte equality with the committed golden reports lives in
+``tests/test_golden_reports.py``.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ import pytest
 from conftest import make_alloca_record, make_operand, make_record as record
 
 from repro.apps import all_apps, get_app
-from repro.codegen.lowering import compile_source
 from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
-from repro.core.dependency import DependencyAnalysis
 from repro.core.engine import (
     KIND_BY_OPCODE,
     KIND_ARITHMETIC,
@@ -36,8 +39,7 @@ from repro.core.engine import (
     AnalysisPass,
 )
 from repro.core.errors import AnalysisError
-from repro.core.preprocessing import identify_mli_variables, partition_trace
-from repro.core.rwdeps import AccessKind, extract_rw_dependencies
+from repro.core.rwdeps import AccessKind
 from repro.ir.opcodes import (
     ARITHMETIC_OPCODES,
     ARITHMETIC_OPCODE_VALUES,
@@ -47,8 +49,9 @@ from repro.ir.opcodes import (
     MEMORY_OPCODE_VALUES,
     Opcode,
 )
+from repro.trace.binio import encode_trace, read_layout
+from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace, TraceOperand
-from repro.tracer.driver import trace_to_file
 
 
 def mem(index, name, address, bits=32, value=0):
@@ -58,6 +61,17 @@ def mem(index, name, address, bits=32, value=0):
 def reg(index, name, bits=32, value=0, address=None):
     return make_operand(index, name, address=address, bits=bits, value=value,
                         is_register=True)
+
+
+def _blocks(trace):
+    """``trace`` as the columnar blocks the pipeline walks."""
+    buffer, _ = encode_trace(trace.module_name, trace.globals, trace.records)
+    return TraceColumnarReader(buffer=buffer).iter_blocks()
+
+
+def _events(events):
+    return [(e.dyn_id, e.variable, e.name, e.kind, e.line, e.function,
+             e.element_offset) for e in events]
 
 
 # --------------------------------------------------------------------------- #
@@ -78,43 +92,50 @@ class TestEngineBasics:
             assert (kind == KIND_FORWARDING) == (op in FORWARDING_OPCODES)
             assert (kind == KIND_ARITHMETIC) == (op in ARITHMETIC_OPCODES)
 
-    def test_region_tagging_matches_partition_trace(self, example_trace,
-                                                    example_spec):
+    def test_region_tagging_matches_loop_extent(self, example_trace,
+                                                example_spec):
+        """The loop's dynamic extent runs from the first to the last
+        record of the loop function on a loop line."""
+        loop_rows = [index for index, rec in enumerate(example_trace.records)
+                     if rec.function == example_spec.function
+                     and example_spec.contains_line(rec.line)]
+        first, last = loop_rows[0], loop_rows[-1]
         engine = AnalysisEngine(example_spec, [])
         engine.add_globals(example_trace.globals)
-        walk = engine.run(example_trace.records)
-        reference = partition_trace(example_trace, example_spec)
-        assert walk.before_count == len(reference.before)
-        assert walk.inside_count == len(reference.inside)
-        assert walk.after_count == len(reference.after)
-        assert walk.first_loop_dyn_id == reference.first_loop_dyn_id
-        assert walk.last_loop_dyn_id == reference.last_loop_dyn_id
+        walk = engine.run_columnar(_blocks(example_trace))
+        assert walk.before_count == first
+        assert walk.inside_count == last - first + 1
+        assert walk.after_count == len(example_trace.records) - last - 1
+        assert walk.first_loop_dyn_id == example_trace.records[first].dyn_id
+        assert walk.last_loop_dyn_id == example_trace.records[last].dyn_id
         assert walk.record_count == len(example_trace.records)
 
     def test_no_loop_records_raises(self, example_trace):
         spec = MainLoopSpec(function="nonexistent", start_line=1, end_line=2)
         engine = AnalysisEngine(spec, [])
         with pytest.raises(AnalysisError, match="main computation loop"):
-            engine.run(example_trace.records)
+            engine.run_columnar(_blocks(example_trace))
 
     def test_regions_dispatched_in_stream_order(self, example_trace,
                                                 example_spec):
         seen = []
         transitions = []
+        memory_ops = (int(Opcode.LOAD), int(Opcode.STORE))
 
         class Recorder(AnalysisPass):
-            def on_load(self, rec, region):
-                seen.append((rec.dyn_id, region))
-
-            def on_store(self, rec, region):
-                seen.append((rec.dyn_id, region))
+            def consume_columns(self, block, start, stop, region, rows=None):
+                dyn_id = block.dyn_id_col()
+                for row in block.span_rows_matching(start, stop,
+                                                    *memory_ops):
+                    seen.append((int(dyn_id[row]), region))
 
             def on_region_change(self, region):
                 transitions.append(REGION_NAMES[region])
 
         engine = AnalysisEngine(example_spec, [Recorder()])
         engine.add_globals(example_trace.globals)
-        engine.run(example_trace.records)
+        engine.run_columnar(_blocks(example_trace))
+        assert seen
         assert [dyn_id for dyn_id, _ in seen] == sorted(
             dyn_id for dyn_id, _ in seen)
         regions = [region for _, region in seen]
@@ -124,8 +145,8 @@ class TestEngineBasics:
 
     def test_unknown_opcode_fails_loudly(self, example_spec):
         """A corrupt trace (opcode outside the enum) must not be silently
-        analysed — the old per-record Opcode(...) construction raised and
-        the dispatch table keeps that contract."""
+        analysed: the walk breaks out of its segment for the unknown
+        opcode and fails on it."""
         bogus = record(1, Opcode.STORE, example_spec.function,
                        example_spec.start_line,
                        operands=[reg("1", "1"), mem("2", "x", 0x1000)])
@@ -133,20 +154,16 @@ class TestEngineBasics:
         bogus.opcode_name = "Bogus"
         engine = AnalysisEngine(example_spec, [])
         with pytest.raises(AnalysisError, match="unknown opcode 999"):
-            engine.run([bogus])
+            engine.run_columnar(_blocks(Trace(module_name="bogus",
+                                              records=[bogus])))
 
 
 # --------------------------------------------------------------------------- #
-# Full-report equivalence: fused vs. multi-pass, materialized and streaming
+# Full-report equivalence: every input form walks to the same report
 # --------------------------------------------------------------------------- #
 def _ddg_shape(ddg):
     nodes = {node.key: node.kind for node in ddg.nodes()}
     return nodes, set(ddg.edges())
-
-
-def _events(events):
-    return [(e.dyn_id, e.variable, e.name, e.kind, e.line, e.function,
-             e.element_offset) for e in events]
 
 
 def _assert_reports_equal(got, reference):
@@ -173,30 +190,23 @@ def _equivalence_apps():
 
 
 @pytest.mark.parametrize("app", _equivalence_apps(), ids=lambda app: app.name)
-def test_fused_report_identical_on_all_apps(app, tmp_path):
-    """Acceptance: the engine-fused report equals the legacy-shaped one —
-    MLI sets, classified variables, DDG edges/kinds, R/W sequences — on
-    every registered benchmark, in materialized *and* streaming mode."""
-    source = app.source()
-    module = compile_source(source, module_name=app.name)
-    spec = app.main_loop(source)
-    path = str(tmp_path / f"{app.name}.btrace")
-    trace_to_file(module, path, fmt="binary")
+def test_fused_report_identical_on_all_apps(app, fleet, tmp_path):
+    """Acceptance: a version-1 binary file (no footer digest) streams
+    record by record into the in-memory encode; the fused walk over it
+    yields the version-2 file's report — MLI sets, classified variables,
+    DDG edges/kinds, R/W sequences — on every registered benchmark."""
+    entry = fleet.apps[app.name]
+    with open(entry.trace_path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[4:6] = (1).to_bytes(2, "little")  # header version u16 -> 1
+    path = str(tmp_path / f"{app.name}.v1.btrace")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    assert read_layout(path).content_digest is None
 
-    options = dict(app.autocheck_options)
-    reference = AutoCheck(
-        AutoCheckConfig(main_loop=spec, analysis_engine="multipass",
-                        **options),
-        trace_path=path).run()
-    fused_materialized = AutoCheck(
-        AutoCheckConfig(main_loop=spec, **options), trace_path=path).run()
-    fused_streaming = AutoCheck(
-        AutoCheckConfig(main_loop=spec, streaming_preprocessing=True,
-                        **options),
-        trace_path=path).run()
-
-    _assert_reports_equal(fused_materialized, reference)
-    _assert_reports_equal(fused_streaming, reference)
+    report = AutoCheck(entry.config(), trace_path=path,
+                       module=entry.module).run()
+    _assert_reports_equal(report, entry.report)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,17 +252,20 @@ def shadow_trace():
 
 class TestTemporalAttribution:
     def test_old_post_hoc_extraction_loses_the_event(self, shadow_trace):
-        """The documented failure mode of the multi-pass design: resolving
-        against the dependency analysis' *post-run* map — in which the
-        never-closed activation's ``tmp`` still shadows ``arr[2]`` — the
-        loop read of ``arr[2]`` vanishes from the R/W sequence."""
-        preprocessing = identify_mli_variables(shadow_trace, SHADOW_SPEC)
-        assert preprocessing.mli_keys() == [ARR_KEY]
-        dependency = DependencyAnalysis(preprocessing).run()
-        rw = extract_rw_dependencies(preprocessing,
-                                     variable_map=dependency.variable_map)
-        kinds = [event.kind for event in rw.events_for(ARR_KEY)]
-        assert kinds == [AccessKind.WRITE]  # the READ is gone
+        """The documented failure mode of post-hoc extraction: resolved
+        against the *end-of-walk* map — in which the never-closed
+        activation's ``tmp`` still shadows ``arr[2]`` — the loop read of
+        ``arr[2]`` attributes to ``tmp`` and would vanish from ``arr``'s
+        R/W sequence (the walk, resolving at execution time, keeps it:
+        see the next test)."""
+        passes = AutoCheck(AutoCheckConfig(main_loop=SHADOW_SPEC),
+                           trace=shadow_trace).walk()
+        assert passes.mli.result().mli_keys() == [ARR_KEY]
+        read = shadow_trace.records[2]
+        assert read.opcode == int(Opcode.LOAD)
+        post_hoc = passes.varmap.resolve(read.operands[0].address)
+        assert post_hoc is not None and post_hoc.name == "tmp"
+        assert post_hoc.key != ARR_KEY
 
     def test_engine_attributes_to_the_mli_variable(self, shadow_trace):
         report = AutoCheck(AutoCheckConfig(main_loop=SHADOW_SPEC),
@@ -262,18 +275,15 @@ class TestTemporalAttribution:
             (AccessKind.READ, 2), (AccessKind.WRITE, 0)]
 
     def test_classification_flips_from_missed_to_war(self, shadow_trace):
-        """End to end: the lost read hides the read-before-overwrite
-        pattern from the multi-pass pipeline; the engine sees it and
-        classifies ``arr`` as WAR (it must be checkpointed)."""
-        multipass = AutoCheck(
-            AutoCheckConfig(main_loop=SHADOW_SPEC,
-                            analysis_engine="multipass"),
-            trace=shadow_trace).run()
-        fused = AutoCheck(AutoCheckConfig(main_loop=SHADOW_SPEC),
-                          trace=shadow_trace).run()
-        assert "arr" not in multipass.names()
-        assert fused.find("arr") is not None
-        assert fused.find("arr").dependency.value == "WAR"
+        """End to end: resolving against the post-walk map — in which the
+        never-closed activation's ``tmp`` still shadows ``arr[2]`` — would
+        lose the read and hide the read-before-overwrite pattern, missing
+        ``arr``; the walk sees it and classifies ``arr`` as WAR (it must be
+        checkpointed)."""
+        report = AutoCheck(AutoCheckConfig(main_loop=SHADOW_SPEC),
+                           trace=shadow_trace).run()
+        assert report.find("arr") is not None
+        assert report.find("arr").dependency.value == "WAR"
 
     def test_access_after_retired_shadow_resolves_again(self):
         """When the shadowing callee *does* return, retiring its Alloca
@@ -312,8 +322,8 @@ class TestTemporalAttribution:
 class TestNestedLoopFunction:
     """The main loop living in a *called* function: accesses to a live
     ancestor frame's locals resolve in the engine's shared map but must be
-    rejected for MLI identification, exactly as the legacy restricted map
-    (globals + loop-function allocations only) leaves them unresolved."""
+    rejected for MLI identification — candidates are globals and the
+    loop function's own allocations (Challenge 2)."""
 
     SPEC = MainLoopSpec(function="compute", start_line=20, end_line=25)
     BUF = 0x2000   # main's buffer, passed to compute by pointer
@@ -342,24 +352,19 @@ class TestNestedLoopFunction:
         ]
         return Trace(module_name="nested", records=records)
 
-    def test_mli_and_critical_sets_match_multipass(self):
-        trace = self._trace()
-        fused = AutoCheck(AutoCheckConfig(main_loop=self.SPEC),
-                          trace=trace).run()
-        multipass = AutoCheck(
-            AutoCheckConfig(main_loop=self.SPEC,
-                            analysis_engine="multipass"),
-            trace=trace).run()
-        assert fused.mli_variable_names == multipass.mli_variable_names
-        assert fused.dependency_string() == multipass.dependency_string()
-        assert "buf" not in fused.mli_variable_names
-        assert "acc" in fused.mli_variable_names
-        assert _events(fused.rw_sequence.loop_events) == \
-            _events(multipass.rw_sequence.loop_events)
+    def test_ancestor_frame_local_is_not_mli(self):
+        report = AutoCheck(AutoCheckConfig(main_loop=self.SPEC),
+                           trace=self._trace()).run()
+        assert report.mli_variable_names == ["acc"]
+        assert report.dependency_string() == "acc (WAR)"
+        acc_key = f"acc@{self.ACC:#x}"
+        assert _events(report.rw_sequence.loop_events) == [
+            (6, acc_key, "acc", AccessKind.READ, 21, "compute", 0),
+            (8, acc_key, "acc", AccessKind.WRITE, 24, "compute", 0)]
 
 
 # --------------------------------------------------------------------------- #
-# Counting reader: the streaming fused path streams the file exactly once
+# Counting reader: an analysis reads its trace file exactly once
 # --------------------------------------------------------------------------- #
 @pytest.fixture(params=["text", "binary"])
 def example_trace_file(request, example_trace, tmp_path_factory):
@@ -376,20 +381,16 @@ def example_trace_file(request, example_trace, tmp_path_factory):
 
 
 @pytest.fixture()
-def stream_counter(monkeypatch):
-    """Count every record-stream opened on a trace file, wherever it is
-    requested from (the pipeline's front door, the streaming pre-processing
-    pass, or a re-iterable region view)."""
+def file_read_counter(monkeypatch):
+    """Count every record stream opened on a trace *file*: the text and
+    binary record iterators (what the in-memory encode of a text file
+    reads) and the columnar block stream of a file-backed reader."""
     counts = {"streams": 0}
 
     import repro.trace.binio as binio_module
     import repro.trace.columnar as columnar_module
     import repro.trace.textio as textio_module
 
-    # Patch the low-level streams every reading path funnels through (the
-    # sniffing front door and the region views both end up in one of the
-    # record iterators; the columnar walk opens one block stream), so one
-    # logical stream counts exactly once.
     real_text_iter = textio_module.iter_trace_file_text
     real_reader_iter = binio_module.TraceBinaryReader.iter_records
     real_iter_blocks = columnar_module.TraceColumnarReader.iter_blocks
@@ -403,7 +404,8 @@ def stream_counter(monkeypatch):
         return real_reader_iter(self, start_record=start_record, **kwargs)
 
     def counting_iter_blocks(self, *args, **kwargs):
-        counts["streams"] += 1
+        if self.path is not None:
+            counts["streams"] += 1
         return real_iter_blocks(self, *args, **kwargs)
 
     monkeypatch.setattr(textio_module, "iter_trace_file_text",
@@ -418,22 +420,8 @@ def stream_counter(monkeypatch):
 class TestSingleStreamedPass:
     def test_fused_streaming_streams_exactly_once(self, example_trace_file,
                                                   example_spec,
-                                                  stream_counter):
-        report = AutoCheck(
-            AutoCheckConfig(main_loop=example_spec,
-                            streaming_preprocessing=True),
-            trace_path=example_trace_file).run()
+                                                  file_read_counter):
+        report = AutoCheck(AutoCheckConfig(main_loop=example_spec),
+                           trace_path=example_trace_file).run()
         assert report.critical_variables
-        assert stream_counter["streams"] == 1
-
-    def test_multipass_streaming_restreams_per_stage(self, example_trace_file,
-                                                     example_spec,
-                                                     stream_counter):
-        """The baseline the engine replaces: every stage re-streams (and
-        for text traces re-parses) the file."""
-        AutoCheck(
-            AutoCheckConfig(main_loop=example_spec,
-                            streaming_preprocessing=True,
-                            analysis_engine="multipass"),
-            trace_path=example_trace_file).run()
-        assert stream_counter["streams"] >= 4
+        assert file_read_counter["streams"] == 1

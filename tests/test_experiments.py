@@ -55,18 +55,14 @@ class TestTable3:
     def test_breakdown_columns_positive(self):
         rows = run_table3(apps=["himeno"])
         row = rows[0]
-        assert row.preprocessing_serial > 0
-        assert row.preprocessing_parallel > 0
-        assert row.dependency_analysis > 0
+        assert row.trace_generation > 0
+        assert row.walk > 0
         assert row.identify_variables >= 0
-        assert row.total_serial >= row.dependency_analysis
-        assert row.preprocessing_speedup > 0
-        assert row.fused_total > 0
+        assert row.total >= row.walk
         assert row.record_count > 0
-        assert row.fused_records_per_second > 0
-        assert row.fused_speedup > 0
+        assert row.records_per_second > 0
         text = format_table3(rows)
-        assert "Pre-processing" in text
+        assert "Walk (s)" in text
         assert "krec/s" in text
 
 

@@ -12,15 +12,18 @@ Two claims, fleet-wide:
   that calls everything necessary (or nothing).
 """
 
-import pytest
+from types import SimpleNamespace
 
-from repro.apps.registry import app_names, get_app
+import pytest
+from conftest import FLEET_NAMES
+
+from repro.apps.registry import get_app
 from repro.checkpoint.fti import FTIConfig
 from repro.checkpoint.instrument import CheckpointInstrumenter
 from repro.checkpoint.validate import RestartValidator
-from repro.experiments.common import analyze_app
+from repro.codegen.lowering import compile_source
 
-FLEET = app_names(include_example=True, include_extras=True)
+FLEET = FLEET_NAMES
 
 #: Apps whose padded-set run doubles as the detector-detects check.
 PADDED_SAMPLE = ["example", "cg", "himeno"]
@@ -33,20 +36,31 @@ def _small_params(name):
 
 
 @pytest.fixture(scope="module")
-def fleet_analyses():
-    """name -> (analysis, loop variable sizes) for the whole fleet."""
+def fleet_analyses(fleet):
+    """name -> (module, main-loop spec, report) for the whole fleet.
+
+    The report is the shared fleet's analysis at default parameters; the
+    heavyweight apps run their restarts on smaller inputs of the same
+    program, whose critical variables are the same Table II row.
+    """
     analyses = {}
     for name in FLEET:
-        app = get_app(name)
-        analysis = analyze_app(app, params=_small_params(name))
-        analyses[name] = analysis
+        entry = fleet.apps[name]
+        module, spec = entry.module, entry.spec
+        params = _small_params(name)
+        if params:
+            source = entry.app.source(**params)
+            module = compile_source(source, module_name=name)
+            spec = entry.app.main_loop(source)
+        analyses[name] = SimpleNamespace(module=module, spec=spec,
+                                         report=entry.report)
     return analyses
 
 
 def _loop_variables(analysis, tmp_path):
     """Variables live at the app's main loop (a failure-free baseline)."""
     instrumenter = CheckpointInstrumenter(
-        analysis.module, analysis.report.main_loop, [],
+        analysis.module, analysis.spec, [],
         FTIConfig(directory=str(tmp_path / "baseline")))
     baseline = instrumenter.run()
     assert not baseline.failed
@@ -62,7 +76,7 @@ def test_dropping_any_critical_variable_corrupts_restart(name,
     checked = [variable for variable in get_app(name).necessity_variables()
                if variable in critical]
     assert checked, f"{name}: no output-sensitive variables to ablate"
-    with RestartValidator(analysis.module, analysis.report.main_loop,
+    with RestartValidator(analysis.module, analysis.spec,
                           benchmark=name) as validator:
         result = validator.necessity_study(critical,
                                            check_variables=checked)
@@ -86,7 +100,7 @@ def test_padded_set_is_flagged_as_false_positive(name, fleet_analyses,
     checked = [variable for variable in get_app(name).necessity_variables()
                if variable in critical]
     padded = critical + [pad]
-    with RestartValidator(analysis.module, analysis.report.main_loop,
+    with RestartValidator(analysis.module, analysis.spec,
                           benchmark=name) as validator:
         result = validator.necessity_study(padded,
                                            check_variables=checked + [pad])

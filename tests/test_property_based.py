@@ -11,8 +11,12 @@ Covered properties:
   (including multi-byte identifiers, commas/newlines in names and >64-bit
   integer values the text format cannot represent);
 * block-aligned parallel trace reading equals serial reading for arbitrary
-  traces and worker counts, for both encodings — with multi-byte
-  identifiers in the mix so byte/character confusion cannot reappear;
+  traces and worker counts, for both encodings;
+* every input form becomes the same bytes for the walk: a text trace file
+  streamed through the in-memory encoder decodes back to its records, and
+  the in-memory encoding of a trace is byte for byte its binary file —
+  with multi-byte identifiers in the mix so byte/character confusion
+  cannot reappear;
 * Algorithm-1 DDG contraction soundness on random graphs (contracted parents
   = MLI ancestors reachable through non-MLI chains), idempotence, and
   completion-within-deadline on dense multi-thousand-register webs (where
@@ -33,6 +37,9 @@ from repro.core.ddg import DDG, NodeKind
 from repro.minicc.lexer import tokenize
 from repro.minicc.tokens import TokenKind
 from repro.trace.binio import (
+    TraceBinaryReader,
+    encode_trace,
+    read_layout,
     read_trace_file_binary,
     read_trace_file_binary_parallel,
     write_trace_file_binary,
@@ -40,7 +47,9 @@ from repro.trace.binio import (
 from repro.trace.partition import partition_offsets, read_trace_file_parallel
 from repro.trace.records import GlobalSymbol, Trace, TraceOperand, TraceRecord
 from repro.trace.textio import (
+    iter_trace_records,
     parse_record_lines,
+    read_preamble,
     read_trace_file,
     record_to_lines,
     write_trace_file,
@@ -238,6 +247,33 @@ def test_parallel_trace_read_equals_serial(tmp_path_factory, records, workers):
     assert sum(p.size for p in partitions) == partitions[-1].end
 
 
+@given(st.lists(_record_strategy, min_size=1, max_size=30))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_text_trace_file_encodes_for_the_walk(tmp_path_factory, records):
+    # renumber dynamic ids so ordering is well defined, and canonicalise the
+    # result index (the text encoding does not store it — it is always "r")
+    for index, record in enumerate(records):
+        record.dyn_id = index + 1
+        if record.result is not None:
+            record.result.index = "r"
+    trace = Trace(module_name="prop",
+                  globals=[GlobalSymbol("g", 0x1000, 16, 64, True)],
+                  records=records)
+    path = str(tmp_path_factory.mktemp("prop") / "prop.trace")
+    write_trace_file(trace, path)
+
+    serial = read_trace_file(path)
+    # full record equality, not just dyn_id/opcode projections
+    assert serial.records == trace.records
+    # the route a text input takes to the walk: streamed into the encoder
+    module_name, globals_ = read_preamble(path)
+    buffer, _ = encode_trace(module_name, globals_, iter_trace_records(path))
+    encoded = TraceBinaryReader(buffer=buffer).read()
+    assert encoded.globals == trace.globals
+    assert encoded.records == trace.records
+
+
 @given(st.lists(_binary_record_strategy, max_size=30))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -271,6 +307,24 @@ def test_binary_parallel_read_equals_serial(tmp_path_factory, records, workers):
     parallel = read_trace_file_binary_parallel(path, num_workers=workers)
     assert serial.records == trace.records
     assert parallel.records == serial.records
+
+
+@given(st.lists(_binary_record_strategy, min_size=1, max_size=30))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_in_memory_encoding_equals_binary_file(tmp_path_factory, records):
+    """The in-memory encode an in-memory trace takes to the walk is byte
+    for byte its binary file, so both forms share digests and store keys."""
+    trace = Trace(module_name="prop",
+                  globals=[GlobalSymbol("号g", 0x1000, 16, 64, True)],
+                  records=records)
+    path = str(tmp_path_factory.mktemp("prop") / "prop.btrace")
+    write_trace_file_binary(trace, path)
+    buffer, digest = encode_trace(trace.module_name, trace.globals,
+                                  trace.records)
+    with open(path, "rb") as handle:
+        assert handle.read() == buffer
+    assert digest == read_layout(path).content_digest
 
 
 # --------------------------------------------------------------------------- #

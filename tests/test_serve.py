@@ -22,8 +22,10 @@ The load-bearing assertions:
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +37,8 @@ from repro.serve import (
     AnalysisServer,
     ServeClient,
 )
+from repro.core.config import AutoCheckConfig
+from repro.core.pipeline import AutoCheck
 from repro.serve.server import run_analysis
 from repro.store import ArtifactStore
 from repro.store.batch import prepare_app_analysis
@@ -141,6 +145,31 @@ class TestEndpoints:
             content_type="application/octet-stream")
         assert status == 400
         assert json.loads(body)["error"]["code"] == "MISSING_FIELD"
+
+    @staticmethod
+    def _post_with_content_length(server, content_length):
+        """POST /analyze over a raw socket with a hand-written header (an
+        HTTP client library would compute the header itself)."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall((
+                "POST /analyze?start=1&end=2 HTTP/1.1\r\n"
+                "Host: localhost\r\n"
+                "Content-Type: application/octet-stream\r\n"
+                f"Content-Length: {content_length}\r\n\r\n").encode())
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            return response.status, json.loads(response.read())
+
+    def test_non_numeric_content_length_is_400(self, server):
+        status, body = self._post_with_content_length(server, "twelve")
+        assert status == 400
+        assert body["error"]["code"] == "BAD_CONTENT_LENGTH"
+
+    def test_negative_content_length_is_400_not_a_hang(self, server):
+        status, body = self._post_with_content_length(server, "-5")
+        assert status == 400
+        assert body["error"]["code"] == "BAD_CONTENT_LENGTH"
 
 
 # --------------------------------------------------------------------------- #
@@ -428,3 +457,35 @@ class TestTraceUpload:
         assert cold[1]["x-autocheck-cache"] == "miss"
         assert warm[1]["x-autocheck-cache"] == "hit"
         assert cold[2] == warm[2]
+
+    def test_tampered_upload_is_refused_and_publishes_nothing(
+            self, tmp_path, server, client, example_source):
+        """A record byte flipped under an intact footer keeps the footer's
+        digest — the store address — but changes the report; the daemon
+        must refuse it before addressing, so the genuine upload that
+        follows computes (and publishes) the genuine report."""
+        from repro.codegen.lowering import compile_source
+
+        module = compile_source(example_source, module_name="example")
+        trace_path = str(tmp_path / "genuine.btrace")
+        trace_to_file(module, trace_path, module_name="example",
+                      fmt="binary")
+        with open(trace_path, "rb") as handle:
+            genuine = handle.read()
+        tampered = bytearray(genuine)
+        tampered[25] ^= 1
+
+        spec = prepare_app_analysis("example", use_cache=False,
+                                    trace_dir=server.trace_dir).spec
+        bounds = (spec.function, spec.start_line, spec.end_line)
+        status, _, body = client.analyze_trace(bytes(tampered), *bounds)
+        assert status == 422
+        assert json.loads(body)["error"]["code"] == "TRACE_DIGEST_MISMATCH"
+        assert server.store.stats().entries == 0
+
+        status, headers, body = client.analyze_trace(genuine, *bounds)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        direct = AutoCheck(AutoCheckConfig(main_loop=spec),
+                           trace_path=trace_path).run()
+        assert body == canonical_report_json(direct).encode()

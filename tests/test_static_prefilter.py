@@ -5,8 +5,8 @@ serialize to exactly the unfiltered report (minus timings and the
 prefilter stats block) while skipping a positive number of records.
 Beyond that, the fast dispatch plan (`make_skip_plan`) must agree with
 the reference `should_skip` semantics record-for-record, and the engine
-must take the same decisions through the fast path and the duck-typed
-fallback path.
+must take the same decisions through the structured id-table path and
+the duck-typed fallback path.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.codegen.lowering import compile_source
 from repro.core.config import AutoCheckConfig
 from repro.core.errors import AnalysisError
 from repro.core.engine import (
+    KIND_BY_OPCODE,
     REGION_AFTER,
     REGION_BEFORE,
     AnalysisEngine,
@@ -31,6 +32,8 @@ from repro.static.prefilter import (
 )
 from repro.static.summary import analyze_module
 from repro.store.serialize import report_to_dict
+from repro.trace.binio import encode_trace
+from repro.trace.columnar import TraceColumnarReader
 from repro.tracer.driver import run_and_trace
 
 APPS_UNDER_TEST = ["example", "bigarray", "hpccg"]
@@ -123,7 +126,9 @@ class TestSkipPlanSemantics:
 
 
 class _CountingPass(AnalysisPass):
-    """Subscribes to every record kind and counts dispatches."""
+    """Subscribes to every record kind and counts dispatched records."""
+
+    column_kinds = frozenset(KIND_BY_OPCODE.values())
 
     def __init__(self):
         self.dispatched = 0
@@ -131,8 +136,15 @@ class _CountingPass(AnalysisPass):
     def _count(self, record, region):
         self.dispatched += 1
 
-    on_alloca = on_load = on_store = on_gep = _count
-    on_forwarding = on_arithmetic = on_call = on_ret = on_other = _count
+    on_alloca = on_call = on_ret = _count
+
+    def consume_columns(self, block, start, stop, region, rows=None):
+        self.dispatched += stop - start if rows is None else len(rows)
+
+
+def _blocks(trace):
+    buffer, _ = encode_trace(trace.module_name, trace.globals, trace.records)
+    return TraceColumnarReader(buffer=buffer).iter_blocks()
 
 
 class _ShouldSkipOnly:
@@ -155,7 +167,7 @@ class TestEngineDispatch:
             engine = AnalysisEngine(spec, [counting],
                                     prefilter=filter_object)
             engine.add_globals(trace.globals)
-            engine.run(trace.records)
+            engine.run_columnar(_blocks(trace))
             return counting.dispatched, engine.skipped_records
 
         full_dispatched, full_skipped = drive(None)
@@ -173,18 +185,13 @@ class TestEngineDispatch:
         counting = _CountingPass()
         engine = AnalysisEngine(spec, [counting], prefilter=prefilter)
         engine.add_globals(trace.globals)
-        walk = engine.run(trace.records)
+        walk = engine.run_columnar(_blocks(trace))
         # Every skipped record lies outside the loop extent.
         assert engine.skipped_records <= (walk.before_count
                                           + walk.after_count)
 
 
 class TestConfigGating:
-    def test_prefilter_requires_fused_engine(self, example_spec):
-        with pytest.raises(ValueError, match="fused"):
-            AutoCheckConfig(main_loop=example_spec, static_prefilter=True,
-                            analysis_engine="multipass")
-
     def test_prefilter_requires_module(self, example_spec, example_trace):
         config = AutoCheckConfig(main_loop=example_spec,
                                  static_prefilter=True)

@@ -15,12 +15,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from types import SimpleNamespace
 
 import pytest
+from conftest import FLEET_NAMES
 
-from repro.apps.registry import app_names, get_app
-from repro.codegen.lowering import compile_source
 from repro.core.config import AutoCheckConfig
 from repro.core.pipeline import AutoCheck
 from repro.store import (
@@ -33,17 +31,16 @@ from repro.store import (
     compute_trace_digest,
     config_fingerprint,
     digest_file_bytes,
-    digest_trace,
     load_manifest,
     report_from_json,
     report_to_json,
     run_batch,
 )
-from repro.trace.binio import BinaryTraceError, read_layout
-from repro.tracer.driver import run_and_trace, trace_to_file
+from repro.trace.binio import BinaryTraceError, encode_trace, read_layout
+from repro.tracer.driver import run_and_trace
 
 #: Every bundled application: the 14 study benchmarks + example + bigarray.
-ALL_APP_NAMES = app_names(include_example=True) + ["bigarray"]
+ALL_APP_NAMES = FLEET_NAMES
 
 
 # The ``decode_counter`` fixture (counting monkeypatch over every
@@ -51,30 +48,14 @@ ALL_APP_NAMES = app_names(include_example=True) + ["bigarray"]
 # daemon's black-box suite shares it for its single-engine-walk proof.
 
 
-# --------------------------------------------------------------------------- #
-# Fleet fixture: every app traced to a binary file and cold-analysed once
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="session")
-def fleet(tmp_path_factory):
-    """Binary traces + cold cache-backed analyses of all bundled apps."""
-    root = tmp_path_factory.mktemp("store-fleet")
-    cache_dir = str(root / "cache")
-    apps = {}
-    for name in ALL_APP_NAMES:
-        app = get_app(name)
-        source = app.source()
-        module = compile_source(source, module_name=app.name)
-        spec = app.main_loop(source)
-        trace_path = str(root / f"{name}.btrace")
-        trace_to_file(module, trace_path, module_name=app.name, fmt="binary")
-        config = AutoCheckConfig(main_loop=spec, use_cache=True,
-                                 cache_dir=cache_dir,
-                                 **dict(app.autocheck_options))
-        report = AutoCheck(config, trace_path=trace_path, module=module).run()
-        assert report.cache_info is not None and not report.cache_info.hit
-        apps[name] = SimpleNamespace(app=app, module=module, config=config,
-                                     trace_path=trace_path, report=report)
-    return SimpleNamespace(cache_dir=cache_dir, apps=apps)
+# The shared ``fleet`` fixture (conftest.py) traced every app to a binary
+# file and analysed it cold through ``fleet.store_dir``.
+
+
+def _store_config(fleet, entry, **overrides):
+    """The config the fleet's cold runs published their entries under."""
+    return entry.config(use_cache=True, cache_dir=fleet.store_dir,
+                        **overrides)
 
 
 # --------------------------------------------------------------------------- #
@@ -134,7 +115,7 @@ class TestRoundTripSurface:
 def test_warm_analyze_equals_cold_with_zero_decodes(fleet, name,
                                                     decode_counter):
     entry = fleet.apps[name]
-    warm = AutoCheck(entry.config, trace_path=entry.trace_path,
+    warm = AutoCheck(_store_config(fleet, entry), trace_path=entry.trace_path,
                      module=entry.module).run()
     assert warm.cache_info is not None and warm.cache_info.hit
     assert warm == entry.report
@@ -164,7 +145,8 @@ def test_in_memory_trace_shares_entries_with_file_runs(fleet, decode_counter):
     """An in-memory analysis of the same trace hits the file run's entry."""
     entry = fleet.apps["example"]
     trace, _ = run_and_trace(entry.module, module_name="example")
-    report = AutoCheck(entry.config, trace=trace, module=entry.module).run()
+    report = AutoCheck(_store_config(fleet, entry), trace=trace,
+                       module=entry.module).run()
     assert report.cache_info.hit
     assert report == entry.report
     assert decode_counter["records"] == 0
@@ -177,8 +159,9 @@ class TestDigests:
     def test_in_memory_digest_matches_binary_footer(self, fleet):
         entry = fleet.apps["example"]
         trace, _ = run_and_trace(entry.module, module_name="example")
-        assert digest_trace(trace) == \
-            read_layout(entry.trace_path).content_digest
+        _, digest = encode_trace(trace.module_name, trace.globals,
+                                 trace.records)
+        assert digest == read_layout(entry.trace_path).content_digest
 
     def test_text_digest_is_raw_file_hash(self, tmp_path, example_trace):
         from repro.trace.textio import write_trace_file
@@ -216,21 +199,21 @@ class TestCacheSemantics:
         """Changing a semantic config field addresses a different entry."""
         entry = fleet.apps["example"]
         config = AutoCheckConfig(
-            main_loop=entry.config.main_loop, use_cache=True,
-            cache_dir=fleet.cache_dir,
+            main_loop=entry.spec, use_cache=True,
+            cache_dir=fleet.store_dir,
             include_global_accesses_in_calls=True)
         report = AutoCheck(config, trace_path=entry.trace_path,
                            module=entry.module).run()
         assert not report.cache_info.hit
         assert decode_counter["records"] > 0
 
-    def test_engine_choice_shares_the_entry(self, fleet, decode_counter):
-        """Execution strategy is not in the fingerprint: a multipass run
-        of a cached trace hits the fused run's entry."""
+    def test_progress_callback_shares_the_entry(self, fleet,
+                                                decode_counter):
+        """Per-run plumbing is not in the fingerprint: a run with a
+        progress callback hits the plain run's entry."""
         entry = fleet.apps["example"]
-        config = AutoCheckConfig(main_loop=entry.config.main_loop,
-                                 use_cache=True, cache_dir=fleet.cache_dir,
-                                 analysis_engine="multipass")
+        config = _store_config(fleet, entry,
+                               progress_callback=lambda records: None)
         report = AutoCheck(config, trace_path=entry.trace_path,
                            module=entry.module).run()
         assert report.cache_info.hit

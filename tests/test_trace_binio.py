@@ -25,7 +25,13 @@ from repro.trace import (
     write_trace_file,
     write_trace_file_binary,
 )
-from repro.trace.binio import INDEX_STRIDE, read_layout
+from repro.trace.binio import (
+    INDEX_STRIDE,
+    encode_trace,
+    layout_from_buffer,
+    read_layout,
+    verify_content_digest,
+)
 
 
 def make_record(dyn_id=1, opcode=Opcode.LOAD, function="main", name="x",
@@ -170,6 +176,47 @@ class TestIndexAndSeek:
         parallel = read_trace_file_binary_parallel(path, num_workers=2,
                                                    use_processes=True)
         assert parallel.records == serial.records
+
+
+class TestContentDigestCheck:
+    """:func:`verify_content_digest` re-folds the footer digest over the
+    record region and the encoded globals, decoding no record."""
+
+    @pytest.fixture()
+    def encoded(self):
+        trace = Trace(module_name="digest",
+                      globals=[GlobalSymbol("g", 0x1000, 16, 64, True)],
+                      records=[make_record(dyn_id=i + 1, value=i)
+                               for i in range(INDEX_STRIDE + 3)])
+        data, digest = encode_trace(trace.module_name, trace.globals,
+                                    trace.records)
+        return bytearray(data), digest
+
+    def test_genuine_trace_passes(self, encoded):
+        data, digest = encoded
+        assert layout_from_buffer(bytes(data)).content_digest == digest
+        assert verify_content_digest(bytes(data))
+
+    def test_flipped_record_byte_fails(self, encoded):
+        data, _ = encoded
+        data[layout_from_buffer(bytes(data)).records_start + 3] ^= 1
+        assert not verify_content_digest(bytes(data))
+
+    def test_changed_global_fails(self, encoded):
+        data, _ = encoded
+        footer = layout_from_buffer(bytes(data)).records_end
+        data[bytes(data).index(b"g", footer) + 1] ^= 1  # its base address
+        assert not verify_content_digest(bytes(data))
+
+    def test_version1_file_has_nothing_to_check(self, encoded):
+        data, _ = encoded
+        data[4:6] = (1).to_bytes(2, "little")
+        assert verify_content_digest(bytes(data))
+
+    def test_garbage_is_rejected(self):
+        with pytest.raises(BinaryTraceError):
+            verify_content_digest(b"ACTB garbage")
+
 
 
 class TestSniffing:

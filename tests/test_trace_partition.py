@@ -12,7 +12,6 @@ from repro.trace import (
     TraceRecord,
     partition_offsets,
     partition_offsets_binary,
-    partition_records,
     read_trace_file,
     read_trace_file_parallel,
     write_trace_file,
@@ -134,30 +133,6 @@ class TestPartitionEdgeCases:
         assert parallel.records == example_trace.records[:5]
 
 
-class TestPartitionRecords:
-    """Record-index partitioning (the parallel fused engine's unit)."""
-
-    @pytest.mark.parametrize("record_count,num_partitions", [
-        (0, 1), (0, 4), (1, 4), (3, 8), (100, 7), (256, 4),
-    ])
-    def test_ranges_tile_in_order(self, record_count, num_partitions):
-        ranges = partition_records(record_count, num_partitions)
-        assert len(ranges) == num_partitions
-        assert ranges[0].start == 0
-        assert ranges[-1].end == record_count
-        for previous, current in zip(ranges, ranges[1:]):
-            assert previous.end == current.start
-        assert sum(r.count for r in ranges) == record_count
-        sizes = [r.count for r in ranges]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            partition_records(10, 0)
-        with pytest.raises(ValueError):
-            partition_records(-1, 2)
-
-
 class TestParallelRead:
     def test_parallel_equals_serial_full_record_equality(self, trace_file):
         serial = read_trace_file(trace_file)
@@ -182,12 +157,11 @@ class TestParallelRead:
                                                             example_spec):
         from repro.core import AutoCheck, AutoCheckConfig
 
-        serial_report = AutoCheck(AutoCheckConfig(main_loop=example_spec),
-                                  trace_path=trace_file).run()
+        config = AutoCheckConfig(main_loop=example_spec)
+        serial_report = AutoCheck(config, trace_path=trace_file).run()
         parallel_report = AutoCheck(
-            AutoCheckConfig(main_loop=example_spec, parallel_preprocessing=True,
-                            preprocessing_workers=4),
-            trace_path=trace_file).run()
+            config,
+            trace=read_trace_file_parallel(trace_file, num_workers=4)).run()
         assert serial_report.dependency_string() == parallel_report.dependency_string()
 
 
