@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import os
 import struct
@@ -75,6 +74,7 @@ ERR_ANALYSIS_FAILED = "ANALYSIS_FAILED"
 ERR_TIMEOUT = "TIMEOUT"
 ERR_BAD_CONTENT_LENGTH = "BAD_CONTENT_LENGTH"
 ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
+ERR_REQUEST_TIMEOUT = "REQUEST_TIMEOUT"
 
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
 DEFAULT_WAIT_SECONDS = 600.0
@@ -494,6 +494,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: _ServeHTTPServer
+    #: Seconds any one socket read or write may block.  An idle keep-alive
+    #: connection or a stalled request line or header is closed; a body
+    #: that stalls mid-read answers 408.
+    timeout = 60.0
 
     # -- plumbing -------------------------------------------------------- #
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -535,7 +539,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeError(400, ERR_BAD_CONTENT_LENGTH,
                              f"Content-Length must be a non-negative "
                              f"integer, got {raw!r}")
-        return self.rfile.read(length) if length else b""
+        try:
+            return self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            raise ServeError(408, ERR_REQUEST_TIMEOUT,
+                             f"request body not received within "
+                             f"{self.timeout:g} s") from None
 
     # -- routing --------------------------------------------------------- #
     def _route(self, method: str) -> None:

@@ -31,7 +31,6 @@ analyse an existing file of either encoding.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
@@ -273,8 +272,9 @@ def ensure_app_trace(module, app_name: str, params: Dict[str, int],
 
     Returns the trace path.  A pre-existing well-formed file is reused as-is
     (tracing is deterministic under a fixed seed); a corrupt leftover is
-    healed by regeneration; publication is atomic so a crash never leaves a
-    truncated file under the reuse name.
+    healed by regeneration; :func:`repro.tracer.driver.trace_to_file`
+    publishes atomically, so a crash never leaves a truncated file under
+    the reuse name.
     """
     from repro.tracer.driver import trace_to_file
 
@@ -285,19 +285,8 @@ def ensure_app_trace(module, app_name: str, params: Dict[str, int],
         os.remove(trace_path)
     if not os.path.exists(trace_path):
         os.makedirs(trace_dir, exist_ok=True)
-        # Atomic publish (same idiom as the store): tracing is
-        # deterministic under a fixed seed, so concurrent writers of the
-        # same path race benignly, and a crash never leaves a truncated
-        # file under the reuse name.
-        tmp_path = f"{trace_path}.tmp-{os.getpid()}"
-        try:
-            trace_to_file(module, tmp_path, module_name=app_name,
-                          seed=seed, fmt="binary")
-            os.replace(tmp_path, trace_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp_path)
-            raise
+        trace_to_file(module, trace_path, module_name=app_name, seed=seed,
+                      fmt="binary")
     return trace_path
 
 

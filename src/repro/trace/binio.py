@@ -4,9 +4,11 @@ The line-oriented text format (:mod:`repro.trace.textio`) is human readable
 but slow to parse.  This module provides the production trace encoding:
 struct-packed records plus a footer carrying a *block-offset index*, which
 is what lets :mod:`repro.trace.columnar` decode whole runs of records in
-lockstep.  Every analysis walks this encoding: inputs in any other form (an
-in-memory trace, a text file, a version-1 file) are first encoded into
-memory by :func:`encode_trace`.
+lockstep.  The tracing interpreter writes it directly, one emit template
+per instruction (:meth:`TraceBinaryWriter.template` /
+:meth:`TraceBinaryWriter.emit`).  Every analysis walks this encoding:
+inputs in any other form (an in-memory trace, a text file, a version-1
+file) are first encoded into memory by :func:`encode_trace`.
 
 File layout (all integers little-endian)::
 
@@ -56,8 +58,8 @@ import os
 import struct
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.records import (
     GlobalSymbol,
@@ -79,6 +81,10 @@ INDEX_STRIDE = 256
 _HEADER = struct.Struct("<4sHHH")
 _TRAILER = struct.Struct("<Q4s")
 _RECORD_FIXED = struct.Struct("<qiiiiIIIIBB")
+#: A record block's fixed part after the dyn id.
+_RECORD_HEAD = struct.Struct("<iiiiIIIIBB")
+#: The dyn id followed by a template's packed ``_RECORD_HEAD``.
+_pack_record_start = struct.Struct(f"<q{_RECORD_HEAD.size}s").pack
 _OPERAND_FIXED = struct.Struct("<BIiI")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
@@ -86,6 +92,10 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_pack_i64 = _I64.pack
+_pack_f64 = _F64.pack
+_pack_i64_u64 = struct.Struct("<qQ").pack
+_pack_f64_u64 = struct.Struct("<dQ").pack
 _GLOBAL_FIXED = struct.Struct("<QQIB")
 
 _VALUE_INT = 0
@@ -126,21 +136,87 @@ def encode_globals(globals_: Iterable[GlobalSymbol]) -> bytes:
     return b"".join(parts)
 
 
+def _encode_operand_value(value: Union[int, float],
+                         address: Optional[int]) -> Tuple[int, bytes]:
+    """One operand's value flag bits and its value (and address) bytes.
+
+    The writer's one value encoder: :meth:`TraceBinaryWriter.write_record`
+    and :meth:`TraceBinaryWriter.emit` both call it, so a record encodes
+    to the same bytes on either path.  A float takes tag 1 (f64); an int
+    (a bool is one) in int64 range tag 0 and any other int tag 2 (decimal
+    digits).  The has-address bit is set when ``address`` is not ``None``.
+    """
+    # Flag bits: value tag << 4, plus 2 when an address follows.
+    if isinstance(value, float):
+        if address is None:
+            return 0x10, _pack_f64(value)
+        return 0x12, _pack_f64_u64(value, address)
+    try:
+        if address is None:
+            return 0x00, _pack_i64(value)
+        return 0x02, _pack_i64_u64(value, address)
+    except struct.error:
+        if _INT64_MIN <= value <= _INT64_MAX:
+            raise  # a bad address, not a big value
+    digits = str(int(value)).encode("ascii")
+    value_bytes = _U32.pack(len(digits)) + digits
+    if address is None:
+        return 0x20, value_bytes
+    return 0x22, value_bytes + _U64.pack(address)
+
+
+#: Every value flag combination ``_encode_operand_value`` returns.
+_VALUE_FLAGS = (0x00, 0x02, 0x10, 0x12, 0x20, 0x22)
+
+#: One operand slot of a template: ``(index, bits, is_register, name)``;
+#: a name of ``None`` stands for the record's pointer symbol.
+SlotSpec = Tuple[str, int, bool, Optional[str]]
+
+
+def _operand_heads(register: int, index_id: int, bits: int,
+                   name_id: int) -> Dict[int, bytes]:
+    """An operand's 13-byte head by its value flag bits."""
+    return {flags: _OPERAND_FIXED.pack(register | flags, index_id, bits,
+                                       name_id)
+            for flags in _VALUE_FLAGS}
+
+
+@dataclass(frozen=True, slots=True)
+class EmitTemplate:
+    """Everything static about one instruction's record, in one file's ids.
+
+    ``head`` is the 34 bytes after the dyn id.  ``slots`` holds one entry
+    per operand, the result last: the operand's heads by value flag bits
+    (see :func:`_operand_heads`), or ``None`` for the slot named by the
+    record's pointer symbol.  That slot's ``(register, index id, bits)``
+    is ``symbol_slot``, and ``symbol_heads`` caches its heads by symbol.
+    """
+
+    head: bytes
+    slots: Tuple[Optional[Dict[int, bytes]], ...]
+    symbol_slot: Optional[Tuple[int, int, int]] = None
+    symbol_heads: Dict[str, Dict[int, bytes]] = field(default_factory=dict)
+
+
 class TraceBinaryWriter:
     """Stream a trace to a binary file as it is generated.
 
-    Implements the same sink protocol as
-    :class:`repro.trace.textio.TraceTextWriter` (``write_global`` /
-    ``write_record``), so the tracing interpreter can stream directly into
-    the binary format.  Globals and the string table live in the footer, so
+    Records arrive two ways.  :meth:`write_record` encodes a
+    :class:`TraceRecord`.  The tracing interpreter instead compiles one
+    :class:`EmitTemplate` per instruction with :meth:`template` and hands
+    :meth:`emit` only the dynamic fields of each execution, so no record
+    object is built.  Both paths append to a pending block: every
+    ``INDEX_STRIDE`` records (and at :meth:`close`) the writer adds the
+    block-index entry, writes the block once and folds it into the
+    digest once.  Globals and the string table live in the footer, so
     they may arrive at any point before :meth:`close`.
 
     The writer also maintains the trace's **content digest** (SHA-256 over
     the record blocks in stream order plus the encoded globals section) as a
-    by-product of encoding — one incremental hash update per block, no
-    second pass — and records it in the footer.  Pass ``fileobj`` to encode
-    into an existing binary sink (e.g. a discard sink when only the digest
-    is wanted); the writer then never opens or closes a file of its own.
+    by-product of encoding — no second pass — and records it in the footer.
+    Pass ``fileobj`` to encode into an existing binary sink (e.g. a discard
+    sink when only the digest is wanted); the writer then never opens or
+    closes a file of its own.
     """
 
     def __init__(self, path: Optional[str], module_name: str = "module",
@@ -162,8 +238,12 @@ class TraceBinaryWriter:
         self._string_ids: dict = {}
         self._index: List[int] = []
         self._record_count = 0
+        self._pending: List[bytes] = []
         self._digest = hashlib.sha256()
         self._digest_hex: Optional[str] = None
+        #: Emit templates by the caller's key (the interpreter uses the
+        #: IR instruction); string ids belong to this file.
+        self.templates: dict = {}
 
     # ------------------------------------------------------------------ #
     def _intern(self, text: str) -> int:
@@ -174,29 +254,28 @@ class TraceBinaryWriter:
             self._string_ids[text] = string_id
         return string_id
 
-    def _encode_operand(self, parts: List[bytes], operand: TraceOperand) -> None:
-        value = operand.value
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, float):
-            tag = _VALUE_FLOAT
-            value_bytes = _F64.pack(value)
-        elif _INT64_MIN <= value <= _INT64_MAX:
-            tag = _VALUE_INT
-            value_bytes = _I64.pack(value)
-        else:
-            tag = _VALUE_BIG
-            digits = str(value).encode("ascii")
-            value_bytes = _U32.pack(len(digits)) + digits
-        flags = ((1 if operand.is_register else 0)
-                 | (2 if operand.address is not None else 0)
-                 | (tag << 4))
-        parts.append(_OPERAND_FIXED.pack(flags, self._intern(operand.index),
-                                         operand.bits,
-                                         self._intern(operand.name)))
-        parts.append(value_bytes)
-        if operand.address is not None:
-            parts.append(_U64.pack(operand.address))
+    def _write_operand(self, operand: TraceOperand) -> None:
+        flags, value_bytes = _encode_operand_value(operand.value,
+                                                   operand.address)
+        self._pending.append(_OPERAND_FIXED.pack(
+            (1 if operand.is_register else 0) | flags,
+            self._intern(operand.index), operand.bits,
+            self._intern(operand.name)))
+        self._pending.append(value_bytes)
+
+    def _flush(self) -> None:
+        """Write the pending records as one block: index entry, one write,
+        one digest fold.  Runs every ``INDEX_STRIDE`` records and at
+        :meth:`close`, so each block starts at an index stride."""
+        if not self._pending:
+            return
+        assert self._fh is not None
+        block = b"".join(self._pending)
+        self._pending.clear()
+        self._index.append(self._offset)
+        self._fh.write(block)
+        self._digest.update(block)
+        self._offset += len(block)
 
     def write_global(self, symbol: GlobalSymbol) -> None:
         """Queue one module global for the footer's preamble section.
@@ -210,34 +289,97 @@ class TraceBinaryWriter:
         self._globals.append(symbol)
 
     def write_record(self, record: TraceRecord) -> None:
-        """Append one record block (and its index entry when due).
+        """Append one record block.
 
         Args:
             record: the executed instruction to encode; its strings are
                 interned into the footer's string table.
         """
         assert self._fh is not None
-        if self._record_count % INDEX_STRIDE == 0:
-            self._index.append(self._offset)
-        parts: List[bytes] = [_RECORD_FIXED.pack(
+        intern = self._intern
+        self._pending.append(_RECORD_FIXED.pack(
             record.dyn_id, record.opcode, record.line, record.column,
             record.bb_label,
-            self._intern(record.opcode_name), self._intern(record.function),
-            self._intern(record.bb_id), self._intern(record.callee),
-            len(record.operands), 1 if record.result is not None else 0)]
+            intern(record.opcode_name), intern(record.function),
+            intern(record.bb_id), intern(record.callee),
+            len(record.operands), 0 if record.result is None else 1))
         for operand in record.operands:
-            self._encode_operand(parts, operand)
+            self._write_operand(operand)
         if record.result is not None:
-            self._encode_operand(parts, record.result)
-        block = b"".join(parts)
-        self._fh.write(block)
-        self._digest.update(block)
-        self._offset += len(block)
+            self._write_operand(record.result)
         self._record_count += 1
+        if not self._record_count % INDEX_STRIDE:
+            self._flush()
+
+    def template(self, opcode: int, opcode_name: str, function: str,
+                 line: int, column: int, bb_label: int, bb_id: str,
+                 callee: str, operands: Sequence[SlotSpec],
+                 result: Optional[SlotSpec] = None,
+                 symbol: str = "") -> EmitTemplate:
+        """Compile the emit template of one instruction.
+
+        Interns the template's strings in :meth:`write_record`'s order —
+        opcode name, function, bb id, callee, then the index and name of
+        each operand with the result last — taking ``symbol`` for a slot
+        whose name is ``None``.  Built at an instruction's first emission
+        (with that record's ``symbol``), it therefore numbers the strings
+        exactly as :meth:`write_record` would for the same record.
+        """
+        intern = self._intern
+        head = _RECORD_HEAD.pack(
+            opcode, line, column, bb_label, intern(opcode_name),
+            intern(function), intern(bb_id), intern(callee), len(operands),
+            0 if result is None else 1)
+        slots: List[Optional[Dict[int, bytes]]] = []
+        symbol_slot: Optional[Tuple[int, int, int]] = None
+        for index, bits, is_register, name in (
+                *operands, *(() if result is None else (result,))):
+            index_id = intern(index)
+            register = 1 if is_register else 0
+            if name is None:
+                symbol_slot = (register, index_id, bits)
+                intern(symbol)
+                slots.append(None)
+            else:
+                slots.append(_operand_heads(register, index_id, bits,
+                                            intern(name)))
+        return EmitTemplate(head, tuple(slots), symbol_slot)
+
+    def emit(self, template: EmitTemplate, dyn_id: int, fields: Sequence,
+             symbol: str = "") -> None:
+        """Append one record from its template and its dynamic fields.
+
+        Args:
+            template: the instruction's :meth:`template`.
+            dyn_id: the record's dynamic instruction id.
+            fields: the value and the address (``None`` for none) of each
+                slot, in slot order.
+            symbol: the name of the slot the template leaves to the record
+                (the pointer symbol of a Load/Store/GEP memory operand).
+        """
+        parts = self._pending
+        parts.append(_pack_record_start(dyn_id, template.head))
+        position = 0
+        for heads in template.slots:
+            if heads is None:
+                heads = template.symbol_heads.get(symbol)
+                if heads is None:
+                    assert template.symbol_slot is not None
+                    register, index_id, bits = template.symbol_slot
+                    heads = template.symbol_heads[symbol] = _operand_heads(
+                        register, index_id, bits, self._intern(symbol))
+            flags, value_bytes = _encode_operand_value(fields[position],
+                                                       fields[position + 1])
+            position += 2
+            parts.append(heads[flags])
+            parts.append(value_bytes)
+        self._record_count += 1
+        if not self._record_count % INDEX_STRIDE:
+            self._flush()
 
     @property
     def record_count(self) -> int:
-        """Number of record blocks written so far."""
+        """Number of records written so far."""
         return self._record_count
 
     @property
@@ -273,12 +415,13 @@ class TraceBinaryWriter:
         self._fh.write(b"".join(out))
 
     def close(self) -> None:
-        """Write the footer (globals + string table + block index + content
-        digest) and the trailer, then close the file.  Idempotent; a file
-        without its trailer is detected as truncated by
-        :func:`read_layout`.  An externally supplied ``fileobj`` is left
-        open (the caller owns it)."""
+        """Write the pending records, the footer (globals + string table +
+        block index + content digest) and the trailer, then close the
+        file.  Idempotent; a file without its trailer is detected as
+        truncated by :func:`read_layout`.  An externally supplied
+        ``fileobj`` is left open (the caller owns it)."""
         if self._fh is not None:
+            self._flush()
             self._write_footer()
             if self._owns_handle:
                 self._fh.close()

@@ -7,9 +7,10 @@ produced by directly interpreting the LLVM-like IR:
 * :mod:`repro.tracer.memory` — a concrete memory model (global segment,
   per-frame stack allocations, element-granular addresses) so every trace
   operand can carry a real memory address;
-* :mod:`repro.tracer.interpreter` — executes a compiled module, emitting one
-  :class:`repro.trace.records.TraceRecord` per executed instruction, with
-  block-entry hooks used by checkpoint instrumentation and fault injection;
+* :mod:`repro.tracer.interpreter` — executes a compiled module, writing one
+  v2 binary trace record per executed instruction through per-instruction
+  emit templates, with block-entry hooks used by checkpoint instrumentation
+  and fault injection;
 * :mod:`repro.tracer.runtime` — deterministic builtins (``sqrt``, ``pow``,
   ``rand``, ``clock``, ``print``);
 * :mod:`repro.tracer.faults` — fail-stop fault injection (the equivalent of

@@ -16,21 +16,19 @@ harnesses call:
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from typing import Tuple, Union
 
 from repro.codegen.lowering import compile_source
 from repro.ir.module import Module
-from repro.trace.binio import TraceBinaryWriter
+from repro.trace.binio import TraceBinaryReader, TraceBinaryWriter
 from repro.trace.records import Trace
 from repro.trace.textio import TraceTextWriter
 from repro.tracer.interpreter import ExecutionResult, InMemoryTraceSink, Interpreter
 
-#: Writers selectable by ``trace_to_file``'s ``fmt`` argument.
-TRACE_WRITERS = {
-    "text": TraceTextWriter,
-    "binary": TraceBinaryWriter,
-}
+_TRACE_FORMATS = ("binary", "text")
 
 
 def _as_module(program: Union[str, Module], module_name: str) -> Module:
@@ -59,6 +57,26 @@ def run_and_trace(program: Union[str, Module], module_name: str = "module",
     return sink.trace, result
 
 
+def _write_trace(module: Module, path: str, fmt: str, seed: int,
+                 max_steps: int) -> ExecutionResult:
+    if fmt == "binary":
+        with TraceBinaryWriter(path, module_name=module.name) as writer:
+            return Interpreter(module, trace_sink=writer, seed=seed,
+                               max_steps=max_steps).run()
+    # Text is written from the decoded binary records: the interpreter has
+    # one emission path.
+    sink = InMemoryTraceSink(module_name=module.name)
+    result = Interpreter(module, trace_sink=sink, seed=seed,
+                         max_steps=max_steps).run()
+    reader = TraceBinaryReader(buffer=sink.getvalue())
+    with TraceTextWriter(path, module_name=module.name) as text_writer:
+        for symbol in reader.layout.globals:
+            text_writer.write_global(symbol)
+        for record in reader.iter_records():
+            text_writer.write_record(record)
+    return result
+
+
 def trace_to_file(program: Union[str, Module], path: str,
                   module_name: str = "module", seed: int = 314159,
                   max_steps: int = 50_000_000,
@@ -69,16 +87,23 @@ def trace_to_file(program: Union[str, Module], path: str,
     LLVM-Tracer-like) or ``"binary"`` (block-indexed, the fast path for
     large traces).  Returns the trace file size in bytes together with the
     execution result.
+
+    The trace is written next to ``path`` under a process- and
+    thread-unique name and renamed onto ``path`` only once the run
+    returned: a run that raises leaves no file at ``path``, and concurrent
+    writers of one deterministic trace race benignly.
     """
-    try:
-        writer_cls = TRACE_WRITERS[fmt]
-    except KeyError:
+    if fmt not in _TRACE_FORMATS:
         raise ValueError(
             f"unknown trace format {fmt!r}; expected one of "
-            f"{sorted(TRACE_WRITERS)}") from None
+            f"{list(_TRACE_FORMATS)}")
     module = _as_module(program, module_name)
-    with writer_cls(path, module_name=module.name) as writer:
-        interpreter = Interpreter(module, trace_sink=writer, seed=seed,
-                                  max_steps=max_steps)
-        result = interpreter.run()
+    tmp_path = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        result = _write_trace(module, tmp_path, fmt, seed, max_steps)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp_path)
+        raise
     return os.path.getsize(path), result

@@ -1,14 +1,19 @@
 """The tracing IR interpreter (LLVM-Tracer substitute).
 
 Executes a compiled :class:`repro.ir.module.Module` starting at ``main``,
-emitting one dynamic :class:`repro.trace.records.TraceRecord` per executed
-instruction into a pluggable *trace sink* (in-memory or text file).  Block
-entry hooks allow checkpoint instrumentation and fault injection to observe
-and alter a run without touching the program itself.
+emitting one v2 binary record per executed instruction into a
+:class:`repro.trace.binio.TraceBinaryWriter` (a file, or memory with
+:class:`InMemoryTraceSink`).  At an instruction's first emission the
+interpreter compiles its :class:`repro.trace.binio.EmitTemplate` (opcode,
+location, names, operand layout); every execution then hands the writer
+only the dynamic fields.  Without a sink nothing is built per record.
+Block entry hooks allow checkpoint instrumentation and fault injection to
+observe and alter a run without touching the program itself.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -30,9 +35,10 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.opcodes import Opcode
-from repro.ir.types import ArrayType, PointerType
+from repro.ir.types import ArrayType, IRType, PointerType
 from repro.ir.values import Argument, Constant, GlobalVariable, Register, Value
-from repro.trace.records import GlobalSymbol, RESULT_INDEX, Trace, TraceOperand, TraceRecord
+from repro.trace.binio import EmitTemplate, SlotSpec, TraceBinaryReader, TraceBinaryWriter
+from repro.trace.records import GlobalSymbol, PARAM_INDEX_PREFIX, RESULT_INDEX, Trace
 from repro.tracer.faults import SimulatedFailure
 from repro.tracer.memory import Allocation, Memory
 from repro.tracer.runtime import Runtime, RuntimeError_, format_print_output
@@ -43,17 +49,67 @@ class InterpreterError(Exception):
     """Raised on runtime errors in the interpreted program."""
 
 
-class InMemoryTraceSink:
-    """Collects the dynamic trace in memory (used by tests and benchmarks)."""
+class InMemoryTraceSink(TraceBinaryWriter):
+    """A binary trace writer over memory (the ``run_and_trace`` sink)."""
 
     def __init__(self, module_name: str = "module") -> None:
-        self.trace = Trace(module_name=module_name)
+        self._buffer = io.BytesIO()
+        super().__init__(None, module_name=module_name, fileobj=self._buffer)
 
-    def write_global(self, symbol: GlobalSymbol) -> None:
-        self.trace.globals.append(symbol)
+    def getvalue(self) -> bytes:
+        """The whole binary trace file; closes the writer."""
+        self.close()
+        return self._buffer.getvalue()
 
-    def write_record(self, record: TraceRecord) -> None:
-        self.trace.records.append(record)
+    @property
+    def trace(self) -> Trace:
+        """The emitted trace, decoded by binio's reference decoder (closes
+        the writer)."""
+        return TraceBinaryReader(buffer=self.getvalue()).read()
+
+
+def _value_fields(value: RuntimeValue) -> Tuple[Union[int, float], Optional[int]]:
+    """A value operand's emitted (value, address): a pointer has an address."""
+    if isinstance(value, PointerValue):
+        return value.address, value.address
+    return value, None
+
+
+def _values_fields(values: Sequence[RuntimeValue]) -> tuple:
+    """The emitted fields of a run of value operands."""
+    fields: List[Union[int, float, None]] = []
+    for value in values:
+        fields.extend(_value_fields(value))
+    return tuple(fields)
+
+
+def _bits(ir_value: Value) -> int:
+    return ir_value.type.size_in_bits() if ir_value.type is not None else 64
+
+
+def _value_slot(index: str, ir_value: Value) -> SlotSpec:
+    """The template slot of an operand that is an IR value."""
+    if isinstance(ir_value, Register):
+        return (index, _bits(ir_value), True, str(ir_value.rid))
+    if isinstance(ir_value, (GlobalVariable, Argument)):
+        return (index, _bits(ir_value), False, ir_value.name)
+    return (index, _bits(ir_value), False, "")  # Constant
+
+
+def _result_slot(inst: Instruction) -> Optional[SlotSpec]:
+    if inst.result is None:
+        return None
+    return (RESULT_INDEX, inst.result.type.size_in_bits(), True,
+            str(inst.result.rid))
+
+
+def _alloca_shape(allocated: IRType) -> Tuple[int, int, bool]:
+    """(element bits, element count, is array) of an allocated type."""
+    if isinstance(allocated, ArrayType):
+        return allocated.element.size_in_bits(), allocated.count, True
+    if isinstance(allocated, PointerType):
+        return 64, 1, False
+    return allocated.size_in_bits(), 1, False
 
 
 @dataclass
@@ -95,10 +151,16 @@ class ExecutionResult:
 
 
 class Interpreter:
-    """Execute a module and (optionally) emit its dynamic instruction trace."""
+    """Execute a module and (optionally) emit its dynamic instruction trace.
 
-    def __init__(self, module: Module, trace_sink=None, seed: int = 314159,
-                 max_steps: int = 50_000_000, max_call_depth: int = 200) -> None:
+    ``trace_sink`` is the :class:`TraceBinaryWriter` the records go to;
+    without one the run only executes.
+    """
+
+    def __init__(self, module: Module,
+                 trace_sink: Optional[TraceBinaryWriter] = None,
+                 seed: int = 314159, max_steps: int = 50_000_000,
+                 max_call_depth: int = 200) -> None:
         self.module = module
         self.sink = trace_sink
         self.runtime = Runtime(seed)
@@ -107,8 +169,9 @@ class Interpreter:
         self.frames: List[Frame] = []
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
+        #: executed instructions; a record's dyn id is the count at its
+        #: instruction
         self.steps = 0
-        self.dyn_counter = 0
         self.global_allocations: Dict[str, Allocation] = {}
         self._block_hooks: Dict[Tuple[str, str], List[Callable[[HookContext], None]]] = {}
         self._block_entry_counts: Dict[Tuple[str, str], int] = {}
@@ -248,61 +311,62 @@ class Interpreter:
             return frame.args[value.index]
         raise InterpreterError(f"cannot evaluate operand {value!r}")
 
-    def _value_operand(self, index: str, ir_value: Value,
-                       runtime_value: RuntimeValue) -> TraceOperand:
-        bits = ir_value.type.size_in_bits() if ir_value.type is not None else 64
-        if isinstance(ir_value, Register):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=True,
-                                name=str(ir_value.rid), address=address)
-        if isinstance(ir_value, GlobalVariable):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=False,
-                                name=ir_value.name, address=address)
-        if isinstance(ir_value, Argument):
-            address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-            return TraceOperand(index=index, bits=bits,
-                                value=as_number(runtime_value), is_register=False,
-                                name=ir_value.name, address=address)
-        # Constant
-        return TraceOperand(index=index, bits=bits, value=as_number(runtime_value),
-                            is_register=False, name="", address=None)
+    def _emit(self, frame: Frame, inst: Instruction, fields: tuple,
+              symbol: str = "") -> None:
+        """Hand ``inst``'s dynamic fields (and pointer symbol) to the sink."""
+        sink = self.sink
+        assert sink is not None
+        template = sink.templates.get(inst)
+        if template is None:
+            template = sink.templates[inst] = self._template(frame, inst,
+                                                             symbol)
+        sink.emit(template, self.steps, fields, symbol)
 
-    def _register_result(self, inst: Instruction,
-                         runtime_value: RuntimeValue) -> Optional[TraceOperand]:
-        if inst.result is None:
-            return None
-        bits = inst.result.type.size_in_bits()
-        address = runtime_value.address if isinstance(runtime_value, PointerValue) else None
-        return TraceOperand(index=RESULT_INDEX, bits=bits,
-                            value=as_number(runtime_value), is_register=True,
-                            name=str(inst.result.rid), address=address)
+    def _template(self, frame: Frame, inst: Instruction,
+                  symbol: str) -> EmitTemplate:
+        """Compile ``inst``'s emit template at its first emission.
 
-    def _emit(self, frame: Frame, inst: Instruction,
-              operands: List[TraceOperand],
-              result: Optional[TraceOperand] = None, callee: str = "") -> None:
-        self.dyn_counter += 1
-        if self.sink is None:
-            return
+        The slots list what each ``_exec_*`` method emits, in the order of
+        its ``fields``; a slot named ``None`` takes the record's pointer
+        symbol.
+        """
+        callee = ""
+        result = _result_slot(inst)
+        operands: List[SlotSpec]
+        if isinstance(inst, AllocaInst):
+            element_bits = _alloca_shape(inst.allocated_type)[0]
+            operands = [("1", 32, False, "count")]
+            result = (RESULT_INDEX, element_bits, False, inst.var_name)
+        elif isinstance(inst, LoadInst):
+            assert inst.result is not None
+            operands = [("1", inst.result.type.size_in_bits(), False, None)]
+        elif isinstance(inst, StoreInst):
+            operands = [_value_slot("1", inst.value),
+                        ("2", _bits(inst.value), False, None)]
+        elif isinstance(inst, GEPInst):
+            operands = [("1", 64, False, None), _value_slot("2", inst.index)]
+        else:
+            operands = [_value_slot(str(position + 1), operand)
+                        for position, operand in enumerate(inst.operands)]
+            if isinstance(inst, PrintInst):
+                callee = "print"
+            elif isinstance(inst, CallInst):
+                callee = inst.callee
+                if not inst.is_builtin:
+                    # A user call binds the callee's parameters (paper
+                    # Fig. 6b); its result arrives with the Ret.
+                    operands += [(f"{PARAM_INDEX_PREFIX}{position + 1}", 64,
+                                  False, name)
+                                 for position, name
+                                 in enumerate(inst.param_names)]
+                    result = None
         block = inst.parent
         bb_label = block.label if block is not None else 0
         bb_id = f"{block.first_line}:{bb_label}" if block is not None else "0:0"
-        record = TraceRecord(
-            dyn_id=self.dyn_counter,
-            opcode=int(inst.opcode),
-            opcode_name=inst.mnemonic,
-            function=frame.function.name,
-            line=inst.line,
-            column=inst.column,
-            bb_label=bb_label,
-            bb_id=bb_id,
-            operands=operands,
-            result=result,
-            callee=callee,
-        )
-        self.sink.write_record(record)
+        assert self.sink is not None
+        return self.sink.template(
+            int(inst.opcode), inst.mnemonic, frame.function.name, inst.line,
+            inst.column, bb_label, bb_id, callee, operands, result, symbol)
 
     # ------------------------------------------------------------------ #
     # Instruction execution
@@ -344,31 +408,15 @@ class Interpreter:
         return None
 
     def _exec_alloca(self, frame: Frame, inst: AllocaInst) -> None:
-        allocated = inst.allocated_type
-        if isinstance(allocated, ArrayType):
-            element_bits = allocated.element.size_in_bits()
-            count = allocated.count
-            is_array = True
-        elif isinstance(allocated, PointerType):
-            element_bits = 64
-            count = 1
-            is_array = False
-        else:
-            element_bits = allocated.size_in_bits()
-            count = 1
-            is_array = False
+        element_bits, count, is_array = _alloca_shape(inst.allocated_type)
         allocation = self.memory.allocate_stack(inst.var_name, element_bits, count,
                                                 is_array, frame.function.name)
         frame.allocations[inst.var_name] = allocation
         pointer = PointerValue(allocation.address, inst.var_name, element_bits)
         assert inst.result is not None
         frame.regs[inst.result.rid] = pointer
-        operands = [TraceOperand(index="1", bits=32, value=count, is_register=False,
-                                 name="count", address=None)]
-        result = TraceOperand(index=RESULT_INDEX, bits=element_bits, value=0,
-                              is_register=False, name=inst.var_name,
-                              address=allocation.address)
-        self._emit(frame, inst, operands, result)
+        if self.sink is not None:
+            self._emit(frame, inst, (count, None, 0, allocation.address))
 
     def _exec_load(self, frame: Frame, inst: LoadInst) -> None:
         pointer = self._eval(frame, inst.pointer)
@@ -378,11 +426,10 @@ class Interpreter:
         default: RuntimeValue = 0.0 if inst.result.type.is_float else 0
         value = self.memory.load(pointer.address, default)
         frame.regs[inst.result.rid] = value
-        bits = inst.result.type.size_in_bits()
-        operands = [TraceOperand(index="1", bits=bits, value=as_number(value),
-                                 is_register=False, name=pointer.symbol,
-                                 address=pointer.address)]
-        self._emit(frame, inst, operands, self._register_result(inst, value))
+        if self.sink is not None:
+            loaded = _value_fields(value)
+            self._emit(frame, inst, (loaded[0], pointer.address) + loaded,
+                       pointer.symbol)
 
     def _exec_store(self, frame: Frame, inst: StoreInst) -> None:
         value = self._eval(frame, inst.value)
@@ -395,14 +442,10 @@ class Interpreter:
             # pointer travels under the slot's name, as LLVM-Tracer reports.
             stored = value.with_symbol(pointer.symbol)
         self.memory.store(pointer.address, stored)
-        value_bits = inst.value.type.size_in_bits() if inst.value.type else 64
-        operands = [
-            self._value_operand("1", inst.value, value),
-            TraceOperand(index="2", bits=value_bits, value=as_number(value),
-                         is_register=False, name=pointer.symbol,
-                         address=pointer.address),
-        ]
-        self._emit(frame, inst, operands)
+        if self.sink is not None:
+            operand = _value_fields(value)
+            self._emit(frame, inst, operand + (operand[0], pointer.address),
+                       pointer.symbol)
 
     def _exec_gep(self, frame: Frame, inst: GEPInst) -> None:
         base = self._eval(frame, inst.base)
@@ -414,12 +457,10 @@ class Interpreter:
                                base.symbol, element_bits)
         assert inst.result is not None
         frame.regs[inst.result.rid] = pointer
-        operands = [
-            TraceOperand(index="1", bits=64, value=base.address, is_register=False,
-                         name=base.symbol, address=base.address),
-            self._value_operand("2", inst.index, index),
-        ]
-        self._emit(frame, inst, operands, self._register_result(inst, pointer))
+        if self.sink is not None:
+            self._emit(frame, inst,
+                       (base.address, base.address) + _value_fields(index)
+                       + (pointer.address, pointer.address), base.symbol)
 
     def _exec_bitcast(self, frame: Frame, inst: BitCastInst) -> None:
         value = self._eval(frame, inst.operands[0])
@@ -429,8 +470,8 @@ class Interpreter:
                                  result_type.pointee.size_in_bits())
         assert inst.result is not None
         frame.regs[inst.result.rid] = value
-        operands = [self._value_operand("1", inst.operands[0], value)]
-        self._emit(frame, inst, operands, self._register_result(inst, value))
+        if self.sink is not None:
+            self._emit(frame, inst, _value_fields(value) * 2)
 
     def _exec_cast(self, frame: Frame, inst: CastInst) -> None:
         value = self._eval(frame, inst.operands[0])
@@ -444,8 +485,8 @@ class Interpreter:
             result = int(number) if isinstance(number, int) else number
         assert inst.result is not None
         frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], value)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+        if self.sink is not None:
+            self._emit(frame, inst, _value_fields(value) + (result, None))
 
     def _exec_cmp(self, frame: Frame, inst: CmpInst) -> None:
         lhs = as_number(self._eval(frame, inst.operands[0]))
@@ -462,9 +503,8 @@ class Interpreter:
         result = 1 if outcome else 0
         assert inst.result is not None
         frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], lhs),
-                    self._value_operand("2", inst.operands[1], rhs)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+        if self.sink is not None:
+            self._emit(frame, inst, (lhs, None, rhs, None, result, None))
 
     def _exec_binary(self, frame: Frame, inst: BinaryInst) -> None:
         lhs = as_number(self._eval(frame, inst.operands[0]))
@@ -472,9 +512,8 @@ class Interpreter:
         result = self._compute_binary(inst.opcode, lhs, rhs, inst.line)
         assert inst.result is not None
         frame.regs[inst.result.rid] = result
-        operands = [self._value_operand("1", inst.operands[0], lhs),
-                    self._value_operand("2", inst.operands[1], rhs)]
-        self._emit(frame, inst, operands, self._register_result(inst, result))
+        if self.sink is not None:
+            self._emit(frame, inst, (lhs, None, rhs, None, result, None))
 
     @staticmethod
     def _compute_binary(opcode: Opcode, lhs: Union[int, float],
@@ -514,14 +553,11 @@ class Interpreter:
     def _exec_print(self, frame: Frame, inst: PrintInst) -> None:
         values = [as_number(self._eval(frame, op)) for op in inst.operands]
         self.output.append(format_print_output(inst.labels, values))
-        operands = [self._value_operand(str(i + 1), op, value)
-                    for i, (op, value) in enumerate(zip(inst.operands, values))]
-        self._emit(frame, inst, operands, callee="print")
+        if self.sink is not None:
+            self._emit(frame, inst, _values_fields(values))
 
     def _exec_call(self, frame: Frame, inst: CallInst) -> None:
         arg_values = [self._eval(frame, op) for op in inst.operands]
-        operands = [self._value_operand(str(i + 1), op, value)
-                    for i, (op, value) in enumerate(zip(inst.operands, arg_values))]
 
         if inst.is_builtin:
             numbers = [as_number(value) for value in arg_values]
@@ -529,22 +565,22 @@ class Interpreter:
                 result = self.runtime.call(inst.callee, numbers)
             except RuntimeError_ as exc:
                 raise InterpreterError(f"{exc} at line {inst.line}") from exc
-            result_operand = None
             if inst.result is not None:
                 frame.regs[inst.result.rid] = result
-                result_operand = self._register_result(inst, result)
-            self._emit(frame, inst, operands, result_operand, callee=inst.callee)
+            if self.sink is not None:
+                fields = _values_fields(arg_values)
+                if inst.result is not None:
+                    fields += _value_fields(result)
+                self._emit(frame, inst, fields)
             return
 
         # User function: emit the Call record first (the callee's body follows
         # in the trace — paper Fig. 6b), including parameter name bindings.
-        for position, param_name in enumerate(inst.param_names):
-            value = arg_values[position] if position < len(arg_values) else 0
-            address = value.address if isinstance(value, PointerValue) else None
-            operands.append(TraceOperand(index=f"p{position + 1}", bits=64,
-                                         value=as_number(value), is_register=False,
-                                         name=param_name, address=address))
-        self._emit(frame, inst, operands, callee=inst.callee)
+        if self.sink is not None:
+            params = [arg_values[position] if position < len(arg_values) else 0
+                      for position in range(len(inst.param_names))]
+            self._emit(frame, inst,
+                       _values_fields(arg_values) + _values_fields(params))
 
         try:
             target = self.module.function(inst.callee)
@@ -555,21 +591,20 @@ class Interpreter:
             frame.regs[inst.result.rid] = returned if returned is not None else 0
 
     def _exec_branch(self, frame: Frame, inst: BranchInst) -> Tuple[str, object]:
+        condition: Optional[Union[int, float]] = None
         if inst.is_conditional:
             condition = as_number(self._eval(frame, inst.operands[0]))
             target = inst.targets[0] if condition != 0 else inst.targets[1]
-            operands = [self._value_operand("1", inst.operands[0], condition)]
         else:
             target = inst.targets[0]
-            operands = []
-        self._emit(frame, inst, operands)
+        if self.sink is not None:
+            self._emit(frame, inst, () if condition is None else (condition, None))
         return ("branch", target)
 
     def _exec_ret(self, frame: Frame, inst: RetInst) -> Tuple[str, object]:
         value: Optional[RuntimeValue] = None
-        operands: List[TraceOperand] = []
         if inst.operands:
             value = self._eval(frame, inst.operands[0])
-            operands.append(self._value_operand("1", inst.operands[0], value))
-        self._emit(frame, inst, operands)
+        if self.sink is not None:
+            self._emit(frame, inst, () if value is None else _value_fields(value))
         return ("return", value)

@@ -22,6 +22,7 @@ from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.trace.records import TraceOperand, TraceRecord
 from repro.tracer.driver import run_and_trace, trace_to_file
+from repro.tracer.interpreter import ExecutionResult
 
 #: The bundled fleet: the 14 study benchmarks, the example and bigarray.
 FLEET_NAMES = app_names(include_example=True, include_extras=True)
@@ -122,6 +123,8 @@ class FleetApp:
     options: Dict[str, Any]
     #: binary trace at default parameters and the repository seed
     trace_path: str
+    #: the traced run that wrote ``trace_path``
+    result: ExecutionResult
     #: the cold report, analysed with the module through ``store_dir``
     report: AutoCheckReport
 
@@ -151,7 +154,8 @@ def fleet(tmp_path_factory) -> Fleet:
         module = compile_source(source, module_name=app.name)
         spec = app.main_loop(source)
         trace_path = str(root / f"{name}.btrace")
-        trace_to_file(module, trace_path, module_name=app.name, fmt="binary")
+        _, result = trace_to_file(module, trace_path, module_name=app.name,
+                                  fmt="binary")
         options = dict(app.autocheck_options)
         config = AutoCheckConfig(main_loop=spec, use_cache=True,
                                  cache_dir=store_dir, **options)
@@ -159,7 +163,7 @@ def fleet(tmp_path_factory) -> Fleet:
         assert report.cache_info is not None and not report.cache_info.hit
         apps[name] = FleetApp(name=name, app=app, module=module, spec=spec,
                               options=options, trace_path=trace_path,
-                              report=report)
+                              result=result, report=report)
     return Fleet(store_dir=store_dir, apps=apps)
 
 

@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.core.config import AutoCheckConfig
 from repro.core.pipeline import AutoCheck
-from repro.serve.server import run_analysis
+from repro.serve.server import _Handler, run_analysis
 from repro.store import ArtifactStore
 from repro.store.batch import prepare_app_analysis
 from repro.store.serialize import canonical_report_json
@@ -170,6 +170,33 @@ class TestEndpoints:
         status, body = self._post_with_content_length(server, "-5")
         assert status == 400
         assert body["error"]["code"] == "BAD_CONTENT_LENGTH"
+
+    def test_stalled_request_line_closes_the_connection(self, server,
+                                                         monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"POST /anal")
+            assert sock.recv(1024) == b""
+
+    def test_stalled_body_is_408_and_publishes_nothing(self, server,
+                                                        monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall((
+                "POST /analyze?function=main&start=1&end=2 HTTP/1.1\r\n"
+                "Host: localhost\r\n"
+                "Content-Type: application/octet-stream\r\n"
+                "Content-Length: 100\r\n\r\n").encode() + b"ACTB" + bytes(6))
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+            assert response.status == 408
+            assert body["error"]["code"] == "REQUEST_TIMEOUT"
+            assert sock.recv(1024) == b""
+        assert server.jobs.stats()["submitted"] == 0
+        assert server.store.stats().entries == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -145,6 +145,10 @@ def test_in_memory_trace_shares_entries_with_file_runs(fleet, decode_counter):
     """An in-memory analysis of the same trace hits the file run's entry."""
     entry = fleet.apps["example"]
     trace, _ = run_and_trace(entry.module, module_name="example")
+    # run_and_trace decodes the bytes it emitted into the Trace; count
+    # the analysis alone.
+    assert decode_counter["records"] == len(trace.records)
+    decode_counter["records"] = 0
     report = AutoCheck(_store_config(fleet, entry), trace=trace,
                        module=entry.module).run()
     assert report.cache_info.hit
