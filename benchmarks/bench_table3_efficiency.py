@@ -1,12 +1,12 @@
 """Benchmark: regenerate paper Table III (analysis-time breakdown).
 
 Times, per benchmark, the trace generation, the single-pass walk (every
-analysis pass up to identification), and critical-variable identification,
-and prints the assembled table with the walk's records/second.  The
-paper's qualitative findings are asserted: walking the trace dominates the
-analysis time and the identification stage is the cheapest.  The paper's
-pre-processing / dependency split returns once the engine times each pass
-separately.
+analysis pass up to identification) with its pre-processing (MLI pass) and
+dependency-analysis (DDG pass) shares, and critical-variable
+identification, and prints the assembled table with the walk's
+records/second.  The paper's qualitative findings are asserted: walking
+the trace dominates the analysis time and the identification stage is the
+cheapest.
 """
 
 from repro.experiments.table3 import format_table3, run_table3

@@ -57,80 +57,95 @@ from repro.core.engine import (
     KIND_STORE,
     REGION_INSIDE,
     AnalysisPass,
+    SpanSelection,
 )
 from repro.core.regmaps import RegRegMap, RegVarMap
 from repro.core.varmap import VariableInfo, VariableMap
 from repro.trace.records import TraceRecord
 
-try:  # numpy accelerates the columnar row preselection; loops otherwise
+try:  # numpy accelerates the span selection; loops otherwise
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the range fallback
+except ImportError:  # pragma: no cover - exercised via the list fallback
     _np = None
 
 
-#: raw opcode -> engine record kind, as a dense positional LUT for the
-#: columnar sweep (segments only carry known non-scope opcodes, so
-#: indexing is safe without a range check).
-_COLUMN_KIND = [KIND_OTHER] * (max(KIND_BY_OPCODE) + 1)
-for _op, _kind in KIND_BY_OPCODE.items():
-    _COLUMN_KIND[_op] = _kind
-del _op, _kind
-_COLUMN_KIND = tuple(_COLUMN_KIND)
+#: the record kinds the dependency walk dispatches on
+_DISPATCH_KINDS = (KIND_LOAD, KIND_STORE, KIND_GEP, KIND_FORWARDING,
+                   KIND_ARITHMETIC)
 
-#: the same LUT as a numpy gather table, for the segment preselection
-_KIND_NP = None if _np is None else _np.array(_COLUMN_KIND, dtype=_np.int8)
+#: raw opcode -> record kind for the opcodes the walk dispatches on; scope
+#: and unknown opcodes are absent (they break segments and reach the
+#: engine's scope processing instead)
+_KIND_OF_OPCODE = {op: kind for op, kind in KIND_BY_OPCODE.items()
+                   if kind in _DISPATCH_KINDS}
+
+#: one past the largest opcode: a span's opcodes clip into
+#: ``[0, _CLIP_OPCODE]`` before indexing the numpy kind table, so an
+#: unknown opcode past the table's end or below zero selects nothing
+#: (the engine fails on it) instead of raising or wrapping around
+_CLIP_OPCODE = max(KIND_BY_OPCODE) + 1
+
+#: the same mapping as a numpy gather table (KIND_OTHER elsewhere)
+_KIND_NP = None
+if _np is not None:
+    _KIND_NP = _np.full(_CLIP_OPCODE + 1, KIND_OTHER, dtype=_np.int8)
+    for _op, _kind in _KIND_OF_OPCODE.items():
+        _KIND_NP[_op] = _kind
+    del _op, _kind
 
 
-def _segment_tuples(block, start: int, stop: int):
-    """Pre-gathered dispatch tuples for segment ``[start, stop)``.
+def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
+    """The rows of span ``[lo, hi)`` the dependency walk dispatches on.
 
-    Yields ``(row, kind, lo_slot, hi_slot, has_result, function_id,
-    packed)`` for every row the dependency walk dispatches on
-    (``KIND_OTHER`` rows are dropped up front), where ``packed`` is the
-    ``function_id << 32 | result_name_id`` register-cache key.  The
-    header fields of a whole segment gather in a handful of vector ops
-    instead of five list indexings per row.  ``packed`` is garbage when
-    the row has no result slot — every consumer checks ``has_result``
-    before using it.
+    Each row's fields are ``(kind, lo_slot, hi_slot, has_result,
+    function_id, packed)``, where ``packed`` is the ``function_id << 32 |
+    result_name_id`` register-cache key — garbage when the row has no
+    result slot (every consumer checks ``has_result`` before using it).
+    With the block's numpy mirrors the header fields of the whole span
+    gather in a handful of vector ops into one ``(6, rows)`` int64 array;
+    without them (the numpy-free path, or a block from the pure-Python
+    scan) they are tuples built row by row.
     """
     np_opcode = block.np_opcode
     op_name_np = block.np_op_name_id
     if (_KIND_NP is None or np_opcode is None or op_name_np is None
             or block.np_op_start is None or not op_name_np.size):
-        return _row_tuples(block, range(start, stop))
-    kinds_all = _KIND_NP[np_opcode[start:stop]]
-    rows = _np.flatnonzero(kinds_all != KIND_OTHER)
-    kinds = kinds_all[rows]
-    if start:
-        rows += start
+        kind_of = _KIND_OF_OPCODE.get
+        opcode = block.opcode
+        op_start = block.op_start
+        has_result = block.has_result
+        function_id = block.function_id
+        op_name_id = block.op_name_id
+        rows = []
+        fields = []
+        for row in range(lo, hi):
+            kind = kind_of(opcode[row])
+            if kind is None:
+                continue
+            lo_slot = op_start[row]
+            hi_slot = op_start[row + 1]
+            fid = function_id[row]
+            packed = (fid << 32 | op_name_id[hi_slot - 1] if hi_slot > lo_slot
+                      else fid << 32)
+            rows.append(row)
+            fields.append((kind, lo_slot, hi_slot, has_result[row], fid,
+                           packed))
+        return SpanSelection(rows, fields)
+    kinds = _KIND_NP[_np.clip(np_opcode[lo:hi], 0, _CLIP_OPCODE)]
+    rows = _np.flatnonzero(kinds != KIND_OTHER)
+    # Filled field by field: one (6, rows) array and one field-sized
+    # temporary at a time, not six field arrays plus their stack.
+    fields = _np.empty((6, len(rows)), dtype=_np.int64)
+    fields[0] = kinds[rows]
+    rows += lo
     op_start = block.np_op_start
-    lo = op_start[rows]
-    hi = op_start[rows + 1]
-    res = block.np_has_result[rows]
-    fid = block.np_function_id[rows]
-    packed = (fid << 32) | op_name_np[hi - 1]
-    return zip(rows.tolist(), kinds.tolist(), lo.tolist(), hi.tolist(),
-               res.tolist(), fid.tolist(), packed.tolist())
-
-
-def _row_tuples(block, rows):
-    """Scalar sibling of :func:`_segment_tuples`: explicit row lists
-    (engine prefilter survivors) and blocks without the numpy mirrors."""
-    kind_of = _COLUMN_KIND
-    opcode = block.opcode
-    op_start = block.op_start
-    has_result = block.has_result
-    function_id = block.function_id
-    op_name_id = block.op_name_id
-    for row in rows:
-        kind = kind_of[opcode[row]]
-        if kind == KIND_OTHER:
-            continue
-        lo = op_start[row]
-        hi = op_start[row + 1]
-        fid = function_id[row]
-        packed = (fid << 32 | op_name_id[hi - 1]) if hi > lo else fid << 32
-        yield row, kind, lo, hi, has_result[row], fid, packed
+    fields[1] = op_start[rows]
+    fields[2] = op_start[rows + 1]
+    fields[3] = block.np_has_result[rows]
+    fields[4] = block.np_function_id[rows]
+    _np.left_shift(fields[4], 32, out=fields[5])
+    fields[5] |= op_name_np[fields[2] - 1]
+    return SpanSelection(rows, fields)
 
 
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
@@ -333,11 +348,19 @@ class DependencyPass(AnalysisPass):
     # ------------------------------------------------------------------ #
     # Segments
     # ------------------------------------------------------------------ #
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows: Optional[List[int]] = None) -> None:
+    def select_span(self, block, lo: int, hi: int,
+                    region: int) -> Optional[SpanSelection]:
+        """Every data-carrying row of the span, inside the loop only."""
+        if region != REGION_INSIDE:
+            return None
+        return _select_dispatch_rows(block, lo, hi)
+
+    def consume_selected(self, block, region: int, selected) -> None:
         """Build the DDG from one segment, straight off the columns.
 
-        Three costs are lifted out of the row loop:
+        ``selected`` yields the segment's pre-gathered dispatch fields
+        (:func:`_select_dispatch_rows`).  Three costs are lifted out of the
+        row loop:
 
         * register node keys cache per ``(function id, name id)`` pair
           (key strings and ``add_node`` probes are paid once per register,
@@ -349,8 +372,6 @@ class DependencyPass(AnalysisPass):
           scope records break segments, so the live map cannot change under
           the memo.
         """
-        if region != REGION_INSIDE:
-            return
         strings = block.strings
         op_flags = block.op_flags
         op_name_id = block.op_name_id
@@ -383,14 +404,7 @@ class DependencyPass(AnalysisPass):
         memo_get = memo.get
         miss = _MISS
         inspected = 0
-        if rows is None:
-            # Whole-segment pre-gather: header fields and the packed
-            # register key arrive as ready tuples (KIND_OTHER rows already
-            # dropped), built in a few vector ops.
-            tuples = _segment_tuples(block, start, stop)
-        else:
-            tuples = _row_tuples(block, rows)
-        for row, kind, lo_slot, hi_slot, result, fid, packed in tuples:
+        for kind, lo_slot, hi_slot, result, fid, packed in selected:
             inspected += 1
             n_ops = hi_slot - lo_slot - result
             if kind == KIND_LOAD:

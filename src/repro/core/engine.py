@@ -6,31 +6,41 @@
 
 * the main loop's dynamic extent is tagged on the fly from the
   :class:`~repro.core.config.MainLoopSpec`: one vectorized line/function
-  mask per block finds the loop-line rows, and the spans seen after the
-  latest loop-line row are buffered as ``(block, lo, hi)`` triples until a
-  later loop-line row proves they lie inside the extent (they are then
-  walked, in stream order, as ``inside``) or the stream ends (they are the
-  ``after`` region);
+  mask per block finds the loop-line rows, and the row ranges seen after
+  the latest loop-line row are buffered as ``(block, lo, hi)`` triples
+  until a later loop-line row proves they lie inside the extent (they are
+  then walked, in stream order, as ``inside``) or the stream ends (they
+  are the ``after`` region);
 * one **live, scoped** variable map is shared by every pass: the engine
   registers every ``Alloca`` the moment it executes, opens an allocation
   scope when a traced ``Call``'s body follows, and retires the callee's
   allocations on its ``Ret`` — so each access resolves against the
   allocation state *at its own execution time*;
-* the rows between two scope records (``Alloca`` / ``Call`` / ``Ret``) form
-  a *segment*: every registered :class:`AnalysisPass` consumes it through
-  :meth:`AnalysisPass.consume_columns`, straight off the columns.  Scope
-  records are materialized one at a time and dispatched to the passes'
-  ``on_alloca`` / ``on_call`` / ``on_ret`` handlers after the engine ran
-  its own action for them.
+* a walked row range (one block, one region) goes in *spans* of at most
+  ``_SPAN_ROWS`` rows, and a span is split by its scope records
+  (``Alloca`` / ``Call`` / ``Ret``) into *segments*.  Each pass selects
+  the rows it reads once per span
+  (:meth:`AnalysisPass.select_span`) and consumes one segment's slice of
+  that selection at a time (:meth:`AnalysisPass.consume_selected`); a
+  pass without the span hook gets every segment through
+  :meth:`AnalysisPass.consume_columns`.  Scope records are materialized
+  one at a time and dispatched to the passes' ``on_alloca`` / ``on_call``
+  / ``on_ret`` handlers after the engine ran its own action for them.
 
 Pass execution order is registration order; the pipeline registers the
 MLI-collection pass first so that later passes observe the variable sets
-updated through the current segment.
+updated through the current segment.  The engine times its own walk:
+:attr:`AnalysisEngine.decode_seconds` (waiting for the next block),
+:attr:`AnalysisEngine.scope_seconds` (materializing and processing scope
+records) and :attr:`AnalysisEngine.pass_seconds` (each pass's span
+selections plus its segment consumption).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from time import perf_counter as _clock
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MainLoopSpec
@@ -125,21 +135,96 @@ if _np is not None:
     del _op
 
 
+class SpanSelection:
+    """One pass's rows of a span, selected once and sliced per segment.
+
+    ``rows`` are the selected row numbers in ascending order, a numpy
+    array or (the numpy-free path, blocks without numpy mirrors) a list.
+    ``fields``, when given, carries a payload per selected row: a
+    ``(k, len(rows))`` numpy array of k columns beside array rows, or a
+    list of k-tuples beside list rows.  A selection must not hold a row
+    that breaks segments (a scope or unknown opcode): :meth:`cut` splits
+    it at exactly those rows.
+    """
+
+    __slots__ = ("rows", "fields", "_bounds", "_lists")
+
+    def __init__(self, rows, fields=None) -> None:
+        self.rows = rows
+        self.fields = fields
+        self._lists = isinstance(rows, list)
+        self._bounds: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def cut(self, breaks: List[int], np_breaks=None) -> None:
+        """Split at the span's break rows: segment ``k`` is the one that
+        ends at ``breaks[k]`` (the span's last segment is
+        ``len(breaks)``).  ``np_breaks`` is ``breaks`` as a numpy array,
+        when the walk has one."""
+        rows = self.rows
+        if self._lists:
+            inner = [bisect_left(rows, row) for row in breaks]
+        else:
+            inner = rows.searchsorted(
+                breaks if np_breaks is None else np_breaks).tolist()
+        self._bounds = [0, *inner, len(rows)]
+
+    def take(self, segment: int):
+        """Segment ``segment``'s part, empty when it has none: its rows as
+        a list, or with fields its payloads as an iterable of tuples (one
+        ``tolist`` of the column slices, zipped lazily, so a long segment
+        builds no object per row)."""
+        lo = self._bounds[segment]
+        hi = self._bounds[segment + 1]
+        if lo == hi:
+            return ()
+        fields = self.fields
+        if fields is None:
+            part = self.rows[lo:hi]
+            return part if self._lists else part.tolist()
+        if self._lists:
+            return fields[lo:hi]
+        return zip(*fields[:, lo:hi].tolist())
+
+    def take_kept(self, segment: int, keep) -> list:
+        """:meth:`take`, narrowed to the rows in ``keep`` (the static
+        prefilter's surviving rows)."""
+        part = self.take(segment)
+        if not part:
+            return []
+        if self.fields is None:
+            return [row for row in part if row in keep]
+        rows = self.rows[self._bounds[segment]:self._bounds[segment + 1]]
+        if not self._lists:
+            rows = rows.tolist()
+        return [item for row, item in zip(rows, part) if row in keep]
+
+
 class AnalysisPass:
     """Base class for engine passes; override only what you need.
 
-    A pass reads segment rows through :meth:`consume_columns` and declares
-    the non-scope record kinds it reads there in :attr:`column_kinds`.
-    Scope records arrive through the ``on_alloca`` / ``on_call`` /
-    ``on_ret`` handlers; the engine inspects which of them a subclass
-    overrides and calls exactly those.  Every callback receives the region
-    constant (``REGION_BEFORE`` / ``REGION_INSIDE`` / ``REGION_AFTER``) it
-    executes in.
+    A pass reads non-scope rows in one of two ways:
+
+    * **span hook** — :meth:`select_span` picks the pass's rows of a whole
+      span ``[lo, hi)`` (one block, one region) in one set of vector ops,
+      and :meth:`consume_selected` consumes one segment's slice of that
+      selection.  The built-in passes work this way;
+    * **per segment** — a pass that does not override :meth:`select_span`
+      gets every segment through :meth:`consume_columns`.
+
+    Either way it declares the non-scope record kinds it reads in
+    :attr:`column_kinds`.  Scope records arrive through the
+    ``on_alloca`` / ``on_call`` / ``on_ret`` handlers; the engine inspects
+    which of them a subclass overrides and calls exactly those.  Every
+    callback receives the region constant (``REGION_BEFORE`` /
+    ``REGION_INSIDE`` / ``REGION_AFTER``) it executes in.
     """
 
-    #: Non-scope record kinds (``KIND_*``) :meth:`consume_columns` reads.
-    #: The static prefilter counts a row outside the loop as skipped only
-    #: when some registered pass declared its kind.
+    #: Non-scope record kinds (``KIND_*``) the pass reads.  The static
+    #: prefilter counts a row outside the loop as skipped only when some
+    #: registered pass declared its kind.
     column_kinds: FrozenSet[int] = frozenset()
 
     # -- scope records --------------------------------------------------- #
@@ -155,18 +240,40 @@ class AnalysisPass:
         reported through :meth:`on_return`."""
 
     # -- segments -------------------------------------------------------- #
+    def select_span(self, block, lo: int, hi: int,
+                    region: int) -> Optional[SpanSelection]:
+        """Select the rows this pass reads in span ``[lo, hi)`` of
+        ``block``, all in ``region`` (optional span hook).
+
+        Return a :class:`SpanSelection` of the span's rows (it must hold
+        no ``Alloca`` / ``Call`` / ``Ret`` or unknown-opcode row), or None
+        when the pass reads nothing in this span.  The engine drops the
+        selection when the span ends.
+        """
+        return None
+
+    def consume_selected(self, block, region: int, selected) -> None:
+        """Consume one segment's slice of this pass's span selection.
+
+        ``selected`` is :meth:`SpanSelection.take` of the segment, never
+        empty: its rows in order (a list), or its field tuples — narrowed
+        to the static prefilter's surviving rows when it applies.  Segments
+        never contain ``Alloca`` / ``Call`` / ``Ret`` records (those carry
+        engine actions and arrive through the scope handlers), all rows of
+        a segment share ``region``, and the shared variable map is
+        constant across the segment.
+        """
+
     def consume_columns(self, block, start: int, stop: int, region: int,
                         rows: Optional[List[int]] = None) -> None:
-        """Consume one segment of a decoded block.
+        """Consume one segment of a decoded block (passes without
+        :meth:`select_span`).
 
         Consume rows ``[start, stop)`` of ``block`` (a
         :class:`~repro.trace.columnar.ColumnarBlock`) — or exactly ``rows``
         (ascending, within that range) when the static prefilter narrowed
-        the segment — in row order.  Segments never contain ``Alloca`` /
-        ``Call`` / ``Ret`` records (those carry engine actions and arrive
-        through the scope handlers), all rows of a segment share
-        ``region``, and the shared variable map is constant across the
-        segment.
+        the segment — in row order, under the guarantees
+        :meth:`consume_selected` lists.
         """
 
     # -- structural callbacks ------------------------------------------ #
@@ -222,6 +329,13 @@ _ACT_UNKNOWN = 4
 _ACTION_BY_KIND = {KIND_ALLOCA: _ACT_ALLOCA, KIND_CALL: _ACT_CALL,
                    KIND_RET: _ACT_RET}
 
+#: Rows per span, the unit each pass selects its rows for at once.  It
+#: bounds what a span holds whatever the block size: a selection array
+#: stays under 100 kB (six int64 fields per row) and one segment's row
+#: lists stay short, while the vector ops per span cost about 1.5% of
+#: the walk.
+_SPAN_ROWS = 2048
+
 
 class AnalysisEngine:
     """Drive registered passes over a trace's columnar blocks in one pass.
@@ -274,9 +388,25 @@ class AnalysisEngine:
         self._return_callbacks = tuple(
             p.on_return for p in self.passes
             if type(p).on_return is not AnalysisPass.on_return)
-        self._consumers = tuple(
-            p.consume_columns for p in self.passes
-            if type(p).consume_columns is not AnalysisPass.consume_columns)
+        # Segment consumers in registration order: (slot, select_span,
+        # consume_selected) for span-hooked passes, (slot, None,
+        # consume_columns) for per-segment ones.
+        self._segment_plan: List[Tuple[int, Optional[Callable],
+                                       Callable]] = []
+        for slot, p in enumerate(self.passes):
+            if type(p).select_span is not AnalysisPass.select_span:
+                self._segment_plan.append(
+                    (slot, p.select_span, p.consume_selected))
+            elif (type(p).consume_columns
+                    is not AnalysisPass.consume_columns):
+                self._segment_plan.append((slot, None, p.consume_columns))
+        #: seconds spent waiting for the next block (the decode)
+        self.decode_seconds = 0.0
+        #: seconds spent materializing and processing scope records
+        self.scope_seconds = 0.0
+        #: per pass (registration order): seconds in its span selections
+        #: and segment consumption
+        self.pass_seconds: List[float] = [0.0] * len(self.passes)
         # scope opcode -> (engine action, subscribed pass handlers); any
         # other opcode reaching :meth:`_process` is unknown (segments carry
         # every known non-scope opcode) and fails loudly.
@@ -322,9 +452,12 @@ class AnalysisEngine:
         """Walk :class:`~repro.trace.columnar.ColumnarBlock`\\ s once.
 
         Loop-extent detection is one vectorized line/function mask per
-        block, region-unresolved spans are buffered as ``(block, lo, hi)``
-        triples, and segment rows between scope records dispatch through
-        each pass's :meth:`AnalysisPass.consume_columns`.
+        block, region-unresolved row ranges are buffered as ``(block, lo,
+        hi)`` triples, and each walked span is split into segments at its
+        scope records: a pass selects its rows once per span
+        (:meth:`AnalysisPass.select_span`) and consumes them segment by
+        segment (:meth:`AnalysisPass.consume_selected`, or
+        :meth:`AnalysisPass.consume_columns` without the span hook).
 
         Args:
             blocks: the trace's blocks in stream order, e.g. from
@@ -342,22 +475,29 @@ class AnalysisEngine:
         last_index = -1
         first_dyn = last_dyn = 0
         total = 0
-        #: (block, lo, hi) spans whose region a later loop hit must prove
-        pending_spans: List[Tuple] = []
+        #: (block, lo, hi) row ranges whose region a later loop hit must
+        #: prove
+        pending_ranges: List[Tuple] = []
         self._emit_region(REGION_BEFORE)
-        for block in blocks:
+        blocks = iter(blocks)
+        while True:
+            started = _clock()
+            block = next(blocks, None)
+            self.decode_seconds += _clock() - started
+            if block is None:
+                break
             self._prepare_columnar(block)
             spec_fid = block.id_of.get(spec.function, -1)
             hits = block.loop_rows(spec_fid, spec.start_line, spec.end_line)
             if not hits:
                 if first_index is None:
-                    self._walk_span(block, 0, block.count, REGION_BEFORE)
+                    self._walk_rows(block, 0, block.count, REGION_BEFORE)
                 else:
-                    pending_spans.append((block, 0, block.count))
+                    pending_ranges.append((block, 0, block.count))
             else:
                 first_hit, last_hit = hits[0], hits[-1]
                 if first_index is None:
-                    self._walk_span(block, 0, first_hit, REGION_BEFORE)
+                    self._walk_rows(block, 0, first_hit, REGION_BEFORE)
                     first_index = block.base_index + first_hit
                     first_dyn = int(block.dyn_id_col()[first_hit])
                     self._emit_region(REGION_INSIDE)
@@ -365,16 +505,16 @@ class AnalysisEngine:
                 else:
                     # Everything buffered since the previous loop hit is now
                     # proven inside the loop's dynamic extent.
-                    for span_block, lo, hi in pending_spans:
-                        self._walk_span(span_block, lo, hi, REGION_INSIDE)
-                    pending_spans.clear()
+                    for range_block, lo, hi in pending_ranges:
+                        self._walk_rows(range_block, lo, hi, REGION_INSIDE)
+                    pending_ranges.clear()
                     inside_from = 0
-                self._walk_span(block, inside_from, last_hit + 1,
+                self._walk_rows(block, inside_from, last_hit + 1,
                                 REGION_INSIDE)
                 last_index = block.base_index + last_hit
                 last_dyn = int(block.dyn_id_col()[last_hit])
                 if last_hit + 1 < block.count:
-                    pending_spans.append((block, last_hit + 1, block.count))
+                    pending_ranges.append((block, last_hit + 1, block.count))
             total += block.count
         if first_index is None:
             raise AnalysisError(
@@ -382,9 +522,9 @@ class AnalysisEngine:
                 f"range {spec.mclr} of function {spec.function!r}")
         # The still-buffered tail is the after region.
         self._emit_region(REGION_AFTER)
-        for span_block, lo, hi in pending_spans:
-            self._walk_span(span_block, lo, hi, REGION_AFTER)
-        pending_spans.clear()
+        for range_block, lo, hi in pending_ranges:
+            self._walk_rows(range_block, lo, hi, REGION_AFTER)
+        pending_ranges.clear()
         for pass_ in self.passes:
             pass_.finalize()
         return EngineWalk(
@@ -454,36 +594,66 @@ class AnalysisEngine:
                     id_of[n] for n in table if n in id_of)
                 for fn, table in names.items() if fn in id_of}
 
-    def _break_rows(self, block, lo: int, hi: int) -> List[int]:
+    def _break_rows(self, block, lo: int, hi: int):
         """Rows in ``[lo, hi)`` the walk must materialize individually:
         scope opcodes (engine actions) and unknown opcodes (loud failure
-        through :meth:`_process`)."""
+        through :meth:`_process`), as a list and — when the block has
+        numpy mirrors — the same rows as an array (else None)."""
         if _np is not None and block.np_opcode is not None:
             ops = block.np_opcode[lo:hi]
             clipped = _np.clip(ops, 0, _MAX_OPCODE)
             mask = _NP_BREAK_LUT[clipped] | (clipped != ops)
-            return (_np.flatnonzero(mask) + lo).tolist()
+            rows = _np.flatnonzero(mask)
+            rows += lo
+            return rows.tolist(), rows
         opcode = block.opcode
         nonbreak = _NONBREAK_OPCODES
-        return [row for row in range(lo, hi) if opcode[row] not in nonbreak]
+        return [row for row in range(lo, hi)
+                if opcode[row] not in nonbreak], None
+
+    def _walk_rows(self, block, lo: int, hi: int, region: int) -> None:
+        """Walk rows ``[lo, hi)`` of one block in a single known region,
+        span by span."""
+        for span_lo in range(lo, hi, _SPAN_ROWS):
+            self._walk_span(block, span_lo, min(span_lo + _SPAN_ROWS, hi),
+                            region)
 
     def _walk_span(self, block, lo: int, hi: int, region: int) -> None:
-        """Walk rows ``[lo, hi)`` of one block in a single known region."""
-        if lo >= hi:
-            return
+        """Walk span ``[lo, hi)``: every span-hooked pass selects its rows
+        of the whole span first, each segment then hands every pass its
+        slice, and the span's selections are dropped on return."""
+        breaks, np_breaks = self._break_rows(block, lo, hi)
+        spent = self.pass_seconds
+        plan = []
+        for slot, select, consume in self._segment_plan:
+            if select is None:
+                plan.append((slot, consume, None))
+                continue
+            started = _clock()
+            selection = select(block, lo, hi, region)
+            if selection is not None and len(selection):
+                selection.cut(breaks, np_breaks)
+                plan.append((slot, consume, selection))
+            spent[slot] += _clock() - started
         record_of = block.record
+        process = self._process
         segment_lo = lo
-        for row in self._break_rows(block, lo, hi):
+        for segment, row in enumerate(breaks):
             if segment_lo < row:
-                self._dispatch_segment(block, segment_lo, row, region)
-            self._process(record_of(row), region)
+                self._dispatch_segment(block, segment_lo, row, region, plan,
+                                       segment)
+            started = _clock()
+            process(record_of(row), region)
+            self.scope_seconds += _clock() - started
             segment_lo = row + 1
         if segment_lo < hi:
-            self._dispatch_segment(block, segment_lo, hi, region)
+            self._dispatch_segment(block, segment_lo, hi, region, plan,
+                                   len(breaks))
 
-    def _dispatch_segment(self, block, lo: int, hi: int,
-                          region: int) -> None:
-        """Dispatch one scope-free segment to every pass, in pass order."""
+    def _dispatch_segment(self, block, lo: int, hi: int, region: int,
+                          plan: List[Tuple], segment: int) -> None:
+        """Dispatch segment ``[lo, hi)`` — the span's ``segment``-th — to
+        every pass, in pass order."""
         # The record after a Call resolves the activation lookahead; inside
         # a segment that can only be the first row (Calls break segments).
         pending = self._pending_activation
@@ -494,13 +664,26 @@ class AnalysisEngine:
                 for callback in self._activation_callbacks:
                     callback(pending, region)
         rows: Optional[List[int]] = None
+        keep = None
         if self._prefilter_skip is not None and region != REGION_INSIDE:
             rows, skipped = self._columnar_survivors(block, lo, hi, region)
             self.skipped_records += skipped
             if not rows:
                 return
-        for consume in self._consumers:
-            consume(block, lo, hi, region, rows)
+            keep = frozenset(rows)
+        spent = self.pass_seconds
+        last = _clock()
+        for slot, consume, selection in plan:
+            if selection is None:
+                consume(block, lo, hi, region, rows)
+            else:
+                selected = (selection.take(segment) if keep is None
+                            else selection.take_kept(segment, keep))
+                if selected:
+                    consume(block, region, selected)
+            now = _clock()
+            spent[slot] += now - last
+            last = now
 
     def _columnar_survivors(self, block, lo: int, hi: int,
                             region: int) -> Tuple[List[int], int]:

@@ -35,6 +35,7 @@ from repro.core.engine import (
     AnalysisEngine,
     AnalysisPass,
     EngineWalk,
+    SpanSelection,
 )
 from repro.core.preprocessing import MLICollectionPass
 from repro.core.report import (
@@ -57,7 +58,11 @@ from repro.util.timing import TimingBreakdown
 
 
 _PROBE_LOAD = int(Opcode.LOAD)
-_PROBE_STORE = int(Opcode.STORE)
+_PROBE_OPCODES = (_PROBE_LOAD, int(Opcode.STORE))
+
+
+#: timing stages of the walk's passes, in registration order
+_PASS_STAGES = ("walk.mli", "walk.dependency", "walk.rw", "walk.probe")
 
 
 def _with_block_progress(blocks, callback):
@@ -86,51 +91,45 @@ class InductionProbePass(AnalysisPass):
         self.read: Dict[str, VariableInfo] = {}
         self.written: Dict[str, VariableInfo] = {}
 
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows=None) -> None:
+    def select_span(self, block, lo: int, hi: int,
+                    region: int) -> Optional[SpanSelection]:
+        """The spec function's Load/Store rows on the loop's start line,
+        inside the loop."""
+        if region != REGION_INSIDE:
+            return None
+        spec = self.spec
+        return SpanSelection(block.match_rows(
+            lo, hi, _PROBE_OPCODES,
+            function_id=block.id_of.get(spec.function, -1),
+            line=spec.start_line))
+
+    def consume_selected(self, block, region: int, selected) -> None:
         """Probe the segment's loads and stores at the controlling line.
 
         Only globals and the main-loop function's own allocations qualify
         (the MLI candidate population), so a callee local never poses as
         the induction variable when the loop lives in a nested function.
         """
-        if region != REGION_INSIDE:
-            return
-        spec = self.spec
-        spec_fid = block.id_of.get(spec.function, -1)
-        spec_line = spec.start_line
-        line = block.line
+        spec_function = self.spec.function
         opcode = block.opcode
-        function_id = block.function_id
         op_start = block.op_start
         has_result = block.has_result
         op_address = block.op_address
         resolve = self.varmap.resolve
-        if rows is None:
-            # Vectorized preselection: only the spec function's load/store
-            # rows on the loop's start line can probe.
-            rows = block.span_rows_matching(
-                start, stop, _PROBE_LOAD, _PROBE_STORE,
-                function_id=spec_fid, line=spec_line)
-        for row in rows:
-            if line[row] != spec_line or function_id[row] != spec_fid:
-                continue
-            op = opcode[row]
-            if op == _PROBE_LOAD:
+        for row in selected:
+            if opcode[row] == _PROBE_LOAD:
                 operand_index = 0
                 sink = self.read
-            elif op == _PROBE_STORE:
+            else:
                 operand_index = 1
                 sink = self.written
-            else:
-                continue
             lo_slot = op_start[row]
             if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
                 continue
             info = resolve(op_address[lo_slot + operand_index])
             if info is None:
                 continue
-            if not (info.is_global or info.function == spec.function):
+            if not (info.is_global or info.function == spec_function):
                 continue
             sink[info.name] = info
 
@@ -366,7 +365,10 @@ class AutoCheck:
 
         Args:
             timings: receives the ``preprocessing`` (opening the input) and
-                ``fused_analysis`` (the walk) stages when given.
+                ``fused_analysis`` (the walk) stages when given, and inside
+                the walk ``walk.decode``, ``walk.scope`` and one
+                ``walk.<pass>`` stage per registered pass (``walk.probe``
+                only when the probe ran).
 
         Raises:
             AnalysisError: when no record falls inside the main loop range,
@@ -421,6 +423,10 @@ class AutoCheck:
             reader.close()
             self._encoded_bytes = None
         timings.add_count("fused_analysis", walk.record_count)
+        timings.add("walk.decode", engine.decode_seconds)
+        timings.add("walk.scope", engine.scope_seconds)
+        for stage, seconds in zip(_PASS_STAGES, engine.pass_seconds):
+            timings.add(stage, seconds)
         return PassWalk(walk=walk, varmap=varmap, global_count=len(globals_),
                         mli=mli_pass, dependency=dep_pass, rw=rw_pass,
                         probe=probe, induction_name=induction_name,

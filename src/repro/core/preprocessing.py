@@ -40,14 +40,15 @@ from repro.core.engine import (
     KIND_STORE,
     REGION_AFTER,
     AnalysisPass,
+    SpanSelection,
 )
 from repro.core.varmap import VariableInfo, VariableMap
 
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
 _MISS = object()
 
-#: the opcodes that carry a pointer operand — what the columnar MLI sweep
-#: preselects on
+#: the opcodes that carry a pointer operand — what the MLI span selection
+#: picks
 _POINTER_OPCODES = tuple(_COLUMNAR_POINTER_OPERAND)
 
 
@@ -143,19 +144,28 @@ class MLICollectionPass(AnalysisPass):
         self._col_memo: Dict = {}
         self._col_memo_rev = -1
 
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows: Optional[List[int]] = None) -> None:
+    def select_span(self, block, lo: int, hi: int,
+                    region: int) -> Optional[SpanSelection]:
+        """Load/GEP/Store rows of the span — without the global-access
+        switch only the spec function's (a foreign-function record can
+        only collect through that switch)."""
+        if region == REGION_AFTER:
+            return None
+        spec_fid = (None if self.include_global_accesses_in_calls
+                    else block.id_of.get(self.spec.function, -1))
+        return SpanSelection(block.match_rows(lo, hi, _POINTER_OPCODES,
+                                              function_id=spec_fid))
+
+    def consume_selected(self, block, region: int, selected) -> None:
         """Collect the segment's accessed variables, straight off the
         columns."""
-        if region == REGION_AFTER:
-            return
         opcode = block.opcode
         function_id = block.function_id
         op_start = block.op_start
         has_result = block.has_result
         op_address = block.op_address
         resolve = self.varmap.resolve
-        pointer_operand = _COLUMNAR_POINTER_OPERAND.get
+        pointer_operand = _COLUMNAR_POINTER_OPERAND
         spec_function = self.spec.function
         spec_fid = block.id_of.get(spec_function, -1)
         include = self.include_global_accesses_in_calls
@@ -169,23 +179,8 @@ class MLICollectionPass(AnalysisPass):
             memo.clear()
         memo_get = memo.get
         miss = _MISS
-        if rows is None:
-            # Vectorized preselection: only load/gep/store rows can
-            # collect, and without the global-access switch only the spec
-            # function's — the same pure filters the loop body applies.
-            rows = block.span_rows_matching(
-                start, stop, *_POINTER_OPCODES,
-                function_id=None if include else spec_fid)
-        for row in rows:
-            operand_index = pointer_operand(opcode[row])
-            if operand_index is None:
-                continue
-            fid = function_id[row]
-            if fid != spec_fid and not include:
-                # A foreign-function record can only survive through the
-                # global-access switch, so the common case resolves nothing
-                # at all.
-                continue
+        for row in selected:
+            operand_index = pointer_operand[opcode[row]]
             lo_slot = op_start[row]
             if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
                 continue
@@ -200,7 +195,8 @@ class MLICollectionPass(AnalysisPass):
                 continue
             if not (info.is_global or info.function == spec_function):
                 continue
-            if fid != spec_fid and not (include and info.is_global):
+            if function_id[row] != spec_fid and not (include
+                                                     and info.is_global):
                 continue
             if info.key not in sink:
                 sink[info.key] = info

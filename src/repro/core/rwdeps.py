@@ -28,15 +28,17 @@ from typing import Container, Dict, List, Optional, Set
 from repro.core.engine import (
     KIND_LOAD,
     KIND_STORE,
-    REGION_AFTER,
+    REGION_BEFORE,
     REGION_INSIDE,
     AnalysisPass,
+    SpanSelection,
 )
 from repro.core.varmap import VariableMap
 from repro.ir.opcodes import Opcode
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
+_ACCESS_OPCODES = (_LOAD, _STORE)
 
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
 _MISS = object()
@@ -108,15 +110,16 @@ class RWExtractionPass(AnalysisPass):
         self._col_memo: Dict = {}
         self._col_memo_rev = -1
 
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows: Optional[List[int]] = None) -> None:
+    def select_span(self, block, lo: int, hi: int,
+                    region: int) -> Optional[SpanSelection]:
+        """The span's Load/Store rows, inside the loop and after it."""
+        if region == REGION_BEFORE:
+            return None
+        return SpanSelection(block.match_rows(lo, hi, _ACCESS_OPCODES))
+
+    def consume_selected(self, block, region: int, selected) -> None:
         """Collect the segment's access events, straight off the columns."""
-        if region == REGION_INSIDE:
-            sink = self._loop
-        elif region == REGION_AFTER:
-            sink = self._post
-        else:
-            return
+        sink = self._loop if region == REGION_INSIDE else self._post
         strings = block.strings
         # numpy-backed when the list was never materialized; every emitted
         # event wraps its element in int() either way (a no-op for ints).
@@ -131,7 +134,8 @@ class RWExtractionPass(AnalysisPass):
         candidates = self._candidates
         append = sink.append
         load = _LOAD
-        store = _STORE
+        read = AccessKind.READ
+        write = AccessKind.WRITE
         # The *whole* per-address decision memoizes: the candidate set is
         # complete before the first inside record, so skip-or-emit is a
         # function of the address alone — valid while the live map's
@@ -143,20 +147,13 @@ class RWExtractionPass(AnalysisPass):
             memo.clear()
         memo_get = memo.get
         miss = _MISS
-        if rows is None:
-            # Vectorized preselection: only load/store rows matter here,
-            # so sweep just those instead of testing every record.
-            rows = block.span_rows_matching(start, stop, load, store)
-        for row in rows:
-            op = opcode[row]
-            if op == load:
-                kind = AccessKind.READ
+        for row in selected:
+            if opcode[row] == load:
+                kind = read
                 operand_index = 0
-            elif op == store:
-                kind = AccessKind.WRITE
-                operand_index = 1
             else:
-                continue
+                kind = write
+                operand_index = 1
             lo_slot = op_start[row]
             if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
                 continue

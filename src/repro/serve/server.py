@@ -58,6 +58,9 @@ from repro.store.batch import prepare_app_analysis
 from repro.store.cache import ArtifactAddress, ArtifactStore, default_cache_dir
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import BINARY_MAGIC, verify_content_digest
+from repro.util.logging import get_logger
+
+_LOG = get_logger(__name__)
 
 # Named error codes (stable API surface; docs/serve.md documents each).
 ERR_BAD_JSON = "BAD_JSON"
@@ -71,6 +74,7 @@ ERR_REPORT_NOT_FOUND = "REPORT_NOT_FOUND"
 ERR_NOT_FOUND = "NOT_FOUND"
 ERR_METHOD_NOT_ALLOWED = "METHOD_NOT_ALLOWED"
 ERR_ANALYSIS_FAILED = "ANALYSIS_FAILED"
+ERR_INTERNAL_ERROR = "INTERNAL_ERROR"
 ERR_TIMEOUT = "TIMEOUT"
 ERR_BAD_CONTENT_LENGTH = "BAD_CONTENT_LENGTH"
 ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
@@ -568,10 +572,12 @@ class _Handler(BaseHTTPRequestHandler):
         except BrokenPipeError:
             status = 499  # client went away; nothing to answer
         except Exception as exc:  # noqa: BLE001 — a handler bug must answer
-            # 500, not silently drop the connection.
+            # 500, not silently drop the connection; a failed analysis job
+            # arrives as a ServeError (ANALYSIS_FAILED) instead.
             status = 500
+            _LOG.exception("%s %s: handler error", method, self.path)
             with contextlib.suppress(Exception):
-                self._send_error_json(500, ERR_ANALYSIS_FAILED,
+                self._send_error_json(500, ERR_INTERNAL_ERROR,
                                       f"{type(exc).__name__}: {exc}")
         finally:
             self.app._track_request(-1)

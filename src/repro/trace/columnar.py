@@ -220,13 +220,13 @@ class ColumnarBlock:
             self._records[row] = record
         return record
 
-    def span_rows_matching(self, start: int, stop: int, *opcodes: int,
-                           function_id: Optional[int] = None,
-                           line: Optional[int] = None) -> List[int]:
+    def match_rows(self, start: int, stop: int, opcodes,
+                   function_id: Optional[int] = None,
+                   line: Optional[int] = None):
         """Ascending rows in ``[start, stop)`` whose opcode is one of
         ``opcodes`` — narrowed to one function id and/or source line when
-        given.  The passes use it to sweep only their interesting rows
-        instead of testing every record of a segment."""
+        given — as a numpy array when the block has numpy mirrors, else a
+        list.  The passes select their rows of a whole span this way."""
         if self.np_opcode is not None:
             ops = self.np_opcode[start:stop]
             mask = ops == opcodes[0]
@@ -239,7 +239,7 @@ class ColumnarBlock:
             rows = _np.flatnonzero(mask)
             if start:
                 rows += start
-            return rows.tolist()
+            return rows
         wanted = set(opcodes)
         opcode = self.opcode
         fids = self.function_id
@@ -248,6 +248,15 @@ class ColumnarBlock:
                 if opcode[row] in wanted
                 and (function_id is None or fids[row] == function_id)
                 and (line is None or lines[row] == line)]
+
+    def span_rows_matching(self, start: int, stop: int, *opcodes: int,
+                           function_id: Optional[int] = None,
+                           line: Optional[int] = None) -> List[int]:
+        """:meth:`match_rows` as a list (for passes that sweep one segment
+        at a time)."""
+        rows = self.match_rows(start, stop, opcodes, function_id=function_id,
+                               line=line)
+        return rows if isinstance(rows, list) else rows.tolist()
 
     def loop_rows(self, function_id: int, start_line: int,
                   end_line: int) -> List[int]:

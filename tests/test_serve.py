@@ -102,6 +102,28 @@ class TestEndpoints:
         snap = client.stats()
         assert {"endpoints", "cache", "coalesce", "jobs", "store"} <= set(snap)
 
+    def test_handler_bug_is_internal_error_and_logged(self, server, client,
+                                                      monkeypatch, caplog):
+        """A bug in the handler itself answers its own code, not
+        ANALYSIS_FAILED (which names a failed analysis job), and leaves
+        its traceback in the log."""
+        def broken():
+            raise KeyError("stats exploded")
+
+        monkeypatch.setattr(server, "stats_snapshot", broken)
+        with caplog.at_level("ERROR", logger="repro.serve.server"):
+            status, _, body = client.request("GET", "/stats")
+        assert status == 500
+        error = json.loads(body)["error"]
+        assert error["code"] == "INTERNAL_ERROR"
+        assert "stats exploded" in error["message"]
+        assert any(record.exc_info
+                   and isinstance(record.exc_info[1], KeyError)
+                   for record in caplog.records
+                   if record.name == "repro.serve.server")
+        # the daemon keeps serving
+        assert client.request("GET", "/healthz")[0] == 200
+
     def test_malformed_json_is_structured_400(self, client):
         status, _, body = client.request(
             "POST", "/analyze", b"{not json", content_type="application/json")

@@ -55,6 +55,18 @@ class TestTiming:
         assert breakdown.total == pytest.approx(breakdown.get("a") + 0.75)
         assert breakdown.as_dict()["total"] == pytest.approx(breakdown.total)
 
+    def test_breakdown_total_counts_top_level_stages_only(self):
+        """Dotted sub-stages nest inside their parent stage: the total
+        (and the report summary's total) counts each interval once."""
+        breakdown = TimingBreakdown()
+        breakdown.add("fused_analysis", 2.0)
+        breakdown.add("walk.mli", 0.5)
+        breakdown.add("walk.dependency", 1.0)
+        breakdown.add("identify_variables", 0.25)
+        assert breakdown.total == pytest.approx(2.25)
+        assert breakdown.as_dict()["total"] == pytest.approx(2.25)
+        assert breakdown.get("walk.mli") == 0.5
+
     def test_breakdown_merge(self):
         first = TimingBreakdown({"x": 1.0})
         second = TimingBreakdown({"x": 2.0, "y": 3.0})
