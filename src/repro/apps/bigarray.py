@@ -22,25 +22,9 @@ from __future__ import annotations
 from repro.apps.base import AppDefinition
 
 
-def build_source(size: int = 4096, iterations: int = 8, block: int = 64,
-                 init_sweeps: int = 0) -> str:
+def build_source(size: int = 4096, iterations: int = 8,
+                 block: int = 64) -> str:
     stride = max(1, size // block)
-    init_block = ""
-    if init_sweeps > 0:
-        # Pre-loop initialization churn over a `seed` array the main loop
-        # never touches: every record it produces is provably irrelevant
-        # to the analysis, which is exactly what the static engine
-        # prefilter benchmark needs a lot of.  Gated so the default
-        # source stays byte-identical.
-        init_block = f"""\
-    double seed[{size}];
-    for (int s = 0; s < {init_sweeps}; ++s) {{
-        for (int j = 0; j < {block}; ++j) {{
-            seed[j * {stride}] = j * 0.125 + s;
-        }}
-    }}
-    big[0] = big[0] + seed[0];
-"""
     return f"""\
 void sweep(double *src, double *dst, int offset) {{
     double scratch[{block}];
@@ -62,7 +46,6 @@ int main() {{
         big[i] = big[i] + 0.25;
         out[i * {stride}] = 0.0;
     }}
-{init_block}\
     for (int it = 0; it < {iterations}; ++it) {{   // @mclr-begin
         sweep(big, out, it);
         checksum = checksum + out[it] * scale;

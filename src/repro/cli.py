@@ -27,9 +27,11 @@ The parser is built by :func:`build_parser` (separate from :func:`main`) so
 the docs flag-drift check in ``tests/test_docs.py`` can compare the live
 option surface against ``docs/cli.md``.
 
-Exit codes follow one convention across the experiment verbs and
-``campaign``: 0 = success, 1 = a verdict failed (restart mismatch, Table II
-mismatch, batch entry error), 2 = bad invocation (unknown app or policy).
+Exit codes follow one convention across the verbs: 0 = success, 1 = a
+verdict failed (restart mismatch, Table II mismatch, batch entry error,
+static cross-check violation), 2 = bad invocation or bad input (unknown app
+or policy; an unreadable, corrupt or loop-less trace or source given to
+``analyze`` or ``trace``), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Optional, Sequence
 from repro.apps.registry import all_apps, get_app
 from repro.codegen.lowering import compile_source
 from repro.core.config import AutoCheckConfig, MainLoopSpec
+from repro.core.errors import AnalysisError
 from repro.core.pipeline import AutoCheck
 from repro.experiments import (
     format_table2,
@@ -55,9 +58,18 @@ from repro.experiments import (
     run_validation,
 )
 from repro.experiments.common import analyze_app
+from repro.minicc.errors import MiniCError
 from repro.static.check import cross_check
 from repro.static.textreport import render_static_report
+from repro.trace.binio import BinaryTraceError
+from repro.trace.textio import TraceFormatError
 from repro.tracer.driver import trace_to_file
+
+#: What bad input to ``analyze`` and ``trace`` raises: an unreadable path, a
+#: corrupt binary or text trace, a trace with no record in the loop range
+#: or an unknown opcode, and a mini-C program that does not compile.
+_INPUT_ERRORS = (OSError, BinaryTraceError, TraceFormatError, AnalysisError,
+                 MiniCError)
 
 
 def _load_module(path: str):
@@ -66,11 +78,13 @@ def _load_module(path: str):
     return compile_source(source, module_name=path), source
 
 
-def _print_static_check(module, spec, report,
-                        include_global_accesses_in_calls: bool) -> int:
-    diagnostics = cross_check(
-        module, spec, report,
-        include_global_accesses_in_calls=include_global_accesses_in_calls)
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _print_static_check(module, spec, report) -> int:
+    diagnostics = cross_check(module, spec, report)
     if diagnostics:
         print(f"Static cross-check: {len(diagnostics)} violation(s)")
         for diagnostic in diagnostics:
@@ -82,25 +96,24 @@ def _print_static_check(module, spec, report,
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if (args.static_check or args.static_prefilter) and not args.source:
-        print("error: --static-check/--static-prefilter need the IR module; "
-              "pass the mini-C program via --source", file=sys.stderr)
+    if args.static_check and not args.source:
+        print("error: --static-check needs the IR module; pass the mini-C "
+              "program via --source", file=sys.stderr)
         return 2
-    module = None
-    if args.source:
-        module, _ = _load_module(args.source)
     spec = MainLoopSpec(function=args.function, start_line=args.start,
                         end_line=args.end)
     config = AutoCheckConfig(main_loop=spec,
                              induction_variable=args.induction,
                              use_cache=args.cache,
-                             cache_dir=args.cache_dir,
-                             static_prefilter=args.static_prefilter)
-    report = AutoCheck(config, trace_path=args.trace, module=module).run()
+                             cache_dir=args.cache_dir)
+    try:
+        module = _load_module(args.source)[0] if args.source else None
+        report = AutoCheck(config, trace_path=args.trace, module=module).run()
+    except _INPUT_ERRORS as exc:
+        return _input_error(exc)
     print(report.summary())
     if args.static_check:
-        return _print_static_check(
-            module, spec, report, config.include_global_accesses_in_calls)
+        return _print_static_check(module, spec, report)
     return 0
 
 
@@ -186,10 +199,8 @@ def _cmd_app(args: argparse.Namespace) -> int:
           f"({analysis.mismatch_description()}).")
     exit_code = 0 if analysis.matches_expected else 1
     if args.static_check:
-        flag = bool(app.autocheck_options.get(
-            "include_global_accesses_in_calls", False))
         check_code = _print_static_check(
-            analysis.module, analysis.report.main_loop, analysis.report, flag)
+            analysis.module, analysis.report.main_loop, analysis.report)
         exit_code = exit_code or check_code
     return exit_code
 
@@ -223,10 +234,11 @@ def _cmd_static_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    with open(args.source, encoding="utf-8") as handle:
-        source = handle.read()
-    module = compile_source(source, module_name=args.source)
-    size, result = trace_to_file(module, args.output, fmt=args.format)
+    try:
+        module, _ = _load_module(args.source)
+        size, result = trace_to_file(module, args.output, fmt=args.format)
+    except _INPUT_ERRORS as exc:
+        return _input_error(exc)
     print(f"wrote {size} bytes ({args.format}) to {args.output}; "
           f"program output:")
     for line in result.output:
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--source", default=None,
                            help="the traced mini-C program; supplies the IR "
                                 "module the static analyses need (required "
-                                "by --static-check and --static-prefilter)")
+                                "by --static-check)")
     p_analyze.add_argument("--static-check", action="store_true",
                            help="after the analysis, cross-check the dynamic "
                                 "result against the static IR dataflow "
@@ -354,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "dynamic DDG edge statically feasible); "
                                 "violations are printed as named "
                                 "diagnostics and exit non-zero")
-    p_analyze.add_argument("--static-prefilter", action="store_true",
-                           help="let the engine skip pass dispatch for "
-                                "records the static analysis proves "
-                                "irrelevant outside the main loop (the "
-                                "report is identical; the summary shows the "
-                                "skip count)")
     _add_cache_flags(p_analyze, default=False)
     p_analyze.set_defaults(func=_cmd_analyze)
 

@@ -8,7 +8,7 @@ Per the paper (Sec. VII, "Use of AutoCheck") the user supplies:
 
 :class:`MainLoopSpec` captures (2) and (3); :class:`AutoCheckConfig` adds the
 optional global-variable workaround discussed for FT in Sec. V-B, a known
-induction variable, the artifact store and the static prefilter.
+induction variable and the artifact store.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ class AutoCheckConfig:
     #: ``$AUTOCHECK_CACHE_DIR`` or ``~/.cache/autocheck`` (see
     #: :func:`repro.store.cache.default_cache_dir`).
     cache_dir: Optional[str] = None
-    #: Hand the engine a static prefilter derived from the module's
-    #: IR (:mod:`repro.static.prefilter`): records outside the loop region
-    #: that provably cannot reach the MLI / R/W passes skip pass dispatch
-    #: entirely.  Requires the module to be supplied to :class:`AutoCheck`;
-    #: the report is proven byte-identical by
-    #: ``tests/test_static_prefilter.py``.  When on, the static
-    #: analysis' fingerprint joins the artifact-store cache key.
-    static_prefilter: bool = False
     #: Optional progress hook for long walks: called with the cumulative
     #: number of trace records consumed so far, once per decoded block of
     #: the engine walk.  The serve daemon points this at a job's progress

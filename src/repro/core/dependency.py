@@ -177,9 +177,6 @@ class DependencyPass(AnalysisPass):
     nodes whose membership was only proven later in the stream.
     """
 
-    column_kinds = frozenset((KIND_LOAD, KIND_STORE, KIND_GEP,
-                              KIND_FORWARDING, KIND_ARITHMETIC))
-
     def __init__(self, varmap: VariableMap,
                  before_vars: Optional[Dict[str, VariableInfo]] = None,
                  inside_vars: Optional[Dict[str, VariableInfo]] = None) -> None:

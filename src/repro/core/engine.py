@@ -19,13 +19,12 @@
 * a walked row range (one block, one region) goes in *spans* of at most
   ``_SPAN_ROWS`` rows, and a span is split by its scope records
   (``Alloca`` / ``Call`` / ``Ret``) into *segments*.  Each pass selects
-  the rows it reads once per span
-  (:meth:`AnalysisPass.select_span`) and consumes one segment's slice of
-  that selection at a time (:meth:`AnalysisPass.consume_selected`); a
-  pass without the span hook gets every segment through
-  :meth:`AnalysisPass.consume_columns`.  Scope records are materialized
-  one at a time and dispatched to the passes' ``on_alloca`` / ``on_call``
-  / ``on_ret`` handlers after the engine ran its own action for them.
+  the rows it reads once per span (:meth:`AnalysisPass.select_span`) and
+  consumes one segment's slice of that selection at a time
+  (:meth:`AnalysisPass.consume_selected`).  Scope records are
+  materialized one at a time and dispatched to the passes' ``on_alloca``
+  / ``on_call`` / ``on_ret`` handlers after the engine ran its own action
+  for them.
 
 Pass execution order is registration order; the pipeline registers the
 MLI-collection pass first so that later passes observe the variable sets
@@ -41,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter as _clock
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MainLoopSpec
 from repro.core.errors import AnalysisError
@@ -118,13 +117,6 @@ _SCOPE_KINDS = (KIND_RET, KIND_ALLOCA, KIND_CALL)
 _NONBREAK_OPCODES = frozenset(
     op for op, kind in KIND_BY_OPCODE.items() if kind not in _SCOPE_KINDS)
 
-#: Mirrors ``repro.static.prefilter._POINTER_OPERAND`` (the static layer
-#: imports this module, so the engine cannot import it back): opcode ->
-#: index of the pointer operand a structured prefilter's tables decide on.
-_COLUMNAR_POINTER_OPERAND = {
-    int(Opcode.LOAD): 0, int(Opcode.STORE): 1, int(Opcode.GETELEMENTPTR): 0}
-_GEP_OPCODE = int(Opcode.GETELEMENTPTR)
-
 if _np is not None:
     # True where the walk must leave segment dispatch: scope opcodes and
     # every in-range value that is not a known opcode (the walk clips
@@ -188,44 +180,19 @@ class SpanSelection:
             return fields[lo:hi]
         return zip(*fields[:, lo:hi].tolist())
 
-    def take_kept(self, segment: int, keep) -> list:
-        """:meth:`take`, narrowed to the rows in ``keep`` (the static
-        prefilter's surviving rows)."""
-        part = self.take(segment)
-        if not part:
-            return []
-        if self.fields is None:
-            return [row for row in part if row in keep]
-        rows = self.rows[self._bounds[segment]:self._bounds[segment + 1]]
-        if not self._lists:
-            rows = rows.tolist()
-        return [item for row, item in zip(rows, part) if row in keep]
-
 
 class AnalysisPass:
     """Base class for engine passes; override only what you need.
 
-    A pass reads non-scope rows in one of two ways:
-
-    * **span hook** — :meth:`select_span` picks the pass's rows of a whole
-      span ``[lo, hi)`` (one block, one region) in one set of vector ops,
-      and :meth:`consume_selected` consumes one segment's slice of that
-      selection.  The built-in passes work this way;
-    * **per segment** — a pass that does not override :meth:`select_span`
-      gets every segment through :meth:`consume_columns`.
-
-    Either way it declares the non-scope record kinds it reads in
-    :attr:`column_kinds`.  Scope records arrive through the
-    ``on_alloca`` / ``on_call`` / ``on_ret`` handlers; the engine inspects
-    which of them a subclass overrides and calls exactly those.  Every
-    callback receives the region constant (``REGION_BEFORE`` /
+    A pass reads non-scope rows through one API: :meth:`select_span` picks
+    the pass's rows of a whole span ``[lo, hi)`` (one block, one region) in
+    one set of vector ops, and :meth:`consume_selected` consumes one
+    segment's slice of that selection.  Scope records arrive through the
+    ``on_alloca`` / ``on_call`` / ``on_ret`` handlers.  The engine inspects
+    which of these methods a subclass overrides and calls exactly those.
+    Every callback receives the region constant (``REGION_BEFORE`` /
     ``REGION_INSIDE`` / ``REGION_AFTER``) it executes in.
     """
-
-    #: Non-scope record kinds (``KIND_*``) the pass reads.  The static
-    #: prefilter counts a row outside the loop as skipped only when some
-    #: registered pass declared its kind.
-    column_kinds: FrozenSet[int] = frozenset()
 
     # -- scope records --------------------------------------------------- #
     def on_alloca(self, record: TraceRecord, region: int) -> None:
@@ -243,7 +210,7 @@ class AnalysisPass:
     def select_span(self, block, lo: int, hi: int,
                     region: int) -> Optional[SpanSelection]:
         """Select the rows this pass reads in span ``[lo, hi)`` of
-        ``block``, all in ``region`` (optional span hook).
+        ``block``, all in ``region``.
 
         Return a :class:`SpanSelection` of the span's rows (it must hold
         no ``Alloca`` / ``Call`` / ``Ret`` or unknown-opcode row), or None
@@ -256,24 +223,11 @@ class AnalysisPass:
         """Consume one segment's slice of this pass's span selection.
 
         ``selected`` is :meth:`SpanSelection.take` of the segment, never
-        empty: its rows in order (a list), or its field tuples — narrowed
-        to the static prefilter's surviving rows when it applies.  Segments
+        empty: its rows in order (a list), or its field tuples.  Segments
         never contain ``Alloca`` / ``Call`` / ``Ret`` records (those carry
         engine actions and arrive through the scope handlers), all rows of
         a segment share ``region``, and the shared variable map is
         constant across the segment.
-        """
-
-    def consume_columns(self, block, start: int, stop: int, region: int,
-                        rows: Optional[List[int]] = None) -> None:
-        """Consume one segment of a decoded block (passes without
-        :meth:`select_span`).
-
-        Consume rows ``[start, stop)`` of ``block`` (a
-        :class:`~repro.trace.columnar.ColumnarBlock`) — or exactly ``rows``
-        (ascending, within that range) when the static prefilter narrowed
-        the segment — in row order, under the guarantees
-        :meth:`consume_selected` lists.
         """
 
     # -- structural callbacks ------------------------------------------ #
@@ -349,35 +303,10 @@ class AnalysisEngine:
     """
 
     def __init__(self, spec: MainLoopSpec, passes: Sequence[AnalysisPass],
-                 variable_map: Optional[VariableMap] = None,
-                 prefilter: Optional[object] = None) -> None:
+                 variable_map: Optional[VariableMap] = None) -> None:
         self.spec = spec
         self.passes: List[AnalysisPass] = list(passes)
         self.varmap = variable_map if variable_map is not None else VariableMap()
-        # Optional static skip filter (repro.static.prefilter.StaticPrefilter,
-        # duck-typed to avoid a core -> static import cycle).  Consulted only
-        # for records *outside* the loop region, and only valid for pass sets
-        # that — like the pipeline's — gate non-memory kinds to the inside
-        # region.  Engine-side actions (Alloca registration, scope
-        # open/close) always run; only pass dispatch is skipped.  Filters
-        # exposing ``make_skip_plan()`` split the decision into a
-        # membership-testable always-skip opcode set plus a closure for the
-        # rest.
-        self._prefilter_obj = prefilter
-        if prefilter is None:
-            self._prefilter_skip = None
-            self._prefilter_always: frozenset = frozenset()
-        else:
-            make_plan = getattr(prefilter, "make_skip_plan", None)
-            if make_plan is not None:
-                self._prefilter_always, self._prefilter_skip = make_plan()
-            else:
-                self._prefilter_always = frozenset()
-                self._prefilter_skip = prefilter.should_skip
-        self.skipped_records = 0
-        #: per-trace columnar state; built on the first block walked
-        self._col_tables_key: Optional[int] = None
-        self._col_id_of: Dict[str, int] = {}
         self._pending_activation: Optional[str] = None
         self._activation_callbacks = tuple(
             p.on_activation for p in self.passes
@@ -389,17 +318,11 @@ class AnalysisEngine:
             p.on_return for p in self.passes
             if type(p).on_return is not AnalysisPass.on_return)
         # Segment consumers in registration order: (slot, select_span,
-        # consume_selected) for span-hooked passes, (slot, None,
-        # consume_columns) for per-segment ones.
-        self._segment_plan: List[Tuple[int, Optional[Callable],
-                                       Callable]] = []
-        for slot, p in enumerate(self.passes):
-            if type(p).select_span is not AnalysisPass.select_span:
-                self._segment_plan.append(
-                    (slot, p.select_span, p.consume_selected))
-            elif (type(p).consume_columns
-                    is not AnalysisPass.consume_columns):
-                self._segment_plan.append((slot, None, p.consume_columns))
+        # consume_selected) for every pass with the span hook.
+        self._segment_plan: List[Tuple[int, Callable, Callable]] = [
+            (slot, p.select_span, p.consume_selected)
+            for slot, p in enumerate(self.passes)
+            if type(p).select_span is not AnalysisPass.select_span]
         #: seconds spent waiting for the next block (the decode)
         self.decode_seconds = 0.0
         #: seconds spent materializing and processing scope records
@@ -421,14 +344,6 @@ class AnalysisEngine:
                 is not getattr(AnalysisPass, method_name))
             self._plan[raw] = (_ACTION_BY_KIND[kind], callbacks)
         self._default_plan: Tuple[int, Tuple[Callable, ...]] = (_ACT_UNKNOWN, ())
-        #: opcodes some pass listens to — outside the loop, the prefilter
-        #: counts exactly these rows as skipped
-        column_kinds = frozenset().union(*(p.column_kinds
-                                           for p in self.passes))
-        self._subscribed = frozenset(
-            [op for op, (_, cbs) in self._plan.items() if cbs]
-            + [op for op, kind in KIND_BY_OPCODE.items()
-               if kind in column_kinds])
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -456,8 +371,7 @@ class AnalysisEngine:
         hi)`` triples, and each walked span is split into segments at its
         scope records: a pass selects its rows once per span
         (:meth:`AnalysisPass.select_span`) and consumes them segment by
-        segment (:meth:`AnalysisPass.consume_selected`, or
-        :meth:`AnalysisPass.consume_columns` without the span hook).
+        segment (:meth:`AnalysisPass.consume_selected`).
 
         Args:
             blocks: the trace's blocks in stream order, e.g. from
@@ -486,7 +400,6 @@ class AnalysisEngine:
             self.decode_seconds += _clock() - started
             if block is None:
                 break
-            self._prepare_columnar(block)
             spec_fid = block.id_of.get(spec.function, -1)
             hits = block.loop_rows(spec_fid, spec.start_line, spec.end_line)
             if not hits:
@@ -535,65 +448,6 @@ class AnalysisEngine:
             last_loop_dyn_id=last_dyn,
         )
 
-    def _prepare_columnar(self, block) -> None:
-        """Build the per-trace columnar tables (id-keyed prefilter sets).
-
-        Keyed on the block's string-table identity: one build per trace,
-        re-entered for free on every subsequent block.
-        """
-        key = id(block.strings)
-        if self._col_tables_key == key:
-            return
-        self._col_tables_key = key
-        self._col_id_of = block.id_of
-        if self._prefilter_skip is None:
-            return
-        always = self._prefilter_always
-        subscribed = self._subscribed
-        #: opcodes counted as skipped with one membership test
-        count_set = frozenset(op for op in subscribed if op in always)
-        #: opcodes needing the per-record memory decision
-        mem_set = frozenset(op for op in subscribed
-                            if op not in always
-                            and KIND_BY_OPCODE[op] not in _SCOPE_KINDS)
-        self._col_count_set = count_set
-        self._col_mem_set = mem_set
-        if _np is not None:
-            count_lut = _np.zeros(_MAX_OPCODE + 1, dtype=_np.int64)
-            mem_lut = _np.zeros(_MAX_OPCODE + 1, dtype=bool)
-            for op in count_set:
-                count_lut[op] = 1
-            for op in mem_set:
-                mem_lut[op] = True
-            self._col_count_lut = count_lut
-            self._col_mem_lut = mem_lut
-        # Structured filters (repro.static.prefilter.StaticPrefilter shape)
-        # expose their raw tables; translating them to string-table ids
-        # turns the per-record decision into two list loads and a frozenset
-        # probe.  Anything else falls back to materializing the candidate
-        # records for its should_skip closure.
-        prefilter = self._prefilter_obj
-        registers = getattr(prefilter, "skip_registers", None)
-        names = getattr(prefilter, "skip_names", None)
-        spec_function = getattr(prefilter, "spec_function", None)
-        include = getattr(prefilter, "include_global_accesses_in_calls", None)
-        self._col_structured = (
-            registers is not None and names is not None
-            and spec_function is not None and include is not None
-            and mem_set <= _COLUMNAR_POINTER_OPERAND.keys())
-        if self._col_structured:
-            id_of = block.id_of
-            self._col_spec_fid = id_of.get(spec_function, -1)
-            self._col_include = include
-            self._col_reg_ids = {
-                id_of[fn]: frozenset(
-                    id_of[n] for n in table if n in id_of)
-                for fn, table in registers.items() if fn in id_of}
-            self._col_name_ids = {
-                id_of[fn]: frozenset(
-                    id_of[n] for n in table if n in id_of)
-                for fn, table in names.items() if fn in id_of}
-
     def _break_rows(self, block, lo: int, hi: int):
         """Rows in ``[lo, hi)`` the walk must materialize individually:
         scope opcodes (engine actions) and unknown opcodes (loud failure
@@ -619,16 +473,13 @@ class AnalysisEngine:
                             region)
 
     def _walk_span(self, block, lo: int, hi: int, region: int) -> None:
-        """Walk span ``[lo, hi)``: every span-hooked pass selects its rows
-        of the whole span first, each segment then hands every pass its
-        slice, and the span's selections are dropped on return."""
+        """Walk span ``[lo, hi)``: every pass selects its rows of the whole
+        span first, each segment then hands every pass its slice, and the
+        span's selections are dropped on return."""
         breaks, np_breaks = self._break_rows(block, lo, hi)
         spent = self.pass_seconds
         plan = []
         for slot, select, consume in self._segment_plan:
-            if select is None:
-                plan.append((slot, consume, None))
-                continue
             started = _clock()
             selection = select(block, lo, hi, region)
             if selection is not None and len(selection):
@@ -659,106 +510,19 @@ class AnalysisEngine:
         pending = self._pending_activation
         if pending is not None:
             self._pending_activation = None
-            if block.function_id[lo] == self._col_id_of.get(pending, -1):
+            if block.function_id[lo] == block.id_of.get(pending, -1):
                 self.varmap.enter_scope(pending)
                 for callback in self._activation_callbacks:
                     callback(pending, region)
-        rows: Optional[List[int]] = None
-        keep = None
-        if self._prefilter_skip is not None and region != REGION_INSIDE:
-            rows, skipped = self._columnar_survivors(block, lo, hi, region)
-            self.skipped_records += skipped
-            if not rows:
-                return
-            keep = frozenset(rows)
         spent = self.pass_seconds
         last = _clock()
         for slot, consume, selection in plan:
-            if selection is None:
-                consume(block, lo, hi, region, rows)
-            else:
-                selected = (selection.take(segment) if keep is None
-                            else selection.take_kept(segment, keep))
-                if selected:
-                    consume(block, region, selected)
+            selected = selection.take(segment)
+            if selected:
+                consume(block, region, selected)
             now = _clock()
             spent[slot] += now - last
             last = now
-
-    def _columnar_survivors(self, block, lo: int, hi: int,
-                            region: int) -> Tuple[List[int], int]:
-        """Prefilter one outside-loop segment: (surviving rows, skipped).
-
-        Rows whose opcode is always-skippable *and* subscribed count as
-        skipped in bulk; memory rows go through the structured id-table
-        decision (or the filter's own closure over materialized records
-        for non-structured filters); rows no pass subscribed to contribute
-        nothing.
-        """
-        skipped = 0
-        if _np is not None and block.np_opcode is not None:
-            ops = block.np_opcode[lo:hi]
-            skipped = int(self._col_count_lut[ops].sum())
-            memory_rows = (_np.flatnonzero(self._col_mem_lut[ops])
-                           + lo).tolist()
-        else:
-            count_set = self._col_count_set
-            mem_set = self._col_mem_set
-            opcode = block.opcode
-            memory_rows = []
-            for row in range(lo, hi):
-                op = opcode[row]
-                if op in count_set:
-                    skipped += 1
-                elif op in mem_set:
-                    memory_rows.append(row)
-        if not memory_rows:
-            return memory_rows, skipped
-        survivors: List[int] = []
-        keep = survivors.append
-        if not self._col_structured:
-            skip = self._prefilter_skip
-            record_of = block.record
-            for row in memory_rows:
-                if skip(record_of(row), region):
-                    skipped += 1
-                else:
-                    keep(row)
-            return survivors, skipped
-        opcode = block.opcode
-        function_id = block.function_id
-        op_start = block.op_start
-        has_result = block.has_result
-        op_flags = block.op_flags
-        op_name_id = block.op_name_id
-        pointer_operand = _COLUMNAR_POINTER_OPERAND
-        spec_fid = self._col_spec_fid
-        include = self._col_include
-        registers_get = self._col_reg_ids.get
-        names_get = self._col_name_ids.get
-        before = region == REGION_BEFORE
-        gep = _GEP_OPCODE
-        for row in memory_rows:
-            op = opcode[row]
-            fid = function_id[row]
-            if before:
-                if fid != spec_fid and not include:
-                    skipped += 1
-                    continue
-            elif op == gep:
-                skipped += 1
-                continue
-            operand_index = pointer_operand[op]
-            start = op_start[row]
-            if op_start[row + 1] - start - has_result[row] > operand_index:
-                slot = start + operand_index
-                table = (registers_get(fid) if op_flags[slot] & 1
-                         else names_get(fid))
-                if table is not None and op_name_id[slot] in table:
-                    skipped += 1
-                    continue
-            keep(row)
-        return survivors, skipped
 
     # ------------------------------------------------------------------ #
     # Scope records
@@ -788,17 +552,8 @@ class AnalysisEngine:
             self.varmap.exit_scope(record.function)
             for callback in self._return_callbacks:
                 callback(record, region)
-        if callbacks:
-            skip = self._prefilter_skip
-            if skip is None or region == REGION_INSIDE:
-                for callback in callbacks:
-                    callback(record, region)
-            elif (record.opcode in self._prefilter_always
-                    or skip(record, region)):
-                self.skipped_records += 1
-            else:
-                for callback in callbacks:
-                    callback(record, region)
+        for callback in callbacks:
+            callback(record, region)
         if action == _ACT_CALL and record.callee:
             self._pending_activation = record.callee
 

@@ -27,10 +27,7 @@ from repro.core.classify import classify_variables
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.contraction import contract_ddg
 from repro.core.dependency import DependencyPass
-from repro.core.errors import AnalysisError
 from repro.core.engine import (
-    KIND_LOAD,
-    KIND_STORE,
     REGION_INSIDE,
     AnalysisEngine,
     AnalysisPass,
@@ -38,18 +35,11 @@ from repro.core.engine import (
     SpanSelection,
 )
 from repro.core.preprocessing import MLICollectionPass
-from repro.core.report import (
-    AutoCheckReport,
-    CacheInfo,
-    PrefilterInfo,
-    TraceStats,
-)
+from repro.core.report import AutoCheckReport, CacheInfo, TraceStats
 from repro.core.rwdeps import RWExtractionPass
 from repro.core.varmap import VariableInfo, VariableMap
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
-from repro.static.prefilter import StaticPrefilter, build_prefilter
-from repro.static.summary import StaticModuleAnalysis, analyze_module
 from repro.trace.binio import encode_trace, is_binary_trace_file, read_layout
 from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace
@@ -82,8 +72,6 @@ class InductionProbePass(AnalysisPass):
     (it is read to test the condition and written to advance).  Resolution
     goes through the engine's shared live map at access time.
     """
-
-    column_kinds = frozenset((KIND_LOAD, KIND_STORE))
 
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec) -> None:
         self.varmap = varmap
@@ -162,8 +150,6 @@ class PassWalk:
     #: the induction variable known before the walk (config or static
     #: loop analysis), if any
     induction_name: Optional[str]
-    #: records the static prefilter kept from pass dispatch
-    skipped_records: int = 0
 
 
 class AutoCheck:
@@ -179,7 +165,6 @@ class AutoCheck:
         self._trace = trace
         self._trace_path = trace_path
         self._module = module
-        self._static: Optional[StaticModuleAnalysis] = None
         #: the input as an in-memory binary trace and its content digest,
         #: for inputs that are not a version-2 binary file (one encode
         #: serves both the walk and :meth:`cache_key`; the bytes are
@@ -229,30 +214,6 @@ class AutoCheck:
             return None
         induction = find_induction_variable(function, loop)
         return induction.name if induction is not None else None
-
-    def _static_analysis(self) -> StaticModuleAnalysis:
-        """The memoized spec-bearing static analysis (prefilter path).
-
-        Raises:
-            AnalysisError: when no module was supplied, or the main-loop
-                function does not exist in it — the static prefilter has
-                nothing sound to derive its skip tables from.
-        """
-        if self._static is None:
-            spec = self.config.main_loop
-            if self._module is None:
-                raise AnalysisError(
-                    "static_prefilter needs the compiled IR module: pass "
-                    "module=... to AutoCheck (or --source on the CLI)")
-            if spec.function not in self._module.functions:
-                raise AnalysisError(
-                    f"static_prefilter: main-loop function "
-                    f"{spec.function!r} does not exist in the module")
-            self._static = analyze_module(
-                self._module, spec=spec,
-                include_global_accesses_in_calls=(
-                    self.config.include_global_accesses_in_calls))
-        return self._static
 
     @staticmethod
     def _latest_main_loop_variable(varmap: VariableMap, spec: MainLoopSpec,
@@ -323,15 +284,8 @@ class AutoCheck:
         static_induction = None
         if self.config.induction_variable is None:
             static_induction = self._static_induction_name()
-        # A prefiltered run keys on the static analysis too: should the
-        # skip tables ever be wrong, the bad entry stays quarantined from
-        # unfiltered runs instead of poisoning them.
-        static_fingerprint = None
-        if self.config.static_prefilter:
-            static_fingerprint = self._static_analysis().fingerprint()
         fingerprint = config_fingerprint(self.config,
-                                         static_induction=static_induction,
-                                         static_fingerprint=static_fingerprint)
+                                         static_induction=static_induction)
         return ArtifactAddress(key=artifact_key(trace_digest, fingerprint),
                                trace_digest=trace_digest,
                                fingerprint=fingerprint)
@@ -372,8 +326,7 @@ class AutoCheck:
 
         Raises:
             AnalysisError: when no record falls inside the main loop range,
-                a record carries an unknown opcode, or ``static_prefilter``
-                is set without a usable module.
+                or a record carries an unknown opcode.
         """
         timings = timings if timings is not None else TimingBreakdown()
         config = self.config
@@ -385,10 +338,6 @@ class AutoCheck:
         induction_name = config.induction_variable
         if induction_name is None:
             induction_name = self._static_induction_name()
-
-        prefilter: Optional[StaticPrefilter] = None
-        if config.static_prefilter:
-            prefilter = build_prefilter(self._static_analysis())
 
         with timings.stage("preprocessing"):
             reader = self._open_reader()
@@ -410,8 +359,7 @@ class AutoCheck:
                 probe = InductionProbePass(varmap, spec)
                 passes.append(probe)
 
-            engine = AnalysisEngine(spec, passes, variable_map=varmap,
-                                    prefilter=prefilter)
+            engine = AnalysisEngine(spec, passes, variable_map=varmap)
             globals_ = reader.layout.globals
             engine.add_globals(globals_)
             blocks = reader.iter_blocks()
@@ -429,8 +377,7 @@ class AutoCheck:
             timings.add(stage, seconds)
         return PassWalk(walk=walk, varmap=varmap, global_count=len(globals_),
                         mli=mli_pass, dependency=dep_pass, rw=rw_pass,
-                        probe=probe, induction_name=induction_name,
-                        skipped_records=engine.skipped_records)
+                        probe=probe, induction_name=induction_name)
 
     def _run_engine(self) -> AutoCheckReport:
         """Walk, identify and package the report (no cache involved)."""
@@ -457,7 +404,7 @@ class AutoCheck:
                                           induction=induction_name,
                                           induction_info=induction_info)
 
-        report = AutoCheckReport(
+        return AutoCheckReport(
             main_loop=spec,
             critical_variables=critical,
             mli_variable_names=preprocessing.mli_names(),
@@ -474,13 +421,6 @@ class AutoCheck:
                 global_count=passes.global_count,
             ),
         )
-        if self.config.static_prefilter:
-            analysis = self._static_analysis()
-            report.prefilter_info = PrefilterInfo(
-                skipped_records=passes.skipped_records,
-                candidate_count=len(analysis.candidate_ids),
-                static_fingerprint=analysis.fingerprint())
-        return report
 
 
 def analyze_trace(trace: Union[Trace, str], main_loop: MainLoopSpec,

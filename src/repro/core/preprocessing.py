@@ -33,23 +33,20 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import MainLoopSpec
-from repro.core.engine import (
-    _COLUMNAR_POINTER_OPERAND,
-    KIND_GEP,
-    KIND_LOAD,
-    KIND_STORE,
-    REGION_AFTER,
-    AnalysisPass,
-    SpanSelection,
-)
+from repro.core.engine import REGION_AFTER, AnalysisPass, SpanSelection
 from repro.core.varmap import VariableInfo, VariableMap
+from repro.ir.opcodes import Opcode
 
 #: memo-miss sentinel (``None`` is a valid resolution outcome)
 _MISS = object()
 
+#: opcode -> index of the pointer operand the MLI pass collects from
+_POINTER_OPERAND = {
+    int(Opcode.LOAD): 0, int(Opcode.STORE): 1, int(Opcode.GETELEMENTPTR): 0}
+
 #: the opcodes that carry a pointer operand — what the MLI span selection
 #: picks
-_POINTER_OPCODES = tuple(_COLUMNAR_POINTER_OPERAND)
+_POINTER_OPCODES = tuple(_POINTER_OPERAND)
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,6 @@ class MLICollectionPass(AnalysisPass):
     the sets updated through the current segment.
     """
 
-    column_kinds = frozenset((KIND_LOAD, KIND_STORE, KIND_GEP))
-
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec,
                  include_global_accesses_in_calls: bool = False) -> None:
         self.varmap = varmap
@@ -165,7 +160,7 @@ class MLICollectionPass(AnalysisPass):
         has_result = block.has_result
         op_address = block.op_address
         resolve = self.varmap.resolve
-        pointer_operand = _COLUMNAR_POINTER_OPERAND
+        pointer_operand = _POINTER_OPERAND
         spec_function = self.spec.function
         spec_fid = block.id_of.get(spec_function, -1)
         include = self.include_global_accesses_in_calls

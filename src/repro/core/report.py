@@ -75,26 +75,6 @@ class CacheInfo:
     path: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PrefilterInfo:
-    """How the static engine prefilter shaped one run.
-
-    Attached by the pipeline when
-    :attr:`repro.core.config.AutoCheckConfig.static_prefilter` is on.
-    Like :class:`CacheInfo` this is per-run provenance, not analysis
-    content: the report with and without the prefilter is identical (the
-    equality tests assert exactly that), so the skip counters are
-    excluded from report equality and from the serialized form.
-    """
-
-    #: Records whose pass dispatch was skipped by the static filter.
-    skipped_records: int
-    #: Size of the static MLI-candidate set the filter was derived from.
-    candidate_count: int
-    #: Fingerprint of the static analysis (joins the cache key).
-    static_fingerprint: str
-
-
 @dataclass
 class AutoCheckReport:
     """Everything AutoCheck produces for one benchmark run."""
@@ -112,10 +92,6 @@ class AutoCheckReport:
     #: excluded from equality and from the serialized form.
     cache_info: Optional[CacheInfo] = field(default=None, compare=False,
                                             repr=False)
-    #: Static-prefilter provenance (skip counters) — per-run metadata,
-    #: excluded from equality and serialization like ``cache_info``.
-    prefilter_info: Optional[PrefilterInfo] = field(default=None,
-                                                    compare=False, repr=False)
 
     # ------------------------------------------------------------------ #
     # Convenience accessors
@@ -177,10 +153,4 @@ class AutoCheckReport:
             lines.append(f"Artifact cache: {status}, "
                          f"key={self.cache_info.key[:16]}…, "
                          f"trace={self.cache_info.trace_digest[:16]}…")
-        if self.prefilter_info is not None:
-            lines.append(
-                f"Static prefilter: "
-                f"{self.prefilter_info.skipped_records} records skipped "
-                f"pass dispatch "
-                f"({self.prefilter_info.candidate_count} static candidates)")
         return "\n".join(lines)

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Container, Dict, List, Optional, Set
 
 from repro.core.engine import (
-    KIND_LOAD,
-    KIND_STORE,
     REGION_BEFORE,
     REGION_INSIDE,
     AnalysisPass,
@@ -96,8 +94,6 @@ class RWExtractionPass(AnalysisPass):
     bounds the tentative event lists without losing any MLI event.  The
     final filter to the matched MLI set happens in :meth:`build`.
     """
-
-    column_kinds = frozenset((KIND_LOAD, KIND_STORE))
 
     def __init__(self, varmap: VariableMap,
                  candidates: Optional[Container[str]] = None) -> None:

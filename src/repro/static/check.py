@@ -246,7 +246,6 @@ def _check_edge(parent_key: str, child_key: str, ddg: DDG,
 # --------------------------------------------------------------------------- #
 def cross_check(module: Module, spec: MainLoopSpec,
                 report: AutoCheckReport, *,
-                include_global_accesses_in_calls: bool = False,
                 analysis: Optional[StaticModuleAnalysis] = None,
                 ) -> List[StaticDiagnostic]:
     """Verify ``report`` against the static analysis of ``module``.
@@ -263,9 +262,7 @@ def cross_check(module: Module, spec: MainLoopSpec,
             function=spec.function))
         return diagnostics
     if analysis is None:
-        analysis = analyze_module(
-            module, spec=spec,
-            include_global_accesses_in_calls=include_global_accesses_in_calls)
+        analysis = analyze_module(module, spec=spec)
 
     if analysis.main_loop is None:
         diagnostics.append(StaticDiagnostic(
@@ -313,12 +310,8 @@ def cross_check(module: Module, spec: MainLoopSpec,
 
 def require_clean(module: Module, spec: MainLoopSpec,
                   report: AutoCheckReport, *,
-                  include_global_accesses_in_calls: bool = False,
                   analysis: Optional[StaticModuleAnalysis] = None) -> None:
     """:func:`cross_check`, raising :class:`StaticCheckError` on violations."""
-    diagnostics = cross_check(
-        module, spec, report,
-        include_global_accesses_in_calls=include_global_accesses_in_calls,
-        analysis=analysis)
+    diagnostics = cross_check(module, spec, report, analysis=analysis)
     if diagnostics:
         raise StaticCheckError(diagnostics)

@@ -14,9 +14,9 @@ A set of ids is a *may* set: the analysis guarantees that the concrete
 variable a pointer operand resolves to at run time is covered by the set
 (or the set contains :data:`TOP`).  That over-approximation direction is
 what makes the static MLI candidates of :mod:`repro.static.summary` a
-sound superset of the dynamic MLI set, and what licenses the engine
-prefilter of :mod:`repro.static.prefilter` (see ``docs/static.md`` for
-the full soundness argument, including the in-bounds-indexing caveat).
+sound superset of the dynamic MLI set, which the cross-check oracle of
+:mod:`repro.static.check` relies on (see ``docs/static.md`` for the full
+soundness argument, including the in-bounds-indexing caveat).
 
 Pointer-typed function parameters and pointer-typed memory cells are
 resolved **interprocedurally**: a module-level fixpoint

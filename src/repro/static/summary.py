@@ -23,16 +23,10 @@ it computes:
   ``u → v`` means "a run could make ``v`` depend on ``u``".  Every
   var→var edge the dynamic analysis can produce is covered by an
   ancestor path here (checked fleet-wide by ``tests/test_static_check.py``).
-
-The :meth:`StaticModuleAnalysis.fingerprint` digest joins the artifact
-store's cache key when the engine prefilter is on: two runs whose static
-skip decisions could differ must never share a store entry.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -184,7 +178,6 @@ class StaticModuleAnalysis:
     #: store whose stored value is that register (DDG-edge feasibility).
     store_value_targets: Dict[str, Dict[int, Set[VarId]]]
     spec: Optional[MainLoopSpec] = None
-    include_global_accesses_in_calls: bool = False
     #: The statically identified main computation loop (None without a
     #: spec, or when no loop header lies in the MCLR range).
     main_loop: Optional[Loop] = None
@@ -212,39 +205,6 @@ class StaticModuleAnalysis:
 
     def is_candidate_name(self, name: str) -> bool:
         return name in self.candidate_names
-
-    def fingerprint(self) -> str:
-        """Deterministic digest of every input the prefilter depends on.
-
-        Covers the candidate set, the spec, the global-access switch and
-        a structural digest of the module IR — anything that can change a
-        skip decision changes the fingerprint, so prefiltered runs never
-        share a cache entry with runs that could filter differently.
-        """
-        payload = {
-            "spec": None if self.spec is None else [
-                self.spec.function, self.spec.start_line, self.spec.end_line],
-            "include_global_accesses_in_calls":
-                self.include_global_accesses_in_calls,
-            "candidates": sorted("/".join(v) for v in self.candidate_ids),
-            "saw_top": self.saw_top,
-            "inside_functions": sorted(self.inside_functions),
-            "module": _module_digest(self.module),
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
-
-
-def _module_digest(module: Module) -> str:
-    parts: List[str] = [g.name for g in module.globals]
-    for name, function in sorted(module.functions.items()):
-        parts.append(f"fn:{name}")
-        for block in function.blocks:
-            parts.append(f"bb:{block.name}")
-            for inst in block.instructions:
-                rid = inst.result.rid if inst.result is not None else -1
-                parts.append(f"{int(inst.opcode)}:{rid}:{inst.line}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------- #
@@ -413,7 +373,6 @@ def _collect_candidates(module: Module, spec: MainLoopSpec,
 
 
 def analyze_module(module: Module, spec: Optional[MainLoopSpec] = None,
-                   include_global_accesses_in_calls: bool = False,
                    ) -> StaticModuleAnalysis:
     """Run the full static analysis over ``module``.
 
@@ -421,9 +380,6 @@ def analyze_module(module: Module, spec: Optional[MainLoopSpec] = None,
         module: the compiled IR module.
         spec: the dynamic pipeline's main-loop location; enables the
             spec-derived results (static main loop, MLI candidates).
-        include_global_accesses_in_calls: mirror of the dynamic config
-            switch — it changes which records the prefilter may skip, so
-            it is part of the analysis identity (and fingerprint).
 
     Returns:
         The populated :class:`StaticModuleAnalysis`.
@@ -458,7 +414,6 @@ def analyze_module(module: Module, spec: Optional[MainLoopSpec] = None,
         static_ddg=static_ddg,
         store_value_targets=store_value_targets,
         spec=spec,
-        include_global_accesses_in_calls=include_global_accesses_in_calls,
     )
 
     if spec is not None and spec.function in functions:

@@ -66,8 +66,7 @@ def default_cache_dir() -> str:
 
 
 def config_fingerprint(config: AutoCheckConfig,
-                       static_induction: Optional[str] = None,
-                       static_fingerprint: Optional[str] = None) -> str:
+                       static_induction: Optional[str] = None) -> str:
     """Hex SHA-256 over the config fields that determine the report.
 
     Per-run plumbing (the progress callback) is excluded on purpose — it
@@ -79,15 +78,6 @@ def config_fingerprint(config: AutoCheckConfig,
     because it is an analysis *input* that lives outside the config: a run
     with the module at hand and one without it may detect the induction
     variable differently, and the two must never share a store entry.
-
-    ``static_fingerprint`` is the digest of the static analysis driving
-    the engine prefilter
-    (:meth:`repro.static.summary.StaticModuleAnalysis.fingerprint`).  It
-    joins the fingerprint **only when prefiltering is on** (``None``
-    otherwise, which leaves the hash identical to pre-prefilter builds):
-    the prefiltered report is proven equal to the unfiltered one, but
-    keying it separately quarantines any future skip-table bug to
-    prefiltered entries instead of poisoning unfiltered runs.
     """
     spec = config.main_loop
     semantic = {
@@ -99,8 +89,6 @@ def config_fingerprint(config: AutoCheckConfig,
         "induction_variable": config.induction_variable,
         "static_induction": static_induction,
     }
-    if static_fingerprint is not None:
-        semantic["static_prefilter"] = static_fingerprint
     encoded = json.dumps(semantic, sort_keys=True).encode()
     return hashlib.sha256(encoded).hexdigest()
 

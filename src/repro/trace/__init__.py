@@ -17,11 +17,7 @@ This package plays the role of LLVM-Tracer's output format:
   at write time — what the artifact store (:mod:`repro.store`) keys
   analysis results on;
 * :mod:`repro.trace.columnar` — the decoder the analysis walks: whole runs
-  of binary record blocks become parallel column arrays;
-* :mod:`repro.trace.partition` — block-boundary-preserving partitioning of a
-  trace file into sub-streams parsed concurrently into an in-memory trace,
-  reproducing the OpenMP pre-processing optimization of paper Sec. V-A
-  (byte-exact for both encodings).
+  of binary record blocks become parallel column arrays.
 
 Choosing an encoding: the text format is greppable and diff-friendly but
 slow to parse and unable to represent names containing commas or newlines;
@@ -59,16 +55,9 @@ from repro.trace.binio import (
     encode_trace,
     is_binary_trace_file,
     iter_trace_file_binary,
-    partition_offsets_binary,
     read_trace_file_binary,
-    read_trace_file_binary_parallel,
     verify_content_digest,
     write_trace_file_binary,
-)
-from repro.trace.partition import (
-    TracePartition,
-    partition_offsets,
-    read_trace_file_parallel,
 )
 
 __all__ = [
@@ -95,12 +84,7 @@ __all__ = [
     "encode_trace",
     "is_binary_trace_file",
     "iter_trace_file_binary",
-    "partition_offsets_binary",
     "read_trace_file_binary",
-    "read_trace_file_binary_parallel",
     "verify_content_digest",
     "write_trace_file_binary",
-    "TracePartition",
-    "partition_offsets",
-    "read_trace_file_parallel",
 ]

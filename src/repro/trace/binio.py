@@ -45,9 +45,8 @@ All strings in record blocks are interned into the footer's string table and
 referenced by u32 id, which both shrinks the file and makes decoding a list
 lookup instead of a utf-8 decode.  The block index stores the byte offset of
 every ``INDEX_STRIDE``-th record block, so a reader can seek to (almost) any
-record without scanning, and :func:`partition_offsets_binary` can split the
-file into exact block-aligned byte ranges without reading record data at all
-(the parallel reader of :mod:`repro.trace.partition`, paper Sec. V-A).
+record without scanning, and the columnar decoder can step through whole
+index blocks in lockstep.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ import hashlib
 import io
 import os
 import struct
-from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -901,95 +898,3 @@ def iter_trace_file_binary(path: str,
                            start_record: int = 0) -> Iterator[TraceRecord]:
     """Stream the records of a binary trace without materializing the trace."""
     return TraceBinaryReader(path).iter_records(start_record=start_record)
-
-
-# --------------------------------------------------------------------------- #
-# Partitioned (parallel) reading
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BinaryPartition:
-    """A byte range of record blocks, exact by construction."""
-
-    index: int
-    start: int
-    end: int
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
-
-def partition_offsets_binary(path_or_layout: Union[str, BinaryTraceLayout],
-                             num_partitions: int) -> List[BinaryPartition]:
-    """Split the record region into block-aligned byte ranges via the index.
-
-    Unlike the text partitioner there is no boundary *scanning*: every
-    candidate boundary comes from the block index, so it is a record start
-    by construction and the split is pure byte arithmetic.
-    """
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    layout = (path_or_layout if isinstance(path_or_layout, BinaryTraceLayout)
-              else read_layout(path_or_layout))
-    start, end = layout.records_start, layout.records_end
-    boundaries = [start]
-    for part in range(1, num_partitions):
-        target = start + ((end - start) * part) // num_partitions
-        entry = bisect_right(layout.block_offsets, target)
-        aligned = layout.block_offsets[entry] if entry < len(
-            layout.block_offsets) else end
-        boundaries.append(max(aligned, boundaries[-1]))
-    boundaries.append(end)
-    return [BinaryPartition(index=i, start=boundaries[i], end=boundaries[i + 1])
-            for i in range(num_partitions)]
-
-
-def _parse_binary_partition(path: str, start: int, end: int,
-                            strings: Optional[List[str]] = None,
-                            ) -> List[TraceRecord]:
-    """Worker: decode the record blocks in ``[start, end)`` of ``path``."""
-    if end <= start:
-        return []
-    if strings is None:  # process worker: re-read the footer itself
-        strings = read_layout(path).strings
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        buf = _read_exact(handle, end - start)
-    return decode_record_range(buf, 0, len(buf), strings)
-
-
-def read_trace_file_binary_parallel(path: str, num_workers: int = 4,
-                                    use_processes: bool = False) -> Trace:
-    """Read a binary trace by decoding index-aligned partitions concurrently.
-
-    Returns records in file order (identical, record for record, to
-    :func:`read_trace_file_binary`); no post-hoc sort is needed because the
-    partitions tile the record region in order.
-    """
-    layout = read_layout(path)
-    partitions = partition_offsets_binary(layout, max(1, num_workers))
-
-    if len(partitions) == 1 or num_workers <= 1:
-        records = _parse_binary_partition(path, partitions[0].start,
-                                          partitions[-1].end, layout.strings)
-        return Trace(module_name=layout.module_name,
-                     globals=list(layout.globals), records=records)
-
-    executor_cls = ProcessPoolExecutor if use_processes else ThreadPoolExecutor
-    chunks: List[Optional[List[TraceRecord]]] = [None] * len(partitions)
-    shared_strings = None if use_processes else layout.strings
-    with executor_cls(max_workers=num_workers) as executor:
-        futures = {
-            executor.submit(_parse_binary_partition, path, part.start,
-                            part.end, shared_strings): part.index
-            for part in partitions
-        }
-        for future, index in futures.items():
-            chunks[index] = future.result()
-
-    records: List[TraceRecord] = []
-    for chunk in chunks:
-        if chunk:
-            records.extend(chunk)
-    return Trace(module_name=layout.module_name, globals=list(layout.globals),
-                 records=records)

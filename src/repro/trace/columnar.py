@@ -106,7 +106,7 @@ class ColumnarBlock:
     Columns are plain Python lists (cheapest to consume from Python loops);
     ``np_opcode`` / ``np_line`` / ``np_function_id`` mirror three of them as
     numpy arrays when numpy is available, for vectorized masks (loop-row
-    detection, prefilter skip masks).  Operand slots of record ``row`` are
+    detection, span selections).  Operand slots of record ``row`` are
     ``op_start[row]`` to ``op_start[row + 1]`` (the *result* operand, when
     ``has_result[row]``, is the last slot); the record's operand count
     excluding the result is ``op_start[row+1] - op_start[row] -
@@ -248,15 +248,6 @@ class ColumnarBlock:
                 if opcode[row] in wanted
                 and (function_id is None or fids[row] == function_id)
                 and (line is None or lines[row] == line)]
-
-    def span_rows_matching(self, start: int, stop: int, *opcodes: int,
-                           function_id: Optional[int] = None,
-                           line: Optional[int] = None) -> List[int]:
-        """:meth:`match_rows` as a list (for passes that sweep one segment
-        at a time)."""
-        rows = self.match_rows(start, stop, opcodes, function_id=function_id,
-                               line=line)
-        return rows if isinstance(rows, list) else rows.tolist()
 
     def loop_rows(self, function_id: int, start_line: int,
                   end_line: int) -> List[int]:

@@ -13,8 +13,8 @@ information content of LLVM-Tracer's output (paper Fig. 1/6):
 
 Every instruction block starts with a ``0,`` line (exactly as the paper notes
 for LLVM-Tracer: "The first line of every operation block always starts with
-0"), which is what allows the parallel partitioner to split a trace file at
-block boundaries without understanding record internals.
+0"), so a block boundary can be found without understanding record
+internals.
 
 Because the separator is a plain comma with no quoting, names containing
 ``,`` / ``\\n`` / ``\\r`` cannot be represented; the writer *rejects* them at
@@ -220,10 +220,7 @@ def iter_parsed_records(lines: Iterable[str]) -> Iterator[TraceRecord]:
 
 
 def parse_record_lines(lines: Iterable[str]) -> List[TraceRecord]:
-    """Parse a sequence of text lines (no preamble) into records.
-
-    Used both by the serial reader and by the parallel partition workers.
-    """
+    """Parse a sequence of text lines (no preamble) into records."""
     return list(iter_parsed_records(lines))
 
 

@@ -151,6 +151,34 @@ class TestAddressReuseShadowing:
         assert dependency.variable_map.resolve(FRAME + 4) is None
         assert dependency.variable_map.open_scope_count == 0
 
+    def test_zero_parameter_callee_opens_scope_on_a_plain_first_record(self):
+        """The callee's first record need not be an ``Alloca``: when it is
+        an ordinary column row (a Load here), the segment that starts with
+        it opens the scope, so the later ``Alloca`` still retires on Ret."""
+        records = [
+            alloca(1, "main", 2, "acc", ACC, count=1, bits=32),
+            record(2, Opcode.STORE, "main", 3,
+                   operands=[TraceOperand(index="1", bits=32, value=0,
+                                          is_register=False, name=""),
+                             mem("2", "acc", ACC)]),
+            record(3, Opcode.LOAD, "main", 10,
+                   operands=[mem("1", "acc", ACC)], result=reg("r", "1")),
+            record(4, Opcode.CALL, "main", 11, callee="init"),
+            record(5, Opcode.LOAD, "init", 29,
+                   operands=[mem("1", "acc", ACC)], result=reg("r", "3")),
+            alloca(6, "init", 30, "tmp", FRAME, count=4, bits=32),
+            record(7, Opcode.RET, "init", 31),
+            record(8, Opcode.LOAD, "main", 12,
+                   operands=[mem("1", "q", FRAME + 4)], result=reg("r", "9")),
+            record(9, Opcode.STORE, "main", 20,
+                   operands=[reg("1", "1"), mem("2", "acc", ACC)]),
+        ]
+        trace = Trace(module_name="zeroparam", records=records)
+        dependency = _dependency(trace)
+        assert dependency.complete_ddg.parents_of("main%9") == {"main:q"}
+        assert dependency.variable_map.resolve(FRAME) is None
+        assert dependency.variable_map.open_scope_count == 0
+
     def test_builtin_call_opens_no_scope(self):
         """A builtin Call (no traced body follows) must not leave a dangling
         open scope that would swallow the caller's later allocations."""

@@ -3,6 +3,7 @@
 import os
 
 from repro.cli import main
+from repro.trace.binio import write_trace_file_binary
 from repro.trace.textio import write_trace_file
 
 
@@ -156,9 +157,8 @@ class TestStaticCLI:
                      "--static-check"]) == 2
         assert "--source" in capsys.readouterr().err
 
-    def test_analyze_static_check_and_prefilter(self, capsys, tmp_path,
-                                                example_source, example_trace,
-                                                example_spec):
+    def test_analyze_static_check(self, capsys, tmp_path, example_source,
+                                  example_trace, example_spec):
         trace_path = str(tmp_path / "example.trace")
         write_trace_file(example_trace, trace_path)
         source_path = str(tmp_path / "example.mc")
@@ -169,11 +169,79 @@ class TestStaticCLI:
                      "--start", str(example_spec.start_line),
                      "--end", str(example_spec.end_line),
                      "--source", source_path,
-                     "--static-check", "--static-prefilter"]) == 0
+                     "--static-check"]) == 0
         out = capsys.readouterr().out
-        assert "Static cross-check" in out
-        assert "Static prefilter" in out
-        assert "skipped" in out
+        assert "Static cross-check: ok" in out
+
+
+class TestBadInput:
+    """``analyze`` and ``trace`` turn bad input into one ``error:`` line on
+    stderr and exit 2 (1 is the failed-verdict status), never a
+    traceback."""
+
+    def _analyze(self, path, spec, *extra):
+        return main(["analyze", path, "--function", spec.function,
+                     "--start", str(spec.start_line),
+                     "--end", str(spec.end_line), *extra])
+
+    def _assert_error(self, capsys, code, fragment):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_missing_trace_file(self, capsys, tmp_path, example_spec):
+        path = str(tmp_path / "missing.btrace")
+        self._assert_error(capsys, self._analyze(path, example_spec),
+                           "missing.btrace")
+
+    def test_truncated_binary_trace(self, capsys, tmp_path, example_trace,
+                                    example_spec):
+        path = str(tmp_path / "cut.btrace")
+        write_trace_file_binary(example_trace, path)
+        with open(path, "rb") as handle:
+            head = handle.read(3000)
+        with open(path, "wb") as handle:
+            handle.write(head)
+        self._assert_error(capsys, self._analyze(path, example_spec),
+                           "truncated")
+
+    def test_garbage_line_in_text_trace(self, capsys, tmp_path,
+                                        example_trace, example_spec):
+        path = str(tmp_path / "bad.trace")
+        write_trace_file(example_trace, path)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        lines.insert(3, "garbage line here\n")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        self._assert_error(capsys, self._analyze(path, example_spec),
+                           "garbage line here")
+
+    def test_loop_range_without_records(self, capsys, tmp_path,
+                                        example_trace, example_spec):
+        path = str(tmp_path / "example.btrace")
+        write_trace_file_binary(example_trace, path)
+        code = main(["analyze", path, "--function", example_spec.function,
+                     "--start", "90", "--end", "95"])
+        self._assert_error(capsys, code, "main computation loop range 90-95")
+
+    def test_source_that_does_not_compile(self, capsys, tmp_path,
+                                          example_trace, example_spec):
+        source_path = str(tmp_path / "nomain.mc")
+        with open(source_path, "w", encoding="utf-8") as handle:
+            handle.write("int helper() { return 1; }\n")
+        out_path = str(tmp_path / "nomain.btrace")
+        code = main(["trace", source_path, "-o", out_path, "-f", "binary"])
+        self._assert_error(capsys, code, "no 'main' function")
+        assert not os.path.exists(out_path)
+        # the same compile failure through analyze --source
+        trace_path = str(tmp_path / "example.btrace")
+        write_trace_file_binary(example_trace, trace_path)
+        code = self._analyze(trace_path, example_spec, "--source",
+                             source_path)
+        self._assert_error(capsys, code, "no 'main' function")
 
 
 class TestExitCodeConvention:

@@ -10,9 +10,8 @@ Three layers of evidence pin the columnar route down:
    enough to exercise the numpy lockstep scan, the big-integer fallback
    and arbitrary ``start_record`` / ``end_record`` windows.
 2. **Report equality, fleet-wide** — an in-memory trace (encoded into
-   memory, then walked) and a prefiltered walk of the binary file both
-   produce the committed golden report on every bundled app, and the
-   prefilter skips the committed number of records on each.
+   memory, then walked) produces the committed golden report on every
+   bundled app.
 3. **Every input form** — text files and version-1 binary files are
    encoded into memory and walked the same way: same report as the
    version-2 binary file.
@@ -30,7 +29,7 @@ from test_golden_reports import GOLDEN
 from test_property_based import _binary_record_strategy
 
 from repro.core import AutoCheck
-from repro.store.serialize import canonical_report_json, report_to_dict
+from repro.store.serialize import canonical_report_json
 from repro.trace.binio import (
     TraceBinaryReader,
     read_layout,
@@ -185,40 +184,6 @@ def test_fused_columnar_report_identical_on_all_apps(fleet, name):
     report = AutoCheck(entry.config(), trace=trace,
                        module=entry.module).run()
     assert _report_sha256(report) == GOLDEN[name]["report_sha256"]
-
-
-def _without_prefilter_stats(report) -> dict:
-    data = report_to_dict(report)
-    data.pop("timings", None)
-    data.pop("prefilter", None)
-    return data
-
-
-#: Records the static prefilter skips on each app's default binary trace,
-#: as counted by both the per-record walk and the columnar walk before the
-#: per-record walk was removed (they agreed on every app).
-PREFILTER_SKIPPED_RECORDS = {
-    "amg": 696, "bigarray": 1160, "bt": 1311, "cg": 1460, "comd": 1193,
-    "ep": 94, "example": 89, "ft": 1609, "hacc": 1068, "himeno": 1899,
-    "hpccg": 878, "is": 742, "lu": 1929, "mg": 904, "miniamr": 457,
-    "sp": 712,
-}
-
-
-@pytest.mark.parametrize("name", FLEET_NAMES)
-def test_prefilter_columnar_report_identical_on_all_apps(fleet, name):
-    """With the static prefilter on, the columnar skip mask skips exactly
-    the records the per-record skip decisions skipped, and leaves the
-    report unchanged."""
-    entry = fleet.apps[name]
-    filtered = AutoCheck(entry.config(static_prefilter=True),
-                         trace_path=entry.trace_path,
-                         module=entry.module).run()
-    assert filtered.prefilter_info is not None
-    assert (filtered.prefilter_info.skipped_records
-            == PREFILTER_SKIPPED_RECORDS[name])
-    assert _without_prefilter_stats(filtered) == \
-        _without_prefilter_stats(entry.report)
 
 
 # --------------------------------------------------------------------------- #

@@ -37,6 +37,7 @@ from repro.core.engine import (
     REGION_NAMES,
     AnalysisEngine,
     AnalysisPass,
+    SpanSelection,
 )
 from repro.core.errors import AnalysisError
 from repro.core.rwdeps import AccessKind
@@ -123,11 +124,12 @@ class TestEngineBasics:
         memory_ops = (int(Opcode.LOAD), int(Opcode.STORE))
 
         class Recorder(AnalysisPass):
-            def consume_columns(self, block, start, stop, region, rows=None):
+            def select_span(self, block, lo, hi, region):
+                return SpanSelection(block.match_rows(lo, hi, memory_ops))
+
+            def consume_selected(self, block, region, selected):
                 dyn_id = block.dyn_id_col()
-                for row in block.span_rows_matching(start, stop,
-                                                    *memory_ops):
-                    seen.append((int(dyn_id[row]), region))
+                seen.extend((int(dyn_id[row]), region) for row in selected)
 
             def on_region_change(self, region):
                 transitions.append(REGION_NAMES[region])

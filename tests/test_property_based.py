@@ -10,8 +10,6 @@ Covered properties:
 * the block-indexed binary encoding round-trips arbitrary traces exactly
   (including multi-byte identifiers, commas/newlines in names and >64-bit
   integer values the text format cannot represent);
-* block-aligned parallel trace reading equals serial reading for arbitrary
-  traces and worker counts, for both encodings;
 * every input form becomes the same bytes for the walk: a text trace file
   streamed through the in-memory encoder decodes back to its records, and
   the in-memory encoding of a trace is byte for byte its binary file —
@@ -41,10 +39,8 @@ from repro.trace.binio import (
     encode_trace,
     read_layout,
     read_trace_file_binary,
-    read_trace_file_binary_parallel,
     write_trace_file_binary,
 )
-from repro.trace.partition import partition_offsets, read_trace_file_parallel
 from repro.trace.records import GlobalSymbol, Trace, TraceOperand, TraceRecord
 from repro.trace.textio import (
     iter_trace_records,
@@ -136,7 +132,7 @@ def test_memory_stack_allocations_never_overlap_globals(sizes):
 # --------------------------------------------------------------------------- #
 #: Trace identifiers deliberately include multi-byte characters so that any
 #: byte/character confusion in the file readers surfaces as a property
-#: failure (the old partitioner seeked text-mode handles with byte offsets).
+#: failure.
 _trace_name = st.text(alphabet=string.ascii_letters + "_éλπ变Δß",
                       max_size=6)
 
@@ -219,34 +215,6 @@ def test_trace_record_text_roundtrip(record):
     assert (out.result is None) == (record.result is None)
 
 
-@given(st.lists(_record_strategy, min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=8))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_parallel_trace_read_equals_serial(tmp_path_factory, records, workers):
-    # renumber dynamic ids so ordering is well defined, and canonicalise the
-    # result index (the text encoding does not store it — it is always "r")
-    for index, record in enumerate(records):
-        record.dyn_id = index + 1
-        if record.result is not None:
-            record.result.index = "r"
-    trace = Trace(module_name="prop",
-                  globals=[GlobalSymbol("g", 0x1000, 16, 64, True)],
-                  records=records)
-    path = str(tmp_path_factory.mktemp("prop") / "prop.trace")
-    write_trace_file(trace, path)
-
-    serial = read_trace_file(path)
-    parallel = read_trace_file_parallel(path, num_workers=workers)
-    # full record equality, not just dyn_id/opcode projections
-    assert serial.records == trace.records
-    assert parallel.records == serial.records
-
-    partitions = partition_offsets(path, workers)
-    assert partitions[0].start == 0
-    assert sum(p.size for p in partitions) == partitions[-1].end
-
-
 @given(st.lists(_record_strategy, min_size=1, max_size=30))
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -293,20 +261,6 @@ def test_trace_binary_roundtrip(tmp_path_factory, records):
         for l_op, r_op in zip(left.operands, right.operands):
             assert type(l_op.value) is type(r_op.value) or (
                 isinstance(l_op.value, bool) and r_op.value == int(l_op.value))
-
-
-@given(st.lists(_binary_record_strategy, min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=8))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_binary_parallel_read_equals_serial(tmp_path_factory, records, workers):
-    trace = Trace(module_name="prop", records=records)
-    path = str(tmp_path_factory.mktemp("prop") / "prop.btrace")
-    write_trace_file_binary(trace, path)
-    serial = read_trace_file_binary(path)
-    parallel = read_trace_file_binary_parallel(path, num_workers=workers)
-    assert serial.records == trace.records
-    assert parallel.records == serial.records
 
 
 @given(st.lists(_binary_record_strategy, min_size=1, max_size=30))

@@ -15,7 +15,8 @@ the properties that must survive that layout:
 * **no numpy** — with numpy unimportable, the list fallbacks of the
   decoder, the engine and every pass give the golden report bytes;
 * **custom span hooks** — a pass overriding ``select_span`` sees exactly
-  the rows a per-segment ``consume_columns`` pass sweeps, in order.
+  the trace's own Load/Store records, in stream order and tagged with
+  their regions, however the blocks are cut.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ import pytest
 
 from repro.core import AutoCheck, AutoCheckConfig
 from repro.core import engine as engine_module
-from repro.core.engine import AnalysisEngine, AnalysisPass, SpanSelection
+from repro.core.engine import (
+    REGION_AFTER,
+    REGION_BEFORE,
+    REGION_INSIDE,
+    AnalysisEngine,
+    AnalysisPass,
+    SpanSelection,
+)
 from repro.core.errors import AnalysisError
 from repro.ir.opcodes import Opcode
 from repro.store.serialize import canonical_report_json
@@ -165,20 +173,8 @@ def test_numpy_free_walk_gives_the_golden_reports(fleet):
     assert got == {name: GOLDEN[name]["report_sha256"] for name in names}
 
 
-class _SegmentRecorder(AnalysisPass):
-    """Per-segment pass: sweeps each segment's loads and stores."""
-
-    def __init__(self):
-        self.seen = []
-
-    def consume_columns(self, block, start, stop, region, rows=None):
-        dyn_id = block.dyn_id_col()
-        for row in block.span_rows_matching(start, stop, _LOAD, _STORE):
-            self.seen.append((int(dyn_id[row]), region))
-
-
 class _SpanRecorder(AnalysisPass):
-    """Span-hooked pass: selects the same rows once per span."""
+    """Span-hooked pass: selects every load and store once per span."""
 
     def __init__(self):
         self.seen = []
@@ -193,17 +189,36 @@ class _SpanRecorder(AnalysisPass):
         self.seen.extend((int(dyn_id[row]), region) for row in selected)
 
 
+def _tagged_accesses(trace, spec):
+    """The trace's Load/Store records as (dyn id, region) pairs, tagged
+    without the engine: the loop extent runs from the first to the last
+    record of the spec function on a loop line."""
+    records = trace.records
+    loop_rows = [index for index, record in enumerate(records)
+                 if record.function == spec.function
+                 and spec.contains_line(record.line)]
+    first, last = loop_rows[0], loop_rows[-1]
+    return [(record.dyn_id,
+             REGION_BEFORE if index < first
+             else REGION_INSIDE if index <= last else REGION_AFTER)
+            for index, record in enumerate(records)
+            if record.opcode in (_LOAD, _STORE)]
+
+
 @pytest.mark.parametrize("records", [256, 65536])
 def test_span_hook_sees_the_segment_rows(example_trace, example_spec,
                                          records):
     buffer, _ = encode_trace(example_trace.module_name, example_trace.globals,
                              example_trace.records)
-    per_segment, per_span = _SegmentRecorder(), _SpanRecorder()
-    engine = AnalysisEngine(example_spec, [per_segment, per_span])
+    per_span = _SpanRecorder()
+    engine = AnalysisEngine(example_spec, [per_span])
     engine.add_globals(example_trace.globals)
     engine.run_columnar(TraceColumnarReader(buffer=buffer).iter_blocks(
         chunk_records=records))
-    assert per_span.seen == per_segment.seen
+    expected = _tagged_accesses(example_trace, example_spec)
+    assert {region for _, region in expected} == {
+        REGION_BEFORE, REGION_INSIDE, REGION_AFTER}
+    assert per_span.seen == expected
     assert per_span.segments > 1
     assert [dyn for dyn, _ in per_span.seen] == sorted(
         dyn for dyn, _ in per_span.seen)

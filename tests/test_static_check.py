@@ -144,11 +144,7 @@ class TestFleetWideOracle:
             result = analyze_app(app)
             source = app.source()
             spec = app.main_loop(source)
-            include = app.autocheck_options.get(
-                "include_global_accesses_in_calls", False)
-            static = analyze_module(
-                result.module, spec=spec,
-                include_global_accesses_in_calls=include)
+            static = analyze_module(result.module, spec=spec)
             diagnostics = cross_check(result.module, spec, result.report,
                                       analysis=static)
             assert diagnostics == [], (

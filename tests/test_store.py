@@ -277,6 +277,38 @@ class TestCacheSemantics:
             config_fingerprint(config, static_induction=None)
 
 
+#: ``AutoCheck.cache_key().key`` of ``example``'s default binary trace with
+#: and without its module.
+EXAMPLE_KEY_WITH_MODULE = (
+    "73ca9a0338d34efc71ca3a3e738d321f3ba28c2462da92437593df006452e1b6")
+EXAMPLE_KEY_WITHOUT_MODULE = (
+    "6437938fce8af0bd8626126985cea85a084cf38b0ccad0366c3e01a216561ef0")
+
+
+class TestPinnedStoreKeys:
+    """Store keys are a persistent format: a change that re-keys them
+    orphans every entry published before it, so the values are literals."""
+
+    def test_binary_trace_with_module(self, fleet):
+        entry = fleet.apps["example"]
+        key = AutoCheck(entry.config(), trace_path=entry.trace_path,
+                        module=entry.module).cache_key().key
+        assert key == EXAMPLE_KEY_WITH_MODULE
+
+    def test_binary_trace_without_module(self, fleet):
+        entry = fleet.apps["example"]
+        key = AutoCheck(entry.config(),
+                        trace_path=entry.trace_path).cache_key().key
+        assert key == EXAMPLE_KEY_WITHOUT_MODULE
+
+    def test_in_memory_trace_shares_the_file_key(self, fleet, example_trace,
+                                                 example_module):
+        entry = fleet.apps["example"]
+        key = AutoCheck(entry.config(), trace=example_trace,
+                        module=example_module).cache_key().key
+        assert key == EXAMPLE_KEY_WITH_MODULE
+
+
 # --------------------------------------------------------------------------- #
 # Garbage collection
 # --------------------------------------------------------------------------- #

@@ -16,11 +16,9 @@ from repro.trace import (
     TraceRecord,
     is_binary_trace_file,
     iter_trace_records,
-    partition_offsets_binary,
     read_preamble,
     read_trace_file,
     read_trace_file_binary,
-    read_trace_file_binary_parallel,
     sniff_trace_format,
     write_trace_file,
     write_trace_file_binary,
@@ -109,7 +107,6 @@ class TestRoundTrip:
         loaded = read_trace_file_binary(path)
         assert loaded.module_name == "void"
         assert loaded.records == []
-        assert read_trace_file_binary_parallel(path, num_workers=4).records == []
 
     def test_streaming_writer_is_a_trace_sink(self, tmp_path):
         path = str(tmp_path / "sink.btrace")
@@ -149,33 +146,6 @@ class TestIndexAndSeek:
                       2 * INDEX_STRIDE + 5, count - 1, count, count + 10):
             tail = list(iter_trace_records(path, start_record=start))
             assert tail == full[start:]
-
-    def test_partition_offsets_cover_record_region(self, big_file):
-        path, _ = big_file
-        layout = read_layout(path)
-        partitions = partition_offsets_binary(path, 5)
-        assert partitions[0].start == layout.records_start
-        assert partitions[-1].end == layout.records_end
-        for previous, current in zip(partitions, partitions[1:]):
-            assert previous.end == current.start
-        # every boundary is a record start taken from the index
-        interior = {p.start for p in partitions[1:]}
-        assert interior <= set(layout.block_offsets) | {layout.records_end}
-
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_parallel_equals_serial(self, big_file, workers):
-        path, _ = big_file
-        serial = read_trace_file_binary(path)
-        parallel = read_trace_file_binary_parallel(path, num_workers=workers)
-        assert parallel.records == serial.records
-        assert parallel.globals == serial.globals
-
-    def test_parallel_with_processes(self, big_file):
-        path, _ = big_file
-        serial = read_trace_file_binary(path)
-        parallel = read_trace_file_binary_parallel(path, num_workers=2,
-                                                   use_processes=True)
-        assert parallel.records == serial.records
 
 
 class TestContentDigestCheck:
