@@ -362,7 +362,10 @@ class AutoCheck:
             engine = AnalysisEngine(spec, passes, variable_map=varmap)
             globals_ = reader.layout.globals
             engine.add_globals(globals_)
-            blocks = reader.iter_blocks()
+            # A run that publishes its report checks a file's bytes
+            # against the footer digest its store key came from.
+            blocks = reader.iter_blocks(verify_digest=(
+                config.use_cache and reader.path is not None))
             if config.progress_callback is not None:
                 blocks = _with_block_progress(blocks, config.progress_callback)
             with timings.stage("fused_analysis"):

@@ -232,13 +232,16 @@ class ArtifactStore:
             "created_at": time.time(),
             "report": report_to_dict(report),
         }
+        # One json.dumps call runs the C encoder; json.dump would stream
+        # the same text through the pure-Python iterencode.
+        text = json.dumps(payload)
         # Atomic publish: a reader sees either no entry or a complete one.
         handle = tempfile.NamedTemporaryFile(
             "w", encoding="utf-8", dir=os.path.dirname(path),
             prefix=".tmp-", suffix=".json", delete=False)
         try:
             with handle:
-                json.dump(payload, handle)
+                handle.write(text)
             os.replace(handle.name, path)
         except BaseException:
             with contextlib.suppress(OSError):

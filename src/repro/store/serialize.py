@@ -152,12 +152,18 @@ def report_to_json(report: AutoCheckReport,
 # --------------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------------- #
+#: Enum members by value: ``AccessKind(value)`` costs about eight times
+#: this lookup, and loading a stored report decodes one kind per R/W event.
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_ACCESS_KINDS = {kind.value: kind for kind in AccessKind}
+
+
 def _decode_ddg(payload: Optional[Dict[str, Any]]) -> Optional[DDG]:
     if payload is None:
         return None
     ddg = DDG()
     for key, kind, label in payload["nodes"]:
-        ddg.add_node(key, NodeKind(kind), label)
+        ddg.add_node(key, _NODE_KINDS[kind], label)
     for parent, child in payload["edges"]:
         ddg.add_edge(parent, child)
     return ddg
@@ -172,9 +178,9 @@ def _decode_rw(payload: Optional[Dict[str, Any]]) -> Optional[RWDependencies]:
             (payload["post_loop_events"], rw.post_loop_events,
              rw.post_by_variable)):
         for dyn_id, variable, name, kind, line, function, offset in fields:
-            event = AccessEvent(dyn_id=dyn_id, variable=variable, name=name,
-                                kind=AccessKind(kind), line=line,
-                                function=function, element_offset=offset)
+            # Positional: keyword arguments cost a third more per event.
+            event = AccessEvent(dyn_id, variable, name, _ACCESS_KINDS[kind],
+                                line, function, offset)
             sink.append(event)
             # Rebuild the per-variable grouping in stream order — identical
             # to how the extraction populated it (first event per variable

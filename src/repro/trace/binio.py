@@ -5,8 +5,9 @@ but slow to parse.  This module provides the production trace encoding:
 struct-packed records plus a footer carrying a *block-offset index*, which
 is what lets :mod:`repro.trace.columnar` decode whole runs of records in
 lockstep.  The tracing interpreter writes it directly, one emit template
-per instruction (:meth:`TraceBinaryWriter.template` /
-:meth:`TraceBinaryWriter.emit`).  Every analysis walks this encoding:
+per instruction (:meth:`TraceBinaryWriter.template`) and one packer per
+value-flag signature (:meth:`TraceBinaryWriter.emitter`).  Every analysis
+walks this encoding:
 inputs in any other form (an in-memory trace, a text file, a version-1
 file) are first encoded into memory by :func:`encode_trace`.
 
@@ -51,12 +52,24 @@ index blocks in lockstep.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.trace.records import (
     GlobalSymbol,
@@ -107,6 +120,22 @@ class BinaryTraceError(ValueError):
     """Raised when a file does not follow the binary trace encoding."""
 
 
+class TraceDigestMismatch(BinaryTraceError):
+    """A binary trace's content does not hash to its footer digest: the
+    file changed after it was written, and a report of it must not be
+    stored under the footer digest's key."""
+
+    def __init__(self, path: Optional[str], expected: str,
+                 actual: str) -> None:
+        super().__init__(
+            f"{path or '<buffer>'!r}: content digest {actual} does not match "
+            f"the footer digest {expected} (the trace changed after it was "
+            f"written)")
+        self.path = path
+        self.expected = expected
+        self.actual = actual
+
+
 def is_binary_trace_file(path: str) -> bool:
     """True when ``path`` starts with the binary trace magic."""
     with open(path, "rb") as handle:
@@ -137,8 +166,10 @@ def _encode_operand_value(value: Union[int, float],
                          address: Optional[int]) -> Tuple[int, bytes]:
     """One operand's value flag bits and its value (and address) bytes.
 
-    The writer's one value encoder: :meth:`TraceBinaryWriter.write_record`
-    and :meth:`TraceBinaryWriter.emit` both call it, so a record encodes
+    The writer's reference value encoder:
+    :meth:`TraceBinaryWriter.write_record` calls it, and an emitter's
+    precompiled packer writes the same bytes for an int in int64 range or
+    a float and falls back to it for any other value, so a record encodes
     to the same bytes on either path.  A float takes tag 1 (f64); an int
     (a bool is one) in int64 range tag 0 and any other int tag 2 (decimal
     digits).  The has-address bit is set when ``address`` is not ``None``.
@@ -169,6 +200,10 @@ _VALUE_FLAGS = (0x00, 0x02, 0x10, 0x12, 0x20, 0x22)
 #: a name of ``None`` stands for the record's pointer symbol.
 SlotSpec = Tuple[str, int, bool, Optional[str]]
 
+#: Appends one record with the dyn id, then each slot's value and, for a
+#: slot with an address, its address (see :meth:`TraceBinaryWriter.emitter`).
+Emitter = Callable[..., None]
+
 
 def _operand_heads(register: int, index_id: int, bits: int,
                    name_id: int) -> Dict[int, bytes]:
@@ -187,12 +222,68 @@ class EmitTemplate:
     (see :func:`_operand_heads`), or ``None`` for the slot named by the
     record's pointer symbol.  That slot's ``(register, index id, bits)``
     is ``symbol_slot``, and ``symbol_heads`` caches its heads by symbol.
+    ``emitters`` caches one record packer per (value-flag signature,
+    pointer symbol).
     """
 
     head: bytes
     slots: Tuple[Optional[Dict[int, bytes]], ...]
     symbol_slot: Optional[Tuple[int, int, int]] = None
     symbol_heads: Dict[str, Dict[int, bytes]] = field(default_factory=dict)
+    emitters: Dict[Tuple[Tuple[int, ...], str], Emitter] = field(
+        default_factory=dict)
+
+
+#: Emitter factories by slot address layout (see :func:`_emitter_factory`).
+_EMITTER_FACTORIES: Dict[Tuple[bool, ...], Callable[..., Emitter]] = {}
+
+
+def _emitter_factory(addresses: Tuple[bool, ...]) -> Callable[..., Emitter]:
+    """The factory of emitters for records whose slots carry an address
+    where ``addresses`` says so.
+
+    An emitter takes its arguments in record order, so it hands them to
+    one ``struct.Struct.pack`` with each slot's constant bytes between
+    them (the record head rides with the first slot's head).  It is
+    generated once per layout, as :mod:`dataclasses` generates
+    ``__init__``: a Python loop that interleaved the constants would cost
+    more than the pack itself.  A value the packer refuses (an int outside
+    int64, or a value that is not an int) falls back to
+    ``encode(dyn_id, fields)``, the per-slot encoder of ``write_record``.
+    """
+    factory = _EMITTER_FACTORIES.get(addresses)
+    if factory is None:
+        params = ["dyn_id"]
+        packed = ["dyn_id", "c0"] if not addresses else ["dyn_id"]
+        fields = []
+        for slot, has_address in enumerate(addresses):
+            params.append(f"v{slot}")
+            packed += [f"c{slot}", f"v{slot}"]
+            fields.append(f"v{slot}")
+            if has_address:
+                params.append(f"a{slot}")
+                packed.append(f"a{slot}")
+            fields.append(f"a{slot}" if has_address else "None")
+        constants = "".join(f"c{slot}, "
+                            for slot in range(max(1, len(addresses))))
+        source = (
+            f"def factory(pack, constants, encode, append, count, flush):\n"
+            f"    {constants}= constants\n"
+            f"    def emit({', '.join(params)}):\n"
+            f"        try:\n"
+            f"            record = pack({', '.join(packed)})\n"
+            f"        except error:\n"
+            f"            record = encode(dyn_id, ({''.join(f + ', ' for f in fields)}))\n"
+            f"        append(record)\n"
+            f"        count[0] += 1\n"
+            f"        if count[0] == {INDEX_STRIDE}:\n"
+            f"            flush()\n"
+            f"    return emit\n")
+        namespace: Dict[str, object] = {"error": struct.error}
+        exec(source, namespace)
+        factory = _EMITTER_FACTORIES[addresses] = \
+            namespace["factory"]  # type: ignore[assignment]
+    return factory
 
 
 class TraceBinaryWriter:
@@ -201,12 +292,13 @@ class TraceBinaryWriter:
     Records arrive two ways.  :meth:`write_record` encodes a
     :class:`TraceRecord`.  The tracing interpreter instead compiles one
     :class:`EmitTemplate` per instruction with :meth:`template` and hands
-    :meth:`emit` only the dynamic fields of each execution, so no record
-    object is built.  Both paths append to a pending block: every
-    ``INDEX_STRIDE`` records (and at :meth:`close`) the writer adds the
-    block-index entry, writes the block once and folds it into the
-    digest once.  Globals and the string table live in the footer, so
-    they may arrive at any point before :meth:`close`.
+    an :meth:`emitter` of it only the dynamic fields of each execution,
+    so no record object is built.  Both paths append to a pending block:
+    every ``INDEX_STRIDE`` records (and at :meth:`close`) the writer adds
+    the block-index entry, writes the block once and folds it into the
+    digest once.  Globals and the string table
+    live in the footer, so they may arrive at any point before
+    :meth:`close`.
 
     The writer also maintains the trace's **content digest** (SHA-256 over
     the record blocks in stream order plus the encoded globals section) as a
@@ -234,13 +326,14 @@ class TraceBinaryWriter:
         self._strings: List[str] = []
         self._string_ids: dict = {}
         self._index: List[int] = []
-        self._record_count = 0
+        #: records already written out; the pending block holds the rest
+        self._written_records = 0
+        #: the block being built: its byte chunks, and (in a cell the
+        #: emitters share) its record count
         self._pending: List[bytes] = []
+        self._block_records = [0]
         self._digest = hashlib.sha256()
         self._digest_hex: Optional[str] = None
-        #: Emit templates by the caller's key (the interpreter uses the
-        #: IR instruction); string ids belong to this file.
-        self.templates: dict = {}
 
     # ------------------------------------------------------------------ #
     def _intern(self, text: str) -> int:
@@ -268,6 +361,8 @@ class TraceBinaryWriter:
             return
         assert self._fh is not None
         block = b"".join(self._pending)
+        self._written_records += self._block_records[0]
+        self._block_records[0] = 0
         self._pending.clear()
         self._index.append(self._offset)
         self._fh.write(block)
@@ -304,8 +399,9 @@ class TraceBinaryWriter:
             self._write_operand(operand)
         if record.result is not None:
             self._write_operand(record.result)
-        self._record_count += 1
-        if not self._record_count % INDEX_STRIDE:
+        count = self._block_records
+        count[0] += 1
+        if count[0] == INDEX_STRIDE:
             self._flush()
 
     def template(self, opcode: int, opcode_name: str, function: str,
@@ -342,42 +438,72 @@ class TraceBinaryWriter:
                                             intern(name)))
         return EmitTemplate(head, tuple(slots), symbol_slot)
 
-    def emit(self, template: EmitTemplate, dyn_id: int, fields: Sequence,
-             symbol: str = "") -> None:
-        """Append one record from its template and its dynamic fields.
+    def _slot_heads(self, template: EmitTemplate,
+                    symbol: str) -> List[Dict[int, bytes]]:
+        """Each slot's heads by value flags, the symbol slot's named by
+        ``symbol`` (interned here when new)."""
+        heads = template.symbol_heads.get(symbol)
+        if heads is None and template.symbol_slot is not None:
+            register, index_id, bits = template.symbol_slot
+            heads = template.symbol_heads[symbol] = _operand_heads(
+                register, index_id, bits, self._intern(symbol))
+        return [slot if slot is not None else heads  # type: ignore[misc]
+                for slot in template.slots]
 
-        Args:
-            template: the instruction's :meth:`template`.
-            dyn_id: the record's dynamic instruction id.
-            fields: the value and the address (``None`` for none) of each
-                slot, in slot order.
-            symbol: the name of the slot the template leaves to the record
-                (the pointer symbol of a Load/Store/GEP memory operand).
-        """
-        parts = self._pending
-        parts.append(_pack_record_start(dyn_id, template.head))
-        position = 0
-        for heads in template.slots:
-            if heads is None:
-                heads = template.symbol_heads.get(symbol)
-                if heads is None:
-                    assert template.symbol_slot is not None
-                    register, index_id, bits = template.symbol_slot
-                    heads = template.symbol_heads[symbol] = _operand_heads(
-                        register, index_id, bits, self._intern(symbol))
-            flags, value_bytes = _encode_operand_value(fields[position],
-                                                       fields[position + 1])
-            position += 2
+    def _encode_record(self, template: EmitTemplate, symbol: str,
+                       dyn_id: int, fields: Sequence) -> bytes:
+        """One record's bytes, each slot through ``_encode_operand_value``
+        (the emitters' fallback)."""
+        parts = [_pack_record_start(dyn_id, template.head)]
+        for slot, heads in enumerate(self._slot_heads(template, symbol)):
+            flags, value_bytes = _encode_operand_value(fields[2 * slot],
+                                                       fields[2 * slot + 1])
             parts.append(heads[flags])
             parts.append(value_bytes)
-        self._record_count += 1
-        if not self._record_count % INDEX_STRIDE:
-            self._flush()
+        return b"".join(parts)
+
+    def emitter(self, template: EmitTemplate, fields: Sequence,
+                symbol: str = "") -> Emitter:
+        """The emitter of ``template``'s records shaped like ``fields``.
+
+        ``fields`` holds the value and the address (``None`` for none) of
+        each slot, in slot order; ``symbol`` names the slot the template
+        leaves to the record.  The returned callable appends one record:
+        it takes the dyn id, then each slot's value and, for a slot with
+        an address, its address, and packs them with one precompiled
+        ``struct.Struct``.  It serves every record whose values have the
+        classes of ``fields``' values, so callers cache it by those
+        classes.  Emitters are cached on the template by value-flag
+        signature (float or int tag, address or none, per slot) and
+        symbol; a new symbol is interned when its first emitter is built,
+        which is when :meth:`write_record` would intern it.
+        """
+        signature = tuple(
+            (0x10 if fields[position].__class__ is float else 0x00)
+            | (0x00 if fields[position + 1] is None else 0x02)
+            for position in range(0, len(fields), 2))
+        key = (signature, symbol)
+        emit = template.emitters.get(key)
+        if emit is None:
+            heads = [slot_heads[flags] for slot_heads, flags in zip(
+                self._slot_heads(template, symbol), signature)]
+            constants = [template.head + (heads[0] if heads else b""),
+                         *heads[1:]]
+            codes = [("d" if flags & 0x10 else "q")
+                     + ("Q" if flags & 0x02 else "") for flags in signature]
+            layout = "".join(f"{len(constant)}s{code}" for constant, code
+                             in zip(constants, codes or [""]))
+            emit = template.emitters[key] = _emitter_factory(
+                tuple(bool(flags & 0x02) for flags in signature))(
+                struct.Struct("<q" + layout).pack, constants,
+                functools.partial(self._encode_record, template, symbol),
+                self._pending.append, self._block_records, self._flush)
+        return emit
 
     @property
     def record_count(self) -> int:
         """Number of records written so far."""
-        return self._record_count
+        return self._written_records + self._block_records[0]
 
     @property
     def digest_hex(self) -> Optional[str]:
@@ -402,7 +528,7 @@ class TraceBinaryWriter:
             out.append(_U16.pack(len(text_bytes)))
             out.append(text_bytes)
         out.append(_U32.pack(INDEX_STRIDE))
-        out.append(_U64.pack(self._record_count))
+        out.append(_U64.pack(self._written_records))
         out.append(_U32.pack(len(self._index)))
         for offset in self._index:
             out.append(_U64.pack(offset))

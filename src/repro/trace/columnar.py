@@ -34,11 +34,17 @@ Two scan implementations produce byte-identical columns:
 
 The reader accepts a ``path`` or an already-open ``buffer``/``mmap`` of the
 whole file (plus an optional pre-read layout), so warm re-reads within one
-process re-use the open mapping and the parsed footer.
+process re-use the open mapping and the parsed footer.  With
+``iter_blocks(verify_digest=True)`` a full walk also folds the content
+digest over the record bytes it reads and checks it against the footer's
+(:class:`~repro.trace.binio.TraceDigestMismatch` on a mismatch), so a
+report of a file changed after it was written is never stored under the
+footer digest's key.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Dict, Iterator, List, Optional
 
@@ -51,7 +57,9 @@ from repro.trace.binio import (
     _VALUE_BIG,
     BinaryTraceError,
     BinaryTraceLayout,
+    TraceDigestMismatch,
     _decode_record,
+    encode_globals,
     layout_from_buffer,
     read_layout,
 )
@@ -469,6 +477,37 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
 # --------------------------------------------------------------------------- #
 # Reader
 # --------------------------------------------------------------------------- #
+class _DigestFold:
+    """The content digest of the record bytes a walk reads, span by span.
+
+    It equals the footer digest only when the spans tile the record region
+    in order (a full walk) and hash like the bytes the writer wrote.
+    """
+
+    def __init__(self, layout: BinaryTraceLayout) -> None:
+        self.layout = layout
+        self.sha256 = hashlib.sha256()
+        self.position = layout.records_start
+        self.tiled = True
+
+    def add(self, start: int, data) -> None:
+        self.tiled = self.tiled and start == self.position
+        self.sha256.update(data)
+        self.position = start + len(data)
+
+    def check(self, path: Optional[str]) -> None:
+        """Raise :class:`TraceDigestMismatch` unless the bytes read are the
+        record region the footer digest covers."""
+        layout = self.layout
+        if layout.content_digest is None:
+            return  # version 1: no digest to check
+        self.sha256.update(encode_globals(layout.globals))
+        actual = self.sha256.hexdigest()
+        if (not self.tiled or self.position != layout.records_end
+                or actual != layout.content_digest):
+            raise TraceDigestMismatch(path, layout.content_digest, actual)
+
+
 class TraceColumnarReader:
     """Stream a binary trace as :class:`ColumnarBlock` chunks.
 
@@ -478,6 +517,7 @@ class TraceColumnarReader:
     pre-read ``layout`` skips the footer parse.  :meth:`close` releases
     the owned file handle deterministically; the reader is a context
     manager.
+
     """
 
     def __init__(self, path: Optional[str] = None,
@@ -496,6 +536,8 @@ class TraceColumnarReader:
             text: index for index, text in enumerate(layout.strings)}
         self._handle = None
         self._closed = False
+        #: the content digest of the walk in progress, when it verifies
+        self._fold: Optional[_DigestFold] = None
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -512,22 +554,24 @@ class TraceColumnarReader:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _read_span(self, start: int, length: int) -> bytes:
-        """``length`` bytes at absolute offset ``start`` (+1 guard byte
-        when available — finished lockstep lanes peek one byte past their
-        block)."""
+    def _read_span(self, start: int, length: int, guard: int = 0) -> bytes:
+        """``length`` record bytes at absolute offset ``start``, plus
+        ``guard`` bytes past them (finished lockstep lanes peek one byte
+        past their block); the record bytes join the digest fold."""
         if self._buffer is not None:
-            view = self._buffer
-            return bytes(memoryview(view)[start:start + length])
-        if self._closed:
-            raise ValueError("columnar reader is closed")
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        self._handle.seek(start)
-        data = self._handle.read(length)
-        if len(data) < length:
+            data = bytes(memoryview(self._buffer)[start:start + length + guard])
+        else:
+            if self._closed:
+                raise ValueError("columnar reader is closed")
+            if self._handle is None:
+                self._handle = open(self.path, "rb")
+            self._handle.seek(start)
+            data = self._handle.read(length + guard)
+        if len(data) < length + guard:
             raise BinaryTraceError(
                 f"truncated binary trace file {self.path!r}")
+        if self._fold is not None:
+            self._fold.add(start, memoryview(data)[:length])
         return data
 
     # ------------------------------------------------------------------ #
@@ -559,6 +603,7 @@ class TraceColumnarReader:
     def iter_blocks(self, start_record: int = 0,
                     end_record: Optional[int] = None,
                     chunk_records: int = DEFAULT_CHUNK_RECORDS,
+                    verify_digest: bool = False,
                     ) -> Iterator[ColumnarBlock]:
         """Yield the records in ``[start_record, end_record)`` as columns.
 
@@ -567,7 +612,19 @@ class TraceColumnarReader:
         index block (and any chunk containing a big-integer operand) falls
         back to the pure-Python scan, with identical columns either way.
         Memory stays bounded by ``chunk_records``.
+
+        With ``verify_digest`` the walk folds the content digest over the
+        record bytes as it reads them and, after the last block, raises
+        :class:`~repro.trace.binio.TraceDigestMismatch` unless they hash
+        to the footer digest; the range must then be the whole trace.
         """
+        self._fold = _DigestFold(self.layout) if verify_digest else None
+        yield from self._iter_blocks(start_record, end_record, chunk_records)
+        if self._fold is not None:
+            self._fold.check(self.path)
+
+    def _iter_blocks(self, start_record: int, end_record: Optional[int],
+                     chunk_records: int) -> Iterator[ColumnarBlock]:
         layout = self.layout
         total = layout.record_count
         start = max(0, start_record)
@@ -595,7 +652,7 @@ class TraceColumnarReader:
             chunk_start = offsets[block_index]
             chunk_end = self._block_end(block_index + chunk_blocks - 1)
             guard = 1 if self._spans_past(chunk_end) else 0
-            buf = self._read_span(chunk_start, chunk_end - chunk_start + guard)
+            buf = self._read_span(chunk_start, chunk_end - chunk_start, guard)
             base = block_index * stride
             block = ColumnarBlock(base, self.strings, self.id_of, buf)
             starts = [offsets[b] - chunk_start

@@ -3,20 +3,39 @@
 Executes a compiled :class:`repro.ir.module.Module` starting at ``main``,
 emitting one v2 binary record per executed instruction into a
 :class:`repro.trace.binio.TraceBinaryWriter` (a file, or memory with
-:class:`InMemoryTraceSink`).  At an instruction's first emission the
-interpreter compiles its :class:`repro.trace.binio.EmitTemplate` (opcode,
-location, names, operand layout); every execution then hands the writer
-only the dynamic fields.  Without a sink nothing is built per record.
-Block entry hooks allow checkpoint instrumentation and fault injection to
-observe and alter a run without touching the program itself.
+:class:`InMemoryTraceSink`).
+
+The first time a run enters a basic block, the interpreter compiles each
+of its instructions into one *step*: a closure whose operands are resolved
+in advance (a register id, an argument index, or a value fixed at compile
+time: a constant, or a global's pointer built once), which computes,
+writes its result register and, when the run has a sink, emits its
+record.  ``_call_function`` then runs a block as its list of steps.
+Traced and execute-only runs share the step builders; without a sink
+nothing is built per record.  A record's static part is its instruction's
+:class:`repro.trace.binio.EmitTemplate`, built at the instruction's first
+emission; the step caches the writer's emitters by the classes of its
+runtime values, so each execution packs its record in one ``struct``
+call.  Block entry hooks allow checkpoint instrumentation and fault
+injection to observe and alter a run without touching the program itself.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.ir.instructions import (
     AllocaInst,
@@ -37,7 +56,13 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.opcodes import Opcode
 from repro.ir.types import ArrayType, IRType, PointerType
 from repro.ir.values import Argument, Constant, GlobalVariable, Register, Value
-from repro.trace.binio import EmitTemplate, SlotSpec, TraceBinaryReader, TraceBinaryWriter
+from repro.trace.binio import (
+    Emitter,
+    EmitTemplate,
+    SlotSpec,
+    TraceBinaryReader,
+    TraceBinaryWriter,
+)
 from repro.trace.records import GlobalSymbol, PARAM_INDEX_PREFIX, RESULT_INDEX, Trace
 from repro.tracer.faults import SimulatedFailure
 from repro.tracer.memory import Allocation, Memory
@@ -112,15 +137,179 @@ def _alloca_shape(allocated: IRType) -> Tuple[int, int, bool]:
     return allocated.size_in_bits(), 1, False
 
 
+# --------------------------------------------------------------------------- #
+# Record layouts: the slots of each instruction kind's emit template
+# --------------------------------------------------------------------------- #
+#: ``(operand slots, result slot, callee)`` of one instruction's records
+Layout = Tuple[List[SlotSpec], Optional[SlotSpec], str]
+
+
+def _operands_layout(inst: Instruction) -> Layout:
+    """One slot per IR operand, then the result."""
+    return ([_value_slot(str(position + 1), operand)
+             for position, operand in enumerate(inst.operands)],
+            _result_slot(inst), "")
+
+
+def _alloca_layout(inst: AllocaInst) -> Layout:
+    element_bits = _alloca_shape(inst.allocated_type)[0]
+    return ([("1", 32, False, "count")],
+            (RESULT_INDEX, element_bits, False, inst.var_name), "")
+
+
+def _load_layout(inst: LoadInst) -> Layout:
+    assert inst.result is not None
+    return ([("1", inst.result.type.size_in_bits(), False, None)],
+            _result_slot(inst), "")
+
+
+def _store_layout(inst: StoreInst) -> Layout:
+    return ([_value_slot("1", inst.value),
+             ("2", _bits(inst.value), False, None)], _result_slot(inst), "")
+
+
+def _gep_layout(inst: GEPInst) -> Layout:
+    return ([("1", 64, False, None), _value_slot("2", inst.index)],
+            _result_slot(inst), "")
+
+
+def _print_layout(inst: PrintInst) -> Layout:
+    operands, result, _ = _operands_layout(inst)
+    return operands, result, "print"
+
+
+def _call_layout(inst: CallInst) -> Layout:
+    operands, result, _ = _operands_layout(inst)
+    if not inst.is_builtin:
+        # A user call binds the callee's parameters (paper Fig. 6b); its
+        # result arrives with the Ret.
+        operands += [(f"{PARAM_INDEX_PREFIX}{position + 1}", 64, False, name)
+                     for position, name in enumerate(inst.param_names)]
+        result = None
+    return operands, result, inst.callee
+
+
+_LAYOUTS: Dict[type, Callable[..., Layout]] = {
+    AllocaInst: _alloca_layout,
+    LoadInst: _load_layout,
+    StoreInst: _store_layout,
+    GEPInst: _gep_layout,
+    PrintInst: _print_layout,
+    CallInst: _call_layout,
+}
+
+
+class _Emission:
+    """How one traced instruction emits its records.
+
+    The emit template is built at the instruction's first emission, with
+    that record's pointer symbol, so strings are interned in execution
+    order.  ``emitters`` caches the writer's emitter by the classes of
+    the record's values (and its symbol): the classes fix the value-flag
+    signature.
+    """
+
+    __slots__ = ("sink", "function", "inst", "template", "emitters")
+
+    def __init__(self, sink: TraceBinaryWriter, function: Function,
+                 inst: Instruction) -> None:
+        self.sink = sink
+        self.function = function
+        self.inst = inst
+        self.template: Optional[EmitTemplate] = None
+        self.emitters: Dict[Hashable, Emitter] = {}
+
+    def emitter(self, key: Hashable, fields: tuple,
+                symbol: str = "") -> Emitter:
+        """Build and cache the emitter of records like ``fields``."""
+        if self.template is None:
+            self.template = self._template(symbol)
+        emit = self.emitters[key] = self.sink.emitter(self.template, fields,
+                                                      symbol)
+        return emit
+
+    def emit(self, dyn_id: int, fields: tuple, symbol: str = "") -> None:
+        """Emit one record from its fields (the kinds whose slot count
+        varies: calls and ``print``)."""
+        key = (symbol, *map(type, fields))
+        emit = self.emitters.get(key) or self.emitter(key, fields, symbol)
+        emit(dyn_id, *[item for item in fields if item is not None])
+
+    def _template(self, symbol: str) -> EmitTemplate:
+        inst = self.inst
+        operands, result, callee = _LAYOUTS.get(
+            inst.__class__, _operands_layout)(inst)
+        block = inst.parent
+        bb_label = block.label if block is not None else 0
+        bb_id = f"{block.first_line}:{bb_label}" if block is not None else "0:0"
+        return self.sink.template(
+            int(inst.opcode), inst.mnemonic, self.function.name, inst.line,
+            inst.column, bb_label, bb_id, callee, operands, result, symbol)
+
+
+# --------------------------------------------------------------------------- #
+# Instruction semantics
+# --------------------------------------------------------------------------- #
+def _integer_division(lhs, rhs):
+    return math.trunc(int(lhs) / int(rhs))
+
+
+def _integer_remainder(lhs, rhs):
+    return int(lhs) - int(rhs) * math.trunc(int(lhs) / int(rhs))
+
+
+_BINARY_OPERATIONS: Dict[Opcode, Callable[[Union[int, float], Union[int, float]],
+                                          Union[int, float]]] = {
+    Opcode.ADD: lambda lhs, rhs: int(lhs) + int(rhs),
+    Opcode.FADD: lambda lhs, rhs: float(lhs) + float(rhs),
+    Opcode.SUB: lambda lhs, rhs: int(lhs) - int(rhs),
+    Opcode.FSUB: lambda lhs, rhs: float(lhs) - float(rhs),
+    Opcode.MUL: lambda lhs, rhs: int(lhs) * int(rhs),
+    Opcode.FMUL: lambda lhs, rhs: float(lhs) * float(rhs),
+    Opcode.SDIV: _integer_division,
+    Opcode.UDIV: _integer_division,
+    Opcode.FDIV: lambda lhs, rhs: float(lhs) / float(rhs),
+    Opcode.SREM: _integer_remainder,
+    Opcode.UREM: _integer_remainder,
+    Opcode.FREM: lambda lhs, rhs: math.fmod(float(lhs), float(rhs)),
+    Opcode.AND: lambda lhs, rhs: 1 if (lhs != 0 and rhs != 0) else 0,
+    Opcode.OR: lambda lhs, rhs: 1 if (lhs != 0 or rhs != 0) else 0,
+    Opcode.XOR: lambda lhs, rhs: 1 if (lhs != 0) != (rhs != 0) else 0,
+}
+
+_COMPARISONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+                "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
+def _cast_to_int(number):
+    return int(number) if number >= 0 else -int(-number)
+
+
+def _cast_preserving(number):
+    """Integer width changes and pointer/int casts keep the value."""
+    return int(number) if isinstance(number, int) else number
+
+
+_CASTS = {Opcode.SITOFP: float, Opcode.UITOFP: float, Opcode.FPEXT: float,
+          Opcode.FPTRUNC: float, Opcode.FPTOSI: _cast_to_int,
+          Opcode.FPTOUI: _cast_to_int}
+
+
 @dataclass
 class Frame:
-    """One activation record of the interpreted program."""
+    """One activation record of the interpreted program.
+
+    ``regs`` is the register file: register ``%n`` under ``n``, and
+    argument ``i`` under ``-1 - i``.
+    """
 
     function: Function
     args: List[RuntimeValue]
     regs: Dict[int, RuntimeValue] = field(default_factory=dict)
     allocations: Dict[str, Allocation] = field(default_factory=dict)
     stack_mark: int = 0
+    #: the value the frame's ``ret`` returned
+    return_value: Optional[RuntimeValue] = None
 
 
 @dataclass
@@ -150,6 +339,15 @@ class ExecutionResult:
         return "\n".join(self.output)
 
 
+#: One compiled instruction: runs it in a frame; a terminator returns the
+#: next block (``None`` for a return), every other step returns ``None``.
+Step = Callable[[Frame], Optional[BasicBlock]]
+#: A compiled block: its hook key and its runs.  A run is ``(size,
+#: steps)``: the steps up to and including a user call or the terminator,
+#: of which ``size`` count as executed instructions.
+CompiledBlock = Tuple[Tuple[str, str], Tuple[Tuple[int, Tuple[Step, ...]], ...]]
+
+
 class Interpreter:
     """Execute a module and (optionally) emit its dynamic instruction trace.
 
@@ -176,6 +374,9 @@ class Interpreter:
         self._block_hooks: Dict[Tuple[str, str], List[Callable[[HookContext], None]]] = {}
         self._block_entry_counts: Dict[Tuple[str, str], int] = {}
         self._globals_ready = False
+        #: this run's compiled blocks (their steps refer back to the
+        #: interpreter, so :meth:`run` drops them when it returns)
+        self._blocks: Dict[BasicBlock, CompiledBlock] = {}
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -219,6 +420,8 @@ class Interpreter:
         except SimulatedFailure as exc:
             failed = True
             failure = exc
+        finally:
+            self._blocks.clear()
         return ExecutionResult(output=list(self.output), return_value=return_value,
                                steps=self.steps, failed=failed, failure=failure,
                                memory=self.memory)
@@ -256,355 +459,575 @@ class Interpreter:
         if len(self.frames) >= self.max_call_depth:
             raise InterpreterError(f"call depth exceeded in {function.name!r}")
         frame = Frame(function=function, args=args,
+                      regs={-1 - index: value
+                            for index, value in enumerate(args)},
                       stack_mark=self.memory.stack_mark())
         self.frames.append(frame)
+        blocks = self._blocks
+        entry_counts = self._block_entry_counts
+        hooks = self._block_hooks
         try:
             block = function.entry
             while True:
-                self._enter_block(frame, block)
-                action: Optional[Tuple[str, object]] = None
-                for inst in block.instructions:
-                    action = self._execute(frame, inst)
-                    if action is not None:
-                        break
-                if action is None:
-                    raise InterpreterError(
-                        f"{function.name}/{block.name}: fell off the end of a block")
-                kind, payload = action
-                if kind == "branch":
-                    block = payload  # type: ignore[assignment]
-                    continue
-                return payload  # type: ignore[return-value]
+                compiled = blocks.get(block)
+                if compiled is None:
+                    compiled = blocks[block] = self._compile_block(function,
+                                                                   block)
+                key, runs = compiled
+                count = entry_counts.get(key, 0) + 1
+                entry_counts[key] = count
+                if hooks and key in hooks:
+                    context = HookContext(interpreter=self, frame=frame,
+                                          function_name=function.name,
+                                          block_name=block.name,
+                                          entry_count=count)
+                    for hook in hooks[key]:
+                        hook(context)
+                try:
+                    for size, steps in runs:
+                        total = self.steps + size
+                        if total > self.max_steps:
+                            self._exhaust_budget(frame, steps)
+                        self.steps = total
+                        for step in steps:
+                            outcome = step(frame)
+                except KeyError as exc:
+                    error = self._unset_register(frame, exc)
+                    if error is None:
+                        raise
+                    raise error from exc
+                if outcome is None:
+                    return frame.return_value
+                block = outcome
         finally:
             self.frames.pop()
             self.memory.stack_release(frame.stack_mark)
 
-    def _enter_block(self, frame: Frame, block: BasicBlock) -> None:
-        key = (frame.function.name, block.name)
-        count = self._block_entry_counts.get(key, 0) + 1
-        self._block_entry_counts[key] = count
-        hooks = self._block_hooks.get(key)
-        if hooks:
-            context = HookContext(interpreter=self, frame=frame,
-                                  function_name=frame.function.name,
-                                  block_name=block.name, entry_count=count)
-            for hook in hooks:
-                hook(context)
-
-    # ------------------------------------------------------------------ #
-    # Operand evaluation and trace helpers
-    # ------------------------------------------------------------------ #
-    def _eval(self, frame: Frame, value: Value) -> RuntimeValue:
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, Register):
-            try:
-                return frame.regs[value.rid]
-            except KeyError as exc:
-                raise InterpreterError(
-                    f"use of unset register %{value.rid} in {frame.function.name}") from exc
-        if isinstance(value, GlobalVariable):
-            allocation = self.global_allocations[value.name]
-            element_bits = allocation.element_bits
-            return PointerValue(allocation.address, value.name, element_bits)
-        if isinstance(value, Argument):
-            return frame.args[value.index]
-        raise InterpreterError(f"cannot evaluate operand {value!r}")
-
-    def _emit(self, frame: Frame, inst: Instruction, fields: tuple,
-              symbol: str = "") -> None:
-        """Hand ``inst``'s dynamic fields (and pointer symbol) to the sink."""
-        sink = self.sink
-        assert sink is not None
-        template = sink.templates.get(inst)
-        if template is None:
-            template = sink.templates[inst] = self._template(frame, inst,
-                                                             symbol)
-        sink.emit(template, self.steps, fields, symbol)
-
-    def _template(self, frame: Frame, inst: Instruction,
-                  symbol: str) -> EmitTemplate:
-        """Compile ``inst``'s emit template at its first emission.
-
-        The slots list what each ``_exec_*`` method emits, in the order of
-        its ``fields``; a slot named ``None`` takes the record's pointer
-        symbol.
-        """
-        callee = ""
-        result = _result_slot(inst)
-        operands: List[SlotSpec]
-        if isinstance(inst, AllocaInst):
-            element_bits = _alloca_shape(inst.allocated_type)[0]
-            operands = [("1", 32, False, "count")]
-            result = (RESULT_INDEX, element_bits, False, inst.var_name)
-        elif isinstance(inst, LoadInst):
-            assert inst.result is not None
-            operands = [("1", inst.result.type.size_in_bits(), False, None)]
-        elif isinstance(inst, StoreInst):
-            operands = [_value_slot("1", inst.value),
-                        ("2", _bits(inst.value), False, None)]
-        elif isinstance(inst, GEPInst):
-            operands = [("1", 64, False, None), _value_slot("2", inst.index)]
-        else:
-            operands = [_value_slot(str(position + 1), operand)
-                        for position, operand in enumerate(inst.operands)]
-            if isinstance(inst, PrintInst):
-                callee = "print"
-            elif isinstance(inst, CallInst):
-                callee = inst.callee
-                if not inst.is_builtin:
-                    # A user call binds the callee's parameters (paper
-                    # Fig. 6b); its result arrives with the Ret.
-                    operands += [(f"{PARAM_INDEX_PREFIX}{position + 1}", 64,
-                                  False, name)
-                                 for position, name
-                                 in enumerate(inst.param_names)]
-                    result = None
-        block = inst.parent
-        bb_label = block.label if block is not None else 0
-        bb_id = f"{block.first_line}:{bb_label}" if block is not None else "0:0"
-        assert self.sink is not None
-        return self.sink.template(
-            int(inst.opcode), inst.mnemonic, frame.function.name, inst.line,
-            inst.column, bb_label, bb_id, callee, operands, result, symbol)
-
-    # ------------------------------------------------------------------ #
-    # Instruction execution
-    # ------------------------------------------------------------------ #
-    def _execute(self, frame: Frame,
-                 inst: Instruction) -> Optional[Tuple[str, object]]:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise InterpreterError(
-                f"instruction budget of {self.max_steps} exceeded "
-                f"(possible infinite loop in {frame.function.name!r})")
-
-        if isinstance(inst, AllocaInst):
-            self._exec_alloca(frame, inst)
-        elif isinstance(inst, LoadInst):
-            self._exec_load(frame, inst)
-        elif isinstance(inst, StoreInst):
-            self._exec_store(frame, inst)
-        elif isinstance(inst, GEPInst):
-            self._exec_gep(frame, inst)
-        elif isinstance(inst, BitCastInst):
-            self._exec_bitcast(frame, inst)
-        elif isinstance(inst, CastInst):
-            self._exec_cast(frame, inst)
-        elif isinstance(inst, CmpInst):
-            self._exec_cmp(frame, inst)
-        elif isinstance(inst, BinaryInst):
-            self._exec_binary(frame, inst)
-        elif isinstance(inst, PrintInst):
-            self._exec_print(frame, inst)
-        elif isinstance(inst, CallInst):
-            self._exec_call(frame, inst)
-        elif isinstance(inst, BranchInst):
-            return self._exec_branch(frame, inst)
-        elif isinstance(inst, RetInst):
-            return self._exec_ret(frame, inst)
-        else:  # pragma: no cover - defensive
-            raise InterpreterError(f"cannot execute instruction {inst!r}")
-        return None
-
-    def _exec_alloca(self, frame: Frame, inst: AllocaInst) -> None:
-        element_bits, count, is_array = _alloca_shape(inst.allocated_type)
-        allocation = self.memory.allocate_stack(inst.var_name, element_bits, count,
-                                                is_array, frame.function.name)
-        frame.allocations[inst.var_name] = allocation
-        pointer = PointerValue(allocation.address, inst.var_name, element_bits)
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = pointer
-        if self.sink is not None:
-            self._emit(frame, inst, (count, None, 0, allocation.address))
-
-    def _exec_load(self, frame: Frame, inst: LoadInst) -> None:
-        pointer = self._eval(frame, inst.pointer)
-        if not isinstance(pointer, PointerValue):
-            raise InterpreterError(f"load through a non-pointer value at line {inst.line}")
-        assert inst.result is not None
-        default: RuntimeValue = 0.0 if inst.result.type.is_float else 0
-        value = self.memory.load(pointer.address, default)
-        frame.regs[inst.result.rid] = value
-        if self.sink is not None:
-            loaded = _value_fields(value)
-            self._emit(frame, inst, (loaded[0], pointer.address) + loaded,
-                       pointer.symbol)
-
-    def _exec_store(self, frame: Frame, inst: StoreInst) -> None:
-        value = self._eval(frame, inst.value)
-        pointer = self._eval(frame, inst.pointer)
-        if not isinstance(pointer, PointerValue):
-            raise InterpreterError(f"store through a non-pointer value at line {inst.line}")
-        stored = value
-        if isinstance(value, PointerValue):
-            # Storing a pointer into a (parameter) slot: from now on the
-            # pointer travels under the slot's name, as LLVM-Tracer reports.
-            stored = value.with_symbol(pointer.symbol)
-        self.memory.store(pointer.address, stored)
-        if self.sink is not None:
-            operand = _value_fields(value)
-            self._emit(frame, inst, operand + (operand[0], pointer.address),
-                       pointer.symbol)
-
-    def _exec_gep(self, frame: Frame, inst: GEPInst) -> None:
-        base = self._eval(frame, inst.base)
-        index = self._eval(frame, inst.index)
-        if not isinstance(base, PointerValue):
-            raise InterpreterError(f"getelementptr on non-pointer at line {inst.line}")
-        element_bits = inst.element_type.size_in_bits()
-        pointer = PointerValue(base.address + int(as_number(index)) * element_bits // 8,
-                               base.symbol, element_bits)
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = pointer
-        if self.sink is not None:
-            self._emit(frame, inst,
-                       (base.address, base.address) + _value_fields(index)
-                       + (pointer.address, pointer.address), base.symbol)
-
-    def _exec_bitcast(self, frame: Frame, inst: BitCastInst) -> None:
-        value = self._eval(frame, inst.operands[0])
-        result_type = inst.result.type if inst.result is not None else None
-        if isinstance(value, PointerValue) and isinstance(result_type, PointerType):
-            value = PointerValue(value.address, value.symbol,
-                                 result_type.pointee.size_in_bits())
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = value
-        if self.sink is not None:
-            self._emit(frame, inst, _value_fields(value) * 2)
-
-    def _exec_cast(self, frame: Frame, inst: CastInst) -> None:
-        value = self._eval(frame, inst.operands[0])
-        number = as_number(value)
-        opcode = inst.opcode
-        if opcode in (Opcode.SITOFP, Opcode.UITOFP, Opcode.FPEXT, Opcode.FPTRUNC):
-            result: RuntimeValue = float(number)
-        elif opcode in (Opcode.FPTOSI, Opcode.FPTOUI):
-            result = int(number) if number >= 0 else -int(-number)
-        else:  # integer width changes and pointer/int casts: value-preserving
-            result = int(number) if isinstance(number, int) else number
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        if self.sink is not None:
-            self._emit(frame, inst, _value_fields(value) + (result, None))
-
-    def _exec_cmp(self, frame: Frame, inst: CmpInst) -> None:
-        lhs = as_number(self._eval(frame, inst.operands[0]))
-        rhs = as_number(self._eval(frame, inst.operands[1]))
-        predicate = inst.predicate
-        outcome = {
-            "eq": lhs == rhs,
-            "ne": lhs != rhs,
-            "lt": lhs < rhs,
-            "le": lhs <= rhs,
-            "gt": lhs > rhs,
-            "ge": lhs >= rhs,
-        }[predicate]
-        result = 1 if outcome else 0
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        if self.sink is not None:
-            self._emit(frame, inst, (lhs, None, rhs, None, result, None))
-
-    def _exec_binary(self, frame: Frame, inst: BinaryInst) -> None:
-        lhs = as_number(self._eval(frame, inst.operands[0]))
-        rhs = as_number(self._eval(frame, inst.operands[1]))
-        result = self._compute_binary(inst.opcode, lhs, rhs, inst.line)
-        assert inst.result is not None
-        frame.regs[inst.result.rid] = result
-        if self.sink is not None:
-            self._emit(frame, inst, (lhs, None, rhs, None, result, None))
+    def _exhaust_budget(self, frame: Frame, steps: Tuple[Step, ...]) -> None:
+        """Run a run's steps up to the instruction budget, then stop."""
+        within = self.max_steps - self.steps
+        self.steps += len(steps)
+        for step in steps[:within]:
+            step(frame)
+        self.steps = self.max_steps + 1
+        raise InterpreterError(
+            f"instruction budget of {self.max_steps} exceeded "
+            f"(possible infinite loop in {frame.function.name!r})")
 
     @staticmethod
-    def _compute_binary(opcode: Opcode, lhs: Union[int, float],
-                        rhs: Union[int, float], line: int) -> Union[int, float]:
+    def _unset_register(frame: Frame,
+                        exc: KeyError) -> Optional[InterpreterError]:
+        """The error a step's failed register read stands for (``None``
+        when ``exc`` did not come from one)."""
+        key = exc.args[0] if exc.args else None
+        if key.__class__ is not int or key in frame.regs:
+            return None
+        if key < 0:
+            return InterpreterError(
+                f"missing argument {-1 - key} in {frame.function.name}")
+        return InterpreterError(
+            f"use of unset register %{key} in {frame.function.name}")
+
+    # ------------------------------------------------------------------ #
+    # Compilation
+    # ------------------------------------------------------------------ #
+    def _compile_block(self, function: Function,
+                       block: BasicBlock) -> CompiledBlock:
+        """Compile ``block``'s instructions up to its first terminator."""
+        runs: List[List[Instruction]] = [[]]
+        terminated = False
+        for inst in block.instructions:
+            runs[-1].append(inst)
+            if inst.is_terminator:
+                terminated = True
+                break
+            if inst.__class__ is CallInst and not inst.is_builtin:
+                runs.append([])
+        compiled = [(len(run), tuple(self._compile_step(function, inst,
+                                                        len(run) - 1 - position)
+                                     for position, inst in enumerate(run)))
+                    for run in runs if run]
+        if not terminated:
+            message = (f"{function.name}/{block.name}: "
+                       f"fell off the end of a block")
+
+            def fell_off(frame: Frame) -> None:
+                raise InterpreterError(message)
+
+            compiled.append((0, (fell_off,)))
+        return (function.name, block.name), tuple(compiled)
+
+    def _compile_step(self, function: Function, inst: Instruction,
+                      back: int) -> Step:
+        """One instruction's step; ``back`` is how many instructions of its
+        run follow it, so its dyn id is ``self.steps - back``.
+
+        An instruction that cannot be compiled gets a step that raises the
+        error when it executes, where running the instruction would have.
+        """
+        emission = (_Emission(self.sink, function, inst)
+                    if self.sink is not None else None)
         try:
-            if opcode == Opcode.ADD:
-                return int(lhs) + int(rhs)
-            if opcode == Opcode.FADD:
-                return float(lhs) + float(rhs)
-            if opcode == Opcode.SUB:
-                return int(lhs) - int(rhs)
-            if opcode == Opcode.FSUB:
-                return float(lhs) - float(rhs)
-            if opcode == Opcode.MUL:
-                return int(lhs) * int(rhs)
-            if opcode == Opcode.FMUL:
-                return float(lhs) * float(rhs)
-            if opcode in (Opcode.SDIV, Opcode.UDIV):
-                quotient = int(lhs) / int(rhs)
-                return math.trunc(quotient)
-            if opcode == Opcode.FDIV:
-                return float(lhs) / float(rhs)
-            if opcode in (Opcode.SREM, Opcode.UREM):
-                return int(lhs) - int(rhs) * math.trunc(int(lhs) / int(rhs))
-            if opcode == Opcode.FREM:
-                return math.fmod(float(lhs), float(rhs))
-            if opcode == Opcode.AND:
-                return 1 if (lhs != 0 and rhs != 0) else 0
-            if opcode == Opcode.OR:
-                return 1 if (lhs != 0 or rhs != 0) else 0
-            if opcode == Opcode.XOR:
-                return 1 if (lhs != 0) != (rhs != 0) else 0
-        except ZeroDivisionError as exc:
-            raise InterpreterError(f"division by zero at line {line}") from exc
-        raise InterpreterError(f"unsupported binary opcode {opcode!r}")
+            builder = _STEP_BUILDERS.get(inst.__class__)
+            if builder is None:
+                raise InterpreterError(f"cannot execute instruction {inst!r}")
+            return builder(self, function, inst, back, emission)
+        except Exception as exc:
+            error = exc
 
-    def _exec_print(self, frame: Frame, inst: PrintInst) -> None:
-        values = [as_number(self._eval(frame, op)) for op in inst.operands]
-        self.output.append(format_print_output(inst.labels, values))
-        if self.sink is not None:
-            self._emit(frame, inst, _values_fields(values))
+            def failing(frame: Frame) -> None:
+                raise error
 
-    def _exec_call(self, frame: Frame, inst: CallInst) -> None:
-        arg_values = [self._eval(frame, op) for op in inst.operands]
+            return failing
+
+    def _operand(self, value: Value) -> Tuple[Optional[int],
+                                              Optional[RuntimeValue]]:
+        """``(register key, fixed value)`` of an operand: a register or an
+        argument is read from the register file under its key; a constant
+        or a global's pointer is fixed here (key ``None``)."""
+        if isinstance(value, Register):
+            return value.rid, None
+        if isinstance(value, Argument):
+            return -1 - value.index, None
+        if isinstance(value, Constant):
+            return None, value.value
+        if isinstance(value, GlobalVariable):
+            allocation = self.global_allocations[value.name]
+            return None, PointerValue(allocation.address, value.name,
+                                      allocation.element_bits)
+        raise InterpreterError(f"cannot evaluate operand {value!r}")
+
+    def _number_operand(self, value: Value) -> Tuple[Optional[int],
+                                                      Optional[Union[int, float]]]:
+        """:meth:`_operand` for a consumer of numbers (a pointer is its
+        address)."""
+        key, fixed = self._operand(value)
+        return key, None if fixed is None else as_number(fixed)
+
+    # ------------------------------------------------------------------ #
+    # Step builders, one per instruction kind.  Each reads its operands as
+    # ``regs[key] if key is not None else fixed`` and, when traced, emits
+    # through ``emitters.get(key) or miss(key, fields, symbol)``.
+    # ------------------------------------------------------------------ #
+    def _alloca_step(self, function: Function, inst: AllocaInst, back: int,
+                     emission: Optional[_Emission]) -> Step:
+        element_bits, count, is_array = _alloca_shape(inst.allocated_type)
+        var_name = inst.var_name
+        assert inst.result is not None
+        result = inst.result.rid
+        allocate = self.memory.allocate_stack
+        function_name = function.name
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            allocation = allocate(var_name, element_bits, count, is_array,
+                                  function_name)
+            frame.allocations[var_name] = allocation
+            address = allocation.address
+            frame.regs[result] = PointerValue(address, var_name, element_bits)
+            if traced:
+                emit = get(()) or miss((), (count, None, 0, address))
+                emit(self.steps - back, count, 0, address)
+
+        return step
+
+    def _load_step(self, function: Function, inst: LoadInst, back: int,
+                   emission: Optional[_Emission]) -> Step:
+        key, fixed = self._operand(inst.pointer)
+        assert inst.result is not None
+        result = inst.result.rid
+        default: RuntimeValue = 0.0 if inst.result.type.is_float else 0
+        load = self.memory.cells.get
+        line = inst.line
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            pointer = regs[key] if key is not None else fixed
+            try:
+                address = pointer.address
+            except AttributeError:
+                raise InterpreterError(
+                    f"load through a non-pointer value at line {line}") from None
+            value = load(address, default)
+            regs[result] = value
+            if traced:
+                symbol = pointer.symbol
+                cls = value.__class__
+                if cls is PointerValue:
+                    loaded = value.address
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (loaded, address, loaded, loaded), symbol)
+                    emit(self.steps - back, loaded, address, loaded, loaded)
+                else:
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (value, address, value, None), symbol)
+                    emit(self.steps - back, value, address, value)
+
+        return step
+
+    def _store_step(self, function: Function, inst: StoreInst, back: int,
+                    emission: Optional[_Emission]) -> Step:
+        value_key, value_fixed = self._operand(inst.value)
+        key, fixed = self._operand(inst.pointer)
+        cells = self.memory.cells
+        line = inst.line
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            value = regs[value_key] if value_key is not None else value_fixed
+            pointer = regs[key] if key is not None else fixed
+            try:
+                address = pointer.address
+            except AttributeError:
+                raise InterpreterError(
+                    f"store through a non-pointer value at line {line}") from None
+            cls = value.__class__
+            if cls is PointerValue:
+                # Storing a pointer into a (parameter) slot: from now on the
+                # pointer travels under the slot's name, as LLVM-Tracer
+                # reports.
+                cells[address] = value.with_symbol(pointer.symbol)
+                if traced:
+                    symbol = pointer.symbol
+                    stored = value.address
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (stored, stored, stored, address), symbol)
+                    emit(self.steps - back, stored, stored, stored, address)
+            else:
+                cells[address] = value
+                if traced:
+                    symbol = pointer.symbol
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (value, None, value, address), symbol)
+                    emit(self.steps - back, value, value, address)
+
+        return step
+
+    def _gep_step(self, function: Function, inst: GEPInst, back: int,
+                  emission: Optional[_Emission]) -> Step:
+        base_key, base_fixed = self._operand(inst.base)
+        key, fixed = self._operand(inst.index)
+        element_bits = inst.element_type.size_in_bits()
+        assert inst.result is not None
+        result = inst.result.rid
+        line = inst.line
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            base = regs[base_key] if base_key is not None else base_fixed
+            index = regs[key] if key is not None else fixed
+            try:
+                base_address = base.address
+            except AttributeError:
+                raise InterpreterError(
+                    f"getelementptr on non-pointer at line {line}") from None
+            cls = index.__class__
+            number = index.address if cls is PointerValue else index
+            address = base_address + int(number) * element_bits // 8
+            symbol = base.symbol
+            regs[result] = PointerValue(address, symbol, element_bits)
+            if traced:
+                if cls is PointerValue:
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (base_address, base_address, number,
+                                        number, address, address), symbol)
+                    emit(self.steps - back, base_address, base_address,
+                         number, number, address, address)
+                else:
+                    emit = get((cls, symbol)) or miss(
+                        (cls, symbol), (base_address, base_address, index,
+                                        None, address, address), symbol)
+                    emit(self.steps - back, base_address, base_address, index,
+                         address, address)
+
+        return step
+
+    def _bitcast_step(self, function: Function, inst: BitCastInst, back: int,
+                      emission: Optional[_Emission]) -> Step:
+        key, fixed = self._operand(inst.operands[0])
+        result_type = inst.result.type if inst.result is not None else None
+        pointee_bits = (result_type.pointee.size_in_bits()
+                        if isinstance(result_type, PointerType) else None)
+        if (key is None and pointee_bits is not None
+                and isinstance(fixed, PointerValue)):
+            fixed = PointerValue(fixed.address, fixed.symbol, pointee_bits)
+        assert inst.result is not None
+        result = inst.result.rid
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            if key is None:
+                value = fixed
+            else:
+                value = regs[key]
+                if pointee_bits is not None and value.__class__ is PointerValue:
+                    value = PointerValue(value.address, value.symbol,
+                                         pointee_bits)
+            regs[result] = value
+            if traced:
+                cls = value.__class__
+                if cls is PointerValue:
+                    address = value.address
+                    emit = get(cls) or miss(
+                        cls, (address, address, address, address))
+                    emit(self.steps - back, address, address, address, address)
+                else:
+                    emit = get(cls) or miss(cls, (value, None, value, None))
+                    emit(self.steps - back, value, value)
+
+        return step
+
+    def _cast_step(self, function: Function, inst: CastInst, back: int,
+                   emission: Optional[_Emission]) -> Step:
+        key, fixed = self._operand(inst.operands[0])
+        convert = _CASTS.get(inst.opcode, _cast_preserving)
+        assert inst.result is not None
+        result = inst.result.rid
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            value = regs[key] if key is not None else fixed
+            cls = value.__class__
+            number = value.address if cls is PointerValue else value
+            converted = convert(number)
+            regs[result] = converted
+            if traced:
+                signature = (cls, converted.__class__)
+                if cls is PointerValue:
+                    emit = get(signature) or miss(
+                        signature, (number, number, converted, None))
+                    emit(self.steps - back, number, number, converted)
+                else:
+                    emit = get(signature) or miss(
+                        signature, (value, None, converted, None))
+                    emit(self.steps - back, value, converted)
+
+        return step
+
+    def _cmp_step(self, function: Function, inst: CmpInst, back: int,
+                  emission: Optional[_Emission]) -> Step:
+        lhs_key, lhs_fixed = self._number_operand(inst.operands[0])
+        rhs_key, rhs_fixed = self._number_operand(inst.operands[1])
+        compare = _COMPARISONS[inst.predicate]
+        assert inst.result is not None
+        result = inst.result.rid
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            lhs = regs[lhs_key] if lhs_key is not None else lhs_fixed
+            if lhs.__class__ is PointerValue:
+                lhs = lhs.address
+            rhs = regs[rhs_key] if rhs_key is not None else rhs_fixed
+            if rhs.__class__ is PointerValue:
+                rhs = rhs.address
+            outcome = 1 if compare(lhs, rhs) else 0
+            regs[result] = outcome
+            if traced:
+                signature = (lhs.__class__, rhs.__class__)
+                emit = get(signature) or miss(
+                    signature, (lhs, None, rhs, None, outcome, None))
+                emit(self.steps - back, lhs, rhs, outcome)
+
+        return step
+
+    def _binary_step(self, function: Function, inst: BinaryInst, back: int,
+                     emission: Optional[_Emission]) -> Step:
+        lhs_key, lhs_fixed = self._number_operand(inst.operands[0])
+        rhs_key, rhs_fixed = self._number_operand(inst.operands[1])
+        operation = _BINARY_OPERATIONS.get(inst.opcode)
+        if operation is None:
+            raise InterpreterError(f"unsupported binary opcode {inst.opcode!r}")
+        assert inst.result is not None
+        result = inst.result.rid
+        line = inst.line
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            lhs = regs[lhs_key] if lhs_key is not None else lhs_fixed
+            if lhs.__class__ is PointerValue:
+                lhs = lhs.address
+            rhs = regs[rhs_key] if rhs_key is not None else rhs_fixed
+            if rhs.__class__ is PointerValue:
+                rhs = rhs.address
+            try:
+                value = operation(lhs, rhs)
+            except ZeroDivisionError as exc:
+                raise InterpreterError(f"division by zero at line {line}") from exc
+            regs[result] = value
+            if traced:
+                signature = (lhs.__class__, rhs.__class__, value.__class__)
+                emit = get(signature) or miss(
+                    signature, (lhs, None, rhs, None, value, None))
+                emit(self.steps - back, lhs, rhs, value)
+
+        return step
+
+    def _print_step(self, function: Function, inst: PrintInst, back: int,
+                    emission: Optional[_Emission]) -> Step:
+        operands = [self._number_operand(operand) for operand in inst.operands]
+        labels = inst.labels
+        output = self.output
+
+        def step(frame: Frame) -> None:
+            regs = frame.regs
+            values = [as_number(regs[key] if key is not None else fixed)
+                      for key, fixed in operands]
+            output.append(format_print_output(labels, values))
+            if emission is not None:
+                emission.emit(self.steps - back, _values_fields(values))
+
+        return step
+
+    def _call_step(self, function: Function, inst: CallInst, back: int,
+                   emission: Optional[_Emission]) -> Step:
+        operands = [self._operand(operand) for operand in inst.operands]
+        callee = inst.callee
+        result = inst.result.rid if inst.result is not None else None
+        line = inst.line
 
         if inst.is_builtin:
-            numbers = [as_number(value) for value in arg_values]
+            call = self.runtime.call
+
+            def builtin_step(frame: Frame) -> None:
+                regs = frame.regs
+                arguments = [regs[key] if key is not None else fixed
+                             for key, fixed in operands]
+                try:
+                    value = call(callee, [as_number(argument)
+                                          for argument in arguments])
+                except RuntimeError_ as exc:
+                    raise InterpreterError(f"{exc} at line {line}") from exc
+                if result is not None:
+                    regs[result] = value
+                if emission is not None:
+                    fields = _values_fields(arguments)
+                    if result is not None:
+                        fields += _value_fields(value)
+                    emission.emit(self.steps - back, fields)
+
+            return builtin_step
+
+        # User function: emit the Call record first (the callee's body
+        # follows in the trace — paper Fig. 6b), including parameter name
+        # bindings.
+        parameters = len(inst.param_names)
+        module = self.module
+
+        def call_step(frame: Frame) -> None:
+            regs = frame.regs
+            arguments = [regs[key] if key is not None else fixed
+                         for key, fixed in operands]
+            if emission is not None:
+                params = [arguments[position] if position < len(arguments)
+                          else 0 for position in range(parameters)]
+                emission.emit(self.steps - back, _values_fields(arguments)
+                              + _values_fields(params))
             try:
-                result = self.runtime.call(inst.callee, numbers)
-            except RuntimeError_ as exc:
-                raise InterpreterError(f"{exc} at line {inst.line}") from exc
-            if inst.result is not None:
-                frame.regs[inst.result.rid] = result
-            if self.sink is not None:
-                fields = _values_fields(arg_values)
-                if inst.result is not None:
-                    fields += _value_fields(result)
-                self._emit(frame, inst, fields)
-            return
+                target = module.function(callee)
+            except KeyError as exc:
+                raise InterpreterError(
+                    f"call to unknown function {callee!r}") from exc
+            returned = self._call_function(target, arguments)
+            if result is not None:
+                regs[result] = returned if returned is not None else 0
 
-        # User function: emit the Call record first (the callee's body follows
-        # in the trace — paper Fig. 6b), including parameter name bindings.
-        if self.sink is not None:
-            params = [arg_values[position] if position < len(arg_values) else 0
-                      for position in range(len(inst.param_names))]
-            self._emit(frame, inst,
-                       _values_fields(arg_values) + _values_fields(params))
+        return call_step
 
-        try:
-            target = self.module.function(inst.callee)
-        except KeyError as exc:
-            raise InterpreterError(f"call to unknown function {inst.callee!r}") from exc
-        returned = self._call_function(target, arg_values)
-        if inst.result is not None:
-            frame.regs[inst.result.rid] = returned if returned is not None else 0
-
-    def _exec_branch(self, frame: Frame, inst: BranchInst) -> Tuple[str, object]:
-        condition: Optional[Union[int, float]] = None
-        if inst.is_conditional:
-            condition = as_number(self._eval(frame, inst.operands[0]))
-            target = inst.targets[0] if condition != 0 else inst.targets[1]
-        else:
+    def _branch_step(self, function: Function, inst: BranchInst, back: int,
+                     emission: Optional[_Emission]) -> Step:
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+        if not inst.is_conditional:
             target = inst.targets[0]
-        if self.sink is not None:
-            self._emit(frame, inst, () if condition is None else (condition, None))
-        return ("branch", target)
 
-    def _exec_ret(self, frame: Frame, inst: RetInst) -> Tuple[str, object]:
-        value: Optional[RuntimeValue] = None
-        if inst.operands:
-            value = self._eval(frame, inst.operands[0])
-        if self.sink is not None:
-            self._emit(frame, inst, () if value is None else _value_fields(value))
-        return ("return", value)
+            def jump(frame: Frame) -> BasicBlock:
+                if traced:
+                    (get(()) or miss((), ()))(self.steps - back)
+                return target
+
+            return jump
+
+        key, fixed = self._number_operand(inst.operands[0])
+        true_target, false_target = inst.targets[:2]
+
+        def branch(frame: Frame) -> BasicBlock:
+            condition = frame.regs[key] if key is not None else fixed
+            if condition.__class__ is PointerValue:
+                condition = condition.address
+            if traced:
+                cls = condition.__class__
+                emit = get(cls) or miss(cls, (condition, None))
+                emit(self.steps - back, condition)
+            return true_target if condition != 0 else false_target
+
+        return branch
+
+    def _ret_step(self, function: Function, inst: RetInst, back: int,
+                  emission: Optional[_Emission]) -> Step:
+        traced = emission is not None
+        if traced:
+            get, miss = emission.emitters.get, emission.emitter
+        if not inst.operands:
+
+            def ret_void(frame: Frame) -> None:
+                if traced:
+                    (get(()) or miss((), ()))(self.steps - back)
+
+            return ret_void
+
+        key, fixed = self._operand(inst.operands[0])
+
+        def ret(frame: Frame) -> None:
+            value = frame.regs[key] if key is not None else fixed
+            if traced:
+                cls = value.__class__
+                if cls is PointerValue:
+                    address = value.address
+                    emit = get(cls) or miss(cls, (address, address))
+                    emit(self.steps - back, address, address)
+                else:
+                    emit = get(cls) or miss(cls, (value, None))
+                    emit(self.steps - back, value)
+            frame.return_value = value
+
+        return ret
+
+
+_STEP_BUILDERS: Dict[type, Callable[..., Step]] = {
+    AllocaInst: Interpreter._alloca_step,
+    LoadInst: Interpreter._load_step,
+    StoreInst: Interpreter._store_step,
+    GEPInst: Interpreter._gep_step,
+    BitCastInst: Interpreter._bitcast_step,
+    CastInst: Interpreter._cast_step,
+    CmpInst: Interpreter._cmp_step,
+    BinaryInst: Interpreter._binary_step,
+    PrintInst: Interpreter._print_step,
+    CallInst: Interpreter._call_step,
+    BranchInst: Interpreter._branch_step,
+    RetInst: Interpreter._ret_step,
+}

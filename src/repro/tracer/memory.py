@@ -69,7 +69,9 @@ class Memory:
     """Byte-addressed (element-granular) memory with allocation tracking."""
 
     def __init__(self) -> None:
-        self._cells: Dict[int, RuntimeValue] = {}
+        #: element values by address (the interpreter's compiled steps read
+        #: and write it directly)
+        self.cells: Dict[int, RuntimeValue] = {}
         self._global_cursor = GLOBAL_BASE
         self._stack_pointer = STACK_BASE
         self._peak_stack = STACK_BASE
@@ -115,10 +117,10 @@ class Memory:
     # Loads and stores
     # ------------------------------------------------------------------ #
     def load(self, address: int, default: RuntimeValue = 0) -> RuntimeValue:
-        return self._cells.get(address, default)
+        return self.cells.get(address, default)
 
     def store(self, address: int, value: RuntimeValue) -> None:
-        self._cells[address] = value
+        self.cells[address] = value
 
     def read_block(self, allocation: Allocation,
                    default: RuntimeValue = 0) -> List[RuntimeValue]:

@@ -1,10 +1,18 @@
 """Tests for the command line interface."""
 
+import hashlib
+import json
 import os
 
 from repro.cli import main
+from repro.store import ArtifactStore
+from repro.store.serialize import canonical_report_json
 from repro.trace.binio import write_trace_file_binary
 from repro.trace.textio import write_trace_file
+from repro.tracer.driver import trace_to_file
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "golden.json")
 
 
 class TestCLI:
@@ -324,3 +332,51 @@ class TestExitCodeConvention:
                             _FakeValidator)
         assert main(["validate", "--apps", "example"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+
+class TestTamperedTraceCannotPoisonTheStore:
+    """A binary trace changed after it was written keeps its footer, and so
+    the genuine file's store key.  ``analyze --cache`` must refuse it
+    rather than publish its report under that key."""
+
+    def test_tampered_file_is_refused_and_genuine_file_misses(
+            self, capsys, tmp_path, example_module, example_source,
+            example_spec):
+        genuine = str(tmp_path / "example.btrace")
+        trace_to_file(example_module, genuine, module_name="example",
+                      fmt="binary")
+        tampered = str(tmp_path / "tampered.btrace")
+        with open(genuine, "rb") as handle:
+            data = bytearray(handle.read())
+        data[25] ^= 0x01  # the first record's opcode; the footer is kept
+        with open(tampered, "wb") as handle:
+            handle.write(data)
+        source = str(tmp_path / "example.c")
+        with open(source, "w", encoding="utf-8") as handle:
+            handle.write(example_source)
+        cache_dir = str(tmp_path / "cache")
+
+        def analyze(path):
+            return main(["analyze", path, "--source", source,
+                         "--function", example_spec.function,
+                         "--start", str(example_spec.start_line),
+                         "--end", str(example_spec.end_line),
+                         "--cache", "--cache-dir", cache_dir])
+
+        assert analyze(tampered) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "footer digest" in err and "Traceback" not in err
+        store = ArtifactStore(cache_dir)
+        assert store.stats().entries == 0
+
+        assert analyze(genuine) == 0
+        assert "miss" in capsys.readouterr().out
+        [entry_path] = store._entry_paths()
+        key = os.path.basename(entry_path)[:-len(".json")]
+        report = store.load(key)
+        with open(GOLDEN_PATH, encoding="utf-8") as handle:
+            golden = json.load(handle)["apps"]["example"]
+        canonical = canonical_report_json(report).encode()
+        assert hashlib.sha256(canonical).hexdigest() \
+            == golden["report_sha256"]

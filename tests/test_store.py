@@ -36,7 +36,13 @@ from repro.store import (
     report_to_json,
     run_batch,
 )
-from repro.trace.binio import BinaryTraceError, encode_trace, read_layout
+from repro.trace import columnar
+from repro.trace.binio import (
+    BinaryTraceError,
+    TraceDigestMismatch,
+    encode_trace,
+    read_layout,
+)
 from repro.tracer.driver import run_and_trace
 
 #: Every bundled application: the 14 study benchmarks + example + bigarray.
@@ -307,6 +313,69 @@ class TestPinnedStoreKeys:
         key = AutoCheck(entry.config(), trace=example_trace,
                         module=example_module).cache_key().key
         assert key == EXAMPLE_KEY_WITH_MODULE
+
+
+def test_published_entry_is_one_json_dumps(tmp_path, fleet):
+    """An entry's text is ``json.dumps`` of its payload (the C encoder,
+    byte-identical to streaming ``json.dump``) and loads back."""
+    from repro.store import report_to_dict
+
+    entry = fleet.apps["example"]
+    store = ArtifactStore(str(tmp_path / "cache"))
+    path = store.store("ab" + "1" * 62, entry.report, trace_digest="d",
+                       fingerprint="f")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    payload = json.loads(text)
+    assert text == json.dumps(payload)
+    assert payload["report"] == json.loads(json.dumps(
+        report_to_dict(entry.report)))
+    assert store.load("ab" + "1" * 62) == entry.report
+
+
+# --------------------------------------------------------------------------- #
+# A trace file changed after it was written
+# --------------------------------------------------------------------------- #
+def _tampered_copy(source_path, target_path):
+    """``source_path`` with bit 0 of byte 25 (the first record's opcode)
+    flipped and the footer kept."""
+    with open(source_path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[25] ^= 0x01
+    with open(target_path, "wb") as handle:
+        handle.write(data)
+
+
+class TestTamperedTraceFile:
+    def test_publishing_run_refuses_with_both_digests(self, tmp_path,
+                                                      fleet):
+        entry = fleet.apps["example"]
+        path = str(tmp_path / "tampered.btrace")
+        _tampered_copy(entry.trace_path, path)
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(TraceDigestMismatch) as excinfo:
+            AutoCheck(entry.config(use_cache=True, cache_dir=cache_dir),
+                      trace_path=path, module=entry.module).run()
+        error = excinfo.value
+        assert isinstance(error, BinaryTraceError)
+        assert error.path == path
+        assert error.expected == read_layout(entry.trace_path).content_digest
+        assert error.actual != error.expected
+        assert path in str(error) and error.actual in str(error)
+        assert ArtifactStore(cache_dir).stats().entries == 0
+
+    def test_run_without_the_store_does_not_fold(self, tmp_path, fleet,
+                                                 monkeypatch):
+        """Only runs that publish hash the file: a ``use_cache=False``
+        walk of the same file neither folds nor refuses."""
+        entry = fleet.apps["example"]
+        path = str(tmp_path / "tampered.btrace")
+        _tampered_copy(entry.trace_path, path)
+        folds = []
+        monkeypatch.setattr(columnar._DigestFold, "add",
+                            lambda self, start, data: folds.append(start))
+        AutoCheck(entry.config(), trace_path=path, module=entry.module).run()
+        assert folds == []
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,291 @@
+"""The compiled tracer: whole-file trace pins, the writer's packers, and the
+interpreter's behaviour at the edges of its step runs.
+
+The interpreter runs each basic block as a list of prebuilt step closures,
+and the writer packs each record with one precompiled ``struct.Struct``
+per value-flag signature.  The pins below were measured on the interpreter
+that dispatched every instruction through an ``isinstance`` chain and
+encoded every operand slot on its own.  The fleet pins hash whole files:
+the footer digest leaves the string table out, so only a whole-file hash
+catches a change in the order strings are interned.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import weakref
+
+import pytest
+from conftest import FLEET_NAMES
+
+from repro.analysis import find_loops
+from repro.apps import get_app
+from repro.codegen.lowering import compile_source
+from repro.ir.builder import IRBuilder
+from repro.ir.module import Function, Module
+from repro.ir.opcodes import Opcode
+from repro.ir.types import I32, PointerType
+from repro.ir.values import GlobalVariable, Register
+from repro.trace.binio import TraceBinaryReader, encode_trace
+from repro.trace.records import TraceOperand, TraceRecord
+from repro.tracer import (
+    FaultInjector,
+    Interpreter,
+    InterpreterError,
+    compile_and_run,
+    run_and_trace,
+)
+from repro.tracer.interpreter import InMemoryTraceSink
+
+#: SHA-256 of each fleet app's whole binary trace (``trace_to_file``,
+#: default seed), footer string table included.
+FLEET_TRACE_SHA256 = {
+    "example": "85a202cc9e9c4be4ccd94df452275e67395209bfbf2a02c6cb71709f511ebfcb",
+    "himeno": "5ad76ffb36509613bcfa2824f017a095db832a205e7aea770691ea9bb160b20c",
+    "hpccg": "dcc99adfe94b481a7dbcf7b16f49273140d4893d04173674a45b513a17aea8fd",
+    "cg": "c40ea4fe8a1f84cdf36667d7a50e7b75fd5916c83274cf44efb027ed61e0aa38",
+    "mg": "ef4e035ba34c75110d8e8d033f17620a67826095c357f3137547ca4a1e53bcd7",
+    "ft": "7086d5dae8fad780c93fe04ae33df99db078f992a4e90ce21b5257274b2776bc",
+    "sp": "12dab2e11315d5caa899da603e889610e4cbb9ed9c3e27758f6a25f77b1b302d",
+    "ep": "5b9b3f51135dc077ccd2856aef0551ad54aaafbfe7bded8b82f6fdbba3b5f260",
+    "is": "1997423cd265ff91d368f1622f77e395e7e8e40ff141f6b0c419c35fbb046095",
+    "bt": "4c28cca6a87f2cbcb9261bd7748f0c1fcacde5a097fb0b3b9d330e3fad7048d3",
+    "lu": "1a21a1d9db7b509d6a8d6c07d1bfee67b03d0b64576aab944e829adf349b92f4",
+    "comd": "2f3bd3555619b8f9ab8cd84ab38c23f4738f2e84da4daa92793c232028343a0e",
+    "miniamr": "a481933189b4d6302a5fa45395fdf4ffd2ab5c17cbd92b0ad1703a4b97016667",
+    "amg": "e92a81062994fda214e5d6ba1cc9e8e80bb58b14609a4630e2e08045e4aba907",
+    "hacc": "0b75d7d5689300dd947d502e02257ef9192c73d3692a6a8d9bc3d68086e0fe9a",
+    "bigarray": "796ec35167543b70d9cf1db57a3eebccca3a7a7559eeed3670c282a8db9a20b0",
+}
+
+
+def test_pins_cover_the_fleet():
+    assert sorted(FLEET_TRACE_SHA256) == sorted(FLEET_NAMES)
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_fleet_trace_file_is_whole_file_identical(fleet, name):
+    with open(fleet.apps[name].trace_path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == FLEET_TRACE_SHA256[name]
+
+
+# --------------------------------------------------------------------------- #
+# The writer's packers against write_record
+# --------------------------------------------------------------------------- #
+#: One template per value layout: (operand slots, result slot, fields,
+#: pointer symbol).  A slot's name ``None`` takes the symbol.
+LAYOUTS = {
+    "int": ([("1", 32, True, "7"), ("2", 32, False, "")],
+            ("r", 32, True, "8"), (5, None, -3, None, 2, None), ""),
+    "float": ([("1", 64, True, "7"), ("2", 64, False, "")],
+              ("r", 64, True, "8"), (2.5, None, 0.5, None, 3.0, None), ""),
+    "bool": ([("1", 32, True, "7"), ("2", 32, True, "9")],
+             ("r", 32, True, "8"), (True, None, False, None, 1, None), ""),
+    "address": ([("1", 64, False, None)], ("r", 64, True, "8"),
+                (2.5, 0x7F00_0000_0010, 2.5, None), "grid"),
+    "int64 overflow": ([("1", 64, True, "7"), ("2", 64, False, "")],
+                       ("r", 64, True, "8"),
+                       (2 ** 70, None, -(2 ** 64), None, 2 ** 63, None), ""),
+}
+
+
+def _template(writer, operands, result, symbol):
+    return writer.template(13, "Mul", "kernel", 12, 3, 4, "11:4", "",
+                           operands, result, symbol)
+
+
+def _record(dyn_id, operands, result, fields, symbol):
+    slots = [*operands, result]
+    built = [TraceOperand(index=index, bits=bits, value=fields[2 * position],
+                          is_register=is_register,
+                          name=symbol if name is None else name,
+                          address=fields[2 * position + 1])
+             for position, (index, bits, is_register, name)
+             in enumerate(slots)]
+    return TraceRecord(dyn_id, 13, "Mul", "kernel", 12, 3, 4, "11:4",
+                       built[:-1], built[-1], "")
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_packed_record_equals_write_record(layout):
+    operands, result, fields, symbol = LAYOUTS[layout]
+    packed = InMemoryTraceSink(module_name="m")
+    template = _template(packed, operands, result, symbol)
+    present = [item for item in fields if item is not None]
+    emit = packed.emitter(template, fields, symbol)
+    emit(41, *present)
+    assert packed.emitter(template, fields, symbol) is emit
+    emit(42, *present)
+    written = InMemoryTraceSink(module_name="m")
+    for dyn_id in (41, 42):
+        written.write_record(_record(dyn_id, operands, result, fields,
+                                     symbol))
+    assert packed.getvalue() == written.getvalue()
+
+
+def test_traced_bytes_equal_the_encoding_of_their_records():
+    """A traced file is what ``write_record`` writes for the records it
+    decodes to, string table included, also when a Load's pointer symbol
+    is a string no earlier record named (here a global loaded first)."""
+    module = Module(name="m")
+    scale = GlobalVariable(type=PointerType(I32), name="scale",
+                           value_type=I32, initializer=5)
+    module.add_global(scale)
+    function = Function(name="main", return_type=I32)
+    module.add_function(function)
+    builder = IRBuilder(module, function)
+    builder.set_block(builder.new_block("entry"))
+    builder.ret(builder.load(scale, I32, line=2), line=3)
+    sink = InMemoryTraceSink(module_name="m")
+    assert Interpreter(module, trace_sink=sink).run().return_value == 5
+    data = sink.getvalue()
+    trace = TraceBinaryReader(buffer=data).read()
+    assert encode_trace("m", trace.globals, trace.records)[0] == data
+
+
+def test_emitter_is_cached_per_signature_and_symbol():
+    operands, result, fields, symbol = LAYOUTS["address"]
+    writer = InMemoryTraceSink(module_name="m")
+    template = _template(writer, operands, result, symbol)
+    first = writer.emitter(template, fields, symbol)
+    assert writer.emitter(template, (1.5, 64, 1.5, None), symbol) is first
+    assert writer.emitter(template, (1, 64, 1, None), symbol) is not first
+    assert writer.emitter(template, fields, "other") is not first
+
+
+# --------------------------------------------------------------------------- #
+# Errors keep their text
+# --------------------------------------------------------------------------- #
+def _module(build):
+    module = Module(name="m")
+    function = Function(name="main", return_type=I32)
+    module.add_function(function)
+    builder = IRBuilder(module, function)
+    builder.set_block(builder.new_block("entry"))
+    build(builder)
+    builder.ret(builder.const_int(0))
+    return module
+
+
+ERRORS = {
+    "load": (lambda b: b.load(b.const_int(3), I32, line=4),
+             "load through a non-pointer value at line 4"),
+    "store": (lambda b: b.store(b.const_int(1), b.const_int(8), line=6),
+              "store through a non-pointer value at line 6"),
+    "gep": (lambda b: b.gep(b.const_int(8), b.const_int(1), I32, line=7),
+            "getelementptr on non-pointer at line 7"),
+    "unset register": (
+        lambda b: b.binary(Opcode.ADD, Register(type=I32, rid=42),
+                           b.const_int(1), I32, line=3),
+        "use of unset register %42 in main"),
+    "division by zero": (
+        lambda b: b.binary(Opcode.SDIV, b.const_int(1), b.const_int(0), I32,
+                           line=9),
+        "division by zero at line 9"),
+}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["execute", "traced"])
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_error_messages_keep_their_text(case, traced):
+    build, message = ERRORS[case]
+    module = _module(build)
+    with pytest.raises(InterpreterError) as excinfo:
+        if traced:
+            run_and_trace(module)
+        else:
+            Interpreter(module).run()
+    assert str(excinfo.value) == message
+
+
+CALLING_PROGRAM = """\
+int f(int n) { int s = 0; for (int i = 0; i < n; ++i) { s = s + i; } return s; }
+int main() { int t = 0; for (int k = 0; k < 50; ++k) { t = t + f(k); } print(t); return 0; }
+"""
+#: instructions ``CALLING_PROGRAM`` executes
+CALLING_STEPS = 17236
+
+
+def test_step_budget_is_exact():
+    """The budget admits exactly ``max_steps`` instructions, across the
+    step runs a user call splits a block into."""
+    assert compile_and_run(CALLING_PROGRAM).steps == CALLING_STEPS
+    assert compile_and_run(CALLING_PROGRAM,
+                           max_steps=CALLING_STEPS).steps == CALLING_STEPS
+    with pytest.raises(InterpreterError) as excinfo:
+        compile_and_run(CALLING_PROGRAM, max_steps=CALLING_STEPS - 1)
+    assert str(excinfo.value) == (
+        f"instruction budget of {CALLING_STEPS - 1} exceeded "
+        f"(possible infinite loop in 'main')")
+    with pytest.raises(InterpreterError, match=r"loop in 'f'\)$"):
+        compile_and_run(CALLING_PROGRAM, max_steps=100)
+
+
+# --------------------------------------------------------------------------- #
+# Block hooks
+# --------------------------------------------------------------------------- #
+#: Every block entry of ``ep`` as (function, block, entry count, steps so
+#: far): the number of entries, the run's steps and the SHA-256 of the
+#: lines ``"<function> <block> <count> <steps>"`` joined by newlines.
+EP_HOOK_CALLS = 3355
+EP_STEPS = 63348
+EP_HOOK_SHA256 = \
+    "0c31089fbcb8d3b13a7765ba64212ff6ba0ac02b6fac6431612e4f4ea0b32bd9"
+#: steps of ``ep`` when its main loop's body fails at its third entry
+EP_FAILED_STEPS = 20897
+
+
+@pytest.fixture(scope="module")
+def ep_module():
+    return compile_source(get_app("ep").source(), module_name="ep")
+
+
+def test_block_hooks_see_the_same_entries(ep_module):
+    interpreter = Interpreter(ep_module)
+    seen = []
+    for function in ep_module.functions.values():
+        for block in function.blocks:
+            interpreter.register_block_hook(
+                function.name, block.name,
+                lambda context: seen.append(
+                    f"{context.function_name} {context.block_name} "
+                    f"{context.entry_count} {context.interpreter.steps}"))
+    result = interpreter.run()
+    assert len(seen) == EP_HOOK_CALLS
+    assert result.steps == EP_STEPS
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() \
+        == EP_HOOK_SHA256
+
+
+def test_simulated_failure_from_a_hook_stops_the_run(ep_module):
+    app = get_app("ep")
+    spec = app.main_loop(app.source())
+    loops = find_loops(ep_module.function(spec.function)).loops
+    header = next(loop.header for loop in loops
+                  if loop.header.first_line == spec.start_line)
+    body = header.terminator.targets[0].name
+    interpreter = Interpreter(ep_module)
+    interpreter.register_block_hook(
+        spec.function, body,
+        FaultInjector(function=spec.function, block=body, fail_at_entry=3))
+    result = interpreter.run()
+    assert result.failed
+    assert result.failure.iteration == 3
+    assert result.steps == EP_FAILED_STEPS
+    assert interpreter.block_entry_count(spec.function, body) == 3
+
+
+def test_compiled_steps_do_not_outlive_the_run(ep_module):
+    """The steps refer to their interpreter; ``run`` drops them, so the
+    interpreter is freed by reference counting alone."""
+    interpreter = Interpreter(ep_module, trace_sink=InMemoryTraceSink("ep"))
+    interpreter.run()
+    reference = weakref.ref(interpreter)
+    gc.disable()
+    try:
+        del interpreter
+        assert reference() is None
+    finally:
+        gc.enable()
