@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.ddg import DDG, NodeKind
 from repro.core.engine import (
     KIND_ARITHMETIC,
@@ -63,35 +65,25 @@ from repro.core.regmaps import RegRegMap, RegVarMap
 from repro.core.varmap import VariableInfo, VariableMap
 from repro.trace.records import TraceRecord
 
-try:  # numpy accelerates the span selection; loops otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
-
 
 #: the record kinds the dependency walk dispatches on
 _DISPATCH_KINDS = (KIND_LOAD, KIND_STORE, KIND_GEP, KIND_FORWARDING,
                    KIND_ARITHMETIC)
 
-#: raw opcode -> record kind for the opcodes the walk dispatches on; scope
-#: and unknown opcodes are absent (they break segments and reach the
-#: engine's scope processing instead)
-_KIND_OF_OPCODE = {op: kind for op, kind in KIND_BY_OPCODE.items()
-                   if kind in _DISPATCH_KINDS}
-
 #: one past the largest opcode: a span's opcodes clip into
-#: ``[0, _CLIP_OPCODE]`` before indexing the numpy kind table, so an
-#: unknown opcode past the table's end or below zero selects nothing
-#: (the engine fails on it) instead of raising or wrapping around
+#: ``[0, _CLIP_OPCODE]`` before indexing the kind table, so an unknown
+#: opcode past the table's end or below zero selects nothing (the engine
+#: fails on it) instead of raising or wrapping around
 _CLIP_OPCODE = max(KIND_BY_OPCODE) + 1
 
-#: the same mapping as a numpy gather table (KIND_OTHER elsewhere)
-_KIND_NP = None
-if _np is not None:
-    _KIND_NP = _np.full(_CLIP_OPCODE + 1, KIND_OTHER, dtype=_np.int8)
-    for _op, _kind in _KIND_OF_OPCODE.items():
-        _KIND_NP[_op] = _kind
-    del _op, _kind
+#: raw opcode -> record kind, as a gather table, for the opcodes the walk
+#: dispatches on; scope and unknown opcodes map to KIND_OTHER (they break
+#: segments and reach the engine's scope processing instead)
+_KIND_TABLE = np.full(_CLIP_OPCODE + 1, KIND_OTHER, dtype=np.int8)
+for _op, _kind in KIND_BY_OPCODE.items():
+    if _kind in _DISPATCH_KINDS:
+        _KIND_TABLE[_op] = _kind
+del _op, _kind
 
 
 def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
@@ -101,41 +93,14 @@ def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
     function_id, packed)``, where ``packed`` is the ``function_id << 32 |
     result_name_id`` register-cache key — garbage when the row has no
     result slot (every consumer checks ``has_result`` before using it).
-    With the block's numpy mirrors the header fields of the whole span
-    gather in a handful of vector ops into one ``(6, rows)`` int64 array;
-    without them (the numpy-free path, or a block from the pure-Python
-    scan) they are tuples built row by row.
+    The header fields of the whole span gather from the block's numpy
+    mirrors in a handful of vector ops into one ``(6, rows)`` int64 array.
     """
-    np_opcode = block.np_opcode
-    op_name_np = block.np_op_name_id
-    if (_KIND_NP is None or np_opcode is None or op_name_np is None
-            or block.np_op_start is None or not op_name_np.size):
-        kind_of = _KIND_OF_OPCODE.get
-        opcode = block.opcode
-        op_start = block.op_start
-        has_result = block.has_result
-        function_id = block.function_id
-        op_name_id = block.op_name_id
-        rows = []
-        fields = []
-        for row in range(lo, hi):
-            kind = kind_of(opcode[row])
-            if kind is None:
-                continue
-            lo_slot = op_start[row]
-            hi_slot = op_start[row + 1]
-            fid = function_id[row]
-            packed = (fid << 32 | op_name_id[hi_slot - 1] if hi_slot > lo_slot
-                      else fid << 32)
-            rows.append(row)
-            fields.append((kind, lo_slot, hi_slot, has_result[row], fid,
-                           packed))
-        return SpanSelection(rows, fields)
-    kinds = _KIND_NP[_np.clip(np_opcode[lo:hi], 0, _CLIP_OPCODE)]
-    rows = _np.flatnonzero(kinds != KIND_OTHER)
+    kinds = _KIND_TABLE[np.clip(block.np_opcode[lo:hi], 0, _CLIP_OPCODE)]
+    rows = np.flatnonzero(kinds != KIND_OTHER)
     # Filled field by field: one (6, rows) array and one field-sized
     # temporary at a time, not six field arrays plus their stack.
-    fields = _np.empty((6, len(rows)), dtype=_np.int64)
+    fields = np.empty((6, len(rows)), dtype=np.int64)
     fields[0] = kinds[rows]
     rows += lo
     op_start = block.np_op_start
@@ -143,8 +108,10 @@ def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
     fields[2] = op_start[rows + 1]
     fields[3] = block.np_has_result[rows]
     fields[4] = block.np_function_id[rows]
-    _np.left_shift(fields[4], 32, out=fields[5])
-    fields[5] |= op_name_np[fields[2] - 1]
+    np.left_shift(fields[4], 32, out=fields[5])
+    op_name_id = block.np_op_name_id
+    if op_name_id.size:  # a block without any operand slot has no result
+        fields[5] |= op_name_id[fields[2] - 1]
     return SpanSelection(rows, fields)
 
 

@@ -37,10 +37,11 @@ selections plus its segment consumption).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter as _clock
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import MainLoopSpec
 from repro.core.errors import AnalysisError
@@ -51,11 +52,6 @@ from repro.ir.opcodes import (
     Opcode,
 )
 from repro.trace.records import GlobalSymbol, TraceRecord
-
-try:  # numpy accelerates the columnar walk's masks; plain loops otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallbacks
-    _np = None
 
 # --------------------------------------------------------------------------- #
 # Regions and record kinds (plain ints: compared millions of times)
@@ -110,58 +106,43 @@ KIND_BY_OPCODE: Dict[int, int] = {int(op): _kind_of(int(op)) for op in Opcode}
 
 _MAX_OPCODE = max(KIND_BY_OPCODE)
 
-#: Opcodes the walk materializes individually (engine actions mutate the
-#: shared map / scope structure mid-stream, so these break the segments);
-#: every *other* known opcode stays columnar.
-_SCOPE_KINDS = (KIND_RET, KIND_ALLOCA, KIND_CALL)
-_NONBREAK_OPCODES = frozenset(
-    op for op, kind in KIND_BY_OPCODE.items() if kind not in _SCOPE_KINDS)
-
-if _np is not None:
-    # True where the walk must leave segment dispatch: scope opcodes and
-    # every in-range value that is not a known opcode (the walk clips
-    # out-of-range values onto index 0, which is unknown too).
-    _NP_BREAK_LUT = _np.ones(_MAX_OPCODE + 1, dtype=bool)
-    for _op in _NONBREAK_OPCODES:
-        _NP_BREAK_LUT[_op] = False
-    del _op
+#: True at the opcodes the walk materializes individually: scope opcodes
+#: (engine actions mutate the shared map / scope structure mid-stream, so
+#: these break the segments) and every in-range value that is not a known
+#: opcode (:meth:`AnalysisEngine._break_rows` flags out-of-range values
+#: itself).  Every other known opcode stays columnar.
+_BREAK_LUT = np.ones(_MAX_OPCODE + 1, dtype=bool)
+for _op, _kind in KIND_BY_OPCODE.items():
+    _BREAK_LUT[_op] = _kind in _SCOPE_CALLBACKS
+del _op, _kind
 
 
 class SpanSelection:
     """One pass's rows of a span, selected once and sliced per segment.
 
-    ``rows`` are the selected row numbers in ascending order, a numpy
-    array or (the numpy-free path, blocks without numpy mirrors) a list.
+    ``rows`` are the selected row numbers as an ascending numpy array.
     ``fields``, when given, carries a payload per selected row: a
-    ``(k, len(rows))`` numpy array of k columns beside array rows, or a
-    list of k-tuples beside list rows.  A selection must not hold a row
-    that breaks segments (a scope or unknown opcode): :meth:`cut` splits
-    it at exactly those rows.
+    ``(k, len(rows))`` numpy array of k columns.  A selection must not
+    hold a row that breaks segments (a scope or unknown opcode):
+    :meth:`cut` splits it at exactly those rows.
     """
 
-    __slots__ = ("rows", "fields", "_bounds", "_lists")
+    __slots__ = ("rows", "fields", "_bounds")
 
     def __init__(self, rows, fields=None) -> None:
         self.rows = rows
         self.fields = fields
-        self._lists = isinstance(rows, list)
         self._bounds: List[int] = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def cut(self, breaks: List[int], np_breaks=None) -> None:
-        """Split at the span's break rows: segment ``k`` is the one that
-        ends at ``breaks[k]`` (the span's last segment is
-        ``len(breaks)``).  ``np_breaks`` is ``breaks`` as a numpy array,
-        when the walk has one."""
+    def cut(self, breaks) -> None:
+        """Split at the span's break rows (an ascending numpy array):
+        segment ``k`` is the one that ends at ``breaks[k]`` (the span's
+        last segment is ``len(breaks)``)."""
         rows = self.rows
-        if self._lists:
-            inner = [bisect_left(rows, row) for row in breaks]
-        else:
-            inner = rows.searchsorted(
-                breaks if np_breaks is None else np_breaks).tolist()
-        self._bounds = [0, *inner, len(rows)]
+        self._bounds = [0, *rows.searchsorted(breaks).tolist(), len(rows)]
 
     def take(self, segment: int):
         """Segment ``segment``'s part, empty when it has none: its rows as
@@ -172,13 +153,9 @@ class SpanSelection:
         hi = self._bounds[segment + 1]
         if lo == hi:
             return ()
-        fields = self.fields
-        if fields is None:
-            part = self.rows[lo:hi]
-            return part if self._lists else part.tolist()
-        if self._lists:
-            return fields[lo:hi]
-        return zip(*fields[:, lo:hi].tolist())
+        if self.fields is None:
+            return self.rows[lo:hi].tolist()
+        return zip(*self.fields[:, lo:hi].tolist())
 
 
 class AnalysisPass:
@@ -402,17 +379,17 @@ class AnalysisEngine:
                 break
             spec_fid = block.id_of.get(spec.function, -1)
             hits = block.loop_rows(spec_fid, spec.start_line, spec.end_line)
-            if not hits:
+            if not hits.size:
                 if first_index is None:
                     self._walk_rows(block, 0, block.count, REGION_BEFORE)
                 else:
                     pending_ranges.append((block, 0, block.count))
             else:
-                first_hit, last_hit = hits[0], hits[-1]
+                first_hit, last_hit = int(hits[0]), int(hits[-1])
                 if first_index is None:
                     self._walk_rows(block, 0, first_hit, REGION_BEFORE)
                     first_index = block.base_index + first_hit
-                    first_dyn = int(block.dyn_id_col()[first_hit])
+                    first_dyn = int(block.dyn_id[first_hit])
                     self._emit_region(REGION_INSIDE)
                     inside_from = first_hit
                 else:
@@ -425,7 +402,7 @@ class AnalysisEngine:
                 self._walk_rows(block, inside_from, last_hit + 1,
                                 REGION_INSIDE)
                 last_index = block.base_index + last_hit
-                last_dyn = int(block.dyn_id_col()[last_hit])
+                last_dyn = int(block.dyn_id[last_hit])
                 if last_hit + 1 < block.count:
                     pending_ranges.append((block, last_hit + 1, block.count))
             total += block.count
@@ -448,22 +425,16 @@ class AnalysisEngine:
             last_loop_dyn_id=last_dyn,
         )
 
-    def _break_rows(self, block, lo: int, hi: int):
-        """Rows in ``[lo, hi)`` the walk must materialize individually:
-        scope opcodes (engine actions) and unknown opcodes (loud failure
-        through :meth:`_process`), as a list and — when the block has
-        numpy mirrors — the same rows as an array (else None)."""
-        if _np is not None and block.np_opcode is not None:
-            ops = block.np_opcode[lo:hi]
-            clipped = _np.clip(ops, 0, _MAX_OPCODE)
-            mask = _NP_BREAK_LUT[clipped] | (clipped != ops)
-            rows = _np.flatnonzero(mask)
-            rows += lo
-            return rows.tolist(), rows
-        opcode = block.opcode
-        nonbreak = _NONBREAK_OPCODES
-        return [row for row in range(lo, hi)
-                if opcode[row] not in nonbreak], None
+    @staticmethod
+    def _break_rows(block, lo: int, hi: int):
+        """Rows in ``[lo, hi)`` the walk must materialize individually, as
+        an ascending numpy array: scope opcodes (engine actions) and
+        unknown opcodes (loud failure through :meth:`_process`)."""
+        ops = block.np_opcode[lo:hi]
+        clipped = np.clip(ops, 0, _MAX_OPCODE)
+        rows = np.flatnonzero(_BREAK_LUT[clipped] | (clipped != ops))
+        rows += lo
+        return rows
 
     def _walk_rows(self, block, lo: int, hi: int, region: int) -> None:
         """Walk rows ``[lo, hi)`` of one block in a single known region,
@@ -476,14 +447,15 @@ class AnalysisEngine:
         """Walk span ``[lo, hi)``: every pass selects its rows of the whole
         span first, each segment then hands every pass its slice, and the
         span's selections are dropped on return."""
-        breaks, np_breaks = self._break_rows(block, lo, hi)
+        np_breaks = self._break_rows(block, lo, hi)
+        breaks = np_breaks.tolist()
         spent = self.pass_seconds
         plan = []
         for slot, select, consume in self._segment_plan:
             started = _clock()
             selection = select(block, lo, hi, region)
             if selection is not None and len(selection):
-                selection.cut(breaks, np_breaks)
+                selection.cut(np_breaks)
                 plan.append((slot, consume, selection))
             spent[slot] += _clock() - started
         record_of = block.record

@@ -117,9 +117,8 @@ class RWExtractionPass(AnalysisPass):
         """Collect the segment's access events, straight off the columns."""
         sink = self._loop if region == REGION_INSIDE else self._post
         strings = block.strings
-        # numpy-backed when the list was never materialized; every emitted
-        # event wraps its element in int() either way (a no-op for ints).
-        dyn_id = block.dyn_id_col()
+        # a numpy column: every emitted event wraps its element in int()
+        dyn_id = block.dyn_id
         opcode = block.opcode
         line = block.line
         function_id = block.function_id

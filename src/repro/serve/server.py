@@ -57,7 +57,11 @@ from repro.serve.progress import stream_progress
 from repro.store.batch import prepare_app_analysis
 from repro.store.cache import ArtifactAddress, ArtifactStore, default_cache_dir
 from repro.store.serialize import canonical_report_json
-from repro.trace.binio import BINARY_MAGIC, verify_content_digest
+from repro.trace.binio import (
+    BINARY_MAGIC,
+    BinaryTraceError,
+    verify_content_digest,
+)
 from repro.util.logging import get_logger
 
 _LOG = get_logger(__name__)
@@ -78,6 +82,7 @@ ERR_INTERNAL_ERROR = "INTERNAL_ERROR"
 ERR_TIMEOUT = "TIMEOUT"
 ERR_BAD_CONTENT_LENGTH = "BAD_CONTENT_LENGTH"
 ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
+ERR_INVALID_TRACE = "INVALID_TRACE"
 ERR_REQUEST_TIMEOUT = "REQUEST_TIMEOUT"
 
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
@@ -475,6 +480,10 @@ class AnalysisServer:
             raise ServeError(429, ERR_QUEUE_FULL, str(exc)) from exc
         except ShutdownError as exc:
             raise ServeError(503, ERR_SHUTTING_DOWN, str(exc)) from exc
+        except BinaryTraceError as exc:
+            # The walk refused the trace itself (its record blocks disagree
+            # with the footer), not a daemon or analysis fault.
+            raise ServeError(422, ERR_INVALID_TRACE, str(exc)) from exc
         except Exception as exc:
             raise ServeError(
                 500, ERR_ANALYSIS_FAILED,

@@ -45,9 +45,8 @@ Operand::
 All strings in record blocks are interned into the footer's string table and
 referenced by u32 id, which both shrinks the file and makes decoding a list
 lookup instead of a utf-8 decode.  The block index stores the byte offset of
-every ``INDEX_STRIDE``-th record block, so a reader can seek to (almost) any
-record without scanning, and the columnar decoder can step through whole
-index blocks in lockstep.
+every ``INDEX_STRIDE``-th record block, so the columnar decoder can step
+through whole index blocks in lockstep.
 """
 
 from __future__ import annotations
@@ -612,15 +611,6 @@ class BinaryTraceLayout:
     #: which predate the footer digest)
     content_digest: Optional[str] = None
 
-    def seek_position(self, record_index: int) -> Tuple[int, int]:
-        """(byte offset, records to skip) to reach ``record_index``."""
-        if record_index <= 0 or not self.block_offsets:
-            return self.records_start, max(0, record_index)
-        entry = min(record_index // self.index_stride,
-                    len(self.block_offsets) - 1)
-        return (self.block_offsets[entry],
-                record_index - entry * self.index_stride)
-
 
 def _read_exact(handle: IO[bytes], count: int,
                 path: Optional[str] = None) -> bytes:
@@ -648,6 +638,13 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
                   records_start: int, footer_offset: int,
                   name: str) -> BinaryTraceLayout:
     """Decode the footer bytes into a :class:`BinaryTraceLayout`.
+
+    The block index must agree with the record count: a stride of at
+    least 1, one entry per started stride of records, and offsets that
+    ascend from ``records_start`` and stay below the footer.  Every
+    writer's footer does; one that lies is refused here with a
+    :class:`BinaryTraceError` naming ``name``, before any reader trusts
+    it.
 
     The working ``memoryview`` is released deterministically on every exit
     path so callers handing in a slice of an ``mmap`` can close the mapping
@@ -700,6 +697,8 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
                               .tobytes().hex())
     finally:
         view.release()
+    _check_block_index(index_stride, record_count, block_offsets,
+                       records_start, footer_offset, name)
     return BinaryTraceLayout(module_name=module_name, globals=globals_,
                              strings=strings, index_stride=index_stride,
                              record_count=record_count,
@@ -707,6 +706,29 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
                              records_start=records_start,
                              records_end=footer_offset,
                              content_digest=content_digest)
+
+
+def _check_block_index(stride: int, record_count: int, offsets: List[int],
+                       records_start: int, records_end: int,
+                       name: str) -> None:
+    """Refuse a block index that disagrees with the footer's record count
+    or does not point into the record region (see :func:`_parse_footer`)."""
+    if stride < 1:
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace footer: index stride {stride}")
+    expected = -(-record_count // stride)  # ceil
+    if len(offsets) != expected:
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace footer: {len(offsets)} index "
+            f"entries for {record_count} records at stride {stride} "
+            f"(expected {expected})")
+    if offsets and (offsets[0] != records_start
+                    or offsets[-1] >= records_end
+                    or any(a >= b for a, b in zip(offsets, offsets[1:]))):
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace footer: the block index does "
+            f"not ascend from byte {records_start} within the record "
+            f"region (ends at byte {records_end})")
 
 
 def read_layout(path: str) -> BinaryTraceLayout:
@@ -958,32 +980,27 @@ class TraceBinaryReader:
         return Trace(module_name=layout.module_name,
                      globals=list(layout.globals), records=records)
 
-    def iter_records(self, start_record: int = 0,
-                     chunk_bytes: int = 1 << 20) -> Iterator[TraceRecord]:
-        """Yield records starting at ``start_record`` with bounded memory.
+    def iter_records(self, chunk_bytes: int = 1 << 20
+                     ) -> Iterator[TraceRecord]:
+        """Yield every record in file order with bounded memory.
 
-        The block index makes the initial seek O(1); a file source is then
-        decoded in ``chunk_bytes`` slices so multi-hundred-MB traces never
-        have to be resident at once (an in-memory ``buffer`` source is
-        decoded in place).
+        A file source is decoded in ``chunk_bytes`` slices so
+        multi-hundred-MB traces never have to be resident at once (an
+        in-memory ``buffer`` source is decoded in place).
         """
         layout = self.layout
-        offset, skip = layout.seek_position(start_record)
         if self._buffer is not None:
             buf = self._buffer
-            position = offset
+            position = layout.records_start
             end = layout.records_end
             strings = layout.strings
             while position < end:
                 record, position = _decode_record(buf, position, strings)
-                if skip > 0:
-                    skip -= 1
-                    continue
                 yield record
             return
         with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            to_read = layout.records_end - offset
+            handle.seek(layout.records_start)
+            to_read = layout.records_end - layout.records_start
             buffer = b""
             position = 0
             while True:
@@ -1009,9 +1026,6 @@ class TraceBinaryReader:
                     buffer = buffer[position:] + extra
                     position = 0
                     continue
-                if skip > 0:
-                    skip -= 1
-                    continue
                 yield record
 
 
@@ -1020,7 +1034,6 @@ def read_trace_file_binary(path: str) -> Trace:
     return TraceBinaryReader(path).read()
 
 
-def iter_trace_file_binary(path: str,
-                           start_record: int = 0) -> Iterator[TraceRecord]:
+def iter_trace_file_binary(path: str) -> Iterator[TraceRecord]:
     """Stream the records of a binary trace without materializing the trace."""
-    return TraceBinaryReader(path).iter_records(start_record=start_record)
+    return TraceBinaryReader(path).iter_records()

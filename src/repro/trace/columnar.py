@@ -22,15 +22,17 @@ Decoded columns (everything else stays lazy)::
 
 Two scan implementations produce byte-identical columns:
 
-* a **numpy lockstep scan** (used when numpy is importable): the block
+* a **numpy lockstep scan** for runs of full index blocks: the block
   index gives the byte offset of every ``INDEX_STRIDE``-th record, so a
   chunk of B full index blocks is decoded *simultaneously* — one vector
   step per record slot k advances all B lanes at once, and the operand
-  walk advances each lane by a flags-byte size lookup exactly like
-  ``binio._skip_operands``.  Big-integer operands (variable length) abort
-  the chunk to the fallback;
-* a **pure-Python scan** used for partial blocks, arbitrary record ranges,
-  big-integer chunks, and when numpy is unavailable.
+  walk advances each lane by a flags-byte size lookup.  Big-integer
+  operands (variable length) abort the chunk to the pure-Python scan;
+* a **pure-Python scan** for the trailing partial index block and for
+  chunks holding a big-integer operand.
+
+Both check that their records end exactly where the block index says
+their span ends, and name the file when they do not.
 
 The reader accepts a ``path`` or an already-open ``buffer``/``mmap`` of the
 whole file (plus an optional pre-read layout), so warm re-reads within one
@@ -47,6 +49,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from typing import Dict, Iterator, List, Optional
+
+import numpy as np
 
 from repro.trace.binio import (
     _OPERAND_FIXED,
@@ -65,11 +69,6 @@ from repro.trace.binio import (
 )
 from repro.trace.records import TraceRecord
 
-try:  # numpy is optional: the pure-Python scan covers its absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _scan_range fallback
-    _np = None
-
 #: Records handed to one :class:`ColumnarBlock` by default (a multiple of
 #: the index stride keeps whole index blocks in lockstep).
 DEFAULT_CHUNK_RECORDS = 65536
@@ -82,26 +81,25 @@ _SIZE_BY_FLAGS = tuple(entry[1] if entry is not None else 0
 _HDR_SIZE = _RECORD_FIXED.size  # 42
 _OP_FIXED_SIZE = _OPERAND_FIXED.size  # 13
 
-if _np is not None:
-    # int32 everywhere the values are byte offsets: offsets into one chunk
-    # buffer always fit, and halving the index-array width measurably cuts
-    # the gather traffic of the lockstep scan (int64 variants cover the
-    # implausible >2 GiB-buffer case).
-    _NP_SIZE_LUT = _np.array(_SIZE_BY_FLAGS, dtype=_np.int64)
-    _NP_SIZE_LUT32 = _np.array(_SIZE_BY_FLAGS, dtype=_np.int32)
-    _NP_HDR_RANGE = _np.arange(_HDR_SIZE, dtype=_np.int32)
-    _NP_OP_NAME_RANGE = _np.arange(9, 13, dtype=_np.int32)
-    _NP_ADDR_RANGE = _np.arange(8, dtype=_np.int32)
-    #: the fixed record header reinterpreted in place — one bulk gather of
-    #: the 42 header bytes per record, then per-field strided views instead
-    #: of one copy per field.
-    _NP_HDR_DTYPE = _np.dtype({
-        "names": ["dyn_id", "opcode", "line", "function_id", "callee_id",
-                  "has_result"],
-        "formats": ["<i8", "<i4", "<i4", "<u4", "<u4", "u1"],
-        "offsets": [0, 8, 12, 28, 36, 41],
-        "itemsize": _HDR_SIZE,
-    })
+# int32 everywhere the values are byte offsets: offsets into one chunk
+# buffer always fit, and halving the index-array width measurably cuts
+# the gather traffic of the lockstep scan (int64 variants cover the
+# implausible >2 GiB-buffer case).
+_NP_SIZE_LUT = np.array(_SIZE_BY_FLAGS, dtype=np.int64)
+_NP_SIZE_LUT32 = np.array(_SIZE_BY_FLAGS, dtype=np.int32)
+_NP_HDR_RANGE = np.arange(_HDR_SIZE, dtype=np.int32)
+_NP_OP_NAME_RANGE = np.arange(9, 13, dtype=np.int32)
+_NP_ADDR_RANGE = np.arange(8, dtype=np.int32)
+#: the fixed record header reinterpreted in place — one bulk gather of
+#: the 42 header bytes per record, then per-field strided views instead
+#: of one copy per field.
+_NP_HDR_DTYPE = np.dtype({
+    "names": ["dyn_id", "opcode", "line", "function_id", "callee_id",
+              "has_result"],
+    "formats": ["<i8", "<i4", "<i4", "<u4", "<u4", "u1"],
+    "offsets": [0, 8, 12, 28, 36, 41],
+    "itemsize": _HDR_SIZE,
+})
 
 
 class _BigIntInChunk(Exception):
@@ -111,25 +109,27 @@ class _BigIntInChunk(Exception):
 class ColumnarBlock:
     """One decoded run of records as parallel columns.
 
-    Columns are plain Python lists (cheapest to consume from Python loops);
-    ``np_opcode`` / ``np_line`` / ``np_function_id`` mirror three of them as
-    numpy arrays when numpy is available, for vectorized masks (loop-row
-    detection, span selections).  Operand slots of record ``row`` are
-    ``op_start[row]`` to ``op_start[row + 1]`` (the *result* operand, when
+    The columns the passes read row by row in Python loops are plain
+    lists; ``np_opcode`` / ``np_line`` / ``np_function_id`` /
+    ``np_op_start`` / ``np_has_result`` / ``np_op_name_id`` mirror six of
+    them as numpy arrays, on every block, for vectorized masks and
+    gathers (loop-row detection, span selections).  ``dyn_id``,
+    ``callee_id`` and ``rec_off``, which the walk reads for only a
+    handful of rows, are numpy arrays only (wrap an element in ``int()``).
+    Operand slots of record ``row`` are ``op_start[row]`` to
+    ``op_start[row + 1]`` (the *result* operand, when
     ``has_result[row]``, is the last slot); the record's operand count
     excluding the result is ``op_start[row+1] - op_start[row] -
     has_result[row]``.
     """
 
     __slots__ = ("base_index", "count", "strings", "id_of", "buf",
-                 "opcode", "line", "function_id",
-                 "op_start", "has_result",
+                 "dyn_id", "opcode", "line", "function_id", "callee_id",
+                 "op_start", "has_result", "rec_off",
                  "op_flags", "op_name_id", "op_address",
                  "np_opcode", "np_line", "np_function_id",
                  "np_op_start", "np_has_result", "np_op_name_id",
-                 "_dyn_id", "_callee_id", "_rec_off",
-                 "_np_dyn_id", "_np_callee_id", "_np_rec_off",
-                 "_records", "_scope_rows")
+                 "_records")
 
     def __init__(self, base_index: int, strings: List[str],
                  id_of: Dict[str, int], buf) -> None:
@@ -137,94 +137,15 @@ class ColumnarBlock:
         self.strings = strings
         self.id_of = id_of
         self.buf = buf
-        self.count = 0
-        self._dyn_id: List[int] = []
-        self.opcode: List[int] = []
-        self.line: List[int] = []
-        self.function_id: List[int] = []
-        self._callee_id: List[int] = []
-        self.op_start: List[int] = [0]
-        self.has_result: List[int] = []
-        self._rec_off: List[int] = []
-        self.op_flags: List[int] = []
-        self.op_name_id: List[int] = []
-        self.op_address: List[Optional[int]] = []
-        self.np_opcode = None
-        self.np_line = None
-        self.np_function_id = None
-        # Mirrors the lockstep scan gets for free (``None`` after a
-        # pure-Python scan): passes use them to pre-gather whole segments
-        # of per-row header fields in a few vector ops.
-        self.np_op_start = None
-        self.np_has_result = None
-        self.np_op_name_id = None
-        # Columns the walk consults for only a handful of rows (event dyn
-        # ids, scope-record materialization) park as numpy arrays until
-        # someone asks for the Python list — the ~83k-element ``tolist``
-        # per column is the single biggest avoidable decode cost.
-        self._np_dyn_id = None
-        self._np_callee_id = None
-        self._np_rec_off = None
         self._records: Dict[int, TraceRecord] = {}
-        self._scope_rows: Optional[List[int]] = None
+        # The scan that decodes the block sets ``count`` and every column.
 
-    # ------------------------------------------------------------------ #
-    # Lazily materialized columns
-    # ------------------------------------------------------------------ #
-    @property
-    def dyn_id(self) -> List[int]:
-        col = self._dyn_id
-        if self._np_dyn_id is not None:
-            col.extend(self._np_dyn_id.tolist())
-            self._np_dyn_id = None
-        return col
-
-    @property
-    def callee_id(self) -> List[int]:
-        col = self._callee_id
-        if self._np_callee_id is not None:
-            col.extend(self._np_callee_id.tolist())
-            self._np_callee_id = None
-        return col
-
-    @property
-    def rec_off(self) -> List[int]:
-        col = self._rec_off
-        if self._np_rec_off is not None:
-            col.extend(self._np_rec_off.tolist())
-            self._np_rec_off = None
-        return col
-
-    def dyn_id_col(self):
-        """Row-indexable dyn_id column without forcing the Python list.
-
-        May be a numpy array — wrap single elements in ``int()``.
-        """
-        pending = self._np_dyn_id
-        return pending if pending is not None else self.dyn_id
-
-    def _store_lazy(self, dyn, callee, rec) -> None:
-        """Park freshly scanned arrays for the three lazy columns — or, if
-        the block already holds rows (a prior scan appended), flush and
-        extend eagerly so row numbering stays aligned."""
-        if self._dyn_id or self._np_dyn_id is not None:
-            self.dyn_id.extend(dyn.tolist())
-            self.callee_id.extend(callee.tolist())
-            self.rec_off.extend(rec.tolist())
-        else:
-            self._np_dyn_id = dyn
-            self._np_callee_id = callee
-            self._np_rec_off = rec
-
-    # ------------------------------------------------------------------ #
     def record(self, row: int) -> TraceRecord:
         """Materialize (and cache) the full record at ``row``."""
         record = self._records.get(row)
         if record is None:
-            rec_off = self._np_rec_off
-            offset = (int(rec_off[row]) if rec_off is not None
-                      else self._rec_off[row])
-            record, _ = _decode_record(self.buf, offset, self.strings)
+            record, _ = _decode_record(self.buf, int(self.rec_off[row]),
+                                       self.strings)
             self._records[row] = record
         return record
 
@@ -233,88 +154,58 @@ class ColumnarBlock:
                    line: Optional[int] = None):
         """Ascending rows in ``[start, stop)`` whose opcode is one of
         ``opcodes`` — narrowed to one function id and/or source line when
-        given — as a numpy array when the block has numpy mirrors, else a
-        list.  The passes select their rows of a whole span this way."""
-        if self.np_opcode is not None:
-            ops = self.np_opcode[start:stop]
-            mask = ops == opcodes[0]
-            for op in opcodes[1:]:
-                mask |= ops == op
-            if function_id is not None:
-                mask &= self.np_function_id[start:stop] == function_id
-            if line is not None:
-                mask &= self.np_line[start:stop] == line
-            rows = _np.flatnonzero(mask)
-            if start:
-                rows += start
-            return rows
-        wanted = set(opcodes)
-        opcode = self.opcode
-        fids = self.function_id
-        lines = self.line
-        return [row for row in range(start, stop)
-                if opcode[row] in wanted
-                and (function_id is None or fids[row] == function_id)
-                and (line is None or lines[row] == line)]
+        given — as a numpy array.  The passes select their rows of a whole
+        span this way."""
+        ops = self.np_opcode[start:stop]
+        mask = ops == opcodes[0]
+        for op in opcodes[1:]:
+            mask |= ops == op
+        if function_id is not None:
+            mask &= self.np_function_id[start:stop] == function_id
+        if line is not None:
+            mask &= self.np_line[start:stop] == line
+        rows = np.flatnonzero(mask)
+        if start:
+            rows += start
+        return rows
 
-    def loop_rows(self, function_id: int, start_line: int,
-                  end_line: int) -> List[int]:
-        """Rows matching the main-loop spec (function + line range)."""
-        if self.np_function_id is not None:
-            mask = ((self.np_function_id == function_id)
-                    & (self.np_line >= start_line)
-                    & (self.np_line <= end_line))
-            return _np.flatnonzero(mask).tolist()
-        return [row for row in range(self.count)
-                if self.function_id[row] == function_id
-                and start_line <= self.line[row] <= end_line]
-
-    def _finish(self) -> "ColumnarBlock":
-        """Seal the block: derive count and the numpy mirror columns."""
-        self.count = len(self.opcode)
-        if _np is not None and (self.np_opcode is None
-                                or len(self.np_opcode) != self.count):
-            # The lockstep scan pre-seeds the mirrors straight from its
-            # header views; rebuild from the lists only when it didn't
-            # (pure-Python scan, or a mixed-scan block).  The operand
-            # mirrors have no cheap rebuild — drop any partial ones and
-            # let consumers take their scalar path.
-            self.np_opcode = _np.asarray(self.opcode, dtype=_np.int64)
-            self.np_line = _np.asarray(self.line, dtype=_np.int64)
-            self.np_function_id = _np.asarray(self.function_id,
-                                              dtype=_np.int64)
-            self.np_op_start = None
-            self.np_has_result = None
-            self.np_op_name_id = None
-        return self
+    def loop_rows(self, function_id: int, start_line: int, end_line: int):
+        """Rows matching the main-loop spec (function + line range), as a
+        numpy array."""
+        return np.flatnonzero((self.np_function_id == function_id)
+                              & (self.np_line >= start_line)
+                              & (self.np_line <= end_line))
 
 
 # --------------------------------------------------------------------------- #
-# Pure-Python scan (fallback + partial blocks + big-int chunks)
+# Pure-Python scan (trailing partial block + big-int chunks)
 # --------------------------------------------------------------------------- #
-def _scan_python(block: ColumnarBlock, buf, position: int, count: int) -> int:
-    """Append ``count`` records starting at byte ``position`` to ``block``.
+def _scan_python(block: ColumnarBlock, buf, count: int, end: int,
+                 name: str) -> None:
+    """Fill ``block`` with the ``count`` records in ``buf[:end]``.
 
     Produces columns identical to the lockstep scan — including for
-    big-integer operands — and returns the byte position one past the last
-    record.  Raises :class:`BinaryTraceError` on a truncated block (the
-    caller hands it a complete byte span).
+    big-integer operands — and builds the numpy mirrors from them.
+    Raises :class:`BinaryTraceError` naming ``name`` when the records
+    overrun the buffer or do not end exactly at ``end``, the byte where
+    the block index says the span ends.
     """
     hdr = _RECORD_FIXED.unpack_from
     op_hdr = _OPERAND_FIXED.unpack_from
     sizes = _SIZE_BY_FLAGS
-    dyn_ids = block.dyn_id
-    opcodes = block.opcode
-    lines = block.line
-    function_ids = block.function_id
-    callee_ids = block.callee_id
-    op_starts = block.op_start
-    has_results = block.has_result
-    rec_offs = block.rec_off
-    op_flags = block.op_flags
-    op_name_ids = block.op_name_id
-    op_addresses = block.op_address
-    slot_total = op_starts[-1]
+    dyn_ids: List[int] = []
+    opcodes: List[int] = []
+    lines: List[int] = []
+    function_ids: List[int] = []
+    callee_ids: List[int] = []
+    op_starts = [0]
+    has_results: List[int] = []
+    rec_offs: List[int] = []
+    op_flags: List[int] = []
+    op_name_ids: List[int] = []
+    op_addresses: List[Optional[int]] = []
+    slot_total = 0
+    position = 0
     try:
         for _ in range(count):
             (dyn_id, opcode, line, _column, _bb_label, _opcode_name_id,
@@ -336,7 +227,9 @@ def _scan_python(block: ColumnarBlock, buf, position: int, count: int) -> int:
                 if size == 0:
                     if (flags >> 4) != _VALUE_BIG:
                         raise BinaryTraceError(
-                            f"unknown operand value tag {flags >> 4}")
+                            f"{name!r}: unknown operand value tag "
+                            f"{flags >> 4} in record "
+                            f"{block.base_index + len(opcodes) - 1}")
                     (digit_count,) = _U32.unpack_from(
                         buf, position + _OP_FIXED_SIZE)
                     size = _OP_FIXED_SIZE + 4 + digit_count
@@ -348,14 +241,38 @@ def _scan_python(block: ColumnarBlock, buf, position: int, count: int) -> int:
                 else:
                     op_addresses.append(None)
                 position += size
-            if position > len(buf):
-                raise struct.error("record block overruns the buffer")
+            if position > end:
+                raise struct.error("record block overruns the span")
             slot_total += operand_count + has_result
             op_starts.append(slot_total)
     except (IndexError, struct.error):
         raise BinaryTraceError(
-            "truncated record block in columnar scan") from None
-    return position
+            f"{name!r}: the records from record {block.base_index} on "
+            f"overrun their span in the block index") from None
+    if position != end:
+        raise BinaryTraceError(
+            f"{name!r}: records {block.base_index} to "
+            f"{block.base_index + count - 1} end {end - position} bytes "
+            f"short of their span in the block index (the footer's record "
+            f"count or block index is wrong)")
+    block.count = count
+    block.dyn_id = np.array(dyn_ids, dtype=np.int64)
+    block.callee_id = np.array(callee_ids, dtype=np.int64)
+    block.rec_off = np.array(rec_offs, dtype=np.int64)
+    block.opcode = opcodes
+    block.line = lines
+    block.function_id = function_ids
+    block.op_start = op_starts
+    block.has_result = has_results
+    block.op_flags = op_flags
+    block.op_name_id = op_name_ids
+    block.op_address = op_addresses
+    block.np_opcode = np.array(opcodes, dtype=np.int64)
+    block.np_line = np.array(lines, dtype=np.int64)
+    block.np_function_id = np.array(function_ids, dtype=np.int64)
+    block.np_op_start = np.array(op_starts, dtype=np.int64)
+    block.np_has_result = np.array(has_results, dtype=np.uint8)
+    block.np_op_name_id = np.array(op_name_ids, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -370,9 +287,9 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     ``expected_ends`` the matching one-past-the-end offsets from the block
     index; ``buf`` must extend at least one byte past the last block
     (finished lanes park their cursor on the next block's first byte).
-    Appends columns in stream
-    order.  Raises :class:`_BigIntInChunk` when a big-integer operand is
-    met — the caller re-scans the span with :func:`_scan_python`.
+    Fills ``block`` in stream order.  Raises :class:`_BigIntInChunk` when
+    a big-integer operand is met — the caller re-scans the span with
+    :func:`_scan_python`.
 
     Big-integer operands are *not* tested for in the hot loop: their
     size-LUT entry is 0, so a lane that meets one stops advancing and its
@@ -380,30 +297,30 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     one vector comparison after the walk catches that (and any other
     corruption) and triggers the fallback.
     """
-    arr = _np.frombuffer(buf, dtype=_np.uint8)
+    arr = np.frombuffer(buf, dtype=np.uint8)
     lanes = len(block_starts)
     if len(buf) <= 0x7FFFFF00:  # offsets (and offset sums) fit in int32
-        off_dtype = _np.int32
+        off_dtype = np.int32
         size_lut = _NP_SIZE_LUT32
     else:  # pragma: no cover - >2 GiB chunk buffers
-        off_dtype = _np.int64
+        off_dtype = np.int64
         size_lut = _NP_SIZE_LUT
-    cur = _np.asarray(block_starts, dtype=off_dtype)
-    rec_off = _np.empty((stride, lanes), off_dtype)
-    slot_counts = _np.empty((stride, lanes), _np.int64)
+    cur = np.asarray(block_starts, dtype=off_dtype)
+    rec_off = np.empty((stride, lanes), off_dtype)
+    slot_counts = np.empty((stride, lanes), np.int64)
     # Operand offsets write straight into their stream-assembly cube slot
     # (grown in the rare record with more slots than the initial guess).
-    cube = _np.empty((stride, 8, lanes), off_dtype)
+    cube = np.empty((stride, 8, lanes), off_dtype)
     max_slots = 0
     for k in range(stride):
         rec_off[k] = cur
-        slots = arr[cur + 40].astype(_np.int64)
+        slots = arr[cur + 40].astype(np.int64)
         slots += arr[cur + 41]
         slot_counts[k] = slots
         op_cur = cur + _HDR_SIZE
-        limit = int(slots.max()) if lanes else 0
+        limit = int(slots.max())
         if limit > cube.shape[1]:
-            grown = _np.empty((stride, limit, lanes), off_dtype)
+            grown = np.empty((stride, limit, lanes), off_dtype)
             grown[:, :cube.shape[1], :] = cube
             cube = grown
         if limit > max_slots:
@@ -415,63 +332,54 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
             sizes *= slots > j  # freeze finished (and big-int) lanes
             op_cur += sizes
         cur = op_cur
-    if not bool(_np.array_equal(cur, _np.asarray(expected_ends,
-                                                 dtype=_np.int64))):
+    if not bool(np.array_equal(cur, np.asarray(expected_ends,
+                                               dtype=np.int64))):
         raise _BigIntInChunk
 
     # Assemble stream order: record (lane b, slot k) sorts by (b, k).
     rec_off_stream = rec_off.T.ravel()
     slots_stream = slot_counts.T.ravel()
-    total_slots = int(slots_stream.sum())
     if max_slots:
-        valid = (_np.arange(max_slots)[None, :, None]
+        valid = (np.arange(max_slots)[None, :, None]
                  < slot_counts[:, None, :])
         flat_op_off = (cube[:, :max_slots, :].transpose(2, 0, 1)
                        [valid.transpose(2, 0, 1)])
     else:
-        flat_op_off = _np.empty(0, off_dtype)
+        flat_op_off = np.empty(0, off_dtype)
 
     # Bulk header gather: one fancy index, then per-field struct views.
-    fresh = not block.opcode
     hdr = arr[rec_off_stream[:, None] + _NP_HDR_RANGE]
     recs = hdr.view(_NP_HDR_DTYPE).ravel()
-    block.opcode.extend(recs["opcode"].tolist())
-    block.line.extend(recs["line"].tolist())
-    block.function_id.extend(recs["function_id"].tolist())
-    block.has_result.extend(recs["has_result"].tolist())
-    block._store_lazy(recs["dyn_id"], recs["callee_id"], rec_off_stream)
-    base_slot = block.op_start[-1]
-    op_start_np = _np.empty(len(rec_off_stream) + 1, _np.int64)
-    op_start_np[0] = base_slot
-    _np.cumsum(slots_stream, out=op_start_np[1:])
-    if base_slot:
-        op_start_np[1:] += base_slot
-    block.op_start.extend(op_start_np[1:].tolist())
-    if fresh:
-        # Pre-seed the numpy mirrors from the header views — cheaper than
-        # ``_finish`` rebuilding them from the freshly made lists.
-        block.np_opcode = recs["opcode"].astype(_np.int64)
-        block.np_line = recs["line"].astype(_np.int64)
-        block.np_function_id = recs["function_id"].astype(_np.int64)
-        block.np_op_start = op_start_np
-        block.np_has_result = recs["has_result"]
+    block.count = len(recs)
+    block.dyn_id = recs["dyn_id"]
+    block.callee_id = recs["callee_id"]
+    block.rec_off = rec_off_stream
+    block.np_opcode = recs["opcode"].astype(np.int64)
+    block.np_line = recs["line"].astype(np.int64)
+    block.np_function_id = recs["function_id"].astype(np.int64)
+    block.np_has_result = recs["has_result"]
+    block.np_op_start = np.empty(len(recs) + 1, np.int64)
+    block.np_op_start[0] = 0
+    np.cumsum(slots_stream, out=block.np_op_start[1:])
+    block.opcode = block.np_opcode.tolist()
+    block.line = block.np_line.tolist()
+    block.function_id = block.np_function_id.tolist()
+    block.has_result = block.np_has_result.tolist()
+    block.op_start = block.np_op_start.tolist()
 
-    if total_slots:
-        flags_u8 = arr[flat_op_off]
-        block.op_flags.extend(flags_u8.tolist())
-        op_name_np = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
-                      .view("<u4").ravel())
-        block.op_name_id.extend(op_name_np.tolist())
-        if fresh:
-            block.np_op_name_id = op_name_np
-        has_addr = (flags_u8 & 2) != 0
-        addresses = _np.full(total_slots, None, dtype=object)
-        if bool(has_addr.any()):
-            addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
-            addr_vals = (arr[addr_off[:, None] + _NP_ADDR_RANGE]
-                         .view("<u8").ravel())
-            addresses[has_addr] = addr_vals.tolist()
-        block.op_address.extend(addresses.tolist())
+    flags_u8 = arr[flat_op_off]
+    block.op_flags = flags_u8.tolist()
+    block.np_op_name_id = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
+                           .view("<u4").ravel())
+    block.op_name_id = block.np_op_name_id.tolist()
+    has_addr = (flags_u8 & 2) != 0
+    addresses = np.full(len(flat_op_off), None, dtype=object)
+    if bool(has_addr.any()):
+        addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
+        addr_vals = (arr[addr_off[:, None] + _NP_ADDR_RANGE]
+                     .view("<u8").ravel())
+        addresses[has_addr] = addr_vals.tolist()
+    block.op_address = addresses.tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -575,108 +483,58 @@ class TraceColumnarReader:
         return data
 
     # ------------------------------------------------------------------ #
-    def _block_end(self, block_index: int) -> int:
-        """Byte offset one past index block ``block_index``."""
-        offsets = self.layout.block_offsets
-        if block_index + 1 < len(offsets):
-            return offsets[block_index + 1]
-        return self.layout.records_end
-
-    def _python_span(self, base_index: int, start_record: int,
-                     count: int) -> ColumnarBlock:
-        """Scan ``count`` records from ``start_record`` the slow way."""
-        layout = self.layout
-        offset, skip = layout.seek_position(start_record)
-        covering = min((start_record + count - 1) // layout.index_stride
-                       if layout.index_stride else 0,
-                       len(layout.block_offsets) - 1)
-        end = self._block_end(covering)
-        buf = self._read_span(offset, end - offset)
-        block = ColumnarBlock(base_index, self.strings, self.id_of, buf)
-        position = 0
-        if skip:
-            scratch = ColumnarBlock(0, self.strings, self.id_of, buf)
-            position = _scan_python(scratch, buf, 0, skip)
-        _scan_python(block, buf, position, count)
-        return block._finish()
-
-    def iter_blocks(self, start_record: int = 0,
-                    end_record: Optional[int] = None,
-                    chunk_records: int = DEFAULT_CHUNK_RECORDS,
+    def iter_blocks(self, chunk_records: int = DEFAULT_CHUNK_RECORDS,
                     verify_digest: bool = False,
                     ) -> Iterator[ColumnarBlock]:
-        """Yield the records in ``[start_record, end_record)`` as columns.
+        """Yield the whole trace's records as columns, in stream order.
 
-        Chunk boundaries are aligned to the block index so the interior of
-        the range decodes via the lockstep scan; a leading/trailing partial
-        index block (and any chunk containing a big-integer operand) falls
-        back to the pure-Python scan, with identical columns either way.
-        Memory stays bounded by ``chunk_records``.
+        Chunks hold whole index blocks and decode via the lockstep scan;
+        the trailing partial index block (and any chunk containing a
+        big-integer operand) takes the pure-Python scan, with identical
+        columns either way.  Memory stays bounded by ``chunk_records``.
 
         With ``verify_digest`` the walk folds the content digest over the
         record bytes as it reads them and, after the last block, raises
         :class:`~repro.trace.binio.TraceDigestMismatch` unless they hash
-        to the footer digest; the range must then be the whole trace.
+        to the footer digest.
         """
         self._fold = _DigestFold(self.layout) if verify_digest else None
-        yield from self._iter_blocks(start_record, end_record, chunk_records)
+        yield from self._iter_blocks(chunk_records)
         if self._fold is not None:
             self._fold.check(self.path)
 
-    def _iter_blocks(self, start_record: int, end_record: Optional[int],
-                     chunk_records: int) -> Iterator[ColumnarBlock]:
+    def _iter_blocks(self, chunk_records: int) -> Iterator[ColumnarBlock]:
         layout = self.layout
-        total = layout.record_count
-        start = max(0, start_record)
-        end = total if end_record is None else min(end_record, total)
-        if start >= end:
-            return
-        stride = layout.index_stride or 1
+        stride = layout.index_stride
         offsets = layout.block_offsets
-
-        # Leading partial block: records up to the next index boundary.
-        first_full = -(-start // stride)  # ceil
-        if start % stride or first_full * stride > end:
-            head_end = min(first_full * stride, end)
-            yield self._python_span(start, start, head_end - start)
-            start = head_end
-            if start >= end:
-                return
-
-        # Full index blocks, decoded lockstep in chunks.
-        last_full = min(end, total) // stride
+        name = self.path or "<buffer>"
+        full_blocks = layout.record_count // stride
         blocks_per_chunk = max(1, chunk_records // stride)
-        block_index = start // stride
-        while block_index < last_full:
-            chunk_blocks = min(blocks_per_chunk, last_full - block_index)
-            chunk_start = offsets[block_index]
-            chunk_end = self._block_end(block_index + chunk_blocks - 1)
-            guard = 1 if self._spans_past(chunk_end) else 0
-            buf = self._read_span(chunk_start, chunk_end - chunk_start, guard)
-            base = block_index * stride
-            block = ColumnarBlock(base, self.strings, self.id_of, buf)
-            starts = [offsets[b] - chunk_start
-                      for b in range(block_index, block_index + chunk_blocks)]
+        for first in range(0, full_blocks, blocks_per_chunk):
+            stop = min(first + blocks_per_chunk, full_blocks)
+            chunk_start = offsets[first]
+            chunk_end = (offsets[stop] if stop < len(offsets)
+                         else layout.records_end)
+            # One guard byte past the chunk (the footer always follows
+            # the record region): finished lanes park their cursor there.
+            buf = self._read_span(chunk_start, chunk_end - chunk_start, 1)
+            starts = [offsets[b] - chunk_start for b in range(first, stop)]
             ends = starts[1:] + [chunk_end - chunk_start]
-            if _np is None:
-                _scan_python(block, buf, 0,
-                             chunk_blocks * stride)
-            else:
-                try:
-                    _scan_numpy(block, buf, starts, ends, stride)
-                except (_BigIntInChunk, IndexError):
-                    block = ColumnarBlock(base, self.strings, self.id_of, buf)
-                    _scan_python(block, buf, 0, chunk_blocks * stride)
-            yield block._finish()
-            block_index += chunk_blocks
+            block = ColumnarBlock(first * stride, self.strings, self.id_of,
+                                  buf)
+            try:
+                _scan_numpy(block, buf, starts, ends, stride)
+            except (_BigIntInChunk, IndexError):
+                _scan_python(block, buf, (stop - first) * stride, ends[-1],
+                             name)
+            yield block
 
-        # Trailing partial block.
-        tail_start = last_full * stride
-        if tail_start < end:
-            yield self._python_span(tail_start, tail_start, end - tail_start)
-
-    def _spans_past(self, offset: int) -> bool:
-        """True when at least one byte exists past ``offset`` (the footer
-        always follows the record region, so this is true for any chunk
-        ending at or before ``records_end``)."""
-        return offset <= self.layout.records_end
+        # Trailing partial index block.
+        tail = full_blocks * stride
+        if tail < layout.record_count:
+            start = offsets[full_blocks]
+            buf = self._read_span(start, layout.records_end - start)
+            block = ColumnarBlock(tail, self.strings, self.id_of, buf)
+            _scan_python(block, buf, layout.record_count - tail, len(buf),
+                         name)
+            yield block

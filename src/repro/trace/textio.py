@@ -318,18 +318,10 @@ class TraceTextReader:
         return Trace(module_name=module_name, globals=globals_, records=records)
 
 
-def iter_trace_file_text(path: str,
-                         start_record: int = 0) -> Iterator[TraceRecord]:
-    """Stream the records of a text trace without materializing the trace.
-
-    ``start_record`` records are parsed and discarded before yielding begins
-    (the text format has no index, so there is no way to seek); binary traces
-    seek via their block index instead.
-    """
+def iter_trace_file_text(path: str) -> Iterator[TraceRecord]:
+    """Stream the records of a text trace without materializing the trace."""
     with open(path, encoding="utf-8") as handle:
-        for index, record in enumerate(iter_parsed_records(handle)):
-            if index >= start_record:
-                yield record
+        yield from iter_parsed_records(handle)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,14 +343,13 @@ def read_trace_file(path: str) -> Trace:
     return TraceTextReader(path).read()
 
 
-def iter_trace_records(path: str,
-                       start_record: int = 0) -> Iterator[TraceRecord]:
+def iter_trace_records(path: str) -> Iterator[TraceRecord]:
     """Stream the records of a trace file of either encoding (sniffed)."""
     from repro.trace.binio import is_binary_trace_file, iter_trace_file_binary
 
     if is_binary_trace_file(path):
-        return iter_trace_file_binary(path, start_record=start_record)
-    return iter_trace_file_text(path, start_record=start_record)
+        return iter_trace_file_binary(path)
+    return iter_trace_file_text(path)
 
 
 def read_preamble(path: str) -> Tuple[str, List[GlobalSymbol]]:

@@ -4,12 +4,16 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.store import ArtifactStore
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import write_trace_file_binary
 from repro.trace.textio import write_trace_file
 from repro.tracer.driver import trace_to_file
+
+from test_trace_binio import FOOTER_LIES, lying_footer
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "golden.json")
@@ -380,3 +384,30 @@ class TestTamperedTraceCannotPoisonTheStore:
         canonical = canonical_report_json(report).encode()
         assert hashlib.sha256(canonical).hexdigest() \
             == golden["report_sha256"]
+
+
+class TestLyingFooterIsRefused:
+    """A footer whose record count or index stride lies is refused with one
+    ``error:`` line naming the file (by the footer checks, or for a count
+    they cannot catch by the walk's scan), never a traceback or a
+    report."""
+
+    @pytest.mark.parametrize("lie", sorted(FOOTER_LIES))
+    def test_analyze_exits_2_naming_the_file(self, capsys, tmp_path,
+                                             example_module, example_spec,
+                                             lie):
+        genuine = str(tmp_path / "example.btrace")
+        trace_to_file(example_module, genuine, module_name="example",
+                      fmt="binary")
+        with open(genuine, "rb") as handle:
+            data = handle.read()
+        path = str(tmp_path / "lie.btrace")
+        with open(path, "wb") as handle:
+            handle.write(lying_footer(data, lie))
+        code = main(["analyze", path, "--function", example_spec.function,
+                     "--start", str(example_spec.start_line),
+                     "--end", str(example_spec.end_line)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert path in err and "Traceback" not in err

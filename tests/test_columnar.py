@@ -4,11 +4,12 @@ Three layers of evidence pin the columnar route down:
 
 1. **Decode equivalence** — the columns (and lazily materialized records)
    of :class:`repro.trace.columnar.TraceColumnarReader` match the
-   per-record :class:`repro.trace.binio.TraceBinaryReader` decoder exactly:
-   property-tested on randomized round-tripped traces (hypothesis, reusing
-   the binary-roundtrip strategies), and deterministically on traces large
+   per-record :class:`repro.trace.binio.TraceBinaryReader` decoder exactly,
+   and every block's numpy mirrors equal its lists: property-tested on
+   randomized round-tripped traces (hypothesis, reusing the
+   binary-roundtrip strategies), and deterministically on traces large
    enough to exercise the numpy lockstep scan, the big-integer fallback
-   and arbitrary ``start_record`` / ``end_record`` windows.
+   and the pure-Python-scanned trailing partial block.
 2. **Report equality, fleet-wide** — an in-memory trace (encoded into
    memory, then walked) produces the committed golden report on every
    bundled app.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -47,8 +49,22 @@ from repro.trace.records import (
 # --------------------------------------------------------------------------- #
 # Decode equivalence: columns == per-record reader
 # --------------------------------------------------------------------------- #
+_MIRRORS = ("opcode", "line", "function_id", "op_start", "has_result",
+            "op_name_id")
+
+
 def _assert_block_matches(block, records):
-    """Every column of ``block`` agrees with the corresponding records."""
+    """Every column of ``block`` agrees with the corresponding records,
+    and the block has one shape whichever scan decoded it: all six numpy
+    mirrors equal their lists, and the three array-only columns are
+    arrays."""
+    for column in _MIRRORS:
+        mirror = getattr(block, "np_" + column)
+        assert isinstance(mirror, np.ndarray), column
+        assert mirror.tolist() == getattr(block, column), column
+    for column in ("dyn_id", "callee_id", "rec_off"):
+        assert isinstance(getattr(block, column), np.ndarray), column
+        assert len(getattr(block, column)) == block.count, column
     strings = block.strings
     for row in range(block.count):
         reference = records[block.base_index + row]
@@ -71,22 +87,19 @@ def _assert_block_matches(block, records):
         assert block.record(row) == reference
 
 
-def _assert_columnar_equals_records(path, start=0, end=None,
-                                    chunk_records=None):
+def _assert_columnar_equals_records(path, chunk_records=None):
     reader = TraceBinaryReader(path)
     records = list(reader.iter_records())
-    stop = len(records) if end is None else min(end, len(records))
     with TraceColumnarReader(path) as columnar:
         kwargs = {}
         if chunk_records is not None:
             kwargs["chunk_records"] = chunk_records
-        covered = start
-        for block in columnar.iter_blocks(start_record=start, end_record=end,
-                                          **kwargs):
+        covered = 0
+        for block in columnar.iter_blocks(**kwargs):
             assert block.base_index == covered
             _assert_block_matches(block, records)
             covered += block.count
-    assert covered == max(start, stop)
+    assert covered == len(records)
 
 
 @given(st.lists(_binary_record_strategy, max_size=30))
@@ -155,17 +168,6 @@ def test_columnar_bigint_fallback_equals_records(tmp_path_factory):
     write_trace_file_binary(Trace(module_name="bigint", records=records),
                             path)
     _assert_columnar_equals_records(path)
-
-
-@given(st.integers(min_value=0, max_value=620),
-       st.integers(min_value=0, max_value=620))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_columnar_window_equals_records_property(lockstep_trace, a, b):
-    """Arbitrary [start, end) windows — leading/trailing partial index
-    blocks and empty windows included — decode identically."""
-    start, end = min(a, b), max(a, b)
-    _assert_columnar_equals_records(lockstep_trace, start=start, end=end)
 
 
 # --------------------------------------------------------------------------- #

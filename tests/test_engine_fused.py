@@ -128,8 +128,8 @@ class TestEngineBasics:
                 return SpanSelection(block.match_rows(lo, hi, memory_ops))
 
             def consume_selected(self, block, region, selected):
-                dyn_id = block.dyn_id_col()
-                seen.extend((int(dyn_id[row]), region) for row in selected)
+                seen.extend((int(block.dyn_id[row]), region)
+                            for row in selected)
 
             def on_region_change(self, region):
                 transitions.append(REGION_NAMES[region])
@@ -397,13 +397,13 @@ def file_read_counter(monkeypatch):
     real_reader_iter = binio_module.TraceBinaryReader.iter_records
     real_iter_blocks = columnar_module.TraceColumnarReader.iter_blocks
 
-    def counting_text_iter(path, start_record=0):
+    def counting_text_iter(path):
         counts["streams"] += 1
-        return real_text_iter(path, start_record=start_record)
+        return real_text_iter(path)
 
-    def counting_reader_iter(self, start_record=0, **kwargs):
+    def counting_reader_iter(self, **kwargs):
         counts["streams"] += 1
-        return real_reader_iter(self, start_record=start_record, **kwargs)
+        return real_reader_iter(self, **kwargs)
 
     def counting_iter_blocks(self, *args, **kwargs):
         if self.path is not None:

@@ -42,5 +42,6 @@ def test_egg_info_registers_the_autocheck_script(tmp_path):
     entry_points = configparser.ConfigParser()
     entry_points.read(tmp_path / info / "entry_points.txt")
     assert entry_points["console_scripts"]["autocheck"] == "repro.cli:main"
-    # numpy stays optional: nothing is required at run time
-    assert not (tmp_path / info / "requires.txt").exists()
+    # numpy is the one runtime dependency
+    requires = (tmp_path / info / "requires.txt").read_text().split()
+    assert requires == ["numpy"]

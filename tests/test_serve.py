@@ -46,6 +46,7 @@ from repro.store.serialize import canonical_report_json
 from repro.tracer.driver import trace_to_file
 
 from test_store import ALL_APP_NAMES
+from test_trace_binio import FOOTER_LIES, WALK_REFUSED, lying_footer
 
 #: Apps cheap enough to analyse repeatedly inside a unit test.
 FAST_APP = "example"
@@ -538,3 +539,27 @@ class TestTraceUpload:
         direct = AutoCheck(AutoCheckConfig(main_loop=spec),
                            trace_path=trace_path).run()
         assert body == canonical_report_json(direct).encode()
+
+    @pytest.mark.parametrize("lie", sorted(FOOTER_LIES))
+    def test_lying_footer_upload_is_refused_never_500(
+            self, tmp_path, server, client, example_module, lie):
+        """The footer checks refuse a lying stride or count before the
+        upload is addressed (400); a count they cannot catch keeps the
+        genuine digest, so the job's walk refuses it (422)."""
+        trace_path = str(tmp_path / "genuine.btrace")
+        trace_to_file(example_module, trace_path, module_name="example",
+                      fmt="binary")
+        with open(trace_path, "rb") as handle:
+            upload = lying_footer(handle.read(), lie)
+        spec = prepare_app_analysis("example", use_cache=False,
+                                    trace_dir=server.trace_dir).spec
+        status, _, body = client.analyze_trace(
+            upload, spec.function, spec.start_line, spec.end_line)
+        error = json.loads(body)["error"]
+        if lie in WALK_REFUSED:
+            assert (status, error["code"]) == (422, "INVALID_TRACE")
+            assert "their span in the block index" in error["message"]
+        else:
+            assert (status, error["code"]) == (400, "BAD_FIELD")
+            assert "corrupt binary trace footer" in error["message"]
+        assert server.store.stats().entries == 0

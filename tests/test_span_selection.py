@@ -12,8 +12,8 @@ the properties that must survive that layout:
   runs the dynamic induction probe;
 * **unknown opcodes** — a corrupt opcode inside the loop, past the kind
   tables' end or negative, still fails loudly through the engine;
-* **no numpy** — with numpy unimportable, the list fallbacks of the
-  decoder, the engine and every pass give the golden report bytes;
+* **blocks without operand slots** — a block whose records carry no
+  operand at all (empty operand mirrors) still selects and walks;
 * **custom span hooks** — a pass overriding ``select_span`` sees exactly
   the trace's own Load/Store records, in stream order and tagged with
   their regions, however the blocks are cut.
@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.core import AutoCheck, AutoCheckConfig
+from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
 from repro.core import engine as engine_module
+from repro.core.dependency import DependencyPass
 from repro.core.engine import (
     REGION_AFTER,
     REGION_BEFORE,
@@ -41,16 +38,15 @@ from repro.core.engine import (
     SpanSelection,
 )
 from repro.core.errors import AnalysisError
+from repro.core.varmap import VariableMap
 from repro.ir.opcodes import Opcode
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import encode_trace
 from repro.trace.columnar import TraceColumnarReader
+from repro.trace.records import TraceRecord
 from repro.tracer.driver import run_and_trace
 
 from test_golden_reports import GOLDEN
-
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
@@ -137,40 +133,28 @@ def test_unknown_opcode_inside_the_loop_fails_loudly(ep_inside_load, opcode):
         record.opcode = saved
 
 
-_NUMPY_FREE_SCRIPT = """
-import hashlib, json, sys
-sys.modules["numpy"] = None
-from repro.apps import get_app
-from repro.core import AutoCheck, AutoCheckConfig
-from repro.core import engine
-from repro.store.serialize import canonical_report_json
-from repro.trace import columnar
-assert engine._np is None and columnar._np is None
-out = {}
-for name, path in json.loads(sys.argv[1]).items():
-    app = get_app(name)
-    source = app.source()
-    from repro.codegen.lowering import compile_source
-    module = compile_source(source, module_name=name)
-    config = AutoCheckConfig(main_loop=app.main_loop(source),
-                             **app.autocheck_options)
-    report = AutoCheck(config, trace_path=path, module=module).run()
-    out[name] = hashlib.sha256(
-        canonical_report_json(report).encode()).hexdigest()
-print(json.dumps(out))
-"""
-
-
-def test_numpy_free_walk_gives_the_golden_reports(fleet):
-    names = ("example", "is", "ep")
-    paths = {name: fleet.apps[name].trace_path for name in names}
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, json.dumps(paths)],
-        env=env, capture_output=True, text=True, timeout=600, check=False)
-    assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout.strip().splitlines()[-1])
-    assert got == {name: GOLDEN[name]["report_sha256"] for name in names}
+def test_block_without_operand_slots_selects_and_walks():
+    """Records with no operand and no result leave a block's operand
+    mirrors empty — here one lockstep-scanned index block and a
+    pure-Python-scanned tail: the dependency selection must not index the
+    empty ``np_op_name_id``, and the walk inspects every record."""
+    kinds = (_LOAD, _STORE, int(Opcode.ADD), int(Opcode.GETELEMENTPTR))
+    records = [TraceRecord(dyn_id=index + 1, opcode=kinds[index % 4],
+                           opcode_name="Op", function="main", line=5,
+                           column=0, bb_label=0, bb_id="0:0")
+               for index in range(300)]
+    buffer, _ = encode_trace("slotless", [], records)
+    blocks = list(TraceColumnarReader(buffer=buffer).iter_blocks(
+        chunk_records=256))
+    assert [block.count for block in blocks] == [256, 44]
+    assert all(not block.np_op_name_id.size for block in blocks)
+    varmap = VariableMap()
+    dependency = DependencyPass(varmap)
+    engine = AnalysisEngine(MainLoopSpec("main", 1, 10), [dependency],
+                            variable_map=varmap)
+    walk = engine.run_columnar(blocks)
+    assert walk.record_count == 300
+    assert dependency.result().inspected_records == 300
 
 
 class _SpanRecorder(AnalysisPass):
@@ -184,9 +168,9 @@ class _SpanRecorder(AnalysisPass):
         return SpanSelection(block.match_rows(lo, hi, (_LOAD, _STORE)))
 
     def consume_selected(self, block, region, selected):
-        dyn_id = block.dyn_id_col()
         self.segments += 1
-        self.seen.extend((int(dyn_id[row]), region) for row in selected)
+        self.seen.extend((int(block.dyn_id[row]), region)
+                         for row in selected)
 
 
 def _tagged_accesses(trace, spec):

@@ -139,14 +139,6 @@ class TestIndexAndSeek:
         assert len(layout.block_offsets) == 4  # ceil(count / stride)
         assert layout.block_offsets[0] == layout.records_start
 
-    def test_iter_with_start_record_seeks_via_index(self, big_file):
-        path, count = big_file
-        full = read_trace_file_binary(path).records
-        for start in (0, 1, INDEX_STRIDE - 1, INDEX_STRIDE,
-                      2 * INDEX_STRIDE + 5, count - 1, count, count + 10):
-            tail = list(iter_trace_records(path, start_record=start))
-            assert tail == full[start:]
-
 
 class TestContentDigestCheck:
     """:func:`verify_content_digest` re-folds the footer digest over the
@@ -208,8 +200,8 @@ class TestSniffing:
         assert read_trace_file(binary_path).records == \
             read_trace_file(text_path).records
         assert read_preamble(binary_path)[0] == read_preamble(text_path)[0]
-        assert list(iter_trace_records(binary_path, start_record=3)) == \
-            list(iter_trace_records(text_path, start_record=3))
+        assert list(iter_trace_records(binary_path)) == \
+            list(iter_trace_records(text_path)) == example_trace.records
 
 
 class TestErrors:
@@ -240,3 +232,103 @@ class TestErrors:
             handle.write(struct.pack("<H", 999))
         with pytest.raises(BinaryTraceError):
             TraceBinaryReader(path)
+
+
+# --------------------------------------------------------------------------- #
+# Footers that lie about their record count or index stride
+# --------------------------------------------------------------------------- #
+#: Rewrites of a footer's ``u32 stride | u64 record count``, as functions of
+#: the genuine pair.  On ``example``'s trace (2,363 records at stride 256,
+#: 10 index entries) the footer checks refuse the first five; the last
+#: three keep ``ceil(count / stride) == 10``, so only the walk's scan of
+#: the trailing partial index block can tell.
+FOOTER_LIES = {
+    "count+1000": lambda stride, count: (stride, count + 1000),
+    "count*2": lambda stride, count: (stride, count * 2),
+    "stride=0": lambda stride, count: (0, count),
+    "stride=1": lambda stride, count: (1, count),
+    "count-300": lambda stride, count: (stride, count - 300),
+    "count-1": lambda stride, count: (stride, count - 1),
+    "count-10": lambda stride, count: (stride, count - 10),
+    "count+1": lambda stride, count: (stride, count + 1),
+}
+#: the lies only the walk catches
+WALK_REFUSED = ("count-1", "count-10", "count+1")
+
+
+def lying_footer(data: bytes, lie: str) -> bytes:
+    """A version-2 trace's bytes with ``FOOTER_LIES[lie]`` applied to its
+    footer; the record bytes, and so the content digest, stay genuine."""
+    layout = layout_from_buffer(data)
+    # Back from the end: trailer (12), digest (1 + 32), index entries,
+    # entry count (4), record count (8), stride (4).
+    at = len(data) - 12 - 33 - 8 * len(layout.block_offsets) - 16
+    assert struct.unpack_from("<IQ", data, at) == (layout.index_stride,
+                                                   layout.record_count)
+    out = bytearray(data)
+    struct.pack_into("<IQ", out, at,
+                     *FOOTER_LIES[lie](layout.index_stride,
+                                       layout.record_count))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def example_btrace_bytes(example_module, tmp_path_factory):
+    from repro.tracer.driver import trace_to_file
+
+    path = str(tmp_path_factory.mktemp("lies") / "example.btrace")
+    trace_to_file(example_module, path, module_name="example", fmt="binary")
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestLyingFooter:
+    @pytest.mark.parametrize("lie", [lie for lie in FOOTER_LIES
+                                     if lie not in WALK_REFUSED])
+    def test_footer_checks_refuse(self, example_btrace_bytes, tmp_path, lie):
+        data = lying_footer(example_btrace_bytes, lie)
+        path = str(tmp_path / "lie.btrace")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(BinaryTraceError,
+                           match=r"lie\.btrace.*corrupt binary trace footer"):
+            read_layout(path)
+        with pytest.raises(BinaryTraceError, match="corrupt binary trace"):
+            verify_content_digest(data)
+
+    @pytest.mark.parametrize("lie", WALK_REFUSED)
+    def test_walk_refuses_a_count_the_footer_checks_pass(
+            self, example_btrace_bytes, tmp_path, lie):
+        from repro.trace.columnar import TraceColumnarReader
+
+        data = lying_footer(example_btrace_bytes, lie)
+        path = str(tmp_path / "lie.btrace")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert verify_content_digest(data)
+        with TraceColumnarReader(path) as reader:
+            with pytest.raises(BinaryTraceError,
+                               match=r"lie\.btrace.*their span in the "
+                                     r"block index"):
+                list(reader.iter_blocks())
+
+    @pytest.mark.parametrize("move", ["first", "repeat", "last"])
+    def test_index_must_ascend_within_the_record_region(
+            self, example_btrace_bytes, move):
+        """The first entry off ``records_start``, an entry repeated, or
+        the last one at the footer: refused."""
+        layout = layout_from_buffer(example_btrace_bytes)
+        offsets = list(layout.block_offsets)
+        if move == "first":
+            offsets[0] += 1
+        elif move == "repeat":
+            offsets[2] = offsets[1]
+        else:
+            offsets[-1] = layout.records_end
+        at = len(example_btrace_bytes) - 12 - 33 - 8 * len(offsets)
+        out = bytearray(example_btrace_bytes)
+        struct.pack_into(f"<{len(offsets)}Q", out, at, *offsets)
+        with pytest.raises(BinaryTraceError,
+                           match=r"moved\.btrace.*block index does not "
+                                 r"ascend"):
+            layout_from_buffer(bytes(out), name="moved.btrace")
