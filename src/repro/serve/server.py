@@ -21,6 +21,7 @@ hit.  Endpoints:
 Request lifecycle on ``POST /analyze``::
 
     resolve (app registry / trace spool)
+      → memo (app requests: identity → address) — warm: answer now
       → address (AutoCheck.cache_key(): digest+fingerprint+schema)
         → store.load (lock-free read path)      — warm: answer now
           → coalesce on the address key         — join an in-flight walk
@@ -48,6 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.apps.registry import get_app
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.pipeline import AutoCheck
 from repro.core.report import AutoCheckReport
@@ -88,9 +90,13 @@ ERR_REQUEST_TIMEOUT = "REQUEST_TIMEOUT"
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
 DEFAULT_WAIT_SECONDS = 600.0
 
-#: canonical response bytes memoized per artifact key (immutable entries,
-#: so the only eviction pressure is memory; ~20-50 KB per report)
+#: Bound of both serve memos: canonical response bytes per artifact key
+#: (immutable entries, so the only eviction pressure is memory; ~20-50 KB
+#: per report) and artifact addresses per app request.
 RESPONSE_CACHE_ENTRIES = 128
+
+#: The fields an app-mode ``POST /analyze`` body may carry.
+_APP_FIELDS = frozenset({"app", "params", "seed", "induction", "wait"})
 
 
 class ServeError(Exception):
@@ -110,6 +116,8 @@ class ServeStats:
         self._endpoints: Dict[str, Dict[str, Any]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        self.app_address_hits = 0
+        self.app_address_misses = 0
         self.started_at = time.time()
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:
@@ -128,6 +136,15 @@ class ServeStats:
             else:
                 self.cache_misses += 1
 
+    def record_app_address(self, hit: bool) -> None:
+        """Count an app request answered from the address memo (hit) or
+        staged through ``prepare_app_analysis`` (miss)."""
+        with self._lock:
+            if hit:
+                self.app_address_hits += 1
+            else:
+                self.app_address_misses += 1
+
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -136,19 +153,105 @@ class ServeStats:
                               in self._endpoints.items()},
                 "cache": {"hits": self.cache_hits,
                           "misses": self.cache_misses},
+                "app_addresses": {"hits": self.app_address_hits,
+                                  "misses": self.app_address_misses},
             }
 
 
+class _LruMemo:
+    """A lock-guarded map that keeps only its most recently used entries."""
+
+    def __init__(self, bound: int) -> None:
+        self._bound = bound
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Any) -> Any:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Any, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._bound:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+def _bad_field(field: str, expected: str) -> ServeError:
+    return ServeError(400, ERR_BAD_FIELD, f"'{field}' must be {expected}")
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` subclasses ``int`` but is never one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _app_request_fields(payload: Dict[str, Any]
+                        ) -> Tuple[str, Dict[str, int], int, Optional[str]]:
+    """Check an app-mode body; returns ``(app, params, seed, induction)``.
+
+    These fields key the address memo, the prepare flight and the trace
+    file name, so each is checked before anything looks it up: a value of
+    the wrong type answers ``400 BAD_FIELD`` naming its field, so no
+    unhashable value reaches a lookup and no ``true`` reaches the tracer
+    as a seed.
+    """
+    unknown = set(payload) - _APP_FIELDS
+    if unknown:
+        raise ServeError(400, ERR_BAD_FIELD,
+                         f"unknown analyze fields: {sorted(unknown)}")
+    app_name = payload["app"]
+    if not isinstance(app_name, str):
+        raise _bad_field("app", "a string")
+    params = payload.get("params")
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise _bad_field("params", "an object")
+    for name, value in params.items():
+        if not _is_int(value):
+            raise _bad_field(f"params.{name}", "an integer")
+    seed = payload.get("seed", 314159)
+    if not _is_int(seed):
+        raise _bad_field("seed", "an integer")
+    induction = payload.get("induction")
+    if induction is not None and not isinstance(induction, str):
+        raise _bad_field("induction", "a string or null")
+    wait = payload.get("wait", True)
+    if not isinstance(wait, bool):
+        raise _bad_field("wait", "a boolean")
+    return app_name, params, seed, induction
+
+
 class _AnalyzeWork:
-    """One resolved ``POST /analyze`` request, ready to address and run."""
+    """One resolved ``POST /analyze`` request, ready to address and run.
 
-    __slots__ = ("label", "autocheck", "address")
+    An app request answered from the address memo carries the canonical
+    ``body`` it found and no ``autocheck``: it is a store hit and never
+    reaches a job.  Every other request carries a freshly staged AutoCheck.
+    """
 
-    def __init__(self, label: str, autocheck: AutoCheck,
-                 address: ArtifactAddress) -> None:
+    __slots__ = ("label", "autocheck", "address", "body")
+
+    def __init__(self, label: str, autocheck: Optional[AutoCheck],
+                 address: ArtifactAddress,
+                 body: Optional[bytes] = None) -> None:
         self.label = label
         self.autocheck = autocheck
         self.address = address
+        self.body = body
 
 
 def run_analysis(work: _AnalyzeWork, job: Job) -> AutoCheckReport:
@@ -158,8 +261,10 @@ def run_analysis(work: _AnalyzeWork, job: Job) -> AutoCheckReport:
     event to pin a worker, or raise to exercise failure propagation —
     without reaching into handler internals.
     """
-    work.autocheck.config.progress_callback = job.progress.update
-    return work.autocheck.run()
+    autocheck = work.autocheck
+    assert autocheck is not None  # memo hits answer stored bytes, never run
+    autocheck.config.progress_callback = job.progress.update
+    return autocheck.run()
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
@@ -191,8 +296,11 @@ class AnalysisServer:
         # key.  Entries are content-addressed and therefore immutable, so
         # the memo can never go stale — it only saves the warm path the
         # per-request deserialize + re-serialize of a stored report.
-        self._response_cache: OrderedDict[str, bytes] = OrderedDict()
-        self._response_cache_lock = threading.Lock()
+        self._response_cache = _LruMemo(RESPONSE_CACHE_ENTRIES)
+        # The address the full path computed for each app request's
+        # identity (app, source text, seed, induction), so a warm app
+        # request neither recompiles nor reads its trace footer.
+        self._app_addresses = _LruMemo(RESPONSE_CACHE_ENTRIES)
         self._analyzer = analyzer or run_analysis
         self._active_requests = 0
         self._active_lock = threading.Lock()
@@ -262,19 +370,27 @@ class AnalysisServer:
     # Request resolution
     # ------------------------------------------------------------------ #
     def _resolve_app_request(self, payload: Dict[str, Any]) -> _AnalyzeWork:
-        known = {"app", "params", "seed", "induction", "wait"}
-        unknown = set(payload) - known
-        if unknown:
+        app_name, params, seed, induction = _app_request_fields(payload)
+        try:
+            source = get_app(app_name).source(**params)
+        except KeyError:
+            raise ServeError(404, ERR_UNKNOWN_APP,
+                             f"unknown app {app_name!r}") from None
+        except (TypeError, ValueError) as exc:
             raise ServeError(400, ERR_BAD_FIELD,
-                             f"unknown analyze fields: {sorted(unknown)}")
-        app_name = payload["app"]
-        if not isinstance(app_name, str):
-            raise ServeError(400, ERR_BAD_FIELD, "'app' must be a string")
-        params = payload.get("params") or {}
-        if not isinstance(params, dict):
-            raise ServeError(400, ERR_BAD_FIELD, "'params' must be an object")
-        seed = payload.get("seed", 314159)
-        induction = payload.get("induction")
+                             f"cannot stage app {app_name!r}: {exc}") from exc
+        label = f"app:{app_name}"
+        # The source text fixes the module and, with the seed, the trace;
+        # with the induction it fixes the config.  So the address recorded
+        # for this identity is the address, as long as its artifact lasts.
+        identity = (app_name, source, seed, induction)
+        if self.use_cache:
+            address = self._app_addresses.get(identity)
+            body = (None if address is None
+                    else self.canonical_bytes(address.key))
+            self.stats.record_app_address(hit=body is not None)
+            if body is not None:
+                return _AnalyzeWork(label, None, address, body)
         # Coalesce the prepare step (compile + trace generation) so a
         # thundering herd on a cold app traces it once, not N times.
         prepare_key = ("prepare", app_name,
@@ -286,15 +402,13 @@ class AnalysisServer:
                     app_name, params, induction=induction,
                     use_cache=self.use_cache, cache_dir=self.cache_dir,
                     trace_dir=self.trace_dir, seed=seed))
-        except KeyError as exc:
-            name = exc.args[0] if exc.args else app_name
-            raise ServeError(404, ERR_UNKNOWN_APP,
-                             f"unknown app {name!r}") from exc
         except (TypeError, ValueError) as exc:
             raise ServeError(400, ERR_BAD_FIELD,
                              f"cannot stage app {app_name!r}: {exc}") from exc
         address = prepared.autocheck.cache_key()
-        return _AnalyzeWork(f"app:{app_name}", prepared.autocheck, address)
+        if self.use_cache:
+            self._app_addresses.put(identity, address)
+        return _AnalyzeWork(label, prepared.autocheck, address)
 
     def _spool_trace_body(self, body: bytes) -> str:
         """Persist an uploaded trace body, content-addressed and atomic."""
@@ -382,7 +496,8 @@ class AnalysisServer:
         headers = {"Content-Type": "application/json",
                    "X-Autocheck-Key": key}
         if self.use_cache:
-            body = self.canonical_bytes(key)
+            body = (work.body if work.body is not None
+                    else self.canonical_bytes(key))
             if body is not None:
                 self.stats.record_cache(hit=True)
                 headers["X-Autocheck-Cache"] = "hit"
@@ -433,7 +548,7 @@ class AnalysisServer:
         body = canonical_report_json(report).encode()
         # Seed the memo so followers and later warm requests skip the
         # deserialize + re-serialize round trip entirely.
-        self._remember_response(key, body)
+        self._response_cache.put(key, body)
         return 200, headers, body
 
     # ------------------------------------------------------------------ #
@@ -450,24 +565,15 @@ class AnalysisServer:
         the store-level LRU sees only memo misses — acceptable because a
         memo-hot key does not need its disk entry for recency anyway.
         """
-        with self._response_cache_lock:
-            body = self._response_cache.get(key)
-            if body is not None:
-                self._response_cache.move_to_end(key)
-                return body
+        body = self._response_cache.get(key)
+        if body is not None:
+            return body
         report = self.store.load(key)
         if report is None:
             return None
         body = canonical_report_json(report).encode()
-        self._remember_response(key, body)
+        self._response_cache.put(key, body)
         return body
-
-    def _remember_response(self, key: str, body: bytes) -> None:
-        with self._response_cache_lock:
-            self._response_cache[key] = body
-            self._response_cache.move_to_end(key)
-            while len(self._response_cache) > RESPONSE_CACHE_ENTRIES:
-                self._response_cache.popitem(last=False)
 
     @staticmethod
     def _wait_flight(flight, wait_seconds: float) -> AutoCheckReport:
@@ -497,8 +603,8 @@ class AnalysisServer:
             store_stats = self.store.stats()
             snap["store"] = {"entries": store_stats.entries,
                              "bytes": store_stats.total_bytes}
-        with self._response_cache_lock:
-            snap["response_cache"] = {"entries": len(self._response_cache)}
+        snap["response_cache"] = {"entries": len(self._response_cache)}
+        snap["app_addresses"]["entries"] = len(self._app_addresses)
         return snap
 
 
@@ -511,6 +617,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: connection or a stalled request line or header is closed; a body
     #: that stalls mid-read answers 408.
     timeout = 60.0
+    #: TCP_NODELAY on every accepted socket: a response goes out as two
+    #: writes (headers, then body), and with Nagle's algorithm the body's
+    #: last segment waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------- #
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

@@ -17,14 +17,20 @@ The load-bearing assertions:
   and publishes their artifacts before returning;
 * **fleet stress** — seeded randomized interleavings over every bundled
   app leave the store consistent and every response equal to a cold
-  serial reference run.
+  serial reference run;
+* **address memo** — a warm app request stages nothing (no prepare, no
+  compile, no ``cache_key``) and answers the cold bytes, while any change
+  to the request's identity stages it afresh.
 """
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
+import os
 import random
+import re
 import socket
 import threading
 import time
@@ -37,14 +43,18 @@ from repro.serve import (
     AnalysisServer,
     ServeClient,
 )
+from repro.apps.registry import get_app
+from repro.codegen import lowering
 from repro.core.config import AutoCheckConfig
 from repro.core.pipeline import AutoCheck
+from repro.serve import server as serve_module
 from repro.serve.server import _Handler, run_analysis
 from repro.store import ArtifactStore
-from repro.store.batch import prepare_app_analysis
+from repro.store.batch import app_trace_path, prepare_app_analysis
 from repro.store.serialize import canonical_report_json
 from repro.tracer.driver import trace_to_file
 
+from test_golden_reports import GOLDEN
 from test_store import ALL_APP_NAMES
 from test_trace_binio import FOOTER_LIES, WALK_REFUSED, lying_footer
 
@@ -81,6 +91,19 @@ def _direct_canonical(app_name, trace_dir, **kwargs):
     return canonical_report_json(prepared.autocheck.run()).encode()
 
 
+def _spy(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (still calling through)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def _poll(predicate, timeout=30.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -101,7 +124,26 @@ class TestEndpoints:
 
     def test_stats_shape(self, client):
         snap = client.stats()
-        assert {"endpoints", "cache", "coalesce", "jobs", "store"} <= set(snap)
+        assert {"endpoints", "cache", "coalesce", "jobs", "store",
+                "response_cache", "app_addresses"} <= set(snap)
+        assert snap["app_addresses"] == {"entries": 0, "hits": 0,
+                                         "misses": 0}
+
+    def test_responses_leave_with_tcp_nodelay(self, client, monkeypatch):
+        """A response is written as headers then body; with Nagle's
+        algorithm on, the body's last segment waits for the client's
+        delayed ACK, so every accepted socket must carry TCP_NODELAY."""
+        seen = []
+        original = _Handler._dispatch
+
+        def dispatch(handler, method, url):
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return original(handler, method, url)
+
+        monkeypatch.setattr(_Handler, "_dispatch", dispatch)
+        assert client.healthz()[0] == 200
+        assert len(seen) == 1 and seen[0] != 0
 
     def test_handler_bug_is_internal_error_and_logged(self, server, client,
                                                       monkeypatch, caplog):
@@ -223,6 +265,69 @@ class TestEndpoints:
 
 
 # --------------------------------------------------------------------------- #
+# App-request fields: checked before they key anything
+# --------------------------------------------------------------------------- #
+def _documented_app_body():
+    """The app-mode example body in docs/serve.md."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "docs", "serve.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text[text.index("### `POST /analyze` — app mode"):]
+    match = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    return json.loads(match.group(1))
+
+
+class TestAppRequestFields:
+    @pytest.mark.parametrize("field, value", [
+        ("induction", 5),
+        ("seed", True),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", None),
+        ("wait", "0"),
+        ("params", [8]),
+        ("params.iterations", True),
+        ("params.iterations", "8"),
+    ])
+    def test_ill_typed_field_is_400_naming_it(self, server, client, field,
+                                               value):
+        payload = {"app": FAST_APP}
+        if field.startswith("params."):
+            payload["params"] = {field.split(".", 1)[1]: value}
+        else:
+            payload[field] = value
+        status, _, body = client.request(
+            "POST", "/analyze", json.dumps(payload).encode(),
+            content_type="application/json")
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "BAD_FIELD"
+        assert f"'{field}'" in error["message"]
+        # Refused before staging: nothing traced, run or published.
+        assert not os.path.exists(server.trace_dir)
+        assert server.jobs.stats()["submitted"] == 0
+        assert server.store.stats().entries == 0
+        assert client.stats()["app_addresses"]["misses"] == 0
+
+    def test_unknown_param_names_the_app(self, client):
+        status, _, body = client.analyze_app(FAST_APP, params={"nope": 4})
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "BAD_FIELD"
+        assert "cannot stage app 'example'" in error["message"]
+
+    def test_documented_app_body_answers_200(self, client):
+        payload = _documented_app_body()
+        status, headers, body = client.request(
+            "POST", "/analyze", json.dumps(payload).encode(),
+            content_type="application/json")
+        assert status == 200, body
+        assert headers["x-autocheck-cache"] == "miss"
+        assert json.loads(body)["critical_variables"]
+
+
+# --------------------------------------------------------------------------- #
 # Warm path: store-backed responses are byte-identical to direct runs
 # --------------------------------------------------------------------------- #
 class TestWarmPath:
@@ -267,6 +372,112 @@ class TestWarmPath:
         # The async run published the artifact: the next request is warm.
         _, warm_headers, _ = client.analyze_app(FAST_APP)
         assert warm_headers["x-autocheck-cache"] == "hit"
+
+
+# --------------------------------------------------------------------------- #
+# Address memo: warm app requests stage nothing
+# --------------------------------------------------------------------------- #
+class TestAddressMemo:
+    @staticmethod
+    def _staging_spies(monkeypatch):
+        return {
+            "prepare_app_analysis": _spy(monkeypatch, serve_module,
+                                         "prepare_app_analysis"),
+            "compile_source": _spy(monkeypatch, lowering, "compile_source"),
+            "cache_key": _spy(monkeypatch, AutoCheck, "cache_key"),
+        }
+
+    def test_warm_hit_stages_nothing_and_answers_the_cold_bytes(
+            self, client, monkeypatch):
+        cold = client.analyze_app(FAST_APP)
+        spies = self._staging_spies(monkeypatch)
+        warm = client.analyze_app(FAST_APP)
+
+        assert {name: len(calls) for name, calls in spies.items()} == {
+            "prepare_app_analysis": 0, "compile_source": 0, "cache_key": 0}
+        assert cold[0] == warm[0] == 200
+        assert warm[1]["x-autocheck-cache"] == "hit"
+        assert warm[1]["x-autocheck-key"] == cold[1]["x-autocheck-key"]
+        assert warm[2] == cold[2]
+        assert client.stats()["app_addresses"] == {"entries": 1, "hits": 1,
+                                                   "misses": 1}
+
+    @pytest.mark.parametrize("field, value, new_key", [
+        ("params", {"iterations": 8}, True),
+        ("induction", "it", True),
+        # example draws no random numbers: its trace, and so its store
+        # key, do not depend on the seed; its memo entry still does.
+        ("seed", 7, False),
+    ])
+    def test_changed_field_misses_the_memo(self, server, client, monkeypatch,
+                                           field, value, new_key):
+        base = client.analyze_app(FAST_APP)
+        prepare = _spy(monkeypatch, serve_module, "prepare_app_analysis")
+        variant = client.analyze_app(FAST_APP, **{field: value})
+        again = client.analyze_app(FAST_APP, **{field: value})
+
+        assert variant[0] == again[0] == 200
+        assert len(prepare) == 1
+        key = variant[1]["x-autocheck-key"]
+        assert (key != base[1]["x-autocheck-key"]) == new_key
+        assert again[1]["x-autocheck-key"] == key
+        assert again[2] == variant[2]
+        assert client.stats()["app_addresses"] == {"entries": 2, "hits": 1,
+                                                   "misses": 2}
+
+    def test_changed_source_misses_the_memo(self, client, monkeypatch):
+        cold = client.analyze_app(FAST_APP)
+        app = get_app(FAST_APP)
+        builder = app.source_builder
+        monkeypatch.setattr(
+            app, "source_builder",
+            lambda **params: builder(**params) + "// edited\n")
+        spies = self._staging_spies(monkeypatch)
+        edited = client.analyze_app(FAST_APP)
+
+        assert len(spies["prepare_app_analysis"]) == 1
+        assert len(spies["compile_source"]) == 1
+        # A trailing comment leaves the module, and so the analysis, as it
+        # was: the staged request addresses the cold artifact again.
+        assert edited[1]["x-autocheck-key"] == cold[1]["x-autocheck-key"]
+        assert edited[2] == cold[2]
+        assert client.stats()["app_addresses"]["misses"] == 2
+
+    def test_gone_artifact_is_staged_again(self, server, client, monkeypatch):
+        cold = client.analyze_app(FAST_APP)
+        key = cold[1]["x-autocheck-key"]
+        assert (hashlib.sha256(cold[2]).hexdigest()
+                == GOLDEN[FAST_APP]["report_sha256"])
+        trace_path = app_trace_path(server.trace_dir, FAST_APP, {}, 314159)
+        os.remove(server.store.entry_path(key))
+        os.remove(trace_path)
+        server._response_cache.clear()
+
+        prepare = _spy(monkeypatch, serve_module, "prepare_app_analysis")
+        status, headers, body = client.analyze_app(FAST_APP)
+
+        assert status == 200
+        assert len(prepare) == 1
+        assert os.path.exists(trace_path)
+        assert headers["x-autocheck-cache"] == "miss"
+        assert headers["x-autocheck-key"] == key
+        assert body == cold[2]
+        assert server.store.load(key) is not None
+        assert client.stats()["app_addresses"] == {"entries": 1, "hits": 0,
+                                                   "misses": 2}
+
+    def test_memo_stays_within_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_module, "RESPONSE_CACHE_ENTRIES", 2)
+        srv = _make_server(tmp_path)
+        try:
+            cli = ServeClient(srv.host, srv.port)
+            for seed in (1, 2, 3, 1, 3):
+                assert cli.analyze_app(FAST_APP, seed=seed)[0] == 200
+            # seed 1 was evicted by seed 3 and staged again; 3 stayed.
+            assert cli.stats()["app_addresses"] == {"entries": 2, "hits": 1,
+                                                    "misses": 4}
+        finally:
+            srv.close(graceful=True, timeout=60.0)
 
 
 # --------------------------------------------------------------------------- #
