@@ -30,13 +30,13 @@ def autocheck_module(module: Module, main_loop: MainLoopSpec,
         **config_kwargs: forwarded to
             :class:`~repro.core.config.AutoCheckConfig` (e.g.
             ``induction_variable``, ``include_global_accesses_in_calls``).
-            The trace is in-memory here; the walk reads it through one
-            in-memory binary encode.  The artifact store
-            (``use_cache=True``) applies too: that encode yields the same
-            digest the trace's on-disk binary form would carry, so
-            repeated analyses of an identical trace return the stored
-            report without a record walk — and share entries with
-            file-based runs of the same trace.
+            The trace is in-memory here: the walk reads the binary bytes
+            the interpreter emitted.  The artifact store
+            (``use_cache=True``) applies too: those bytes carry the digest
+            the trace's on-disk binary file carries, so repeated analyses
+            of an identical trace return the stored report without a
+            record walk — and share entries with file-based runs of the
+            same trace.
 
     Returns:
         The full :class:`~repro.core.report.AutoCheckReport` — critical
@@ -51,9 +51,7 @@ def autocheck_module(module: Module, main_loop: MainLoopSpec,
         raise RuntimeError("traced execution hit a simulated failure; "
                            "AutoCheck expects a failure-free trace")
     config = AutoCheckConfig(main_loop=main_loop, **config_kwargs)
-    report = AutoCheck(config, trace=trace, module=module).run()
-    report.trace_stats.record_count = len(trace.records)
-    return report
+    return AutoCheck(config, trace=trace, module=module).run()
 
 
 def autocheck_source(source: str, main_loop: MainLoopSpec,

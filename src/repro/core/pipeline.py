@@ -10,10 +10,11 @@ once, sharing one live variable map so every access resolves against the
 allocation state at its own execution time.  The identify stage then
 contracts the DDG and classifies the critical variables.
 
-A version-2 binary trace file streams straight from disk.  Every other
-input — an in-memory :class:`repro.trace.records.Trace`, a text trace
-file, a version-1 binary file — is first encoded into an in-memory binary
-trace (:func:`repro.trace.binio.encode_trace`) and read back from there.
+A version-2 binary trace file streams straight from disk.  An in-memory
+:class:`repro.trace.records.Trace` is walked from the binary bytes it holds
+(:meth:`~repro.trace.records.Trace.encoded`); a text trace file or a
+version-1 binary file is read into one first
+(:func:`repro.trace.textio.read_trace_file`).
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from repro.core.rwdeps import RWExtractionPass
 from repro.core.varmap import VariableInfo, VariableMap
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
-from repro.trace.binio import encode_trace, is_binary_trace_file, read_layout
+from repro.trace.binio import is_binary_trace_file, read_layout
 from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace
-from repro.trace.textio import iter_trace_records, read_preamble
+from repro.trace.textio import read_trace_file
 from repro.util.timing import TimingBreakdown
 
 
@@ -165,40 +166,24 @@ class AutoCheck:
         self._trace = trace
         self._trace_path = trace_path
         self._module = module
-        #: the input as an in-memory binary trace and its content digest,
-        #: for inputs that are not a version-2 binary file (one encode
-        #: serves both the walk and :meth:`cache_key`; the bytes are
-        #: dropped once walked)
-        self._encoded_bytes: Optional[bytes] = None
-        self._encoded_digest: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _encode(self) -> bytes:
-        """The input encoded as an in-memory binary trace (memoized)."""
-        if self._encoded_bytes is None:
-            if self._trace is not None:
-                trace = self._trace
-                encoded = encode_trace(trace.module_name, trace.globals,
-                                       trace.records)
-            else:
-                assert self._trace_path is not None
-                module_name, globals_ = read_preamble(self._trace_path)
-                encoded = encode_trace(module_name, globals_,
-                                       iter_trace_records(self._trace_path))
-            self._encoded_bytes, self._encoded_digest = encoded
-        return self._encoded_bytes
-
     def _open_reader(self) -> TraceColumnarReader:
         """The input as columnar blocks: a version-2 binary file streams
-        from disk, anything else is encoded into memory first."""
-        path = self._trace_path
-        if self._trace is None and is_binary_trace_file(path):
-            layout = read_layout(path)
-            if layout.content_digest is not None:
-                return TraceColumnarReader(path, layout=layout)
-        return TraceColumnarReader(buffer=self._encode())
+        from disk, a :class:`Trace` (any other file is read into one) is
+        walked from its bytes."""
+        trace = self._trace
+        if trace is None:
+            path = self._trace_path
+            assert path is not None
+            if is_binary_trace_file(path):
+                layout = read_layout(path)
+                if layout.content_digest is not None:
+                    return TraceColumnarReader(path, layout=layout)
+            trace = read_trace_file(path)
+        return TraceColumnarReader(buffer=trace.encoded()[0])
 
     def _static_induction_name(self) -> Optional[str]:
         """The induction variable from the static loop analysis over the IR
@@ -248,11 +233,10 @@ class AutoCheck:
     def cache_key(self):
         """The artifact-store address of this run, without running it.
 
-        Computing the address costs zero record decodes for file inputs
-        (binary footers carry the digest precomputed; text files hash raw
-        bytes); an in-memory trace is encoded into the in-memory binary
-        trace the walk reads, which yields the same digest its on-disk
-        binary form would carry.
+        Computing the address costs zero record decodes: binary footers
+        carry the digest precomputed, text files hash their raw bytes, and
+        an in-memory trace holds the digest of the bytes the walk reads —
+        the digest its on-disk binary file carries.
 
         Shared by the cache lookup below and by the serve daemon, whose
         request-coalescing table keys on exactly this address — "N
@@ -272,11 +256,8 @@ class AutoCheck:
         from repro.store.digest import compute_trace_digest
 
         if self._trace is not None:
-            if self._encoded_digest is None:
-                self._encode()
-            trace_digest = self._encoded_digest
+            trace_digest = self._trace.encoded()[1]
         else:
-            assert self._trace_path is not None
             trace_digest = compute_trace_digest(self._trace_path)
         # The static induction name is an analysis input that lives outside
         # the config (it comes from the module's IR): a run that resolves it
@@ -362,17 +343,15 @@ class AutoCheck:
             engine = AnalysisEngine(spec, passes, variable_map=varmap)
             globals_ = reader.layout.globals
             engine.add_globals(globals_)
-            # A run that publishes its report checks a file's bytes
-            # against the footer digest its store key came from.
-            blocks = reader.iter_blocks(verify_digest=(
-                config.use_cache and reader.path is not None))
+            # A run that publishes its report checks the bytes it walks,
+            # file or buffer, against the digest its store key came from.
+            blocks = reader.iter_blocks(verify_digest=config.use_cache)
             if config.progress_callback is not None:
                 blocks = _with_block_progress(blocks, config.progress_callback)
             with timings.stage("fused_analysis"):
                 walk = engine.run_columnar(blocks)
         finally:
             reader.close()
-            self._encoded_bytes = None
         timings.add_count("fused_analysis", walk.record_count)
         timings.add("walk.decode", engine.decode_seconds)
         timings.add("walk.scope", engine.scope_seconds)

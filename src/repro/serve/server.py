@@ -64,6 +64,7 @@ from repro.trace.binio import (
     BinaryTraceError,
     verify_content_digest,
 )
+from repro.trace.textio import TraceFormatError
 from repro.util.logging import get_logger
 
 _LOG = get_logger(__name__)
@@ -586,9 +587,10 @@ class AnalysisServer:
             raise ServeError(429, ERR_QUEUE_FULL, str(exc)) from exc
         except ShutdownError as exc:
             raise ServeError(503, ERR_SHUTTING_DOWN, str(exc)) from exc
-        except BinaryTraceError as exc:
-            # The walk refused the trace itself (its record blocks disagree
-            # with the footer), not a daemon or analysis fault.
+        except (BinaryTraceError, TraceFormatError) as exc:
+            # The walk refused the trace itself (a binary trace's record
+            # blocks disagree with its footer, or a text line is
+            # malformed), not a daemon or analysis fault.
             raise ServeError(422, ERR_INVALID_TRACE, str(exc)) from exc
         except Exception as exc:
             raise ServeError(

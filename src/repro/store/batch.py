@@ -24,14 +24,16 @@ Manifest format (JSON): either a bare list of entries, or an object::
 
 App entries compile, trace (binary encoding, into ``trace_dir``) and
 analyse; the trace file is *reused* when it already exists — tracing is
-deterministic under a fixed seed, so a pre-existing file is the same
-artifact and the warm path skips generation entirely.  Trace entries
-analyse an existing file of either encoding.
+deterministic under a fixed seed and the file name carries a digest of the
+app's source, so a pre-existing file is the same artifact and the warm
+path skips generation entirely.  Trace entries analyse an existing file of
+either encoding.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import time
@@ -247,12 +249,18 @@ def app_trace_path(trace_dir: str, app_name: str,
     """Where an app entry keeps its generated binary trace.
 
     The name encodes everything that determines the trace content (app,
-    source parameters, seed), so a pre-existing file is the same artifact
-    and batch runs reuse it instead of re-tracing.
+    source parameters, seed and a digest of the app's source text), so a
+    pre-existing file is the same artifact and batch runs reuse it instead
+    of re-tracing, while a changed source is traced again.
     """
-    suffix = "".join(f"-{key}{value}" for key, value
-                     in sorted((params or {}).items()))
-    return os.path.join(trace_dir, f"{app_name}{suffix}-s{seed}.btrace")
+    from repro.apps.registry import get_app
+
+    params = params or {}
+    source = get_app(app_name).source(**params)
+    source_digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    suffix = "".join(f"-{key}{value}" for key, value in sorted(params.items()))
+    return os.path.join(
+        trace_dir, f"{app_name}{suffix}-s{seed}-{source_digest}.btrace")
 
 
 def _is_reusable_trace(path: str) -> bool:

@@ -11,12 +11,14 @@ a single trace record:
   SHA-256 over the raw file bytes (still zero record decodes — the bytes
   are hashed, never parsed);
 * **in-memory :class:`~repro.trace.records.Trace`** — the digest of the
-  in-memory binary trace the analysis walks
-  (:func:`repro.trace.binio.encode_trace`, called by
-  :meth:`repro.core.pipeline.AutoCheck.cache_key`).  Because the writer's
+  binary bytes it holds and the analysis walks
+  (:meth:`~repro.trace.records.Trace.encoded`, read by
+  :meth:`repro.core.pipeline.AutoCheck.cache_key`): the footer digest of
+  the bytes the tracer emitted or the file it was read from, or that of
+  the one encode of a trace built from records.  Because the writer's
   footer digest covers exactly the record blocks plus the encoded globals
   (not the header, string table or index), an in-memory trace and the
-  binary file written from it produce the *same* digest — an analysis
+  binary file written from it carry the *same* digest — an analysis
   cached from one input form is a hit for the other.
 
 The text-file fallback hashes the file's bytes, so the same logical trace

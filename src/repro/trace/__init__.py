@@ -22,9 +22,10 @@ This package plays the role of LLVM-Tracer's output format:
 Choosing an encoding: the text format is greppable and diff-friendly but
 slow to parse and unable to represent names containing commas or newlines;
 the binary format is the production path — smaller files, several times
-faster decoding and the only encoding the analysis walks (other inputs are
-encoded into memory first).  All readers sniff the format, so callers never
-need to know which one they were handed.
+faster decoding and the only encoding the analysis walks; an in-memory
+:class:`Trace` holds it too (a text file is encoded once as it is read).
+All readers sniff the format, so callers never need to know which one they
+were handed.
 """
 
 from repro.trace.records import (
@@ -36,7 +37,6 @@ from repro.trace.records import (
 )
 from repro.trace.textio import (
     TraceFormatError,
-    TraceTextReader,
     TraceTextWriter,
     iter_trace_records,
     parse_record_lines,
@@ -54,7 +54,6 @@ from repro.trace.binio import (
     TraceBinaryWriter,
     encode_trace,
     is_binary_trace_file,
-    iter_trace_file_binary,
     read_trace_file_binary,
     verify_content_digest,
     write_trace_file_binary,
@@ -67,7 +66,6 @@ __all__ = [
     "TraceRecord",
     "RESULT_INDEX",
     "TraceFormatError",
-    "TraceTextReader",
     "TraceTextWriter",
     "iter_trace_records",
     "parse_record_lines",
@@ -83,7 +81,6 @@ __all__ = [
     "TraceBinaryWriter",
     "encode_trace",
     "is_binary_trace_file",
-    "iter_trace_file_binary",
     "read_trace_file_binary",
     "verify_content_digest",
     "write_trace_file_binary",

@@ -7,9 +7,9 @@ is what lets :mod:`repro.trace.columnar` decode whole runs of records in
 lockstep.  The tracing interpreter writes it directly, one emit template
 per instruction (:meth:`TraceBinaryWriter.template`) and one packer per
 value-flag signature (:meth:`TraceBinaryWriter.emitter`).  Every analysis
-walks this encoding:
-inputs in any other form (an in-memory trace, a text file, a version-1
-file) are first encoded into memory by :func:`encode_trace`.
+walks this encoding, and an in-memory :class:`~repro.trace.records.Trace`
+holds it: a trace built from records, a text file or a version-1 file is
+encoded once by :func:`encode_trace`.
 
 File layout (all integers little-endian)::
 
@@ -557,13 +557,12 @@ class TraceBinaryWriter:
 
 
 def write_trace_file_binary(trace: Trace, path: str) -> int:
-    """Write an in-memory trace to ``path``; return the file size in bytes."""
-    with TraceBinaryWriter(path, module_name=trace.module_name) as writer:
-        for symbol in trace.globals:
-            writer.write_global(symbol)
-        for record in trace.records:
-            writer.write_record(record)
-    return os.path.getsize(path)
+    """Write a trace's binary encoding to ``path``; return the file size
+    in bytes."""
+    data = trace.encoded()[0]
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return len(data)
 
 
 def encode_trace(module_name: str, globals_: Iterable[GlobalSymbol],
@@ -610,15 +609,6 @@ class BinaryTraceLayout:
     #: hex SHA-256 of the trace content (``None`` for version-1 files,
     #: which predate the footer digest)
     content_digest: Optional[str] = None
-
-
-def _read_exact(handle: IO[bytes], count: int,
-                path: Optional[str] = None) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        where = f" {path!r}" if path else ""
-        raise BinaryTraceError(f"truncated binary trace file{where}")
-    return data
 
 
 # Footers of same-shaped traces share one compiled Struct for the block
@@ -731,6 +721,34 @@ def _check_block_index(stride: int, record_count: int, offsets: List[int],
             f"region (ends at byte {records_end})")
 
 
+def _read_layout(read: Callable[[int, int], bytes], size: int,
+                 name: str) -> BinaryTraceLayout:
+    """The layout of a ``size``-byte file named ``name``, whose bytes
+    ``read(offset, count)`` returns (header, trailer and footer only)."""
+    if size < _HEADER.size:
+        raise BinaryTraceError(f"truncated binary trace file {name!r}")
+    magic, version, _, name_len = _HEADER.unpack(read(0, _HEADER.size))
+    if magic != BINARY_MAGIC:
+        raise BinaryTraceError(f"{name!r} is not a binary trace file")
+    if version not in SUPPORTED_VERSIONS:
+        raise BinaryTraceError(
+            f"{name!r}: unsupported binary trace version {version} "
+            f"(supported: {SUPPORTED_VERSIONS})")
+    records_start = _HEADER.size + name_len
+    if size < records_start + _TRAILER.size:
+        raise BinaryTraceError(f"truncated binary trace file {name!r}")
+    module_name = read(_HEADER.size, name_len).decode("utf-8")
+    footer_offset, trailer = _TRAILER.unpack(
+        read(size - _TRAILER.size, _TRAILER.size))
+    if trailer != TRAILER_MAGIC:
+        raise BinaryTraceError(
+            f"{name!r}: missing binary trace trailer "
+            f"(file truncated or still being written)")
+    footer = read(footer_offset, size - _TRAILER.size - footer_offset)
+    return _parse_footer(footer, version, module_name, records_start,
+                         footer_offset, name)
+
+
 def read_layout(path: str) -> BinaryTraceLayout:
     """Read the header and footer (globals + string table + index).
 
@@ -738,71 +756,29 @@ def read_layout(path: str) -> BinaryTraceLayout:
     a truncated, version-skewed or corrupt trace surfaced deep inside a
     batch run must be attributable without a stack trace.
     """
-    file_size = os.path.getsize(path)
     with open(path, "rb") as handle:
-        magic, version, _, name_len = _HEADER.unpack(
-            _read_exact(handle, _HEADER.size, path))
-        if magic != BINARY_MAGIC:
-            raise BinaryTraceError(f"{path!r} is not a binary trace file")
-        if version not in SUPPORTED_VERSIONS:
-            raise BinaryTraceError(
-                f"{path!r}: unsupported binary trace version {version} "
-                f"(supported: {SUPPORTED_VERSIONS})")
-        module_name = _read_exact(handle, name_len, path).decode("utf-8")
-        records_start = _HEADER.size + name_len
-        if file_size < records_start + _TRAILER.size:
-            raise BinaryTraceError(f"truncated binary trace file {path!r}")
-        handle.seek(file_size - _TRAILER.size)
-        footer_offset, trailer = _TRAILER.unpack(
-            _read_exact(handle, _TRAILER.size, path))
-        if trailer != TRAILER_MAGIC:
-            raise BinaryTraceError(
-                f"{path!r}: missing binary trace trailer "
-                f"(file truncated or still being written)")
-        handle.seek(footer_offset)
-        footer = handle.read(file_size - _TRAILER.size - footer_offset)
-    return _parse_footer(footer, version, module_name, records_start,
-                         footer_offset, path)
+        def read(offset: int, count: int) -> bytes:
+            handle.seek(offset)
+            return handle.read(count)
+
+        return _read_layout(read, os.fstat(handle.fileno()).st_size, path)
 
 
 def layout_from_buffer(buffer, name: Optional[str] = None,
                        ) -> BinaryTraceLayout:
     """Parse the layout from an already-open whole-file buffer / ``mmap``.
 
-    The warm-path counterpart of :func:`read_layout`: callers that just
-    wrote a trace (or hold it mapped) hand the bytes straight back to a
-    reader without reopening the file or re-reading the footer from disk.
-    ``name`` labels error messages (defaults to ``"<buffer>"``).
+    The in-memory counterpart of :func:`read_layout`: a trace held in
+    memory is parsed without a file.  ``name`` labels error messages
+    (defaults to ``"<buffer>"``).
     """
-    name = name or "<buffer>"
     view = memoryview(buffer)
     try:
-        file_size = len(view)
-        if file_size < _HEADER.size:
-            raise BinaryTraceError(f"truncated binary trace file {name!r}")
-        magic, version, _, name_len = _HEADER.unpack_from(view, 0)
-        if magic != BINARY_MAGIC:
-            raise BinaryTraceError(f"{name!r} is not a binary trace file")
-        if version not in SUPPORTED_VERSIONS:
-            raise BinaryTraceError(
-                f"{name!r}: unsupported binary trace version {version} "
-                f"(supported: {SUPPORTED_VERSIONS})")
-        records_start = _HEADER.size + name_len
-        if file_size < records_start + _TRAILER.size:
-            raise BinaryTraceError(f"truncated binary trace file {name!r}")
-        module_name = (view[_HEADER.size:records_start].tobytes()
-                       .decode("utf-8"))
-        footer_offset, trailer = _TRAILER.unpack_from(
-            view, file_size - _TRAILER.size)
-        if trailer != TRAILER_MAGIC:
-            raise BinaryTraceError(
-                f"{name!r}: missing binary trace trailer "
-                f"(file truncated or still being written)")
-        footer = view[footer_offset:file_size - _TRAILER.size].tobytes()
+        return _read_layout(
+            lambda offset, count: view[offset:offset + count].tobytes(),
+            len(view), name or "<buffer>")
     finally:
         view.release()
-    return _parse_footer(footer, version, module_name, records_start,
-                         footer_offset, name)
 
 
 def verify_content_digest(buffer, name: Optional[str] = None) -> bool:
@@ -825,12 +801,6 @@ def verify_content_digest(buffer, name: Optional[str] = None) -> bool:
         memoryview(buffer)[layout.records_start:layout.records_end])
     sha256.update(encode_globals(layout.globals))
     return sha256.hexdigest() == layout.content_digest
-
-
-def read_preamble_binary(path: str) -> Tuple[str, List[GlobalSymbol]]:
-    """Module name and globals of a binary trace (footer read only)."""
-    layout = read_layout(path)
-    return layout.module_name, layout.globals
 
 
 # --------------------------------------------------------------------------- #
@@ -921,119 +891,51 @@ def _decode_record(buf, position: int, strings: List[str],
     return record, position
 
 
-def decode_record_range(buf, start: int, end: int,
-                        strings: List[str]) -> List[TraceRecord]:
-    """Decode every record block in ``buf[start:end]``."""
-    records: List[TraceRecord] = []
-    append = records.append
-    decode = _decode_record
-    position = start
-    while position < end:
-        record, position = decode(buf, position, strings)
-        append(record)
-    if position != end:
-        raise BinaryTraceError("record block overruns the record region")
-    return records
-
-
 # --------------------------------------------------------------------------- #
 # Readers
 # --------------------------------------------------------------------------- #
 class TraceBinaryReader:
-    """Read a binary trace back into memory, serially or record by record.
+    """Read a whole binary trace: as a :class:`Trace`, or record by record.
 
-    Accepts either a ``path`` or an already-open whole-file ``buffer`` /
-    ``mmap`` (optionally with a pre-read ``layout``), so warm re-reads
-    within one process — e.g. ``analyze-batch`` generating a trace and
-    immediately analyzing it — skip the reopen and the footer re-parse.
+    Takes a ``path``, whose bytes are read once, or the bytes of a whole
+    file as ``buffer``.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 layout: Optional[BinaryTraceLayout] = None,
-                 buffer=None) -> None:
-        if (path is None) and (buffer is None):
-            raise ValueError("pass a path or an already-open buffer")
+    def __init__(self, path: Optional[str] = None, buffer=None) -> None:
+        if buffer is None:
+            if path is None:
+                raise ValueError("pass a path or an already-open buffer")
+            with open(path, "rb") as handle:
+                buffer = handle.read()
         self.path = path
         self._buffer = buffer
-        if layout is None:
-            layout = (layout_from_buffer(buffer, name=path)
-                      if buffer is not None else read_layout(path))
-        self.layout = layout
+        self.layout = layout_from_buffer(buffer, name=path)
 
     def read(self) -> Trace:
-        """Decode the whole file into an in-memory :class:`Trace`.
+        """The trace over the file's bytes (:meth:`Trace.from_binary`)."""
+        return Trace.from_binary(self._buffer)
 
-        Returns:
-            The trace with its globals preamble and every record, in file
-            order.
-        """
+    def iter_records(self) -> Iterator[TraceRecord]:
+        """Decode every record in file order (a record block that does not
+        decode is a :class:`BinaryTraceError` naming the file)."""
         layout = self.layout
-        if self._buffer is not None:
-            records = decode_record_range(self._buffer, layout.records_start,
-                                          layout.records_end, layout.strings)
-        else:
-            with open(self.path, "rb") as handle:
-                handle.seek(layout.records_start)
-                buf = _read_exact(handle,
-                                  layout.records_end - layout.records_start)
-            records = decode_record_range(buf, 0, len(buf), layout.strings)
-        return Trace(module_name=layout.module_name,
-                     globals=list(layout.globals), records=records)
-
-    def iter_records(self, chunk_bytes: int = 1 << 20
-                     ) -> Iterator[TraceRecord]:
-        """Yield every record in file order with bounded memory.
-
-        A file source is decoded in ``chunk_bytes`` slices so
-        multi-hundred-MB traces never have to be resident at once (an
-        in-memory ``buffer`` source is decoded in place).
-        """
-        layout = self.layout
-        if self._buffer is not None:
-            buf = self._buffer
-            position = layout.records_start
-            end = layout.records_end
-            strings = layout.strings
-            while position < end:
+        buf = self._buffer
+        position = layout.records_start
+        end = layout.records_end
+        strings = layout.strings
+        while position < end:
+            start = position
+            try:
                 record, position = _decode_record(buf, position, strings)
-                yield record
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(layout.records_start)
-            to_read = layout.records_end - layout.records_start
-            buffer = b""
-            position = 0
-            while True:
-                if position >= len(buffer):
-                    if to_read <= 0:
-                        return
-                    buffer = handle.read(min(chunk_bytes, to_read))
-                    to_read -= len(buffer)
-                    position = 0
-                try:
-                    record, position = _decode_record(buffer, position,
-                                                      layout.strings)
-                except (IndexError, struct.error):
-                    # Partial block at the end of the buffer (the flags-byte
-                    # peek raises IndexError, fixed-layout unpacks raise
-                    # struct.error): pull more bytes and retry.
-                    if to_read <= 0:
-                        raise BinaryTraceError(
-                            f"truncated record block in "
-                            f"{self.path!r}") from None
-                    extra = handle.read(min(chunk_bytes, to_read))
-                    to_read -= len(extra)
-                    buffer = buffer[position:] + extra
-                    position = 0
-                    continue
-                yield record
+                if position > end:
+                    raise struct.error("it overruns the record region")
+            except (IndexError, struct.error) as exc:
+                raise BinaryTraceError(
+                    f"{self.path or '<buffer>'!r}: the record block at byte "
+                    f"{start} does not decode: {exc}") from None
+            yield record
 
 
 def read_trace_file_binary(path: str) -> Trace:
     """Convenience wrapper around :class:`TraceBinaryReader`."""
     return TraceBinaryReader(path).read()
-
-
-def iter_trace_file_binary(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a binary trace without materializing the trace."""
-    return TraceBinaryReader(path).iter_records()

@@ -32,7 +32,8 @@ Two scan implementations produce byte-identical columns:
   chunks holding a big-integer operand.
 
 Both check that their records end exactly where the block index says
-their span ends, and name the file when they do not.
+their span ends, and every block's function, callee and operand-name ids
+are checked against the string table; either failure names the file.
 
 The reader accepts a ``path`` or an already-open ``buffer``/``mmap`` of the
 whole file (plus an optional pre-read layout), so warm re-reads within one
@@ -123,7 +124,7 @@ class ColumnarBlock:
     has_result[row]``.
     """
 
-    __slots__ = ("base_index", "count", "strings", "id_of", "buf",
+    __slots__ = ("name", "base_index", "count", "strings", "id_of", "buf",
                  "dyn_id", "opcode", "line", "function_id", "callee_id",
                  "op_start", "has_result", "rec_off",
                  "op_flags", "op_name_id", "op_address",
@@ -131,8 +132,9 @@ class ColumnarBlock:
                  "np_op_start", "np_has_result", "np_op_name_id",
                  "_records")
 
-    def __init__(self, base_index: int, strings: List[str],
+    def __init__(self, name: str, base_index: int, strings: List[str],
                  id_of: Dict[str, int], buf) -> None:
+        self.name = name
         self.base_index = base_index
         self.strings = strings
         self.id_of = id_of
@@ -141,11 +143,18 @@ class ColumnarBlock:
         # The scan that decodes the block sets ``count`` and every column.
 
     def record(self, row: int) -> TraceRecord:
-        """Materialize (and cache) the full record at ``row``."""
+        """Materialize (and cache) the full record at ``row`` (a block that
+        does not decode is a :class:`BinaryTraceError` naming the file and
+        the record)."""
         record = self._records.get(row)
         if record is None:
-            record, _ = _decode_record(self.buf, int(self.rec_off[row]),
-                                       self.strings)
+            try:
+                record, _ = _decode_record(self.buf, int(self.rec_off[row]),
+                                           self.strings)
+            except (IndexError, ValueError, struct.error) as exc:
+                raise BinaryTraceError(
+                    f"{self.name!r}: record {self.base_index + row} does "
+                    f"not decode: {exc}") from None
             self._records[row] = record
         return record
 
@@ -180,16 +189,16 @@ class ColumnarBlock:
 # --------------------------------------------------------------------------- #
 # Pure-Python scan (trailing partial block + big-int chunks)
 # --------------------------------------------------------------------------- #
-def _scan_python(block: ColumnarBlock, buf, count: int, end: int,
-                 name: str) -> None:
+def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     """Fill ``block`` with the ``count`` records in ``buf[:end]``.
 
     Produces columns identical to the lockstep scan — including for
     big-integer operands — and builds the numpy mirrors from them.
-    Raises :class:`BinaryTraceError` naming ``name`` when the records
+    Raises :class:`BinaryTraceError` naming the block's file when the records
     overrun the buffer or do not end exactly at ``end``, the byte where
     the block index says the span ends.
     """
+    name = block.name
     hdr = _RECORD_FIXED.unpack_from
     op_hdr = _OPERAND_FIXED.unpack_from
     sizes = _SIZE_BY_FLAGS
@@ -382,6 +391,23 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     block.op_address = addresses.tolist()
 
 
+def _check_string_ids(block: ColumnarBlock) -> None:
+    """Refuse a block whose function, callee or operand-name ids reach past
+    the string table (one vector max per column), naming the file and the
+    first such record."""
+    size = len(block.strings)
+    for what, ids in (("function", block.np_function_id),
+                      ("callee", block.callee_id),
+                      ("operand-name", block.np_op_name_id)):
+        if ids.size and int(ids.max()) >= size:
+            at = int(np.flatnonzero(ids >= size)[0])
+            row = (at if what != "operand-name" else
+                   int(np.searchsorted(block.np_op_start, at, "right")) - 1)
+            raise BinaryTraceError(
+                f"{block.name!r}: record {block.base_index + row} has {what}"
+                f" id {int(ids[at])}, past the {size}-entry string table")
+
+
 # --------------------------------------------------------------------------- #
 # Reader
 # --------------------------------------------------------------------------- #
@@ -520,13 +546,13 @@ class TraceColumnarReader:
             buf = self._read_span(chunk_start, chunk_end - chunk_start, 1)
             starts = [offsets[b] - chunk_start for b in range(first, stop)]
             ends = starts[1:] + [chunk_end - chunk_start]
-            block = ColumnarBlock(first * stride, self.strings, self.id_of,
-                                  buf)
+            block = ColumnarBlock(name, first * stride, self.strings,
+                                  self.id_of, buf)
             try:
                 _scan_numpy(block, buf, starts, ends, stride)
             except (_BigIntInChunk, IndexError):
-                _scan_python(block, buf, (stop - first) * stride, ends[-1],
-                             name)
+                _scan_python(block, buf, (stop - first) * stride, ends[-1])
+            _check_string_ids(block)
             yield block
 
         # Trailing partial index block.
@@ -534,7 +560,7 @@ class TraceColumnarReader:
         if tail < layout.record_count:
             start = offsets[full_blocks]
             buf = self._read_span(start, layout.records_end - start)
-            block = ColumnarBlock(tail, self.strings, self.id_of, buf)
-            _scan_python(block, buf, layout.record_count - tail, len(buf),
-                         name)
+            block = ColumnarBlock(name, tail, self.strings, self.id_of, buf)
+            _scan_python(block, buf, layout.record_count - tail, len(buf))
+            _check_string_ids(block)
             yield block

@@ -20,7 +20,7 @@ Each record carries exactly the information the paper's Fig. 1 describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.ir.opcodes import ARITHMETIC_OPCODE_VALUES, Opcode
 
@@ -142,31 +142,90 @@ class GlobalSymbol:
         return self.address <= address < self.end_address
 
 
-@dataclass
 class Trace:
-    """A full dynamic trace: globals preamble + execution records."""
+    """A full dynamic trace: globals preamble + execution records.
 
-    module_name: str = "module"
-    globals: List[GlobalSymbol] = field(default_factory=list)
-    records: List[TraceRecord] = field(default_factory=list)
+    An immutable value with two views, each computed at most once from the
+    other: :attr:`records`, and :meth:`encoded` — the version-2 binary
+    encoding (:mod:`repro.trace.binio`) the analysis walks, with its
+    content digest.  ``Trace(module_name, globals, records)`` encodes its
+    records on the first :meth:`encoded` call; :meth:`from_binary` keeps
+    the bytes it is given and decodes :attr:`records` on first access
+    (iterating before then streams them without keeping them).
+    """
+
+    __slots__ = ("_module_name", "_globals", "_records", "_encoded")
+
+    def __init__(self, module_name: str = "module",
+                 globals: Optional[List[GlobalSymbol]] = None,
+                 records: Optional[List[TraceRecord]] = None) -> None:
+        self._module_name = module_name
+        self._globals = [] if globals is None else globals
+        self._records: Optional[List[TraceRecord]] = (
+            [] if records is None else records)
+        self._encoded: Optional[Tuple[bytes, str]] = None
+
+    @classmethod
+    def from_binary(cls, data: bytes) -> "Trace":
+        """The trace a whole binary trace file's bytes encode, with their
+        footer digest.  Version-1 bytes carry no digest, so their records
+        are decoded and encoded again as version 2 (once, streaming)."""
+        from repro.trace.binio import (
+            TraceBinaryReader,
+            encode_trace,
+            layout_from_buffer,
+        )
+
+        data = bytes(data)
+        layout = layout_from_buffer(data)
+        digest = layout.content_digest
+        if digest is None:
+            data, digest = encode_trace(
+                layout.module_name, layout.globals,
+                TraceBinaryReader(buffer=data).iter_records())
+        trace = cls(layout.module_name, layout.globals)
+        trace._records = None
+        trace._encoded = (data, digest)
+        return trace
+
+    @property
+    def module_name(self) -> str:
+        return self._module_name
+
+    @property
+    def globals(self) -> List[GlobalSymbol]:
+        return self._globals
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """Every record in execution order (decoded on first access)."""
+        if self._records is None:
+            self._records = list(self._decode())
+        return self._records
+
+    def encoded(self) -> Tuple[bytes, str]:
+        """``(version-2 binary file bytes, content digest)`` (encoded on
+        the first call when the trace was built from records)."""
+        if self._encoded is None:
+            from repro.trace.binio import encode_trace
+
+            self._encoded = encode_trace(self._module_name, self._globals,
+                                         self._records or ())
+        return self._encoded
+
+    def _decode(self) -> Iterator[TraceRecord]:
+        from repro.trace.binio import TraceBinaryReader
+
+        assert self._encoded is not None
+        return TraceBinaryReader(buffer=self._encoded[0]).iter_records()
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        self.records.extend(records)
-
-    def global_symbol(self, name: str) -> Optional[GlobalSymbol]:
-        for symbol in self.globals:
-            if symbol.name == name:
-                return symbol
-        return None
+        if self._records is None:
+            return self._decode()
+        return iter(self._records)
 
     def functions(self) -> List[str]:
         seen: List[str] = []

@@ -31,6 +31,7 @@ bytes.
 from __future__ import annotations
 
 import os
+import struct
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.records import (
@@ -51,6 +52,19 @@ RESULT_TAG = "res"
 
 class TraceFormatError(ValueError):
     """Raised when a trace file does not follow the expected encoding."""
+
+
+#: The binary encoding's ranges of a record header's numbers, an operand's
+#: bits and address and a global's address, size and element bits: a text
+#: line whose numbers fall outside them is malformed.
+_HEADER_RANGES = struct.Struct("<qiiii")
+_OPERAND_RANGES = struct.Struct("<iQ")
+_GLOBAL_RANGES = struct.Struct("<QQI")
+#: The binary encoding stores a name's length in a u16 (only a line of
+#: more than a quarter as many characters can hold a longer field) and a
+#: record's operand count in a u8.
+_MAX_FIELD_BYTES = 0xFFFF
+_MAX_OPERANDS = 0xFF
 
 
 # --------------------------------------------------------------------------- #
@@ -136,9 +150,8 @@ def _parse_operand(parts: Sequence[str]) -> TraceOperand:
     # parts: op,<index>,<bits>,<is reg>,<name>,<value>,<addr>
     if len(parts) != 7:
         raise TraceFormatError(
-            f"operand line has {len(parts)} fields, expected 7: "
-            f"{','.join(parts)!r}")
-    return TraceOperand(
+            f"operand line has {len(parts)} fields, expected 7")
+    operand = TraceOperand(
         index=parts[1],
         bits=int(parts[2]),
         is_register=bool(int(parts[3])),
@@ -146,22 +159,16 @@ def _parse_operand(parts: Sequence[str]) -> TraceOperand:
         value=_decode_value(parts[5]),
         address=_decode_address(parts[6]),
     )
+    _OPERAND_RANGES.pack(operand.bits, operand.address or 0)
+    return operand
 
 
 def _parse_result(parts: Sequence[str]) -> TraceOperand:
     # parts: res,<bits>,<is reg>,<name>,<value>,<addr>
     if len(parts) != 6:
         raise TraceFormatError(
-            f"result line has {len(parts)} fields, expected 6: "
-            f"{','.join(parts)!r}")
-    return TraceOperand(
-        index=RESULT_INDEX,
-        bits=int(parts[1]),
-        is_register=bool(int(parts[2])),
-        name=parts[3],
-        value=_decode_value(parts[4]),
-        address=_decode_address(parts[5]),
-    )
+            f"result line has {len(parts)} fields, expected 6")
+    return _parse_operand([OPERAND_TAG, RESULT_INDEX, *parts[1:]])
 
 
 def _parse_header(parts: Sequence[str]) -> TraceRecord:
@@ -169,9 +176,8 @@ def _parse_header(parts: Sequence[str]) -> TraceRecord:
     #        <bb label>,<bb id>[,<callee>]
     if len(parts) not in (9, 10):
         raise TraceFormatError(
-            f"record header has {len(parts)} fields, expected 9 or 10: "
-            f"{','.join(parts)!r}")
-    return TraceRecord(
+            f"record header has {len(parts)} fields, expected 9 or 10")
+    record = TraceRecord(
         dyn_id=int(parts[1]),
         opcode=int(parts[2]),
         opcode_name=parts[3],
@@ -182,41 +188,86 @@ def _parse_header(parts: Sequence[str]) -> TraceRecord:
         bb_id=parts[8],
         callee=parts[9] if len(parts) > 9 else "",
     )
+    _HEADER_RANGES.pack(record.dyn_id, record.opcode, record.line,
+                        record.column, record.bb_label)
+    return record
 
 
-def iter_parsed_records(lines: Iterable[str]) -> Iterator[TraceRecord]:
+def _parse_global(parts: Sequence[str]) -> GlobalSymbol:
+    # parts: g,<name>,<hex address>,<size bytes>,<element bits>,<is_array>
+    if len(parts) != 6:
+        raise TraceFormatError(
+            f"globals line has {len(parts)} fields, expected 6")
+    symbol = GlobalSymbol(
+        name=parts[1],
+        address=int(parts[2], 16),
+        size_bytes=int(parts[3]),
+        element_bits=int(parts[4]),
+        is_array=bool(int(parts[5])),
+    )
+    _GLOBAL_RANGES.pack(symbol.address, symbol.size_bytes,
+                        symbol.element_bits)
+    return symbol
+
+
+def _check_field_lengths(line: str, parts: Sequence[str]) -> None:
+    if len(line) > _MAX_FIELD_BYTES // 4 and any(
+            len(part.encode()) > _MAX_FIELD_BYTES for part in parts):
+        raise TraceFormatError(
+            f"a field is longer than {_MAX_FIELD_BYTES} bytes")
+
+
+def iter_parsed_records(lines: Iterable[str],
+                        name: str = "<lines>") -> Iterator[TraceRecord]:
     """Incrementally parse text lines (no preamble) into complete records.
 
     A record is yielded only once it is complete, i.e. when the next ``0,``
     block-start line (or the end of the input) is seen.  Lines belonging to
     the globals preamble or the file header are ignored so that callers do
-    not need to care which slice of the file they received.
+    not need to care which slice of the file they received.  A malformed
+    line raises :class:`TraceFormatError` naming ``name`` and the line's
+    1-based number.
     """
     current: Optional[TraceRecord] = None
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(",")
         tag = parts[0]
-        if tag == RECORD_TAG:
-            if current is not None:
-                yield current
-            current = _parse_header(parts)
-        elif tag == OPERAND_TAG:
-            if current is None:
-                raise TraceFormatError(f"operand line before any record: {line!r}")
-            current.operands.append(_parse_operand(parts))
-        elif tag == RESULT_TAG:
-            if current is None:
-                raise TraceFormatError(f"result line before any record: {line!r}")
-            current.result = _parse_result(parts)
-        elif tag in (HEADER_TAG, GLOBAL_TAG):
-            continue
-        else:
-            raise TraceFormatError(f"unrecognised trace line tag {tag!r}")
+        if tag == RECORD_TAG and current is not None:
+            yield current
+        try:
+            _check_field_lengths(line, parts)
+            if tag == RECORD_TAG:
+                current = _parse_header(parts)
+            elif tag == OPERAND_TAG or tag == RESULT_TAG:
+                if current is None:
+                    raise TraceFormatError("operand line before any record")
+                if tag == OPERAND_TAG:
+                    if len(current.operands) == _MAX_OPERANDS:
+                        raise TraceFormatError(
+                            f"a record has more than {_MAX_OPERANDS} operands")
+                    current.operands.append(_parse_operand(parts))
+                else:
+                    current.result = _parse_result(parts)
+            elif tag == GLOBAL_TAG and current is not None:
+                # read_preamble stops at the first record: it would be lost
+                raise TraceFormatError("globals line after the first record")
+            elif tag not in (HEADER_TAG, GLOBAL_TAG):
+                raise TraceFormatError(f"unrecognised trace line tag {tag!r}")
+        except (ValueError, struct.error) as exc:
+            raise _line_error(name, number, line, exc) from None
     if current is not None:
         yield current
+
+
+def _line_error(name: str, number: int, line: str,
+                exc: Exception) -> TraceFormatError:
+    """The error of a malformed line: ``name:number: ...``, one line."""
+    shown = line if len(line) <= 80 else line[:80] + "..."
+    return TraceFormatError(
+        f"{name}:{number}: malformed trace line {shown!r}: {exc}")
 
 
 def parse_record_lines(lines: Iterable[str]) -> List[TraceRecord]:
@@ -271,11 +322,11 @@ class TraceTextWriter:
 
 
 def write_trace_file(trace: Trace, path: str) -> int:
-    """Write an in-memory trace to ``path``; return the file size in bytes."""
+    """Write a trace to ``path``; return the file size in bytes."""
     with TraceTextWriter(path, module_name=trace.module_name) as writer:
         for symbol in trace.globals:
             writer.write_global(symbol)
-        for record in trace.records:
+        for record in trace:
             writer.write_record(record)
     return os.path.getsize(path)
 
@@ -283,45 +334,20 @@ def write_trace_file(trace: Trace, path: str) -> int:
 # --------------------------------------------------------------------------- #
 # Reader
 # --------------------------------------------------------------------------- #
-class TraceTextReader:
-    """Read a text trace back into memory (serially)."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def read(self) -> Trace:
-        module_name = "module"
-        globals_: List[GlobalSymbol] = []
-        record_lines: List[str] = []
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                stripped = line.rstrip("\n")
-                if not stripped:
-                    continue
-                tag = stripped.split(",", 1)[0]
-                if tag == HEADER_TAG:
-                    parts = stripped.split(",")
-                    if len(parts) >= 4:
-                        module_name = parts[3]
-                elif tag == GLOBAL_TAG:
-                    parts = stripped.split(",")
-                    globals_.append(GlobalSymbol(
-                        name=parts[1],
-                        address=int(parts[2], 16),
-                        size_bytes=int(parts[3]),
-                        element_bits=int(parts[4]),
-                        is_array=bool(int(parts[5])),
-                    ))
-                else:
-                    record_lines.append(stripped)
-        records = parse_record_lines(record_lines)
-        return Trace(module_name=module_name, globals=globals_, records=records)
+def _text_lines(path: str) -> Iterator[str]:
+    """The lines of a text trace file (a file that is not UTF-8 text is a
+    :class:`TraceFormatError` naming it)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"{path}: neither a binary trace nor UTF-8 text: {exc}") from None
 
 
 def iter_trace_file_text(path: str) -> Iterator[TraceRecord]:
     """Stream the records of a text trace without materializing the trace."""
-    with open(path, encoding="utf-8") as handle:
-        yield from iter_parsed_records(handle)
+    return iter_parsed_records(_text_lines(path), path)
 
 
 # --------------------------------------------------------------------------- #
@@ -335,20 +361,30 @@ def sniff_trace_format(path: str) -> str:
 
 
 def read_trace_file(path: str) -> Trace:
-    """Read a trace file of either encoding (sniffed) into memory."""
-    from repro.trace.binio import is_binary_trace_file, read_trace_file_binary
+    """Read a trace file of either encoding (sniffed) as a :class:`Trace`
+    over its bytes: a binary file's as they are
+    (:meth:`Trace.from_binary`), a text file's parsed and encoded once,
+    streaming.  A malformed text line raises :class:`TraceFormatError`
+    naming the file and the line's 1-based number."""
+    from repro.trace.binio import (
+        TraceBinaryReader,
+        encode_trace,
+        is_binary_trace_file,
+    )
 
     if is_binary_trace_file(path):
-        return read_trace_file_binary(path)
-    return TraceTextReader(path).read()
+        return TraceBinaryReader(path).read()
+    module_name, globals_ = read_preamble(path)
+    data, _ = encode_trace(module_name, globals_, iter_trace_file_text(path))
+    return Trace.from_binary(data)
 
 
 def iter_trace_records(path: str) -> Iterator[TraceRecord]:
     """Stream the records of a trace file of either encoding (sniffed)."""
-    from repro.trace.binio import is_binary_trace_file, iter_trace_file_binary
+    from repro.trace.binio import TraceBinaryReader, is_binary_trace_file
 
     if is_binary_trace_file(path):
-        return iter_trace_file_binary(path)
+        return TraceBinaryReader(path).iter_records()
     return iter_trace_file_text(path)
 
 
@@ -362,36 +398,26 @@ def read_preamble(path: str) -> Tuple[str, List[GlobalSymbol]]:
         repro.trace.binio.BinaryTraceError: on a truncated or corrupt
             binary trace (the message names the file).
     """
-    from repro.trace.binio import is_binary_trace_file, read_preamble_binary
+    from repro.trace.binio import is_binary_trace_file, read_layout
 
     if is_binary_trace_file(path):
-        return read_preamble_binary(path)
+        layout = read_layout(path)
+        return layout.module_name, layout.globals
     module_name = "module"
     globals_: List[GlobalSymbol] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            tag = stripped.split(",", 1)[0]
-            if tag == HEADER_TAG:
-                parts = stripped.split(",")
-                if len(parts) >= 4:
-                    module_name = parts[3]
-            elif tag == GLOBAL_TAG:
-                parts = stripped.split(",")
-                try:
-                    globals_.append(GlobalSymbol(
-                        name=parts[1],
-                        address=int(parts[2], 16),
-                        size_bytes=int(parts[3]),
-                        element_bits=int(parts[4]),
-                        is_array=bool(int(parts[5])),
-                    ))
-                except (ValueError, IndexError) as exc:
-                    raise TraceFormatError(
-                        f"{path!r}: malformed globals preamble line "
-                        f"{stripped!r}: {exc}") from exc
-            else:
-                break
+    for number, line in enumerate(_text_lines(path), 1):
+        stripped = line.rstrip("\r\n")
+        if not stripped:
+            continue
+        parts = stripped.split(",")
+        if parts[0] not in (HEADER_TAG, GLOBAL_TAG):
+            break
+        try:
+            _check_field_lengths(stripped, parts)
+            if parts[0] == GLOBAL_TAG:
+                globals_.append(_parse_global(parts))
+            elif len(parts) >= 4:
+                module_name = parts[3]
+        except (ValueError, struct.error) as exc:
+            raise _line_error(path, number, stripped, exc) from None
     return module_name, globals_

@@ -6,7 +6,8 @@ harnesses call:
 * :func:`compile_and_run` — run a mini-C source without tracing (fast),
   returning the program output;
 * :func:`run_and_trace` — run a compiled module with an in-memory trace sink,
-  returning both the :class:`repro.trace.records.Trace` and the
+  returning both the :class:`repro.trace.records.Trace` (over the binary
+  bytes the interpreter emitted; no record is decoded) and the
   :class:`repro.tracer.interpreter.ExecutionResult`;
 * :func:`trace_to_file` — run a module streaming the trace to a file
   (``fmt="text"`` matches what the paper's LLVM-Tracer setup produces,
@@ -23,9 +24,9 @@ from typing import Tuple, Union
 
 from repro.codegen.lowering import compile_source
 from repro.ir.module import Module
-from repro.trace.binio import TraceBinaryReader, TraceBinaryWriter
+from repro.trace.binio import TraceBinaryWriter
 from repro.trace.records import Trace
-from repro.trace.textio import TraceTextWriter
+from repro.trace.textio import write_trace_file
 from repro.tracer.interpreter import ExecutionResult, InMemoryTraceSink, Interpreter
 
 _TRACE_FORMATS = ("binary", "text")
@@ -49,7 +50,8 @@ def compile_and_run(program: Union[str, Module], module_name: str = "module",
 def run_and_trace(program: Union[str, Module], module_name: str = "module",
                   seed: int = 314159,
                   max_steps: int = 50_000_000) -> Tuple[Trace, ExecutionResult]:
-    """Execute a program collecting its dynamic trace in memory."""
+    """Execute a program collecting its dynamic trace in memory, as the
+    binary bytes the interpreter emits."""
     module = _as_module(program, module_name)
     sink = InMemoryTraceSink(module_name=module.name)
     interpreter = Interpreter(module, trace_sink=sink, seed=seed, max_steps=max_steps)
@@ -63,17 +65,12 @@ def _write_trace(module: Module, path: str, fmt: str, seed: int,
         with TraceBinaryWriter(path, module_name=module.name) as writer:
             return Interpreter(module, trace_sink=writer, seed=seed,
                                max_steps=max_steps).run()
-    # Text is written from the decoded binary records: the interpreter has
+    # Text is written from the emitted binary trace: the interpreter has
     # one emission path.
     sink = InMemoryTraceSink(module_name=module.name)
     result = Interpreter(module, trace_sink=sink, seed=seed,
                          max_steps=max_steps).run()
-    reader = TraceBinaryReader(buffer=sink.getvalue())
-    with TraceTextWriter(path, module_name=module.name) as text_writer:
-        for symbol in reader.layout.globals:
-            text_writer.write_global(symbol)
-        for record in reader.iter_records():
-            text_writer.write_record(record)
+    write_trace_file(sink.trace, path)
     return result
 
 

@@ -60,7 +60,6 @@ from repro.trace.binio import (
     Emitter,
     EmitTemplate,
     SlotSpec,
-    TraceBinaryReader,
     TraceBinaryWriter,
 )
 from repro.trace.records import GlobalSymbol, PARAM_INDEX_PREFIX, RESULT_INDEX, Trace
@@ -88,9 +87,9 @@ class InMemoryTraceSink(TraceBinaryWriter):
 
     @property
     def trace(self) -> Trace:
-        """The emitted trace, decoded by binio's reference decoder (closes
-        the writer)."""
-        return TraceBinaryReader(buffer=self.getvalue()).read()
+        """The emitted trace over its bytes (closes the writer; no record
+        is decoded)."""
+        return Trace.from_binary(self.getvalue())
 
 
 def _value_fields(value: RuntimeValue) -> Tuple[Union[int, float], Optional[int]]:

@@ -222,7 +222,7 @@ def decode_counter(monkeypatch):
     """Count decoded trace records, wherever the decode happens.
 
     Binary traces funnel every record through ``binio._decode_record``
-    (materializing read, streaming iterator, lazy scope-record
+    (a ``Trace``'s records, the streaming iterator, lazy scope-record
     materialization) or through the columnar reader's bulk block decode,
     which counts once per record in the block; text traces funnel through
     ``textio.iter_parsed_records``.  All are looked up as module/class
@@ -242,8 +242,8 @@ def decode_counter(monkeypatch):
         counts["records"] += 1
         return real_decode(buf, position, strings)
 
-    def counting_iter_parsed(lines):
-        for record in real_iter_parsed(lines):
+    def counting_iter_parsed(*args, **kwargs):
+        for record in real_iter_parsed(*args, **kwargs):
             counts["records"] += 1
             yield record
 

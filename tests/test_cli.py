@@ -13,7 +13,13 @@ from repro.trace.binio import write_trace_file_binary
 from repro.trace.textio import write_trace_file
 from repro.tracer.driver import trace_to_file
 
-from test_trace_binio import FOOTER_LIES, lying_footer
+from test_trace_binio import (
+    FOOTER_LIES,
+    STRING_ID_PAST_THE_TABLE,
+    lying_footer,
+    string_id_past_the_table,
+)
+from test_trace_format import MALFORMED_TEXT, malformed_text
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "golden.json")
@@ -411,3 +417,50 @@ class TestLyingFooterIsRefused:
         assert code == 2
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert path in err and "Traceback" not in err
+
+
+class TestMalformedTextTraceNamesTheLine:
+    """A malformed text trace line is one ``error:`` line naming
+    ``path:line`` and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+    def test_analyze_exits_2(self, capsys, tmp_path, example_trace,
+                             example_spec, case):
+        path = str(tmp_path / "bad.trace")
+        write_trace_file(example_trace, path)
+        number = malformed_text(path, case)
+        code = main(["analyze", path, "--function", example_spec.function,
+                     "--start", str(example_spec.start_line),
+                     "--end", str(example_spec.end_line)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert f"{path}:{number}: " in err and "Traceback" not in err
+
+
+class TestStringIdPastTheTableIsRefused:
+    """A record whose function, callee or operand-name id reaches past the
+    string table is refused with one ``error:`` line naming the file and
+    the record, with or without ``--cache``."""
+
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("case", sorted(STRING_ID_PAST_THE_TABLE))
+    def test_analyze_exits_2(self, capsys, tmp_path, example_module,
+                             example_spec, case, cache):
+        genuine = str(tmp_path / "example.btrace")
+        trace_to_file(example_module, genuine, module_name="example",
+                      fmt="binary")
+        with open(genuine, "rb") as handle:
+            data = handle.read()
+        path = str(tmp_path / "ids.btrace")
+        with open(path, "wb") as handle:
+            handle.write(string_id_past_the_table(data, case, example_spec))
+        extra = ["--cache", "--cache-dir", str(tmp_path / "cache")]
+        code = main(["analyze", path, "--function", example_spec.function,
+                     "--start", str(example_spec.start_line),
+                     "--end", str(example_spec.end_line),
+                     *(extra if cache else [])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert path in err and "record " in err and "Traceback" not in err

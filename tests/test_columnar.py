@@ -179,7 +179,7 @@ def _report_sha256(report) -> str:
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
 def test_fused_columnar_report_identical_on_all_apps(fleet, name):
-    """An in-memory trace takes the in-memory encode into the same
+    """A trace read into memory is walked from its bytes through the same
     columnar walk: its report is the golden one."""
     entry = fleet.apps[name]
     trace = TraceBinaryReader(entry.trace_path).read()
@@ -192,8 +192,8 @@ def test_fused_columnar_report_identical_on_all_apps(fleet, name):
 # Every input form
 # --------------------------------------------------------------------------- #
 def test_text_trace_report_equals_binary_report(fleet, tmp_path):
-    """A text trace is encoded into memory and walked: same report as the
-    binary file of the same execution."""
+    """A text trace is encoded once as it is read and walked: same report
+    as the binary file of the same execution."""
     from repro.trace.textio import write_trace_file
 
     entry = fleet.apps["example"]

@@ -52,11 +52,13 @@ from repro.serve.server import _Handler, run_analysis
 from repro.store import ArtifactStore
 from repro.store.batch import app_trace_path, prepare_app_analysis
 from repro.store.serialize import canonical_report_json
+from repro.trace.textio import write_trace_file
 from repro.tracer.driver import trace_to_file
 
 from test_golden_reports import GOLDEN
 from test_store import ALL_APP_NAMES
 from test_trace_binio import FOOTER_LIES, WALK_REFUSED, lying_footer
+from test_trace_format import MALFORMED_TEXT, malformed_text
 
 #: Apps cheap enough to analyse repeatedly inside a unit test.
 FAST_APP = "example"
@@ -750,6 +752,24 @@ class TestTraceUpload:
         direct = AutoCheck(AutoCheckConfig(main_loop=spec),
                            trace_path=trace_path).run()
         assert body == canonical_report_json(direct).encode()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+    def test_malformed_text_upload_is_422_never_500(
+            self, tmp_path, server, client, example_trace, example_spec,
+            case):
+        path = str(tmp_path / "bad.trace")
+        write_trace_file(example_trace, path)
+        number = malformed_text(path, case)
+        with open(path, "rb") as handle:
+            upload = handle.read()
+        status, _, body = client.analyze_trace(
+            upload, example_spec.function, example_spec.start_line,
+            example_spec.end_line)
+        error = json.loads(body)["error"]
+        assert (status, error["code"]) == (422, "INVALID_TRACE")
+        assert re.search(rf":{number}: malformed trace line",
+                         error["message"])
+        assert server.store.stats().entries == 0
 
     @pytest.mark.parametrize("lie", sorted(FOOTER_LIES))
     def test_lying_footer_upload_is_refused_never_500(

@@ -21,6 +21,7 @@ the properties that must survive that layout:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 
@@ -43,7 +44,7 @@ from repro.ir.opcodes import Opcode
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import encode_trace
 from repro.trace.columnar import TraceColumnarReader
-from repro.trace.records import TraceRecord
+from repro.trace.records import Trace, TraceRecord
 from repro.tracer.driver import run_and_trace
 
 from test_golden_reports import GOLDEN
@@ -122,15 +123,12 @@ def ep_inside_load():
 @pytest.mark.parametrize("opcode", [999, -1])
 def test_unknown_opcode_inside_the_loop_fails_loudly(ep_inside_load, opcode):
     trace, index, spec, module, options = ep_inside_load
-    record = trace.records[index]
-    saved = record.opcode
-    record.opcode = opcode
-    try:
-        config = AutoCheckConfig(main_loop=spec, **options)
-        with pytest.raises(AnalysisError, match=f"unknown opcode {opcode} "):
-            AutoCheck(config, trace=trace, module=module).run()
-    finally:
-        record.opcode = saved
+    records = list(trace.records)
+    records[index] = dataclasses.replace(records[index], opcode=opcode)
+    edited = Trace(trace.module_name, trace.globals, records)
+    config = AutoCheckConfig(main_loop=spec, **options)
+    with pytest.raises(AnalysisError, match=f"unknown opcode {opcode} "):
+        AutoCheck(config, trace=edited, module=module).run()
 
 
 def test_block_without_operand_slots_selects_and_walks():

@@ -43,6 +43,7 @@ from repro.trace.binio import (
     encode_trace,
     read_layout,
 )
+from repro.trace.textio import read_trace_file
 from repro.tracer.driver import run_and_trace
 
 #: Every bundled application: the 14 study benchmarks + example + bigarray.
@@ -151,10 +152,8 @@ def test_in_memory_trace_shares_entries_with_file_runs(fleet, decode_counter):
     """An in-memory analysis of the same trace hits the file run's entry."""
     entry = fleet.apps["example"]
     trace, _ = run_and_trace(entry.module, module_name="example")
-    # run_and_trace decodes the bytes it emitted into the Trace; count
-    # the analysis alone.
-    assert decode_counter["records"] == len(trace.records)
-    decode_counter["records"] = 0
+    # The Trace holds the bytes the interpreter emitted, undecoded.
+    assert decode_counter["records"] == 0
     report = AutoCheck(_store_config(fleet, entry), trace=trace,
                        module=entry.module).run()
     assert report.cache_info.hit
@@ -364,6 +363,23 @@ class TestTamperedTraceFile:
         assert path in str(error) and error.actual in str(error)
         assert ArtifactStore(cache_dir).stats().entries == 0
 
+    def test_trace_read_from_the_file_is_refused_too(self, tmp_path,
+                                                      fleet):
+        """``read_trace_file`` keeps the file's footer digest, so a
+        publishing walk of that Trace folds it over the bytes it walks."""
+        entry = fleet.apps["example"]
+        path = str(tmp_path / "tampered.btrace")
+        _tampered_copy(entry.trace_path, path)
+        cache_dir = str(tmp_path / "cache")
+        trace = read_trace_file(path)
+        genuine = read_layout(entry.trace_path).content_digest
+        assert trace.encoded()[1] == genuine
+        with pytest.raises(TraceDigestMismatch) as excinfo:
+            AutoCheck(entry.config(use_cache=True, cache_dir=cache_dir),
+                      trace=trace, module=entry.module).run()
+        assert excinfo.value.expected == genuine
+        assert ArtifactStore(cache_dir).stats().entries == 0
+
     def test_run_without_the_store_does_not_fold(self, tmp_path, fleet,
                                                  monkeypatch):
         """Only runs that publish hash the file: a ``use_cache=False``
@@ -376,6 +392,35 @@ class TestTamperedTraceFile:
                             lambda self, start, data: folds.append(start))
         AutoCheck(entry.config(), trace_path=path, module=entry.module).run()
         assert folds == []
+
+
+# --------------------------------------------------------------------------- #
+# Staged app traces
+# --------------------------------------------------------------------------- #
+class TestAppTraceStaging:
+    def test_changed_source_traces_again(self, tmp_path, monkeypatch):
+        """A staged trace is named by the app's source too: after an edit
+        that changes the program, the app is traced again and addresses a
+        new entry."""
+        from repro.apps.registry import get_app
+        from repro.store.batch import prepare_app_analysis
+
+        dirs = {"cache_dir": str(tmp_path / "cache"),
+                "trace_dir": str(tmp_path / "traces")}
+        before = prepare_app_analysis("example", **dirs)
+        app = get_app("example")
+        builder = app.source_builder
+        assert "int r = 1;" in builder(**app.default_params)
+        monkeypatch.setattr(
+            app, "source_builder",
+            lambda **params: builder(**params).replace("int r = 1;",
+                                                       "int r = 2;"))
+        after = prepare_app_analysis("example", **dirs)
+        assert after.trace_path != before.trace_path
+        assert (read_layout(after.trace_path).content_digest
+                != read_layout(before.trace_path).content_digest)
+        assert (after.autocheck.cache_key().key
+                != before.autocheck.cache_key().key)
 
 
 # --------------------------------------------------------------------------- #

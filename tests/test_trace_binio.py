@@ -1,10 +1,13 @@
 """Unit tests for the block-indexed binary trace format."""
 
+import hashlib
 import os
 import struct
 
 import pytest
+from conftest import FLEET_NAMES
 
+from repro.core import AutoCheck, AutoCheckConfig
 from repro.ir.opcodes import Opcode
 from repro.trace import (
     BinaryTraceError,
@@ -332,3 +335,128 @@ class TestLyingFooter:
                            match=r"moved\.btrace.*block index does not "
                                  r"ascend"):
             layout_from_buffer(bytes(out), name="moved.btrace")
+
+
+# --------------------------------------------------------------------------- #
+# String ids that reach past the string table
+# --------------------------------------------------------------------------- #
+#: Rewrites of one u32 string id in ``example``'s record blocks to 0xFFFFFF:
+#: ``(opcode of the record, True for the first such record inside the main
+#: loop or False for the trace's first record, byte offset of the id in
+#: its record block)``.  42 + 9 is the first operand's name id; an ``Add``
+#: is taken only when that operand is a register.
+STRING_ID_PAST_THE_TABLE = {
+    "alloca_function": (Opcode.ALLOCA, False, 28),
+    "alloca_opcode_name": (Opcode.ALLOCA, False, 24),
+    "add_operand_name": (Opcode.ADD, True, 42 + 9),
+    "load_operand_name": (Opcode.LOAD, True, 42 + 9),
+    "gep_operand_name": (Opcode.GETELEMENTPTR, True, 42 + 9),
+}
+
+
+def string_id_past_the_table(data: bytes, case: str, spec) -> bytes:
+    """A version-2 trace's bytes with ``STRING_ID_PAST_THE_TABLE[case]``
+    applied (``spec`` locates the main loop)."""
+    from repro.trace.binio import _decode_record
+
+    opcode, inside, at = STRING_ID_PAST_THE_TABLE[case]
+    layout = layout_from_buffer(data)
+    position = layout.records_start
+    while True:
+        record, end = _decode_record(data, position, layout.strings)
+        if (not inside or (record.opcode == opcode
+                           and record.function == spec.function
+                           and spec.contains_line(record.line)
+                           and (opcode != Opcode.ADD
+                                or record.operands[0].is_register))):
+            assert record.opcode == opcode
+            break
+        position = end
+    out = bytearray(data)
+    struct.pack_into("<I", out, position + at, 0xFFFFFF)
+    return bytes(out)
+
+
+class TestStringIdsPastTheTable:
+    @pytest.mark.parametrize("case", sorted(STRING_ID_PAST_THE_TABLE))
+    def test_walk_refuses_naming_the_file_and_record(
+            self, example_btrace_bytes, example_spec, tmp_path, case):
+        from repro.trace.columnar import TraceColumnarReader
+
+        path = str(tmp_path / "ids.btrace")
+        with open(path, "wb") as handle:
+            handle.write(string_id_past_the_table(example_btrace_bytes, case,
+                                                  example_spec))
+        config = AutoCheckConfig(main_loop=example_spec)
+        with pytest.raises(BinaryTraceError,
+                           match=r"ids\.btrace.*record \d+ (has .* id "
+                                 r"16777215, past the \d+-entry string "
+                                 r"table|does not decode)"):
+            AutoCheck(config, trace_path=path).run()
+        if case != "alloca_opcode_name":  # refused by the scan itself
+            with (TraceColumnarReader(path) as reader,
+                  pytest.raises(BinaryTraceError, match="string table")):
+                list(reader.iter_blocks())
+
+
+# --------------------------------------------------------------------------- #
+# A Trace is its bytes
+# --------------------------------------------------------------------------- #
+class TestTraceViews:
+    def test_run_and_trace_then_run_encodes_and_decodes_nothing(
+            self, example_module, example_spec, monkeypatch,
+            decode_counter):
+        """The in-memory route walks the bytes the interpreter emitted:
+        nothing is encoded, and nothing is decoded outside the walk."""
+        import repro.trace.binio as binio_module
+        from repro.store.serialize import canonical_report_json
+        from repro.tracer.driver import run_and_trace
+
+        from test_golden_reports import GOLDEN
+
+        encodes = []
+        real_encode = binio_module.encode_trace
+        monkeypatch.setattr(
+            binio_module, "encode_trace",
+            lambda *args: encodes.append(args) or real_encode(*args))
+        written = []
+        monkeypatch.setattr(binio_module.TraceBinaryWriter, "write_record",
+                            lambda self, record: written.append(record))
+        trace, _ = run_and_trace(example_module, module_name="example")
+        assert decode_counter["records"] == 0
+        report = AutoCheck(AutoCheckConfig(main_loop=example_spec),
+                           trace=trace, module=example_module).run()
+        assert encodes == [] and written == []
+        assert decode_counter["records"] == report.trace_stats.record_count
+        canonical = canonical_report_json(report).encode()
+        assert (hashlib.sha256(canonical).hexdigest()
+                == GOLDEN["example"]["report_sha256"])
+
+    @pytest.mark.parametrize("name", FLEET_NAMES)
+    def test_emitted_bytes_are_the_binary_file(self, fleet, name):
+        from repro.tracer.driver import run_and_trace
+
+        entry = fleet.apps[name]
+        trace, _ = run_and_trace(entry.module, module_name=name)
+        with open(entry.trace_path, "rb") as handle:
+            assert trace.encoded()[0] == handle.read()
+
+    def test_each_view_comes_from_the_other(self, example_trace):
+        data, digest = example_trace.encoded()
+        assert digest == layout_from_buffer(data).content_digest
+        rebuilt = Trace(example_trace.module_name, example_trace.globals,
+                        example_trace.records)
+        assert rebuilt.encoded() == (data, digest)
+        assert list(Trace.from_binary(data)) == example_trace.records
+
+    def test_version1_bytes_are_encoded_as_version2(self, example_trace):
+        data, digest = example_trace.encoded()
+        v1 = bytearray(data)
+        v1[4:6] = (1).to_bytes(2, "little")  # header version u16 -> 1
+        assert Trace.from_binary(bytes(v1)).encoded() == (data, digest)
+
+    def test_trace_is_immutable(self, example_trace):
+        for name in ("module_name", "globals", "records"):
+            with pytest.raises(AttributeError):
+                setattr(example_trace, name, None)
+        assert not hasattr(example_trace, "append")

@@ -78,9 +78,9 @@ class TestRecordPredicates:
         assert [op.name for op in record.parameter_operands()] == ["p"]
 
     def test_trace_container_helpers(self):
-        trace = Trace(module_name="m")
-        trace.append(make_record(dyn_id=1, function="main"))
-        trace.extend([make_record(dyn_id=2, function="foo")])
+        trace = Trace(module_name="m",
+                      records=[make_record(dyn_id=1, function="main"),
+                               make_record(dyn_id=2, function="foo")])
         assert len(trace) == 2
         assert trace.functions() == ["main", "foo"]
         assert len(trace.records_in_function("foo")) == 1
@@ -213,3 +213,80 @@ class TestTextRoundTrip:
             assert original.function == parsed.function
             assert original.line == parsed.line
             assert len(original.operands) == len(parsed.operands)
+
+
+# --------------------------------------------------------------------------- #
+# Malformed text lines: a TraceFormatError naming path:line
+# --------------------------------------------------------------------------- #
+#: Edits of a text trace that make one line malformed: ``(tag of the first
+#: line of its kind to edit, field index, new value)``; a field index of
+#: ``None`` cuts the line to its first three fields.  The tag ``g``
+#: inserts a globals line ``g,foo`` after the header instead, ``g+`` a
+#: well-formed one after the first record's header, and ``op*`` repeats
+#: the first operand line until its record has 256 operands.
+MALFORMED_TEXT = {
+    "dyn_id": ("0", 1, "abc"),
+    "operand_value": ("op", 5, "zz"),
+    "address": ("res", 5, "0xZZ"),
+    "operand_fields": ("op", None, None),
+    "globals_fields": ("g", None, None),
+    "line_range": ("0", 5, str(2 ** 40)),
+    "long_name": ("0", 4, "f" * 70000),
+    "operand_count": ("op*", None, None),
+    "late_global": ("g+", None, None),
+}
+
+
+def malformed_text(path: str, case: str) -> int:
+    """Apply ``MALFORMED_TEXT[case]`` to the text trace at ``path`` in
+    place; return the 1-based number of the malformed line."""
+    tag, field, value = MALFORMED_TEXT[case]
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    if tag == "g":
+        lines.insert(1, "g,foo\n")
+        index = 1
+    elif tag == "g+":
+        index = next(number for number, line in enumerate(lines)
+                     if line.startswith("0,")) + 1
+        lines.insert(index, "g,late,0x100,8,64,0\n")
+    elif tag == "op*":
+        index = next(number for number, line in enumerate(lines)
+                     if line.startswith("op,"))
+        lines[index:index] = [lines[index]] * 255
+        index += 255
+    else:
+        index = next(number for number, line in enumerate(lines)
+                     if line.startswith(tag + ","))
+        fields = lines[index].rstrip("\n").split(",")
+        if field is None:
+            fields = fields[:3]
+        else:
+            fields[field] = value
+        lines[index] = ",".join(fields) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+    return index + 1
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+    def test_read_names_the_file_and_line(self, example_trace, tmp_path,
+                                          case):
+        path = str(tmp_path / "bad.trace")
+        write_trace_file(example_trace, path)
+        number = malformed_text(path, case)
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_trace_file(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:{number}: malformed trace line")
+        assert "\n" not in message
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = str(tmp_path / "noise.trace")
+        with open(path, "wb") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+        with pytest.raises(TraceFormatError,
+                           match=r"noise\.trace: neither a binary trace "
+                                 r"nor UTF-8 text"):
+            read_trace_file(path)
