@@ -64,6 +64,8 @@ from repro.static.textreport import render_static_report
 from repro.trace.binio import BinaryTraceError
 from repro.trace.textio import TraceFormatError
 from repro.tracer.driver import trace_to_file
+from repro.util.formatting import render_table
+from repro.util.timing import TimingBreakdown
 
 #: What bad input to ``analyze`` and ``trace`` raises: an unreadable path, a
 #: corrupt binary or text trace, a trace with no record in the loop range
@@ -112,9 +114,32 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except _INPUT_ERRORS as exc:
         return _input_error(exc)
     print(report.summary())
+    if args.profile:
+        _print_profile(report.timings)
     if args.static_check:
         return _print_static_check(module, spec, report)
     return 0
+
+
+def _print_profile(timings: TimingBreakdown) -> None:
+    """One run's stage breakdown: the top-level stages, the walk's
+    ``walk.*`` stages under ``fused_analysis``, the total, and the walk's
+    record count and throughput."""
+    rows = []
+    for name, seconds in timings.stages.items():
+        if "." in name:
+            continue
+        rows.append((name, f"{seconds:.4f}"))
+        if name == "fused_analysis":
+            rows.extend((f"  {stage}", f"{stage_seconds:.4f}")
+                        for stage, stage_seconds in timings.stages.items()
+                        if stage.startswith("walk."))
+    rows.append(("total", f"{timings.total:.4f}"))
+    rate = timings.records_per_second("fused_analysis")
+    rows.append(("records", str(timings.get_count("fused_analysis"))))
+    rows.append(("krec/s", f"{rate / 1000:.1f}" if rate else "-"))
+    print("Profile (seconds per stage):")
+    print(render_table(("stage", "value"), rows))
 
 
 def _cmd_analyze_batch(args: argparse.Namespace) -> int:
@@ -366,6 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "dynamic DDG edge statically feasible); "
                                 "violations are printed as named "
                                 "diagnostics and exit non-zero")
+    p_analyze.add_argument("--profile", action="store_true",
+                           help="after the report, print the run's stage "
+                                "breakdown: top-level stages, every walk.* "
+                                "stage, records and krec/s")
     _add_cache_flags(p_analyze, default=False)
     p_analyze.set_defaults(func=_cmd_analyze)
 

@@ -23,56 +23,44 @@ Outcome).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.preprocessing import PreprocessingResult
 from repro.core.report import CriticalVariable, DependencyType
-from repro.core.rwdeps import AccessEvent, AccessKind, RWDependencies
+from repro.core.rwdeps import RWDependencies
 from repro.core.varmap import VariableInfo
 
 
-def _is_war(events: List[AccessEvent]) -> bool:
-    """First loop access is a read and a later write exists."""
-    if not events:
-        return False
-    if events[0].kind is not AccessKind.READ:
-        return False
-    return any(event.kind is AccessKind.WRITE for event in events[1:])
+def _is_war(writes) -> bool:
+    """First loop access is a read and a later write exists.
+
+    ``writes`` is the variable's loop events' write column, in stream
+    order."""
+    return bool(writes.size) and not writes[0] and bool(writes[1:].any())
 
 
-def _is_rapo(info: VariableInfo, events: List[AccessEvent],
-             post_events: List[AccessEvent]) -> bool:
+def _is_rapo(info: VariableInfo, writes, offsets, post_count: int) -> bool:
     """Array partially overwritten before being read (in or after the loop).
 
-    ``element_offset`` values come from the interval store's
-    ``resolve_access`` and are relative to the array's base address, so the
-    coverage check against ``info.element_count`` holds for any array size —
-    there is no per-element address index behind them any more.
+    ``offsets`` are the loop events' element offsets, relative to the
+    array's base address, so the coverage check against
+    ``info.element_count`` holds for any array size.
     """
-    if not info.is_array or not events:
+    if not info.is_array or not writes.size or not writes[0]:
         return False
-    if events[0].kind is not AccessKind.WRITE:
+    reads = np.flatnonzero(~writes)
+    if not reads.size and not post_count:
         return False
-    written: Set[int] = set()
-    saw_read = False
-    for event in events:
-        if event.kind is AccessKind.WRITE:
-            written.add(event.element_offset)
-        else:
-            saw_read = True
-            break
-    if not saw_read and not post_events:
-        return False
-    return len(written) < info.element_count
+    leading = offsets[:reads[0]] if reads.size else offsets
+    return np.unique(leading).size < info.element_count
 
 
-def _is_outcome(events: List[AccessEvent], post_events: List[AccessEvent]) -> bool:
+def _is_outcome(writes, post_writes) -> bool:
     """Written inside the loop and read after it."""
-    if not post_events:
-        return False
-    has_write = any(event.kind is AccessKind.WRITE for event in events)
-    has_post_read = any(event.kind is AccessKind.READ for event in post_events)
-    return has_write and has_post_read
+    return (bool(post_writes.size) and bool(writes.any())
+            and not bool(post_writes.all()))
 
 
 def classify_variables(preprocessing: PreprocessingResult,
@@ -94,14 +82,14 @@ def classify_variables(preprocessing: PreprocessingResult,
         if induction is not None and info.name == induction:
             induction_key = info.key
             continue
-        events = rw.events_for(info.key)
-        post_events = rw.post_events_for(info.key)
+        events = rw.accesses_of(info.key)
+        post_writes = rw.accesses_of(info.key, post=True).write
         dependency: Optional[DependencyType] = None
-        if _is_war(events):
+        if _is_war(events.write):
             dependency = DependencyType.WAR
-        elif _is_rapo(info, events, post_events):
+        elif _is_rapo(info, events.write, events.offset, post_writes.size):
             dependency = DependencyType.RAPO
-        elif _is_outcome(events, post_events):
+        elif _is_outcome(events.write, post_writes):
             dependency = DependencyType.OUTCOME
         if dependency is not None:
             critical.append(CriticalVariable(

@@ -17,7 +17,12 @@ maintains:
 Every memory access is attributed to its owning variable by address-interval
 lookup (:class:`repro.core.varmap.VariableMap`), which is how the analysis
 distinguishes MLI variables from same-named locals (Challenge 2) and follows
-data through pointer parameters.
+data through pointer parameters.  The engine resolves each ``Load`` /
+``Store`` / ``GetElementPtr`` pointer operand once, into the span's access
+table (:class:`repro.core.engine.AccessTable`); the pass reads its owners
+from there and resolves through the live map itself only for the rare
+addresses outside the table (a forwarding operand no register names, a
+call argument).
 
 The walk itself is hosted by :class:`repro.core.engine.AnalysisEngine`:
 :class:`DependencyPass` reads the segments of data-carrying record kinds
@@ -31,20 +36,20 @@ scope events, which keep the attribution honest across calls:
   stack** (pushed on activation, popped on return), so recursive or
   repeated calls to the same callee cannot clobber each other's bindings.
 
-The pass shares the engine's live map with every other stage and decides
-MLI node kinds from the live before/inside variable sets of the
-MLI-collection pass (finalized after the walk, since a variable's
-qualifying access can come later in the stream).  When the main loop lives
-in a *called* function, the shared map can attribute a pointer access to
-the live ancestor frame's actual variable; the MLI/critical classification
-is unaffected (MLI candidacy is filtered to globals and loop-function
+The pass shares the engine's live map with every other stage.  Variable
+nodes are created ``LOCAL``; :meth:`DependencyPass.mark_mli` relabels the
+MLI variables once the walk has proven them (a variable's qualifying access
+can come late in the stream).  When the main loop lives in a *called*
+function, the shared map can attribute a pointer access to the live
+ancestor frame's actual variable; the MLI/critical classification is
+unaffected (MLI candidacy is filtered to globals and loop-function
 locals).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,11 +63,12 @@ from repro.core.engine import (
     KIND_OTHER,
     KIND_STORE,
     REGION_INSIDE,
+    AccessTable,
     AnalysisPass,
     SpanSelection,
 )
 from repro.core.regmaps import RegRegMap, RegVarMap
-from repro.core.varmap import VariableInfo, VariableMap
+from repro.core.varmap import VariableMap
 from repro.trace.records import TraceRecord
 
 
@@ -86,21 +92,24 @@ for _op, _kind in KIND_BY_OPCODE.items():
 del _op, _kind
 
 
-def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
+def _select_dispatch_rows(block, lo: int, hi: int,
+                          table_rows) -> SpanSelection:
     """The rows of span ``[lo, hi)`` the dependency walk dispatches on.
 
     Each row's fields are ``(kind, lo_slot, hi_slot, has_result,
-    function_id, packed)``, where ``packed`` is the ``function_id << 32 |
-    result_name_id`` register-cache key — garbage when the row has no
-    result slot (every consumer checks ``has_result`` before using it).
+    function_id, packed, access)``, where ``packed`` is the ``function_id
+    << 32 | result_name_id`` register-cache key — garbage when the row has
+    no result slot (every consumer checks ``has_result`` before using it)
+    — and ``access`` the row's index in the span's access table, whose
+    rows are ``table_rows`` (meaningful for Load / Store / GEP rows only).
     The header fields of the whole span gather from the block's numpy
-    mirrors in a handful of vector ops into one ``(6, rows)`` int64 array.
+    mirrors in a handful of vector ops into one ``(7, rows)`` int64 array.
     """
     kinds = _KIND_TABLE[np.clip(block.np_opcode[lo:hi], 0, _CLIP_OPCODE)]
     rows = np.flatnonzero(kinds != KIND_OTHER)
-    # Filled field by field: one (6, rows) array and one field-sized
-    # temporary at a time, not six field arrays plus their stack.
-    fields = np.empty((6, len(rows)), dtype=np.int64)
+    # Filled field by field: one (7, rows) array and one field-sized
+    # temporary at a time, not seven field arrays plus their stack.
+    fields = np.empty((7, len(rows)), dtype=np.int64)
     fields[0] = kinds[rows]
     rows += lo
     op_start = block.np_op_start
@@ -112,11 +121,8 @@ def _select_dispatch_rows(block, lo: int, hi: int) -> SpanSelection:
     op_name_id = block.np_op_name_id
     if op_name_id.size:  # a block without any operand slot has no result
         fields[5] |= op_name_id[fields[2] - 1]
+    fields[6] = table_rows.searchsorted(rows)
     return SpanSelection(rows, fields)
-
-
-#: memo-miss sentinel (``None`` is a valid resolution outcome)
-_MISS = object()
 
 
 @dataclass
@@ -137,19 +143,13 @@ class DependencyResult:
 class DependencyPass(AnalysisPass):
     """Engine pass building the complete DDG over the inside region.
 
-    ``before_vars``/``inside_vars`` are the *live* collection dicts of a
-    :class:`~repro.core.preprocessing.MLICollectionPass` registered ahead
-    of this pass on the same engine.  A node is provisionally MLI when its
-    key is in both sets at creation time; :meth:`finalize` re-labels the
-    nodes whose membership was only proven later in the stream.
+    Memory operands attribute through the owners of the span's access
+    table.  Variable nodes are created ``LOCAL``; call :meth:`mark_mli`
+    with the MLI keys once the walk is done.
     """
 
-    def __init__(self, varmap: VariableMap,
-                 before_vars: Optional[Dict[str, VariableInfo]] = None,
-                 inside_vars: Optional[Dict[str, VariableInfo]] = None) -> None:
+    def __init__(self, varmap: VariableMap) -> None:
         self.varmap = varmap
-        self._before_vars = before_vars if before_vars is not None else {}
-        self._inside_vars = inside_vars if inside_vars is not None else {}
         self.ddg = DDG()
         self.reg_var = RegVarMap()
         self.reg_reg = RegRegMap()
@@ -165,12 +165,10 @@ class DependencyPass(AnalysisPass):
         #: :meth:`on_activation` when the engine proves a traced body follows.
         self._pending_frame: Optional[Tuple[str, Dict[str, Optional[str]]]] = None
         self._inspected = 0
-        #: columnar caches — ``function id << 32 | name id`` -> register
-        #: node key, guarded by the owning string table's identity, plus
-        #: the variable node keys already created through the columnar path
+        #: columnar cache — ``function id << 32 | name id`` -> register
+        #: node key, guarded by the owning string table's identity
         self._col_strings_key: Optional[int] = None
         self._col_reg_keys: Dict[int, str] = {}
-        self._col_var_seen: Set[str] = set()
         #: edges already inserted through the columnar path — ``add_edge``
         #: is idempotent set insertion and nothing removes edges during the
         #: walk, so eliding the repeat call is exact
@@ -180,11 +178,10 @@ class DependencyPass(AnalysisPass):
         #: likewise add-only set insertion) — id-based, so it resets with
         #: the string table alongside ``_col_reg_keys``
         self._col_link_seen: Set[Tuple[int, ...]] = set()
-        #: address -> resolution memo, valid while the live map's revision
-        #: is unchanged (scope records between segments may mutate it; the
-        #: revision check at segment entry catches exactly those)
-        self._col_memo: Dict = {}
-        self._col_memo_rev = -1
+        #: owner id -> its variable node key, once the node exists
+        self._owner_keys: List[Optional[str]] = []
+        #: the current span's access table
+        self._table: Optional[AccessTable] = None
 
     # ------------------------------------------------------------------ #
     # Node helpers
@@ -195,9 +192,7 @@ class DependencyPass(AnalysisPass):
         return key
 
     def _variable_node(self, key: str, name: str) -> str:
-        is_mli = key in self._before_vars and key in self._inside_vars
-        self.ddg.add_node(key, NodeKind.MLI if is_mli else NodeKind.LOCAL,
-                          label=name)
+        self.ddg.add_node(key, NodeKind.LOCAL, label=name)
         return key
 
     def _address_node(self, address: int) -> Optional[str]:
@@ -312,35 +307,42 @@ class DependencyPass(AnalysisPass):
     # ------------------------------------------------------------------ #
     # Segments
     # ------------------------------------------------------------------ #
+    def open_span(self, table: AccessTable, region: int) -> None:
+        self._table = table
+
     def select_span(self, block, lo: int, hi: int,
                     region: int) -> Optional[SpanSelection]:
         """Every data-carrying row of the span, inside the loop only."""
         if region != REGION_INSIDE:
             return None
-        return _select_dispatch_rows(block, lo, hi)
+        assert self._table is not None
+        return _select_dispatch_rows(block, lo, hi, self._table.rows)
 
     def consume_selected(self, block, region: int, selected) -> None:
         """Build the DDG from one segment, straight off the columns.
 
         ``selected`` yields the segment's pre-gathered dispatch fields
-        (:func:`_select_dispatch_rows`).  Three costs are lifted out of the
-        row loop:
+        (:func:`_select_dispatch_rows`).  Memory operands take their owner
+        from the access table (resolved for this segment before it is
+        consumed).  Three costs are lifted out of the row loop:
 
         * register node keys cache per ``(function id, name id)`` pair
           (key strings and ``add_node`` probes are paid once per register,
           not once per record; node creation is first-wins, so skipping the
           re-add is exact);
-        * variable nodes already created through this path skip the re-add
-          the same way (``finalize`` settles MLI kinds regardless);
-        * address resolutions memoize for the duration of the segment —
-          scope records break segments, so the live map cannot change under
-          the memo.
+        * variable node keys cache per owner id the same way;
+        * edges and reg-reg links already inserted are not inserted again.
         """
         strings = block.strings
         op_flags = block.op_flags
         op_name_id = block.op_name_id
-        op_address = block.op_address
-        resolve = self.varmap.resolve
+        np_op_address = block.np_op_address
+        assert self._table is not None
+        owners = self._table.owners
+        registrations = self.varmap.registrations
+        owner_keys = self._owner_keys
+        if len(owner_keys) < len(registrations):
+            owner_keys.extend([None] * (len(registrations) - len(owner_keys)))
         add_node = self.ddg.add_node
         add_edge = self.ddg.add_edge
         reg_entries = self.reg_var.entries
@@ -354,37 +356,26 @@ class DependencyPass(AnalysisPass):
             self._col_link_seen = set()
         reg_keys = self._col_reg_keys
         reg_keys_get = reg_keys.get
-        var_seen = self._col_var_seen
-        var_seen_add = var_seen.add
         edge_seen = self._col_edge_seen
         edge_seen_add = edge_seen.add
         link_seen = self._col_link_seen
         link_seen_add = link_seen.add
         register_kind = NodeKind.REGISTER
-        memo = self._col_memo
-        if self._col_memo_rev != self.varmap.revision:
-            self._col_memo_rev = self.varmap.revision
-            memo.clear()
-        memo_get = memo.get
-        miss = _MISS
         inspected = 0
-        for kind, lo_slot, hi_slot, result, fid, packed in selected:
+        for kind, lo_slot, hi_slot, result, fid, packed, access in selected:
             inspected += 1
             n_ops = hi_slot - lo_slot - result
             if kind == KIND_LOAD:
                 if not n_ops or not result:
                     continue
                 function = strings[fid]
-                address = op_address[lo_slot]
-                info = memo_get(address, miss)
-                if info is miss:
-                    info = resolve(address)
-                    memo[address] = info
-                if info is not None:
-                    var_key = info.key
-                    if var_key not in var_seen:
-                        variable_node(var_key, info.name)
-                        var_seen_add(var_key)
+                owner = owners[access]
+                if owner >= 0:
+                    var_key = owner_keys[owner]
+                    if var_key is None:
+                        info = registrations[owner]
+                        var_key = owner_keys[owner] = variable_node(
+                            info.key, info.name)
                 else:
                     var_key = resolve_memref(
                         function, strings[op_name_id[lo_slot]])
@@ -441,16 +432,13 @@ class DependencyPass(AnalysisPass):
                 if n_ops < 2:
                     continue
                 function = strings[fid]
-                address = op_address[lo_slot + 1]
-                info = memo_get(address, miss)
-                if info is miss:
-                    info = resolve(address)
-                    memo[address] = info
-                if info is not None:
-                    var_key = info.key
-                    if var_key not in var_seen:
-                        variable_node(var_key, info.name)
-                        var_seen_add(var_key)
+                owner = owners[access]
+                if owner >= 0:
+                    var_key = owner_keys[owner]
+                    if var_key is None:
+                        info = registrations[owner]
+                        var_key = owner_keys[owner] = variable_node(
+                            info.key, info.name)
                 else:
                     var_key = resolve_memref(
                         function, strings[op_name_id[lo_slot + 1]])
@@ -493,16 +481,13 @@ class DependencyPass(AnalysisPass):
                              f"{function}:%{result_name}")
                     reg_keys[packed] = result_key
                 if n_ops:
-                    address = op_address[lo_slot]
-                    info = memo_get(address, miss)
-                    if info is miss:
-                        info = resolve(address)
-                        memo[address] = info
-                    if info is not None:
-                        var_key = info.key
-                        if var_key not in var_seen:
-                            variable_node(var_key, info.name)
-                            var_seen_add(var_key)
+                    owner = owners[access]
+                    if owner >= 0:
+                        var_key = owner_keys[owner]
+                        if var_key is None:
+                            info = registrations[owner]
+                            var_key = owner_keys[owner] = variable_node(
+                                info.key, info.name)
                     else:
                         var_key = resolve_memref(
                             function, strings[op_name_id[lo_slot]])
@@ -551,18 +536,13 @@ class DependencyPass(AnalysisPass):
                             add_edge(reg_key, result_key)
                             edge_seen_add(edge)
                         source = reg_lookup(function, name)
-                        if source is None:
-                            fallback = op_address[slot]
-                            if fallback is not None:
-                                info = memo_get(fallback, miss)
-                                if info is miss:
-                                    info = resolve(fallback)
-                                    memo[fallback] = info
-                                if info is not None:
-                                    source = info.key
-                                    if source not in var_seen:
-                                        variable_node(source, info.name)
-                                        var_seen_add(source)
+                        if source is None and op_flags[slot] & 2:
+                            # No register names the operand: attribute the
+                            # pointer it carries (outside the access table)
+                            # through the live map, as it stands for this
+                            # segment.
+                            source = self._address_node(
+                                int(np_op_address[slot]))
                         if source is not None:
                             reg_entries[(function, result_name)] = source
                         link_key = (packed, name_id)
@@ -571,13 +551,11 @@ class DependencyPass(AnalysisPass):
                             link_seen_add(link_key)
         self._inspected += inspected
 
-    def finalize(self) -> None:
-        # A node created before its owner's MLI membership was proven (the
-        # qualifying loop access came later) carries a stale LOCAL kind; the
-        # final before/inside intersection is now known.
-        for key in self._before_vars:
-            if key in self._inside_vars:
-                self.ddg.set_node_kind(key, NodeKind.MLI)
+    def mark_mli(self, keys: Iterable[str]) -> None:
+        """Relabel the nodes of the MLI variables ``keys`` (the walk's
+        before/inside intersection) as ``MLI``."""
+        for key in keys:
+            self.ddg.set_node_kind(key, NodeKind.MLI)
 
     def result(self) -> DependencyResult:
         return DependencyResult(

@@ -24,15 +24,22 @@
   (:meth:`AnalysisPass.consume_selected`).  Scope records are
   materialized one at a time and dispatched to the passes' ``on_alloca``
   / ``on_call`` / ``on_ret`` handlers after the engine ran its own action
-  for them.
+  for them;
+* every memory operand is resolved once: each span gets one
+  :class:`AccessTable` of its ``Load`` / ``Store`` / ``GetElementPtr``
+  rows, whose owners the engine resolves segment by segment, before the
+  segment is dispatched, through one address memo (a map change drops
+  only the memo's addresses in the changed byte range).  Passes read the
+  table through :meth:`AnalysisPass.open_span` (before the span's first
+  segment) and :meth:`AnalysisPass.close_span` (after its last).
 
-Pass execution order is registration order; the pipeline registers the
-MLI-collection pass first so that later passes observe the variable sets
-updated through the current segment.  The engine times its own walk:
-:attr:`AnalysisEngine.decode_seconds` (waiting for the next block),
+Pass execution order is registration order.  The engine times its own
+walk: :attr:`AnalysisEngine.decode_seconds` (waiting for the next block),
 :attr:`AnalysisEngine.scope_seconds` (materializing and processing scope
-records) and :attr:`AnalysisEngine.pass_seconds` (each pass's span
-selections plus its segment consumption).
+records), :attr:`AnalysisEngine.resolve_seconds` (building the access
+tables and resolving their owners) and
+:attr:`AnalysisEngine.pass_seconds` (each pass's span selections, segment
+consumption and access-table hooks).
 """
 
 from __future__ import annotations
@@ -106,6 +113,15 @@ KIND_BY_OPCODE: Dict[int, int] = {int(op): _kind_of(int(op)) for op in Opcode}
 
 _MAX_OPCODE = max(KIND_BY_OPCODE)
 
+#: raw opcode -> index of its pointer operand, for the opcodes whose rows
+#: make up an access table (Load and GetElementPtr read through operand 0,
+#: Store writes through operand 1); -1 for every other value, the slot a
+#: clipped out-of-range opcode lands on included
+_POINTER_OPERAND = np.full(_MAX_OPCODE + 2, -1, dtype=np.int64)
+_POINTER_OPERAND[int(Opcode.LOAD)] = 0
+_POINTER_OPERAND[int(Opcode.STORE)] = 1
+_POINTER_OPERAND[int(Opcode.GETELEMENTPTR)] = 0
+
 #: True at the opcodes the walk materializes individually: scope opcodes
 #: (engine actions mutate the shared map / scope structure mid-stream, so
 #: these break the segments) and every in-range value that is not a known
@@ -158,17 +174,98 @@ class SpanSelection:
         return zip(*self.fields[:, lo:hi].tolist())
 
 
+class AccessTable:
+    """One span's memory accesses, with the owner each address resolves to.
+
+    ``rows`` are the span's ``Load`` / ``Store`` / ``GetElementPtr`` rows
+    (ascending block row numbers), ``opcode`` their opcodes and
+    ``address`` their pointer operands' addresses (``uint64``; 0 when the
+    record has no such operand or it carries no address, and such a row
+    has no owner).  ``owners`` holds, per row, the owner id
+    (:attr:`VariableMap.registrations` index) its address resolves to in
+    the live map *when the row executes*, or -1: the engine fills it
+    segment by segment as the walk reaches them, so while a segment is
+    being dispatched the entries up to its end are final.
+    """
+
+    __slots__ = ("block", "rows", "opcode", "address", "owners",
+                 "_addresses", "_cuts", "_owner_ids")
+
+    def __init__(self, block, lo: int, hi: int, breaks) -> None:
+        self.block = block
+        pointer = _POINTER_OPERAND[np.clip(block.np_opcode[lo:hi], 0,
+                                           _MAX_OPCODE + 1)]
+        rows = np.flatnonzero(pointer >= 0)
+        pointer = pointer[rows]
+        rows += lo
+        self.rows = rows
+        self.opcode = block.np_opcode[rows]
+        first = block.np_op_start[rows]
+        slot = first + pointer
+        present = (block.np_op_start[rows + 1] - first
+                   - block.np_has_result[rows]) > pointer
+        flags = block.np_op_flags
+        if flags.size:
+            slot[~present] = 0
+            present &= (flags[slot] & 2) != 0
+            address = np.where(present, block.np_op_address[slot], 0)
+        else:  # a block without any operand slot has no address either
+            present[:] = False
+            address = np.zeros(len(rows), dtype=np.uint64)
+        self.address = address
+        # What the memo resolves: -1 (never mapped) stands for an absent
+        # address, so the row resolves to no owner like an unmapped one.
+        addresses = address.tolist()
+        for index in np.flatnonzero(~present).tolist():
+            addresses[index] = -1
+        self._addresses = addresses
+        self._cuts = [0, *rows.searchsorted(breaks).tolist(), len(rows)]
+        self.owners: List[int] = []
+        self._owner_ids = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def resolve_segment(self, segment: int, memo: Dict[int, int],
+                        resolve_id: Callable[[int], int]) -> None:
+        """Resolve segment ``segment``'s rows through ``memo`` (address ->
+        owner id, valid for the live map as it stands), falling back to
+        ``resolve_id`` for the addresses it has not seen."""
+        lo = self._cuts[segment]
+        hi = self._cuts[segment + 1]
+        if lo == hi:
+            return
+        addresses = self._addresses[lo:hi]
+        owners = list(map(memo.get, addresses))
+        if None in owners:
+            for address in set(addresses).difference(memo):
+                memo[address] = resolve_id(address)
+            owners = list(map(memo.__getitem__, addresses))
+        self.owners.extend(owners)
+
+    def owner_ids(self):
+        """Every row's owner id as a numpy array; read it once the span's
+        last segment was walked."""
+        if self._owner_ids is None:
+            self._owner_ids = np.array(self.owners, dtype=np.int64)
+        return self._owner_ids
+
+
 class AnalysisPass:
     """Base class for engine passes; override only what you need.
 
     A pass reads non-scope rows through one API: :meth:`select_span` picks
     the pass's rows of a whole span ``[lo, hi)`` (one block, one region) in
     one set of vector ops, and :meth:`consume_selected` consumes one
-    segment's slice of that selection.  Scope records arrive through the
-    ``on_alloca`` / ``on_call`` / ``on_ret`` handlers.  The engine inspects
-    which of these methods a subclass overrides and calls exactly those.
-    Every callback receives the region constant (``REGION_BEFORE`` /
-    ``REGION_INSIDE`` / ``REGION_AFTER``) it executes in.
+    segment's slice of that selection.  A pass that reads the owners of
+    memory accesses takes the span's :class:`AccessTable` instead:
+    :meth:`open_span` hands it over before the span's first segment (its
+    owners fill as the segments go by), :meth:`close_span` after its last.
+    Scope records arrive through the ``on_alloca`` / ``on_call`` /
+    ``on_ret`` handlers.  The engine inspects which of these methods a
+    subclass overrides and calls exactly those.  Every callback receives
+    the region constant (``REGION_BEFORE`` / ``REGION_INSIDE`` /
+    ``REGION_AFTER``) it executes in.
     """
 
     # -- scope records --------------------------------------------------- #
@@ -206,6 +303,15 @@ class AnalysisPass:
         a segment share ``region``, and the shared variable map is
         constant across the segment.
         """
+
+    # -- access tables --------------------------------------------------- #
+    def open_span(self, table: AccessTable, region: int) -> None:
+        """A span begins: ``table`` lists its memory accesses.  Called
+        before :meth:`select_span`; the owners of a segment's rows are
+        resolved before the segment is consumed."""
+
+    def close_span(self, table: AccessTable, region: int) -> None:
+        """A span ended: every owner in ``table`` is resolved."""
 
     # -- structural callbacks ------------------------------------------ #
     def on_region_change(self, region: int) -> None:
@@ -262,7 +368,7 @@ _ACTION_BY_KIND = {KIND_ALLOCA: _ACT_ALLOCA, KIND_CALL: _ACT_CALL,
 
 #: Rows per span, the unit each pass selects its rows for at once.  It
 #: bounds what a span holds whatever the block size: a selection array
-#: stays under 100 kB (six int64 fields per row) and one segment's row
+#: stays under 120 kB (seven int64 fields per row) and one segment's row
 #: lists stay short, while the vector ops per span cost about 1.5% of
 #: the walk.
 _SPAN_ROWS = 2048
@@ -300,10 +406,20 @@ class AnalysisEngine:
             (slot, p.select_span, p.consume_selected)
             for slot, p in enumerate(self.passes)
             if type(p).select_span is not AnalysisPass.select_span]
+        # Access-table readers in registration order: (slot, hook).
+        self._open_plan = self._hooks("open_span")
+        self._close_plan = self._hooks("close_span")
+        #: address -> owner id, valid for the live map once the addresses
+        #: in its changes past the first ``_memo_changes`` are dropped
+        #: (scope records between segments may change it)
+        self._memo: Dict[int, int] = {}
+        self._memo_changes = 0
         #: seconds spent waiting for the next block (the decode)
         self.decode_seconds = 0.0
         #: seconds spent materializing and processing scope records
         self.scope_seconds = 0.0
+        #: seconds spent building access tables and resolving their owners
+        self.resolve_seconds = 0.0
         #: per pass (registration order): seconds in its span selections
         #: and segment consumption
         self.pass_seconds: List[float] = [0.0] * len(self.passes)
@@ -321,6 +437,10 @@ class AnalysisEngine:
                 is not getattr(AnalysisPass, method_name))
             self._plan[raw] = (_ACTION_BY_KIND[kind], callbacks)
         self._default_plan: Tuple[int, Tuple[Callable, ...]] = (_ACT_UNKNOWN, ())
+
+    def _hooks(self, name: str) -> List[Tuple[int, Callable]]:
+        return [(slot, getattr(p, name)) for slot, p in enumerate(self.passes)
+                if getattr(type(p), name) is not getattr(AnalysisPass, name)]
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -444,12 +564,23 @@ class AnalysisEngine:
                             region)
 
     def _walk_span(self, block, lo: int, hi: int, region: int) -> None:
-        """Walk span ``[lo, hi)``: every pass selects its rows of the whole
-        span first, each segment then hands every pass its slice, and the
-        span's selections are dropped on return."""
+        """Walk span ``[lo, hi)``: the access-table readers get the span's
+        table and every pass selects its rows of the whole span first,
+        each segment then resolves its accesses and hands every pass its
+        slice, the table readers get the finished table, and the span's
+        table and selections are dropped on return."""
         np_breaks = self._break_rows(block, lo, hi)
         breaks = np_breaks.tolist()
         spent = self.pass_seconds
+        table = None
+        if self._open_plan or self._close_plan:
+            started = _clock()
+            table = AccessTable(block, lo, hi, np_breaks)
+            self.resolve_seconds += _clock() - started
+            for slot, hook in self._open_plan:
+                started = _clock()
+                hook(table, region)
+                spent[slot] += _clock() - started
         plan = []
         for slot, select, consume in self._segment_plan:
             started = _clock()
@@ -464,19 +595,25 @@ class AnalysisEngine:
         for segment, row in enumerate(breaks):
             if segment_lo < row:
                 self._dispatch_segment(block, segment_lo, row, region, plan,
-                                       segment)
+                                       segment, table)
             started = _clock()
             process(record_of(row), region)
             self.scope_seconds += _clock() - started
             segment_lo = row + 1
         if segment_lo < hi:
             self._dispatch_segment(block, segment_lo, hi, region, plan,
-                                   len(breaks))
+                                   len(breaks), table)
+        if table is not None:
+            for slot, hook in self._close_plan:
+                started = _clock()
+                hook(table, region)
+                spent[slot] += _clock() - started
 
     def _dispatch_segment(self, block, lo: int, hi: int, region: int,
-                          plan: List[Tuple], segment: int) -> None:
+                          plan: List[Tuple], segment: int,
+                          table: Optional[AccessTable]) -> None:
         """Dispatch segment ``[lo, hi)`` — the span's ``segment``-th — to
-        every pass, in pass order."""
+        every pass, in pass order, once its accesses are resolved."""
         # The record after a Call resolves the activation lookahead; inside
         # a segment that can only be the first row (Calls break segments).
         pending = self._pending_activation
@@ -486,6 +623,13 @@ class AnalysisEngine:
                 self.varmap.enter_scope(pending)
                 for callback in self._activation_callbacks:
                     callback(pending, region)
+        if table is not None:
+            started = _clock()
+            varmap = self.varmap
+            if self._memo_changes != len(varmap.changes):
+                self._forget_changes()
+            table.resolve_segment(segment, self._memo, varmap.resolve_id)
+            self.resolve_seconds += _clock() - started
         spent = self.pass_seconds
         last = _clock()
         for slot, consume, selection in plan:
@@ -495,6 +639,22 @@ class AnalysisEngine:
             now = _clock()
             spent[slot] += now - last
             last = now
+
+    def _forget_changes(self) -> None:
+        """Drop the memo's addresses inside the map's new changes: each
+        change's byte addresses one by one, or for a range wider than the
+        memo, the memo's addresses that fall in it."""
+        memo = self._memo
+        changes = self.varmap.changes
+        for start, end in changes[self._memo_changes:]:
+            if end - start <= len(memo):
+                for address in range(start, end):
+                    memo.pop(address, None)
+            else:
+                for address in [address for address in memo
+                                if start <= address < end]:
+                    del memo[address]
+        self._memo_changes = len(changes)
 
     # ------------------------------------------------------------------ #
     # Scope records

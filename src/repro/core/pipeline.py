@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.analysis.induction import find_induction_variable, find_main_loop
 from repro.analysis.loops import find_loops
 from repro.core.classify import classify_variables
@@ -30,15 +32,15 @@ from repro.core.contraction import contract_ddg
 from repro.core.dependency import DependencyPass
 from repro.core.engine import (
     REGION_INSIDE,
+    AccessTable,
     AnalysisEngine,
     AnalysisPass,
     EngineWalk,
-    SpanSelection,
 )
 from repro.core.preprocessing import MLICollectionPass
 from repro.core.report import AutoCheckReport, CacheInfo, TraceStats
 from repro.core.rwdeps import RWExtractionPass
-from repro.core.varmap import VariableInfo, VariableMap
+from repro.core.varmap import OwnerColumn, VariableInfo, VariableMap
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.trace.binio import is_binary_trace_file, read_layout
@@ -49,7 +51,7 @@ from repro.util.timing import TimingBreakdown
 
 
 _PROBE_LOAD = int(Opcode.LOAD)
-_PROBE_OPCODES = (_PROBE_LOAD, int(Opcode.STORE))
+_PROBE_GEP = int(Opcode.GETELEMENTPTR)
 
 
 #: timing stages of the walk's passes, in registration order
@@ -70,8 +72,11 @@ class InductionProbePass(AnalysisPass):
 
     Collects the variables read and written by records at the loop's
     controlling source line; the induction variable is the one that is both
-    (it is read to test the condition and written to advance).  Resolution
-    goes through the engine's shared live map at access time.
+    (it is read to test the condition and written to advance).  Owners come
+    from the span's access table, resolved at access time.  Only globals
+    and the main-loop function's own allocations qualify (the MLI candidate
+    population), so a callee local never poses as the induction variable
+    when the loop lives in a nested function.
     """
 
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec) -> None:
@@ -79,47 +84,30 @@ class InductionProbePass(AnalysisPass):
         self.spec = spec
         self.read: Dict[str, VariableInfo] = {}
         self.written: Dict[str, VariableInfo] = {}
+        self._candidate = OwnerColumn(
+            varmap, lambda info: (info.is_global
+                                  or info.function == spec.function), bool)
 
-    def select_span(self, block, lo: int, hi: int,
-                    region: int) -> Optional[SpanSelection]:
-        """The spec function's Load/Store rows on the loop's start line,
-        inside the loop."""
-        if region != REGION_INSIDE:
-            return None
+    def close_span(self, table: AccessTable, region: int) -> None:
+        """Probe the spec function's loads and stores on the loop's start
+        line, inside the loop."""
+        if region != REGION_INSIDE or not len(table):
+            return
         spec = self.spec
-        return SpanSelection(block.match_rows(
-            lo, hi, _PROBE_OPCODES,
-            function_id=block.id_of.get(spec.function, -1),
-            line=spec.start_line))
-
-    def consume_selected(self, block, region: int, selected) -> None:
-        """Probe the segment's loads and stores at the controlling line.
-
-        Only globals and the main-loop function's own allocations qualify
-        (the MLI candidate population), so a callee local never poses as
-        the induction variable when the loop lives in a nested function.
-        """
-        spec_function = self.spec.function
-        opcode = block.opcode
-        op_start = block.op_start
-        has_result = block.has_result
-        op_address = block.op_address
-        resolve = self.varmap.resolve
-        for row in selected:
-            if opcode[row] == _PROBE_LOAD:
-                operand_index = 0
-                sink = self.read
-            else:
-                operand_index = 1
-                sink = self.written
-            lo_slot = op_start[row]
-            if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
-                continue
-            info = resolve(op_address[lo_slot + operand_index])
-            if info is None:
-                continue
-            if not (info.is_global or info.function == spec_function):
-                continue
+        block = table.block
+        rows = table.rows
+        owners = table.owner_ids()
+        opcode = table.opcode
+        pick = np.flatnonzero(
+            (opcode != _PROBE_GEP) & (owners >= 0)
+            & (block.np_line[rows] == spec.start_line)
+            & (block.np_function_id[rows]
+               == block.id_of.get(spec.function, -1)))
+        pick = pick[self._candidate.array()[owners[pick]]]
+        registrations = self.varmap.registrations
+        for owner, op in zip(owners[pick].tolist(), opcode[pick].tolist()):
+            info = registrations[owner]
+            sink = self.read if op == _PROBE_LOAD else self.written
             sink[info.name] = info
 
     def pick(self) -> Tuple[Optional[str], Optional[VariableInfo]]:
@@ -173,7 +161,8 @@ class AutoCheck:
     def _open_reader(self) -> TraceColumnarReader:
         """The input as columnar blocks: a version-2 binary file streams
         from disk, a :class:`Trace` (any other file is read into one) is
-        walked from its bytes."""
+        walked from its bytes, and errors on them name the file it was
+        read from."""
         trace = self._trace
         if trace is None:
             path = self._trace_path
@@ -183,7 +172,9 @@ class AutoCheck:
                 if layout.content_digest is not None:
                     return TraceColumnarReader(path, layout=layout)
             trace = read_trace_file(path)
-        return TraceColumnarReader(buffer=trace.encoded()[0])
+        reader = TraceColumnarReader(buffer=trace.encoded()[0])
+        reader.name = trace.source_path
+        return reader
 
     def _static_induction_name(self) -> Optional[str]:
         """The induction variable from the static loop analysis over the IR
@@ -301,9 +292,9 @@ class AutoCheck:
         Args:
             timings: receives the ``preprocessing`` (opening the input) and
                 ``fused_analysis`` (the walk) stages when given, and inside
-                the walk ``walk.decode``, ``walk.scope`` and one
-                ``walk.<pass>`` stage per registered pass (``walk.probe``
-                only when the probe ran).
+                the walk ``walk.decode``, ``walk.scope``, ``walk.resolve``
+                (the access tables) and one ``walk.<pass>`` stage per
+                registered pass (``walk.probe`` only when the probe ran).
 
         Raises:
             AnalysisError: when no record falls inside the main loop range,
@@ -328,12 +319,10 @@ class AutoCheck:
                 varmap, spec,
                 include_global_accesses_in_calls=(
                     config.include_global_accesses_in_calls))
-            dep_pass = DependencyPass(varmap,
-                                      before_vars=mli_pass.before_vars,
-                                      inside_vars=mli_pass.inside_vars)
+            dep_pass = DependencyPass(varmap)
             rw_pass = RWExtractionPass(varmap, candidates=mli_pass.before_vars)
-            # Order matters: the MLI pass must update the variable sets
-            # before the DDG / R/W passes consult them for the same segment.
+            # Order matters: the MLI pass collects a span's variables before
+            # the R/W pass filters the same span's events on them.
             passes: List[AnalysisPass] = [mli_pass, dep_pass, rw_pass]
             probe: Optional[InductionProbePass] = None
             if induction_name is None:
@@ -352,9 +341,11 @@ class AutoCheck:
                 walk = engine.run_columnar(blocks)
         finally:
             reader.close()
+        dep_pass.mark_mli(mli_pass.result().mli_keys())
         timings.add_count("fused_analysis", walk.record_count)
         timings.add("walk.decode", engine.decode_seconds)
         timings.add("walk.scope", engine.scope_seconds)
+        timings.add("walk.resolve", engine.resolve_seconds)
         for stage, seconds in zip(_PASS_STAGES, engine.pass_seconds):
             timings.add(stage, seconds)
         return PassWalk(walk=walk, varmap=varmap, global_count=len(globals_),

@@ -9,11 +9,13 @@ Implements the workflow of paper Fig. 3 as one pass of the engine walk:
    :class:`repro.core.engine.AnalysisEngine`);
 2. :class:`MLICollectionPass` collects the variables accessed in Part A and
    in Part B — bypassing the intervals of function calls inside the loop
-   (Challenge 1, Sec. V-B) and resolving every access to its owning
-   allocation by memory address (Challenge 2, Sec. V-C) through the
-   bisect-indexed live-interval store of
-   :class:`repro.core.varmap.VariableMap` (O(log intervals) per access, no
-   per-element index);
+   (Challenge 1, Sec. V-B) and attributing every access to its owning
+   allocation by memory address (Challenge 2, Sec. V-C).  It reads the
+   owners from each span's access table
+   (:class:`repro.core.engine.AccessTable`), where the engine resolved
+   every memory operand once against the live interval store of
+   :class:`repro.core.varmap.VariableMap`, and collects a whole span with
+   numpy masks and one ``np.unique``;
 3. the two collections are matched: variables accessed both before and
    inside the loop are the Main-Loop-Input (MLI) variables.
 
@@ -32,21 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.config import MainLoopSpec
-from repro.core.engine import REGION_AFTER, AnalysisPass, SpanSelection
-from repro.core.varmap import VariableInfo, VariableMap
-from repro.ir.opcodes import Opcode
-
-#: memo-miss sentinel (``None`` is a valid resolution outcome)
-_MISS = object()
-
-#: opcode -> index of the pointer operand the MLI pass collects from
-_POINTER_OPERAND = {
-    int(Opcode.LOAD): 0, int(Opcode.STORE): 1, int(Opcode.GETELEMENTPTR): 0}
-
-#: the opcodes that carry a pointer operand — what the MLI span selection
-#: picks
-_POINTER_OPCODES = tuple(_POINTER_OPERAND)
+from repro.core.engine import REGION_AFTER, AccessTable, AnalysisPass
+from repro.core.varmap import OwnerColumn, VariableInfo, VariableMap
 
 
 @dataclass(frozen=True)
@@ -114,17 +106,16 @@ class MLICollectionPass(AnalysisPass):
     The collection rules: memory operands of ``Load``/``Store``/
     ``GetElementPtr`` records, records of other functions bypassed
     (Challenge 1) unless the global-access switch admits globals they
-    touch.  Resolution goes through the engine's shared *live* map, i.e.
-    against the allocations live at each access's own execution time.  The
-    shared map indexes *every* function's allocations, but MLI candidates
-    are globals and the main-loop function's own allocations (Challenge 2):
-    a resolved owner outside that population (e.g. a live ancestor frame's
-    local, reachable through a pointer when the main loop lives in a nested
-    function) is rejected.
+    touch.  Each span's accesses come from the engine's access table, so
+    every owner is the allocation live at the access's own execution time.
+    The shared map indexes *every* function's allocations, but MLI
+    candidates are globals and the main-loop function's own allocations
+    (Challenge 2): a resolved owner outside that population (e.g. a live
+    ancestor frame's local, reachable through a pointer when the main loop
+    lives in a nested function) is rejected.
 
-    Register this pass *first*: later passes (DDG, R/W extraction) read
-    ``before_vars``/``inside_vars`` to decide MLI candidacy and must observe
-    the sets updated through the current segment.
+    A span's variables are collected when the span ends, in the order of
+    their first access; the sets are final once the walk is.
     """
 
     def __init__(self, varmap: VariableMap, spec: MainLoopSpec,
@@ -135,64 +126,34 @@ class MLICollectionPass(AnalysisPass):
         self.before_vars: Dict[str, VariableInfo] = {}
         self.inside_vars: Dict[str, VariableInfo] = {}
         self.mli_variables: List[MLIVariable] = []
-        #: columnar resolution memo + the map revision it is valid for
-        self._col_memo: Dict = {}
-        self._col_memo_rev = -1
+        #: per owner: a global, or an allocation of the main-loop function
+        self._candidate = OwnerColumn(
+            varmap, lambda info: (info.is_global
+                                  or info.function == spec.function), bool)
+        self._is_global = OwnerColumn(varmap, lambda info: info.is_global,
+                                      bool)
 
-    def select_span(self, block, lo: int, hi: int,
-                    region: int) -> Optional[SpanSelection]:
-        """Load/GEP/Store rows of the span — without the global-access
-        switch only the spec function's (a foreign-function record can
-        only collect through that switch)."""
-        if region == REGION_AFTER:
-            return None
-        spec_fid = (None if self.include_global_accesses_in_calls
-                    else block.id_of.get(self.spec.function, -1))
-        return SpanSelection(block.match_rows(lo, hi, _POINTER_OPCODES,
-                                              function_id=spec_fid))
-
-    def consume_selected(self, block, region: int, selected) -> None:
-        """Collect the segment's accessed variables, straight off the
-        columns."""
-        opcode = block.opcode
-        function_id = block.function_id
-        op_start = block.op_start
-        has_result = block.has_result
-        op_address = block.op_address
-        resolve = self.varmap.resolve
-        pointer_operand = _POINTER_OPERAND
-        spec_function = self.spec.function
-        spec_fid = block.id_of.get(spec_function, -1)
-        include = self.include_global_accesses_in_calls
+    def close_span(self, table: AccessTable, region: int) -> None:
+        """Collect the span's accessed variables in first-access order."""
+        if region == REGION_AFTER or not len(table):
+            return
+        owners = table.owner_ids()
+        keep = np.flatnonzero(owners >= 0)
+        owners = owners[keep]
+        qualifies = self._candidate.array()[owners]
+        block = table.block
+        in_spec = (block.np_function_id[table.rows[keep]]
+                   == block.id_of.get(self.spec.function, -1))
+        if self.include_global_accesses_in_calls:
+            in_spec |= self._is_global.array()[owners]
+        owners = owners[qualifies & in_spec]
+        if not owners.size:
+            return
+        unique, first = np.unique(owners, return_index=True)
+        registrations = self.varmap.registrations
         sink = self.inside_vars if region else self.before_vars
-        # Per-address resolutions memoize while the live map's revision is
-        # unchanged (only scope records between segments can mutate it;
-        # the revision check at segment entry catches exactly those).
-        memo = self._col_memo
-        if self._col_memo_rev != self.varmap.revision:
-            self._col_memo_rev = self.varmap.revision
-            memo.clear()
-        memo_get = memo.get
-        miss = _MISS
-        for row in selected:
-            operand_index = pointer_operand[opcode[row]]
-            lo_slot = op_start[row]
-            if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
-                continue
-            address = op_address[lo_slot + operand_index]
-            if address is None:
-                continue
-            info = memo_get(address, miss)
-            if info is miss:
-                info = resolve(address)
-                memo[address] = info
-            if info is None:
-                continue
-            if not (info.is_global or info.function == spec_function):
-                continue
-            if function_id[row] != spec_fid and not (include
-                                                     and info.is_global):
-                continue
+        for owner in unique[np.argsort(first)].tolist():
+            info = registrations[owner]
             if info.key not in sink:
                 sink[info.key] = info
 

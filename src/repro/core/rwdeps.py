@@ -7,44 +7,51 @@ instruction id (paper Fig. 5e), plus the post-loop reads needed for the
 which is what the *RAPO* (Read-After-Partially-Overwritten) heuristic
 inspects.
 
-Offsets come from :meth:`repro.core.varmap.VariableMap.resolve_access`: the
-owning allocation and the element index are produced by one bisect lookup
-against the live interval store, and the index is always relative to the
-owner's base address — stable even when later allocations have shadowed part
-of the owner's range.
+:class:`RWExtractionPass` collects the events during the engine walk from
+each span's access table (:class:`repro.core.engine.AccessTable`): every
+access carries the owner its address resolved to *at its own execution
+time*, so an access to an MLI byte range that a later callee ``Alloca``
+shadows still attributes to the MLI variable.  The element offset is
+computed from the table's address and the owner's base address — relative
+to the owner's base, so it is stable even when later allocations have
+shadowed part of the owner's range.
 
-:class:`RWExtractionPass` collects the events during the engine walk: every
-access resolves against the shared live map *at its own execution time*, so
-an access to an MLI byte range that a later callee ``Alloca`` shadows still
-attributes to the MLI variable.
+The events stay columns (:class:`EventColumns`) from the walk through
+classification (:mod:`repro.core.classify`) to serialization
+(:mod:`repro.store.serialize`).  :class:`AccessEvent` objects are built only
+for callers that ask for them, through the views of
+:class:`RWDependencies`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Container, Dict, List, Optional, Set
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.engine import (
     REGION_BEFORE,
     REGION_INSIDE,
+    AccessTable,
     AnalysisPass,
-    SpanSelection,
 )
-from repro.core.varmap import VariableMap
+from repro.core.varmap import OwnerColumn, VariableMap
 from repro.ir.opcodes import Opcode
 
-_LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
-_ACCESS_OPCODES = (_LOAD, _STORE)
-
-#: memo-miss sentinel (``None`` is a valid resolution outcome)
-_MISS = object()
+_GEP = int(Opcode.GETELEMENTPTR)
 
 
 class AccessKind(enum.Enum):
     READ = "Read"
     WRITE = "Write"
+
+
+#: an access kind's serialized value -> True for a write
+_IS_WRITE = {kind.value: kind is AccessKind.WRITE for kind in AccessKind}
 
 
 @dataclass(frozen=True)
@@ -63,14 +70,188 @@ class AccessEvent:
         return f"{self.name}-{self.kind.value}"
 
 
-@dataclass
-class RWDependencies:
-    """All loop-region and post-loop access events, per MLI variable."""
+#: the event columns, in the field order of an event row
+_COLUMNS = ("dyn_id", "variable", "write", "line", "function", "offset")
+_DTYPES = (np.int64, np.int64, np.bool_, np.int64, np.int64, np.int64)
 
-    loop_events: List[AccessEvent] = field(default_factory=list)
-    post_loop_events: List[AccessEvent] = field(default_factory=list)
-    by_variable: Dict[str, List[AccessEvent]] = field(default_factory=dict)
-    post_by_variable: Dict[str, List[AccessEvent]] = field(default_factory=dict)
+
+class EventColumns:
+    """Access events as parallel numpy columns, in stream order.
+
+    ``variable`` and ``function`` are codes into the owning
+    :class:`RWDependencies`' ``variables`` and ``functions`` tables;
+    ``write`` is True for a write; ``offset`` is the element offset.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(self, *columns) -> None:
+        for name, dtype, column in zip(_COLUMNS, _DTYPES, columns):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+
+    @classmethod
+    def empty(cls) -> "EventColumns":
+        return cls(*(() for _ in _COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self.dyn_id)
+
+    def take(self, index) -> "EventColumns":
+        """The events at ``index`` (an index array or a boolean mask)."""
+        return EventColumns(*(getattr(self, name)[index] for name in _COLUMNS))
+
+
+class RWDependencies:
+    """All loop-region and post-loop access events, per MLI variable.
+
+    ``loop`` and ``post`` hold the events as :class:`EventColumns`;
+    ``variables`` lists the ``(key, name)`` pairs their variable codes
+    index and ``functions`` the function names.  The :class:`AccessEvent`
+    lists (:attr:`loop_events`, :attr:`post_loop_events`,
+    :attr:`by_variable`, :attr:`post_by_variable`) are views built on first
+    use and kept; equality compares those views, so a caller that edits
+    one edits what the report compares as.
+    """
+
+    def __init__(self, loop: Optional[EventColumns] = None,
+                 post: Optional[EventColumns] = None,
+                 variables: Sequence[Tuple[str, str]] = (),
+                 functions: Sequence[str] = ()) -> None:
+        self.loop = loop if loop is not None else EventColumns.empty()
+        self.post = post if post is not None else EventColumns.empty()
+        self.variables: List[Tuple[str, str]] = list(variables)
+        self.functions: List[str] = list(functions)
+
+    # ------------------------------------------------------------------ #
+    # Construction from rows
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def from_rows(cls, loop_rows: Sequence[Sequence[Any]],
+                  post_rows: Sequence[Sequence[Any]] = ()) -> "RWDependencies":
+        """The columns of event rows ``[dyn_id, variable, name, kind,
+        line, function, element_offset]`` (``kind`` as its value,
+        ``"Read"`` / ``"Write"``) — the serialized form.
+
+        Raises:
+            ValueError: a row of the wrong length, an unknown kind or a
+                field of the wrong type.
+        """
+        variables: Dict[Tuple[str, str], int] = {}
+        functions: Dict[str, int] = {}
+
+        def columns(rows: Sequence[Sequence[Any]]) -> EventColumns:
+            if not rows:
+                return EventColumns.empty()
+            if any(len(row) != 7 for row in rows):
+                raise ValueError("an access event row has 7 fields")
+            dyn_ids, keys, names, kinds, lines, names_of_functions, offsets = (
+                zip(*rows))
+            try:
+                writes = [_IS_WRITE[kind] for kind in kinds]
+            except (KeyError, TypeError):
+                raise ValueError("unknown access kind") from None
+            try:
+                return EventColumns(
+                    dyn_ids,
+                    [variables.setdefault(pair, len(variables))
+                     for pair in zip(keys, names)],
+                    writes, lines,
+                    [functions.setdefault(function, len(functions))
+                     for function in names_of_functions],
+                    offsets)
+            except OverflowError as exc:
+                raise ValueError(str(exc)) from None
+
+        loop = columns(loop_rows)
+        post = columns(post_rows)
+        return cls(loop, post, list(variables), list(functions))
+
+    @classmethod
+    def from_events(cls, loop_events: Iterable[AccessEvent] = (),
+                    post_loop_events: Iterable[AccessEvent] = (),
+                    ) -> "RWDependencies":
+        """The columns of explicit :class:`AccessEvent` lists."""
+        def rows(events: Iterable[AccessEvent]) -> List[Tuple[Any, ...]]:
+            return [(e.dyn_id, e.variable, e.name, e.kind.value, e.line,
+                     e.function, e.element_offset) for e in events]
+        return cls.from_rows(rows(loop_events), rows(post_loop_events))
+
+    # ------------------------------------------------------------------ #
+    # Columns
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def _codes(self) -> Dict[str, List[int]]:
+        codes: Dict[str, List[int]] = {}
+        for code, (key, _) in enumerate(self.variables):
+            codes.setdefault(key, []).append(code)
+        return codes
+
+    def accesses_of(self, variable_key: str,
+                    post: bool = False) -> EventColumns:
+        """The loop (or, with ``post``, post-loop) events on
+        ``variable_key``, in stream order."""
+        columns = self.post if post else self.loop
+        codes = self._codes.get(variable_key)
+        if not codes:
+            return EventColumns.empty()
+        return columns.take(np.isin(columns.variable, codes))
+
+    def rows(self, post: bool = False) -> List[List[Any]]:
+        """The loop (or post-loop) events as serialized rows: ``[dyn_id,
+        variable, name, kind, line, function, element_offset]``."""
+        columns = self.post if post else self.loop
+        keys = [key for key, _ in self.variables]
+        names = [name for _, name in self.variables]
+        functions = self.functions
+        codes = columns.variable.tolist()
+        return [[dyn_id, keys[code], names[code],
+                 "Write" if write else "Read", line, functions[function],
+                 offset]
+                for dyn_id, code, write, line, function, offset in zip(
+                    columns.dyn_id.tolist(), codes, columns.write.tolist(),
+                    columns.line.tolist(), columns.function.tolist(),
+                    columns.offset.tolist())]
+
+    def _events(self, columns: EventColumns,
+                limit: Optional[int] = None) -> List[AccessEvent]:
+        if limit is not None:
+            columns = columns.take(slice(0, limit))
+        read, write = AccessKind.READ, AccessKind.WRITE
+        variables = self.variables
+        functions = self.functions
+        return [AccessEvent(dyn_id, variables[code][0], variables[code][1],
+                            write if is_write else read, line,
+                            functions[function], offset)
+                for dyn_id, code, is_write, line, function, offset in zip(
+                    columns.dyn_id.tolist(), columns.variable.tolist(),
+                    columns.write.tolist(), columns.line.tolist(),
+                    columns.function.tolist(), columns.offset.tolist())]
+
+    # ------------------------------------------------------------------ #
+    # AccessEvent views
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def loop_events(self) -> List[AccessEvent]:
+        return self._events(self.loop)
+
+    @cached_property
+    def post_loop_events(self) -> List[AccessEvent]:
+        return self._events(self.post)
+
+    @staticmethod
+    def _group(events: List[AccessEvent]) -> Dict[str, List[AccessEvent]]:
+        grouped: Dict[str, List[AccessEvent]] = {}
+        for event in events:
+            grouped.setdefault(event.variable, []).append(event)
+        return grouped
+
+    @cached_property
+    def by_variable(self) -> Dict[str, List[AccessEvent]]:
+        return self._group(self.loop_events)
+
+    @cached_property
+    def post_by_variable(self) -> Dict[str, List[AccessEvent]]:
+        return self._group(self.post_loop_events)
 
     def events_for(self, variable_key: str) -> List[AccessEvent]:
         return self.by_variable.get(variable_key, [])
@@ -80,120 +261,143 @@ class RWDependencies:
 
     def sequence_string(self, limit: Optional[int] = None) -> str:
         """Human readable R/W sequence like the paper's Fig. 5(e)."""
-        events = self.loop_events[:limit] if limit else self.loop_events
+        if "loop_events" in self.__dict__ or not limit:
+            events = self.loop_events[:limit] if limit else self.loop_events
+        else:
+            events = self._events(self.loop, limit)
         return "; ".join(f"{i + 1}: {event}" for i, event in enumerate(events))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RWDependencies):
+            return NotImplemented
+        return (self.loop_events == other.loop_events
+                and self.post_loop_events == other.post_loop_events)
+
+    def __repr__(self) -> str:
+        return (f"RWDependencies(loop_events={len(self.loop)}, "
+                f"post_loop_events={len(self.post)})")
+
+
+class _EventBuffer:
+    """Event columns (with owner ids for variables) appended span by span;
+    each column's capacity doubles when it fills."""
+
+    def __init__(self) -> None:
+        self._columns = [np.empty(256, dtype=dtype) for dtype in _DTYPES]
+        self._size = 0
+
+    def append(self, *columns) -> None:
+        size = self._size
+        end = size + len(columns[0])
+        if end > len(self._columns[0]):
+            capacity = max(end, 2 * len(self._columns[0]))
+            grown = [np.empty(capacity, dtype=dtype) for dtype in _DTYPES]
+            for old, new in zip(self._columns, grown):
+                new[:size] = old[:size]
+            self._columns = grown
+        for buffer, column in zip(self._columns, columns):
+            buffer[size:end] = column
+        self._size = end
+
+    def columns(self) -> EventColumns:
+        """The events so far, owner ids in the ``variable`` column."""
+        return EventColumns(*(column[:self._size] for column in self._columns))
 
 
 class RWExtractionPass(AnalysisPass):
     """Engine pass: collect loop-region and post-loop access events.
 
-    ``candidates`` is the live ``before_vars`` dict of the MLI-collection
-    pass sharing the engine: the MLI set is its subset (a variable must be
+    ``candidates`` is the ``before_vars`` dict of the MLI-collection pass
+    sharing the engine: the MLI set is its subset (a variable must be
     accessed before *and* inside the loop), and it is complete before the
-    first inside record is dispatched, so filtering on it at event time
-    bounds the tentative event lists without losing any MLI event.  The
-    final filter to the matched MLI set happens in :meth:`build`.
+    first inside span, so filtering on it bounds the tentative events
+    without losing any MLI event.  The final filter to the matched MLI set
+    happens in :meth:`build`.
     """
 
     def __init__(self, varmap: VariableMap,
                  candidates: Optional[Container[str]] = None) -> None:
         self.varmap = varmap
         self._candidates = candidates
-        self._loop: List[AccessEvent] = []
-        self._post: List[AccessEvent] = []
-        #: columnar per-address decision memo + the map revision it is
-        #: valid for
-        self._col_memo: Dict = {}
-        self._col_memo_rev = -1
+        self._loop = _EventBuffer()
+        self._post = _EventBuffer()
+        #: per owner: its key is a candidate (filled from the first span
+        #: after the before region on, when the candidate set is final)
+        self._candidate = OwnerColumn(
+            varmap, lambda info: candidates is None or info.key in candidates,
+            bool)
+        self._base = OwnerColumn(varmap, lambda info: info.base_address,
+                                 np.uint64)
+        self._element_bytes = OwnerColumn(
+            varmap, lambda info: info.element_bytes, np.uint64)
+        #: function names the events' function codes index
+        self._functions: List[str] = []
+        self._function_codes: Dict[str, int] = {}
 
-    def select_span(self, block, lo: int, hi: int,
-                    region: int) -> Optional[SpanSelection]:
-        """The span's Load/Store rows, inside the loop and after it."""
-        if region == REGION_BEFORE:
-            return None
-        return SpanSelection(block.match_rows(lo, hi, _ACCESS_OPCODES))
-
-    def consume_selected(self, block, region: int, selected) -> None:
-        """Collect the segment's access events, straight off the columns."""
+    def close_span(self, table: AccessTable, region: int) -> None:
+        """Append the span's Load/Store accesses to candidate variables."""
+        if region == REGION_BEFORE or not len(table):
+            return
+        owners = table.owner_ids()
+        opcode = table.opcode
+        pick = np.flatnonzero((owners >= 0) & (opcode != _GEP))
+        owners = owners[pick]
+        qualifies = self._candidate.array()[owners]
+        pick = pick[qualifies]
+        if not pick.size:
+            return
+        owners = owners[qualifies]
+        block = table.block
+        rows = table.rows[pick]
+        offsets = ((table.address[pick] - self._base.array()[owners])
+                   // self._element_bytes.array()[owners])
+        function_ids, inverse = np.unique(block.np_function_id[rows],
+                                          return_inverse=True)
+        codes = np.array([self._function_code(block.strings[function_id])
+                          for function_id in function_ids.tolist()],
+                         dtype=np.int64)
         sink = self._loop if region == REGION_INSIDE else self._post
-        strings = block.strings
-        # a numpy column: every emitted event wraps its element in int()
-        dyn_id = block.dyn_id
-        opcode = block.opcode
-        line = block.line
-        function_id = block.function_id
-        op_start = block.op_start
-        has_result = block.has_result
-        op_address = block.op_address
-        resolve_access = self.varmap.resolve_access
-        candidates = self._candidates
-        append = sink.append
-        load = _LOAD
-        read = AccessKind.READ
-        write = AccessKind.WRITE
-        # The *whole* per-address decision memoizes: the candidate set is
-        # complete before the first inside record, so skip-or-emit is a
-        # function of the address alone — valid while the live map's
-        # revision is unchanged (only scope records between segments can
-        # mutate it; the revision check catches exactly those).
-        memo = self._col_memo
-        if self._col_memo_rev != self.varmap.revision:
-            self._col_memo_rev = self.varmap.revision
-            memo.clear()
-        memo_get = memo.get
-        miss = _MISS
-        for row in selected:
-            if opcode[row] == load:
-                kind = read
-                operand_index = 0
-            else:
-                kind = write
-                operand_index = 1
-            lo_slot = op_start[row]
-            if op_start[row + 1] - lo_slot - has_result[row] <= operand_index:
-                continue
-            address = op_address[lo_slot + operand_index]
-            hit = memo_get(address, miss)
-            if hit is miss:
-                resolved = resolve_access(address)
-                hit = None
-                if resolved is not None:
-                    info, element_offset = resolved
-                    if candidates is None or info.key in candidates:
-                        hit = (info.key, info.name, element_offset)
-                memo[address] = hit
-            if hit is None:
-                continue
-            variable, name, element_offset = hit
-            append(AccessEvent(
-                dyn_id=int(dyn_id[row]),
-                variable=variable,
-                name=name,
-                kind=kind,
-                line=line[row],
-                function=strings[function_id[row]],
-                element_offset=element_offset,
-            ))
+        sink.append(block.dyn_id[rows], owners, opcode[pick] == _STORE,
+                    block.np_line[rows], codes[inverse],
+                    offsets.astype(np.int64))
+
+    def _function_code(self, name: str) -> int:
+        code = self._function_codes.get(name)
+        if code is None:
+            code = self._function_codes[name] = len(self._functions)
+            self._functions.append(name)
+        return code
 
     def build(self, mli_keys: Set[str],
               mli_names: Optional[Dict[str, str]] = None) -> RWDependencies:
-        """Filter the tentative events down to the matched MLI variables."""
-        mli_names = mli_names or {}
-        result = RWDependencies()
-        for tentative, sink, by_variable in (
-                (self._loop, result.loop_events, result.by_variable),
-                (self._post, result.post_loop_events, result.post_by_variable)):
-            for event in tentative:
-                if event.variable not in mli_keys:
-                    continue
-                name = mli_names.get(event.variable, event.name)
-                if name != event.name:
-                    event = AccessEvent(
-                        dyn_id=event.dyn_id, variable=event.variable,
-                        name=name, kind=event.kind, line=event.line,
-                        function=event.function,
-                        element_offset=event.element_offset)
-                sink.append(event)
-                by_variable.setdefault(event.variable, []).append(event)
-        return result
+        """Filter the tentative events down to the matched MLI variables.
 
+        A variable's events carry its MLI name (``mli_names``, by key; the
+        owner's own name otherwise).
+        """
+        mli_names = mli_names or {}
+        loop = self._loop.columns()
+        post = self._post.columns()
+        registrations = self.varmap.registrations
+        variables: List[Tuple[str, str]] = []
+        codes: Dict[str, int] = {}
+        code_of_owner = np.full(len(registrations), -1, dtype=np.int64)
+        for owner in np.unique(np.concatenate(
+                (loop.variable, post.variable))).tolist():
+            info = registrations[owner]
+            if info.key not in mli_keys:
+                continue
+            code = codes.get(info.key)
+            if code is None:
+                code = codes[info.key] = len(variables)
+                variables.append((info.key, mli_names.get(info.key,
+                                                          info.name)))
+            code_of_owner[owner] = code
+        columns = []
+        for events in (loop, post):
+            variable = code_of_owner[events.variable]
+            kept = events.take(variable >= 0)
+            kept.variable = variable[variable >= 0]
+            columns.append(kept)
+        return RWDependencies(columns[0], columns[1], variables,
+                              self._functions)

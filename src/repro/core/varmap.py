@@ -25,6 +25,8 @@ The map keeps a **sorted list of non-overlapping live address segments**:
   re-use patterns of successive calls;
 * :meth:`VariableMap.resolve` is a ``bisect`` lookup — O(log segments) for
   *any* byte address inside a live interval, not just element boundaries;
+  :meth:`VariableMap.resolve_id` answers the same lookup with the owner's
+  *owner id*, its index in :attr:`VariableMap.registrations`;
 * index memory is O(live segments), independent of array element counts
   (a million-element array costs one segment, not a million index entries);
 * allocations can be grouped into **scopes** (one per traced function
@@ -46,7 +48,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ir.opcodes import Opcode
 from repro.trace.records import GlobalSymbol, TraceRecord
@@ -99,11 +103,12 @@ class VariableInfo:
 class _Scope:
     """One open allocation scope (a traced function activation)."""
 
-    __slots__ = ("function", "infos")
+    __slots__ = ("function", "owners")
 
     def __init__(self, function: str) -> None:
         self.function = function
-        self.infos: List[VariableInfo] = []
+        #: owner ids of the activation's registrations, oldest first
+        self.owners: List[int] = []
 
 
 class VariableMap:
@@ -118,38 +123,41 @@ class VariableMap:
 
     def __init__(self) -> None:
         self._by_name: Dict[str, List[VariableInfo]] = {}
-        self._intervals: List[VariableInfo] = []
+        #: every registration in order; an *owner id* is an index into it
+        self.registrations: List[VariableInfo] = []
         # Live, sorted, pairwise-disjoint address segments.  A segment is a
         # sub-range of its owner's [base_address, end_address) — shadowing
         # can trim an owner down to one or two remainder segments.
         self._seg_starts: List[int] = []
         self._seg_ends: List[int] = []
-        self._seg_owners: List[VariableInfo] = []
+        self._seg_owners: List[int] = []
         self._scopes: List[_Scope] = []
-        # What each registration shadowed: id(new owner) -> the (start, end,
-        # old owner) pieces its insertion trimmed or evicted.  Retiring the
+        # What each registration shadowed: owner id -> the (start, end, old
+        # owner id) pieces its insertion trimmed or evicted.  Retiring the
         # registration re-inserts the pieces whose owner is still live, so a
         # variable that outlives a shadowing allocation regains resolution of
-        # the shadowed byte range (identity keys are stable: every
-        # registration is kept alive in ``_intervals``).
-        self._shadow_undo: Dict[int, List[Tuple[int, int, VariableInfo]]] = {}
-        self._retired_ids: set = set()
-        #: bumped on every change that can alter address resolution — the
-        #: columnar passes key their cross-segment resolution memos on it
-        self.revision = 0
+        # the shadowed byte range.
+        self._shadow_undo: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._retired: set = set()
+        #: the ``[start, end)`` byte range of every change that can alter
+        #: address resolution, in order; addresses outside a change's
+        #: range resolve as before it, so a memo of resolutions stays
+        #: valid once it drops the addresses in the new ranges
+        self.changes: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add(self, info: VariableInfo) -> VariableInfo:
         self._by_name.setdefault(info.name, []).append(info)
-        self._intervals.append(info)
+        owner = len(self.registrations)
+        self.registrations.append(info)
         if info.size_bytes > 0:
-            self._insert_segment(info.base_address, info.end_address, info)
+            self._insert_segment(info.base_address, info.end_address, owner)
         if not info.is_global:
             scope = self._innermost_scope(info.function)
             if scope is not None:
-                scope.infos.append(info)
+                scope.owners.append(owner)
         return info
 
     def add_global_symbol(self, symbol: GlobalSymbol, decl_line: int = 0) -> VariableInfo:
@@ -209,8 +217,8 @@ class VariableMap:
                 # must unwind shadowing in LIFO order so that each restore
                 # hands ranges back to the owner directly underneath.
                 for scope in reversed(self._scopes[index:]):
-                    for info in reversed(scope.infos):
-                        self.retire(info)
+                    for owner in reversed(scope.owners):
+                        self._retire(owner)
                 del self._scopes[index:]
                 return
 
@@ -224,38 +232,40 @@ class VariableMap:
                 return scope
         return None
 
-    def retire(self, info: VariableInfo) -> None:
-        """Drop ``info``'s live segments; its registration history remains.
+    def _retire(self, owner: int) -> None:
+        """Drop registration ``owner``'s live segments; its registration
+        history remains.
 
-        The byte ranges ``info``'s registration had shadowed are restored to
-        their previous owners (unless those have been retired themselves in
-        the meantime), so a variable that outlives a shadowing allocation —
+        The byte ranges the registration had shadowed are restored to their
+        previous owners (unless those have been retired themselves in the
+        meantime), so a variable that outlives a shadowing allocation —
         e.g. an MLI array partially covered by a callee's ``Alloca`` —
         resolves over its full extent again once the shadower's scope
         closes.
         """
-        self.revision += 1
-        self._retired_ids.add(id(info))
+        self._retired.add(owner)
+        info = self.registrations[owner]
+        self.changes.append((info.base_address, info.end_address))
         index = bisect_left(self._seg_starts, info.base_address)
         while (index < len(self._seg_starts)
                and self._seg_starts[index] < info.end_address):
-            if self._seg_owners[index] is info:
+            if self._seg_owners[index] == owner:
                 del self._seg_starts[index]
                 del self._seg_ends[index]
                 del self._seg_owners[index]
             else:
                 index += 1
-        for start, end, owner in self._shadow_undo.pop(id(info), ()):
-            if id(owner) not in self._retired_ids:
-                self._restore_range(start, end, owner)
+        for start, end, shadowed in self._shadow_undo.pop(owner, ()):
+            if shadowed not in self._retired:
+                self._restore_range(start, end, shadowed)
 
     # ------------------------------------------------------------------ #
     # Segment store
     # ------------------------------------------------------------------ #
-    def _insert_segment(self, start: int, end: int, owner: VariableInfo) -> None:
-        self.revision += 1
+    def _insert_segment(self, start: int, end: int, owner: int) -> None:
+        self.changes.append((start, end))
         starts, ends, owners = self._seg_starts, self._seg_ends, self._seg_owners
-        shadowed: List[Tuple[int, int, VariableInfo]] = []
+        shadowed: List[Tuple[int, int, int]] = []
         index = bisect_left(starts, start)
         # A predecessor reaching past `start` is split: its left remainder is
         # trimmed in place and, when it spans past `end`, its right remainder
@@ -287,10 +297,9 @@ class VariableMap:
         ends.insert(index, end)
         owners.insert(index, owner)
         if shadowed:
-            self._shadow_undo[id(owner)] = shadowed
+            self._shadow_undo[owner] = shadowed
 
-    def _restore_range(self, start: int, end: int,
-                       owner: VariableInfo) -> None:
+    def _restore_range(self, start: int, end: int, owner: int) -> None:
         """Give ``owner`` back every currently-uncovered gap in
         ``[start, end)`` — the inverse of the shadowing done by
         :meth:`_insert_segment`, applied when the shadower retires.  Parts
@@ -325,27 +334,22 @@ class VariableMap:
         """Return the live variable owning ``address`` (None if unmapped)."""
         if address is None:
             return None
+        owner = self.resolve_id(address)
+        return self.registrations[owner] if owner >= 0 else None
+
+    def resolve_id(self, address: int) -> int:
+        """The owner id of the live variable owning ``address``, or -1 when
+        it is unmapped (a negative address never is)."""
         index = bisect_right(self._seg_starts, address) - 1
         if index >= 0 and self._seg_ends[index] > address:
             return self._seg_owners[index]
-        return None
-
-    def resolve_access(self, address: Optional[int],
-                       ) -> Optional[Tuple[VariableInfo, int]]:
-        """Resolve ``address`` to ``(owner, element_offset)`` in one lookup.
-
-        The offset is relative to the owner's *base address* (not the live
-        segment's start), so element indices are stable even when shadowing
-        has trimmed the owner to a remainder segment.
-        """
-        info = self.resolve(address)
-        if info is None:
-            return None
-        return info, info.element_offset(address)
+        return -1
 
     def live_intervals(self) -> List[Tuple[int, int, VariableInfo]]:
         """The current live segments as ``(start, end, owner)`` triples."""
-        return list(zip(self._seg_starts, self._seg_ends, self._seg_owners))
+        registrations = self.registrations
+        return [(start, end, registrations[owner]) for start, end, owner
+                in zip(self._seg_starts, self._seg_ends, self._seg_owners)]
 
     @property
     def index_entry_count(self) -> int:
@@ -361,13 +365,50 @@ class VariableMap:
         return infos[-1] if infos else None
 
     def globals(self) -> List[VariableInfo]:
-        return [info for info in self._intervals if info.is_global]
+        return [info for info in self.registrations if info.is_global]
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self.registrations)
 
     def __iter__(self) -> Iterator[VariableInfo]:
-        return iter(self._intervals)
+        return iter(self.registrations)
+
+
+class OwnerColumn:
+    """A per-owner numpy column over a map's registrations.
+
+    ``value_of(info)`` is computed once per registration, when
+    :meth:`array` first sees it; the array grows by doubling, so reading
+    it for each span never rebuilds it.  Index the array with owner ids
+    (:meth:`VariableMap.resolve_id` results that are not -1).
+    """
+
+    __slots__ = ("_registrations", "_value_of", "_array", "_filled")
+
+    def __init__(self, varmap: "VariableMap",
+                 value_of: Callable[[VariableInfo], Any], dtype) -> None:
+        self._registrations = varmap.registrations
+        self._value_of = value_of
+        self._array = np.zeros(16, dtype=dtype)
+        self._filled = 0
+
+    def array(self):
+        """The column, filled for every registration so far."""
+        registrations = self._registrations
+        count = len(registrations)
+        filled = self._filled
+        if count > filled:
+            array = self._array
+            if count > len(array):
+                grown = np.zeros(max(count, 2 * len(array)),
+                                 dtype=array.dtype)
+                grown[:filled] = array[:filled]
+                self._array = array = grown
+            value_of = self._value_of
+            array[filled:count] = [value_of(info)
+                                   for info in registrations[filled:count]]
+            self._filled = count
+        return self._array
 
 
 def build_variable_map(globals_: Iterable[GlobalSymbol],

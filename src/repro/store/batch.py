@@ -243,15 +243,29 @@ def _run_entry(entry: BatchEntry, use_cache: bool, cache_dir: Optional[str],
         )
 
 
+def _draws_random_numbers(module) -> bool:
+    """True when a call in ``module`` targets a builtin that draws from the
+    seeded RNG (``rand`` / ``randf``): only then does the seed reach the
+    trace."""
+    from repro.ir.instructions import CallInst
+    from repro.tracer.runtime import SEEDED_BUILTINS
+
+    return any(isinstance(inst, CallInst) and inst.callee in SEEDED_BUILTINS
+               for function in module.functions.values()
+               for inst in function.instructions())
+
+
 def app_trace_path(trace_dir: str, app_name: str,
                    params: Optional[Dict[str, int]] = None,
-                   seed: int = 314159) -> str:
+                   seed: int = 314159, module=None) -> str:
     """Where an app entry keeps its generated binary trace.
 
     The name encodes everything that determines the trace content (app,
-    source parameters, seed and a digest of the app's source text), so a
-    pre-existing file is the same artifact and batch runs reuse it instead
-    of re-tracing, while a changed source is traced again.
+    source parameters, a digest of the app's source text and — when the
+    program draws random numbers — the seed), so a pre-existing file is
+    the same artifact and batch runs reuse it instead of re-tracing, while
+    a changed source is traced again.  ``module`` is the app's compiled
+    source, when the caller has it (it is compiled here otherwise).
     """
     from repro.apps.registry import get_app
 
@@ -259,8 +273,14 @@ def app_trace_path(trace_dir: str, app_name: str,
     source = get_app(app_name).source(**params)
     source_digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     suffix = "".join(f"-{key}{value}" for key, value in sorted(params.items()))
-    return os.path.join(
-        trace_dir, f"{app_name}{suffix}-s{seed}-{source_digest}.btrace")
+    if module is None:
+        from repro.codegen.lowering import compile_source
+
+        module = compile_source(source, module_name=app_name)
+    if _draws_random_numbers(module):
+        suffix += f"-s{seed}"
+    return os.path.join(trace_dir,
+                        f"{app_name}{suffix}-{source_digest}.btrace")
 
 
 def _is_reusable_trace(path: str) -> bool:
@@ -286,7 +306,7 @@ def ensure_app_trace(module, app_name: str, params: Dict[str, int],
     """
     from repro.tracer.driver import trace_to_file
 
-    trace_path = app_trace_path(trace_dir, app_name, params, seed)
+    trace_path = app_trace_path(trace_dir, app_name, params, seed, module)
     if os.path.exists(trace_path) and not _is_reusable_trace(trace_path):
         # A truncated/corrupt leftover (e.g. an interrupted earlier run)
         # would fail every future batch; heal the slot by regenerating.

@@ -24,10 +24,11 @@ Format notes:
 
 * enum fields (dependency class, DDG node kind, access kind) serialize as
   their string values;
-* the per-variable R/W index maps (``by_variable``/``post_by_variable``)
-  are *not* serialized — they are a grouping of the flat event lists and
-  are rebuilt on load, in stream order, exactly as the extraction built
-  them;
+* the R/W events are written from, and read back into, their columns
+  (:class:`repro.core.rwdeps.EventColumns`) one row per event; the
+  per-variable views (``by_variable``/``post_by_variable``) are *not*
+  serialized — they are a grouping of the flat event lists, built on use
+  in stream order exactly as for a walked report;
 * timing floats survive exactly (JSON emits the shortest round-tripping
   repr);
 * per-run provenance (:class:`repro.core.report.CacheInfo`) is excluded —
@@ -38,7 +39,7 @@ Format notes:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.config import MainLoopSpec
 from repro.core.ddg import DDG, NodeKind
@@ -48,7 +49,7 @@ from repro.core.report import (
     DependencyType,
     TraceStats,
 )
-from repro.core.rwdeps import AccessEvent, AccessKind, RWDependencies
+from repro.core.rwdeps import RWDependencies
 from repro.util.timing import TimingBreakdown
 
 #: Bump on any change to the serialized shape; part of the store key.
@@ -75,18 +76,10 @@ def _encode_ddg(ddg: Optional[DDG]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _encode_event(event: AccessEvent) -> List[Any]:
-    return [event.dyn_id, event.variable, event.name, event.kind.value,
-            event.line, event.function, event.element_offset]
-
-
 def _encode_rw(rw: Optional[RWDependencies]) -> Optional[Dict[str, Any]]:
     if rw is None:
         return None
-    return {
-        "loop_events": [_encode_event(e) for e in rw.loop_events],
-        "post_loop_events": [_encode_event(e) for e in rw.post_loop_events],
-    }
+    return {"loop_events": rw.rows(), "post_loop_events": rw.rows(post=True)}
 
 
 def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
@@ -152,10 +145,9 @@ def report_to_json(report: AutoCheckReport,
 # --------------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------------- #
-#: Enum members by value: ``AccessKind(value)`` costs about eight times
-#: this lookup, and loading a stored report decodes one kind per R/W event.
+#: Enum members by value: ``NodeKind(value)`` costs about eight times
+#: this lookup, and loading a stored report decodes one kind per node.
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
-_ACCESS_KINDS = {kind.value: kind for kind in AccessKind}
 
 
 def _decode_ddg(payload: Optional[Dict[str, Any]]) -> Optional[DDG]:
@@ -172,21 +164,8 @@ def _decode_ddg(payload: Optional[Dict[str, Any]]) -> Optional[DDG]:
 def _decode_rw(payload: Optional[Dict[str, Any]]) -> Optional[RWDependencies]:
     if payload is None:
         return None
-    rw = RWDependencies()
-    for fields, sink, by_variable in (
-            (payload["loop_events"], rw.loop_events, rw.by_variable),
-            (payload["post_loop_events"], rw.post_loop_events,
-             rw.post_by_variable)):
-        for dyn_id, variable, name, kind, line, function, offset in fields:
-            # Positional: keyword arguments cost a third more per event.
-            event = AccessEvent(dyn_id, variable, name, _ACCESS_KINDS[kind],
-                                line, function, offset)
-            sink.append(event)
-            # Rebuild the per-variable grouping in stream order — identical
-            # to how the extraction populated it (first event per variable
-            # creates its list; later events append).
-            by_variable.setdefault(variable, []).append(event)
-    return rw
+    return RWDependencies.from_rows(payload["loop_events"],
+                                    payload["post_loop_events"])
 
 
 def report_from_dict(payload: Dict[str, Any]) -> AutoCheckReport:

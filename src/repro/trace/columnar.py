@@ -18,7 +18,8 @@ Decoded columns (everything else stays lazy)::
     per record   dyn_id, opcode, line, function_id, callee_id,
                  op_start (slot prefix sum, result slot included),
                  has_result, rec_off (byte offset, for materialization)
-    per operand  op_flags, op_name_id, op_address (None when absent)
+    per operand  op_flags, op_name_id, np_op_address (0 when absent:
+                 ``op_flags & 2`` tells the two apart)
 
 Two scan implementations produce byte-identical columns:
 
@@ -112,11 +113,14 @@ class ColumnarBlock:
 
     The columns the passes read row by row in Python loops are plain
     lists; ``np_opcode`` / ``np_line`` / ``np_function_id`` /
-    ``np_op_start`` / ``np_has_result`` / ``np_op_name_id`` mirror six of
-    them as numpy arrays, on every block, for vectorized masks and
-    gathers (loop-row detection, span selections).  ``dyn_id``,
-    ``callee_id`` and ``rec_off``, which the walk reads for only a
-    handful of rows, are numpy arrays only (wrap an element in ``int()``).
+    ``np_op_start`` / ``np_has_result`` / ``np_op_flags`` /
+    ``np_op_name_id`` mirror seven of them as numpy arrays, on every
+    block, for vectorized masks and gathers (loop-row detection, span
+    selections, the engine's access tables).  ``dyn_id``, ``callee_id``,
+    ``rec_off`` and ``np_op_address``, which the walk reads row by row for
+    only a handful of rows, are numpy arrays only (wrap an element in
+    ``int()``); ``np_op_address`` is ``uint64`` with 0 where an operand
+    carries no address (its ``op_flags`` bit 2 is clear).
     Operand slots of record ``row`` are ``op_start[row]`` to
     ``op_start[row + 1]`` (the *result* operand, when
     ``has_result[row]``, is the last slot); the record's operand count
@@ -127,10 +131,10 @@ class ColumnarBlock:
     __slots__ = ("name", "base_index", "count", "strings", "id_of", "buf",
                  "dyn_id", "opcode", "line", "function_id", "callee_id",
                  "op_start", "has_result", "rec_off",
-                 "op_flags", "op_name_id", "op_address",
+                 "op_flags", "op_name_id",
                  "np_opcode", "np_line", "np_function_id",
-                 "np_op_start", "np_has_result", "np_op_name_id",
-                 "_records")
+                 "np_op_start", "np_has_result", "np_op_flags",
+                 "np_op_name_id", "np_op_address", "_records")
 
     def __init__(self, name: str, base_index: int, strings: List[str],
                  id_of: Dict[str, int], buf) -> None:
@@ -212,7 +216,7 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     rec_offs: List[int] = []
     op_flags: List[int] = []
     op_name_ids: List[int] = []
-    op_addresses: List[Optional[int]] = []
+    op_addresses: List[int] = []
     slot_total = 0
     position = 0
     try:
@@ -248,7 +252,7 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
                     (address,) = _U64.unpack_from(buf, position + size - 8)
                     op_addresses.append(address)
                 else:
-                    op_addresses.append(None)
+                    op_addresses.append(0)
                 position += size
             if position > end:
                 raise struct.error("record block overruns the span")
@@ -275,13 +279,14 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     block.has_result = has_results
     block.op_flags = op_flags
     block.op_name_id = op_name_ids
-    block.op_address = op_addresses
     block.np_opcode = np.array(opcodes, dtype=np.int64)
     block.np_line = np.array(lines, dtype=np.int64)
     block.np_function_id = np.array(function_ids, dtype=np.int64)
     block.np_op_start = np.array(op_starts, dtype=np.int64)
     block.np_has_result = np.array(has_results, dtype=np.uint8)
+    block.np_op_flags = np.array(op_flags, dtype=np.uint8)
     block.np_op_name_id = np.array(op_name_ids, dtype=np.int64)
+    block.np_op_address = np.array(op_addresses, dtype=np.uint64)
 
 
 # --------------------------------------------------------------------------- #
@@ -377,18 +382,17 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     block.op_start = block.np_op_start.tolist()
 
     flags_u8 = arr[flat_op_off]
+    block.np_op_flags = flags_u8
     block.op_flags = flags_u8.tolist()
     block.np_op_name_id = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
                            .view("<u4").ravel())
     block.op_name_id = block.np_op_name_id.tolist()
     has_addr = (flags_u8 & 2) != 0
-    addresses = np.full(len(flat_op_off), None, dtype=object)
+    block.np_op_address = np.zeros(len(flat_op_off), dtype=np.uint64)
     if bool(has_addr.any()):
         addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
-        addr_vals = (arr[addr_off[:, None] + _NP_ADDR_RANGE]
-                     .view("<u8").ravel())
-        addresses[has_addr] = addr_vals.tolist()
-    block.op_address = addresses.tolist()
+        block.np_op_address[has_addr] = (
+            arr[addr_off[:, None] + _NP_ADDR_RANGE].view("<u8").ravel())
 
 
 def _check_string_ids(block: ColumnarBlock) -> None:
@@ -448,10 +452,11 @@ class TraceColumnarReader:
     Exactly one of ``path`` and ``buffer`` is the byte source; ``buffer``
     is an already-open ``bytes`` / ``memoryview`` / ``mmap`` of the *whole*
     file (warm re-reads within one process skip the reopen), and a
-    pre-read ``layout`` skips the footer parse.  :meth:`close` releases
-    the owned file handle deterministically; the reader is a context
-    manager.
-
+    pre-read ``layout`` skips the footer parse.  :attr:`name` is what the
+    walk's errors call the source: ``path``, or for a buffer None
+    (``'<buffer>'``) unless the caller sets it to the file the bytes came
+    from.  :meth:`close` releases the owned file handle deterministically;
+    the reader is a context manager.
     """
 
     def __init__(self, path: Optional[str] = None,
@@ -460,6 +465,7 @@ class TraceColumnarReader:
         if (path is None) and (buffer is None):
             raise ValueError("pass a path or an already-open buffer")
         self.path = path
+        self.name: Optional[str] = path
         self._buffer = buffer
         if layout is None:
             layout = (layout_from_buffer(buffer, name=path)
@@ -503,7 +509,7 @@ class TraceColumnarReader:
             data = self._handle.read(length + guard)
         if len(data) < length + guard:
             raise BinaryTraceError(
-                f"truncated binary trace file {self.path!r}")
+                f"truncated binary trace file {self.name!r}")
         if self._fold is not None:
             self._fold.add(start, memoryview(data)[:length])
         return data
@@ -527,13 +533,13 @@ class TraceColumnarReader:
         self._fold = _DigestFold(self.layout) if verify_digest else None
         yield from self._iter_blocks(chunk_records)
         if self._fold is not None:
-            self._fold.check(self.path)
+            self._fold.check(self.name)
 
     def _iter_blocks(self, chunk_records: int) -> Iterator[ColumnarBlock]:
         layout = self.layout
         stride = layout.index_stride
         offsets = layout.block_offsets
-        name = self.path or "<buffer>"
+        name = self.name or "<buffer>"
         full_blocks = layout.record_count // stride
         blocks_per_chunk = max(1, chunk_records // stride)
         for first in range(0, full_blocks, blocks_per_chunk):

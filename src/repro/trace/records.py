@@ -152,9 +152,14 @@ class Trace:
     records on the first :meth:`encoded` call; :meth:`from_binary` keeps
     the bytes it is given and decodes :attr:`records` on first access
     (iterating before then streams them without keeping them).
+
+    :attr:`source_path` names the file a trace was read from
+    (:func:`repro.trace.textio.read_trace_file`), so errors on its bytes
+    can name it; it is not part of the trace's content, bytes or digest.
     """
 
-    __slots__ = ("_module_name", "_globals", "_records", "_encoded")
+    __slots__ = ("_module_name", "_globals", "_records", "_encoded",
+                 "source_path")
 
     def __init__(self, module_name: str = "module",
                  globals: Optional[List[GlobalSymbol]] = None,
@@ -164,6 +169,7 @@ class Trace:
         self._records: Optional[List[TraceRecord]] = (
             [] if records is None else records)
         self._encoded: Optional[Tuple[bytes, str]] = None
+        self.source_path: Optional[str] = None
 
     @classmethod
     def from_binary(cls, data: bytes) -> "Trace":

@@ -364,8 +364,9 @@ def read_trace_file(path: str) -> Trace:
     """Read a trace file of either encoding (sniffed) as a :class:`Trace`
     over its bytes: a binary file's as they are
     (:meth:`Trace.from_binary`), a text file's parsed and encoded once,
-    streaming.  A malformed text line raises :class:`TraceFormatError`
-    naming the file and the line's 1-based number."""
+    streaming.  The trace's :attr:`~Trace.source_path` is ``path``.  A
+    malformed text line raises :class:`TraceFormatError` naming the file
+    and the line's 1-based number."""
     from repro.trace.binio import (
         TraceBinaryReader,
         encode_trace,
@@ -373,10 +374,14 @@ def read_trace_file(path: str) -> Trace:
     )
 
     if is_binary_trace_file(path):
-        return TraceBinaryReader(path).read()
-    module_name, globals_ = read_preamble(path)
-    data, _ = encode_trace(module_name, globals_, iter_trace_file_text(path))
-    return Trace.from_binary(data)
+        trace = TraceBinaryReader(path).read()
+    else:
+        module_name, globals_ = read_preamble(path)
+        data, _ = encode_trace(module_name, globals_,
+                               iter_trace_file_text(path))
+        trace = Trace.from_binary(data)
+    trace.source_path = path
+    return trace
 
 
 def iter_trace_records(path: str) -> Iterator[TraceRecord]:

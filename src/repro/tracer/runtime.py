@@ -19,6 +19,10 @@ from repro.util.rng import DeterministicRNG
 
 Number = Union[int, float]
 
+#: the builtins that draw from the seeded RNG: a program that calls none of
+#: them traces the same whatever the seed
+SEEDED_BUILTINS = frozenset({"rand", "randf"})
+
 
 class RuntimeError_(Exception):
     """Raised when a builtin is misused at run time."""

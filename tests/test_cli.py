@@ -102,6 +102,39 @@ class TestCacheCLI:
         assert main(argv[:-3] + ["--no-cache"]) == 0
         assert "Artifact cache" not in capsys.readouterr().out
 
+    def test_analyze_profile_prints_the_breakdown(self, capsys, tmp_path,
+                                                  example_trace,
+                                                  example_spec):
+        """``--profile`` appends the run's stage table; the report lines
+        before it are the ones a run without the flag prints (two warm
+        runs print the same stored report)."""
+        path = str(tmp_path / "example.btrace")
+        write_trace_file_binary(example_trace, path)
+        argv = ["analyze", path,
+                "--function", example_spec.function,
+                "--start", str(example_spec.start_line),
+                "--end", str(example_spec.end_line),
+                "--cache", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--profile"]) == 0
+        profiled = capsys.readouterr().out
+        assert profiled.startswith(plain)
+        table = profiled[len(plain):]
+        assert table.startswith("Profile (seconds per stage):")
+        rows = {line.split("|")[1].strip(): line.split("|")[2].strip()
+                for line in table.splitlines()[3:]}
+        for stage in ("preprocessing", "fused_analysis",
+                      "identify_variables", "walk.decode", "walk.scope",
+                      "walk.resolve", "walk.mli", "walk.dependency",
+                      "walk.rw", "total", "records", "krec/s"):
+            assert stage in rows, stage
+        assert int(rows["records"]) == len(example_trace.records)
+        assert float(rows["krec/s"]) > 0
+        assert float(rows["total"]) >= float(rows["fused_analysis"])
+
     def test_analyze_batch_and_gc(self, capsys, tmp_path):
         import json
 

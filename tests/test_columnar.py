@@ -50,14 +50,13 @@ from repro.trace.records import (
 # Decode equivalence: columns == per-record reader
 # --------------------------------------------------------------------------- #
 _MIRRORS = ("opcode", "line", "function_id", "op_start", "has_result",
-            "op_name_id")
+            "op_flags", "op_name_id")
 
 
 def _assert_block_matches(block, records):
     """Every column of ``block`` agrees with the corresponding records,
-    and the block has one shape whichever scan decoded it: all six numpy
-    mirrors equal their lists, and the three array-only columns are
-    arrays."""
+    and the block has one shape whichever scan decoded it: all seven numpy
+    mirrors equal their lists, and the array-only columns are arrays."""
     for column in _MIRRORS:
         mirror = getattr(block, "np_" + column)
         assert isinstance(mirror, np.ndarray), column
@@ -65,6 +64,8 @@ def _assert_block_matches(block, records):
     for column in ("dyn_id", "callee_id", "rec_off"):
         assert isinstance(getattr(block, column), np.ndarray), column
         assert len(getattr(block, column)) == block.count, column
+    assert block.np_op_address.dtype == np.uint64
+    assert len(block.np_op_address) == len(block.op_flags)
     strings = block.strings
     for row in range(block.count):
         reference = records[block.base_index + row]
@@ -82,7 +83,9 @@ def _assert_block_matches(block, records):
         for offset, operand in enumerate(slots):
             assert bool(block.op_flags[lo + offset] & 1) == operand.is_register
             assert strings[block.op_name_id[lo + offset]] == operand.name
-            assert block.op_address[lo + offset] == operand.address
+            address = (int(block.np_op_address[lo + offset])
+                       if block.op_flags[lo + offset] & 2 else None)
+            assert address == operand.address
         # lazy materialization returns the full record, field for field
         assert block.record(row) == reference
 

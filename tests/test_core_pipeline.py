@@ -56,8 +56,8 @@ class TestPipeline:
         # The walk's sub-stages nest inside fused_analysis (the module
         # gives the induction variable, so no probe ran).
         assert stages - top_level == {"walk.decode", "walk.scope",
-                                      "walk.mli", "walk.dependency",
-                                      "walk.rw"}
+                                      "walk.resolve", "walk.mli",
+                                      "walk.dependency", "walk.rw"}
         assert sum(timings.get(name) for name in stages - top_level) <= \
             timings.get("fused_analysis")
         assert timings.total == pytest.approx(

@@ -97,8 +97,8 @@ class TestIntervalStoreShadowing:
         assert varmap.resolve(0x103F) is old
         assert varmap.resolve(0x1040) is None
         # offsets stay relative to each owner's base
-        assert varmap.resolve_access(0x1020) == (old, 4)
-        assert varmap.resolve_access(0x1014) == (new, 1)
+        assert varmap.resolve(0x1020).element_offset(0x1020) == 4
+        assert varmap.resolve(0x1014).element_offset(0x1014) == 1
 
     def test_new_allocation_spanning_several_old_ones(self):
         varmap = VariableMap()
@@ -211,7 +211,7 @@ class TestShadowRestore:
         assert varmap.resolve(0x1008) is arr
         assert varmap.resolve(0x1000) is arr
         assert varmap.resolve(0x100f) is arr
-        assert varmap.resolve_access(0x1008) == (arr, 2)
+        assert arr.element_offset(0x1008) == 2
 
     def test_full_eviction_is_restored(self):
         varmap = VariableMap()
@@ -284,7 +284,8 @@ class TestSubByteElements:
             make_alloca_record("flags", 0x5000, count=8, bits=1))
         assert registered.size_bytes == 8
         assert registered.element_count == 8
-        assert varmap.resolve_access(0x5003) == (registered, 3)
+        assert varmap.resolve(0x5003) is registered
+        assert registered.element_offset(0x5003) == 3
 
     def test_whole_byte_sizes_unchanged(self):
         varmap = VariableMap()

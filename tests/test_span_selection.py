@@ -8,8 +8,8 @@ the properties that must survive that layout:
 * **block and span boundaries** — the same trace read in small chunks
   (so spans, segments and the pure-Python-scanned trailing block are cut
   at many more places), or walked in spans of a few rows, gives the
-  golden report bytes, with the module and on the module-less route that
-  runs the dynamic induction probe;
+  golden report bytes with the module, and the default walk's report on
+  the module-less route that runs the dynamic induction probe;
 * **unknown opcodes** — a corrupt opcode inside the loop, past the kind
   tables' end or negative, still fails loudly through the engine;
 * **blocks without operand slots** — a block whose records carry no
@@ -96,6 +96,16 @@ def test_probe_route_is_chunking_independent(fleet, small_chunks):
     entry = fleet.apps["ep"]
     default = _run(entry, module=False)
     small_chunks(1024)
+    assert _run(entry, module=False) == default
+
+
+@pytest.mark.parametrize("name,rows", [("example", 7), ("ep", 61)])
+def test_tiny_spans_on_the_probe_route(fleet, monkeypatch, name, rows):
+    """The probe reads whole spans' access tables: spans of a few rows
+    must give the module-less route's report too."""
+    entry = fleet.apps[name]
+    default = _run(entry, module=False)
+    monkeypatch.setattr(engine_module, "_SPAN_ROWS", rows)
     assert _run(entry, module=False) == default
 
 

@@ -380,6 +380,21 @@ class TestTamperedTraceFile:
         assert excinfo.value.expected == genuine
         assert ArtifactStore(cache_dir).stats().entries == 0
 
+    def test_trace_read_from_the_file_is_refused_naming_it(self, tmp_path,
+                                                           fleet):
+        """The walk of a ``Trace`` read from a file names that file, not
+        ``'<buffer>'``, and the refused report is not stored."""
+        entry = fleet.apps["example"]
+        path = str(tmp_path / "tampered.btrace")
+        _tampered_copy(entry.trace_path, path)
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(TraceDigestMismatch) as excinfo:
+            AutoCheck(entry.config(use_cache=True, cache_dir=cache_dir),
+                      trace=read_trace_file(path), module=entry.module).run()
+        assert excinfo.value.path == path
+        assert path in str(excinfo.value)
+        assert ArtifactStore(cache_dir).stats().entries == 0
+
     def test_run_without_the_store_does_not_fold(self, tmp_path, fleet,
                                                  monkeypatch):
         """Only runs that publish hash the file: a ``use_cache=False``
@@ -421,6 +436,40 @@ class TestAppTraceStaging:
                 != read_layout(before.trace_path).content_digest)
         assert (after.autocheck.cache_key().key
                 != before.autocheck.cache_key().key)
+
+
+    def test_seed_free_app_is_traced_once(self, tmp_path):
+        """example draws no random numbers: every seed stages the one
+        trace file."""
+        from repro.store.batch import prepare_app_analysis
+
+        dirs = {"cache_dir": str(tmp_path / "cache"),
+                "trace_dir": str(tmp_path / "traces")}
+        first = prepare_app_analysis("example", seed=1, **dirs)
+        second = prepare_app_analysis("example", seed=314159, **dirs)
+        assert first.trace_path == second.trace_path
+        assert os.listdir(dirs["trace_dir"]) == [
+            os.path.basename(first.trace_path)]
+        assert (first.autocheck.cache_key().key
+                == second.autocheck.cache_key().key)
+
+    def test_random_drawing_program_is_traced_per_seed(self, tmp_path):
+        """A program that calls ``rand()`` gets one trace per seed."""
+        from repro.codegen.lowering import compile_source
+        from repro.store.batch import ensure_app_trace
+
+        module = compile_source(
+            "int main() {\n    int x = rand();\n    print(\"x\", x);\n"
+            "    return 0;\n}\n", module_name="example")
+        trace_dir = str(tmp_path / "traces")
+        paths = {seed: ensure_app_trace(module, "example", {}, trace_dir,
+                                        seed)
+                 for seed in (1, 314159)}
+        assert paths[1] != paths[314159]
+        assert sorted(os.listdir(trace_dir)) == sorted(
+            os.path.basename(path) for path in paths.values())
+        assert (read_layout(paths[1]).content_digest
+                != read_layout(paths[314159]).content_digest)
 
 
 # --------------------------------------------------------------------------- #
