@@ -54,7 +54,7 @@ def _is_rapo(info: VariableInfo, writes, offsets, post_count: int) -> bool:
     if not reads.size and not post_count:
         return False
     leading = offsets[:reads[0]] if reads.size else offsets
-    return np.unique(leading).size < info.element_count
+    return len(set(leading.tolist())) < info.element_count
 
 
 def _is_outcome(writes, post_writes) -> bool:

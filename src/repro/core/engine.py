@@ -28,8 +28,8 @@
 * every memory operand is resolved once: each span gets one
   :class:`AccessTable` of its ``Load`` / ``Store`` / ``GetElementPtr``
   rows, whose owners the engine resolves segment by segment, before the
-  segment is dispatched, through one address memo (a map change drops
-  only the memo's addresses in the changed byte range).  Passes read the
+  segment is dispatched, through one address memo (valid while the live
+  map's revision is unchanged).  Passes read the
   table through :meth:`AnalysisPass.open_span` (before the span's first
   segment) and :meth:`AnalysisPass.close_span` (after its last).
 
@@ -409,11 +409,10 @@ class AnalysisEngine:
         # Access-table readers in registration order: (slot, hook).
         self._open_plan = self._hooks("open_span")
         self._close_plan = self._hooks("close_span")
-        #: address -> owner id, valid for the live map once the addresses
-        #: in its changes past the first ``_memo_changes`` are dropped
-        #: (scope records between segments may change it)
+        #: address -> owner id, valid while the live map's revision is
+        #: ``_memo_revision`` (scope records between segments may change it)
         self._memo: Dict[int, int] = {}
-        self._memo_changes = 0
+        self._memo_revision = -1
         #: seconds spent waiting for the next block (the decode)
         self.decode_seconds = 0.0
         #: seconds spent materializing and processing scope records
@@ -626,8 +625,9 @@ class AnalysisEngine:
         if table is not None:
             started = _clock()
             varmap = self.varmap
-            if self._memo_changes != len(varmap.changes):
-                self._forget_changes()
+            if self._memo_revision != varmap.revision:
+                self._memo_revision = varmap.revision
+                self._memo.clear()
             table.resolve_segment(segment, self._memo, varmap.resolve_id)
             self.resolve_seconds += _clock() - started
         spent = self.pass_seconds
@@ -639,22 +639,6 @@ class AnalysisEngine:
             now = _clock()
             spent[slot] += now - last
             last = now
-
-    def _forget_changes(self) -> None:
-        """Drop the memo's addresses inside the map's new changes: each
-        change's byte addresses one by one, or for a range wider than the
-        memo, the memo's addresses that fall in it."""
-        memo = self._memo
-        changes = self.varmap.changes
-        for start, end in changes[self._memo_changes:]:
-            if end - start <= len(memo):
-                for address in range(start, end):
-                    memo.pop(address, None)
-            else:
-                for address in [address for address in memo
-                                if start <= address < end]:
-                    del memo[address]
-        self._memo_changes = len(changes)
 
     # ------------------------------------------------------------------ #
     # Scope records

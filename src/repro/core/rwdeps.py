@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Container, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class AccessKind(enum.Enum):
     WRITE = "Write"
 
 
-#: an access kind's serialized value -> True for a write
+#: an access kind's serialized value -> the kind, and whether it writes
+_KIND_OF = {kind.value: kind for kind in AccessKind}
 _IS_WRITE = {kind.value: kind is AccessKind.WRITE for kind in AccessKind}
 
 
@@ -133,8 +134,10 @@ class RWDependencies:
         ``"Read"`` / ``"Write"``) — the serialized form.
 
         Raises:
-            ValueError: a row of the wrong length, an unknown kind or a
-                field of the wrong type.
+            ValueError: a row that does not have 7 fields, or a field numpy
+                cannot take as an integer.
+            KeyError: an unknown kind.
+            TypeError, OverflowError: a field of the wrong type or range.
         """
         variables: Dict[Tuple[str, str], int] = {}
         functions: Dict[str, int] = {}
@@ -144,37 +147,20 @@ class RWDependencies:
                 return EventColumns.empty()
             if any(len(row) != 7 for row in rows):
                 raise ValueError("an access event row has 7 fields")
-            dyn_ids, keys, names, kinds, lines, names_of_functions, offsets = (
+            dyn_ids, keys, names, kinds, lines, function_names, offsets = (
                 zip(*rows))
-            try:
-                writes = [_IS_WRITE[kind] for kind in kinds]
-            except (KeyError, TypeError):
-                raise ValueError("unknown access kind") from None
-            try:
-                return EventColumns(
-                    dyn_ids,
-                    [variables.setdefault(pair, len(variables))
-                     for pair in zip(keys, names)],
-                    writes, lines,
-                    [functions.setdefault(function, len(functions))
-                     for function in names_of_functions],
-                    offsets)
-            except OverflowError as exc:
-                raise ValueError(str(exc)) from None
+            return EventColumns(
+                dyn_ids,
+                [variables.setdefault(pair, len(variables))
+                 for pair in zip(keys, names)],
+                [_IS_WRITE[kind] for kind in kinds], lines,
+                [functions.setdefault(function, len(functions))
+                 for function in function_names],
+                offsets)
 
         loop = columns(loop_rows)
         post = columns(post_rows)
         return cls(loop, post, list(variables), list(functions))
-
-    @classmethod
-    def from_events(cls, loop_events: Iterable[AccessEvent] = (),
-                    post_loop_events: Iterable[AccessEvent] = (),
-                    ) -> "RWDependencies":
-        """The columns of explicit :class:`AccessEvent` lists."""
-        def rows(events: Iterable[AccessEvent]) -> List[Tuple[Any, ...]]:
-            return [(e.dyn_id, e.variable, e.name, e.kind.value, e.line,
-                     e.function, e.element_offset) for e in events]
-        return cls.from_rows(rows(loop_events), rows(post_loop_events))
 
     # ------------------------------------------------------------------ #
     # Columns
@@ -212,31 +198,22 @@ class RWDependencies:
                     columns.line.tolist(), columns.function.tolist(),
                     columns.offset.tolist())]
 
-    def _events(self, columns: EventColumns,
-                limit: Optional[int] = None) -> List[AccessEvent]:
-        if limit is not None:
-            columns = columns.take(slice(0, limit))
-        read, write = AccessKind.READ, AccessKind.WRITE
-        variables = self.variables
-        functions = self.functions
-        return [AccessEvent(dyn_id, variables[code][0], variables[code][1],
-                            write if is_write else read, line,
-                            functions[function], offset)
-                for dyn_id, code, is_write, line, function, offset in zip(
-                    columns.dyn_id.tolist(), columns.variable.tolist(),
-                    columns.write.tolist(), columns.line.tolist(),
-                    columns.function.tolist(), columns.offset.tolist())]
-
     # ------------------------------------------------------------------ #
     # AccessEvent views
     # ------------------------------------------------------------------ #
+    def _events(self, post: bool) -> List[AccessEvent]:
+        return [AccessEvent(dyn_id, key, name, _KIND_OF[kind], line,
+                            function, offset)
+                for dyn_id, key, name, kind, line, function, offset
+                in self.rows(post)]
+
     @cached_property
     def loop_events(self) -> List[AccessEvent]:
-        return self._events(self.loop)
+        return self._events(post=False)
 
     @cached_property
     def post_loop_events(self) -> List[AccessEvent]:
-        return self._events(self.post)
+        return self._events(post=True)
 
     @staticmethod
     def _group(events: List[AccessEvent]) -> Dict[str, List[AccessEvent]]:
@@ -261,10 +238,7 @@ class RWDependencies:
 
     def sequence_string(self, limit: Optional[int] = None) -> str:
         """Human readable R/W sequence like the paper's Fig. 5(e)."""
-        if "loop_events" in self.__dict__ or not limit:
-            events = self.loop_events[:limit] if limit else self.loop_events
-        else:
-            events = self._events(self.loop, limit)
+        events = self.loop_events[:limit] if limit else self.loop_events
         return "; ".join(f"{i + 1}: {event}" for i, event in enumerate(events))
 
     def __eq__(self, other: object) -> bool:
@@ -333,6 +307,10 @@ class RWExtractionPass(AnalysisPass):
         #: function names the events' function codes index
         self._functions: List[str] = []
         self._function_codes: Dict[str, int] = {}
+        #: string id -> function code (-1: not seen yet), for the string
+        #: table ``_strings`` of the blocks being walked
+        self._strings: Optional[List[str]] = None
+        self._code_of_id = np.empty(0, dtype=np.int64)
 
     def close_span(self, table: AccessTable, region: int) -> None:
         """Append the span's Load/Store accesses to candidate variables."""
@@ -351,22 +329,28 @@ class RWExtractionPass(AnalysisPass):
         rows = table.rows[pick]
         offsets = ((table.address[pick] - self._base.array()[owners])
                    // self._element_bytes.array()[owners])
-        function_ids, inverse = np.unique(block.np_function_id[rows],
-                                          return_inverse=True)
-        codes = np.array([self._function_code(block.strings[function_id])
-                          for function_id in function_ids.tolist()],
-                         dtype=np.int64)
         sink = self._loop if region == REGION_INSIDE else self._post
         sink.append(block.dyn_id[rows], owners, opcode[pick] == _STORE,
-                    block.np_line[rows], codes[inverse],
+                    block.np_line[rows],
+                    self._codes_of(block.strings, block.np_function_id[rows]),
                     offsets.astype(np.int64))
 
-    def _function_code(self, name: str) -> int:
-        code = self._function_codes.get(name)
-        if code is None:
-            code = self._function_codes[name] = len(self._functions)
-            self._functions.append(name)
-        return code
+    def _codes_of(self, strings: List[str], function_ids):
+        """The function codes of ``function_ids`` (ids into ``strings``)."""
+        if strings is not self._strings:
+            self._strings = strings
+            self._code_of_id = np.full(len(strings), -1, dtype=np.int64)
+        codes = self._code_of_id[function_ids]
+        if (codes < 0).any():
+            for function_id in set(function_ids[codes < 0].tolist()):
+                name = strings[function_id]
+                code = self._function_codes.get(name)
+                if code is None:
+                    code = self._function_codes[name] = len(self._functions)
+                    self._functions.append(name)
+                self._code_of_id[function_id] = code
+            codes = self._code_of_id[function_ids]
+        return codes
 
     def build(self, mli_keys: Set[str],
               mli_names: Optional[Dict[str, str]] = None) -> RWDependencies:
@@ -382,8 +366,8 @@ class RWExtractionPass(AnalysisPass):
         variables: List[Tuple[str, str]] = []
         codes: Dict[str, int] = {}
         code_of_owner = np.full(len(registrations), -1, dtype=np.int64)
-        for owner in np.unique(np.concatenate(
-                (loop.variable, post.variable))).tolist():
+        for owner in sorted(set(loop.variable.tolist())
+                            | set(post.variable.tolist())):
             info = registrations[owner]
             if info.key not in mli_keys:
                 continue

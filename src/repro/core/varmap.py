@@ -139,11 +139,9 @@ class VariableMap:
         # the shadowed byte range.
         self._shadow_undo: Dict[int, List[Tuple[int, int, int]]] = {}
         self._retired: set = set()
-        #: the ``[start, end)`` byte range of every change that can alter
-        #: address resolution, in order; addresses outside a change's
-        #: range resolve as before it, so a memo of resolutions stays
-        #: valid once it drops the addresses in the new ranges
-        self.changes: List[Tuple[int, int]] = []
+        #: bumped on every change that can alter address resolution — the
+        #: engine keys its address memo on it
+        self.revision = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -243,9 +241,9 @@ class VariableMap:
         resolves over its full extent again once the shadower's scope
         closes.
         """
+        self.revision += 1
         self._retired.add(owner)
         info = self.registrations[owner]
-        self.changes.append((info.base_address, info.end_address))
         index = bisect_left(self._seg_starts, info.base_address)
         while (index < len(self._seg_starts)
                and self._seg_starts[index] < info.end_address):
@@ -263,7 +261,7 @@ class VariableMap:
     # Segment store
     # ------------------------------------------------------------------ #
     def _insert_segment(self, start: int, end: int, owner: int) -> None:
-        self.changes.append((start, end))
+        self.revision += 1
         starts, ends, owners = self._seg_starts, self._seg_ends, self._seg_owners
         shadowed: List[Tuple[int, int, int]] = []
         index = bisect_left(starts, start)

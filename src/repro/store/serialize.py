@@ -227,7 +227,7 @@ def report_from_dict(payload: Dict[str, Any]) -> AutoCheckReport:
             timings=timings,
             trace_stats=stats,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(

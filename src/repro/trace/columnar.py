@@ -162,21 +162,14 @@ class ColumnarBlock:
             self._records[row] = record
         return record
 
-    def match_rows(self, start: int, stop: int, opcodes,
-                   function_id: Optional[int] = None,
-                   line: Optional[int] = None):
+    def match_rows(self, start: int, stop: int, opcodes):
         """Ascending rows in ``[start, stop)`` whose opcode is one of
-        ``opcodes`` — narrowed to one function id and/or source line when
-        given — as a numpy array.  The passes select their rows of a whole
+        ``opcodes``, as a numpy array: a custom pass selects its rows of a
         span this way."""
         ops = self.np_opcode[start:stop]
         mask = ops == opcodes[0]
         for op in opcodes[1:]:
             mask |= ops == op
-        if function_id is not None:
-            mask &= self.np_function_id[start:stop] == function_id
-        if line is not None:
-            mask &= self.np_line[start:stop] == line
         rows = np.flatnonzero(mask)
         if start:
             rows += start

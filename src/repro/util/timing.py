@@ -74,8 +74,9 @@ class TimingBreakdown:
     ``fused_analysis`` (the single-pass walk) and ``identify_variables``.
     A dotted name is a sub-stage nested in the stage its prefix names:
     the walk records ``walk.decode`` (waiting for the next decoded block),
-    ``walk.scope`` (scope records), and ``walk.mli``, ``walk.dependency``,
-    ``walk.rw`` and ``walk.probe`` (each pass) inside ``fused_analysis`` —
+    ``walk.scope`` (scope records), ``walk.resolve`` (the access tables),
+    and ``walk.mli``, ``walk.dependency``, ``walk.rw`` and ``walk.probe``
+    (each pass) inside ``fused_analysis`` —
     the paper's Table III columns come from these.  ``total`` is the sum
     of the top-level (undotted) stages, so nested time counts once.
 

@@ -11,8 +11,10 @@ serialized rows give back the events they were built from.
 
 from __future__ import annotations
 
+import json
 from typing import List, Set
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,11 @@ from repro.core.preprocessing import MLIVariable, PreprocessingResult
 from repro.core.report import DependencyType
 from repro.core.rwdeps import AccessEvent, AccessKind, RWDependencies
 from repro.core.varmap import VariableInfo, VariableMap
+from repro.store.serialize import (
+    SerializationError,
+    report_from_dict,
+    report_to_json,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -117,6 +124,14 @@ def _scenarios(draw):
     return infos, loop, post
 
 
+def _columns(loop, post=()):
+    """The R/W columns of explicit event lists, through their rows."""
+    def rows(events):
+        return [(e.dyn_id, e.variable, e.name, e.kind.value, e.line,
+                 e.function, e.element_offset) for e in events]
+    return RWDependencies.from_rows(rows(loop), rows(post))
+
+
 def _preprocessing(infos):
     return PreprocessingResult(
         variable_map=VariableMap(),
@@ -129,7 +144,7 @@ def _preprocessing(infos):
 @settings(max_examples=300, deadline=None)
 def test_column_classifier_matches_the_event_heuristics(scenario):
     infos, loop, post = scenario
-    rw = RWDependencies.from_events(loop, post)
+    rw = _columns(loop, post)
     critical = classify_variables(_preprocessing(infos), rw)
     assert {v.name: v.dependency for v in critical} == \
         _reference(infos, loop, post)
@@ -139,7 +154,7 @@ def test_column_classifier_matches_the_event_heuristics(scenario):
 @settings(max_examples=100, deadline=None)
 def test_views_and_rows_give_back_the_events(scenario):
     infos, loop, post = scenario
-    rw = RWDependencies.from_events(loop, post)
+    rw = _columns(loop, post)
     assert rw.loop_events == loop
     assert rw.post_loop_events == post
     for info in infos:
@@ -150,15 +165,26 @@ def test_views_and_rows_give_back_the_events(scenario):
     restored = RWDependencies.from_rows(rw.rows(), rw.rows(post=True))
     assert restored == rw
     assert restored.rows() == rw.rows()
-    head = RWDependencies.from_events(loop, post).sequence_string(limit=3)
-    assert head == rw.sequence_string(limit=3)
 
 
 def test_edited_view_breaks_equality():
     info = VariableInfo("a", 0x1000, 4, 32, False, True)
     event = AccessEvent(1, info.key, "a", AccessKind.READ, 3, "main")
-    rw = RWDependencies.from_events([event, event])
-    other = RWDependencies.from_events([event, event])
+    rw = _columns([event, event])
+    other = _columns([event, event])
     assert rw == other
     other.loop_events.pop()
     assert rw != other
+
+
+@pytest.mark.parametrize("row", [
+    [1, "a@0x1", "a", "Read", 3, "main"],          # six fields
+    [1, "a@0x1", "a", "Peek", 3, "main", 0],       # unknown kind
+    [2 ** 64, "a@0x1", "a", "Read", 3, "main", 0],  # past int64
+    ["1", "a@0x1", "a", "Read", 3, "main", 0.5j],  # not an integer
+])
+def test_malformed_event_rows_are_refused(example_report, row):
+    payload = json.loads(report_to_json(example_report))
+    payload["rw_sequence"]["loop_events"][0] = row
+    with pytest.raises(SerializationError):
+        report_from_dict(payload)
