@@ -10,7 +10,8 @@ together, plus decoding and scope records), the paper's pre-processing
 (``walk.mli``, the MLI-collection pass) and dependency-analysis
 (``walk.dependency``, the DDG pass) shares of that walk, the identify stage
 (contraction and classification), their total, and the walk's record
-throughput.
+throughput.  Attributing memory accesses to their variables, which every
+pass shares, is timed as ``walk.resolve`` and counted in neither share.
 """
 
 from __future__ import annotations
