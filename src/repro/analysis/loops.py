@@ -56,9 +56,6 @@ class Loop:
             return range(0, 0)
         return range(min(lines), max(lines) + 1)
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Loop header={self.header.name} depth={self.depth} "
                 f"blocks={len(self.blocks)}>")

@@ -55,11 +55,6 @@ class StorageComparison:
             return float("inf")
         return self.blcr_bytes / self.autocheck_bytes
 
-    @property
-    def saved_bytes(self) -> int:
-        """Absolute storage saved per checkpoint vs the BLCR baseline."""
-        return max(0, self.blcr_bytes - self.autocheck_bytes)
-
     def summary(self) -> str:
         return (f"{self.benchmark}: BLCR {format_bytes(self.blcr_bytes)} vs "
                 f"AutoCheck {format_bytes(self.autocheck_bytes)} "

@@ -28,9 +28,6 @@ class CheckpointData:
     def total_bytes(self) -> int:
         return sum(self.sizes_bytes.values())
 
-    def variable_names(self) -> List[str]:
-        return list(self.variables.keys())
-
 
 class CheckpointStorage:
     """Store/retrieve checkpoints under a directory (one file per checkpoint)."""

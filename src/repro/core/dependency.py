@@ -25,9 +25,11 @@ addresses outside the table (a forwarding operand no register names, a
 call argument).
 
 The walk itself is hosted by :class:`repro.core.engine.AnalysisEngine`:
-:class:`DependencyPass` reads the segments of data-carrying record kinds
-straight off the decoded columns and subscribes to the engine's call/ret
-scope events, which keep the attribution honest across calls:
+:class:`DependencyPass` selects each span's data-carrying rows from the
+span's kind column (on the access table every span hook takes), reads
+their segments straight off the decoded columns, and subscribes to the
+engine's call/ret scope events, which keep the attribution honest across
+calls:
 
 * the engine opens an allocation scope when a traced ``Call``'s body follows
   and retires the callee's Allocas on its ``Ret`` — a dead frame can never
@@ -35,6 +37,12 @@ scope events, which keep the attribution honest across calls:
 * argument/parameter correlations are kept on a **per-callee binding
   stack** (pushed on activation, popped on return), so recursive or
   repeated calls to the same callee cannot clobber each other's bindings.
+
+Every node the row loop creates goes through one get-or-create path per
+cache: a register node's key is built in :meth:`DependencyPass._register_node`
+and a variable node's in :meth:`DependencyPass._variable_node`, and each
+kind creates its nodes in a fixed order, which the canonical report's node
+order follows.
 
 The pass shares the engine's live map with every other stage.  Variable
 nodes are created ``LOCAL``; :meth:`DependencyPass.mark_mli` relabels the
@@ -56,7 +64,6 @@ import numpy as np
 from repro.core.ddg import DDG, NodeKind
 from repro.core.engine import (
     KIND_ARITHMETIC,
-    KIND_BY_OPCODE,
     KIND_FORWARDING,
     KIND_GEP,
     KIND_LOAD,
@@ -72,56 +79,37 @@ from repro.core.varmap import VariableMap
 from repro.trace.records import TraceRecord
 
 
-#: the record kinds the dependency walk dispatches on
-_DISPATCH_KINDS = (KIND_LOAD, KIND_STORE, KIND_GEP, KIND_FORWARDING,
-                   KIND_ARITHMETIC)
-
-#: one past the largest opcode: a span's opcodes clip into
-#: ``[0, _CLIP_OPCODE]`` before indexing the kind table, so an unknown
-#: opcode past the table's end or below zero selects nothing (the engine
-#: fails on it) instead of raising or wrapping around
-_CLIP_OPCODE = max(KIND_BY_OPCODE) + 1
-
-#: raw opcode -> record kind, as a gather table, for the opcodes the walk
-#: dispatches on; scope and unknown opcodes map to KIND_OTHER (they break
-#: segments and reach the engine's scope processing instead)
-_KIND_TABLE = np.full(_CLIP_OPCODE + 1, KIND_OTHER, dtype=np.int8)
-for _op, _kind in KIND_BY_OPCODE.items():
-    if _kind in _DISPATCH_KINDS:
-        _KIND_TABLE[_op] = _kind
-del _op, _kind
-
-
-def _select_dispatch_rows(block, lo: int, hi: int,
-                          table_rows) -> SpanSelection:
-    """The rows of span ``[lo, hi)`` the dependency walk dispatches on.
+def _select_dispatch_rows(table: AccessTable) -> SpanSelection:
+    """The rows of ``table``'s span the dependency walk dispatches on: the
+    data-carrying kinds (Load, Store, GEP, forwarding and arithmetic).
 
     Each row's fields are ``(kind, lo_slot, hi_slot, has_result,
     function_id, packed, access)``, where ``packed`` is the ``function_id
     << 32 | result_name_id`` register-cache key — garbage when the row has
     no result slot (every consumer checks ``has_result`` before using it)
-    — and ``access`` the row's index in the span's access table, whose
-    rows are ``table_rows`` (meaningful for Load / Store / GEP rows only).
-    The header fields of the whole span gather from the block's numpy
-    mirrors in a handful of vector ops into one ``(7, rows)`` int64 array.
+    — and ``access`` the row's index in the span's access table
+    (meaningful for Load / Store / GEP rows only).  The header fields of
+    the whole span gather from the block's columns in a handful of vector
+    ops into one ``(7, rows)`` int64 array.
     """
-    kinds = _KIND_TABLE[np.clip(block.np_opcode[lo:hi], 0, _CLIP_OPCODE)]
-    rows = np.flatnonzero(kinds != KIND_OTHER)
+    kinds = table.kinds
+    rows = np.flatnonzero(kinds < KIND_OTHER)
     # Filled field by field: one (7, rows) array and one field-sized
     # temporary at a time, not seven field arrays plus their stack.
     fields = np.empty((7, len(rows)), dtype=np.int64)
     fields[0] = kinds[rows]
-    rows += lo
-    op_start = block.np_op_start
+    rows += table.lo
+    block = table.block
+    op_start = block.op_start
     fields[1] = op_start[rows]
     fields[2] = op_start[rows + 1]
-    fields[3] = block.np_has_result[rows]
-    fields[4] = block.np_function_id[rows]
+    fields[3] = block.has_result[rows]
+    fields[4] = block.function_id[rows]
     np.left_shift(fields[4], 32, out=fields[5])
-    op_name_id = block.np_op_name_id
+    op_name_id = block.op_name_id
     if op_name_id.size:  # a block without any operand slot has no result
         fields[5] |= op_name_id[fields[2] - 1]
-    fields[6] = table_rows.searchsorted(rows)
+    fields[6] = table.rows.searchsorted(rows)
     return SpanSelection(rows, fields)
 
 
@@ -165,23 +153,26 @@ class DependencyPass(AnalysisPass):
         #: :meth:`on_activation` when the engine proves a traced body follows.
         self._pending_frame: Optional[Tuple[str, Dict[str, Optional[str]]]] = None
         self._inspected = 0
-        #: columnar cache — ``function id << 32 | name id`` -> register
-        #: node key, guarded by the owning string table's identity
-        self._col_strings_key: Optional[int] = None
-        self._col_reg_keys: Dict[int, str] = {}
-        #: edges already inserted through the columnar path — ``add_edge``
-        #: is idempotent set insertion and nothing removes edges during the
+        #: the block whose operand columns ``_op_flags`` / ``_op_name_id``
+        #: list (the row loop reads them element by element)
+        self._block = None
+        self._op_flags: List[int] = []
+        self._op_name_id: List[int] = []
+        #: the string table the id-keyed caches below index
+        self._strings: Optional[List[str]] = None
+        #: ``function id << 32 | name id`` -> register node key
+        self._reg_keys: Dict[int, str] = {}
+        #: edges already inserted by the row loop — ``add_edge`` is
+        #: idempotent set insertion and nothing removes edges during the
         #: walk, so eliding the repeat call is exact
-        self._col_edge_seen: Set[Tuple[str, str]] = set()
+        self._edge_seen: Set[Tuple[str, str]] = set()
         #: reg-reg links already inserted the same way (packed result key
         #: followed by the operand name ids; :meth:`RegRegMap.link` is
         #: likewise add-only set insertion) — id-based, so it resets with
-        #: the string table alongside ``_col_reg_keys``
-        self._col_link_seen: Set[Tuple[int, ...]] = set()
+        #: the string table alongside ``_reg_keys``
+        self._link_seen: Set[Tuple[int, ...]] = set()
         #: owner id -> its variable node key, once the node exists
         self._owner_keys: List[Optional[str]] = []
-        #: the current span's access table
-        self._table: Optional[AccessTable] = None
 
     # ------------------------------------------------------------------ #
     # Node helpers
@@ -191,8 +182,24 @@ class DependencyPass(AnalysisPass):
         self.ddg.add_node(key, NodeKind.REGISTER, label=f"{function}:%{register}")
         return key
 
+    def _new_register_key(self, packed: int) -> str:
+        """The register node ``packed`` (``function id << 32 | name id``
+        in ``_strings``) names, created and cached on its first use."""
+        strings = self._strings
+        key = self._reg_keys[packed] = self._register_node(
+            strings[packed >> 32], strings[packed & 0xFFFFFFFF])
+        return key
+
     def _variable_node(self, key: str, name: str) -> str:
         self.ddg.add_node(key, NodeKind.LOCAL, label=name)
+        return key
+
+    def _new_owner_key(self, owner: int) -> str:
+        """The variable node of owner id ``owner``, created and cached on
+        its first use."""
+        info = self.varmap.registrations[owner]
+        key = self._owner_keys[owner] = self._variable_node(info.key,
+                                                            info.name)
         return key
 
     def _address_node(self, address: int) -> Optional[str]:
@@ -225,9 +232,7 @@ class DependencyPass(AnalysisPass):
         if binding is not None:
             return binding
         if name:
-            key = f"{function}:{name}"
-            self.ddg.add_node(key, NodeKind.LOCAL, label=name)
-            return key
+            return self._variable_node(f"{function}:{name}", name)
         return None
 
     # ------------------------------------------------------------------ #
@@ -305,20 +310,26 @@ class DependencyPass(AnalysisPass):
             frames.pop()
 
     # ------------------------------------------------------------------ #
-    # Segments
+    # Spans
     # ------------------------------------------------------------------ #
-    def open_span(self, table: AccessTable, region: int) -> None:
-        self._table = table
-
-    def select_span(self, block, lo: int, hi: int,
+    def select_span(self, table: AccessTable,
                     region: int) -> Optional[SpanSelection]:
         """Every data-carrying row of the span, inside the loop only."""
         if region != REGION_INSIDE:
             return None
-        assert self._table is not None
-        return _select_dispatch_rows(block, lo, hi, self._table.rows)
+        block = table.block
+        if block is not self._block:
+            self._block = block
+            self._op_flags = block.op_flags.tolist()
+            self._op_name_id = block.op_name_id.tolist()
+            if block.strings is not self._strings:
+                self._strings = block.strings
+                self._reg_keys = {}
+                self._link_seen = set()
+        return _select_dispatch_rows(table)
 
-    def consume_selected(self, block, region: int, selected) -> None:
+    def consume_selected(self, table: AccessTable, region: int,
+                         selected) -> None:
         """Build the DDG from one segment, straight off the columns.
 
         ``selected`` yields the segment's pre-gathered dispatch fields
@@ -332,35 +343,31 @@ class DependencyPass(AnalysisPass):
           re-add is exact);
         * variable node keys cache per owner id the same way;
         * edges and reg-reg links already inserted are not inserted again.
+
+        Each kind creates its nodes in a fixed order, which the node order
+        of the canonical report follows.
         """
-        strings = block.strings
-        op_flags = block.op_flags
-        op_name_id = block.op_name_id
-        np_op_address = block.np_op_address
-        assert self._table is not None
-        owners = self._table.owners
+        strings = self._strings
+        op_flags = self._op_flags
+        op_name_id = self._op_name_id
+        op_address = table.block.op_address
+        owners = table.owners
         registrations = self.varmap.registrations
         owner_keys = self._owner_keys
         if len(owner_keys) < len(registrations):
             owner_keys.extend([None] * (len(registrations) - len(owner_keys)))
-        add_node = self.ddg.add_node
+        new_owner_key = self._new_owner_key
+        reg_keys_get = self._reg_keys.get
+        new_register_key = self._new_register_key
         add_edge = self.ddg.add_edge
         reg_entries = self.reg_var.entries
         reg_lookup = self.reg_var.lookup
         reg_link = self.reg_reg.link
-        variable_node = self._variable_node
         resolve_memref = self._resolve_memref
-        if self._col_strings_key != id(strings):
-            self._col_strings_key = id(strings)
-            self._col_reg_keys = {}
-            self._col_link_seen = set()
-        reg_keys = self._col_reg_keys
-        reg_keys_get = reg_keys.get
-        edge_seen = self._col_edge_seen
+        edge_seen = self._edge_seen
         edge_seen_add = edge_seen.add
-        link_seen = self._col_link_seen
+        link_seen = self._link_seen
         link_seen_add = link_seen.add
-        register_kind = NodeKind.REGISTER
         inspected = 0
         for kind, lo_slot, hi_slot, result, fid, packed, access in selected:
             inspected += 1
@@ -371,53 +378,30 @@ class DependencyPass(AnalysisPass):
                 function = strings[fid]
                 owner = owners[access]
                 if owner >= 0:
-                    var_key = owner_keys[owner]
-                    if var_key is None:
-                        info = registrations[owner]
-                        var_key = owner_keys[owner] = variable_node(
-                            info.key, info.name)
+                    var_key = owner_keys[owner] or new_owner_key(owner)
                 else:
                     var_key = resolve_memref(
                         function, strings[op_name_id[lo_slot]])
                     if var_key is None:
                         continue
-                result_id = packed & 0xFFFFFFFF
-                result_name = strings[result_id]
-                result_key = reg_keys_get(packed)
-                if result_key is None:
-                    result_key = f"{function}%{result_name}"
-                    add_node(result_key, register_kind,
-                             f"{function}:%{result_name}")
-                    reg_keys[packed] = result_key
+                result_key = reg_keys_get(packed) or new_register_key(packed)
                 edge = (var_key, result_key)
                 if edge not in edge_seen:
                     add_edge(var_key, result_key)
                     edge_seen_add(edge)
-                reg_entries[(function, result_name)] = var_key
+                reg_entries[(function, strings[packed & 0xFFFFFFFF])] = \
+                    var_key
             elif kind == KIND_ARITHMETIC:
                 if not result:
                     continue
-                function = strings[fid]
-                result_id = packed & 0xFFFFFFFF
-                result_key = reg_keys_get(packed)
-                if result_key is None:
-                    result_name = strings[result_id]
-                    result_key = f"{function}%{result_name}"
-                    add_node(result_key, register_kind,
-                             f"{function}:%{result_name}")
-                    reg_keys[packed] = result_key
+                result_key = reg_keys_get(packed) or new_register_key(packed)
                 input_ids = []
                 for slot in range(lo_slot, lo_slot + n_ops):
                     if op_flags[slot] & 1:
                         name_id = op_name_id[slot]
                         packed_in = fid << 32 | name_id
-                        reg_key = reg_keys_get(packed_in)
-                        if reg_key is None:
-                            name = strings[name_id]
-                            reg_key = f"{function}%{name}"
-                            add_node(reg_key, register_kind,
-                                     f"{function}:%{name}")
-                            reg_keys[packed_in] = reg_key
+                        reg_key = (reg_keys_get(packed_in)
+                                   or new_register_key(packed_in))
                         edge = (reg_key, result_key)
                         if edge not in edge_seen:
                             add_edge(reg_key, result_key)
@@ -425,7 +409,7 @@ class DependencyPass(AnalysisPass):
                         input_ids.append(name_id)
                 link_key = (packed, *input_ids)
                 if link_key not in link_seen:
-                    reg_link(function, strings[result_id],
+                    reg_link(strings[fid], strings[packed & 0xFFFFFFFF],
                              [strings[i] for i in input_ids])
                     link_seen_add(link_key)
             elif kind == KIND_STORE:
@@ -434,76 +418,50 @@ class DependencyPass(AnalysisPass):
                 function = strings[fid]
                 owner = owners[access]
                 if owner >= 0:
-                    var_key = owner_keys[owner]
-                    if var_key is None:
-                        info = registrations[owner]
-                        var_key = owner_keys[owner] = variable_node(
-                            info.key, info.name)
+                    var_key = owner_keys[owner] or new_owner_key(owner)
                 else:
                     var_key = resolve_memref(
                         function, strings[op_name_id[lo_slot + 1]])
                     if var_key is None:
                         continue
+                value_id = op_name_id[lo_slot]
+                value_name = strings[value_id]
                 if op_flags[lo_slot] & 1:
-                    value_id = op_name_id[lo_slot]
-                    value_name = strings[value_id]
-                    packed = fid << 32 | value_id
-                    reg_key = reg_keys_get(packed)
-                    if reg_key is None:
-                        reg_key = f"{function}%{value_name}"
-                        add_node(reg_key, register_kind,
-                                 f"{function}:%{value_name}")
-                        reg_keys[packed] = reg_key
+                    packed_in = fid << 32 | value_id
+                    reg_key = (reg_keys_get(packed_in)
+                               or new_register_key(packed_in))
                     edge = (reg_key, var_key)
                     if edge not in edge_seen:
                         add_edge(reg_key, var_key)
                         edge_seen_add(edge)
                     reg_entries[(function, value_name)] = var_key
-                else:
-                    value_name = strings[op_name_id[lo_slot]]
-                    if value_name:
-                        binding = self._lookup_binding(function, value_name)
-                        if binding is not None:
-                            edge = (binding, var_key)
-                            if edge not in edge_seen:
-                                add_edge(binding, var_key)
-                                edge_seen_add(edge)
+                elif value_name:
+                    binding = self._lookup_binding(function, value_name)
+                    if binding is not None:
+                        edge = (binding, var_key)
+                        if edge not in edge_seen:
+                            add_edge(binding, var_key)
+                            edge_seen_add(edge)
             elif kind == KIND_GEP:
                 if not result:
                     continue
                 function = strings[fid]
-                result_id = packed & 0xFFFFFFFF
-                result_name = strings[result_id]
-                result_key = reg_keys_get(packed)
-                if result_key is None:
-                    result_key = f"{function}%{result_name}"
-                    add_node(result_key, register_kind,
-                             f"{function}:%{result_name}")
-                    reg_keys[packed] = result_key
+                result_key = reg_keys_get(packed) or new_register_key(packed)
                 if n_ops:
                     owner = owners[access]
                     if owner >= 0:
-                        var_key = owner_keys[owner]
-                        if var_key is None:
-                            info = registrations[owner]
-                            var_key = owner_keys[owner] = variable_node(
-                                info.key, info.name)
+                        var_key = owner_keys[owner] or new_owner_key(owner)
                     else:
                         var_key = resolve_memref(
                             function, strings[op_name_id[lo_slot]])
                     if var_key is not None:
-                        reg_entries[(function, result_name)] = var_key
+                        reg_entries[(function,
+                                     strings[packed & 0xFFFFFFFF])] = var_key
                 for slot in range(lo_slot + 1, lo_slot + n_ops):
                     if op_flags[slot] & 1:
-                        name_id = op_name_id[slot]
-                        packed_in = fid << 32 | name_id
-                        reg_key = reg_keys_get(packed_in)
-                        if reg_key is None:
-                            name = strings[name_id]
-                            reg_key = f"{function}%{name}"
-                            add_node(reg_key, register_kind,
-                                     f"{function}:%{name}")
-                            reg_keys[packed_in] = reg_key
+                        packed_in = fid << 32 | op_name_id[slot]
+                        reg_key = (reg_keys_get(packed_in)
+                                   or new_register_key(packed_in))
                         edge = (reg_key, result_key)
                         if edge not in edge_seen:
                             add_edge(reg_key, result_key)
@@ -512,25 +470,15 @@ class DependencyPass(AnalysisPass):
                 if not result:
                     continue
                 function = strings[fid]
-                result_id = packed & 0xFFFFFFFF
-                result_name = strings[result_id]
-                result_key = reg_keys_get(packed)
-                if result_key is None:
-                    result_key = f"{function}%{result_name}"
-                    add_node(result_key, register_kind,
-                             f"{function}:%{result_name}")
-                    reg_keys[packed] = result_key
+                result_name = strings[packed & 0xFFFFFFFF]
+                result_key = reg_keys_get(packed) or new_register_key(packed)
                 for slot in range(lo_slot, lo_slot + n_ops):
                     if op_flags[slot] & 1:
                         name_id = op_name_id[slot]
                         name = strings[name_id]
                         packed_in = fid << 32 | name_id
-                        reg_key = reg_keys_get(packed_in)
-                        if reg_key is None:
-                            reg_key = f"{function}%{name}"
-                            add_node(reg_key, register_kind,
-                                     f"{function}:%{name}")
-                            reg_keys[packed_in] = reg_key
+                        reg_key = (reg_keys_get(packed_in)
+                                   or new_register_key(packed_in))
                         edge = (reg_key, result_key)
                         if edge not in edge_seen:
                             add_edge(reg_key, result_key)
@@ -542,7 +490,7 @@ class DependencyPass(AnalysisPass):
                             # through the live map, as it stands for this
                             # segment.
                             source = self._address_node(
-                                int(np_op_address[slot]))
+                                int(op_address[slot]))
                         if source is not None:
                             reg_entries[(function, result_name)] = source
                         link_key = (packed, name_id)
@@ -550,6 +498,11 @@ class DependencyPass(AnalysisPass):
                             reg_link(function, result_name, [name])
                             link_seen_add(link_key)
         self._inspected += inspected
+
+    def finalize(self) -> None:
+        # Let the walk's last block go before identify and publish run.
+        self._block = None
+        self._op_flags = self._op_name_id = []
 
     def mark_mli(self, keys: Iterable[str]) -> None:
         """Relabel the nodes of the MLI variables ``keys`` (the walk's

@@ -17,29 +17,30 @@
   allocations on its ``Ret`` — so each access resolves against the
   allocation state *at its own execution time*;
 * a walked row range (one block, one region) goes in *spans* of at most
-  ``_SPAN_ROWS`` rows, and a span is split by its scope records
-  (``Alloca`` / ``Call`` / ``Ret``) into *segments*.  Each pass selects
-  the rows it reads once per span (:meth:`AnalysisPass.select_span`) and
-  consumes one segment's slice of that selection at a time
-  (:meth:`AnalysisPass.consume_selected`).  Scope records are
-  materialized one at a time and dispatched to the passes' ``on_alloca``
-  / ``on_call`` / ``on_ret`` handlers after the engine ran its own action
-  for them;
+  ``_SPAN_ROWS`` rows.  Each span's opcodes are read once, through the
+  one opcode -> kind table :data:`KIND_LUT`, into the span's kind column;
+  the scope records (``Alloca`` / ``Call`` / ``Ret``) and unknown opcodes
+  it marks split the span into *segments*;
 * every memory operand is resolved once: each span gets one
-  :class:`AccessTable` of its ``Load`` / ``Store`` / ``GetElementPtr``
-  rows, whose owners the engine resolves segment by segment, before the
-  segment is dispatched, through one address memo (valid while the live
-  map's revision is unchanged).  Passes read the
-  table through :meth:`AnalysisPass.open_span` (before the span's first
-  segment) and :meth:`AnalysisPass.close_span` (after its last).
+  :class:`AccessTable` — its block, row range and kind column, plus its
+  ``Load`` / ``Store`` / ``GetElementPtr`` rows, whose owners the engine
+  resolves segment by segment, before the segment is dispatched, through
+  one address memo (valid while the live map's revision is unchanged);
+* every span hook takes that table: each pass selects the rows it reads
+  once per span (:meth:`AnalysisPass.select_span`), consumes one
+  segment's slice of that selection at a time
+  (:meth:`AnalysisPass.consume_selected`), and reads the finished table
+  when the span ends (:meth:`AnalysisPass.close_span`).  Scope records
+  are materialized one at a time, the engine runs its own action for
+  them, and they reach the passes' ``on_alloca`` / ``on_call`` handlers
+  and the ``on_activation`` / ``on_return`` scope events.
 
 Pass execution order is registration order.  The engine times its own
 walk: :attr:`AnalysisEngine.decode_seconds` (waiting for the next block),
 :attr:`AnalysisEngine.scope_seconds` (materializing and processing scope
 records), :attr:`AnalysisEngine.resolve_seconds` (building the access
 tables and resolving their owners) and
-:attr:`AnalysisEngine.pass_seconds` (each pass's span selections, segment
-consumption and access-table hooks).
+:attr:`AnalysisEngine.pass_seconds` (each pass's span hooks).
 """
 
 from __future__ import annotations
@@ -70,22 +71,22 @@ REGION_AFTER = 2
 REGION_NAMES = {REGION_BEFORE: "before", REGION_INSIDE: "inside",
                 REGION_AFTER: "after"}
 
-KIND_OTHER = 0
-KIND_ALLOCA = 1
-KIND_LOAD = 2
-KIND_STORE = 3
-KIND_GEP = 4
-KIND_FORWARDING = 5
-KIND_ARITHMETIC = 6
+# Kinds are ordered so that each class of rows the walk selects is one
+# comparison: the memory accesses an access table lists (up to
+# ``KIND_GEP``), the data-carrying rows the dependency pass reads (below
+# ``KIND_OTHER``), and the rows that break segments (above it: the scope
+# kinds, whose engine actions change the shared map mid-span, and unknown
+# opcodes, which fail loudly).
+KIND_LOAD = 0
+KIND_STORE = 1
+KIND_GEP = 2
+KIND_FORWARDING = 3
+KIND_ARITHMETIC = 4
+KIND_OTHER = 5
+KIND_ALLOCA = 6
 KIND_CALL = 7
 KIND_RET = 8
-
-#: scope kind -> name of the AnalysisPass handler that receives its records
-_SCOPE_CALLBACKS = {
-    KIND_ALLOCA: "on_alloca",
-    KIND_CALL: "on_call",
-    KIND_RET: "on_ret",
-}
+KIND_UNKNOWN = 9
 
 
 def _kind_of(opcode: int) -> int:
@@ -108,29 +109,17 @@ def _kind_of(opcode: int) -> int:
     return KIND_OTHER
 
 
-#: raw opcode value -> record kind, for every known opcode
-KIND_BY_OPCODE: Dict[int, int] = {int(op): _kind_of(int(op)) for op in Opcode}
+_MAX_OPCODE = max(int(op) for op in Opcode)
 
-_MAX_OPCODE = max(KIND_BY_OPCODE)
-
-#: raw opcode -> index of its pointer operand, for the opcodes whose rows
-#: make up an access table (Load and GetElementPtr read through operand 0,
-#: Store writes through operand 1); -1 for every other value, the slot a
-#: clipped out-of-range opcode lands on included
-_POINTER_OPERAND = np.full(_MAX_OPCODE + 2, -1, dtype=np.int64)
-_POINTER_OPERAND[int(Opcode.LOAD)] = 0
-_POINTER_OPERAND[int(Opcode.STORE)] = 1
-_POINTER_OPERAND[int(Opcode.GETELEMENTPTR)] = 0
-
-#: True at the opcodes the walk materializes individually: scope opcodes
-#: (engine actions mutate the shared map / scope structure mid-stream, so
-#: these break the segments) and every in-range value that is not a known
-#: opcode (:meth:`AnalysisEngine._break_rows` flags out-of-range values
-#: itself).  Every other known opcode stays columnar.
-_BREAK_LUT = np.ones(_MAX_OPCODE + 1, dtype=bool)
-for _op, _kind in KIND_BY_OPCODE.items():
-    _BREAK_LUT[_op] = _kind in _SCOPE_CALLBACKS
-del _op, _kind
+#: raw opcode -> record kind, the one table every kind is read from.  A
+#: value outside the enum reads ``KIND_UNKNOWN``: the enum's gaps hold it,
+#: and the walk clips opcodes into ``[-1, _MAX_OPCODE + 1]`` before the
+#: gather, so a value past the end lands on the last entry and a negative
+#: one on index -1, the same entry.
+KIND_LUT = np.full(_MAX_OPCODE + 2, KIND_UNKNOWN, dtype=np.int8)
+for _op in Opcode:
+    KIND_LUT[int(_op)] = _kind_of(int(_op))
+del _op
 
 
 class SpanSelection:
@@ -175,40 +164,48 @@ class SpanSelection:
 
 
 class AccessTable:
-    """One span's memory accesses, with the owner each address resolves to.
+    """One span: its rows' kinds, and its memory accesses with the owner
+    each address resolves to.
 
-    ``rows`` are the span's ``Load`` / ``Store`` / ``GetElementPtr`` rows
-    (ascending block row numbers), ``opcode`` their opcodes and
-    ``address`` their pointer operands' addresses (``uint64``; 0 when the
+    The span is rows ``[lo, hi)`` of ``block``, all in one region, and
+    ``kinds`` is its kind column, read from :data:`KIND_LUT`: row
+    ``row``'s record kind is ``kinds[row - lo]``.  The access columns list
+    the span's ``Load`` / ``Store`` / ``GetElementPtr`` rows: ``rows``
+    (ascending block row numbers), ``kind`` (their record kinds) and
+    ``address`` (their pointer operands' addresses, ``uint64``; 0 when the
     record has no such operand or it carries no address, and such a row
-    has no owner).  ``owners`` holds, per row, the owner id
+    has no owner).  ``owners`` holds, per access row, the owner id
     (:attr:`VariableMap.registrations` index) its address resolves to in
     the live map *when the row executes*, or -1: the engine fills it
     segment by segment as the walk reaches them, so while a segment is
     being dispatched the entries up to its end are final.
     """
 
-    __slots__ = ("block", "rows", "opcode", "address", "owners",
-                 "_addresses", "_cuts", "_owner_ids")
+    __slots__ = ("block", "lo", "hi", "kinds", "rows", "kind", "address",
+                 "owners", "_addresses", "_cuts", "_owner_ids")
 
-    def __init__(self, block, lo: int, hi: int, breaks) -> None:
+    def __init__(self, block, lo: int, hi: int, kinds, breaks) -> None:
         self.block = block
-        pointer = _POINTER_OPERAND[np.clip(block.np_opcode[lo:hi], 0,
-                                           _MAX_OPCODE + 1)]
-        rows = np.flatnonzero(pointer >= 0)
-        pointer = pointer[rows]
+        self.lo = lo
+        self.hi = hi
+        self.kinds = kinds
+        rows = np.flatnonzero(kinds <= KIND_GEP)
+        kind = kinds[rows]
         rows += lo
         self.rows = rows
-        self.opcode = block.np_opcode[rows]
-        first = block.np_op_start[rows]
+        self.kind = kind
+        # Load and GetElementPtr read through operand 0, Store writes
+        # through operand 1.
+        pointer = kind == KIND_STORE
+        first = block.op_start[rows]
         slot = first + pointer
-        present = (block.np_op_start[rows + 1] - first
-                   - block.np_has_result[rows]) > pointer
-        flags = block.np_op_flags
+        present = (block.op_start[rows + 1] - first
+                   - block.has_result[rows]) > pointer
+        flags = block.op_flags
         if flags.size:
             slot[~present] = 0
             present &= (flags[slot] & 2) != 0
-            address = np.where(present, block.np_op_address[slot], 0)
+            address = np.where(present, block.op_address[slot], 0)
         else:  # a block without any operand slot has no address either
             present[:] = False
             address = np.zeros(len(rows), dtype=np.uint64)
@@ -254,72 +251,29 @@ class AccessTable:
 class AnalysisPass:
     """Base class for engine passes; override only what you need.
 
-    A pass reads non-scope rows through one API: :meth:`select_span` picks
-    the pass's rows of a whole span ``[lo, hi)`` (one block, one region) in
-    one set of vector ops, and :meth:`consume_selected` consumes one
-    segment's slice of that selection.  A pass that reads the owners of
-    memory accesses takes the span's :class:`AccessTable` instead:
-    :meth:`open_span` hands it over before the span's first segment (its
-    owners fill as the segments go by), :meth:`close_span` after its last.
-    Scope records arrive through the ``on_alloca`` / ``on_call`` /
-    ``on_ret`` handlers.  The engine inspects which of these methods a
-    subclass overrides and calls exactly those.  Every callback receives
-    the region constant (``REGION_BEFORE`` / ``REGION_INSIDE`` /
-    ``REGION_AFTER``) it executes in.
+    The engine walks a trace in spans (rows of one block, all in one
+    region) and hands each span hook the span's :class:`AccessTable`: its
+    block, row range and kind column, and its memory accesses.  A pass
+    reads non-scope rows through one API: :meth:`select_span` picks the
+    pass's rows of the span in one set of vector ops,
+    :meth:`consume_selected` consumes one segment's slice of that
+    selection, and :meth:`close_span` follows the span's last segment,
+    when every owner in the table is resolved.  Scope records arrive
+    through :meth:`on_alloca` / :meth:`on_call`, and the call/return scope
+    events through :meth:`on_activation` / :meth:`on_return`.  The engine
+    inspects which of these methods a subclass overrides and calls exactly
+    those.  Every callback receives the region constant
+    (``REGION_BEFORE`` / ``REGION_INSIDE`` / ``REGION_AFTER``) it executes
+    in.
     """
 
-    # -- scope records --------------------------------------------------- #
+    # -- scope records and events --------------------------------------- #
     def on_alloca(self, record: TraceRecord, region: int) -> None:
         """An ``Alloca`` record (already registered on the shared map)."""
 
     def on_call(self, record: TraceRecord, region: int) -> None:
         """A ``Call`` record (scope opening, if any, follows on the next
         record — see :meth:`on_activation`)."""
-
-    def on_ret(self, record: TraceRecord, region: int) -> None:
-        """A ``Ret`` record, as a plain record kind; scope closing is
-        reported through :meth:`on_return`."""
-
-    # -- segments -------------------------------------------------------- #
-    def select_span(self, block, lo: int, hi: int,
-                    region: int) -> Optional[SpanSelection]:
-        """Select the rows this pass reads in span ``[lo, hi)`` of
-        ``block``, all in ``region``.
-
-        Return a :class:`SpanSelection` of the span's rows (it must hold
-        no ``Alloca`` / ``Call`` / ``Ret`` or unknown-opcode row), or None
-        when the pass reads nothing in this span.  The engine drops the
-        selection when the span ends.
-        """
-        return None
-
-    def consume_selected(self, block, region: int, selected) -> None:
-        """Consume one segment's slice of this pass's span selection.
-
-        ``selected`` is :meth:`SpanSelection.take` of the segment, never
-        empty: its rows in order (a list), or its field tuples.  Segments
-        never contain ``Alloca`` / ``Call`` / ``Ret`` records (those carry
-        engine actions and arrive through the scope handlers), all rows of
-        a segment share ``region``, and the shared variable map is
-        constant across the segment.
-        """
-
-    # -- access tables --------------------------------------------------- #
-    def open_span(self, table: AccessTable, region: int) -> None:
-        """A span begins: ``table`` lists its memory accesses.  Called
-        before :meth:`select_span`; the owners of a segment's rows are
-        resolved before the segment is consumed."""
-
-    def close_span(self, table: AccessTable, region: int) -> None:
-        """A span ended: every owner in ``table`` is resolved."""
-
-    # -- structural callbacks ------------------------------------------ #
-    def on_region_change(self, region: int) -> None:
-        """The walk crossed into ``region``.  Fires exactly three times per
-        :meth:`AnalysisEngine.run_columnar`: ``REGION_BEFORE`` at the start
-        of the walk, ``REGION_INSIDE`` at the first loop-line record, and
-        ``REGION_AFTER`` once the stream ends (even when the after region
-        is empty)."""
 
     def on_activation(self, callee: str, region: int) -> None:
         """A traced ``Call``'s body follows: the engine just opened an
@@ -329,6 +283,34 @@ class AnalysisPass:
     def on_return(self, record: TraceRecord, region: int) -> None:
         """``record`` is the ``Ret`` closing the innermost activation of
         its function; the engine has already retired the scope."""
+
+    # -- spans ----------------------------------------------------------- #
+    def select_span(self, table: AccessTable,
+                    region: int) -> Optional[SpanSelection]:
+        """Select the rows this pass reads in the span ``table`` describes.
+
+        Return a :class:`SpanSelection` of the span's rows (it must hold
+        no row whose kind breaks segments: ``Alloca`` / ``Call`` / ``Ret``
+        or an unknown opcode), or None when the pass reads nothing in this
+        span.  The engine drops the selection when the span ends.
+        """
+        return None
+
+    def consume_selected(self, table: AccessTable, region: int,
+                         selected) -> None:
+        """Consume one segment's slice of this pass's span selection.
+
+        ``selected`` is :meth:`SpanSelection.take` of the segment, never
+        empty: its rows in order (a list), or its field tuples.  Segments
+        never contain ``Alloca`` / ``Call`` / ``Ret`` records (those carry
+        engine actions and arrive through the scope handlers), all rows of
+        a segment share ``region``, the shared variable map is constant
+        across the segment, and the owners of its access rows are
+        resolved.
+        """
+
+    def close_span(self, table: AccessTable, region: int) -> None:
+        """A span ended: every owner in ``table`` is resolved."""
 
     def finalize(self) -> None:
         """The walk ended; compute any derived results."""
@@ -357,15 +339,6 @@ class EngineWalk:
         return self.record_count - self.last_index - 1
 
 
-# engine-internal actions of the scope opcodes
-_ACT_ALLOCA = 1
-_ACT_CALL = 2
-_ACT_RET = 3
-_ACT_UNKNOWN = 4
-
-_ACTION_BY_KIND = {KIND_ALLOCA: _ACT_ALLOCA, KIND_CALL: _ACT_CALL,
-                   KIND_RET: _ACT_RET}
-
 #: Rows per span, the unit each pass selects its rows for at once.  It
 #: bounds what a span holds whatever the block size: a selection array
 #: stays under 120 kB (seven int64 fields per row) and one segment's row
@@ -391,23 +364,15 @@ class AnalysisEngine:
         self.passes: List[AnalysisPass] = list(passes)
         self.varmap = variable_map if variable_map is not None else VariableMap()
         self._pending_activation: Optional[str] = None
-        self._activation_callbacks = tuple(
-            p.on_activation for p in self.passes
-            if type(p).on_activation is not AnalysisPass.on_activation)
-        self._region_callbacks = tuple(
-            p.on_region_change for p in self.passes
-            if type(p).on_region_change is not AnalysisPass.on_region_change)
-        self._return_callbacks = tuple(
-            p.on_return for p in self.passes
-            if type(p).on_return is not AnalysisPass.on_return)
+        self._alloca_callbacks = self._callbacks("on_alloca")
+        self._call_callbacks = self._callbacks("on_call")
+        self._activation_callbacks = self._callbacks("on_activation")
+        self._return_callbacks = self._callbacks("on_return")
         # Segment consumers in registration order: (slot, select_span,
         # consume_selected) for every pass with the span hook.
         self._segment_plan: List[Tuple[int, Callable, Callable]] = [
-            (slot, p.select_span, p.consume_selected)
-            for slot, p in enumerate(self.passes)
-            if type(p).select_span is not AnalysisPass.select_span]
-        # Access-table readers in registration order: (slot, hook).
-        self._open_plan = self._hooks("open_span")
+            (slot, select, self.passes[slot].consume_selected)
+            for slot, select in self._hooks("select_span")]
         self._close_plan = self._hooks("close_span")
         #: address -> owner id, valid while the live map's revision is
         #: ``_memo_revision`` (scope records between segments may change it)
@@ -419,27 +384,17 @@ class AnalysisEngine:
         self.scope_seconds = 0.0
         #: seconds spent building access tables and resolving their owners
         self.resolve_seconds = 0.0
-        #: per pass (registration order): seconds in its span selections
-        #: and segment consumption
+        #: per pass (registration order): seconds in its span hooks
         self.pass_seconds: List[float] = [0.0] * len(self.passes)
-        # scope opcode -> (engine action, subscribed pass handlers); any
-        # other opcode reaching :meth:`_process` is unknown (segments carry
-        # every known non-scope opcode) and fails loudly.
-        self._plan: Dict[int, Tuple[int, Tuple[Callable, ...]]] = {}
-        for raw, kind in KIND_BY_OPCODE.items():
-            method_name = _SCOPE_CALLBACKS.get(kind)
-            if method_name is None:
-                continue
-            callbacks = tuple(
-                getattr(p, method_name) for p in self.passes
-                if getattr(type(p), method_name)
-                is not getattr(AnalysisPass, method_name))
-            self._plan[raw] = (_ACTION_BY_KIND[kind], callbacks)
-        self._default_plan: Tuple[int, Tuple[Callable, ...]] = (_ACT_UNKNOWN, ())
 
     def _hooks(self, name: str) -> List[Tuple[int, Callable]]:
+        """``(slot, bound method)`` of every pass that overrides ``name``,
+        in registration order."""
         return [(slot, getattr(p, name)) for slot, p in enumerate(self.passes)
                 if getattr(type(p), name) is not getattr(AnalysisPass, name)]
+
+    def _callbacks(self, name: str) -> Tuple[Callable, ...]:
+        return tuple(hook for _, hook in self._hooks(name))
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -488,7 +443,6 @@ class AnalysisEngine:
         #: (block, lo, hi) row ranges whose region a later loop hit must
         #: prove
         pending_ranges: List[Tuple] = []
-        self._emit_region(REGION_BEFORE)
         blocks = iter(blocks)
         while True:
             started = _clock()
@@ -509,7 +463,6 @@ class AnalysisEngine:
                     self._walk_rows(block, 0, first_hit, REGION_BEFORE)
                     first_index = block.base_index + first_hit
                     first_dyn = int(block.dyn_id[first_hit])
-                    self._emit_region(REGION_INSIDE)
                     inside_from = first_hit
                 else:
                     # Everything buffered since the previous loop hit is now
@@ -530,7 +483,6 @@ class AnalysisEngine:
                 f"no trace record falls inside the main computation loop "
                 f"range {spec.mclr} of function {spec.function!r}")
         # The still-buffered tail is the after region.
-        self._emit_region(REGION_AFTER)
         for range_block, lo, hi in pending_ranges:
             self._walk_rows(range_block, lo, hi, REGION_AFTER)
         pending_ranges.clear()
@@ -544,17 +496,6 @@ class AnalysisEngine:
             last_loop_dyn_id=last_dyn,
         )
 
-    @staticmethod
-    def _break_rows(block, lo: int, hi: int):
-        """Rows in ``[lo, hi)`` the walk must materialize individually, as
-        an ascending numpy array: scope opcodes (engine actions) and
-        unknown opcodes (loud failure through :meth:`_process`)."""
-        ops = block.np_opcode[lo:hi]
-        clipped = np.clip(ops, 0, _MAX_OPCODE)
-        rows = np.flatnonzero(_BREAK_LUT[clipped] | (clipped != ops))
-        rows += lo
-        return rows
-
     def _walk_rows(self, block, lo: int, hi: int, region: int) -> None:
         """Walk rows ``[lo, hi)`` of one block in a single known region,
         span by span."""
@@ -563,79 +504,66 @@ class AnalysisEngine:
                             region)
 
     def _walk_span(self, block, lo: int, hi: int, region: int) -> None:
-        """Walk span ``[lo, hi)``: the access-table readers get the span's
-        table and every pass selects its rows of the whole span first,
+        """Walk span ``[lo, hi)``: its kind column and access table are
+        built and every pass selects its rows of the whole span first,
         each segment then resolves its accesses and hands every pass its
-        slice, the table readers get the finished table, and the span's
-        table and selections are dropped on return."""
-        np_breaks = self._break_rows(block, lo, hi)
-        breaks = np_breaks.tolist()
+        slice (the scope record that ends it is processed after it), the
+        close hooks get the finished table, and the span's table and
+        selections are dropped on return."""
+        kinds = KIND_LUT[np.clip(block.opcode[lo:hi], -1, _MAX_OPCODE + 1)]
+        # Scope kinds (engine actions) and unknown opcodes (loud failure)
+        # are materialized one record at a time.
+        breaks = np.flatnonzero(kinds > KIND_OTHER)
+        breaks += lo
+        started = _clock()
+        table = AccessTable(block, lo, hi, kinds, breaks)
+        self.resolve_seconds += _clock() - started
         spent = self.pass_seconds
-        table = None
-        if self._open_plan or self._close_plan:
-            started = _clock()
-            table = AccessTable(block, lo, hi, np_breaks)
-            self.resolve_seconds += _clock() - started
-            for slot, hook in self._open_plan:
-                started = _clock()
-                hook(table, region)
-                spent[slot] += _clock() - started
         plan = []
         for slot, select, consume in self._segment_plan:
             started = _clock()
-            selection = select(block, lo, hi, region)
+            selection = select(table, region)
             if selection is not None and len(selection):
-                selection.cut(np_breaks)
+                selection.cut(breaks)
                 plan.append((slot, consume, selection))
             spent[slot] += _clock() - started
-        record_of = block.record
-        process = self._process
         segment_lo = lo
-        for segment, row in enumerate(breaks):
+        for segment, row in enumerate(breaks.tolist()):
             if segment_lo < row:
-                self._dispatch_segment(block, segment_lo, row, region, plan,
-                                       segment, table)
+                self._dispatch_segment(table, segment_lo, region, plan,
+                                       segment)
             started = _clock()
-            process(record_of(row), region)
+            self._activate(block, row, region)
+            self._process(block.record(row), int(kinds[row - lo]), region)
             self.scope_seconds += _clock() - started
             segment_lo = row + 1
         if segment_lo < hi:
-            self._dispatch_segment(block, segment_lo, hi, region, plan,
-                                   len(breaks), table)
-        if table is not None:
-            for slot, hook in self._close_plan:
-                started = _clock()
-                hook(table, region)
-                spent[slot] += _clock() - started
-
-    def _dispatch_segment(self, block, lo: int, hi: int, region: int,
-                          plan: List[Tuple], segment: int,
-                          table: Optional[AccessTable]) -> None:
-        """Dispatch segment ``[lo, hi)`` — the span's ``segment``-th — to
-        every pass, in pass order, once its accesses are resolved."""
-        # The record after a Call resolves the activation lookahead; inside
-        # a segment that can only be the first row (Calls break segments).
-        pending = self._pending_activation
-        if pending is not None:
-            self._pending_activation = None
-            if block.function_id[lo] == block.id_of.get(pending, -1):
-                self.varmap.enter_scope(pending)
-                for callback in self._activation_callbacks:
-                    callback(pending, region)
-        if table is not None:
+            self._dispatch_segment(table, segment_lo, region, plan,
+                                   len(breaks))
+        for slot, hook in self._close_plan:
             started = _clock()
-            varmap = self.varmap
-            if self._memo_revision != varmap.revision:
-                self._memo_revision = varmap.revision
-                self._memo.clear()
-            table.resolve_segment(segment, self._memo, varmap.resolve_id)
-            self.resolve_seconds += _clock() - started
+            hook(table, region)
+            spent[slot] += _clock() - started
+
+    def _dispatch_segment(self, table: AccessTable, lo: int, region: int,
+                          plan: List[Tuple], segment: int) -> None:
+        """Dispatch the span's ``segment``-th segment, whose first row is
+        ``lo``, to every pass, in pass order, once its accesses are
+        resolved."""
+        self._activate(table.block, lo, region)
+        started = _clock()
+        varmap = self.varmap
+        if self._memo_revision != varmap.revision:
+            self._memo_revision = varmap.revision
+            self._memo.clear()
+        table.resolve_segment(segment, self._memo, varmap.resolve_id)
+        self.resolve_seconds += _clock() - started
         spent = self.pass_seconds
         last = _clock()
         for slot, consume, selection in plan:
             selected = selection.take(segment)
             if selected:
-                consume(block, region, selected)
+                consume(table, region, selected)
             now = _clock()
             spent[slot] += now - last
             last = now
@@ -643,36 +571,42 @@ class AnalysisEngine:
     # ------------------------------------------------------------------ #
     # Scope records
     # ------------------------------------------------------------------ #
-    def _process(self, record: TraceRecord, region: int) -> None:
+    def _activate(self, block, row: int, region: int) -> None:
+        """Resolve the activation lookahead at ``row``, the record after a
+        traced ``Call`` (a segment's first row, or a scope record: Calls
+        break segments): when it runs in the callee, the callee's body
+        follows, so its activation opens before the record is
+        dispatched."""
         pending = self._pending_activation
-        if pending is not None:
-            self._pending_activation = None
-            if record.function == pending:
-                # The callee's traced body follows its Call record: open the
-                # activation before dispatching this record.
-                self.varmap.enter_scope(pending)
-                for callback in self._activation_callbacks:
-                    callback(pending, region)
-        action, callbacks = self._plan.get(record.opcode, self._default_plan)
-        if action == _ACT_ALLOCA:
+        if pending is None:
+            return
+        self._pending_activation = None
+        if int(block.function_id[row]) == block.id_of.get(pending, -1):
+            self.varmap.enter_scope(pending)
+            for callback in self._activation_callbacks:
+                callback(pending, region)
+
+    def _process(self, record: TraceRecord, kind: int, region: int) -> None:
+        """Run the engine's action for scope record ``record`` of kind
+        ``kind``, then hand the record to the passes."""
+        if kind == KIND_ALLOCA:
             self.varmap.add_alloca_record(record)
-        elif action == _ACT_UNKNOWN:
-            raise AnalysisError(
-                f"trace record #{record.dyn_id} carries unknown opcode "
-                f"{record.opcode} ({record.opcode_name!r}); the trace is "
-                f"corrupt or from an unsupported producer")
-        elif action == _ACT_RET:
+            for callback in self._alloca_callbacks:
+                callback(record, region)
+        elif kind == KIND_CALL:
+            for callback in self._call_callbacks:
+                callback(record, region)
+            if record.callee:
+                self._pending_activation = record.callee
+        elif kind == KIND_RET:
             # Close the innermost activation of the returning function (a
             # function with no open scope — e.g. the main-loop function — is
             # a no-op).
             self.varmap.exit_scope(record.function)
             for callback in self._return_callbacks:
                 callback(record, region)
-        for callback in callbacks:
-            callback(record, region)
-        if action == _ACT_CALL and record.callee:
-            self._pending_activation = record.callee
-
-    def _emit_region(self, region: int) -> None:
-        for callback in self._region_callbacks:
-            callback(region)
+        else:
+            raise AnalysisError(
+                f"trace record #{record.dyn_id} carries unknown opcode "
+                f"{record.opcode} ({record.opcode_name!r}); the trace is "
+                f"corrupt or from an unsupported producer")

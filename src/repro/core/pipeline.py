@@ -31,6 +31,8 @@ from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.contraction import contract_ddg
 from repro.core.dependency import DependencyPass
 from repro.core.engine import (
+    KIND_GEP,
+    KIND_LOAD,
     REGION_INSIDE,
     AccessTable,
     AnalysisEngine,
@@ -42,16 +44,11 @@ from repro.core.report import AutoCheckReport, CacheInfo, TraceStats
 from repro.core.rwdeps import RWExtractionPass
 from repro.core.varmap import OwnerColumn, VariableInfo, VariableMap
 from repro.ir.module import Module
-from repro.ir.opcodes import Opcode
 from repro.trace.binio import is_binary_trace_file, read_layout
 from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace
 from repro.trace.textio import read_trace_file
 from repro.util.timing import TimingBreakdown
-
-
-_PROBE_LOAD = int(Opcode.LOAD)
-_PROBE_GEP = int(Opcode.GETELEMENTPTR)
 
 
 #: timing stages of the walk's passes, in registration order
@@ -97,17 +94,18 @@ class InductionProbePass(AnalysisPass):
         block = table.block
         rows = table.rows
         owners = table.owner_ids()
-        opcode = table.opcode
+        kind = table.kind
         pick = np.flatnonzero(
-            (opcode != _PROBE_GEP) & (owners >= 0)
-            & (block.np_line[rows] == spec.start_line)
-            & (block.np_function_id[rows]
+            (kind != KIND_GEP) & (owners >= 0)
+            & (block.line[rows] == spec.start_line)
+            & (block.function_id[rows]
                == block.id_of.get(spec.function, -1)))
         pick = pick[self._candidate.array()[owners[pick]]]
         registrations = self.varmap.registrations
-        for owner, op in zip(owners[pick].tolist(), opcode[pick].tolist()):
+        for owner, load in zip(owners[pick].tolist(),
+                               (kind[pick] == KIND_LOAD).tolist()):
             info = registrations[owner]
-            sink = self.read if op == _PROBE_LOAD else self.written
+            sink = self.read if load else self.written
             sink[info.name] = info
 
     def pick(self) -> Tuple[Optional[str], Optional[VariableInfo]]:

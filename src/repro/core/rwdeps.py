@@ -33,16 +33,14 @@ from typing import Any, Container, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.engine import (
+    KIND_GEP,
+    KIND_STORE,
     REGION_BEFORE,
     REGION_INSIDE,
     AccessTable,
     AnalysisPass,
 )
 from repro.core.varmap import OwnerColumn, VariableMap
-from repro.ir.opcodes import Opcode
-
-_STORE = int(Opcode.STORE)
-_GEP = int(Opcode.GETELEMENTPTR)
 
 
 class AccessKind(enum.Enum):
@@ -317,8 +315,8 @@ class RWExtractionPass(AnalysisPass):
         if region == REGION_BEFORE or not len(table):
             return
         owners = table.owner_ids()
-        opcode = table.opcode
-        pick = np.flatnonzero((owners >= 0) & (opcode != _GEP))
+        kind = table.kind
+        pick = np.flatnonzero((owners >= 0) & (kind != KIND_GEP))
         owners = owners[pick]
         qualifies = self._candidate.array()[owners]
         pick = pick[qualifies]
@@ -330,9 +328,9 @@ class RWExtractionPass(AnalysisPass):
         offsets = ((table.address[pick] - self._base.array()[owners])
                    // self._element_bytes.array()[owners])
         sink = self._loop if region == REGION_INSIDE else self._post
-        sink.append(block.dyn_id[rows], owners, opcode[pick] == _STORE,
-                    block.np_line[rows],
-                    self._codes_of(block.strings, block.np_function_id[rows]),
+        sink.append(block.dyn_id[rows], owners, kind[pick] == KIND_STORE,
+                    block.line[rows],
+                    self._codes_of(block.strings, block.function_id[rows]),
                     offsets.astype(np.int64))
 
     def _codes_of(self, strings: List[str], function_ids):

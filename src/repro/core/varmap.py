@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 import numpy as np
 
+from repro.core.errors import AnalysisError
 from repro.ir.opcodes import Opcode
 from repro.trace.records import GlobalSymbol, TraceRecord
 
@@ -171,7 +172,13 @@ class VariableMap:
         count = 1
         for operand in record.operands:
             if operand.name == "count":
-                count = int(operand.value)
+                try:
+                    count = int(operand.value)
+                except (ValueError, OverflowError):
+                    raise AnalysisError(
+                        f"trace record #{record.dyn_id} allocates "
+                        f"{operand.value!r} elements of {record.result.name!r}"
+                        f"; the trace is corrupt") from None
                 break
         element_bits = record.result.bits or 32
         # Ceil division: sub-byte element types (i1 booleans) still occupy a
@@ -415,19 +422,19 @@ def build_variable_map(globals_: Iterable[GlobalSymbol],
                        scoped: bool = False) -> VariableMap:
     """Build a variable map from the preamble plus (optionally filtered) Allocas.
 
-    When ``function`` is given only that function's allocations are indexed —
-    this is the map used to decide whether an accessed address belongs to an
-    MLI variable owned by the main-loop function (Challenge 2); passing
-    ``None`` indexes every allocation (used by the dependency analysis to
-    recognise locals of callees).
+    A post-hoc view of a whole record list; the analysis itself does not
+    use it (the engine keeps one live map, registering each ``Alloca`` as
+    it executes).  When ``function`` is given only that function's
+    allocations are indexed, as for deciding whether an address belongs to
+    an allocation of the main-loop function (Challenge 2); ``None``
+    indexes every allocation, callees' locals included.
 
     With ``scoped=True`` the builder additionally replays the trace's
     ``Call``/``Ret`` structure through :meth:`VariableMap.enter_scope` /
     :meth:`VariableMap.exit_scope`, so allocations of returned activations
-    are retired from address resolution exactly as the dependency analysis
-    would retire them on the fly.  The default keeps the full history live,
-    which the materialized MLI-identification path relies on (it resolves
-    accesses against the completed map).
+    are retired from address resolution exactly as the engine retires
+    them during its walk.  The default keeps the full history live: every
+    allocation the records ever made resolves, against the completed map.
     """
     varmap = VariableMap()
     for symbol in globals_:

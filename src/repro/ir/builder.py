@@ -7,7 +7,7 @@ temporary-register numbering LLVM-Tracer shows in the paper's figures.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import (
     AllocaInst,
@@ -187,9 +187,3 @@ class IRBuilder:
     @staticmethod
     def const_float(value: float) -> Constant:
         return Constant(type=F64, value=float(value))
-
-    @staticmethod
-    def const(value: Union[int, float]) -> Constant:
-        if isinstance(value, int):
-            return IRBuilder.const_int(value)
-        return IRBuilder.const_float(value)

@@ -78,12 +78,6 @@ class Function:
             raise ValueError(f"function {self.name!r} has no blocks")
         return self.blocks[0]
 
-    def block_by_name(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(name)
-
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions

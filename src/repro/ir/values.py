@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.ir.types import ArrayType, IRType, PointerType
+from repro.ir.types import ArrayType, IRType
 
 
 @dataclass(eq=False)
@@ -92,10 +92,3 @@ class Argument(Value):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"arg {self.name}:{self.type}"
-
-
-def pointer_to(value: Value) -> PointerType:
-    """Return the pointer type addressing ``value``'s stored data."""
-    if isinstance(value, GlobalVariable):
-        return PointerType(value.value_type)
-    return PointerType(value.type)

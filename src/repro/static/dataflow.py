@@ -129,9 +129,6 @@ class DefUseChains:
         site = self.defs.get(rid)
         return site.inst if site is not None else None
 
-    def uses_of(self, rid: int) -> List[UseSite]:
-        return self.uses.get(rid, [])
-
 
 def build_def_use(function: Function) -> DefUseChains:
     """Collect every register's definition site and use sites."""

@@ -200,12 +200,6 @@ class StaticModuleAnalysis:
                 names.add(name)
         return frozenset(names)
 
-    def summary_for(self, function: str) -> FunctionSummary:
-        return self.functions[function]
-
-    def is_candidate_name(self, name: str) -> bool:
-        return name in self.candidate_names
-
 
 # --------------------------------------------------------------------------- #
 # Construction

@@ -624,6 +624,17 @@ def _block_offsets_struct(entry_count: int) -> struct.Struct:
     return layout
 
 
+def _decode_text(data: bytes, name: str, what: str) -> str:
+    """``data`` decoded as UTF-8, or a :class:`BinaryTraceError` naming the
+    file ``name`` and the field ``what`` it holds."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace: {what} is not UTF-8 "
+            f"({exc.reason} at byte {exc.start})") from None
+
+
 def _parse_footer(footer: bytes, version: int, module_name: str,
                   records_start: int, footer_offset: int,
                   name: str) -> BinaryTraceLayout:
@@ -634,13 +645,23 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
     ascend from ``records_start`` and stay below the footer.  Every
     writer's footer does; one that lies is refused here with a
     :class:`BinaryTraceError` naming ``name``, before any reader trusts
-    it.
+    it.  So is a footer that ends inside a field, or a global name or
+    string-table entry that is not UTF-8; the error names the field.
 
     The working ``memoryview`` is released deterministically on every exit
     path so callers handing in a slice of an ``mmap`` can close the mapping
     immediately afterwards.
     """
     view = memoryview(footer)
+    size = len(view)
+    field = "the global count"
+
+    def text(position: int, length: int, what: str) -> str:
+        if position + length > size:
+            raise struct.error("short text")
+        return _decode_text(view[position:position + length].tobytes(),
+                            name, what)
+
     try:
         if view[:4].tobytes() != FOOTER_MAGIC:
             raise BinaryTraceError(f"{name!r}: corrupt binary trace footer")
@@ -648,11 +669,12 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
         (global_count,) = _U32.unpack_from(view, position)
         position += 4
         globals_: List[GlobalSymbol] = []
-        for _ in range(global_count):
+        for index in range(global_count):
+            field = f"global {index}"
             (name_len,) = _U16.unpack_from(view, position)
             position += 2
-            symbol_name = (view[position:position + name_len].tobytes()
-                           .decode("utf-8"))
+            symbol_name = text(position, name_len,
+                               f"the name of global {index}")
             position += name_len
             (address, size_bytes, element_bits,
              is_array) = _GLOBAL_FIXED.unpack_from(view, position)
@@ -661,30 +683,41 @@ def _parse_footer(footer: bytes, version: int, module_name: str,
                                          size_bytes=size_bytes,
                                          element_bits=element_bits,
                                          is_array=bool(is_array)))
+        field = "the string count"
         (string_count,) = _U32.unpack_from(view, position)
         position += 4
         strings: List[str] = []
-        for _ in range(string_count):
+        for index in range(string_count):
+            field = f"string {index}"
             (text_len,) = _U16.unpack_from(view, position)
             position += 2
-            strings.append(view[position:position + text_len].tobytes()
-                           .decode("utf-8"))
+            strings.append(text(position, text_len, field))
             position += text_len
+        field = "the block index"
         (index_stride,) = _U32.unpack_from(view, position)
         position += 4
         (record_count,) = _U64.unpack_from(view, position)
         position += 8
         (entry_count,) = _U32.unpack_from(view, position)
         position += 4
+        if position + 8 * entry_count > size:
+            raise struct.error("short block index")
         block_offsets = list(
             _block_offsets_struct(entry_count).unpack_from(view, position))
         position += 8 * entry_count
         content_digest: Optional[str] = None
         if version >= 2:
+            field = "the content digest"
             (digest_len,) = _U8.unpack_from(view, position)
             position += 1
+            if position + digest_len > size:
+                raise struct.error("short digest")
             content_digest = (view[position:position + digest_len]
                               .tobytes().hex())
+    except struct.error:
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace footer: it ends early, in "
+            f"{field}") from None
     finally:
         view.release()
     _check_block_index(index_stride, record_count, block_offsets,
@@ -737,13 +770,19 @@ def _read_layout(read: Callable[[int, int], bytes], size: int,
     records_start = _HEADER.size + name_len
     if size < records_start + _TRAILER.size:
         raise BinaryTraceError(f"truncated binary trace file {name!r}")
-    module_name = read(_HEADER.size, name_len).decode("utf-8")
+    module_name = _decode_text(read(_HEADER.size, name_len), name,
+                               "the module name")
     footer_offset, trailer = _TRAILER.unpack(
         read(size - _TRAILER.size, _TRAILER.size))
     if trailer != TRAILER_MAGIC:
         raise BinaryTraceError(
             f"{name!r}: missing binary trace trailer "
             f"(file truncated or still being written)")
+    if not records_start <= footer_offset <= size - _TRAILER.size:
+        raise BinaryTraceError(
+            f"{name!r}: corrupt binary trace trailer: footer offset "
+            f"{footer_offset} lies outside bytes {records_start} to "
+            f"{size - _TRAILER.size}")
     footer = read(footer_offset, size - _TRAILER.size - footer_offset)
     return _parse_footer(footer, version, module_name, records_start,
                          footer_offset, name)

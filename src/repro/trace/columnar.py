@@ -13,15 +13,15 @@ rare records that need it (``Alloca`` / ``Call`` / ``Ret``, plus anything a
 pass explicitly requests via :meth:`ColumnarBlock.record`).  It is the only
 input of the analysis engine (:mod:`repro.core.engine`).
 
-Decoded columns (everything else stays lazy)::
+Decoded columns, all numpy arrays (everything else stays lazy)::
 
     per record   dyn_id, opcode, line, function_id, callee_id,
                  op_start (slot prefix sum, result slot included),
                  has_result, rec_off (byte offset, for materialization)
-    per operand  op_flags, op_name_id, np_op_address (0 when absent:
+    per operand  op_flags, op_name_id, op_address (0 when absent:
                  ``op_flags & 2`` tells the two apart)
 
-Two scan implementations produce byte-identical columns:
+Two scan implementations produce equal columns:
 
 * a **numpy lockstep scan** for runs of full index blocks: the block
   index gives the byte offset of every ``INDEX_STRIDE``-th record, so a
@@ -109,18 +109,16 @@ class _BigIntInChunk(Exception):
 
 
 class ColumnarBlock:
-    """One decoded run of records as parallel columns.
+    """One decoded run of records as parallel numpy columns.
 
-    The columns the passes read row by row in Python loops are plain
-    lists; ``np_opcode`` / ``np_line`` / ``np_function_id`` /
-    ``np_op_start`` / ``np_has_result`` / ``np_op_flags`` /
-    ``np_op_name_id`` mirror seven of them as numpy arrays, on every
-    block, for vectorized masks and gathers (loop-row detection, span
-    selections, the engine's access tables).  ``dyn_id``, ``callee_id``,
-    ``rec_off`` and ``np_op_address``, which the walk reads row by row for
-    only a handful of rows, are numpy arrays only (wrap an element in
-    ``int()``); ``np_op_address`` is ``uint64`` with 0 where an operand
-    carries no address (its ``op_flags`` bit 2 is clear).
+    Every column is a numpy array, whichever scan decoded the block:
+    ``opcode`` / ``line`` / ``function_id`` / ``op_start`` (``int64``),
+    ``has_result`` / ``op_flags`` (``uint8``), ``op_name_id``
+    (``uint32``), ``op_address`` (``uint64``, 0 where an operand carries
+    no address: its ``op_flags`` bit 2 is clear), and ``dyn_id`` /
+    ``callee_id`` / ``rec_off``.  The walk masks and gathers them a span
+    at a time; a pass that loops over rows in Python lists the columns it
+    reads itself (wrap a single element in ``int()``).
     Operand slots of record ``row`` are ``op_start[row]`` to
     ``op_start[row + 1]`` (the *result* operand, when
     ``has_result[row]``, is the last slot); the record's operand count
@@ -131,10 +129,7 @@ class ColumnarBlock:
     __slots__ = ("name", "base_index", "count", "strings", "id_of", "buf",
                  "dyn_id", "opcode", "line", "function_id", "callee_id",
                  "op_start", "has_result", "rec_off",
-                 "op_flags", "op_name_id",
-                 "np_opcode", "np_line", "np_function_id",
-                 "np_op_start", "np_has_result", "np_op_flags",
-                 "np_op_name_id", "np_op_address", "_records")
+                 "op_flags", "op_name_id", "op_address", "_records")
 
     def __init__(self, name: str, base_index: int, strings: List[str],
                  id_of: Dict[str, int], buf) -> None:
@@ -162,25 +157,12 @@ class ColumnarBlock:
             self._records[row] = record
         return record
 
-    def match_rows(self, start: int, stop: int, opcodes):
-        """Ascending rows in ``[start, stop)`` whose opcode is one of
-        ``opcodes``, as a numpy array: a custom pass selects its rows of a
-        span this way."""
-        ops = self.np_opcode[start:stop]
-        mask = ops == opcodes[0]
-        for op in opcodes[1:]:
-            mask |= ops == op
-        rows = np.flatnonzero(mask)
-        if start:
-            rows += start
-        return rows
-
     def loop_rows(self, function_id: int, start_line: int, end_line: int):
         """Rows matching the main-loop spec (function + line range), as a
         numpy array."""
-        return np.flatnonzero((self.np_function_id == function_id)
-                              & (self.np_line >= start_line)
-                              & (self.np_line <= end_line))
+        return np.flatnonzero((self.function_id == function_id)
+                              & (self.line >= start_line)
+                              & (self.line <= end_line))
 
 
 # --------------------------------------------------------------------------- #
@@ -189,8 +171,8 @@ class ColumnarBlock:
 def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     """Fill ``block`` with the ``count`` records in ``buf[:end]``.
 
-    Produces columns identical to the lockstep scan — including for
-    big-integer operands — and builds the numpy mirrors from them.
+    Produces the lockstep scan's columns — including for big-integer
+    operands — from per-record lists.
     Raises :class:`BinaryTraceError` naming the block's file when the records
     overrun the buffer or do not end exactly at ``end``, the byte where
     the block index says the span ends.
@@ -265,21 +247,14 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     block.dyn_id = np.array(dyn_ids, dtype=np.int64)
     block.callee_id = np.array(callee_ids, dtype=np.int64)
     block.rec_off = np.array(rec_offs, dtype=np.int64)
-    block.opcode = opcodes
-    block.line = lines
-    block.function_id = function_ids
-    block.op_start = op_starts
-    block.has_result = has_results
-    block.op_flags = op_flags
-    block.op_name_id = op_name_ids
-    block.np_opcode = np.array(opcodes, dtype=np.int64)
-    block.np_line = np.array(lines, dtype=np.int64)
-    block.np_function_id = np.array(function_ids, dtype=np.int64)
-    block.np_op_start = np.array(op_starts, dtype=np.int64)
-    block.np_has_result = np.array(has_results, dtype=np.uint8)
-    block.np_op_flags = np.array(op_flags, dtype=np.uint8)
-    block.np_op_name_id = np.array(op_name_ids, dtype=np.int64)
-    block.np_op_address = np.array(op_addresses, dtype=np.uint64)
+    block.opcode = np.array(opcodes, dtype=np.int64)
+    block.line = np.array(lines, dtype=np.int64)
+    block.function_id = np.array(function_ids, dtype=np.int64)
+    block.op_start = np.array(op_starts, dtype=np.int64)
+    block.has_result = np.array(has_results, dtype=np.uint8)
+    block.op_flags = np.array(op_flags, dtype=np.uint8)
+    block.op_name_id = np.array(op_name_ids, dtype=np.uint32)
+    block.op_address = np.array(op_addresses, dtype=np.uint64)
 
 
 # --------------------------------------------------------------------------- #
@@ -361,30 +336,23 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     block.dyn_id = recs["dyn_id"]
     block.callee_id = recs["callee_id"]
     block.rec_off = rec_off_stream
-    block.np_opcode = recs["opcode"].astype(np.int64)
-    block.np_line = recs["line"].astype(np.int64)
-    block.np_function_id = recs["function_id"].astype(np.int64)
-    block.np_has_result = recs["has_result"]
-    block.np_op_start = np.empty(len(recs) + 1, np.int64)
-    block.np_op_start[0] = 0
-    np.cumsum(slots_stream, out=block.np_op_start[1:])
-    block.opcode = block.np_opcode.tolist()
-    block.line = block.np_line.tolist()
-    block.function_id = block.np_function_id.tolist()
-    block.has_result = block.np_has_result.tolist()
-    block.op_start = block.np_op_start.tolist()
+    block.opcode = recs["opcode"].astype(np.int64)
+    block.line = recs["line"].astype(np.int64)
+    block.function_id = recs["function_id"].astype(np.int64)
+    block.has_result = recs["has_result"]
+    block.op_start = np.empty(len(recs) + 1, np.int64)
+    block.op_start[0] = 0
+    np.cumsum(slots_stream, out=block.op_start[1:])
 
     flags_u8 = arr[flat_op_off]
-    block.np_op_flags = flags_u8
-    block.op_flags = flags_u8.tolist()
-    block.np_op_name_id = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
-                           .view("<u4").ravel())
-    block.op_name_id = block.np_op_name_id.tolist()
+    block.op_flags = flags_u8
+    block.op_name_id = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
+                        .view("<u4").ravel())
     has_addr = (flags_u8 & 2) != 0
-    block.np_op_address = np.zeros(len(flat_op_off), dtype=np.uint64)
+    block.op_address = np.zeros(len(flat_op_off), dtype=np.uint64)
     if bool(has_addr.any()):
         addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
-        block.np_op_address[has_addr] = (
+        block.op_address[has_addr] = (
             arr[addr_off[:, None] + _NP_ADDR_RANGE].view("<u8").ravel())
 
 
@@ -393,13 +361,13 @@ def _check_string_ids(block: ColumnarBlock) -> None:
     the string table (one vector max per column), naming the file and the
     first such record."""
     size = len(block.strings)
-    for what, ids in (("function", block.np_function_id),
+    for what, ids in (("function", block.function_id),
                       ("callee", block.callee_id),
-                      ("operand-name", block.np_op_name_id)):
+                      ("operand-name", block.op_name_id)):
         if ids.size and int(ids.max()) >= size:
             at = int(np.flatnonzero(ids >= size)[0])
             row = (at if what != "operand-name" else
-                   int(np.searchsorted(block.np_op_start, at, "right")) - 1)
+                   int(np.searchsorted(block.op_start, at, "right")) - 1)
             raise BinaryTraceError(
                 f"{block.name!r}: record {block.base_index + row} has {what}"
                 f" id {int(ids[at])}, past the {size}-entry string table")

@@ -51,10 +51,6 @@ class TraceOperand:
     def is_parameter(self) -> bool:
         return self.index.startswith(PARAM_INDEX_PREFIX)
 
-    @property
-    def is_memory(self) -> bool:
-        return self.address is not None
-
 
 @dataclass(slots=True)
 class TraceRecord:

@@ -333,10 +333,6 @@ class ExecutionResult:
     failure: Optional[SimulatedFailure] = None
     memory: Optional[Memory] = None
 
-    @property
-    def output_text(self) -> str:
-        return "\n".join(self.output)
-
 
 #: One compiled instruction: runs it in a frame; a terminator returns the
 #: next block (``None`` for a return), every other step returns ``None``.
@@ -386,12 +382,6 @@ class Interpreter:
 
     def block_entry_count(self, function_name: str, block_name: str) -> int:
         return self._block_entry_counts.get((function_name, block_name), 0)
-
-    @property
-    def current_frame(self) -> Frame:
-        if not self.frames:
-            raise InterpreterError("no active frame")
-        return self.frames[-1]
 
     def resolve_variable(self, name: str,
                          frame: Optional[Frame] = None) -> Optional[Allocation]:

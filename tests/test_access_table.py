@@ -13,12 +13,20 @@ the 64-bit space.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from conftest import make_alloca_record, make_operand, make_record as record
 
 import test_engine_fused as fused
 from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
-from repro.core.engine import AnalysisEngine, AnalysisPass, SpanSelection
+from repro.core.engine import (
+    KIND_GEP,
+    KIND_LOAD,
+    KIND_STORE,
+    AnalysisEngine,
+    AnalysisPass,
+    SpanSelection,
+)
 from repro.core.rwdeps import AccessKind
 from repro.core.varmap import VariableMap
 from repro.ir.opcodes import Opcode
@@ -35,23 +43,27 @@ _GEP = int(Opcode.GETELEMENTPTR)
 
 class _OwnerCheck(AnalysisPass):
     """Resolves each memory access itself, in its segment, through the
-    plain operand columns, and collects the access tables' owners."""
+    block's operand columns, and collects the access tables' owners."""
 
     def __init__(self, varmap):
         self.varmap = varmap
         self.expected = []
         self.tables = []
 
-    def select_span(self, block, lo, hi, region):
-        return SpanSelection(block.match_rows(lo, hi, (_LOAD, _STORE, _GEP)))
+    def select_span(self, table, region):
+        memory = np.isin(table.kinds, (KIND_LOAD, KIND_STORE, KIND_GEP))
+        return SpanSelection(np.flatnonzero(memory) + table.lo)
 
-    def consume_selected(self, block, region, selected):
+    def consume_selected(self, table, region, selected):
+        block = table.block
         for row in selected:
+            assert block.opcode[row] in (_LOAD, _STORE, _GEP)
             pointer = 1 if block.opcode[row] == _STORE else 0
-            first = block.op_start[row]
-            count = block.op_start[row + 1] - first - block.has_result[row]
+            first = int(block.op_start[row])
+            count = (int(block.op_start[row + 1]) - first
+                     - int(block.has_result[row]))
             slot = first + pointer
-            address = (int(block.np_op_address[slot])
+            address = (int(block.op_address[slot])
                        if count > pointer and block.op_flags[slot] & 2
                        else None)
             self.expected.append((int(block.dyn_id[row]),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -16,8 +17,10 @@ from repro.tracer.driver import trace_to_file
 from test_trace_binio import (
     FOOTER_LIES,
     STRING_ID_PAST_THE_TABLE,
+    UNDECODABLE,
     lying_footer,
     string_id_past_the_table,
+    undecodable_cases,
 )
 from test_trace_format import MALFORMED_TEXT, malformed_text
 
@@ -469,6 +472,40 @@ class TestMalformedTextTraceNamesTheLine:
         assert code == 2
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert f"{path}:{number}: " in err and "Traceback" not in err
+
+
+class TestUndecodableFieldIsRefused:
+    """A header, footer or trailer field that does not decode (a name
+    that is not UTF-8, a footer that ends early, a footer offset past the
+    file's end) is one ``error:`` line naming the file and the field, with
+    or without ``--cache``."""
+
+    @pytest.fixture(scope="class")
+    def undecodable(self, example_module, tmp_path_factory):
+        genuine = str(tmp_path_factory.mktemp("undecodable")
+                      / "example.btrace")
+        trace_to_file(example_module, genuine, module_name="example",
+                      fmt="binary")
+        with open(genuine, "rb") as handle:
+            return undecodable_cases(handle.read())
+
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_analyze_exits_2(self, capsys, tmp_path, undecodable,
+                             example_spec, case, cache):
+        path = str(tmp_path / "bad.btrace")
+        with open(path, "wb") as handle:
+            handle.write(undecodable[case])
+        extra = ["--cache", "--cache-dir", str(tmp_path / "cache")]
+        code = main(["analyze", path, "--function", example_spec.function,
+                     "--start", str(example_spec.start_line),
+                     "--end", str(example_spec.end_line),
+                     *(extra if cache else [])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert path in err and "Traceback" not in err
+        assert re.search(UNDECODABLE[case], err)
 
 
 class TestStringIdPastTheTableIsRefused:

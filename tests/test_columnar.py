@@ -5,7 +5,8 @@ Three layers of evidence pin the columnar route down:
 1. **Decode equivalence** — the columns (and lazily materialized records)
    of :class:`repro.trace.columnar.TraceColumnarReader` match the
    per-record :class:`repro.trace.binio.TraceBinaryReader` decoder exactly,
-   and every block's numpy mirrors equal its lists: property-tested on
+   and every block holds the same numpy columns whichever scan decoded
+   it: property-tested on
    randomized round-tripped traces (hypothesis, reusing the
    binary-roundtrip strategies), and deterministically on traces large
    enough to exercise the numpy lockstep scan, the big-integer fallback
@@ -49,23 +50,27 @@ from repro.trace.records import (
 # --------------------------------------------------------------------------- #
 # Decode equivalence: columns == per-record reader
 # --------------------------------------------------------------------------- #
-_MIRRORS = ("opcode", "line", "function_id", "op_start", "has_result",
-            "op_flags", "op_name_id")
+#: column -> its dtype (None: either scan's own integer dtype)
+_RECORD_COLUMNS = {"dyn_id": None, "callee_id": None, "rec_off": None,
+                   "opcode": np.int64, "line": np.int64,
+                   "function_id": np.int64, "has_result": np.uint8}
+_OPERAND_COLUMNS = {"op_flags": np.uint8, "op_name_id": np.uint32,
+                    "op_address": np.uint64}
 
 
 def _assert_block_matches(block, records):
     """Every column of ``block`` agrees with the corresponding records,
-    and the block has one shape whichever scan decoded it: all seven numpy
-    mirrors equal their lists, and the array-only columns are arrays."""
-    for column in _MIRRORS:
-        mirror = getattr(block, "np_" + column)
-        assert isinstance(mirror, np.ndarray), column
-        assert mirror.tolist() == getattr(block, column), column
-    for column in ("dyn_id", "callee_id", "rec_off"):
-        assert isinstance(getattr(block, column), np.ndarray), column
-        assert len(getattr(block, column)) == block.count, column
-    assert block.np_op_address.dtype == np.uint64
-    assert len(block.np_op_address) == len(block.op_flags)
+    and the block has one shape whichever scan decoded it: every column
+    is a numpy array of its row count and dtype, and none is a list."""
+    slot_count = int(block.op_start[-1])
+    for columns, length in ((_RECORD_COLUMNS, block.count),
+                            (_OPERAND_COLUMNS, slot_count),
+                            ({"op_start": np.int64}, block.count + 1)):
+        for column, dtype in columns.items():
+            values = getattr(block, column)
+            assert isinstance(values, np.ndarray), column
+            assert len(values) == length, column
+            assert dtype is None or values.dtype == dtype, column
     strings = block.strings
     for row in range(block.count):
         reference = records[block.base_index + row]
@@ -83,7 +88,7 @@ def _assert_block_matches(block, records):
         for offset, operand in enumerate(slots):
             assert bool(block.op_flags[lo + offset] & 1) == operand.is_register
             assert strings[block.op_name_id[lo + offset]] == operand.name
-            address = (int(block.np_op_address[lo + offset])
+            address = (int(block.op_address[lo + offset])
                        if block.op_flags[lo + offset] & 2 else None)
             assert address == operand.address
         # lazy materialization returns the full record, field for field

@@ -57,7 +57,13 @@ from repro.tracer.driver import trace_to_file
 
 from test_golden_reports import GOLDEN
 from test_store import ALL_APP_NAMES
-from test_trace_binio import FOOTER_LIES, WALK_REFUSED, lying_footer
+from test_trace_binio import (
+    FOOTER_LIES,
+    UNDECODABLE,
+    WALK_REFUSED,
+    lying_footer,
+    undecodable_cases,
+)
 from test_trace_format import MALFORMED_TEXT, malformed_text
 
 #: Apps cheap enough to analyse repeatedly inside a unit test.
@@ -769,6 +775,27 @@ class TestTraceUpload:
         assert (status, error["code"]) == (422, "INVALID_TRACE")
         assert re.search(rf":{number}: malformed trace line",
                          error["message"])
+        assert server.store.stats().entries == 0
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_field_upload_is_refused_naming_it(
+            self, tmp_path, server, client, example_module, case):
+        """A name that is not UTF-8, a footer that ends early or a footer
+        offset past the body's end: 400, naming ``<upload>`` and the
+        field, before anything is stored."""
+        trace_path = str(tmp_path / "genuine.btrace")
+        trace_to_file(example_module, trace_path, module_name="example",
+                      fmt="binary")
+        with open(trace_path, "rb") as handle:
+            upload = undecodable_cases(handle.read())[case]
+        spec = prepare_app_analysis("example", use_cache=False,
+                                    trace_dir=server.trace_dir).spec
+        status, _, body = client.analyze_trace(
+            upload, spec.function, spec.start_line, spec.end_line)
+        error = json.loads(body)["error"]
+        assert (status, error["code"]) == (400, "BAD_FIELD")
+        assert "'<upload>'" in error["message"]
+        assert re.search(UNDECODABLE[case], error["message"])
         assert server.store.stats().entries == 0
 
     @pytest.mark.parametrize("lie", sorted(FOOTER_LIES))

@@ -11,9 +11,9 @@ the properties that must survive that layout:
   golden report bytes with the module, and the default walk's report on
   the module-less route that runs the dynamic induction probe;
 * **unknown opcodes** — a corrupt opcode inside the loop, past the kind
-  tables' end or negative, still fails loudly through the engine;
+  table's end or negative, still fails loudly through the engine;
 * **blocks without operand slots** — a block whose records carry no
-  operand at all (empty operand mirrors) still selects and walks;
+  operand at all (empty operand columns) still selects and walks;
 * **custom span hooks** — a pass overriding ``select_span`` sees exactly
   the trace's own Load/Store records, in stream order and tagged with
   their regions, however the blocks are cut.
@@ -25,12 +25,15 @@ import dataclasses
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core import AutoCheck, AutoCheckConfig, MainLoopSpec
 from repro.core import engine as engine_module
 from repro.core.dependency import DependencyPass
 from repro.core.engine import (
+    KIND_LOAD,
+    KIND_STORE,
     REGION_AFTER,
     REGION_BEFORE,
     REGION_INSIDE,
@@ -143,9 +146,9 @@ def test_unknown_opcode_inside_the_loop_fails_loudly(ep_inside_load, opcode):
 
 def test_block_without_operand_slots_selects_and_walks():
     """Records with no operand and no result leave a block's operand
-    mirrors empty — here one lockstep-scanned index block and a
+    columns empty — here one lockstep-scanned index block and a
     pure-Python-scanned tail: the dependency selection must not index the
-    empty ``np_op_name_id``, and the walk inspects every record."""
+    empty ``op_name_id``, and the walk inspects every record."""
     kinds = (_LOAD, _STORE, int(Opcode.ADD), int(Opcode.GETELEMENTPTR))
     records = [TraceRecord(dyn_id=index + 1, opcode=kinds[index % 4],
                            opcode_name="Op", function="main", line=5,
@@ -155,7 +158,7 @@ def test_block_without_operand_slots_selects_and_walks():
     blocks = list(TraceColumnarReader(buffer=buffer).iter_blocks(
         chunk_records=256))
     assert [block.count for block in blocks] == [256, 44]
-    assert all(not block.np_op_name_id.size for block in blocks)
+    assert all(not block.op_name_id.size for block in blocks)
     varmap = VariableMap()
     dependency = DependencyPass(varmap)
     engine = AnalysisEngine(MainLoopSpec("main", 1, 10), [dependency],
@@ -172,12 +175,13 @@ class _SpanRecorder(AnalysisPass):
         self.seen = []
         self.segments = 0
 
-    def select_span(self, block, lo, hi, region):
-        return SpanSelection(block.match_rows(lo, hi, (_LOAD, _STORE)))
+    def select_span(self, table, region):
+        memory = np.isin(table.kinds, (KIND_LOAD, KIND_STORE))
+        return SpanSelection(np.flatnonzero(memory) + table.lo)
 
-    def consume_selected(self, block, region, selected):
+    def consume_selected(self, table, region, selected):
         self.segments += 1
-        self.seen.extend((int(block.dyn_id[row]), region)
+        self.seen.extend((int(table.block.dyn_id[row]), region)
                          for row in selected)
 
 

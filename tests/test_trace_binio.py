@@ -1,8 +1,10 @@
 """Unit tests for the block-indexed binary trace format."""
 
+import functools
 import hashlib
 import os
 import struct
+from typing import Dict
 
 import pytest
 from conftest import FLEET_NAMES
@@ -397,6 +399,97 @@ class TestStringIdsPastTheTable:
             with (TraceColumnarReader(path) as reader,
                   pytest.raises(BinaryTraceError, match="string table")):
                 list(reader.iter_blocks())
+
+
+# --------------------------------------------------------------------------- #
+# Header and footer fields that do not decode
+# --------------------------------------------------------------------------- #
+#: Rewrites of a version-2 trace whose header, footer or trailer does not
+#: decode -> the field the error must name.  ``global_name`` needs a trace
+#: with globals (``is``); the others rewrite ``example``'s trace.
+UNDECODABLE = {
+    "module_name": r"the module name is not UTF-8",
+    "global_name": r"the name of global 0 is not UTF-8",
+    "string_main": r"string \d+ is not UTF-8",
+    "footer_ends_early": r"corrupt binary trace footer: it ends early",
+    "trailer_past_the_end": r"trailer: footer offset \d+ lies outside",
+}
+
+
+def undecodable(data: bytes, case: str) -> bytes:
+    """A version-2 trace's bytes with ``case`` of :data:`UNDECODABLE`
+    applied: the first byte of the module name, of global 0's name or of
+    the string ``main`` overwritten with ``0xA2`` (a UTF-8 continuation
+    byte), the file cut to its header, a footer of only its magic and a
+    trailer pointing at it, or a trailer pointing past the file's end."""
+    layout = layout_from_buffer(data)
+    start = layout.records_start
+    if case == "footer_ends_early":
+        return data[:start] + b"ACTF" + struct.pack("<Q4s", start, b"ACTE")
+    if case == "trailer_past_the_end":
+        return data[:-12] + struct.pack("<Q4s", len(data) + 100, b"ACTE")
+    if case == "module_name":
+        at = 10  # past the header's magic, version, flags and name length
+    else:
+        at = layout.records_end + 8  # past the footer's magic and count
+        if case == "global_name":
+            at += 2
+        else:
+            for symbol in layout.globals:
+                at += 2 + len(symbol.name.encode("utf-8")) + 21
+            at += 4  # the string count
+            for text in layout.strings[:layout.strings.index("main")]:
+                at += 2 + len(text.encode("utf-8"))
+            at += 2
+    out = bytearray(data)
+    out[at] = 0xA2
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _traced_with_globals() -> bytes:
+    from repro.apps import get_app
+    from repro.codegen.lowering import compile_source
+    from repro.tracer.driver import run_and_trace
+
+    module = compile_source(get_app("is").source(), module_name="is")
+    trace, _ = run_and_trace(module)
+    assert trace.globals
+    return trace.encoded()[0]
+
+
+def undecodable_cases(example_data: bytes) -> Dict[str, bytes]:
+    """Every case of :data:`UNDECODABLE` -> its :func:`undecodable` bytes,
+    rewritten from ``example_data`` (``example``'s version-2 trace) or,
+    for ``global_name``, from ``is``'s."""
+    return {case: undecodable(_traced_with_globals()
+                              if case == "global_name" else example_data,
+                              case)
+            for case in UNDECODABLE}
+
+
+@pytest.fixture(scope="module")
+def undecodable_bytes(example_btrace_bytes):
+    return undecodable_cases(example_btrace_bytes)
+
+
+class TestUndecodableFields:
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_layout_readers_name_the_file_and_field(
+            self, undecodable_bytes, tmp_path, case):
+        data = undecodable_bytes[case]
+        path = str(tmp_path / "bad.btrace")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(BinaryTraceError,
+                           match=rf"bad\.btrace.*{UNDECODABLE[case]}"):
+            read_layout(path)
+        with pytest.raises(BinaryTraceError,
+                           match=rf"'<buffer>'.*{UNDECODABLE[case]}"):
+            layout_from_buffer(data)
+        with pytest.raises(BinaryTraceError, match=UNDECODABLE[case]):
+            Trace.from_binary(data)
+
 
 
 # --------------------------------------------------------------------------- #

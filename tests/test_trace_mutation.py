@@ -1,0 +1,237 @@
+"""Mutation fuzzing of the version-2 trace bytes, a trust boundary.
+
+Hypothesis mutates ``example``'s version-2 trace: bit flips and byte
+overwrites in the header, the record region, the footer and the trailer,
+truncations, and footers that lie about one of their counts.  Each mutant
+goes through :meth:`Trace.from_binary` and ``AutoCheck(...).run()``, with
+the store off and with it on in a fresh directory.  What must hold:
+
+* the outcome is a report, a :class:`~repro.trace.binio.BinaryTraceError`
+  (:class:`~repro.trace.binio.TraceDigestMismatch` included) or an
+  :class:`~repro.core.errors.AnalysisError` — never another exception,
+  and never a hang (each run has a wall-clock limit);
+* with the store on, a mutant that changed only record bytes yields the
+  genuine report or an error: the publishing walk folds the content
+  digest over the record bytes it reads, so it never stores the report
+  of changed records under the footer's key.
+
+String-table rewrites that stay valid UTF-8 are left out of the second
+property: the digest does not cover the string table, so such a mutant
+still reports under the genuine key (ROADMAP item 4's string-table gap).
+They are held to the first one only.
+
+CI runs this file with ``--hypothesis-seed=0``, so a failure there
+reproduces from its log.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import signal
+import struct
+import tempfile
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import AutoCheck, AutoCheckConfig
+from repro.core.errors import AnalysisError
+from repro.store.serialize import canonical_report_json
+from repro.trace.binio import BinaryTraceError, layout_from_buffer
+from repro.trace.records import Trace
+
+#: the parts of the file a flip or an overwrite lands in
+_REGIONS = ("header", "records", "footer", "trailer")
+#: the footer's counts, each with its struct format
+_COUNTS = {"global_count": "<I", "string_count": "<I",
+           "index_stride": "<I", "record_count": "<Q",
+           "entry_count": "<I", "digest_length": "<B"}
+#: seconds one mutant may take before it counts as a hang
+_HANG_SECONDS = 20
+
+_WHERE = st.integers(0, 2 ** 32)
+_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.sampled_from(_REGIONS), _WHERE,
+              st.integers(0, 7)),
+    st.tuples(st.just("overwrite"), st.sampled_from(_REGIONS), _WHERE,
+              st.integers(0, 255)),
+    st.tuples(st.just("truncate"), _WHERE),
+    st.tuples(st.just("lie"), st.sampled_from(sorted(_COUNTS)),
+              st.integers(-3, 3)),
+    st.tuples(st.just("lie_to"), st.sampled_from(sorted(_COUNTS)),
+              st.integers(0, 2 ** 64 - 1)),
+)
+_EDITS = st.lists(_EDIT, min_size=1, max_size=3)
+
+
+@dataclass(repr=False)
+class Genuine:
+    """``example``'s genuine trace bytes, their parts, and its report
+    (no repr: a falsifying example prints only its edits)."""
+
+    data: bytes
+    #: region -> [start, stop) byte range
+    regions: Dict[str, Tuple[int, int]]
+    #: footer count -> byte offset
+    counts: Dict[str, int]
+    config: AutoCheckConfig
+    module: object
+    report_json: str
+
+
+def _count_offsets(data: bytes) -> Dict[str, int]:
+    """Where each footer count of ``data`` sits, walking the footer's
+    layout: magic, globals, string table, block index, digest."""
+    layout = layout_from_buffer(data)
+    position = layout.records_end + 4
+    offsets = {"global_count": position}
+    position += 4
+    for symbol in layout.globals:
+        position += 2 + len(symbol.name.encode("utf-8")) + 21
+    offsets["string_count"] = position
+    position += 4
+    for text in layout.strings:
+        position += 2 + len(text.encode("utf-8"))
+    offsets["index_stride"] = position
+    offsets["record_count"] = position + 4
+    offsets["entry_count"] = position + 12
+    offsets["digest_length"] = position + 16 + 8 * len(layout.block_offsets)
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def genuine(example_trace, example_spec, example_module) -> Genuine:
+    from repro.apps import get_app
+
+    data, _ = example_trace.encoded()
+    layout = layout_from_buffer(data)
+    regions = {"header": (0, layout.records_start),
+               "records": (layout.records_start, layout.records_end),
+               "footer": (layout.records_end, len(data) - 12),
+               "trailer": (len(data) - 12, len(data))}
+    counts = _count_offsets(data)
+    for field, fmt in (("record_count", "<Q"), ("index_stride", "<I")):
+        expected = getattr(layout, field)
+        assert struct.unpack_from(fmt, data, counts[field])[0] == expected
+    config = AutoCheckConfig(main_loop=example_spec,
+                             **get_app("example").autocheck_options)
+    report = AutoCheck(config, trace=Trace.from_binary(data),
+                       module=example_module).run()
+    return Genuine(data, regions, counts, config, example_module,
+                   canonical_report_json(report))
+
+
+def _mutate(genuine: Genuine, edits) -> Tuple[bytes, bool]:
+    """``genuine``'s bytes with ``edits`` applied, and whether every edit
+    kept the file's length and changed only record bytes."""
+    out = bytearray(genuine.data)
+    records_only = True
+    for edit in edits:
+        kind = edit[0]
+        if kind in ("flip", "overwrite"):
+            _, region, where, value = edit
+            start, stop = genuine.regions[region]
+            at = start + where % (stop - start)
+            if at >= len(out):
+                continue
+            out[at] = (out[at] ^ (1 << value) if kind == "flip"
+                       else value)
+            records_only &= region == "records"
+        elif kind == "truncate":
+            del out[edit[1] % (len(out) + 1):]
+            records_only = False
+        else:
+            _, field, value = edit
+            fmt = _COUNTS[field]
+            at = genuine.counts[field]
+            if at + struct.calcsize(fmt) > len(out):
+                continue
+            if kind == "lie":
+                value += struct.unpack_from(fmt, out, at)[0]
+            struct.pack_into(fmt, out, at,
+                             value % (1 << 8 * struct.calcsize(fmt)))
+            records_only = False
+    return bytes(out), records_only
+
+
+class _Hang(Exception):
+    """A mutant ran past the wall-clock limit."""
+
+
+@contextmanager
+def _no_hang(seconds: float = _HANG_SECONDS):
+    def expire(signum, frame):
+        raise _Hang(f"a mutant ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _outcome(genuine: Genuine, mutant: bytes, cache_dir=None):
+    """The report of ``mutant``, or the named error it was refused with;
+    any other exception propagates."""
+    config = genuine.config
+    if cache_dir is not None:
+        config = dataclasses.replace(config, use_cache=True,
+                                     cache_dir=cache_dir)
+    with _no_hang():
+        try:
+            trace = Trace.from_binary(mutant)
+            return AutoCheck(config, trace=trace,
+                             module=genuine.module).run()
+        except (BinaryTraceError, AnalysisError) as exc:
+            return exc
+
+
+_SETTINGS = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_SETTINGS
+@given(edits=_EDITS)
+def test_mutant_is_a_report_or_a_named_error(genuine, edits):
+    mutant, _ = _mutate(genuine, edits)
+    _outcome(genuine, mutant)
+
+
+@_SETTINGS
+@given(edits=_EDITS)
+def test_mutant_with_the_store_never_reports_changed_records(genuine,
+                                                            edits):
+    mutant, records_only = _mutate(genuine, edits)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        outcome = _outcome(genuine, mutant, cache_dir)
+    if records_only and not isinstance(outcome, Exception):
+        assert canonical_report_json(outcome) == genuine.report_json
+
+
+@pytest.mark.parametrize("count", [float("nan"), float("inf")])
+def test_alloca_count_that_is_no_integer_is_a_named_error(
+        genuine, example_trace, count):
+    """Two edits the search rarely pairs — the value tag of an Alloca's
+    ``count`` operand flipped to float, and its value bytes overwritten —
+    give an element count that converts to no integer: refused naming
+    the record."""
+    records = list(example_trace.records)
+    index = next(index for index, record in enumerate(records)
+                 if record.is_alloca)
+    alloca = records[index]
+    records[index] = dataclasses.replace(alloca, operands=[
+        dataclasses.replace(operand, value=count)
+        if operand.name == "count" else operand
+        for operand in alloca.operands])
+    mutant, _ = Trace(example_trace.module_name, example_trace.globals,
+                      records).encoded()
+    outcome = _outcome(genuine, mutant)
+    assert isinstance(outcome, AnalysisError)
+    assert f"record #{alloca.dyn_id} allocates {count!r} elements" \
+        in str(outcome)
