@@ -14,7 +14,11 @@ induction variable and the artifact store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+if TYPE_CHECKING:
+    from repro.core.varmap import VariableInfo
+
 
 @dataclass(frozen=True)
 class MainLoopSpec:
@@ -41,6 +45,12 @@ class MainLoopSpec:
     def contains_line(self, line: int) -> bool:
         """True when ``line`` lies within the loop's source range."""
         return self.start_line <= line <= self.end_line
+
+    def is_candidate(self, info: VariableInfo) -> bool:
+        """True when ``info`` can be a main-loop variable: a global, or an
+        allocation of the main-loop function (Challenge 2: a callee's
+        same-named local must not pass for the loop's variable)."""
+        return info.is_global or info.function == self.function
 
     @property
     def mclr(self) -> str:

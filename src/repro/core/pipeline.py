@@ -10,16 +10,27 @@ once, sharing one live variable map so every access resolves against the
 allocation state at its own execution time.  The identify stage then
 contracts the DDG and classifies the critical variables.
 
-A version-2 binary trace file streams straight from disk.  An in-memory
-:class:`repro.trace.records.Trace` is walked from the binary bytes it holds
-(:meth:`~repro.trace.records.Trace.encoded`); a text trace file or a
-version-1 binary file is read into one first
-(:func:`repro.trace.textio.read_trace_file`).
+Each input is resolved once, on first need, and the store key
+(:meth:`AutoCheck.cache_key`) and the walk (:meth:`AutoCheck.walk`) share
+that resolution, so the walk reads the bytes the key came from:
+
+* an in-memory :class:`repro.trace.records.Trace` is keyed by the digest of
+  the binary bytes it holds (:meth:`~repro.trace.records.Trace.encoded`)
+  and walked from them;
+* a version-2 binary file is keyed by its footer digest and streams
+  straight from disk with the layout read then; a publishing walk folds
+  the footer digest over the record bytes it reads;
+* any other file (text, or a version-1 binary) is keyed by the SHA-256 of
+  its raw bytes.  Its walk reads the file once, and a publishing walk
+  refuses those bytes unless they hash to that digest; the ``Trace`` is
+  then built from them (:func:`repro.trace.textio.trace_from_bytes`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -44,10 +55,15 @@ from repro.core.report import AutoCheckReport, CacheInfo, TraceStats
 from repro.core.rwdeps import RWExtractionPass
 from repro.core.varmap import OwnerColumn, VariableInfo, VariableMap
 from repro.ir.module import Module
-from repro.trace.binio import is_binary_trace_file, read_layout
+from repro.trace.binio import (
+    BINARY_MAGIC,
+    BinaryTraceLayout,
+    TraceDigestMismatch,
+    layout_from_handle,
+)
 from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace
-from repro.trace.textio import read_trace_file
+from repro.trace.textio import trace_from_bytes
 from repro.util.timing import TimingBreakdown
 
 
@@ -81,9 +97,7 @@ class InductionProbePass(AnalysisPass):
         self.spec = spec
         self.read: Dict[str, VariableInfo] = {}
         self.written: Dict[str, VariableInfo] = {}
-        self._candidate = OwnerColumn(
-            varmap, lambda info: (info.is_global
-                                  or info.function == spec.function), bool)
+        self._candidate = OwnerColumn(varmap, spec.is_candidate, bool)
 
     def close_span(self, table: AccessTable, region: int) -> None:
         """Probe the spec function's loads and stores on the loop's start
@@ -139,6 +153,30 @@ class PassWalk:
     induction_name: Optional[str]
 
 
+@dataclass(frozen=True)
+class _ResolvedInput:
+    """An analysis input, resolved once for its store key and its walk."""
+
+    #: the trace content digest the store key is made of
+    digest: str
+    #: a version-2 file's layout, which its walk streams with
+    layout: Optional[BinaryTraceLayout] = None
+
+
+def _resolve_file(path: str) -> _ResolvedInput:
+    """A trace file's digest, read in one open without decoding a record:
+    a version-2 file's footer digest (with its layout), else the SHA-256 of
+    its raw bytes."""
+    with open(path, "rb") as handle:
+        if handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
+            layout = layout_from_handle(handle, path)
+            if layout.content_digest is not None:
+                return _ResolvedInput(layout.content_digest, layout)
+        handle.seek(0)
+        return _ResolvedInput(
+            hashlib.file_digest(handle, "sha256").hexdigest())
+
+
 class AutoCheck:
     """Run the full AutoCheck analysis for one program trace."""
 
@@ -154,26 +192,48 @@ class AutoCheck:
         self._module = module
 
     # ------------------------------------------------------------------ #
-    # Shared helpers
+    # The input and the static loop analysis, each resolved once
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _input(self) -> _ResolvedInput:
+        """The input, resolved on first need (see the module docstring)."""
+        if self._trace is not None:
+            return _ResolvedInput(self._trace.encoded()[1])
+        assert self._trace_path is not None
+        return _resolve_file(self._trace_path)
+
     def _open_reader(self) -> TraceColumnarReader:
-        """The input as columnar blocks: a version-2 binary file streams
-        from disk, a :class:`Trace` (any other file is read into one) is
-        walked from its bytes, and errors on them name the file it was
-        read from."""
+        """The input as columnar blocks: a version-2 file streams from disk
+        with the layout its key came from, and a :class:`Trace` (any other
+        file is read into one) is walked from its bytes, with errors on
+        them naming the file it was read from."""
+        resolved = self._input
+        if resolved.layout is not None:
+            return TraceColumnarReader(self._trace_path,
+                                       layout=resolved.layout)
         trace = self._trace
         if trace is None:
-            path = self._trace_path
-            assert path is not None
-            if is_binary_trace_file(path):
-                layout = read_layout(path)
-                if layout.content_digest is not None:
-                    return TraceColumnarReader(path, layout=layout)
-            trace = read_trace_file(path)
+            trace = self._read_keyed_file(resolved.digest)
         reader = TraceColumnarReader(buffer=trace.encoded()[0])
         reader.name = trace.source_path
         return reader
 
+    def _read_keyed_file(self, digest: str) -> Trace:
+        """Read a text or version-1 file once and build its :class:`Trace`
+        from those bytes; a run that publishes first checks that they hash
+        to ``digest``, the raw-byte digest its store key came from."""
+        path = self._trace_path
+        assert path is not None
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if self.config.use_cache:
+            actual = hashlib.sha256(data).hexdigest()
+            if actual != digest:
+                raise TraceDigestMismatch(path, digest, actual,
+                                          keyed_by="the raw-byte digest")
+        return trace_from_bytes(data, path)
+
+    @cached_property
     def _static_induction_name(self) -> Optional[str]:
         """The induction variable from the static loop analysis over the IR
         (the paper's llvm-pass-loop equivalent), if the module is at hand."""
@@ -188,18 +248,6 @@ class AutoCheck:
             return None
         induction = find_induction_variable(function, loop)
         return induction.name if induction is not None else None
-
-    @staticmethod
-    def _latest_main_loop_variable(varmap: VariableMap, spec: MainLoopSpec,
-                                   name: str) -> Optional[VariableInfo]:
-        """Latest registration of ``name`` among globals and the main-loop
-        function's own allocations (Challenge 2: a same-named callee local
-        must not be mistaken for the loop's variable)."""
-        latest: Optional[VariableInfo] = None
-        for info in varmap.by_name(name):
-            if info.is_global or info.function == spec.function:
-                latest = info
-        return latest
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -223,9 +271,10 @@ class AutoCheck:
         """The artifact-store address of this run, without running it.
 
         Computing the address costs zero record decodes: binary footers
-        carry the digest precomputed, text files hash their raw bytes, and
-        an in-memory trace holds the digest of the bytes the walk reads —
-        the digest its on-disk binary file carries.
+        carry the digest precomputed, any other file's raw bytes are
+        hashed, and an in-memory trace holds the digest of the bytes the
+        walk reads — the digest its on-disk binary file carries.  The
+        address is computed once; later calls return it.
 
         Shared by the cache lookup below and by the serve daemon, whose
         request-coalescing table keys on exactly this address — "N
@@ -235,6 +284,10 @@ class AutoCheck:
         Returns:
             :class:`repro.store.cache.ArtifactAddress`.
         """
+        return self._address
+
+    @cached_property
+    def _address(self):
         # Imported lazily: repro.store imports core modules, so a top-level
         # import here would be circular when repro.store is imported first.
         from repro.store.cache import (
@@ -242,18 +295,14 @@ class AutoCheck:
             artifact_key,
             config_fingerprint,
         )
-        from repro.store.digest import compute_trace_digest
 
-        if self._trace is not None:
-            trace_digest = self._trace.encoded()[1]
-        else:
-            trace_digest = compute_trace_digest(self._trace_path)
+        trace_digest = self._input.digest
         # The static induction name is an analysis input that lives outside
         # the config (it comes from the module's IR): a run that resolves it
         # and one that cannot (no module) must address different entries.
         static_induction = None
         if self.config.induction_variable is None:
-            static_induction = self._static_induction_name()
+            static_induction = self._static_induction_name
         fingerprint = config_fingerprint(self.config,
                                          static_induction=static_induction)
         return ArtifactAddress(key=artifact_key(trace_digest, fingerprint),
@@ -307,7 +356,7 @@ class AutoCheck:
         # answer is already known.
         induction_name = config.induction_variable
         if induction_name is None:
-            induction_name = self._static_induction_name()
+            induction_name = self._static_induction_name
 
         with timings.stage("preprocessing"):
             reader = self._open_reader()
@@ -331,7 +380,8 @@ class AutoCheck:
             globals_ = reader.layout.globals
             engine.add_globals(globals_)
             # A run that publishes its report checks the bytes it walks,
-            # file or buffer, against the digest its store key came from.
+            # file or buffer, against the footer digest its store key came
+            # from (a text or version-1 file's were checked as it was read).
             blocks = reader.iter_blocks(verify_digest=config.use_cache)
             if config.progress_callback is not None:
                 blocks = _with_block_progress(blocks, config.progress_callback)
@@ -367,8 +417,11 @@ class AutoCheck:
             induction_name = passes.induction_name
             induction_info: Optional[VariableInfo] = None
             if induction_name is not None:
-                induction_info = self._latest_main_loop_variable(
-                    passes.varmap, spec, induction_name)
+                # The latest registration of the name that can be the
+                # loop's variable (a same-named callee local cannot).
+                for info in passes.varmap.by_name(induction_name):
+                    if spec.is_candidate(info):
+                        induction_info = info
             elif passes.probe is not None:
                 induction_name, induction_info = passes.probe.pick()
             critical = classify_variables(preprocessing, rw,

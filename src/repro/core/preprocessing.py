@@ -110,9 +110,10 @@ class MLICollectionPass(AnalysisPass):
     every owner is the allocation live at the access's own execution time.
     The shared map indexes *every* function's allocations, but MLI
     candidates are globals and the main-loop function's own allocations
-    (Challenge 2): a resolved owner outside that population (e.g. a live
-    ancestor frame's local, reachable through a pointer when the main loop
-    lives in a nested function) is rejected.
+    (Challenge 2, :meth:`~repro.core.config.MainLoopSpec.is_candidate`): a
+    resolved owner outside that population (e.g. a live ancestor frame's
+    local, reachable through a pointer when the main loop lives in a
+    nested function) is rejected.
 
     A span's variables are collected when the span ends, in the order of
     their first access; the sets are final once the walk is.
@@ -127,9 +128,7 @@ class MLICollectionPass(AnalysisPass):
         self.inside_vars: Dict[str, VariableInfo] = {}
         self.mli_variables: List[MLIVariable] = []
         #: per owner: a global, or an allocation of the main-loop function
-        self._candidate = OwnerColumn(
-            varmap, lambda info: (info.is_global
-                                  or info.function == spec.function), bool)
+        self._candidate = OwnerColumn(varmap, spec.is_candidate, bool)
         self._is_global = OwnerColumn(varmap, lambda info: info.is_global,
                                       bool)
 

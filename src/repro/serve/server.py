@@ -20,7 +20,7 @@ hit.  Endpoints:
 
 Request lifecycle on ``POST /analyze``::
 
-    resolve (app registry / trace spool)
+    resolve (app registry / the upload's Trace, built from the body)
       → memo (app requests: identity → address) — warm: answer now
       → address (AutoCheck.cache_key(): digest+fingerprint+schema)
         → store.load (lock-free read path)      — warm: answer now
@@ -38,7 +38,6 @@ completes and publishes to the store.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import struct
@@ -64,7 +63,7 @@ from repro.trace.binio import (
     BinaryTraceError,
     verify_content_digest,
 )
-from repro.trace.textio import TraceFormatError
+from repro.trace.textio import TraceFormatError, trace_from_bytes
 from repro.util.logging import get_logger
 
 _LOG = get_logger(__name__)
@@ -411,24 +410,6 @@ class AnalysisServer:
             self._app_addresses.put(identity, address)
         return _AnalyzeWork(label, prepared.autocheck, address)
 
-    def _spool_trace_body(self, body: bytes) -> str:
-        """Persist an uploaded trace body, content-addressed and atomic."""
-        digest = hashlib.sha256(body).hexdigest()
-        spool_dir = os.path.join(self.trace_dir, "uploads")
-        path = os.path.join(spool_dir, f"{digest}.trace")
-        if not os.path.exists(path):
-            os.makedirs(spool_dir, exist_ok=True)
-            tmp_path = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
-            try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(body)
-                os.replace(tmp_path, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.remove(tmp_path)
-                raise
-        return path
-
     def _resolve_trace_request(self, body: bytes,
                                query: Dict[str, list]) -> _AnalyzeWork:
         def _int_param(name: str) -> int:
@@ -472,17 +453,19 @@ class AnalysisServer:
                                 end_line=end)
         except ValueError as exc:
             raise ServeError(400, ERR_BAD_FIELD, str(exc)) from exc
-        path = self._spool_trace_body(body)
+        # The upload is walked from the body itself, so its key and its
+        # walk read the same bytes and nothing is written to disk.  A text
+        # body is parsed here, as app staging compiles and traces.
+        try:
+            trace = trace_from_bytes(body, "<upload>")
+        except (BinaryTraceError, TraceFormatError) as exc:
+            raise ServeError(422, ERR_INVALID_TRACE, str(exc)) from exc
         config = AutoCheckConfig(main_loop=spec,
                                  induction_variable=induction,
                                  use_cache=self.use_cache,
                                  cache_dir=self.cache_dir)
-        autocheck = AutoCheck(config, trace_path=path)
-        try:
-            address = autocheck.cache_key()
-        except Exception as exc:
-            raise ServeError(400, ERR_BAD_FIELD,
-                             f"cannot digest uploaded trace: {exc}") from exc
+        autocheck = AutoCheck(config, trace=trace)
+        address = autocheck.cache_key()
         return _AnalyzeWork(f"trace:{address.trace_digest[:12]}", autocheck,
                             address)
 

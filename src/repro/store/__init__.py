@@ -7,9 +7,6 @@ package makes analysis results durable and addressable:
 * :mod:`repro.store.serialize` — versioned JSON serialization of the full
   :class:`~repro.core.report.AutoCheckReport` surface with an exact
   round-trip guarantee (``from_json(to_json(r)) == r``);
-* :mod:`repro.store.digest` — trace content digests: read from the binary
-  footer (computed once at write time), raw-bytes fallback for text
-  traces, and a matching in-memory digest — all at zero record decodes;
 * :mod:`repro.store.cache` — the on-disk store keyed by
   ``(trace digest, config fingerprint, schema version)``, with atomic
   writes, self-healing corrupted entries, and an eviction sweep behind the
@@ -20,8 +17,14 @@ package makes analysis results durable and addressable:
 
 Wired into the pipeline via
 :attr:`repro.core.config.AutoCheckConfig.use_cache` (CLI: ``--cache``); a
-hit skips the record walk entirely.  See ``docs/architecture.md`` for how
-the store composes with the analysis engines.
+hit skips the record walk entirely.  The trace digest in each key comes
+from the input's one resolution in
+:meth:`repro.core.pipeline.AutoCheck.cache_key` — a version-2 file's
+footer digest, an in-memory trace's digest of the bytes it holds, or the
+SHA-256 of any other file's raw bytes — at zero record decodes, and a
+publishing walk checks that the bytes it reads hash to it.  See
+``docs/architecture.md`` for how the store composes with the analysis
+engines.
 """
 
 from repro.store.batch import (
@@ -44,10 +47,6 @@ from repro.store.cache import (
     artifact_key,
     config_fingerprint,
     default_cache_dir,
-)
-from repro.store.digest import (
-    compute_trace_digest,
-    digest_file_bytes,
 )
 from repro.store.serialize import (
     SCHEMA_VERSION,
@@ -74,10 +73,8 @@ __all__ = [
     "artifact_key",
     "ensure_app_trace",
     "map_over_pool",
-    "compute_trace_digest",
     "config_fingerprint",
     "default_cache_dir",
-    "digest_file_bytes",
     "load_manifest",
     "report_from_dict",
     "report_from_json",

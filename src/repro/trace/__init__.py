@@ -8,9 +8,9 @@ This package plays the role of LLVM-Tracer's output format:
   memory addresses) and of the global-variable preamble;
 * :mod:`repro.trace.textio` — the line-oriented text encoding of those
   records (field-for-field equivalent to the LLVM-Tracer excerpts in paper
-  Fig. 1 and Fig. 6) plus the format-sniffing front doors
-  (:func:`read_trace_file`, :func:`read_preamble`,
-  :func:`iter_trace_records`) that accept either encoding;
+  Fig. 1 and Fig. 6) plus the one front door from a trace file's bytes of
+  either encoding to a :class:`Trace` (:func:`trace_from_bytes`, and
+  :func:`read_trace_file` for a path);
 * :mod:`repro.trace.binio` — the compact block-indexed binary encoding:
   struct-packed records, an interned string table, a block-offset index
   footer and, since format version 2, a streaming content digest computed
@@ -24,8 +24,8 @@ slow to parse and unable to represent names containing commas or newlines;
 the binary format is the production path — smaller files, several times
 faster decoding and the only encoding the analysis walks; an in-memory
 :class:`Trace` holds it too (a text file is encoded once as it is read).
-All readers sniff the format, so callers never need to know which one they
-were handed.
+The front door sniffs the format, so callers never need to know which one
+they were handed.
 """
 
 from repro.trace.records import (
@@ -38,12 +38,10 @@ from repro.trace.records import (
 from repro.trace.textio import (
     TraceFormatError,
     TraceTextWriter,
-    iter_trace_records,
     parse_record_lines,
-    read_preamble,
     read_trace_file,
     record_to_lines,
-    sniff_trace_format,
+    trace_from_bytes,
     write_trace_file,
 )
 from repro.trace.binio import (
@@ -53,8 +51,6 @@ from repro.trace.binio import (
     TraceBinaryReader,
     TraceBinaryWriter,
     encode_trace,
-    is_binary_trace_file,
-    read_trace_file_binary,
     verify_content_digest,
     write_trace_file_binary,
 )
@@ -67,12 +63,10 @@ __all__ = [
     "RESULT_INDEX",
     "TraceFormatError",
     "TraceTextWriter",
-    "iter_trace_records",
     "parse_record_lines",
-    "read_preamble",
     "read_trace_file",
     "record_to_lines",
-    "sniff_trace_format",
+    "trace_from_bytes",
     "write_trace_file",
     "BINARY_VERSION",
     "SUPPORTED_VERSIONS",
@@ -80,8 +74,6 @@ __all__ = [
     "TraceBinaryReader",
     "TraceBinaryWriter",
     "encode_trace",
-    "is_binary_trace_file",
-    "read_trace_file_binary",
     "verify_content_digest",
     "write_trace_file_binary",
 ]

@@ -9,7 +9,9 @@ per instruction (:meth:`TraceBinaryWriter.template`) and one packer per
 value-flag signature (:meth:`TraceBinaryWriter.emitter`).  Every analysis
 walks this encoding, and an in-memory :class:`~repro.trace.records.Trace`
 holds it: a trace built from records, a text file or a version-1 file is
-encoded once by :func:`encode_trace`.
+encoded once by :func:`encode_trace`.  A whole file's bytes of either
+encoding become a ``Trace`` through one front door,
+:func:`repro.trace.textio.trace_from_bytes`.
 
 File layout (all integers little-endian)::
 
@@ -24,9 +26,9 @@ globals section, maintained incrementally by the writer as it streams.  The
 digest identifies the trace *content* independently of the file it lives in,
 which is what the artifact store (:mod:`repro.store`) keys analysis results
 on — reading it back costs one footer decode, no record I/O.  Version-1
-files (no digest field) are still read; their digest is reported as ``None``
-and :func:`repro.store.digest.compute_trace_digest` falls back to hashing
-the raw file bytes.
+files (no digest field) are still read; their digest is reported as ``None``,
+and the store keys such a file, like a text file, by the SHA-256 of its raw
+bytes (:meth:`repro.core.pipeline.AutoCheck.cache_key`).
 
 Record block::
 
@@ -120,25 +122,20 @@ class BinaryTraceError(ValueError):
 
 
 class TraceDigestMismatch(BinaryTraceError):
-    """A binary trace's content does not hash to its footer digest: the
-    file changed after it was written, and a report of it must not be
-    stored under the footer digest's key."""
+    """The bytes a publishing walk read do not hash to the digest its store
+    key came from — a binary trace's footer digest, or the raw-byte digest
+    of a text or version-1 file: the trace changed after it was written or
+    keyed, and a report of it must not be stored under that key."""
 
-    def __init__(self, path: Optional[str], expected: str,
-                 actual: str) -> None:
+    def __init__(self, path: Optional[str], expected: str, actual: str,
+                 keyed_by: str = "the footer digest") -> None:
         super().__init__(
             f"{path or '<buffer>'!r}: content digest {actual} does not match "
-            f"the footer digest {expected} (the trace changed after it was "
-            f"written)")
+            f"{keyed_by} {expected} (the trace changed after it was written "
+            f"or keyed)")
         self.path = path
         self.expected = expected
         self.actual = actual
-
-
-def is_binary_trace_file(path: str) -> bool:
-    """True when ``path`` starts with the binary trace magic."""
-    with open(path, "rb") as handle:
-        return handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
 
 
 # --------------------------------------------------------------------------- #
@@ -796,11 +793,17 @@ def read_layout(path: str) -> BinaryTraceLayout:
     batch run must be attributable without a stack trace.
     """
     with open(path, "rb") as handle:
-        def read(offset: int, count: int) -> bytes:
-            handle.seek(offset)
-            return handle.read(count)
+        return layout_from_handle(handle, path)
 
-        return _read_layout(read, os.fstat(handle.fileno()).st_size, path)
+
+def layout_from_handle(handle: IO[bytes], name: str) -> BinaryTraceLayout:
+    """:func:`read_layout` over a file already open for binary reading,
+    named ``name`` in errors (it reads the header, trailer and footer)."""
+    def read(offset: int, count: int) -> bytes:
+        handle.seek(offset)
+        return handle.read(count)
+
+    return _read_layout(read, os.fstat(handle.fileno()).st_size, name)
 
 
 def layout_from_buffer(buffer, name: Optional[str] = None,
@@ -952,7 +955,7 @@ class TraceBinaryReader:
 
     def read(self) -> Trace:
         """The trace over the file's bytes (:meth:`Trace.from_binary`)."""
-        return Trace.from_binary(self._buffer)
+        return Trace.from_binary(self._buffer, self.path)
 
     def iter_records(self) -> Iterator[TraceRecord]:
         """Decode every record in file order (a record block that does not
@@ -973,8 +976,3 @@ class TraceBinaryReader:
                     f"{self.path or '<buffer>'!r}: the record block at byte "
                     f"{start} does not decode: {exc}") from None
             yield record
-
-
-def read_trace_file_binary(path: str) -> Trace:
-    """Convenience wrapper around :class:`TraceBinaryReader`."""
-    return TraceBinaryReader(path).read()

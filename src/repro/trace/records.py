@@ -149,9 +149,10 @@ class Trace:
     the bytes it is given and decodes :attr:`records` on first access
     (iterating before then streams them without keeping them).
 
-    :attr:`source_path` names the file a trace was read from
-    (:func:`repro.trace.textio.read_trace_file`), so errors on its bytes
-    can name it; it is not part of the trace's content, bytes or digest.
+    :attr:`source_path` names the file (or upload) a trace's bytes came
+    from (:func:`repro.trace.textio.trace_from_bytes`), so errors on its
+    bytes can name it; it is not part of the trace's content, bytes or
+    digest.
     """
 
     __slots__ = ("_module_name", "_globals", "_records", "_encoded",
@@ -168,10 +169,12 @@ class Trace:
         self.source_path: Optional[str] = None
 
     @classmethod
-    def from_binary(cls, data: bytes) -> "Trace":
+    def from_binary(cls, data: bytes, name: Optional[str] = None) -> "Trace":
         """The trace a whole binary trace file's bytes encode, with their
         footer digest.  Version-1 bytes carry no digest, so their records
-        are decoded and encoded again as version 2 (once, streaming)."""
+        are decoded and encoded again as version 2 (once, streaming).
+        ``name`` is the file the bytes came from: errors name it, and it
+        is the trace's :attr:`source_path`."""
         from repro.trace.binio import (
             TraceBinaryReader,
             encode_trace,
@@ -179,15 +182,16 @@ class Trace:
         )
 
         data = bytes(data)
-        layout = layout_from_buffer(data)
+        layout = layout_from_buffer(data, name)
         digest = layout.content_digest
         if digest is None:
             data, digest = encode_trace(
                 layout.module_name, layout.globals,
-                TraceBinaryReader(buffer=data).iter_records())
+                TraceBinaryReader(name, buffer=data).iter_records())
         trace = cls(layout.module_name, layout.globals)
         trace._records = None
         trace._encoded = (data, digest)
+        trace.source_path = name
         return trace
 
     @property
@@ -228,18 +232,3 @@ class Trace:
         if self._records is None:
             return self._decode()
         return iter(self._records)
-
-    def functions(self) -> List[str]:
-        seen: List[str] = []
-        for record in self.records:
-            if record.function not in seen:
-                seen.append(record.function)
-        return seen
-
-    def records_in_function(self, function: str) -> List[TraceRecord]:
-        return [record for record in self.records if record.function == function]
-
-    def slice(self, first_dyn_id: int, last_dyn_id: int) -> List[TraceRecord]:
-        """Records whose dynamic id lies in ``[first_dyn_id, last_dyn_id]``."""
-        return [record for record in self.records
-                if first_dyn_id <= record.dyn_id <= last_dyn_id]

@@ -22,18 +22,22 @@ write time (:class:`TraceFormatError`) instead of silently emitting a trace
 that no longer parses — traces that need arbitrary identifiers should use
 the binary format (:mod:`repro.trace.binio`).
 
-This module also hosts the format-sniffing front doors used by the rest of
-the system: :func:`read_trace_file`, :func:`read_preamble` and
-:func:`iter_trace_records` accept either encoding and dispatch on the magic
-bytes.
+This module also hosts the front door from a trace file's bytes to a
+:class:`~repro.trace.records.Trace`: :func:`trace_from_bytes` takes the
+whole file's bytes of either encoding and dispatches on the binary magic,
+and :func:`read_trace_file` reads a file once and hands it its bytes.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import struct
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
+from repro.trace.binio import BINARY_MAGIC, encode_trace
 from repro.trace.records import (
     GlobalSymbol,
     RESULT_INDEX,
@@ -217,17 +221,30 @@ def _check_field_lengths(line: str, parts: Sequence[str]) -> None:
             f"a field is longer than {_MAX_FIELD_BYTES} bytes")
 
 
-def iter_parsed_records(lines: Iterable[str],
-                        name: str = "<lines>") -> Iterator[TraceRecord]:
-    """Incrementally parse text lines (no preamble) into complete records.
+@dataclass
+class TextPreamble:
+    """The module name and globals a text trace declares before its first
+    record."""
+
+    module_name: str = "module"
+    globals: List[GlobalSymbol] = field(default_factory=list)
+
+
+def iter_parsed_records(lines: Iterable[str], name: str = "<lines>",
+                        preamble: Optional[TextPreamble] = None,
+                        ) -> Iterator[TraceRecord]:
+    """Incrementally parse text lines into complete records.
 
     A record is yielded only once it is complete, i.e. when the next ``0,``
-    block-start line (or the end of the input) is seen.  Lines belonging to
-    the globals preamble or the file header are ignored so that callers do
-    not need to care which slice of the file they received.  A malformed
-    line raises :class:`TraceFormatError` naming ``name`` and the line's
-    1-based number.
+    block-start line (or the end of the input) is seen.  The header and
+    globals lines before the first record are parsed into ``preamble``
+    (when given), so callers do not need to care whether their slice of
+    the file holds them.  A malformed line raises
+    :class:`TraceFormatError` naming ``name`` and the line's 1-based
+    number.
     """
+    if preamble is None:
+        preamble = TextPreamble()
     current: Optional[TraceRecord] = None
     for number, raw in enumerate(lines, 1):
         line = raw.rstrip("\r\n")
@@ -251,10 +268,15 @@ def iter_parsed_records(lines: Iterable[str],
                     current.operands.append(_parse_operand(parts))
                 else:
                     current.result = _parse_result(parts)
-            elif tag == GLOBAL_TAG and current is not None:
-                # read_preamble stops at the first record: it would be lost
-                raise TraceFormatError("globals line after the first record")
-            elif tag not in (HEADER_TAG, GLOBAL_TAG):
+            elif tag == GLOBAL_TAG:
+                if current is not None:
+                    raise TraceFormatError(
+                        "globals line after the first record")
+                preamble.globals.append(_parse_global(parts))
+            elif tag == HEADER_TAG:
+                if current is None and len(parts) >= 4:
+                    preamble.module_name = parts[3]
+            else:
                 raise TraceFormatError(f"unrecognised trace line tag {tag!r}")
         except (ValueError, struct.error) as exc:
             raise _line_error(name, number, line, exc) from None
@@ -332,97 +354,46 @@ def write_trace_file(trace: Trace, path: str) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Reader
+# Reader: the front door from a trace file's bytes
 # --------------------------------------------------------------------------- #
-def _text_lines(path: str) -> Iterator[str]:
-    """The lines of a text trace file (a file that is not UTF-8 text is a
-    :class:`TraceFormatError` naming it)."""
+def trace_from_bytes(data: bytes, name: str) -> Trace:
+    """The trace a whole trace file's bytes encode, of either encoding.
+
+    Bytes that start with the binary magic are kept as they are
+    (:meth:`Trace.from_binary`).  Any other bytes are UTF-8 text, parsed
+    in one pass over their lines (header, globals and records) and
+    encoded once, streaming.  ``name`` is the file the bytes came from:
+    errors name it, and it is the trace's :attr:`~Trace.source_path`.
+
+    Raises:
+        TraceFormatError: on a malformed text line, naming ``name`` and
+            the line's 1-based number, or on bytes that are neither a
+            binary trace nor UTF-8 text.
+        repro.trace.binio.BinaryTraceError: on binary bytes that do not
+            decode (the message names ``name``).
+    """
+    if data[:len(BINARY_MAGIC)] == BINARY_MAGIC:
+        return Trace.from_binary(data, name)
+    preamble = TextPreamble()
+    records = iter_parsed_records(
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), name, preamble)
     try:
-        with open(path, encoding="utf-8") as handle:
-            yield from handle
+        # A record is complete only at the next record's header line, past
+        # every preamble line: the preamble is whole once the first record
+        # is, so the encoder can take the module name and globals then.
+        first = next(records, None)
+        encoded, _ = encode_trace(
+            preamble.module_name, preamble.globals,
+            () if first is None else itertools.chain((first,), records))
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
-            f"{path}: neither a binary trace nor UTF-8 text: {exc}") from None
-
-
-def iter_trace_file_text(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a text trace without materializing the trace."""
-    return iter_parsed_records(_text_lines(path), path)
-
-
-# --------------------------------------------------------------------------- #
-# Format-sniffing front doors
-# --------------------------------------------------------------------------- #
-def sniff_trace_format(path: str) -> str:
-    """``"binary"`` or ``"text"``, decided by the file's magic bytes."""
-    from repro.trace.binio import is_binary_trace_file
-
-    return "binary" if is_binary_trace_file(path) else "text"
+            f"{name}: neither a binary trace nor UTF-8 text: {exc}") from None
+    return Trace.from_binary(encoded, name)
 
 
 def read_trace_file(path: str) -> Trace:
-    """Read a trace file of either encoding (sniffed) as a :class:`Trace`
-    over its bytes: a binary file's as they are
-    (:meth:`Trace.from_binary`), a text file's parsed and encoded once,
-    streaming.  The trace's :attr:`~Trace.source_path` is ``path``.  A
-    malformed text line raises :class:`TraceFormatError` naming the file
-    and the line's 1-based number."""
-    from repro.trace.binio import (
-        TraceBinaryReader,
-        encode_trace,
-        is_binary_trace_file,
-    )
-
-    if is_binary_trace_file(path):
-        trace = TraceBinaryReader(path).read()
-    else:
-        module_name, globals_ = read_preamble(path)
-        data, _ = encode_trace(module_name, globals_,
-                               iter_trace_file_text(path))
-        trace = Trace.from_binary(data)
-    trace.source_path = path
-    return trace
-
-
-def iter_trace_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a trace file of either encoding (sniffed)."""
-    from repro.trace.binio import TraceBinaryReader, is_binary_trace_file
-
-    if is_binary_trace_file(path):
-        return TraceBinaryReader(path).iter_records()
-    return iter_trace_file_text(path)
-
-
-def read_preamble(path: str) -> Tuple[str, List[GlobalSymbol]]:
-    """Read only the module name and globals of a trace file (sniffed).
-
-    Raises:
-        TraceFormatError: on a malformed text preamble — the message names
-            the offending file and line, so a bad trace surfaced deep inside
-            a batch or cache run is attributable without a stack trace.
-        repro.trace.binio.BinaryTraceError: on a truncated or corrupt
-            binary trace (the message names the file).
-    """
-    from repro.trace.binio import is_binary_trace_file, read_layout
-
-    if is_binary_trace_file(path):
-        layout = read_layout(path)
-        return layout.module_name, layout.globals
-    module_name = "module"
-    globals_: List[GlobalSymbol] = []
-    for number, line in enumerate(_text_lines(path), 1):
-        stripped = line.rstrip("\r\n")
-        if not stripped:
-            continue
-        parts = stripped.split(",")
-        if parts[0] not in (HEADER_TAG, GLOBAL_TAG):
-            break
-        try:
-            _check_field_lengths(stripped, parts)
-            if parts[0] == GLOBAL_TAG:
-                globals_.append(_parse_global(parts))
-            elif len(parts) >= 4:
-                module_name = parts[3]
-        except (ValueError, struct.error) as exc:
-            raise _line_error(path, number, stripped, exc) from None
-    return module_name, globals_
+    """Read a trace file of either encoding as a :class:`Trace` over its
+    bytes: the file is read once and handed to :func:`trace_from_bytes`,
+    named ``path``."""
+    with open(path, "rb") as handle:
+        return trace_from_bytes(handle.read(), path)

@@ -384,22 +384,23 @@ def example_trace_file(request, example_trace, tmp_path_factory):
 
 @pytest.fixture()
 def file_read_counter(monkeypatch):
-    """Count every record stream opened on a trace *file*: the text and
-    binary record iterators (what the in-memory encode of a text file
-    reads) and the columnar block stream of a file-backed reader."""
+    """Count every record stream opened on a trace *file*: the text line
+    parser and the binary record iterator (what the in-memory encode of a
+    text or version-1 file reads) and the columnar block stream of a
+    file-backed reader."""
     counts = {"streams": 0}
 
     import repro.trace.binio as binio_module
     import repro.trace.columnar as columnar_module
     import repro.trace.textio as textio_module
 
-    real_text_iter = textio_module.iter_trace_file_text
+    real_text_iter = textio_module.iter_parsed_records
     real_reader_iter = binio_module.TraceBinaryReader.iter_records
     real_iter_blocks = columnar_module.TraceColumnarReader.iter_blocks
 
-    def counting_text_iter(path):
+    def counting_text_iter(*args, **kwargs):
         counts["streams"] += 1
-        return real_text_iter(path)
+        return real_text_iter(*args, **kwargs)
 
     def counting_reader_iter(self, **kwargs):
         counts["streams"] += 1
@@ -410,7 +411,7 @@ def file_read_counter(monkeypatch):
             counts["streams"] += 1
         return real_iter_blocks(self, *args, **kwargs)
 
-    monkeypatch.setattr(textio_module, "iter_trace_file_text",
+    monkeypatch.setattr(textio_module, "iter_parsed_records",
                         counting_text_iter)
     monkeypatch.setattr(binio_module.TraceBinaryReader, "iter_records",
                         counting_reader_iter)

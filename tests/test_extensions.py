@@ -1,5 +1,4 @@
-"""Tests for the extension modules: checkpoint-interval models and trace
-characterization statistics."""
+"""Tests for the extension modules: checkpoint-interval models."""
 
 import math
 
@@ -12,7 +11,6 @@ from repro.checkpoint.interval import (
     recommend_interval,
     young_interval,
 )
-from repro.trace.stats import compute_trace_statistics
 
 
 class TestCheckpointCost:
@@ -80,35 +78,3 @@ class TestIntervalModels:
                                   bandwidth_bytes_per_second=bandwidth)
         assert auto.checkpoint_cost_seconds < blcr.checkpoint_cost_seconds
         assert auto.waste_fraction <= blcr.waste_fraction
-
-
-class TestTraceStatistics:
-    def test_counts_cover_whole_trace(self, example_trace):
-        stats = compute_trace_statistics(example_trace)
-        assert stats.record_count == len(example_trace.records)
-        assert sum(stats.opcode_histogram.values()) == stats.record_count
-        assert sum(stats.function_histogram.values()) == stats.record_count
-
-    def test_opcode_histogram_contains_expected_kinds(self, example_trace):
-        stats = compute_trace_statistics(example_trace)
-        for name in ("Load", "Store", "Mul", "Br", "Call", "Alloca"):
-            assert stats.opcode_histogram.get(name, 0) > 0, name
-
-    def test_main_loop_fraction(self, example_trace, example_spec):
-        stats = compute_trace_statistics(example_trace, main_loop=example_spec)
-        assert stats.before_count + stats.inside_count + stats.after_count == \
-            stats.record_count
-        assert 0.5 < stats.main_loop_fraction < 1.0
-
-    def test_memory_and_arithmetic_counts(self, example_trace):
-        stats = compute_trace_statistics(example_trace)
-        assert stats.memory_access_count > stats.call_count
-        assert stats.arithmetic_count > 0
-
-    def test_summary_and_top_opcodes(self, example_trace, example_spec):
-        stats = compute_trace_statistics(example_trace, main_loop=example_spec)
-        top = stats.top_opcodes(limit=3)
-        assert len(top) == 3
-        assert top[0][1] >= top[1][1] >= top[2][1]
-        text = stats.summary()
-        assert "records:" in text and "inside" in text

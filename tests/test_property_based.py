@@ -11,8 +11,9 @@ Covered properties:
   (including multi-byte identifiers, commas/newlines in names and >64-bit
   integer values the text format cannot represent);
 * every input form becomes the same bytes for the walk: a text trace file
-  streamed through the in-memory encoder decodes back to its records, and
-  the in-memory encoding of a trace is byte for byte its binary file —
+  read through the front door encodes to bytes that decode back to its
+  records, and the in-memory encoding of a trace is byte for byte its
+  binary file —
   with multi-byte identifiers in the mix so byte/character confusion
   cannot reappear;
 * Algorithm-1 DDG contraction soundness on random graphs (contracted parents
@@ -38,14 +39,11 @@ from repro.trace.binio import (
     TraceBinaryReader,
     encode_trace,
     read_layout,
-    read_trace_file_binary,
     write_trace_file_binary,
 )
 from repro.trace.records import GlobalSymbol, Trace, TraceOperand, TraceRecord
 from repro.trace.textio import (
-    iter_trace_records,
     parse_record_lines,
-    read_preamble,
     read_trace_file,
     record_to_lines,
     write_trace_file,
@@ -234,9 +232,8 @@ def test_text_trace_file_encodes_for_the_walk(tmp_path_factory, records):
     serial = read_trace_file(path)
     # full record equality, not just dyn_id/opcode projections
     assert serial.records == trace.records
-    # the route a text input takes to the walk: streamed into the encoder
-    module_name, globals_ = read_preamble(path)
-    buffer, _ = encode_trace(module_name, globals_, iter_trace_records(path))
+    # the route a text input takes to the walk: the bytes it is encoded to
+    buffer, _ = serial.encoded()
     encoded = TraceBinaryReader(buffer=buffer).read()
     assert encoded.globals == trace.globals
     assert encoded.records == trace.records
@@ -251,7 +248,7 @@ def test_trace_binary_roundtrip(tmp_path_factory, records):
                   records=records)
     path = str(tmp_path_factory.mktemp("prop") / "prop.btrace")
     write_trace_file_binary(trace, path)
-    loaded = read_trace_file_binary(path)
+    loaded = read_trace_file(path)
     assert loaded.module_name == trace.module_name
     assert loaded.globals == trace.globals
     assert len(loaded.records) == len(trace.records)

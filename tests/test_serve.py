@@ -53,7 +53,7 @@ from repro.store import ArtifactStore
 from repro.store.batch import app_trace_path, prepare_app_analysis
 from repro.store.serialize import canonical_report_json
 from repro.trace.textio import write_trace_file
-from repro.tracer.driver import trace_to_file
+from repro.tracer.driver import run_and_trace, trace_to_file
 
 from test_golden_reports import GOLDEN
 from test_store import ALL_APP_NAMES
@@ -726,6 +726,29 @@ class TestTraceUpload:
         assert cold[1]["x-autocheck-cache"] == "miss"
         assert warm[1]["x-autocheck-cache"] == "hit"
         assert cold[2] == warm[2]
+
+    def test_text_and_binary_uploads_share_one_entry_and_write_nothing(
+            self, tmp_path, server, client, example_module, example_spec):
+        """An upload is walked from its body, so no file is written for
+        it; a text upload is keyed by its binary encoding's digest, so it
+        answers from the entry the binary upload of the trace published."""
+        trace, _ = run_and_trace(example_module, module_name="example")
+        text_path = str(tmp_path / "upload.trace")
+        write_trace_file(trace, text_path)
+        with open(text_path, "rb") as handle:
+            text = handle.read()
+        bounds = (example_spec.function, example_spec.start_line,
+                  example_spec.end_line)
+        binary = client.analyze_trace(trace.encoded()[0], *bounds)
+        text_upload = client.analyze_trace(text, *bounds)
+        assert binary[0] == text_upload[0] == 200
+        assert binary[1]["x-autocheck-cache"] == "miss"
+        assert text_upload[1]["x-autocheck-cache"] == "hit"
+        assert binary[1]["x-autocheck-key"] == \
+            text_upload[1]["x-autocheck-key"]
+        assert binary[2] == text_upload[2]
+        assert server.store.stats().entries == 1
+        assert not os.path.exists(os.path.join(server.trace_dir, "uploads"))
 
     def test_tampered_upload_is_refused_and_publishes_nothing(
             self, tmp_path, server, client, example_source):

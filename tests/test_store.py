@@ -12,6 +12,7 @@ The two load-bearing guarantees, asserted here across every bundled app:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -28,14 +29,13 @@ from repro.store import (
     SerializationError,
     StoreError,
     artifact_key,
-    compute_trace_digest,
     config_fingerprint,
-    digest_file_bytes,
     load_manifest,
     report_from_json,
     report_to_json,
     run_batch,
 )
+from repro.store.serialize import canonical_report_json
 from repro.trace import columnar
 from repro.trace.binio import (
     BinaryTraceError,
@@ -164,6 +164,21 @@ def test_in_memory_trace_shares_entries_with_file_runs(fleet, decode_counter):
 # --------------------------------------------------------------------------- #
 # Digests
 # --------------------------------------------------------------------------- #
+def _file_sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _version1_copy(source_path, target_path):
+    """``source_path``'s bytes with the header version set to 1 (so the
+    footer digest is not read)."""
+    with open(source_path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[4:6] = (1).to_bytes(2, "little")  # header version u16 -> 1
+    with open(target_path, "wb") as handle:
+        handle.write(data)
+
+
 class TestDigests:
     def test_in_memory_digest_matches_binary_footer(self, fleet):
         entry = fleet.apps["example"]
@@ -172,26 +187,27 @@ class TestDigests:
                                  trace.records)
         assert digest == read_layout(entry.trace_path).content_digest
 
-    def test_text_digest_is_raw_file_hash(self, tmp_path, example_trace):
+    def test_text_digest_is_raw_file_hash(self, tmp_path, example_trace,
+                                          example_spec):
         from repro.trace.textio import write_trace_file
 
         path = str(tmp_path / "t.trace")
         write_trace_file(example_trace, path)
-        assert compute_trace_digest(path) == digest_file_bytes(path)
+        digest = AutoCheck(AutoCheckConfig(main_loop=example_spec),
+                           trace_path=path).cache_key().trace_digest
+        assert digest == _file_sha256(path)
 
     def test_version1_binary_falls_back_to_file_hash(self, tmp_path, fleet):
         """A v1 file (no footer digest) is read fine and digested by bytes."""
         entry = fleet.apps["example"]
-        with open(entry.trace_path, "rb") as handle:
-            data = bytearray(handle.read())
-        data[4:6] = (1).to_bytes(2, "little")  # header version u16 -> 1
         v1_path = str(tmp_path / "v1.btrace")
-        with open(v1_path, "wb") as handle:
-            handle.write(data)
+        _version1_copy(entry.trace_path, v1_path)
         layout = read_layout(v1_path)
         assert layout.content_digest is None
         assert layout.record_count == read_layout(entry.trace_path).record_count
-        assert compute_trace_digest(v1_path) == digest_file_bytes(v1_path)
+        digest = AutoCheck(entry.config(),
+                           trace_path=v1_path).cache_key().trace_digest
+        assert digest == _file_sha256(v1_path)
 
     def test_digest_changes_with_content(self, fleet):
         a = fleet.apps["example"]
@@ -407,6 +423,145 @@ class TestTamperedTraceFile:
                             lambda self, start, data: folds.append(start))
         AutoCheck(entry.config(), trace_path=path, module=entry.module).run()
         assert folds == []
+
+
+# --------------------------------------------------------------------------- #
+# A trace file rewritten between its store key and its walk
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def rewritten_example_trace(example_source):
+    """``example`` with ``r++;`` changed to ``r = 3;``: another report."""
+    from repro.codegen.lowering import compile_source
+
+    source = example_source.replace("r++;", "r = 3;")
+    assert source != example_source
+    trace, _ = run_and_trace(compile_source(source, module_name="example"),
+                             module_name="example")
+    return trace
+
+
+def _file_bytes(trace, encoding, tmp_path):
+    """The bytes of ``trace``'s file in ``encoding``: ``text``, or a
+    ``version1`` binary file (no footer digest)."""
+    from repro.trace.textio import write_trace_file
+
+    path = str(tmp_path / f"staging.{encoding}")
+    if encoding == "text":
+        write_trace_file(trace, path)
+    else:
+        with open(path, "wb") as handle:
+            handle.write(trace.encoded()[0])
+        _version1_copy(path, path)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _rewrite_after_the_key(monkeypatch, path, data):
+    """Wrap ``AutoCheck.cache_key`` so that once the first key has been
+    computed, ``path`` is overwritten with ``data``."""
+    real_cache_key = AutoCheck.cache_key
+    rewrites = []
+
+    def cache_key(self):
+        address = real_cache_key(self)
+        if not rewrites:
+            with open(path, "wb") as handle:
+                handle.write(data)
+            rewrites.append(path)
+        return address
+
+    monkeypatch.setattr(AutoCheck, "cache_key", cache_key)
+    return rewrites
+
+
+@pytest.mark.parametrize("encoding", ["text", "version1"])
+class TestRewrittenTraceFile:
+    """A text or version-1 file is keyed by its raw bytes; its walk reads
+    the file again.  A publishing walk must refuse bytes that are not the
+    ones its key came from, or it would store the new content's report
+    under the old content's key."""
+
+    def test_run_refuses_naming_the_file_and_both_digests(
+            self, tmp_path, monkeypatch, example_trace, example_spec,
+            rewritten_example_trace, encoding):
+        path = str(tmp_path / f"example.{encoding}")
+        original = _file_bytes(example_trace, encoding, tmp_path)
+        rewritten = _file_bytes(rewritten_example_trace, encoding, tmp_path)
+        with open(path, "wb") as handle:
+            handle.write(original)
+        rewrites = _rewrite_after_the_key(monkeypatch, path, rewritten)
+        cache_dir = str(tmp_path / "cache")
+        config = AutoCheckConfig(main_loop=example_spec, use_cache=True,
+                                 cache_dir=cache_dir)
+        with pytest.raises(TraceDigestMismatch) as excinfo:
+            AutoCheck(config, trace_path=path).run()
+        assert rewrites == [path]
+        error = excinfo.value
+        assert error.path == path
+        assert error.expected == hashlib.sha256(original).hexdigest()
+        assert error.actual == hashlib.sha256(rewritten).hexdigest()
+        message = str(error)
+        assert path in message
+        assert error.expected in message and error.actual in message
+        assert ArtifactStore(cache_dir).stats().entries == 0
+
+    def test_analyze_cache_exits_2_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys, example_trace,
+            example_source, example_spec, rewritten_example_trace,
+            encoding):
+        from repro.cli import main
+
+        path = str(tmp_path / f"example.{encoding}")
+        with open(path, "wb") as handle:
+            handle.write(_file_bytes(example_trace, encoding, tmp_path))
+        _rewrite_after_the_key(
+            monkeypatch, path,
+            _file_bytes(rewritten_example_trace, encoding, tmp_path))
+        source = str(tmp_path / "example.c")
+        with open(source, "w", encoding="utf-8") as handle:
+            handle.write(example_source)
+        cache_dir = str(tmp_path / "cache")
+        code = main(["analyze", path, "--source", source,
+                     "--function", example_spec.function,
+                     "--start", str(example_spec.start_line),
+                     "--end", str(example_spec.end_line),
+                     "--cache", "--cache-dir", cache_dir])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert path in err and "Traceback" not in err
+        assert ArtifactStore(cache_dir).stats().entries == 0
+
+
+def test_cold_cached_run_resolves_its_input_once(tmp_path, fleet,
+                                                 monkeypatch):
+    """The store key and the walk share one resolution of a version-2
+    file: one footer parse and one static loop analysis per cold run."""
+    from repro.core import pipeline
+    from repro.trace import binio
+
+    entry = fleet.apps["example"]
+    calls = {"footer": 0, "loops": 0}
+    real_parse_footer = binio._parse_footer
+    real_find_loops = pipeline.find_loops
+
+    def parse_footer(*args, **kwargs):
+        calls["footer"] += 1
+        return real_parse_footer(*args, **kwargs)
+
+    def find_loops(*args, **kwargs):
+        calls["loops"] += 1
+        return real_find_loops(*args, **kwargs)
+
+    monkeypatch.setattr(binio, "_parse_footer", parse_footer)
+    monkeypatch.setattr(pipeline, "find_loops", find_loops)
+    config = entry.config(use_cache=True, cache_dir=str(tmp_path / "cache"))
+    report = AutoCheck(config, trace_path=entry.trace_path,
+                       module=entry.module).run()
+    assert not report.cache_info.hit
+    assert canonical_report_json(report) == \
+        canonical_report_json(entry.report)
+    assert calls == {"footer": 1, "loops": 1}
 
 
 # --------------------------------------------------------------------------- #
@@ -684,10 +839,8 @@ class TestErrorContext:
         truncated = str(tmp_path / "trunc.btrace")
         with open(truncated, "wb") as handle:
             handle.write(data[:len(data) // 2])
-        from repro.trace.textio import read_preamble
-
         with pytest.raises(BinaryTraceError, match="trunc.btrace"):
-            read_preamble(truncated)
+            read_trace_file(truncated)
 
     def test_version_skew_names_the_file(self, tmp_path, fleet):
         source = fleet.apps["example"].trace_path
@@ -703,14 +856,14 @@ class TestErrorContext:
         assert "version 77" in str(excinfo.value)
 
     def test_malformed_text_preamble_names_file_and_line(self, tmp_path):
-        from repro.trace.textio import TraceFormatError, read_preamble
+        from repro.trace.textio import TraceFormatError
 
         path = str(tmp_path / "bad.trace")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("#,autocheck-trace,1,m\n")
             handle.write("g,x,not-hex,4,32,0\n")
         with pytest.raises(TraceFormatError) as excinfo:
-            read_preamble(path)
+            read_trace_file(path)
         message = str(excinfo.value)
-        assert "bad.trace" in message
+        assert "bad.trace:2:" in message
         assert "not-hex" in message

@@ -19,12 +19,7 @@ from repro.trace import (
     TraceBinaryWriter,
     TraceOperand,
     TraceRecord,
-    is_binary_trace_file,
-    iter_trace_records,
-    read_preamble,
     read_trace_file,
-    read_trace_file_binary,
-    sniff_trace_format,
     write_trace_file,
     write_trace_file_binary,
 )
@@ -35,6 +30,7 @@ from repro.trace.binio import (
     read_layout,
     verify_content_digest,
 )
+from repro.trace.textio import TraceFormatError, trace_from_bytes
 
 
 def make_record(dyn_id=1, opcode=Opcode.LOAD, function="main", name="x",
@@ -65,7 +61,7 @@ def binary_trace_file(example_trace, tmp_path_factory):
 class TestRoundTrip:
     def test_file_roundtrip_full_equality(self, example_trace,
                                           binary_trace_file):
-        loaded = read_trace_file_binary(binary_trace_file)
+        loaded = read_trace_file(binary_trace_file)
         assert loaded.module_name == example_trace.module_name
         assert loaded.globals == example_trace.globals
         assert loaded.records == example_trace.records
@@ -86,7 +82,7 @@ class TestRoundTrip:
                                            name="va\nr")])
         path = str(tmp_path / "weird.btrace")
         write_trace_file_binary(trace, path)
-        loaded = read_trace_file_binary(path)
+        loaded = read_trace_file(path)
         assert loaded.module_name == "mod,ule\nπ"
         assert loaded.globals == trace.globals
         assert loaded.records == trace.records
@@ -99,7 +95,7 @@ class TestRoundTrip:
         trace = Trace(module_name="vals", records=records)
         path = str(tmp_path / "vals.btrace")
         write_trace_file_binary(trace, path)
-        loaded = read_trace_file_binary(path)
+        loaded = read_trace_file(path)
         for original, parsed in zip(values, loaded.records):
             got = parsed.operands[0].value
             # bools are canonicalised to ints (same as the text format)
@@ -109,7 +105,7 @@ class TestRoundTrip:
     def test_empty_trace(self, tmp_path):
         path = str(tmp_path / "empty.btrace")
         write_trace_file_binary(Trace(module_name="void"), path)
-        loaded = read_trace_file_binary(path)
+        loaded = read_trace_file(path)
         assert loaded.module_name == "void"
         assert loaded.records == []
 
@@ -121,9 +117,9 @@ class TestRoundTrip:
             writer.write_global(GlobalSymbol("g", 0x1000, 8, 64, False))
             writer.write_record(make_record(dyn_id=2))
             assert writer.record_count == 2
-        module_name, globals_ = read_preamble(path)
-        assert module_name == "m"
-        assert [g.name for g in globals_] == ["g"]
+        loaded = read_trace_file(path)
+        assert loaded.module_name == "m"
+        assert [g.name for g in loaded.globals] == ["g"]
 
 
 class TestIndexAndSeek:
@@ -188,25 +184,36 @@ class TestContentDigestCheck:
 
 class TestSniffing:
     def test_sniff_formats(self, tmp_path, example_trace):
+        """The front door keeps binary bytes as they are and parses any
+        other bytes as text, encoding them once."""
         text_path = str(tmp_path / "a.trace")
         binary_path = str(tmp_path / "a.btrace")
         write_trace_file(example_trace, text_path)
         write_trace_file_binary(example_trace, binary_path)
-        assert sniff_trace_format(text_path) == "text"
-        assert sniff_trace_format(binary_path) == "binary"
-        assert not is_binary_trace_file(text_path)
-        assert is_binary_trace_file(binary_path)
+        with open(binary_path, "rb") as handle:
+            binary = handle.read()
+        with open(text_path, "rb") as handle:
+            text = handle.read()
+        assert trace_from_bytes(binary, "b").encoded()[0] == binary
+        assert trace_from_bytes(text, "t").encoded()[1] == \
+            layout_from_buffer(binary).content_digest
+        with pytest.raises(TraceFormatError,
+                           match=r"^t:1: malformed .*tag 'ACTX'"):
+            trace_from_bytes(b"ACTX,what\n", "t")
 
     def test_front_door_reads_both(self, tmp_path, example_trace):
         text_path = str(tmp_path / "a.trace")
         binary_path = str(tmp_path / "a.btrace")
         write_trace_file(example_trace, text_path)
         write_trace_file_binary(example_trace, binary_path)
-        assert read_trace_file(binary_path).records == \
-            read_trace_file(text_path).records
-        assert read_preamble(binary_path)[0] == read_preamble(text_path)[0]
-        assert list(iter_trace_records(binary_path)) == \
-            list(iter_trace_records(text_path)) == example_trace.records
+        binary = read_trace_file(binary_path)
+        text = read_trace_file(text_path)
+        assert binary.module_name == text.module_name \
+            == example_trace.module_name
+        assert binary.globals == text.globals == example_trace.globals
+        assert binary.records == text.records == example_trace.records
+        assert (binary.source_path, text.source_path) == (binary_path,
+                                                          text_path)
 
 
 class TestErrors:
@@ -215,7 +222,7 @@ class TestErrors:
         with open(path, "w") as handle:
             handle.write("0,1,2\n")
         with pytest.raises(BinaryTraceError):
-            read_trace_file_binary(path)
+            TraceBinaryReader(path)
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "trunc.btrace")
@@ -227,7 +234,7 @@ class TestErrors:
         with open(path, "wb") as handle:
             handle.write(data)
         with pytest.raises(BinaryTraceError):
-            read_trace_file_binary(path)
+            read_trace_file(path)
 
     def test_unknown_version(self, tmp_path):
         path = str(tmp_path / "vers.btrace")

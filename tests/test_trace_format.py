@@ -15,7 +15,7 @@ from repro.trace import (
     record_to_lines,
     write_trace_file,
 )
-from repro.trace.textio import TraceFormatError, TraceTextWriter, read_preamble
+from repro.trace.textio import TraceFormatError, TraceTextWriter
 
 
 def make_record(dyn_id=1, opcode=Opcode.LOAD, function="main", line=5,
@@ -82,9 +82,7 @@ class TestRecordPredicates:
                       records=[make_record(dyn_id=1, function="main"),
                                make_record(dyn_id=2, function="foo")])
         assert len(trace) == 2
-        assert trace.functions() == ["main", "foo"]
-        assert len(trace.records_in_function("foo")) == 1
-        assert [r.dyn_id for r in trace.slice(2, 2)] == [2]
+        assert [record.function for record in trace] == ["main", "foo"]
 
     def test_global_symbol_contains(self):
         symbol = GlobalSymbol(name="u", address=0x100, size_bytes=80,
@@ -187,9 +185,9 @@ class TestTextRoundTrip:
             writer.write_record(make_record(dyn_id=1))
             writer.write_record(make_record(dyn_id=2))
             assert writer.record_count == 2
-        module_name, globals_ = read_preamble(path)
-        assert module_name == "m"
-        assert [g.name for g in globals_] == ["g"]
+        loaded = read_trace_file(path)
+        assert loaded.module_name == "m"
+        assert [g.name for g in loaded.globals] == ["g"]
 
     def test_non_ascii_names_roundtrip(self, tmp_path):
         trace = Trace(module_name="módulo",

@@ -102,7 +102,7 @@ class TestTraceEmission:
 
     def test_functions_seen_in_trace(self, small_trace):
         trace, _ = small_trace
-        assert set(trace.functions()) == {"main", "triple"}
+        assert {record.function for record in trace} == {"main", "triple"}
 
     def test_load_records_carry_variable_name_and_address(self, small_trace):
         trace, _ = small_trace
