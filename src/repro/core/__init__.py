@@ -7,10 +7,10 @@ This package implements the three modules of the paper's design (Fig. 2):
    and inside the main computation loop (Sec. IV-A, Fig. 3), with the
    address-based disambiguation of Challenges 1 and 2 (Sec. V-B/V-C).
 2. **Data dependency analysis** (:mod:`repro.core.dependency`,
-   :mod:`repro.core.regmaps`, :mod:`repro.core.ddg`,
-   :mod:`repro.core.contraction`) — selectively iterate the dynamic
-   instructions, build the complete DDG through the on-the-fly *reg-var map*
-   and *reg-reg map* (Sec. IV-B, Fig. 5), and contract it to MLI variables
+   :mod:`repro.core.ddg`, :mod:`repro.core.contraction`) — selectively
+   iterate the dynamic instructions, build the complete DDG through the
+   on-the-fly *reg-var map* (Sec. IV-B, Fig. 5; the *reg-reg map* is the
+   DDG's register-to-register edges), and contract it to MLI variables
    only (Algorithm 1).
 3. **Identification of critical variables** (:mod:`repro.core.rwdeps`,
    :mod:`repro.core.classify`) — convert the dependencies into an
@@ -46,7 +46,6 @@ from repro.core.preprocessing import (
     PreprocessingResult,
 )
 from repro.core.ddg import DDG, DDGNode, NodeKind
-from repro.core.regmaps import RegRegMap, RegVarMap
 from repro.core.dependency import DependencyPass, DependencyResult
 from repro.core.contraction import contract_ddg
 from repro.core.rwdeps import AccessEvent, AccessKind, RWExtractionPass
@@ -80,8 +79,6 @@ __all__ = [
     "DDG",
     "DDGNode",
     "NodeKind",
-    "RegRegMap",
-    "RegVarMap",
     "DependencyPass",
     "DependencyResult",
     "contract_ddg",

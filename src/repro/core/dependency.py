@@ -4,12 +4,17 @@ Implements Sec. IV-B of the paper.  The analysis *selectively* inspects the
 dynamic instructions of the main computation loop's dynamic extent and
 maintains:
 
-* the **reg-var map** — updated by ``Load``/``Store`` and by the pointer
-  assignments of ``GetElementPtr``/``BitCast`` (paper Table I);
-* the **reg-reg map** — updated by arithmetic instructions and by
-  single-``Call`` records (the Fig. 6a case);
+* the **reg-var map** (paper Fig. 5a) — a dict from ``(function,
+  register name)`` to the variable node the register was loaded from or
+  points into, updated on the fly in execution order by ``Load`` /
+  ``Store`` and by the pointer assignments of ``GetElementPtr`` /
+  ``BitCast`` (paper Table I).  Registers are keyed by function because
+  register numbering restarts in every function;
 * the **complete DDG** — variable and register vertices with "depends on"
-  edges; variable vertices gain their incoming edges when ``Store``
+  edges.  The paper's reg-reg map (Fig. 5b) is the DDG's
+  register-to-register edges, added by arithmetic and forwarding
+  instructions and by single-``Call`` records (the Fig. 6a case);
+  variable vertices gain their incoming edges when ``Store``
   instructions terminate computations, and function calls with a traced body
   (the Fig. 6b case) connect arguments to parameters through the recorded
   argument/parameter correlation.
@@ -74,7 +79,6 @@ from repro.core.engine import (
     AnalysisPass,
     SpanSelection,
 )
-from repro.core.regmaps import RegRegMap, RegVarMap
 from repro.core.varmap import VariableMap
 from repro.trace.records import TraceRecord
 
@@ -118,8 +122,9 @@ class DependencyResult:
     """Artefacts produced by the dependency analysis."""
 
     complete_ddg: DDG
-    reg_var_map: RegVarMap
-    reg_reg_map: RegRegMap
+    #: the reg-var map as the walk left it: ``(function, register name)``
+    #: -> variable node key
+    reg_var_map: Dict[Tuple[str, str], str]
     variable_map: VariableMap
     #: last binding observed per (callee, parameter) — reporting view of the
     #: per-activation binding stacks the analysis maintains internally
@@ -139,8 +144,8 @@ class DependencyPass(AnalysisPass):
     def __init__(self, varmap: VariableMap) -> None:
         self.varmap = varmap
         self.ddg = DDG()
-        self.reg_var = RegVarMap()
-        self.reg_reg = RegRegMap()
+        #: the reg-var map: ``(function, register name)`` -> variable node
+        self.reg_var: Dict[Tuple[str, str], str] = {}
         self.param_bindings: Dict[Tuple[str, str], str] = {}
         #: callee name -> stack of per-activation {parameter: source key}
         #: frames; the innermost frame is the one lookups must see, so
@@ -166,11 +171,6 @@ class DependencyPass(AnalysisPass):
         #: idempotent set insertion and nothing removes edges during the
         #: walk, so eliding the repeat call is exact
         self._edge_seen: Set[Tuple[str, str]] = set()
-        #: reg-reg links already inserted the same way (packed result key
-        #: followed by the operand name ids; :meth:`RegRegMap.link` is
-        #: likewise add-only set insertion) — id-based, so it resets with
-        #: the string table alongside ``_reg_keys``
-        self._link_seen: Set[Tuple[int, ...]] = set()
         #: owner id -> its variable node key, once the node exists
         self._owner_keys: List[Optional[str]] = []
 
@@ -258,13 +258,13 @@ class DependencyPass(AnalysisPass):
             # still be a zero-parameter *user* function whose body follows —
             # the engine's activation detection on the next record decides.
             if record.result is not None:
-                result_name = record.result.name
-                arg_registers = [op.name for op in args if op.is_register]
-                result_key = self._register_node(function, result_name)
-                for name in arg_registers:
-                    self.ddg.add_edge(self._register_node(function, name),
-                                      result_key)
-                self.reg_reg.link(function, result_name, arg_registers)
+                result_key = self._register_node(function,
+                                                 record.result.name)
+                for op in args:
+                    if op.is_register:
+                        self.ddg.add_edge(
+                            self._register_node(function, op.name),
+                            result_key)
         else:
             # Call followed by its body (Fig. 6b): record the argument/
             # parameter correlation so the callee's parameter accesses
@@ -275,7 +275,7 @@ class DependencyPass(AnalysisPass):
                 source_key: Optional[str] = None
                 if position < len(args) and args[position].is_register:
                     arg = args[position]
-                    source_key = self.reg_var.lookup(function, arg.name)
+                    source_key = self.reg_var.get((function, arg.name))
                     if source_key is None and arg.address is not None:
                         # The register holds a pointer — attribute it by
                         # address.
@@ -325,7 +325,6 @@ class DependencyPass(AnalysisPass):
             if block.strings is not self._strings:
                 self._strings = block.strings
                 self._reg_keys = {}
-                self._link_seen = set()
         return _select_dispatch_rows(table)
 
     def consume_selected(self, table: AccessTable, region: int,
@@ -342,7 +341,7 @@ class DependencyPass(AnalysisPass):
           not once per record; node creation is first-wins, so skipping the
           re-add is exact);
         * variable node keys cache per owner id the same way;
-        * edges and reg-reg links already inserted are not inserted again.
+        * edges already inserted are not inserted again.
 
         Each kind creates its nodes in a fixed order, which the node order
         of the canonical report follows.
@@ -360,14 +359,11 @@ class DependencyPass(AnalysisPass):
         reg_keys_get = self._reg_keys.get
         new_register_key = self._new_register_key
         add_edge = self.ddg.add_edge
-        reg_entries = self.reg_var.entries
-        reg_lookup = self.reg_var.lookup
-        reg_link = self.reg_reg.link
+        reg_entries = self.reg_var
+        reg_lookup = reg_entries.get
         resolve_memref = self._resolve_memref
         edge_seen = self._edge_seen
         edge_seen_add = edge_seen.add
-        link_seen = self._link_seen
-        link_seen_add = link_seen.add
         inspected = 0
         for kind, lo_slot, hi_slot, result, fid, packed, access in selected:
             inspected += 1
@@ -395,23 +391,15 @@ class DependencyPass(AnalysisPass):
                 if not result:
                     continue
                 result_key = reg_keys_get(packed) or new_register_key(packed)
-                input_ids = []
                 for slot in range(lo_slot, lo_slot + n_ops):
                     if op_flags[slot] & 1:
-                        name_id = op_name_id[slot]
-                        packed_in = fid << 32 | name_id
+                        packed_in = fid << 32 | op_name_id[slot]
                         reg_key = (reg_keys_get(packed_in)
                                    or new_register_key(packed_in))
                         edge = (reg_key, result_key)
                         if edge not in edge_seen:
                             add_edge(reg_key, result_key)
                             edge_seen_add(edge)
-                        input_ids.append(name_id)
-                link_key = (packed, *input_ids)
-                if link_key not in link_seen:
-                    reg_link(strings[fid], strings[packed & 0xFFFFFFFF],
-                             [strings[i] for i in input_ids])
-                    link_seen_add(link_key)
             elif kind == KIND_STORE:
                 if n_ops < 2:
                     continue
@@ -475,7 +463,6 @@ class DependencyPass(AnalysisPass):
                 for slot in range(lo_slot, lo_slot + n_ops):
                     if op_flags[slot] & 1:
                         name_id = op_name_id[slot]
-                        name = strings[name_id]
                         packed_in = fid << 32 | name_id
                         reg_key = (reg_keys_get(packed_in)
                                    or new_register_key(packed_in))
@@ -483,7 +470,7 @@ class DependencyPass(AnalysisPass):
                         if edge not in edge_seen:
                             add_edge(reg_key, result_key)
                             edge_seen_add(edge)
-                        source = reg_lookup(function, name)
+                        source = reg_lookup((function, strings[name_id]))
                         if source is None and op_flags[slot] & 2:
                             # No register names the operand: attribute the
                             # pointer it carries (outside the access table)
@@ -493,10 +480,6 @@ class DependencyPass(AnalysisPass):
                                 int(op_address[slot]))
                         if source is not None:
                             reg_entries[(function, result_name)] = source
-                        link_key = (packed, name_id)
-                        if link_key not in link_seen:
-                            reg_link(function, result_name, [name])
-                            link_seen_add(link_key)
         self._inspected += inspected
 
     def finalize(self) -> None:
@@ -514,7 +497,6 @@ class DependencyPass(AnalysisPass):
         return DependencyResult(
             complete_ddg=self.ddg,
             reg_var_map=self.reg_var,
-            reg_reg_map=self.reg_reg,
             variable_map=self.varmap,
             param_bindings=self.param_bindings,
             inspected_records=self._inspected,

@@ -16,7 +16,7 @@ that resolution, so the walk reads the bytes the key came from:
 
 * an in-memory :class:`repro.trace.records.Trace` is keyed by the digest of
   the binary bytes it holds (:meth:`~repro.trace.records.Trace.encoded`)
-  and walked from them;
+  and walked from them over the layout it keeps;
 * a version-2 binary file is keyed by its footer digest and streams
   straight from disk with the layout read then; a publishing walk folds
   the footer digest over the record bytes it reads;
@@ -35,8 +35,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.induction import find_induction_variable, find_main_loop
-from repro.analysis.loops import find_loops
+from repro.analysis.induction import main_loop_induction
 from repro.core.classify import classify_variables
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.contraction import contract_ddg
@@ -205,8 +204,9 @@ class AutoCheck:
     def _open_reader(self) -> TraceColumnarReader:
         """The input as columnar blocks: a version-2 file streams from disk
         with the layout its key came from, and a :class:`Trace` (any other
-        file is read into one) is walked from its bytes, with errors on
-        them naming the file it was read from."""
+        file is read into one) is walked from its bytes over its layout,
+        with errors on them naming the file it was read from.  Neither
+        parses a footer again."""
         resolved = self._input
         if resolved.layout is not None:
             return TraceColumnarReader(self._trace_path,
@@ -214,9 +214,9 @@ class AutoCheck:
         trace = self._trace
         if trace is None:
             trace = self._read_keyed_file(resolved.digest)
-        reader = TraceColumnarReader(buffer=trace.encoded()[0])
-        reader.name = trace.source_path
-        return reader
+        return TraceColumnarReader(buffer=trace.encoded()[0],
+                                   layout=trace.layout,
+                                   name=trace.source_path)
 
     def _read_keyed_file(self, digest: str) -> Trace:
         """Read a text or version-1 file once and build its :class:`Trace`
@@ -240,13 +240,8 @@ class AutoCheck:
         spec = self.config.main_loop
         if self._module is None or spec.function not in self._module.functions:
             return None
-        function = self._module.function(spec.function)
-        loops = find_loops(function)
-        loop = find_main_loop(function, spec.start_line, spec.end_line,
-                              loop_info=loops)
-        if loop is None:
-            return None
-        induction = find_induction_variable(function, loop)
+        induction = main_loop_induction(self._module.function(spec.function),
+                                        spec.start_line, spec.end_line)
         return induction.name if induction is not None else None
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,8 @@ hit.  Endpoints:
 
 Request lifecycle on ``POST /analyze``::
 
-    resolve (app registry / the upload's Trace, built from the body)
+    resolve (app registry / the upload's Trace, built once from the body;
+             identical text bodies in flight share one parse)
       → memo (app requests: identity → address) — warm: answer now
       → address (AutoCheck.cache_key(): digest+fingerprint+schema)
         → store.load (lock-free read path)      — warm: answer now
@@ -38,9 +39,9 @@ completes and publishes to the store.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
-import struct
 import threading
 import time
 from collections import OrderedDict
@@ -61,8 +62,10 @@ from repro.store.serialize import canonical_report_json
 from repro.trace.binio import (
     BINARY_MAGIC,
     BinaryTraceError,
-    verify_content_digest,
+    TraceDigestMismatch,
+    check_content_digest,
 )
+from repro.trace.records import Trace
 from repro.trace.textio import TraceFormatError, trace_from_bytes
 from repro.util.logging import get_logger
 
@@ -429,22 +432,6 @@ class AnalysisServer:
             raise ServeError(400, ERR_MISSING_FIELD,
                              "empty body: upload a trace file, or send "
                              "application/json naming an app")
-        if body[:len(BINARY_MAGIC)] == BINARY_MAGIC:
-            # A binary trace is addressed by the digest its own footer
-            # declares; re-fold it over the body first, so an upload with
-            # altered record blocks or globals is refused.  The string
-            # table and header lie outside the digest and are not checked.
-            try:
-                genuine = verify_content_digest(body, name="<upload>")
-            except (ValueError, struct.error) as exc:
-                raise ServeError(400, ERR_BAD_FIELD,
-                                 f"cannot digest uploaded trace: "
-                                 f"{exc}") from exc
-            if not genuine:
-                raise ServeError(422, ERR_TRACE_DIGEST_MISMATCH,
-                                 "the uploaded trace's record blocks and "
-                                 "globals do not fold to the content "
-                                 "digest its footer declares")
         start, end = _int_param("start"), _int_param("end")
         function = query.get("function", ["main"])[0]
         induction = query.get("induction", [None])[0]
@@ -453,13 +440,7 @@ class AnalysisServer:
                                 end_line=end)
         except ValueError as exc:
             raise ServeError(400, ERR_BAD_FIELD, str(exc)) from exc
-        # The upload is walked from the body itself, so its key and its
-        # walk read the same bytes and nothing is written to disk.  A text
-        # body is parsed here, as app staging compiles and traces.
-        try:
-            trace = trace_from_bytes(body, "<upload>")
-        except (BinaryTraceError, TraceFormatError) as exc:
-            raise ServeError(422, ERR_INVALID_TRACE, str(exc)) from exc
+        trace = self._upload_trace(body)
         config = AutoCheckConfig(main_loop=spec,
                                  induction_variable=induction,
                                  use_cache=self.use_cache,
@@ -468,6 +449,36 @@ class AnalysisServer:
         address = autocheck.cache_key()
         return _AnalyzeWork(f"trace:{address.trace_digest[:12]}", autocheck,
                             address)
+
+    def _upload_trace(self, body: bytes) -> Trace:
+        """The upload's :class:`Trace`, built once from the body (its key
+        and its walk read those bytes; nothing is written to disk).
+
+        A binary body is addressed by the digest its footer declares, so
+        that digest is folded over the trace first and an upload with
+        altered record blocks or globals is refused (the string table and
+        header lie outside the digest).  A text body is parsed here, as
+        app staging compiles and traces; identical text bodies in flight
+        together share one parse, keyed by the body's SHA-256.
+        """
+        try:
+            if body[:len(BINARY_MAGIC)] == BINARY_MAGIC:
+                trace = trace_from_bytes(body, "<upload>")
+                check_content_digest(trace)
+                return trace
+            trace, _ = self.coalescer.run(
+                ("text upload", hashlib.sha256(body).hexdigest()),
+                lambda: trace_from_bytes(body, "<upload>"))
+            return trace
+        except TraceDigestMismatch as exc:
+            raise ServeError(422, ERR_TRACE_DIGEST_MISMATCH,
+                             str(exc)) from exc
+        except BinaryTraceError as exc:
+            raise ServeError(400, ERR_BAD_FIELD,
+                             f"cannot read the uploaded trace: "
+                             f"{exc}") from exc
+        except TraceFormatError as exc:
+            raise ServeError(422, ERR_INVALID_TRACE, str(exc)) from exc
 
     # ------------------------------------------------------------------ #
     # Analyze execution: store fast path → coalesce → job pool

@@ -15,7 +15,10 @@ This package plays the role of LLVM-Tracer's output format:
   struct-packed records, an interned string table, a block-offset index
   footer and, since format version 2, a streaming content digest computed
   at write time — what the artifact store (:mod:`repro.store`) keys
-  analysis results on;
+  analysis results on.  A :class:`Trace` holds these bytes with their
+  footer's layout, which the writer hands over or one parse reads, so
+  its readers (:func:`decode_records`, the walk and
+  :func:`check_content_digest`) never parse the footer again;
 * :mod:`repro.trace.columnar` — the decoder the analysis walks: whole runs
   of binary record blocks become parallel column arrays.
 
@@ -48,10 +51,10 @@ from repro.trace.binio import (
     BINARY_VERSION,
     SUPPORTED_VERSIONS,
     BinaryTraceError,
-    TraceBinaryReader,
     TraceBinaryWriter,
+    check_content_digest,
+    decode_records,
     encode_trace,
-    verify_content_digest,
     write_trace_file_binary,
 )
 
@@ -71,9 +74,9 @@ __all__ = [
     "BINARY_VERSION",
     "SUPPORTED_VERSIONS",
     "BinaryTraceError",
-    "TraceBinaryReader",
     "TraceBinaryWriter",
+    "check_content_digest",
+    "decode_records",
     "encode_trace",
-    "verify_content_digest",
     "write_trace_file_binary",
 ]

@@ -8,10 +8,14 @@ lockstep.  The tracing interpreter writes it directly, one emit template
 per instruction (:meth:`TraceBinaryWriter.template`) and one packer per
 value-flag signature (:meth:`TraceBinaryWriter.emitter`).  Every analysis
 walks this encoding, and an in-memory :class:`~repro.trace.records.Trace`
-holds it: a trace built from records, a text file or a version-1 file is
-encoded once by :func:`encode_trace`.  A whole file's bytes of either
+holds it with its :class:`BinaryTraceLayout`: a trace built from records,
+a text file or a version-1 file is encoded once by :func:`encode_trace`,
+whose writer hands over the layout of the bytes it wrote, and bytes from
+elsewhere have their footer parsed once.  A whole file's bytes of either
 encoding become a ``Trace`` through one front door,
-:func:`repro.trace.textio.trace_from_bytes`.
+:func:`repro.trace.textio.trace_from_bytes`.  Over those bytes and that
+layout, :func:`decode_records` is the one per-record decoder and
+:func:`check_content_digest` checks the footer digest.
 
 File layout (all integers little-endian)::
 
@@ -139,13 +143,38 @@ class TraceDigestMismatch(BinaryTraceError):
 
 
 # --------------------------------------------------------------------------- #
-# Writer
+# Layout and content digest
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class BinaryTraceLayout:
+    """Everything the footer knows: globals, string table and block index.
+
+    The writer builds it from what it wrote (:attr:`TraceBinaryWriter.layout`);
+    a reader of bytes from elsewhere parses it (:func:`read_layout`,
+    :func:`layout_from_buffer`).
+    """
+
+    module_name: str
+    globals: List[GlobalSymbol]
+    strings: List[str]
+    index_stride: int
+    record_count: int
+    #: byte offset of every ``index_stride``-th record block
+    block_offsets: List[int]
+    #: byte offset of the first record block
+    records_start: int
+    #: byte offset one past the last record block (== footer offset)
+    records_end: int
+    #: hex SHA-256 of the trace content (``None`` for version-1 files,
+    #: which predate the footer digest)
+    content_digest: Optional[str] = None
+
+
 def encode_globals(globals_: Iterable[GlobalSymbol]) -> bytes:
     """The footer's encoded globals section (without its count prefix).
 
-    The content digest covers exactly these bytes after the record blocks,
-    so the writer and :func:`verify_content_digest` share this encoding.
+    The content digest covers exactly these bytes after the record blocks
+    (see :class:`_DigestFold`).
     """
     parts: List[bytes] = []
     for symbol in globals_:
@@ -158,6 +187,68 @@ def encode_globals(globals_: Iterable[GlobalSymbol]) -> bytes:
     return b"".join(parts)
 
 
+class _DigestFold:
+    """The content digest: SHA-256 over record bytes in stream order, then
+    the encoded globals.
+
+    The one fold of the digest: the writer adds each block it writes, a
+    publishing walk each span it reads, and :func:`check_content_digest`
+    a trace's whole record region.  The sum equals the footer digest only
+    when the spans tile the record region in order.
+    """
+
+    def __init__(self, records_start: int) -> None:
+        self.sha256 = hashlib.sha256()
+        self.position = records_start
+        self.tiled = True
+
+    def add(self, start: int, data) -> None:
+        self.tiled = self.tiled and start == self.position
+        self.sha256.update(data)
+        self.position = start + len(data)
+
+    def finish(self, globals_bytes: bytes) -> bytes:
+        """The digest, once ``globals_bytes`` (:func:`encode_globals`)
+        follow the records."""
+        self.sha256.update(globals_bytes)
+        return self.sha256.digest()
+
+    def check(self, layout: BinaryTraceLayout, name: Optional[str]) -> None:
+        """Raise :class:`TraceDigestMismatch` naming ``name`` unless the
+        bytes added are ``layout``'s record region and, with its globals,
+        fold to its footer digest (a version-1 layout has none to check)."""
+        if layout.content_digest is None:
+            return
+        actual = self.finish(encode_globals(layout.globals)).hex()
+        if (not self.tiled or self.position != layout.records_end
+                or actual != layout.content_digest):
+            raise TraceDigestMismatch(name, layout.content_digest, actual)
+
+
+def check_content_digest(trace: Trace) -> None:
+    """Refuse ``trace`` unless its record region and globals fold to the
+    digest its footer declares.
+
+    Hashes the bytes the trace holds over the layout it keeps: nothing is
+    parsed and no record is decoded.  A trace read from version-1 bytes
+    holds their version-2 encoding, whose digest it was given, so it
+    passes.  The header and the footer's string table lie outside the
+    digest, so a trace whose string table was rewritten passes too.
+
+    Raises:
+        TraceDigestMismatch: naming the trace's :attr:`~Trace.source_path`.
+    """
+    data, _ = trace.encoded()
+    layout = trace.layout
+    fold = _DigestFold(layout.records_start)
+    fold.add(layout.records_start,
+             memoryview(data)[layout.records_start:layout.records_end])
+    fold.check(layout, trace.source_path)
+
+
+# --------------------------------------------------------------------------- #
+# Writer
+# --------------------------------------------------------------------------- #
 def _encode_operand_value(value: Union[int, float],
                          address: Optional[int]) -> Tuple[int, bytes]:
     """One operand's value flag bits and its value (and address) bytes.
@@ -299,9 +390,10 @@ class TraceBinaryWriter:
     The writer also maintains the trace's **content digest** (SHA-256 over
     the record blocks in stream order plus the encoded globals section) as a
     by-product of encoding — no second pass — and records it in the footer.
-    Pass ``fileobj`` to encode into an existing binary sink (e.g. a discard
-    sink when only the digest is wanted); the writer then never opens or
-    closes a file of its own.
+    :meth:`close` leaves the :attr:`layout` of the bytes written, built
+    from what the writer holds, so whoever keeps those bytes need not
+    parse their footer.  Pass ``fileobj`` to encode into an existing
+    binary sink; the writer then never opens or closes a file of its own.
     """
 
     def __init__(self, path: Optional[str], module_name: str = "module",
@@ -317,7 +409,7 @@ class TraceBinaryWriter:
         self._fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0,
                                     len(name_bytes)))
         self._fh.write(name_bytes)
-        self._offset = _HEADER.size + len(name_bytes)
+        self._records_start = self._offset = _HEADER.size + len(name_bytes)
         self._globals: List[GlobalSymbol] = []
         self._strings: List[str] = []
         self._string_ids: dict = {}
@@ -328,8 +420,9 @@ class TraceBinaryWriter:
         #: emitters share) its record count
         self._pending: List[bytes] = []
         self._block_records = [0]
-        self._digest = hashlib.sha256()
-        self._digest_hex: Optional[str] = None
+        self._fold = _DigestFold(self._records_start)
+        #: the layout of the bytes written; set by :meth:`close`
+        self.layout: Optional[BinaryTraceLayout] = None
 
     # ------------------------------------------------------------------ #
     def _intern(self, text: str) -> int:
@@ -362,7 +455,7 @@ class TraceBinaryWriter:
         self._pending.clear()
         self._index.append(self._offset)
         self._fh.write(block)
-        self._digest.update(block)
+        self._fold.add(self._offset, block)
         self._offset += len(block)
 
     def write_global(self, symbol: GlobalSymbol) -> None:
@@ -501,21 +594,13 @@ class TraceBinaryWriter:
         """Number of records written so far."""
         return self._written_records + self._block_records[0]
 
-    @property
-    def digest_hex(self) -> Optional[str]:
-        """The trace's content digest; available once :meth:`close` ran."""
-        return self._digest_hex
-
     def _write_footer(self) -> None:
         assert self._fh is not None
-        footer_offset = self._offset
         globals_bytes = encode_globals(self._globals)
         # Content digest = record blocks (already folded in, in stream
         # order) + encoded globals.  The string table and block index are
         # derived data and deliberately excluded.
-        self._digest.update(globals_bytes)
-        digest = self._digest.digest()
-        self._digest_hex = digest.hex()
+        digest = self._fold.finish(globals_bytes)
         out: List[bytes] = [FOOTER_MAGIC, _U32.pack(len(self._globals)),
                             globals_bytes]
         out.append(_U32.pack(len(self._strings)))
@@ -530,15 +615,22 @@ class TraceBinaryWriter:
             out.append(_U64.pack(offset))
         out.append(_U8.pack(len(digest)))
         out.append(digest)
-        out.append(_TRAILER.pack(footer_offset, TRAILER_MAGIC))
+        out.append(_TRAILER.pack(self._offset, TRAILER_MAGIC))
         self._fh.write(b"".join(out))
+        self.layout = BinaryTraceLayout(
+            module_name=self.module_name, globals=self._globals,
+            strings=self._strings, index_stride=INDEX_STRIDE,
+            record_count=self._written_records, block_offsets=self._index,
+            records_start=self._records_start, records_end=self._offset,
+            content_digest=digest.hex())
 
     def close(self) -> None:
         """Write the pending records, the footer (globals + string table +
         block index + content digest) and the trailer, then close the
-        file.  Idempotent; a file without its trailer is detected as
-        truncated by :func:`read_layout`.  An externally supplied
-        ``fileobj`` is left open (the caller owns it)."""
+        file and set :attr:`layout`.  Idempotent; a file without its
+        trailer is detected as truncated by :func:`read_layout`.  An
+        externally supplied ``fileobj`` is left open (the caller owns
+        it)."""
         if self._fh is not None:
             self._flush()
             self._write_footer()
@@ -563,16 +655,17 @@ def write_trace_file_binary(trace: Trace, path: str) -> int:
 
 
 def encode_trace(module_name: str, globals_: Iterable[GlobalSymbol],
-                 records: Iterable[TraceRecord]) -> Tuple[bytes, str]:
+                 records: Iterable[TraceRecord],
+                 ) -> Tuple[bytes, BinaryTraceLayout]:
     """Encode a trace into an in-memory binary file.
 
     ``records`` may be any iterable (a list, or a file-backed record
     stream); it is consumed once.
 
     Returns:
-        ``(file bytes, content digest)`` — the bytes a
-        :class:`TraceBinaryWriter` would write to disk, and the digest its
-        footer carries.
+        ``(file bytes, layout)`` — the bytes a :class:`TraceBinaryWriter`
+        would write to disk, and the writer's :attr:`~TraceBinaryWriter.layout`
+        of them (its ``content_digest`` is the footer's).
     """
     sink = io.BytesIO()
     with TraceBinaryWriter(None, module_name=module_name,
@@ -581,33 +674,13 @@ def encode_trace(module_name: str, globals_: Iterable[GlobalSymbol],
             writer.write_global(symbol)
         for record in records:
             writer.write_record(record)
-    assert writer.digest_hex is not None
-    return sink.getvalue(), writer.digest_hex
+    assert writer.layout is not None
+    return sink.getvalue(), writer.layout
 
 
 # --------------------------------------------------------------------------- #
 # Footer / index
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BinaryTraceLayout:
-    """Everything the footer knows: globals, string table and block index."""
-
-    module_name: str
-    globals: List[GlobalSymbol]
-    strings: List[str]
-    index_stride: int
-    record_count: int
-    #: byte offset of every ``index_stride``-th record block
-    block_offsets: List[int]
-    #: byte offset of the first record block
-    records_start: int
-    #: byte offset one past the last record block (== footer offset)
-    records_end: int
-    #: hex SHA-256 of the trace content (``None`` for version-1 files,
-    #: which predate the footer digest)
-    content_digest: Optional[str] = None
-
-
 # Footers of same-shaped traces share one compiled Struct for the block
 # index; an f-string format would recompile it on every read_layout call.
 _BLOCK_OFFSETS_STRUCTS: dict = {}
@@ -823,28 +896,6 @@ def layout_from_buffer(buffer, name: Optional[str] = None,
         view.release()
 
 
-def verify_content_digest(buffer, name: Optional[str] = None) -> bool:
-    """Check a whole binary file's footer digest against its content.
-
-    Re-folds the digest the writer computes — the record region followed
-    by the encoded globals — over ``buffer`` and compares it with the
-    footer's.  Hashes raw bytes only; no record is decoded.  Version-1
-    files carry no digest and always pass.  The header and the footer's
-    string table are outside the digest, so a file whose string table
-    was rewritten still passes.
-
-    Raises:
-        BinaryTraceError: when ``buffer`` is not a readable binary trace.
-    """
-    layout = layout_from_buffer(buffer, name=name)
-    if layout.content_digest is None:
-        return True
-    sha256 = hashlib.sha256(
-        memoryview(buffer)[layout.records_start:layout.records_end])
-    sha256.update(encode_globals(layout.globals))
-    return sha256.hexdigest() == layout.content_digest
-
-
 # --------------------------------------------------------------------------- #
 # Decoder
 # --------------------------------------------------------------------------- #
@@ -933,46 +984,36 @@ def _decode_record(buf, position: int, strings: List[str],
     return record, position
 
 
-# --------------------------------------------------------------------------- #
-# Readers
-# --------------------------------------------------------------------------- #
-class TraceBinaryReader:
-    """Read a whole binary trace: as a :class:`Trace`, or record by record.
+def decode_records(data, layout: BinaryTraceLayout,
+                   name: Optional[str] = None) -> Iterator[TraceRecord]:
+    """Decode every record of a whole binary file's bytes ``data``, in file
+    order, over its ``layout``.
 
-    Takes a ``path``, whose bytes are read once, or the bytes of a whole
-    file as ``buffer``.
+    The per-record reference decoder: a :class:`Trace`'s records and
+    iteration and the re-encode of a version-1 file go through it, and
+    the columnar scans are held to it.  A record block that does not
+    decode, or a record region that holds another number of records than
+    the footer counts, is a :class:`BinaryTraceError` naming ``name``,
+    the source the bytes came from (``'<buffer>'`` when ``None``).
     """
-
-    def __init__(self, path: Optional[str] = None, buffer=None) -> None:
-        if buffer is None:
-            if path is None:
-                raise ValueError("pass a path or an already-open buffer")
-            with open(path, "rb") as handle:
-                buffer = handle.read()
-        self.path = path
-        self._buffer = buffer
-        self.layout = layout_from_buffer(buffer, name=path)
-
-    def read(self) -> Trace:
-        """The trace over the file's bytes (:meth:`Trace.from_binary`)."""
-        return Trace.from_binary(self._buffer, self.path)
-
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """Decode every record in file order (a record block that does not
-        decode is a :class:`BinaryTraceError` naming the file)."""
-        layout = self.layout
-        buf = self._buffer
-        position = layout.records_start
-        end = layout.records_end
-        strings = layout.strings
-        while position < end:
-            start = position
-            try:
-                record, position = _decode_record(buf, position, strings)
-                if position > end:
-                    raise struct.error("it overruns the record region")
-            except (IndexError, struct.error) as exc:
-                raise BinaryTraceError(
-                    f"{self.path or '<buffer>'!r}: the record block at byte "
-                    f"{start} does not decode: {exc}") from None
-            yield record
+    name = name or "<buffer>"
+    position = layout.records_start
+    end = layout.records_end
+    strings = layout.strings
+    count = 0
+    while position < end:
+        start = position
+        try:
+            record, position = _decode_record(data, position, strings)
+            if position > end:
+                raise struct.error("it overruns the record region")
+        except (IndexError, ValueError, struct.error) as exc:
+            raise BinaryTraceError(
+                f"{name!r}: the record block at byte {start} does not "
+                f"decode: {exc}") from None
+        count += 1
+        yield record
+    if count != layout.record_count:
+        raise BinaryTraceError(
+            f"{name!r}: the record region holds {count} records, but the "
+            f"footer counts {layout.record_count}")

@@ -1,10 +1,10 @@
 """Columnar decode of block-indexed binary traces.
 
-:mod:`repro.trace.binio` decodes a trace one record at a time: one
-``unpack_from`` plus one slotted-dataclass construction per record (and per
-operand).  Reading the fixed header alone costs a fraction of that — the
-per-record *object layer* is the dominant cost of analysis.  This module
-removes it: a :class:`TraceColumnarReader` turns
+:func:`repro.trace.binio.decode_records` decodes a trace one record at a
+time: one ``unpack_from`` plus one slotted-dataclass construction per
+record (and per operand).  Reading the fixed header alone costs a
+fraction of that — the per-record *object layer* is the dominant cost of
+analysis.  This module removes it: a :class:`TraceColumnarReader` turns
 whole runs of record blocks into :class:`ColumnarBlock` objects — parallel
 arrays (columns) for the fields the analysis engine actually consults per
 record — in a small number of bulk sweeps, with full
@@ -37,18 +37,20 @@ their span ends, and every block's function, callee and operand-name ids
 are checked against the string table; either failure names the file.
 
 The reader accepts a ``path`` or an already-open ``buffer``/``mmap`` of the
-whole file (plus an optional pre-read layout), so warm re-reads within one
-process re-use the open mapping and the parsed footer.  With
+whole file, with the layout already known where there is one: a version-2
+file streams with the layout its store key was read from, and a
+:class:`~repro.trace.records.Trace` hands over its bytes, its layout and
+its source's name in one call, so neither parses its footer again.  With
 ``iter_blocks(verify_digest=True)`` a full walk also folds the content
-digest over the record bytes it reads and checks it against the footer's
-(:class:`~repro.trace.binio.TraceDigestMismatch` on a mismatch), so a
-report of a file changed after it was written is never stored under the
-footer digest's key.
+digest over the record bytes it reads (the one fold,
+:class:`repro.trace.binio._DigestFold`) and checks it against the
+footer's (:class:`~repro.trace.binio.TraceDigestMismatch` on a mismatch),
+so a report of a file changed after it was written is never stored under
+the footer digest's key.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Dict, Iterator, List, Optional
 
@@ -63,9 +65,8 @@ from repro.trace.binio import (
     _VALUE_BIG,
     BinaryTraceError,
     BinaryTraceLayout,
-    TraceDigestMismatch,
     _decode_record,
-    encode_globals,
+    _DigestFold,
     layout_from_buffer,
     read_layout,
 )
@@ -376,60 +377,29 @@ def _check_string_ids(block: ColumnarBlock) -> None:
 # --------------------------------------------------------------------------- #
 # Reader
 # --------------------------------------------------------------------------- #
-class _DigestFold:
-    """The content digest of the record bytes a walk reads, span by span.
-
-    It equals the footer digest only when the spans tile the record region
-    in order (a full walk) and hash like the bytes the writer wrote.
-    """
-
-    def __init__(self, layout: BinaryTraceLayout) -> None:
-        self.layout = layout
-        self.sha256 = hashlib.sha256()
-        self.position = layout.records_start
-        self.tiled = True
-
-    def add(self, start: int, data) -> None:
-        self.tiled = self.tiled and start == self.position
-        self.sha256.update(data)
-        self.position = start + len(data)
-
-    def check(self, path: Optional[str]) -> None:
-        """Raise :class:`TraceDigestMismatch` unless the bytes read are the
-        record region the footer digest covers."""
-        layout = self.layout
-        if layout.content_digest is None:
-            return  # version 1: no digest to check
-        self.sha256.update(encode_globals(layout.globals))
-        actual = self.sha256.hexdigest()
-        if (not self.tiled or self.position != layout.records_end
-                or actual != layout.content_digest):
-            raise TraceDigestMismatch(path, layout.content_digest, actual)
-
-
 class TraceColumnarReader:
     """Stream a binary trace as :class:`ColumnarBlock` chunks.
 
     Exactly one of ``path`` and ``buffer`` is the byte source; ``buffer``
     is an already-open ``bytes`` / ``memoryview`` / ``mmap`` of the *whole*
-    file (warm re-reads within one process skip the reopen), and a
+    file (a :class:`~repro.trace.records.Trace`'s bytes, say), and a
     pre-read ``layout`` skips the footer parse.  :attr:`name` is what the
-    walk's errors call the source: ``path``, or for a buffer None
-    (``'<buffer>'``) unless the caller sets it to the file the bytes came
-    from.  :meth:`close` releases the owned file handle deterministically;
-    the reader is a context manager.
+    walk's errors call the source: ``name`` when given (the file a
+    buffer's bytes came from), else ``path``, else None (``'<buffer>'``).
+    :meth:`close` releases the owned file handle deterministically; the
+    reader is a context manager.
     """
 
     def __init__(self, path: Optional[str] = None,
                  layout: Optional[BinaryTraceLayout] = None,
-                 buffer=None) -> None:
+                 buffer=None, name: Optional[str] = None) -> None:
         if (path is None) and (buffer is None):
             raise ValueError("pass a path or an already-open buffer")
         self.path = path
-        self.name: Optional[str] = path
+        self.name: Optional[str] = name or path
         self._buffer = buffer
         if layout is None:
-            layout = (layout_from_buffer(buffer, name=path)
+            layout = (layout_from_buffer(buffer, name=self.name)
                       if buffer is not None else read_layout(path))
         self.layout = layout
         self.strings = layout.strings
@@ -491,10 +461,11 @@ class TraceColumnarReader:
         :class:`~repro.trace.binio.TraceDigestMismatch` unless they hash
         to the footer digest.
         """
-        self._fold = _DigestFold(self.layout) if verify_digest else None
+        self._fold = (_DigestFold(self.layout.records_start)
+                      if verify_digest else None)
         yield from self._iter_blocks(chunk_records)
         if self._fold is not None:
-            self._fold.check(self.name)
+            self._fold.check(self.layout, self.name)
 
     def _iter_blocks(self, chunk_records: int) -> Iterator[ColumnarBlock]:
         layout = self.layout

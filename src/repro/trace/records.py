@@ -20,9 +20,12 @@ Each record carries exactly the information the paper's Fig. 1 describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 from repro.ir.opcodes import ARITHMETIC_OPCODE_VALUES, Opcode
+
+if TYPE_CHECKING:
+    from repro.trace.binio import BinaryTraceLayout
 
 #: Operand index used for instruction results (paper Fig. 1 uses ``r``).
 RESULT_INDEX = "r"
@@ -144,10 +147,17 @@ class Trace:
     An immutable value with two views, each computed at most once from the
     other: :attr:`records`, and :meth:`encoded` — the version-2 binary
     encoding (:mod:`repro.trace.binio`) the analysis walks, with its
-    content digest.  ``Trace(module_name, globals, records)`` encodes its
-    records on the first :meth:`encoded` call; :meth:`from_binary` keeps
-    the bytes it is given and decodes :attr:`records` on first access
-    (iterating before then streams them without keeping them).
+    content digest — together with :attr:`layout`, what those bytes'
+    footer says.  Every reader of the trace uses that layout (iteration,
+    :attr:`records`, the walk and the digest check), so a trace's footer
+    is parsed at most once.
+
+    ``Trace(module_name, globals, records)`` encodes its records on first
+    need and keeps the writer's layout; :meth:`from_encoded` takes bytes
+    with the layout their writer built, and :meth:`from_binary` parses the
+    footer of bytes from elsewhere.  A trace over bytes decodes
+    :attr:`records` on first access (iterating before then streams them
+    without keeping them).
 
     :attr:`source_path` names the file (or upload) a trace's bytes came
     from (:func:`repro.trace.textio.trace_from_bytes`), so errors on its
@@ -155,7 +165,7 @@ class Trace:
     digest.
     """
 
-    __slots__ = ("_module_name", "_globals", "_records", "_encoded",
+    __slots__ = ("_module_name", "_globals", "_records", "_data", "_layout",
                  "source_path")
 
     def __init__(self, module_name: str = "module",
@@ -165,34 +175,44 @@ class Trace:
         self._globals = [] if globals is None else globals
         self._records: Optional[List[TraceRecord]] = (
             [] if records is None else records)
-        self._encoded: Optional[Tuple[bytes, str]] = None
+        self._data: Optional[bytes] = None
+        self._layout: Optional[BinaryTraceLayout] = None
         self.source_path: Optional[str] = None
 
     @classmethod
+    def from_encoded(cls, data: bytes, layout: BinaryTraceLayout,
+                     name: Optional[str] = None) -> "Trace":
+        """The trace over version-2 bytes ``data`` whose ``layout`` is
+        known — the one their writer built — so nothing is parsed.
+        ``name`` is its :attr:`source_path`."""
+        trace = cls(layout.module_name, layout.globals)
+        trace._records = None
+        trace._data = data
+        trace._layout = layout
+        trace.source_path = name
+        return trace
+
+    @classmethod
     def from_binary(cls, data: bytes, name: Optional[str] = None) -> "Trace":
-        """The trace a whole binary trace file's bytes encode, with their
-        footer digest.  Version-1 bytes carry no digest, so their records
-        are decoded and encoded again as version 2 (once, streaming).
+        """The trace a whole binary trace file's bytes encode, over the
+        layout of the one parse of their footer.  Version-1 bytes carry no
+        digest, so their records are decoded and encoded again as version
+        2 (once, streaming), and the trace keeps that encoding's layout.
         ``name`` is the file the bytes came from: errors name it, and it
         is the trace's :attr:`source_path`."""
         from repro.trace.binio import (
-            TraceBinaryReader,
+            decode_records,
             encode_trace,
             layout_from_buffer,
         )
 
         data = bytes(data)
         layout = layout_from_buffer(data, name)
-        digest = layout.content_digest
-        if digest is None:
-            data, digest = encode_trace(
+        if layout.content_digest is None:
+            data, layout = encode_trace(
                 layout.module_name, layout.globals,
-                TraceBinaryReader(name, buffer=data).iter_records())
-        trace = cls(layout.module_name, layout.globals)
-        trace._records = None
-        trace._encoded = (data, digest)
-        trace.source_path = name
-        return trace
+                decode_records(data, layout, name))
+        return cls.from_encoded(data, layout, name)
 
     @property
     def module_name(self) -> str:
@@ -209,23 +229,33 @@ class Trace:
             self._records = list(self._decode())
         return self._records
 
+    @property
+    def layout(self) -> BinaryTraceLayout:
+        """The layout of :meth:`encoded`'s bytes (encoding the records
+        first when the trace was built from them)."""
+        if self._layout is None:
+            from repro.trace.binio import encode_trace
+
+            self._data, self._layout = encode_trace(
+                self._module_name, self._globals, self._records or ())
+        return self._layout
+
     def encoded(self) -> Tuple[bytes, str]:
         """``(version-2 binary file bytes, content digest)`` (encoded on
         the first call when the trace was built from records)."""
-        if self._encoded is None:
-            from repro.trace.binio import encode_trace
-
-            self._encoded = encode_trace(self._module_name, self._globals,
-                                         self._records or ())
-        return self._encoded
+        digest = self.layout.content_digest
+        assert self._data is not None and digest is not None
+        return self._data, digest
 
     def _decode(self) -> Iterator[TraceRecord]:
-        from repro.trace.binio import TraceBinaryReader
+        from repro.trace.binio import decode_records
 
-        assert self._encoded is not None
-        return TraceBinaryReader(buffer=self._encoded[0]).iter_records()
+        assert self._data is not None and self._layout is not None
+        return decode_records(self._data, self._layout, self.source_path)
 
     def __len__(self) -> int:
+        if self._layout is not None:
+            return self._layout.record_count
         return len(self.records)
 
     def __iter__(self) -> Iterator[TraceRecord]:

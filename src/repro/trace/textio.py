@@ -26,6 +26,9 @@ This module also hosts the front door from a trace file's bytes to a
 :class:`~repro.trace.records.Trace`: :func:`trace_from_bytes` takes the
 whole file's bytes of either encoding and dispatches on the binary magic,
 and :func:`read_trace_file` reads a file once and hands it its bytes.
+Either way the ``Trace`` holds version-2 bytes with their layout: binary
+bytes have their footer parsed once, and text is encoded by a writer that
+hands over the layout of what it wrote.
 """
 
 from __future__ import annotations
@@ -359,11 +362,13 @@ def write_trace_file(trace: Trace, path: str) -> int:
 def trace_from_bytes(data: bytes, name: str) -> Trace:
     """The trace a whole trace file's bytes encode, of either encoding.
 
-    Bytes that start with the binary magic are kept as they are
-    (:meth:`Trace.from_binary`).  Any other bytes are UTF-8 text, parsed
-    in one pass over their lines (header, globals and records) and
-    encoded once, streaming.  ``name`` is the file the bytes came from:
-    errors name it, and it is the trace's :attr:`~Trace.source_path`.
+    Bytes that start with the binary magic are kept as they are, over
+    the one parse of their footer (:meth:`Trace.from_binary`).  Any other
+    bytes are UTF-8 text, parsed in one pass over their lines (header,
+    globals and records) and encoded once, streaming; the trace keeps the
+    encoder's layout of its bytes, so nothing parses them again.
+    ``name`` is the file the bytes came from: errors name it, and it is
+    the trace's :attr:`~Trace.source_path`.
 
     Raises:
         TraceFormatError: on a malformed text line, naming ``name`` and
@@ -382,13 +387,13 @@ def trace_from_bytes(data: bytes, name: str) -> Trace:
         # every preamble line: the preamble is whole once the first record
         # is, so the encoder can take the module name and globals then.
         first = next(records, None)
-        encoded, _ = encode_trace(
+        encoded, layout = encode_trace(
             preamble.module_name, preamble.globals,
             () if first is None else itertools.chain((first,), records))
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"{name}: neither a binary trace nor UTF-8 text: {exc}") from None
-    return Trace.from_binary(encoded, name)
+    return Trace.from_encoded(encoded, layout, name)
 
 
 def read_trace_file(path: str) -> Trace:

@@ -87,9 +87,12 @@ class InMemoryTraceSink(TraceBinaryWriter):
 
     @property
     def trace(self) -> Trace:
-        """The emitted trace over its bytes (closes the writer; no record
-        is decoded)."""
-        return Trace.from_binary(self.getvalue())
+        """The emitted trace over its bytes and the layout this writer
+        built of them (closes the writer; nothing is parsed or
+        decoded)."""
+        data = self.getvalue()
+        assert self.layout is not None
+        return Trace.from_encoded(data, self.layout)
 
 
 def _value_fields(value: RuntimeValue) -> Tuple[Union[int, float], Optional[int]]:

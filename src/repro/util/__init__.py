@@ -7,14 +7,12 @@ readable byte/size formatting used by the storage study (Table IV), and a
 minimal table renderer used by the experiment harnesses.
 """
 
-from repro.util.timing import Stopwatch, Timer, TimingBreakdown
+from repro.util.timing import TimingBreakdown
 from repro.util.rng import DeterministicRNG
 from repro.util.formatting import format_bytes, format_seconds, render_table
 from repro.util.logging import get_logger
 
 __all__ = [
-    "Stopwatch",
-    "Timer",
     "TimingBreakdown",
     "DeterministicRNG",
     "format_bytes",

@@ -2,9 +2,9 @@
 
 The paper reports the analysis cost of AutoCheck broken down into three
 stages (pre-processing, dependency analysis, identification of variables),
-with and without the OpenMP pre-processing optimization.  :class:`Stopwatch`
-provides the low-level measurement, :class:`TimingBreakdown` accumulates the
-named stages for a single pipeline run.
+with and without the OpenMP pre-processing optimization.
+:class:`TimingBreakdown` accumulates the named stages for a single
+pipeline run.
 """
 
 from __future__ import annotations
@@ -13,57 +13,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
-
-
-class Stopwatch:
-    """A resettable stopwatch based on :func:`time.perf_counter`."""
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        if self._start is None:
-            self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is not None:
-            self._elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-
-class Timer:
-    """Context manager measuring a single interval.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(10))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
 
 
 @dataclass
@@ -124,16 +73,3 @@ class TimingBreakdown:
     def total(self) -> float:
         return sum(seconds for name, seconds in self.stages.items()
                    if "." not in name)
-
-    def merge(self, other: "TimingBreakdown") -> "TimingBreakdown":
-        merged = TimingBreakdown(dict(self.stages), dict(self.counts))
-        for name, seconds in other.stages.items():
-            merged.add(name, seconds)
-        for name, count in other.counts.items():
-            merged.add_count(name, count)
-        return merged
-
-    def as_dict(self) -> Dict[str, float]:
-        out = dict(self.stages)
-        out["total"] = self.total
-        return out

@@ -258,3 +258,21 @@ def decode_counter(monkeypatch):
     monkeypatch.setattr(columnar_module.TraceColumnarReader, "iter_blocks",
                         counting_iter_blocks)
     return counts
+
+
+@pytest.fixture()
+def footer_parses(monkeypatch):
+    """Count binary trace footer parses (``binio._parse_footer`` calls):
+    every layout read from bytes goes through it, whichever reader asks.
+    Set ``footer_parses["count"] = 0`` after a test's set-up."""
+    import repro.trace.binio as binio_module
+
+    counts = {"count": 0}
+    real_parse_footer = binio_module._parse_footer
+
+    def counting_parse_footer(*args, **kwargs):
+        counts["count"] += 1
+        return real_parse_footer(*args, **kwargs)
+
+    monkeypatch.setattr(binio_module, "_parse_footer", counting_parse_footer)
+    return counts

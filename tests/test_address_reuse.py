@@ -20,8 +20,8 @@ from conftest import make_alloca_record, make_operand, make_record as record
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.pipeline import AutoCheck
 from repro.ir.opcodes import Opcode
-from repro.trace.binio import TraceBinaryReader
 from repro.trace.records import Trace, TraceOperand
+from repro.trace.textio import read_trace_file
 
 
 def mem(index, name, address, bits=32, value=0):
@@ -225,7 +225,7 @@ class TestBigarrayPipelineEquivalence:
         config = AutoCheckConfig(main_loop=entry.spec)
         streaming = AutoCheck(config, trace_path=entry.trace_path).run()
         materialized = AutoCheck(
-            config, trace=TraceBinaryReader(entry.trace_path).read()).run()
+            config, trace=read_trace_file(entry.trace_path)).run()
         assert streaming.mli_variable_names == materialized.mli_variable_names
         assert [(v.name, v.dependency) for v in streaming.critical_variables] \
             == [(v.name, v.dependency) for v in materialized.critical_variables]

@@ -4,7 +4,7 @@ Three layers of evidence pin the columnar route down:
 
 1. **Decode equivalence** — the columns (and lazily materialized records)
    of :class:`repro.trace.columnar.TraceColumnarReader` match the
-   per-record :class:`repro.trace.binio.TraceBinaryReader` decoder exactly,
+   per-record :func:`repro.trace.binio.decode_records` decoder exactly,
    and every block holds the same numpy columns whichever scan decoded
    it: property-tested on
    randomized round-tripped traces (hypothesis, reusing the
@@ -34,7 +34,6 @@ from test_property_based import _binary_record_strategy
 from repro.core import AutoCheck
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import (
-    TraceBinaryReader,
     read_layout,
     write_trace_file_binary,
 )
@@ -45,6 +44,7 @@ from repro.trace.records import (
     TraceOperand,
     TraceRecord,
 )
+from repro.trace.textio import read_trace_file
 
 
 # --------------------------------------------------------------------------- #
@@ -96,8 +96,7 @@ def _assert_block_matches(block, records):
 
 
 def _assert_columnar_equals_records(path, chunk_records=None):
-    reader = TraceBinaryReader(path)
-    records = list(reader.iter_records())
+    records = list(read_trace_file(path))
     with TraceColumnarReader(path) as columnar:
         kwargs = {}
         if chunk_records is not None:
@@ -190,7 +189,7 @@ def test_fused_columnar_report_identical_on_all_apps(fleet, name):
     """A trace read into memory is walked from its bytes through the same
     columnar walk: its report is the golden one."""
     entry = fleet.apps[name]
-    trace = TraceBinaryReader(entry.trace_path).read()
+    trace = read_trace_file(entry.trace_path)
     report = AutoCheck(entry.config(), trace=trace,
                        module=entry.module).run()
     assert _report_sha256(report) == GOLDEN[name]["report_sha256"]
@@ -206,7 +205,7 @@ def test_text_trace_report_equals_binary_report(fleet, tmp_path):
 
     entry = fleet.apps["example"]
     path = str(tmp_path / "example.trace")
-    write_trace_file(TraceBinaryReader(entry.trace_path).read(), path)
+    write_trace_file(read_trace_file(entry.trace_path), path)
     report = AutoCheck(entry.config(), trace_path=path,
                        module=entry.module).run()
     assert _report_sha256(report) == GOLDEN["example"]["report_sha256"]

@@ -1,10 +1,9 @@
-"""Unit tests for the DDG structure, reg maps, and Algorithm-1 contraction."""
+"""Unit tests for the DDG structure and Algorithm-1 contraction."""
 
 import pytest
 
 from repro.core.contraction import contract_ddg, contraction_is_sound
 from repro.core.ddg import DDG, NodeKind
-from repro.core.regmaps import RegRegMap, RegVarMap
 
 
 def build_paper_like_ddg():
@@ -86,39 +85,6 @@ class TestDDGStructure:
         dot = build_paper_like_ddg().to_dot()
         assert "digraph" in dot
         assert '"sum"' in dot
-
-
-class TestRegMaps:
-    def test_reg_var_map_on_the_fly_updates(self):
-        regvar = RegVarMap()
-        regvar.associate("main", "8", "a@0x1")
-        assert regvar.lookup("main", "8") == "a@0x1"
-        # SSA reload: the same register later maps to a different variable
-        regvar.associate("main", "8", "b@0x2")
-        assert regvar.lookup("main", "8") == "b@0x2"
-
-    def test_reg_var_map_keyed_per_function(self):
-        regvar = RegVarMap()
-        regvar.associate("main", "3", "x@0x1")
-        assert regvar.lookup("foo", "3") is None
-
-    def test_forget_function(self):
-        regvar = RegVarMap()
-        regvar.associate("foo", "1", "p@0x1")
-        regvar.associate("main", "1", "a@0x2")
-        regvar.forget_function("foo")
-        assert regvar.lookup("foo", "1") is None
-        assert regvar.lookup("main", "1") == "a@0x2"
-        assert len(regvar) == 1
-
-    def test_reg_reg_map_links(self):
-        regreg = RegRegMap()
-        regreg.link("main", "9", ["8", "5"])
-        regreg.link("main", "9", ["7"])
-        assert regreg.inputs_of("main", "9") == {("main", "8"), ("main", "5"),
-                                                 ("main", "7")}
-        assert regreg.inputs_of("main", "42") == set()
-        assert len(regreg) == 1
 
 
 class TestContraction:

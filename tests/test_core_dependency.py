@@ -45,9 +45,6 @@ class TestDependencyAnalysis:
     def test_reg_var_map_populated(self, example_dependency):
         assert len(example_dependency.reg_var_map) > 0
 
-    def test_reg_reg_map_populated(self, example_dependency):
-        assert len(example_dependency.reg_reg_map) > 0
-
     def test_param_binding_links_argument_to_parameter(self, example_dependency):
         # foo(a, b): parameter p of foo must be bound to the caller's `a`
         # (reg-var triplet correlation of paper Fig. 6b).

@@ -385,7 +385,7 @@ def example_trace_file(request, example_trace, tmp_path_factory):
 @pytest.fixture()
 def file_read_counter(monkeypatch):
     """Count every record stream opened on a trace *file*: the text line
-    parser and the binary record iterator (what the in-memory encode of a
+    parser and the binary record decoder (what the in-memory encode of a
     text or version-1 file reads) and the columnar block stream of a
     file-backed reader."""
     counts = {"streams": 0}
@@ -395,16 +395,16 @@ def file_read_counter(monkeypatch):
     import repro.trace.textio as textio_module
 
     real_text_iter = textio_module.iter_parsed_records
-    real_reader_iter = binio_module.TraceBinaryReader.iter_records
+    real_decode_records = binio_module.decode_records
     real_iter_blocks = columnar_module.TraceColumnarReader.iter_blocks
 
     def counting_text_iter(*args, **kwargs):
         counts["streams"] += 1
         return real_text_iter(*args, **kwargs)
 
-    def counting_reader_iter(self, **kwargs):
+    def counting_decode_records(*args, **kwargs):
         counts["streams"] += 1
-        return real_reader_iter(self, **kwargs)
+        return real_decode_records(*args, **kwargs)
 
     def counting_iter_blocks(self, *args, **kwargs):
         if self.path is not None:
@@ -413,8 +413,8 @@ def file_read_counter(monkeypatch):
 
     monkeypatch.setattr(textio_module, "iter_parsed_records",
                         counting_text_iter)
-    monkeypatch.setattr(binio_module.TraceBinaryReader, "iter_records",
-                        counting_reader_iter)
+    monkeypatch.setattr(binio_module, "decode_records",
+                        counting_decode_records)
     monkeypatch.setattr(columnar_module.TraceColumnarReader, "iter_blocks",
                         counting_iter_blocks)
     return counts

@@ -36,7 +36,6 @@ from repro.core.ddg import DDG, NodeKind
 from repro.minicc.lexer import tokenize
 from repro.minicc.tokens import TokenKind
 from repro.trace.binio import (
-    TraceBinaryReader,
     encode_trace,
     read_layout,
     write_trace_file_binary,
@@ -234,7 +233,7 @@ def test_text_trace_file_encodes_for_the_walk(tmp_path_factory, records):
     assert serial.records == trace.records
     # the route a text input takes to the walk: the bytes it is encoded to
     buffer, _ = serial.encoded()
-    encoded = TraceBinaryReader(buffer=buffer).read()
+    encoded = Trace.from_binary(buffer)
     assert encoded.globals == trace.globals
     assert encoded.records == trace.records
 
@@ -271,11 +270,11 @@ def test_in_memory_encoding_equals_binary_file(tmp_path_factory, records):
                   records=records)
     path = str(tmp_path_factory.mktemp("prop") / "prop.btrace")
     write_trace_file_binary(trace, path)
-    buffer, digest = encode_trace(trace.module_name, trace.globals,
+    buffer, layout = encode_trace(trace.module_name, trace.globals,
                                   trace.records)
     with open(path, "rb") as handle:
         assert handle.read() == buffer
-    assert digest == read_layout(path).content_digest
+    assert layout == read_layout(path)
 
 
 # --------------------------------------------------------------------------- #

@@ -844,3 +844,99 @@ class TestTraceUpload:
             assert (status, error["code"]) == (400, "BAD_FIELD")
             assert "corrupt binary trace footer" in error["message"]
         assert server.store.stats().entries == 0
+
+    @staticmethod
+    def _upload_parses(client, trace, spec, footer_parses):
+        """Upload ``trace``'s binary bytes; the cache header and the footer
+        parses the request made."""
+        footer_parses["count"] = 0
+        status, headers, _ = client.analyze_trace(
+            trace.encoded()[0], spec.function, spec.start_line,
+            spec.end_line)
+        assert status == 200
+        return headers["x-autocheck-cache"], footer_parses["count"]
+
+    def test_cold_binary_upload_makes_one_footer_parse(
+            self, server, client, example_trace, example_spec,
+            footer_parses):
+        """An upload's ``Trace`` keeps the layout of the one parse of its
+        footer: the digest check, the key and the walk all use it."""
+        assert self._upload_parses(client, example_trace, example_spec,
+                                   footer_parses) == ("miss", 1)
+
+    def test_warm_binary_upload_makes_one_footer_parse(
+            self, server, client, example_trace, example_spec,
+            footer_parses):
+        self._upload_parses(client, example_trace, example_spec,
+                            footer_parses)
+        assert self._upload_parses(client, example_trace, example_spec,
+                                   footer_parses) == ("hit", 1)
+
+
+class TestTextUploadCoalescing:
+    """Identical text bodies in flight together share one parse: the text
+    parse runs through the daemon's coalescer, keyed by the body's
+    SHA-256, so the followers wait for the leader's ``Trace`` (or its
+    error)."""
+
+    N = 4
+
+    def _upload_together(self, tmp_path, monkeypatch, upload, spec):
+        """``N`` concurrent uploads of ``upload``, with the first text
+        parse held until the others have joined it; returns the
+        responses and the number of text parses started."""
+        from repro.trace import textio
+
+        parses = []
+        release = threading.Event()
+        real_iter_parsed = textio.iter_parsed_records
+
+        def held_iter_parsed(*args, **kwargs):
+            parses.append(args)
+            assert release.wait(timeout=60.0)
+            return real_iter_parsed(*args, **kwargs)
+
+        monkeypatch.setattr(textio, "iter_parsed_records", held_iter_parsed)
+        srv = _make_server(tmp_path, workers=2, queue_limit=8)
+        try:
+            cli = ServeClient(srv.host, srv.port)
+            bounds = (spec.function, spec.start_line, spec.end_line)
+            with ThreadPoolExecutor(max_workers=self.N) as pool:
+                futures = [pool.submit(cli.analyze_trace, upload, *bounds)
+                           for _ in range(self.N)]
+                joined = _poll(lambda: srv.coalescer.stats()["joined"]
+                               >= self.N - 1, timeout=10.0)
+                release.set()
+                responses = [f.result(timeout=120) for f in futures]
+        finally:
+            srv.close(graceful=True, timeout=60.0)
+        assert joined, "the uploads did not join one text parse"
+        return responses, len(parses)
+
+    def test_identical_text_uploads_share_one_parse(
+            self, tmp_path, monkeypatch, example_trace, example_spec):
+        path = str(tmp_path / "upload.trace")
+        write_trace_file(example_trace, path)
+        with open(path, "rb") as handle:
+            upload = handle.read()
+        responses, parses = self._upload_together(tmp_path, monkeypatch,
+                                                  upload, example_spec)
+        assert parses == 1
+        assert [status for status, _, _ in responses] == [200] * self.N
+        assert len({body for _, _, body in responses}) == 1
+
+    def test_malformed_text_upload_is_422_for_every_waiter(
+            self, tmp_path, monkeypatch, example_trace, example_spec):
+        path = str(tmp_path / "bad.trace")
+        write_trace_file(example_trace, path)
+        number = malformed_text(path, sorted(MALFORMED_TEXT)[0])
+        with open(path, "rb") as handle:
+            upload = handle.read()
+        responses, parses = self._upload_together(tmp_path, monkeypatch,
+                                                  upload, example_spec)
+        assert parses == 1
+        for status, _, body in responses:
+            error = json.loads(body)["error"]
+            assert (status, error["code"]) == (422, "INVALID_TRACE")
+            assert re.search(rf"<upload>:{number}: malformed trace line",
+                             error["message"])

@@ -183,9 +183,10 @@ class TestDigests:
     def test_in_memory_digest_matches_binary_footer(self, fleet):
         entry = fleet.apps["example"]
         trace, _ = run_and_trace(entry.module, module_name="example")
-        _, digest = encode_trace(trace.module_name, trace.globals,
+        _, layout = encode_trace(trace.module_name, trace.globals,
                                  trace.records)
-        assert digest == read_layout(entry.trace_path).content_digest
+        assert (layout.content_digest
+                == read_layout(entry.trace_path).content_digest)
 
     def test_text_digest_is_raw_file_hash(self, tmp_path, example_trace,
                                           example_spec):
@@ -534,34 +535,85 @@ class TestRewrittenTraceFile:
 
 
 def test_cold_cached_run_resolves_its_input_once(tmp_path, fleet,
-                                                 monkeypatch):
+                                                 monkeypatch, footer_parses):
     """The store key and the walk share one resolution of a version-2
     file: one footer parse and one static loop analysis per cold run."""
-    from repro.core import pipeline
-    from repro.trace import binio
+    from repro.analysis import induction
 
     entry = fleet.apps["example"]
-    calls = {"footer": 0, "loops": 0}
-    real_parse_footer = binio._parse_footer
-    real_find_loops = pipeline.find_loops
-
-    def parse_footer(*args, **kwargs):
-        calls["footer"] += 1
-        return real_parse_footer(*args, **kwargs)
+    loops = []
+    real_find_loops = induction.find_loops
 
     def find_loops(*args, **kwargs):
-        calls["loops"] += 1
+        loops.append(args)
         return real_find_loops(*args, **kwargs)
 
-    monkeypatch.setattr(binio, "_parse_footer", parse_footer)
-    monkeypatch.setattr(pipeline, "find_loops", find_loops)
+    monkeypatch.setattr(induction, "find_loops", find_loops)
     config = entry.config(use_cache=True, cache_dir=str(tmp_path / "cache"))
     report = AutoCheck(config, trace_path=entry.trace_path,
                        module=entry.module).run()
     assert not report.cache_info.hit
     assert canonical_report_json(report) == \
         canonical_report_json(entry.report)
-    assert calls == {"footer": 1, "loops": 1}
+    assert (footer_parses["count"], len(loops)) == (1, 1)
+
+
+# --------------------------------------------------------------------------- #
+# A Trace keeps the layout of its bytes: footer parses per route
+# --------------------------------------------------------------------------- #
+def _same_report(report, entry):
+    return canonical_report_json(report) == canonical_report_json(entry.report)
+
+
+def test_run_and_trace_then_run_makes_no_footer_parse(fleet, footer_parses):
+    """The sink hands its writer's layout to the ``Trace``, and the walk
+    streams over it."""
+    entry = fleet.apps["example"]
+    trace, _ = run_and_trace(entry.module, module_name="example")
+    report = AutoCheck(entry.config(), trace=trace, module=entry.module).run()
+    assert _same_report(report, entry)
+    assert footer_parses["count"] == 0
+
+
+def test_cold_cached_text_run_makes_no_footer_parse(tmp_path, fleet,
+                                                   footer_parses):
+    """A text file is keyed by its raw bytes and encoded once for the
+    walk, which streams over the encoder's layout."""
+    from repro.trace.textio import write_trace_file
+
+    entry = fleet.apps["example"]
+    path = str(tmp_path / "example.trace")
+    write_trace_file(read_trace_file(entry.trace_path), path)
+    footer_parses["count"] = 0
+    config = entry.config(use_cache=True, cache_dir=str(tmp_path / "cache"))
+    report = AutoCheck(config, trace_path=path, module=entry.module).run()
+    assert not report.cache_info.hit and _same_report(report, entry)
+    assert footer_parses["count"] == 0
+
+
+def test_uncached_version1_run_makes_two_footer_parses(tmp_path, fleet,
+                                                       footer_parses):
+    """A version-1 file's footer is parsed for its key (it carries no
+    digest) and once more when its bytes are read for the walk; the
+    re-encode's layout serves the decode and the walk."""
+    entry = fleet.apps["example"]
+    path = str(tmp_path / "example.v1.btrace")
+    _version1_copy(entry.trace_path, path)
+    report = AutoCheck(entry.config(), trace_path=path,
+                       module=entry.module).run()
+    assert _same_report(report, entry)
+    assert footer_parses["count"] == 2
+
+
+def test_read_trace_file_then_records_makes_one_footer_parse(fleet,
+                                                             footer_parses):
+    """``read_trace_file`` parses a version-2 file's footer once; its
+    records decode over that layout, and ``len`` reads its count."""
+    entry = fleet.apps["example"]
+    trace = read_trace_file(entry.trace_path)
+    assert len(trace.records) == entry.report.trace_stats.record_count
+    assert len(trace) == len(trace.records)
+    assert footer_parses["count"] == 1
 
 
 # --------------------------------------------------------------------------- #

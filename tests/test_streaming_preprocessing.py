@@ -19,7 +19,7 @@ from repro.apps import all_apps
 from repro.core import AutoCheck, AutoCheckConfig
 from repro.store.serialize import canonical_report_json
 from repro.trace import (
-    TraceBinaryReader,
+    read_trace_file,
     write_trace_file,
     write_trace_file_binary,
 )
@@ -43,9 +43,9 @@ def opened_readers(monkeypatch):
     opened = []
 
     class RecordingReader(TraceColumnarReader):
-        def __init__(self, path=None, layout=None, buffer=None):
+        def __init__(self, path=None, layout=None, buffer=None, name=None):
             opened.append((path, buffer is not None))
-            super().__init__(path, layout=layout, buffer=buffer)
+            super().__init__(path, layout=layout, buffer=buffer, name=name)
 
     monkeypatch.setattr(pipeline_module, "TraceColumnarReader",
                         RecordingReader)
@@ -108,7 +108,7 @@ def test_streaming_report_identical_on_all_apps(app, fleet, tmp_path):
     from its binary one."""
     entry = fleet.apps[app.name]
     path = str(tmp_path / f"{app.name}.trace")
-    write_trace_file(TraceBinaryReader(entry.trace_path).read(), path)
+    write_trace_file(read_trace_file(entry.trace_path), path)
 
     streaming = AutoCheck(entry.config(), trace_path=path,
                           module=entry.module).run()

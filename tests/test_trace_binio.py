@@ -15,7 +15,6 @@ from repro.trace import (
     BinaryTraceError,
     GlobalSymbol,
     Trace,
-    TraceBinaryReader,
     TraceBinaryWriter,
     TraceOperand,
     TraceRecord,
@@ -25,10 +24,11 @@ from repro.trace import (
 )
 from repro.trace.binio import (
     INDEX_STRIDE,
+    TraceDigestMismatch,
+    check_content_digest,
     encode_trace,
     layout_from_buffer,
     read_layout,
-    verify_content_digest,
 )
 from repro.trace.textio import TraceFormatError, trace_from_bytes
 
@@ -142,8 +142,9 @@ class TestIndexAndSeek:
 
 
 class TestContentDigestCheck:
-    """:func:`verify_content_digest` re-folds the footer digest over the
-    record region and the encoded globals, decoding no record."""
+    """:func:`check_content_digest` re-folds the footer digest over a
+    trace's record region and encoded globals, over the layout the trace
+    keeps: it parses no footer and decodes no record."""
 
     @pytest.fixture()
     def encoded(self):
@@ -151,34 +152,45 @@ class TestContentDigestCheck:
                       globals=[GlobalSymbol("g", 0x1000, 16, 64, True)],
                       records=[make_record(dyn_id=i + 1, value=i)
                                for i in range(INDEX_STRIDE + 3)])
-        data, digest = encode_trace(trace.module_name, trace.globals,
+        data, layout = encode_trace(trace.module_name, trace.globals,
                                     trace.records)
-        return bytearray(data), digest
+        return bytearray(data), layout.content_digest
 
-    def test_genuine_trace_passes(self, encoded):
+    @staticmethod
+    def _refused(data):
+        trace = Trace.from_binary(bytes(data), "tampered.btrace")
+        with pytest.raises(TraceDigestMismatch,
+                           match=r"^'tampered\.btrace': content digest"):
+            check_content_digest(trace)
+
+    def test_genuine_trace_passes(self, encoded, monkeypatch):
+        from repro.trace import binio
+
         data, digest = encoded
-        assert layout_from_buffer(bytes(data)).content_digest == digest
-        assert verify_content_digest(bytes(data))
+        trace = Trace.from_binary(bytes(data))
+        assert trace.layout.content_digest == digest
+        monkeypatch.setattr(binio, "_parse_footer", None)  # parses nothing
+        check_content_digest(trace)
 
     def test_flipped_record_byte_fails(self, encoded):
         data, _ = encoded
         data[layout_from_buffer(bytes(data)).records_start + 3] ^= 1
-        assert not verify_content_digest(bytes(data))
+        self._refused(data)
 
     def test_changed_global_fails(self, encoded):
         data, _ = encoded
         footer = layout_from_buffer(bytes(data)).records_end
         data[bytes(data).index(b"g", footer) + 1] ^= 1  # its base address
-        assert not verify_content_digest(bytes(data))
+        self._refused(data)
 
     def test_version1_file_has_nothing_to_check(self, encoded):
         data, _ = encoded
         data[4:6] = (1).to_bytes(2, "little")
-        assert verify_content_digest(bytes(data))
+        check_content_digest(Trace.from_binary(bytes(data)))
 
     def test_garbage_is_rejected(self):
         with pytest.raises(BinaryTraceError):
-            verify_content_digest(b"ACTB garbage")
+            Trace.from_binary(b"ACTB garbage")
 
 
 
@@ -222,7 +234,7 @@ class TestErrors:
         with open(path, "w") as handle:
             handle.write("0,1,2\n")
         with pytest.raises(BinaryTraceError):
-            TraceBinaryReader(path)
+            read_layout(path)
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "trunc.btrace")
@@ -243,7 +255,7 @@ class TestErrors:
             handle.seek(4)
             handle.write(struct.pack("<H", 999))
         with pytest.raises(BinaryTraceError):
-            TraceBinaryReader(path)
+            read_trace_file(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -306,7 +318,7 @@ class TestLyingFooter:
                            match=r"lie\.btrace.*corrupt binary trace footer"):
             read_layout(path)
         with pytest.raises(BinaryTraceError, match="corrupt binary trace"):
-            verify_content_digest(data)
+            Trace.from_binary(data)
 
     @pytest.mark.parametrize("lie", WALK_REFUSED)
     def test_walk_refuses_a_count_the_footer_checks_pass(
@@ -317,12 +329,15 @@ class TestLyingFooter:
         path = str(tmp_path / "lie.btrace")
         with open(path, "wb") as handle:
             handle.write(data)
-        assert verify_content_digest(data)
+        check_content_digest(Trace.from_binary(data))
         with TraceColumnarReader(path) as reader:
             with pytest.raises(BinaryTraceError,
                                match=r"lie\.btrace.*their span in the "
                                      r"block index"):
                 list(reader.iter_blocks())
+        with pytest.raises(BinaryTraceError,
+                           match=r"lie\.btrace.*but the footer counts"):
+            read_trace_file(path).records
 
     @pytest.mark.parametrize("move", ["first", "repeat", "last"])
     def test_index_must_ascend_within_the_record_region(

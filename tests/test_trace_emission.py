@@ -17,7 +17,8 @@ import os
 import pytest
 from conftest import FLEET_NAMES
 
-from repro.trace.binio import encode_trace, read_layout, verify_content_digest
+from repro.trace.binio import check_content_digest, encode_trace, read_layout
+from repro.trace.records import Trace
 from repro.tracer import InterpreterError, compile_and_run
 from repro.tracer.driver import run_and_trace, trace_to_file
 
@@ -133,9 +134,9 @@ class TestCornerProgram:
     def test_in_memory_trace_encodes_to_the_pinned_digest(self,
                                                           corner_trace):
         assert len(corner_trace.records) == CORNER_RECORDS
-        _, digest = encode_trace(corner_trace.module_name,
+        _, layout = encode_trace(corner_trace.module_name,
                                  corner_trace.globals, corner_trace.records)
-        assert digest == CORNER_DIGEST
+        assert layout.content_digest == CORNER_DIGEST
 
 
 CRASHING_PROGRAM = """\
@@ -168,7 +169,7 @@ def test_trace_file_is_published_whole(tmp_path):
     with open(path, "rb") as handle:
         data = handle.read()
     assert len(data) == size
-    assert verify_content_digest(data)
+    check_content_digest(Trace.from_binary(data, path))
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)

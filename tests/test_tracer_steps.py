@@ -27,8 +27,8 @@ from repro.ir.module import Function, Module
 from repro.ir.opcodes import Opcode
 from repro.ir.types import I32, PointerType
 from repro.ir.values import GlobalVariable, Register
-from repro.trace.binio import TraceBinaryReader, encode_trace
-from repro.trace.records import TraceOperand, TraceRecord
+from repro.trace.binio import encode_trace
+from repro.trace.records import Trace, TraceOperand, TraceRecord
 from repro.tracer import (
     FaultInjector,
     Interpreter,
@@ -141,7 +141,7 @@ def test_traced_bytes_equal_the_encoding_of_their_records():
     sink = InMemoryTraceSink(module_name="m")
     assert Interpreter(module, trace_sink=sink).run().return_value == 5
     data = sink.getvalue()
-    trace = TraceBinaryReader(buffer=data).read()
+    trace = Trace.from_binary(data)
     assert encode_trace("m", trace.globals, trace.records)[0] == data
 
 

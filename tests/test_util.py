@@ -6,8 +6,6 @@ import pytest
 
 from repro.util import (
     DeterministicRNG,
-    Stopwatch,
-    Timer,
     TimingBreakdown,
     format_bytes,
     format_seconds,
@@ -17,33 +15,6 @@ from repro.util import (
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        first = watch.stop()
-        watch.start()
-        time.sleep(0.01)
-        second = watch.stop()
-        assert second > first > 0
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_stopwatch_elapsed_while_running(self):
-        watch = Stopwatch().start()
-        time.sleep(0.005)
-        assert watch.elapsed > 0
-
-    def test_timer_context_manager(self):
-        with Timer() as timer:
-            time.sleep(0.005)
-        assert timer.elapsed >= 0.004
-
     def test_breakdown_stages_and_total(self):
         breakdown = TimingBreakdown()
         with breakdown.stage("a"):
@@ -53,7 +24,6 @@ class TestTiming:
         assert breakdown.get("b") == pytest.approx(0.75)
         assert breakdown.get("missing") == 0.0
         assert breakdown.total == pytest.approx(breakdown.get("a") + 0.75)
-        assert breakdown.as_dict()["total"] == pytest.approx(breakdown.total)
 
     def test_breakdown_total_counts_top_level_stages_only(self):
         """Dotted sub-stages nest inside their parent stage: the total
@@ -64,16 +34,7 @@ class TestTiming:
         breakdown.add("walk.dependency", 1.0)
         breakdown.add("identify_variables", 0.25)
         assert breakdown.total == pytest.approx(2.25)
-        assert breakdown.as_dict()["total"] == pytest.approx(2.25)
         assert breakdown.get("walk.mli") == 0.5
-
-    def test_breakdown_merge(self):
-        first = TimingBreakdown({"x": 1.0})
-        second = TimingBreakdown({"x": 2.0, "y": 3.0})
-        merged = first.merge(second)
-        assert merged.get("x") == 3.0
-        assert merged.get("y") == 3.0
-        assert first.get("x") == 1.0  # originals untouched
 
     def test_breakdown_record_counts_and_rate(self):
         breakdown = TimingBreakdown()
@@ -88,13 +49,6 @@ class TestTiming:
         assert breakdown.records_per_second("untimed") is None
         breakdown.add_count("zero", 100)
         assert breakdown.records_per_second("zero") is None
-
-    def test_breakdown_merge_includes_counts(self):
-        first = TimingBreakdown({"x": 1.0}, {"x": 10})
-        second = TimingBreakdown({"x": 1.0}, {"x": 30})
-        merged = first.merge(second)
-        assert merged.get_count("x") == 40
-        assert first.get_count("x") == 10  # originals untouched
 
 
 class TestRNG:
