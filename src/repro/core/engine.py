@@ -40,7 +40,8 @@ walk: :attr:`AnalysisEngine.decode_seconds` (waiting for the next block),
 :attr:`AnalysisEngine.scope_seconds` (materializing and processing scope
 records), :attr:`AnalysisEngine.resolve_seconds` (building the access
 tables and resolving their owners) and
-:attr:`AnalysisEngine.pass_seconds` (each pass's span hooks).
+:attr:`AnalysisEngine.pass_seconds` (each pass's span hooks and its
+``finalize``).
 """
 
 from __future__ import annotations
@@ -271,9 +272,10 @@ class AnalysisPass:
     def on_alloca(self, record: TraceRecord, region: int) -> None:
         """An ``Alloca`` record (already registered on the shared map)."""
 
-    def on_call(self, record: TraceRecord, region: int) -> None:
-        """A ``Call`` record (scope opening, if any, follows on the next
-        record — see :meth:`on_activation`)."""
+    def on_call(self, record: TraceRecord, region: int, row: int) -> None:
+        """A ``Call`` record at row ``row`` of the span's block (scope
+        opening, if any, follows on the next record — see
+        :meth:`on_activation`)."""
 
     def on_activation(self, callee: str, region: int) -> None:
         """A traced ``Call``'s body follows: the engine just opened an
@@ -384,7 +386,8 @@ class AnalysisEngine:
         self.scope_seconds = 0.0
         #: seconds spent building access tables and resolving their owners
         self.resolve_seconds = 0.0
-        #: per pass (registration order): seconds in its span hooks
+        #: per pass (registration order): seconds in its span hooks and
+        #: its ``finalize``
         self.pass_seconds: List[float] = [0.0] * len(self.passes)
 
     def _hooks(self, name: str) -> List[Tuple[int, Callable]]:
@@ -486,8 +489,10 @@ class AnalysisEngine:
         for range_block, lo, hi in pending_ranges:
             self._walk_rows(range_block, lo, hi, REGION_AFTER)
         pending_ranges.clear()
-        for pass_ in self.passes:
+        for slot, pass_ in enumerate(self.passes):
+            started = _clock()
             pass_.finalize()
+            self.pass_seconds[slot] += _clock() - started
         return EngineWalk(
             record_count=total,
             first_index=first_index,
@@ -534,7 +539,8 @@ class AnalysisEngine:
                                        segment)
             started = _clock()
             self._activate(block, row, region)
-            self._process(block.record(row), int(kinds[row - lo]), region)
+            self._process(block.record(row), int(kinds[row - lo]), region,
+                          row)
             self.scope_seconds += _clock() - started
             segment_lo = row + 1
         if segment_lo < hi:
@@ -586,16 +592,18 @@ class AnalysisEngine:
             for callback in self._activation_callbacks:
                 callback(pending, region)
 
-    def _process(self, record: TraceRecord, kind: int, region: int) -> None:
-        """Run the engine's action for scope record ``record`` of kind
-        ``kind``, then hand the record to the passes."""
+    def _process(self, record: TraceRecord, kind: int, region: int,
+                 row: int) -> None:
+        """Run the engine's action for scope record ``record`` (row ``row``
+        of its block) of kind ``kind``, then hand the record to the
+        passes."""
         if kind == KIND_ALLOCA:
             self.varmap.add_alloca_record(record)
             for callback in self._alloca_callbacks:
                 callback(record, region)
         elif kind == KIND_CALL:
             for callback in self._call_callbacks:
-                callback(record, region)
+                callback(record, region, row)
             if record.callee:
                 self._pending_activation = record.callee
         elif kind == KIND_RET:

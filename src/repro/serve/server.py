@@ -140,8 +140,8 @@ class ServeStats:
                 self.cache_misses += 1
 
     def record_app_address(self, hit: bool) -> None:
-        """Count an app request answered from the address memo (hit) or
-        staged through ``prepare_app_analysis`` (miss)."""
+        """Count an app request or text upload answered from the address
+        memo (hit) or staged or parsed to find its address (miss)."""
         with self._lock:
             if hit:
                 self.app_address_hits += 1
@@ -241,9 +241,10 @@ def _app_request_fields(payload: Dict[str, Any]
 class _AnalyzeWork:
     """One resolved ``POST /analyze`` request, ready to address and run.
 
-    An app request answered from the address memo carries the canonical
-    ``body`` it found and no ``autocheck``: it is a store hit and never
-    reaches a job.  Every other request carries a freshly staged AutoCheck.
+    An app request or text upload answered from the address memo carries
+    the canonical ``body`` it found and no ``autocheck``: it is a store hit
+    and never reaches a job.  Every other request carries a freshly staged
+    AutoCheck.
     """
 
     __slots__ = ("label", "autocheck", "address", "body")
@@ -301,8 +302,10 @@ class AnalysisServer:
         # per-request deserialize + re-serialize of a stored report.
         self._response_cache = _LruMemo(RESPONSE_CACHE_ENTRIES)
         # The address the full path computed for each app request's
-        # identity (app, source text, seed, induction), so a warm app
-        # request neither recompiles nor reads its trace footer.
+        # identity (app, source text, seed, induction) and each text
+        # upload's (body SHA-256, function, start, end, induction), so a
+        # warm app request neither recompiles nor reads its trace footer
+        # and a repeated text upload is not parsed again for its key.
         self._app_addresses = _LruMemo(RESPONSE_CACHE_ENTRIES)
         self._analyzer = analyzer or run_analysis
         self._active_requests = 0
@@ -386,14 +389,10 @@ class AnalysisServer:
         # The source text fixes the module and, with the seed, the trace;
         # with the induction it fixes the config.  So the address recorded
         # for this identity is the address, as long as its artifact lasts.
-        identity = (app_name, source, seed, induction)
-        if self.use_cache:
-            address = self._app_addresses.get(identity)
-            body = (None if address is None
-                    else self.canonical_bytes(address.key))
-            self.stats.record_app_address(hit=body is not None)
-            if body is not None:
-                return _AnalyzeWork(label, None, address, body)
+        identity = ("app", app_name, source, seed, induction)
+        remembered = self._remembered(identity)
+        if remembered is not None:
+            return _AnalyzeWork(label, None, *remembered)
         # Coalesce the prepare step (compile + trace generation) so a
         # thundering herd on a cold app traces it once, not N times.
         prepare_key = ("prepare", app_name,
@@ -409,9 +408,24 @@ class AnalysisServer:
             raise ServeError(400, ERR_BAD_FIELD,
                              f"cannot stage app {app_name!r}: {exc}") from exc
         address = prepared.autocheck.cache_key()
+        self._remember(identity, address)
+        return _AnalyzeWork(label, prepared.autocheck, address)
+
+    def _remembered(self, identity: tuple
+                    ) -> Optional[Tuple[ArtifactAddress, bytes]]:
+        """The address the memo holds for ``identity`` and its canonical
+        bytes, while its artifact lasts; None sends the request down the
+        full path."""
+        if not self.use_cache:
+            return None
+        address = self._app_addresses.get(identity)
+        body = None if address is None else self.canonical_bytes(address.key)
+        self.stats.record_app_address(hit=body is not None)
+        return None if body is None else (address, body)
+
+    def _remember(self, identity: tuple, address: ArtifactAddress) -> None:
         if self.use_cache:
             self._app_addresses.put(identity, address)
-        return _AnalyzeWork(label, prepared.autocheck, address)
 
     def _resolve_trace_request(self, body: bytes,
                                query: Dict[str, list]) -> _AnalyzeWork:
@@ -440,34 +454,50 @@ class AnalysisServer:
                                 end_line=end)
         except ValueError as exc:
             raise ServeError(400, ERR_BAD_FIELD, str(exc)) from exc
-        trace = self._upload_trace(body)
+        # A text upload is keyed by its v2 encoding's digest, which costs a
+        # parse; the address the same body and bounds came to is their
+        # address, as long as its artifact lasts.
+        text_digest = (None if body[:len(BINARY_MAGIC)] == BINARY_MAGIC
+                       else hashlib.sha256(body).hexdigest())
+        identity = ("text", text_digest, function, start, end, induction)
+        if text_digest is not None:
+            remembered = self._remembered(identity)
+            if remembered is not None:
+                address = remembered[0]
+                return _AnalyzeWork(f"trace:{address.trace_digest[:12]}",
+                                    None, *remembered)
+        trace = self._upload_trace(body, text_digest)
         config = AutoCheckConfig(main_loop=spec,
                                  induction_variable=induction,
                                  use_cache=self.use_cache,
                                  cache_dir=self.cache_dir)
         autocheck = AutoCheck(config, trace=trace)
         address = autocheck.cache_key()
+        if text_digest is not None:
+            self._remember(identity, address)
         return _AnalyzeWork(f"trace:{address.trace_digest[:12]}", autocheck,
                             address)
 
-    def _upload_trace(self, body: bytes) -> Trace:
+    def _upload_trace(self, body: bytes,
+                      text_digest: Optional[str]) -> Trace:
         """The upload's :class:`Trace`, built once from the body (its key
         and its walk read those bytes; nothing is written to disk).
 
-        A binary body is addressed by the digest its footer declares, so
-        that digest is folded over the trace first and an upload with
-        altered record blocks or globals is refused (the string table and
-        header lie outside the digest).  A text body is parsed here, as
-        app staging compiles and traces; identical text bodies in flight
-        together share one parse, keyed by the body's SHA-256.
+        A binary body (``text_digest`` None) is addressed by the digest its
+        footer declares, so that digest is folded over the trace first and
+        an upload with altered record blocks or globals is refused (the
+        string table and header lie outside the digest).  A text body is
+        parsed here, as app staging compiles and traces; identical text
+        bodies in flight together share one parse, keyed by the body's
+        SHA-256 ``text_digest``.
         """
         try:
-            if body[:len(BINARY_MAGIC)] == BINARY_MAGIC:
+            if text_digest is None:
                 trace = trace_from_bytes(body, "<upload>")
                 check_content_digest(trace)
                 return trace
             trace, _ = self.coalescer.run(
-                ("text upload", hashlib.sha256(body).hexdigest()),
+                ("text upload", text_digest),
                 lambda: trace_from_bytes(body, "<upload>"))
             return trace
         except TraceDigestMismatch as exc:

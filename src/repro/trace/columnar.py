@@ -90,9 +90,6 @@ _OP_FIXED_SIZE = _OPERAND_FIXED.size  # 13
 # implausible >2 GiB-buffer case).
 _NP_SIZE_LUT = np.array(_SIZE_BY_FLAGS, dtype=np.int64)
 _NP_SIZE_LUT32 = np.array(_SIZE_BY_FLAGS, dtype=np.int32)
-_NP_HDR_RANGE = np.arange(_HDR_SIZE, dtype=np.int32)
-_NP_OP_NAME_RANGE = np.arange(9, 13, dtype=np.int32)
-_NP_ADDR_RANGE = np.arange(8, dtype=np.int32)
 #: the fixed record header reinterpreted in place — one bulk gather of
 #: the 42 header bytes per record, then per-field strided views instead
 #: of one copy per field.
@@ -107,6 +104,16 @@ _NP_HDR_DTYPE = np.dtype({
 
 class _BigIntInChunk(Exception):
     """Internal: a lockstep chunk met a big-integer operand; fall back."""
+
+
+def _at_every_byte(buf, dtype):
+    """``buf`` read as ``dtype`` values starting at every byte offset: the
+    value at offset ``i`` is element ``i``.  Indexing it with offsets
+    gathers whole values with no index matrix; an offset whose value
+    would end past ``buf`` raises ``IndexError``."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape=(max(0, len(buf) - dtype.itemsize + 1),),
+                      dtype=dtype, buffer=buf, strides=(1,))
 
 
 class ColumnarBlock:
@@ -331,8 +338,7 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
         flat_op_off = np.empty(0, off_dtype)
 
     # Bulk header gather: one fancy index, then per-field struct views.
-    hdr = arr[rec_off_stream[:, None] + _NP_HDR_RANGE]
-    recs = hdr.view(_NP_HDR_DTYPE).ravel()
+    recs = _at_every_byte(buf, _NP_HDR_DTYPE)[rec_off_stream]
     block.count = len(recs)
     block.dyn_id = recs["dyn_id"]
     block.callee_id = recs["callee_id"]
@@ -347,14 +353,12 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
 
     flags_u8 = arr[flat_op_off]
     block.op_flags = flags_u8
-    block.op_name_id = (arr[flat_op_off[:, None] + _NP_OP_NAME_RANGE]
-                        .view("<u4").ravel())
+    block.op_name_id = _at_every_byte(buf, "<u4")[flat_op_off + 9]
     has_addr = (flags_u8 & 2) != 0
     block.op_address = np.zeros(len(flat_op_off), dtype=np.uint64)
     if bool(has_addr.any()):
         addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
-        block.op_address[has_addr] = (
-            arr[addr_off[:, None] + _NP_ADDR_RANGE].view("<u8").ravel())
+        block.op_address[has_addr] = _at_every_byte(buf, "<u8")[addr_off]
 
 
 def _check_string_ids(block: ColumnarBlock) -> None:

@@ -221,12 +221,16 @@ def simple_loop_trace(simple_loop_module):
 def decode_counter(monkeypatch):
     """Count decoded trace records, wherever the decode happens.
 
-    Binary traces funnel every record through ``binio._decode_record``
-    (a ``Trace``'s records, the streaming iterator, lazy scope-record
-    materialization) or through the columnar reader's bulk block decode,
-    which counts once per record in the block; text traces funnel through
-    ``textio.iter_parsed_records``.  All are looked up as module/class
-    attributes at call time, so patching them intercepts every path.
+    Binary traces decode one record at a time through
+    ``binio._decode_record`` (a ``Trace``'s records, the streaming
+    iterator) and through the name ``repro.trace.columnar`` bound to it at
+    import (``ColumnarBlock.record``, the lazy scope-record
+    materialization), or in bulk through the columnar reader's block
+    decode, which counts once per record in the block; text traces funnel
+    through ``textio.iter_parsed_records``.  Each is patched where its
+    callers look it up at call time, so every path is intercepted: a walk
+    counts its records once in bulk and once more per scope record it
+    materializes.
     """
     counts = {"records": 0}
 
@@ -253,6 +257,7 @@ def decode_counter(monkeypatch):
             yield block
 
     monkeypatch.setattr(binio_module, "_decode_record", counting_decode)
+    monkeypatch.setattr(columnar_module, "_decode_record", counting_decode)
     monkeypatch.setattr(textio_module, "iter_parsed_records",
                         counting_iter_parsed)
     monkeypatch.setattr(columnar_module.TraceColumnarReader, "iter_blocks",

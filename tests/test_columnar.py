@@ -157,6 +157,20 @@ def lockstep_trace(tmp_path_factory):
     return path
 
 
+def test_decode_counter_counts_scope_record_materialization(
+        example_trace, decode_counter):
+    """A scope record materialized from a fresh block (the walk's
+    ``ColumnarBlock.record``) is one more decoded record."""
+    buffer, _ = example_trace.encoded()
+    block = next(TraceColumnarReader(buffer=buffer).iter_blocks())
+    before = decode_counter["records"]
+    assert before == block.count
+    block.record(0)
+    assert decode_counter["records"] == before + 1
+    block.record(0)  # cached: no second decode
+    assert decode_counter["records"] == before + 1
+
+
 def test_columnar_lockstep_scan_equals_records(lockstep_trace):
     _assert_columnar_equals_records(lockstep_trace)
 

@@ -873,6 +873,81 @@ class TestTraceUpload:
                                    footer_parses) == ("hit", 1)
 
 
+class TestTextUploadMemo:
+    """A text upload is keyed by its v2 encoding's digest, so its key costs
+    a parse; the address memo also holds the address each body (by
+    SHA-256) and loop bounds came to, and answers a repeated upload from it
+    while the artifact lasts."""
+
+    @pytest.fixture()
+    def text_upload(self, tmp_path, example_trace):
+        path = str(tmp_path / "upload.trace")
+        write_trace_file(example_trace, path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    @staticmethod
+    def _bounds(spec, **changes):
+        bounds = {"function": spec.function, "start": spec.start_line,
+                  "end": spec.end_line, **changes}
+        return bounds["function"], bounds["start"], bounds["end"]
+
+    def test_repeated_text_upload_answers_without_a_parse(
+            self, client, monkeypatch, text_upload, example_spec):
+        from repro.trace import textio
+
+        bounds = self._bounds(example_spec)
+        cold = client.analyze_trace(text_upload, *bounds)
+        parses = _spy(monkeypatch, textio, "iter_parsed_records")
+        warm = client.analyze_trace(text_upload, *bounds)
+
+        assert cold[0] == warm[0] == 200
+        assert cold[1]["x-autocheck-cache"] == "miss"
+        assert warm[1]["x-autocheck-cache"] == "hit"
+        assert warm[1]["x-autocheck-key"] == cold[1]["x-autocheck-key"]
+        assert warm[2] == cold[2]
+        assert parses == []
+        assert client.stats()["app_addresses"] == {"entries": 1, "hits": 1,
+                                                   "misses": 1}
+
+    def test_other_bounds_parse_again(self, client, monkeypatch,
+                                      text_upload, example_spec):
+        from repro.trace import textio
+
+        client.analyze_trace(text_upload, *self._bounds(example_spec))
+        parses = _spy(monkeypatch, textio, "iter_parsed_records")
+        other = client.analyze_trace(
+            text_upload,
+            *self._bounds(example_spec, start=example_spec.start_line + 1))
+
+        assert other[0] == 200
+        assert len(parses) == 1
+        assert client.stats()["app_addresses"] == {"entries": 2, "hits": 0,
+                                                   "misses": 2}
+
+    def test_gone_artifact_takes_the_full_path(self, server, client,
+                                               monkeypatch, text_upload,
+                                               example_spec):
+        from repro.trace import textio
+
+        bounds = self._bounds(example_spec)
+        cold = client.analyze_trace(text_upload, *bounds)
+        key = cold[1]["x-autocheck-key"]
+        os.remove(server.store.entry_path(key))
+        server._response_cache.clear()
+        parses = _spy(monkeypatch, textio, "iter_parsed_records")
+        status, headers, body = client.analyze_trace(text_upload, *bounds)
+
+        assert status == 200
+        assert len(parses) == 1
+        assert headers["x-autocheck-cache"] == "miss"
+        assert headers["x-autocheck-key"] == key
+        assert body == cold[2]
+        assert server.store.load(key) is not None
+        assert client.stats()["app_addresses"] == {"entries": 1, "hits": 0,
+                                                   "misses": 2}
+
+
 class TestTextUploadCoalescing:
     """Identical text bodies in flight together share one parse: the text
     parse runs through the daemon's coalescer, keyed by the body's
