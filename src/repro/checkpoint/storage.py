@@ -71,9 +71,12 @@ class CheckpointStorage:
             "variables": checkpoint.variables,
             "sizes_bytes": checkpoint.sizes_bytes,
         }
+        # One json.dumps call runs the C encoder; json.dump would stream
+        # the same text through the pure-Python iterencode.
+        text = json.dumps(payload)
         tmp_path = f"{path}.tmp.{os.getpid()}"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
         os.replace(tmp_path, path)
         if not self.keep_history:
             for existing in self.list_paths():

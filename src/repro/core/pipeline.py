@@ -376,8 +376,11 @@ class AutoCheck:
             engine.add_globals(globals_)
             # A run that publishes its report checks the bytes it walks,
             # file or buffer, against the footer digest its store key came
-            # from (a text or version-1 file's were checked as it was read).
-            blocks = reader.iter_blocks(verify_digest=config.use_cache)
+            # from (a text or version-1 file's were checked as it was read),
+            # unless check_content_digest already checked the Trace's.
+            verify = config.use_cache and not (
+                self._trace is not None and self._trace.digest_checked)
+            blocks = reader.iter_blocks(verify_digest=verify)
             if config.progress_callback is not None:
                 blocks = _with_block_progress(blocks, config.progress_callback)
             with timings.stage("fused_analysis"):

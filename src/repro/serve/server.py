@@ -20,14 +20,22 @@ hit.  Endpoints:
 
 Request lifecycle on ``POST /analyze``::
 
+    read the body (a declared length over MAX_UPLOAD_BYTES → 413)
     resolve (app registry / the upload's Trace, built once from the body;
              identical text bodies in flight share one parse)
       → memo (app requests: identity → address) — warm: answer now
       → address (AutoCheck.cache_key(): digest+fingerprint+schema)
-        → store.load (lock-free read path)      — warm: answer now
+        → store.load_canonical (lock-free read) — warm: answer now
           → coalesce on the address key         — join an in-flight walk
             → bounded job pool                  — cold: one walk, N fan-ins
               (queue full → 429 QUEUE_FULL: backpressure, not buffering)
+
+A stored report is answered with the bytes its publish wrote: a store
+entry's report line is its canonical encoding, so a hit, ``GET
+/report/<key>`` and a miss whose job published all read those bytes (each
+read checks them against the entry's digest) and decode no report.  Only
+a daemon without a store, or a job that published nothing, encodes the
+report it got.
 
 Errors are structured JSON ``{"error": {"code", "message"}}`` with stable
 named codes (:data:`ERR_BAD_JSON` etc.).  Graceful shutdown
@@ -89,6 +97,12 @@ ERR_BAD_CONTENT_LENGTH = "BAD_CONTENT_LENGTH"
 ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
 ERR_INVALID_TRACE = "INVALID_TRACE"
 ERR_REQUEST_TIMEOUT = "REQUEST_TIMEOUT"
+ERR_PAYLOAD_TOO_LARGE = "PAYLOAD_TOO_LARGE"
+
+#: Largest request body the daemon reads, in bytes: about five times the
+#: largest bundled app's binary trace (amg's, 13.3 MB).  A longer declared
+#: ``Content-Length`` answers 413 before anything is read or allocated.
+MAX_UPLOAD_BYTES = 64 * 1024 * 1024
 
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
 DEFAULT_WAIT_SECONDS = 600.0
@@ -299,7 +313,7 @@ class AnalysisServer:
         # Hot-path memo of canonical response bytes, keyed by artifact
         # key.  Entries are content-addressed and therefore immutable, so
         # the memo can never go stale — it only saves the warm path the
-        # per-request deserialize + re-serialize of a stored report.
+        # per-request read and digest check of a store entry.
         self._response_cache = _LruMemo(RESPONSE_CACHE_ENTRIES)
         # The address the full path computed for each app request's
         # identity (app, source text, seed, induction) and each text
@@ -570,10 +584,15 @@ class AnalysisServer:
             return 202, headers, (json.dumps(body) + "\n").encode()
 
         report = self._wait_flight(flight, wait_seconds)
-        body = canonical_report_json(report).encode()
-        # Seed the memo so followers and later warm requests skip the
-        # deserialize + re-serialize round trip entirely.
-        self._response_cache.put(key, body)
+        # A job that published (or found) its report answers with the
+        # bytes of its store entry (a run without the store carries no
+        # cache_info); the memo then serves followers and later warm
+        # requests.
+        body = (self.canonical_bytes(key) if report.cache_info is not None
+                else None)
+        if body is None:
+            body = canonical_report_json(report).encode()
+            self._response_cache.put(key, body)
         return 200, headers, body
 
     # ------------------------------------------------------------------ #
@@ -584,20 +603,20 @@ class AnalysisServer:
 
         The memo never goes stale — keys are content addresses, so the
         bytes for a key are immutable.  On a memo miss this falls through
-        to the store's lock-free read path and pays one deserialize +
-        canonical re-serialize; subsequent requests are a dict lookup.
-        One deliberate trade: memo hits skip the store's mtime touch, so
-        the store-level LRU sees only memo misses — acceptable because a
-        memo-hot key does not need its disk entry for recency anyway.
+        to the store's lock-free read of the entry's report line
+        (:meth:`ArtifactStore.load_canonical`), which checks its digest
+        and decodes nothing; subsequent requests are a dict lookup.  A
+        name that is not a store key is a miss.  One deliberate trade:
+        memo hits skip the store's mtime touch, so the store-level LRU
+        sees only memo misses — acceptable because a memo-hot key does not
+        need its disk entry for recency anyway.
         """
         body = self._response_cache.get(key)
         if body is not None:
             return body
-        report = self.store.load(key)
-        if report is None:
-            return None
-        body = canonical_report_json(report).encode()
-        self._response_cache.put(key, body)
+        body = self.store.load_canonical(key)
+        if body is not None:
+            self._response_cache.put(key, body)
         return body
 
     @staticmethod
@@ -688,6 +707,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeError(400, ERR_BAD_CONTENT_LENGTH,
                              f"Content-Length must be a non-negative "
                              f"integer, got {raw!r}")
+        if length > MAX_UPLOAD_BYTES:
+            # rfile.read(length) would allocate the declared length first;
+            # the unread body cannot be skipped either.
+            self.close_connection = True
+            raise ServeError(413, ERR_PAYLOAD_TOO_LARGE,
+                             f"request body of {length} bytes exceeds the "
+                             f"{MAX_UPLOAD_BYTES}-byte limit")
         try:
             return self.rfile.read(length) if length else b""
         except TimeoutError:

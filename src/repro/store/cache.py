@@ -15,18 +15,32 @@ store warmed by one caller serves every other.
 Layout under the store root (``AUTOCHECK_CACHE_DIR`` or
 ``~/.cache/autocheck``)::
 
-    objects/<key[:2]>/<key>.json     one serialized report per entry
+    objects/<key[:2]>/<key>.json     one entry per key, two lines:
+        {"key", "schema", "trace_digest", "config_fingerprint",
+         "created_at", "timings", "report_sha256"}      the header
+        canonical_report_json(report)                    the report
+
+The second line is the report's canonical encoding, the bytes the serve
+daemon answers with, so a publish encodes its report once and a read that
+serves it (:meth:`ArtifactStore.load_canonical`) decodes nothing.  The
+header keeps what the canonical form leaves out (the run's timings) and the
+SHA-256 of the second line.  A key is 64 lowercase hex digits; anything
+else names no entry, so no key becomes a path outside ``objects/``.
 
 Entries are written atomically (temp file in the target directory +
 ``os.replace``), so a concurrent reader — e.g. another ``analyze-batch``
 worker — never observes a torn entry.  Concurrent writers of the same key
-race benignly: both write the same content.
+race benignly: both write the same report.
 
-Corrupted entries (truncated writes survive only on non-atomic filesystems,
-but bit rot and hand edits happen) are **self-healing**: :meth:`ArtifactStore.load`
-treats them as a miss, unlinks them, and lets the caller recompute.  The
-strict path (:meth:`ArtifactStore.load_entry`) raises :class:`StoreError`
-naming the offending file and key, for callers that need the diagnosis.
+Every read checks its entry: the second line must hash to the header's
+``report_sha256``, and the header's key and schema must be the ones asked
+for.  An entry that fails (bit rot, a hand edit, a torn write on a
+non-atomic filesystem, or a single-document entry from before the two-line
+layout) is corrupt, and corrupt entries are **self-healing**:
+:meth:`ArtifactStore.load` treats them as a miss, unlinks them, and lets the
+caller recompute.  The strict path (:meth:`ArtifactStore.load_entry`)
+raises :class:`StoreError` naming the offending file and key, for callers
+that need the diagnosis.
 """
 
 from __future__ import annotations
@@ -35,26 +49,38 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.config import AutoCheckConfig
 from repro.core.report import AutoCheckReport
 from repro.store.serialize import (
     SCHEMA_VERSION,
-    SerializationError,
+    canonical_report_json,
     report_from_dict,
-    report_to_dict,
+    timings_to_dict,
 )
 
 #: Environment override for the store root.
 CACHE_DIR_ENV = "AUTOCHECK_CACHE_DIR"
 
+#: A store key: :func:`artifact_key`'s SHA-256, in lowercase hex.
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+_T = TypeVar("_T")
+
 
 class StoreError(Exception):
     """A store entry could not be read; names the file path and key."""
+
+
+def is_store_key(key: str) -> bool:
+    """Whether ``key`` is a store key (64 lowercase hex digits), the only
+    kind of name the store turns into an entry path."""
+    return _KEY.fullmatch(key) is not None
 
 
 def default_cache_dir() -> str:
@@ -153,35 +179,78 @@ class ArtifactStore:
     # Addressing
     # ------------------------------------------------------------------ #
     def entry_path(self, key: str) -> str:
-        """On-disk path of the entry for ``key`` (whether or not it exists)."""
+        """On-disk path of the entry for ``key`` (whether or not it exists).
+
+        Raises:
+            ValueError: when ``key`` is not a store key
+                (:func:`is_store_key`), so no name becomes a path outside
+                ``objects/``.
+        """
+        if not is_store_key(key):
+            raise ValueError(f"not an artifact store key: {key!r}")
         return os.path.join(self._objects_dir, key[:2], f"{key}.json")
 
     # ------------------------------------------------------------------ #
     # Read / write
     # ------------------------------------------------------------------ #
-    def load_entry(self, path: str, key: str) -> AutoCheckReport:
-        """Read and decode one entry file, strictly.
+    @staticmethod
+    def _checked_entry(path: str, key: str) -> Tuple[Dict[str, Any], bytes]:
+        """One entry file's header and report line, once the report line
+        hashes to the header's ``report_sha256`` and the header names
+        ``key`` and this build's schema.
 
         Raises:
-            StoreError: when the file is missing, unreadable, not JSON, or
-                not a valid report payload — the message names the file
-                path and the store key so a corrupt entry surfaced from a
-                batch run is attributable immediately.
+            StoreError: naming ``path`` and ``key`` when the file cannot be
+                read (caused by the ``OSError``) or fails a check.
         """
         try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            report = report_from_dict(payload.get("report"))
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise StoreError(
                 f"cannot read artifact store entry {path!r} "
                 f"(key {key}): {exc}") from exc
-        except (json.JSONDecodeError, SerializationError,
-                AttributeError) as exc:
+        head, newline, body = data.partition(b"\n")
+        try:
+            header = json.loads(head) if newline else None
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict):
+            problem = "it is not a header line followed by a report line"
+        elif header.get("key") != key:
+            problem = f"its header names key {header.get('key')!r}"
+        elif header.get("schema") != SCHEMA_VERSION:
+            problem = (f"its header has schema {header.get('schema')!r} "
+                       f"(this build reads schema {SCHEMA_VERSION})")
+        elif (hashlib.sha256(body).hexdigest()
+              != header.get("report_sha256")):
+            problem = "its report line does not hash to its report_sha256"
+        else:
+            return header, body
+        raise StoreError(f"corrupt artifact store entry {path!r} "
+                         f"(key {key}): {problem}")
+
+    def load_entry(self, path: str, key: str) -> AutoCheckReport:
+        """Read, check and decode one entry file, strictly.
+
+        The report line is parsed, the header's timings are put back and
+        the whole is decoded with :func:`report_from_dict`.
+
+        Raises:
+            StoreError: when the file is missing or unreadable, fails a
+                check, or does not decode as a report — the message names
+                the file path and the store key so a corrupt entry surfaced
+                from a batch run is attributable immediately.
+        """
+        header, body = self._checked_entry(path, key)
+        try:
+            payload = json.loads(body)
+            payload["timings"] = header["timings"]
+            return report_from_dict(payload)
+        except (ValueError, KeyError, TypeError) as exc:
             raise StoreError(
                 f"corrupt artifact store entry {path!r} "
-                f"(key {key}): {exc}") from exc
-        return report
+                f"(key {key}): {exc!r}") from exc
 
     def load(self, key: str) -> Optional[AutoCheckReport]:
         """The cached report for ``key``, or ``None`` on a miss.
@@ -195,14 +264,36 @@ class ArtifactStore:
         open, and a vanished file is simply a miss (the serve daemon runs
         many of these concurrently against the same store).
 
-        A corrupted entry counts as a miss: it is unlinked (so the slot
-        heals on the next store) and ``None`` is returned.  A hit touches
-        the entry's mtime, so :meth:`gc`'s oldest-first eviction tracks
-        *use*, not creation — hot entries survive.
+        A name that is not a store key is a miss, and no path is built for
+        it.  A corrupted entry counts as a miss: it is unlinked (so the
+        slot heals on the next store) and ``None`` is returned.  A hit
+        touches the entry's mtime, so :meth:`gc`'s oldest-first eviction
+        tracks *use*, not creation — hot entries survive.
         """
+        return self._lookup(key, self.load_entry)
+
+    def load_canonical(self, key: str) -> Optional[bytes]:
+        """The canonical bytes of the report stored under ``key`` (its
+        entry's report line, :func:`canonical_report_json` of the report),
+        or ``None`` on a miss.
+
+        The read path of :meth:`load` — the entry is checked, a corrupt one
+        is a miss and unlinked, a hit touches the mtime — without decoding
+        the report: the serve daemon answers with these bytes.
+        """
+        return self._lookup(
+            key, lambda path, key: self._checked_entry(path, key)[1])
+
+    def _lookup(self, key: str,
+                read: Callable[[str, str], _T]) -> Optional[_T]:
+        """``read(path, key)`` of ``key``'s entry; a miss (``None``) when
+        ``key`` is not a store key, the entry is gone, or it is corrupt
+        (then it is unlinked)."""
+        if not is_store_key(key):
+            return None
         path = self.entry_path(key)
         try:
-            report = self.load_entry(path, key)
+            value = read(path, key)
         except StoreError as exc:
             if isinstance(exc.__cause__, FileNotFoundError):
                 # Plain miss (or lost a benign race with gc): nothing to heal.
@@ -212,36 +303,41 @@ class ArtifactStore:
             return None
         with contextlib.suppress(OSError):
             os.utime(path)
-        return report
+        return value
 
     def store(self, key: str, report: AutoCheckReport,
               trace_digest: str = "", fingerprint: str = "") -> str:
         """Write ``report`` under ``key`` atomically; return the entry path.
 
-        The entry wraps the serialized report with provenance (digest,
-        fingerprint, creation time) so ``gc`` and debugging never need to
-        re-derive how an entry was addressed.
+        The report is encoded once, canonically, as the entry's report
+        line.  The header line carries the provenance (digest, fingerprint,
+        creation time) so ``gc`` and debugging never need to re-derive how
+        an entry was addressed, the run's timings, which the canonical form
+        leaves out, and the report line's SHA-256.
+
+        Raises:
+            ValueError: when ``key`` is not a store key.
         """
         path = self.entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload: Dict[str, Any] = {
+        body = canonical_report_json(report).encode()
+        header = {
             "key": key,
             "schema": SCHEMA_VERSION,
             "trace_digest": trace_digest,
             "config_fingerprint": fingerprint,
             "created_at": time.time(),
-            "report": report_to_dict(report),
+            "timings": timings_to_dict(report.timings),
+            "report_sha256": hashlib.sha256(body).hexdigest(),
         }
-        # One json.dumps call runs the C encoder; json.dump would stream
-        # the same text through the pure-Python iterencode.
-        text = json.dumps(payload)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # Atomic publish: a reader sees either no entry or a complete one.
         handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=os.path.dirname(path),
-            prefix=".tmp-", suffix=".json", delete=False)
+            "wb", dir=os.path.dirname(path), prefix=".tmp-", suffix=".json",
+            delete=False)
         try:
             with handle:
-                handle.write(text)
+                handle.write(json.dumps(header).encode() + b"\n")
+                handle.write(body)
             os.replace(handle.name, path)
         except BaseException:
             with contextlib.suppress(OSError):

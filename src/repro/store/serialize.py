@@ -82,6 +82,12 @@ def _encode_rw(rw: Optional[RWDependencies]) -> Optional[Dict[str, Any]]:
     return {"loop_events": rw.rows(), "post_loop_events": rw.rows(post=True)}
 
 
+def timings_to_dict(timings: TimingBreakdown) -> Dict[str, Any]:
+    """Encode a report's :class:`TimingBreakdown` (the ``timings`` field of
+    :func:`report_to_dict`; a store entry keeps it in its header)."""
+    return {"stages": dict(timings.stages), "counts": dict(timings.counts)}
+
+
 def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
     """Encode ``report`` as a JSON-ready dict (schema ``SCHEMA_VERSION``)."""
     spec = report.main_loop
@@ -110,10 +116,7 @@ def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
         "complete_ddg": _encode_ddg(report.complete_ddg),
         "contracted_ddg": _encode_ddg(report.contracted_ddg),
         "rw_sequence": _encode_rw(report.rw_sequence),
-        "timings": {
-            "stages": dict(report.timings.stages),
-            "counts": dict(report.timings.counts),
-        },
+        "timings": timings_to_dict(report.timings),
         "trace_stats": {
             "record_count": report.trace_stats.record_count,
             "before_count": report.trace_stats.before_count,
@@ -131,8 +134,8 @@ def report_to_json(report: AutoCheckReport,
 
     Args:
         report: the report to encode.
-        indent: forwarded to :func:`json.dumps` for human-readable output;
-            the default compact form is what the store writes.
+        indent: forwarded to :func:`json.dumps` for human-readable output
+            (keys then sorted); the default is compact.
 
     Returns:
         A JSON document satisfying
@@ -259,8 +262,9 @@ def canonical_report_json(report: AutoCheckReport) -> str:
     follower and a fresh cold run of the same trace all answer with the
     same bytes).
 
-    The store keeps writing the full payload (:func:`report_to_dict`);
-    this canonical form exists for byte-comparable transport only.
+    A store entry holds these bytes as its report line, with the timings
+    in its header (:mod:`repro.store.cache`), so the serve daemon answers a
+    stored report with the bytes its publish wrote.
     """
     payload = report_to_dict(report)
     payload.pop("timings", None)

@@ -233,7 +233,9 @@ def check_content_digest(trace: Trace) -> None:
     parsed and no record is decoded.  A trace read from version-1 bytes
     holds their version-2 encoding, whose digest it was given, so it
     passes.  The header and the footer's string table lie outside the
-    digest, so a trace whose string table was rewritten passes too.
+    digest, so a trace whose string table was rewritten passes too.  A
+    trace that passes records it (:attr:`~Trace.digest_checked`), so its
+    walk does not hash the same bytes again.
 
     Raises:
         TraceDigestMismatch: naming the trace's :attr:`~Trace.source_path`.
@@ -244,6 +246,7 @@ def check_content_digest(trace: Trace) -> None:
     fold.add(layout.records_start,
              memoryview(data)[layout.records_start:layout.records_end])
     fold.check(layout, trace.source_path)
+    trace.digest_checked = True
 
 
 # --------------------------------------------------------------------------- #

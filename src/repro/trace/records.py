@@ -162,11 +162,15 @@ class Trace:
     :attr:`source_path` names the file (or upload) a trace's bytes came
     from (:func:`repro.trace.textio.trace_from_bytes`), so errors on its
     bytes can name it; it is not part of the trace's content, bytes or
-    digest.
+    digest.  :attr:`digest_checked` records that
+    :func:`repro.trace.binio.check_content_digest` found those bytes to
+    fold to their footer digest; they are immutable ``bytes``, so the
+    record cannot go stale, and a walk of the trace need not hash them
+    again.
     """
 
     __slots__ = ("_module_name", "_globals", "_records", "_data", "_layout",
-                 "source_path")
+                 "source_path", "digest_checked")
 
     def __init__(self, module_name: str = "module",
                  globals: Optional[List[GlobalSymbol]] = None,
@@ -178,6 +182,7 @@ class Trace:
         self._data: Optional[bytes] = None
         self._layout: Optional[BinaryTraceLayout] = None
         self.source_path: Optional[str] = None
+        self.digest_checked = False
 
     @classmethod
     def from_encoded(cls, data: bytes, layout: BinaryTraceLayout,

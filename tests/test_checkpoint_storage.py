@@ -24,6 +24,22 @@ def _checkpoint(iteration, value):
                           variables={"x": [value]}, sizes_bytes={"x": 4})
 
 
+def test_checkpoint_file_is_one_json_dumps(tmp_path):
+    """A checkpoint's text is ``json.dumps`` of its payload (the C encoder,
+    byte-identical to streaming ``json.dump``) and loads back equal."""
+    storage = CheckpointStorage(str(tmp_path))
+    checkpoint = CheckpointData(iteration=3,
+                                variables={"x": [1, 2.5], "y": [-7]},
+                                sizes_bytes={"x": 16, "y": 4})
+    path = storage.write(checkpoint)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert text == json.dumps({"iteration": 3,
+                               "variables": checkpoint.variables,
+                               "sizes_bytes": checkpoint.sizes_bytes})
+    assert storage.load(path) == checkpoint
+
+
 class TestWriterKilledMidReplace:
     def test_reader_never_observes_torn_checkpoint(self, tmp_path,
                                                    monkeypatch):

@@ -32,6 +32,7 @@ import os
 import random
 import re
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +52,8 @@ from repro.serve import server as serve_module
 from repro.serve.server import _Handler, run_analysis
 from repro.store import ArtifactStore
 from repro.store.batch import app_trace_path, prepare_app_analysis
-from repro.store.serialize import canonical_report_json
+from repro.store.serialize import canonical_report_json, report_from_dict
+from repro.trace import binio
 from repro.trace.textio import write_trace_file
 from repro.tracer.driver import run_and_trace, trace_to_file
 
@@ -198,9 +200,24 @@ class TestEndpoints:
         assert json.loads(body)["error"]["code"] == "JOB_NOT_FOUND"
 
     def test_unknown_report_is_404(self, client):
-        status, _, body = client.report("0" * 64)
+        for key in ("0" * 64, "..x"):
+            status, _, body = client.report(key)
+            assert status == 404
+            assert json.loads(body)["error"]["code"] == "REPORT_NOT_FOUND"
+
+    def test_report_name_outside_the_store_touches_nothing(self, server,
+                                                           client):
+        """``/report/..x`` names no store entry: the file its name would
+        reach outside ``objects/`` is neither read nor unlinked."""
+        outside = os.path.join(server.store.root, "..x.json")
+        # A store that holds entries has objects/, so objects/.. resolves.
+        os.makedirs(os.path.join(server.store.root, "objects"))
+        with open(outside, "w", encoding="utf-8") as handle:
+            handle.write("not an entry")
+        status, _, body = client.report("..x")
         assert status == 404
         assert json.loads(body)["error"]["code"] == "REPORT_NOT_FOUND"
+        assert os.path.exists(outside)
 
     def test_unknown_path_is_404(self, client):
         status, _, body = client.request("GET", "/nope")
@@ -220,19 +237,24 @@ class TestEndpoints:
         assert json.loads(body)["error"]["code"] == "MISSING_FIELD"
 
     @staticmethod
-    def _post_with_content_length(server, content_length):
+    def _post_with_content_length(server, content_length, body=b""):
         """POST /analyze over a raw socket with a hand-written header (an
-        HTTP client library would compute the header itself)."""
+        HTTP client library would compute the header itself).  Every
+        length this is used with is refused with the body unread, so the
+        daemon must then close the connection."""
         with socket.create_connection((server.host, server.port),
                                       timeout=10.0) as sock:
             sock.sendall((
                 "POST /analyze?start=1&end=2 HTTP/1.1\r\n"
                 "Host: localhost\r\n"
                 "Content-Type: application/octet-stream\r\n"
-                f"Content-Length: {content_length}\r\n\r\n").encode())
+                f"Content-Length: {content_length}\r\n\r\n").encode()
+                + body)
             response = http.client.HTTPResponse(sock)
             response.begin()
-            return response.status, json.loads(response.read())
+            payload = json.loads(response.read())
+            assert sock.recv(1024) == b""
+            return response.status, payload
 
     def test_non_numeric_content_length_is_400(self, server):
         status, body = self._post_with_content_length(server, "twelve")
@@ -243,6 +265,32 @@ class TestEndpoints:
         status, body = self._post_with_content_length(server, "-5")
         assert status == 400
         assert body["error"]["code"] == "BAD_CONTENT_LENGTH"
+
+    @pytest.mark.parametrize("declared", [10_000_000_000_000, 2 ** 63])
+    def test_oversized_content_length_is_413_before_reading(self, server,
+                                                             declared):
+        """A length past ``MAX_UPLOAD_BYTES`` is refused before the body
+        is read, so nothing is allocated for it (it was a 500 from a
+        ``MemoryError`` or ``OverflowError``)."""
+        status, body = self._post_with_content_length(server, declared,
+                                                      b"ACTB")
+        assert status == 413
+        assert body["error"]["code"] == "PAYLOAD_TOO_LARGE"
+        assert server.jobs.stats()["submitted"] == 0
+
+    def test_upload_at_the_cap_is_analysed(self, server, client,
+                                           example_trace, example_spec,
+                                           monkeypatch):
+        upload = example_trace.encoded()[0]
+        monkeypatch.setattr(serve_module, "MAX_UPLOAD_BYTES", len(upload))
+        status, headers, _ = client.analyze_trace(
+            upload, example_spec.function, example_spec.start_line,
+            example_spec.end_line)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        status, body = self._post_with_content_length(server,
+                                                      len(upload) + 1)
+        assert (status, body["error"]["code"]) == (413, "PAYLOAD_TOO_LARGE")
 
     def test_stalled_request_line_closes_the_connection(self, server,
                                                          monkeypatch):
@@ -380,6 +428,82 @@ class TestWarmPath:
         # The async run published the artifact: the next request is warm.
         _, warm_headers, _ = client.analyze_app(FAST_APP)
         assert warm_headers["x-autocheck-cache"] == "hit"
+
+
+# --------------------------------------------------------------------------- #
+# Stored bytes: a store entry's report line is the response
+# --------------------------------------------------------------------------- #
+def _spy_everywhere(monkeypatch, function):
+    """Count the calls of ``function`` under every name a loaded ``repro``
+    module bound it to (``from x import f`` copies the binding)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "repro" or name.startswith("repro.")) and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, spy)
+    return calls
+
+
+def _report_line(store, key):
+    with open(store.entry_path(key), "rb") as handle:
+        return handle.read().split(b"\n")[1]
+
+
+class TestStoredBytes:
+    def test_miss_answers_the_report_line_its_publish_wrote(
+            self, server, client, monkeypatch):
+        """A miss encodes its report once, to publish it, and answers
+        with those bytes."""
+        encodes = _spy_everywhere(monkeypatch, canonical_report_json)
+        status, headers, body = client.analyze_app(FAST_APP)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        assert body == _report_line(server.store,
+                                    headers["x-autocheck-key"])
+        assert len(encodes) == 1
+
+    def test_daemon_without_a_store_encodes_its_report(self, tmp_path):
+        srv = _make_server(tmp_path, use_cache=False)
+        try:
+            status, headers, body = ServeClient(
+                srv.host, srv.port).analyze_app(FAST_APP)
+        finally:
+            srv.close(graceful=True, timeout=60.0)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        assert body == _direct_canonical(FAST_APP, srv.trace_dir)
+        assert srv.store.stats().entries == 0
+
+    def test_second_daemon_answers_the_first_ones_bytes_undecoded(
+            self, tmp_path, monkeypatch):
+        """A daemon started on a store another daemon filled answers its
+        first request for a stored report with the bytes the first one
+        published, and neither decodes nor encodes a report."""
+        first = _make_server(tmp_path)
+        try:
+            cold = ServeClient(first.host, first.port).analyze_app(FAST_APP)
+        finally:
+            first.close(graceful=True, timeout=60.0)
+        assert cold[1]["x-autocheck-cache"] == "miss"
+        spies = {function.__name__: _spy_everywhere(monkeypatch, function)
+                 for function in (report_from_dict, canonical_report_json)}
+        second = _make_server(tmp_path)
+        try:
+            warm = ServeClient(second.host, second.port).analyze_app(
+                FAST_APP)
+        finally:
+            second.close(graceful=True, timeout=60.0)
+        assert warm[0] == 200
+        assert warm[1]["x-autocheck-cache"] == "hit"
+        assert warm[1]["x-autocheck-key"] == cold[1]["x-autocheck-key"]
+        assert warm[2] == cold[2]
+        assert {name: len(calls) for name, calls in spies.items()} == {
+            "report_from_dict": 0, "canonical_report_json": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -844,6 +968,27 @@ class TestTraceUpload:
             assert (status, error["code"]) == (400, "BAD_FIELD")
             assert "corrupt binary trace footer" in error["message"]
         assert server.store.stats().entries == 0
+
+    def test_cold_binary_upload_hashes_its_records_once(
+            self, server, client, example_trace, example_spec, monkeypatch):
+        """The digest check at upload records on the ``Trace`` that its
+        bytes matched, so the publishing walk does not hash them again."""
+        upload = example_trace.encoded()[0]
+        layout = example_trace.layout
+        hashed = []
+        add = binio._DigestFold.add
+
+        def counting_add(fold, start, data):
+            hashed.append(len(data))
+            return add(fold, start, data)
+
+        monkeypatch.setattr(binio._DigestFold, "add", counting_add)
+        status, headers, _ = client.analyze_trace(
+            upload, example_spec.function, example_spec.start_line,
+            example_spec.end_line)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        assert sum(hashed) == layout.records_end - layout.records_start
 
     @staticmethod
     def _upload_parses(client, trace, spec, footer_parses):

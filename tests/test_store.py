@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 
 import pytest
@@ -332,21 +333,122 @@ class TestPinnedStoreKeys:
 
 
 def test_published_entry_is_one_json_dumps(tmp_path, fleet):
-    """An entry's text is ``json.dumps`` of its payload (the C encoder,
-    byte-identical to streaming ``json.dump``) and loads back."""
-    from repro.store import report_to_dict
-
+    """An entry is a header line (one ``json.dumps``, the C encoder) and
+    then the report's canonical bytes, which the header's ``report_sha256``
+    hashes; it loads back equal."""
     entry = fleet.apps["example"]
     store = ArtifactStore(str(tmp_path / "cache"))
-    path = store.store("ab" + "1" * 62, entry.report, trace_digest="d",
-                       fingerprint="f")
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    payload = json.loads(text)
-    assert text == json.dumps(payload)
-    assert payload["report"] == json.loads(json.dumps(
-        report_to_dict(entry.report)))
-    assert store.load("ab" + "1" * 62) == entry.report
+    key = "ab" + "1" * 62
+    path = store.store(key, entry.report, trace_digest="d", fingerprint="f")
+    with open(path, "rb") as handle:
+        head, body = handle.read().split(b"\n")
+    header = json.loads(head)
+    assert head == json.dumps(header).encode()
+    assert body == canonical_report_json(entry.report).encode()
+    assert header["report_sha256"] == hashlib.sha256(body).hexdigest()
+    assert store.load(key) == entry.report
+    assert store.load_canonical(key) == body
+
+
+def _flip_record_count(header, body):
+    """A digit of the report line's record count changed: still JSON, and
+    a different report."""
+    match = re.search(rb'"record_count":([0-9])', body)
+    digit = b"8" if match.group(1) == b"9" else b"9"
+    return header, body[:match.start(1)] + digit + body[match.end(1):]
+
+
+def _other_key(header, body):
+    return dict(header, key="cd" + "0" * 62), body
+
+
+def _other_schema(header, body):
+    return dict(header, schema=header["schema"] + 1), body
+
+
+#: Entry edits every read must refuse: a report line that no longer hashes
+#: to its ``report_sha256``, and a header for another key or schema.
+ENTRY_CORRUPTIONS = {
+    "report digit": _flip_record_count,
+    "header key": _other_key,
+    "header schema": _other_schema,
+}
+
+
+class TestEntryChecks:
+    """Every read checks its entry, so an entry that still parses but was
+    changed on disk is a miss (and heals), never a wrong report."""
+
+    @staticmethod
+    def _published(tmp_path, example_trace, example_spec):
+        config = AutoCheckConfig(main_loop=example_spec, use_cache=True,
+                                 cache_dir=str(tmp_path / "cache"))
+        cold = AutoCheck(config, trace=example_trace).run()
+        return config, cold, ArtifactStore(config.cache_dir)
+
+    @pytest.mark.parametrize("read", ["load", "load_canonical"])
+    @pytest.mark.parametrize("corruption", sorted(ENTRY_CORRUPTIONS))
+    def test_corrupt_entry_is_a_miss_and_unlinked(
+            self, tmp_path, example_trace, example_spec, corruption, read):
+        _, cold, store = self._published(tmp_path, example_trace,
+                                         example_spec)
+        path, key = cold.cache_info.path, cold.cache_info.key
+        with open(path, "rb") as handle:
+            head, body = handle.read().split(b"\n")
+        header, body = ENTRY_CORRUPTIONS[corruption](json.loads(head), body)
+        json.loads(body)  # still parses: only the entry's checks refuse it
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n" + body)
+
+        with pytest.raises(StoreError) as excinfo:
+            store.load_entry(path, key)
+        assert path in str(excinfo.value)
+        assert key in str(excinfo.value)
+        assert getattr(store, read)(key) is None
+        assert not os.path.exists(path)
+
+    def test_single_document_entry_is_a_miss_and_heals(
+            self, tmp_path, example_trace, example_spec):
+        """An entry written before the two-line layout (one JSON document
+        holding the whole report) is corrupt: one recompute heals it."""
+        from repro.store import report_to_dict
+
+        config, cold, store = self._published(tmp_path, example_trace,
+                                              example_spec)
+        path, key = cold.cache_info.path, cold.cache_info.key
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({
+                "key": key, "schema": 1, "trace_digest": "",
+                "config_fingerprint": "", "created_at": time.time(),
+                "report": report_to_dict(cold)}))
+        with pytest.raises(StoreError, match="not a header line") as excinfo:
+            store.load_entry(path, key)
+        assert path in str(excinfo.value)
+
+        healed = AutoCheck(config, trace=example_trace).run()
+        assert not healed.cache_info.hit
+        warm = AutoCheck(config, trace=example_trace).run()
+        assert warm.cache_info.hit
+        assert warm == healed
+
+    @pytest.mark.parametrize("name", [
+        "..x", "../" + "0" * 61, "AB" + "0" * 62, "0" * 63, "0" * 65])
+    def test_a_name_that_is_not_a_key_names_no_entry(self, tmp_path, fleet,
+                                                     name):
+        """Reads miss without building a path, so a file outside
+        ``objects/`` is neither read nor unlinked; a publish refuses."""
+        store = ArtifactStore(str(tmp_path / "cache"))
+        outside = os.path.join(store.root, "..x.json")
+        # A store that holds entries has objects/, so objects/.. resolves.
+        os.makedirs(os.path.join(store.root, "objects"))
+        with open(outside, "w", encoding="utf-8") as handle:
+            handle.write("not an entry")
+        assert store.load(name) is None
+        assert store.load_canonical(name) is None
+        assert os.path.exists(outside)
+        with pytest.raises(ValueError, match="not an artifact store key"):
+            store.store(name, fleet.apps["example"].report)
+        assert store.stats().entries == 0
 
 
 # --------------------------------------------------------------------------- #
