@@ -5,16 +5,19 @@ interpreter runs and sweeps the full validation matrix::
 
     apps x checkpoint content x interval policy x N seeded kill points
 
-For every app the runner first *preps*: it analyses the app through the
-artifact store (warm entries make this a digest lookup), then executes one
+Each app is one task on the same process pool ``analyze-batch`` uses, and
+pays its fixed costs once: one compile, one main-loop lookup and one
+execute-only interpreter serve all of its runs.  The task first *preps*:
+it stages the app's analysis (:func:`~repro.store.batch.prepare_app_analysis`
+compiles it) and runs it through the artifact store (a warm entry makes this
+a digest lookup that decodes only the critical variables), then executes one
 failure-free instrumented baseline to learn the loop's iteration count, the
 full set of variables live at the main loop, the reference output, and the
 BLCR-style process-image size.  From those numbers it resolves each cell's
 checkpoint cadence (fixed every-k, or Young/Daly intervals fed by a
-synthetic time model), plans the kill points with a per-cell seeded RNG
-fork, and fans per-app trial batches across the same process pool
-``analyze-batch`` uses.  Every trial runs a failure + restart cycle and
-asserts restart equivalence against the reference output.
+synthetic time model) and plans the kill points with a per-cell seeded RNG
+fork.  Every trial then runs a failure + restart cycle on the same
+interpreter and asserts restart equivalence against the reference output.
 
 The synthetic time model (one second per iteration, a modest storage link,
 a short MTBF) exists to make the Young/Daly policies produce *different,
@@ -24,10 +27,11 @@ campaigns stay deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.registry import app_names, get_app
 from repro.campaign.plan import (
@@ -58,9 +62,7 @@ from repro.checkpoint.interval import (
     young_interval,
 )
 from repro.checkpoint.validate import RestartValidator
-from repro.codegen.lowering import compile_source
-from repro.core.config import MainLoopSpec
-from repro.store.batch import analyze_app_cached, map_over_pool
+from repro.store.batch import map_over_pool, prepare_app_analysis
 
 # --------------------------------------------------------------------------- #
 # Synthetic time model (constant => campaigns stay deterministic)
@@ -120,7 +122,7 @@ def resolve_app_names(spec: str) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Per-app prep (module-level: runs on the process pool)
+# Per-app prep and trial batch (module-level: runs on the process pool)
 # --------------------------------------------------------------------------- #
 @dataclass
 class AppPrep:
@@ -136,50 +138,75 @@ class AppPrep:
     error: Optional[str] = None
 
 
-def _prepare_app(app_name: str, use_cache: bool, cache_dir: Optional[str],
-                 trace_dir: Optional[str], app_seed: int) -> AppPrep:
-    """Analyse one app (store-warm) and run its instrumented baseline."""
-    try:
-        report = analyze_app_cached(app_name, use_cache=use_cache,
-                                    cache_dir=cache_dir, trace_dir=trace_dir,
-                                    seed=app_seed)
-        app = get_app(app_name)
-        source = app.source()
-        module = compile_source(source, module_name=app.name)
-        spec = app.main_loop(source)
-        with tempfile.TemporaryDirectory(prefix="campaign-base-") as ckpt_dir:
-            instrumenter = CheckpointInstrumenter(
-                module, spec, [], FTIConfig(directory=ckpt_dir),
-                seed=app_seed)
-            baseline = instrumenter.run()
-        if baseline.failed:
-            return AppPrep(app=app_name,
-                           error="failure-free baseline unexpectedly failed")
-        if baseline.result.memory is None:
-            return AppPrep(app=app_name,
-                           error="baseline carries no memory statistics")
-        if baseline.checkpoints_written < 2:
-            return AppPrep(app=app_name,
-                           error="main loop never iterated; nothing to kill")
-        return AppPrep(
-            app=app_name,
-            critical_variables=report.names(),
-            loop_variables=dict(baseline.loop_variables),
-            # Header entries 1..N+1 each committed a checkpoint at cadence 1.
-            iterations=baseline.checkpoints_written - 1,
-            blcr_bytes=BLCRModel().checkpoint_bytes(baseline.result.memory),
-            reference_output=list(baseline.output),
-        )
-    except Exception as exc:  # noqa: BLE001 — one bad app must not kill the fleet
-        return AppPrep(app=app_name, error=f"{type(exc).__name__}: {exc}")
+#: One app task's outcome: its prep, its trials and the optional ablation.
+AppOutcome = Tuple[AppPrep, List[TrialResult], Optional[NecessityVerdict]]
 
 
-# --------------------------------------------------------------------------- #
-# Per-app trial batch (module-level: runs on the process pool)
-# --------------------------------------------------------------------------- #
+def _run_app(app_name: str, runner: "CampaignRunner") -> AppOutcome:
+    """Prep, plan and run one app's trials over one compile and one
+    interpreter."""
+    config = runner.config
+    with contextlib.ExitStack() as stack:
+        try:
+            prepared = prepare_app_analysis(
+                app_name, use_cache=config.use_cache,
+                cache_dir=config.cache_dir, trace_dir=config.trace_dir,
+                seed=config.app_seed)
+            critical = prepared.autocheck.run().names()
+            instrumenter = stack.enter_context(CheckpointInstrumenter(
+                prepared.module, prepared.spec, seed=config.app_seed,
+                on_missing="skip"))
+            prep = _prepare_app(app_name, critical, instrumenter)
+        except Exception as exc:  # noqa: BLE001 — one bad app must not kill the fleet
+            prep = AppPrep(app=app_name, error=f"{type(exc).__name__}: {exc}")
+        if prep.error is not None:
+            return prep, [], None
+        work = runner._build_work(prep)
+        trials = [_run_trial(instrumenter, work, trial)
+                  for trial in work.trials]
+    necessity: Optional[NecessityVerdict] = None
+    if work.run_necessity:
+        checked = [name for name in work.necessity_variables
+                   if name in work.critical_variables]
+        with RestartValidator(prepared.module, prepared.spec,
+                              benchmark=work.app,
+                              seed=work.app_seed) as validator:
+            study = validator.necessity_study(
+                work.critical_variables, check_variables=checked,
+                fail_at_iteration=min(3, work.iterations))
+        necessity = NecessityVerdict(checked_variables=checked,
+                                     false_positives=study.false_positives)
+    return prep, trials, necessity
+
+
+def _prepare_app(app_name: str, critical_variables: List[str],
+                 instrumenter: CheckpointInstrumenter) -> AppPrep:
+    """Run one app's instrumented baseline."""
+    with tempfile.TemporaryDirectory(prefix="campaign-base-") as ckpt_dir:
+        baseline = instrumenter.run([], FTIConfig(directory=ckpt_dir))
+    if baseline.failed:
+        return AppPrep(app=app_name,
+                       error="failure-free baseline unexpectedly failed")
+    if baseline.result.memory is None:
+        return AppPrep(app=app_name,
+                       error="baseline carries no memory statistics")
+    if baseline.checkpoints_written < 2:
+        return AppPrep(app=app_name,
+                       error="main loop never iterated; nothing to kill")
+    return AppPrep(
+        app=app_name,
+        critical_variables=critical_variables,
+        loop_variables=dict(baseline.loop_variables),
+        # Header entries 1..N+1 each committed a checkpoint at cadence 1.
+        iterations=baseline.checkpoints_written - 1,
+        blcr_bytes=BLCRModel().checkpoint_bytes(baseline.result.memory),
+        reference_output=list(baseline.output),
+    )
+
+
 @dataclass
 class AppWork:
-    """One app's full trial batch, self-contained for a pool worker."""
+    """One app's planned trial batch."""
 
     app: str
     app_seed: int
@@ -199,31 +226,7 @@ class AppWork:
     seconds_per_iteration: float
 
 
-def _run_app_work(work: AppWork) -> Tuple[List[TrialResult],
-                                          Optional[NecessityVerdict]]:
-    """Execute every planned trial (and the optional ablation) for one app."""
-    app = get_app(work.app)
-    source = app.source()
-    module = compile_source(source, module_name=app.name)
-    spec = app.main_loop(source)
-
-    results = [_run_trial(module, spec, work, trial) for trial in work.trials]
-
-    necessity: Optional[NecessityVerdict] = None
-    if work.run_necessity:
-        checked = [name for name in work.necessity_variables
-                   if name in work.critical_variables]
-        with RestartValidator(module, spec, benchmark=work.app,
-                              seed=work.app_seed) as validator:
-            study = validator.necessity_study(
-                work.critical_variables, check_variables=checked,
-                fail_at_iteration=min(3, work.iterations))
-        necessity = NecessityVerdict(checked_variables=checked,
-                                     false_positives=study.false_positives)
-    return results, necessity
-
-
-def _run_trial(module, spec: MainLoopSpec, work: AppWork,
+def _run_trial(instrumenter: CheckpointInstrumenter, work: AppWork,
                trial: TrialSpec) -> TrialResult:
     """One failure + restart cycle, verdicted against the reference output."""
     protected = work.protected_sets[trial.content]
@@ -232,16 +235,13 @@ def _run_trial(module, spec: MainLoopSpec, work: AppWork,
         with tempfile.TemporaryDirectory(prefix="campaign-trial-") as ckpt_dir:
             config = FTIConfig(directory=ckpt_dir,
                                checkpoint_interval=trial.interval_iterations)
-            instrumenter = CheckpointInstrumenter(
-                module, spec, protected, config, seed=work.app_seed,
-                on_missing="skip")
             failed = instrumenter.run(
-                restart=False,
+                protected, config, restart=False,
                 fail_at_iteration=trial.kill_iteration,
                 fail_at_checkpoint_write=trial.fail_at_checkpoint_write)
             if not failed.failed:
                 raise RuntimeError("injected failure did not fire")
-            restart = instrumenter.run(restart=True)
+            restart = instrumenter.run(protected, config, restart=True)
             if restart.failed:
                 raise RuntimeError("restart run failed")
         equivalent = outputs_equivalent(work.reference_output, failed.output,
@@ -431,21 +431,11 @@ class CampaignRunner:
     # -- execution ------------------------------------------------------- #
     def run(self) -> CampaignReport:
         config = self.config
-        preps = map_over_pool(
-            functools.partial(_prepare_app, use_cache=config.use_cache,
-                              cache_dir=config.cache_dir,
-                              trace_dir=config.trace_dir,
-                              app_seed=config.app_seed),
-            config.apps, config.workers)
-
-        works = [self._build_work(prep) for prep in preps if prep.error is None]
-        outcomes = map_over_pool(_run_app_work, works, config.workers)
-        by_app = {work.app: outcome for work, outcome in zip(works, outcomes)}
-
+        outcomes = map_over_pool(functools.partial(_run_app, runner=self),
+                                 config.apps, config.workers)
         verdicts: List[AppVerdict] = []
         all_trials: List[TrialResult] = []
-        for prep in preps:
-            trials, necessity = by_app.get(prep.app, ([], None))
+        for prep, trials, necessity in outcomes:
             verdicts.append(self._verdict(prep, trials, necessity))
             all_trials.extend(trials)
         return CampaignReport(

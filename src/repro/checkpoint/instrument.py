@@ -14,6 +14,14 @@ effect is achieved with block-entry hooks on the main loop's *header* block:
 
 Fail-stop failures are injected on entry to the loop *body* block, i.e. the
 process dies mid-iteration, which is the harshest point for consistency.
+
+One :class:`CheckpointInstrumenter` serves every instrumented run of a
+module: it finds the main loop once and holds one execute-only
+:class:`~repro.tracer.interpreter.Interpreter`, whose blocks each run
+reuses.  What differs between runs (the protected variables, the FTI
+configuration, restart and failure injection) is passed to
+:meth:`CheckpointInstrumenter.run`.  Close the instrumenter (or use it in
+a ``with`` block) to release its interpreter.
 """
 
 from __future__ import annotations
@@ -65,16 +73,12 @@ class CheckpointInstrumenter:
     """Wire an FTI instance into interpreted executions of a module."""
 
     def __init__(self, module: Module, main_loop: MainLoopSpec,
-                 protected_variables: Sequence[str], fti_config: FTIConfig,
                  seed: int = 314159, on_missing: str = "error") -> None:
         if on_missing not in ("error", "skip"):
             raise ValueError(
                 f"on_missing must be 'error' or 'skip', got {on_missing!r}")
         self.module = module
         self.main_loop = main_loop
-        self.protected_variables = list(protected_variables)
-        self.fti_config = fti_config
-        self.seed = seed
         self.on_missing = on_missing
 
         function = module.function(main_loop.function)
@@ -92,11 +96,22 @@ class CheckpointInstrumenter:
         if not targets:
             raise InstrumentationError("main loop header has no branch targets")
         self.body_block = targets[0].name
+        self.interpreter = Interpreter(module, trace_sink=None, seed=seed)
+
+    def close(self) -> None:
+        """Release the interpreter's compiled blocks."""
+        self.interpreter.close()
+
+    def __enter__(self) -> "CheckpointInstrumenter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Variable plumbing
     # ------------------------------------------------------------------ #
-    def _register_protected(self, fti: FTI, interpreter: Interpreter,
+    def _register_protected(self, fti: FTI, protected: Sequence[str],
                             context: HookContext) -> List[str]:
         """Bind each protected variable name to interpreter memory accessors.
 
@@ -105,7 +120,8 @@ class CheckpointInstrumenter:
         name raises :class:`InstrumentationError`).
         """
         skipped: List[str] = []
-        for vid, name in enumerate(self.protected_variables):
+        interpreter = self.interpreter
+        for vid, name in enumerate(protected):
             if name in fti.protected_names():
                 continue
             allocation = interpreter.resolve_variable(name, frame=context.frame)
@@ -143,33 +159,38 @@ class CheckpointInstrumenter:
     # ------------------------------------------------------------------ #
     # Runs
     # ------------------------------------------------------------------ #
-    def run(self, restart: bool = False, fail_at_iteration: Optional[int] = None,
+    def run(self, protected_variables: Sequence[str], fti_config: FTIConfig,
+            restart: bool = False, fail_at_iteration: Optional[int] = None,
             recover_names: Optional[Sequence[str]] = None,
             fail_at_checkpoint_write: Optional[int] = None,
             max_steps: int = 50_000_000) -> InstrumentedRun:
         """Execute the module with checkpoint instrumentation.
 
-        ``restart=True`` restores the protected variables from the latest
-        checkpoint when the main loop is first entered.  ``fail_at_iteration``
-        injects a fail-stop failure on entry to that iteration's body.
-        ``recover_names`` optionally restricts which variables are restored
-        (the necessity/false-positive study).  ``fail_at_checkpoint_write=w``
+        ``protected_variables`` are checkpointed through an FTI instance
+        over ``fti_config``; a restart run passes the failed run's
+        variables and configuration.  ``restart=True`` restores the
+        protected variables from the latest checkpoint when the main loop
+        is first entered.  ``fail_at_iteration`` injects a fail-stop
+        failure on entry to that iteration's body.  ``recover_names``
+        optionally restricts which variables are restored (the
+        necessity/false-positive study).  ``fail_at_checkpoint_write=w``
         kills the run during its ``w``-th (1-based) checkpoint write: a torn
         tmp file is left on disk and the write never commits, modelling a
-        crash inside the write()/os.replace() window.
+        crash inside the write()/os.replace() window.  ``max_steps`` is
+        the run's instruction budget.
         """
-        fti = FTI(self.fti_config)
+        fti = FTI(fti_config)
         if fail_at_checkpoint_write is not None:
             self._arm_torn_write(fti, fail_at_checkpoint_write)
-        interpreter = Interpreter(self.module, trace_sink=None, seed=self.seed,
-                                  max_steps=max_steps)
+        interpreter = self.interpreter
+        interpreter.max_steps = max_steps
         run_info = InstrumentedRun(result=None, fti=fti)  # type: ignore[arg-type]
         state = {"registered": False, "restored": False}
 
         def header_hook(context: HookContext) -> None:
             if not state["registered"]:
                 run_info.skipped_variables = self._register_protected(
-                    fti, interpreter, context)
+                    fti, protected_variables, context)
                 run_info.loop_variables = self._snapshot_loop_variables(
                     interpreter, context)
                 state["registered"] = True

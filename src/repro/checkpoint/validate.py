@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.fti import FTIConfig
 from repro.checkpoint.instrument import CheckpointInstrumenter, InstrumentedRun
@@ -91,33 +91,35 @@ class RestartValidator:
             self._own_dir = tempfile.TemporaryDirectory(prefix="autocheck-ckpt-")
             checkpoint_dir = self._own_dir.name
         self.checkpoint_dir = checkpoint_dir
+        self._instrumenter: Optional[CheckpointInstrumenter] = None
 
     # ------------------------------------------------------------------ #
     # Building blocks
     # ------------------------------------------------------------------ #
     def failure_free_output(self) -> List[str]:
-        interpreter = Interpreter(self.module, trace_sink=None, seed=self.seed)
-        result = interpreter.run()
+        with Interpreter(self.module, trace_sink=None,
+                         seed=self.seed) as interpreter:
+            result = interpreter.run()
         if result.failed:
             raise RuntimeError("failure-free run unexpectedly failed")
         return result.output
-
-    def _instrumenter(self, variables: Sequence[str],
-                      directory: str) -> CheckpointInstrumenter:
-        config = FTIConfig(directory=directory)
-        return CheckpointInstrumenter(self.module, self.main_loop, variables,
-                                      config, seed=self.seed)
 
     def _run_failure_then_restart(self, variables: Sequence[str],
                                   fail_at_iteration: int,
                                   recover_names: Optional[Sequence[str]],
                                   directory: str,
-                                  ) -> (InstrumentedRun, InstrumentedRun):
-        instrumenter = self._instrumenter(variables, directory)
-        failed_run = instrumenter.run(restart=False,
-                                      fail_at_iteration=fail_at_iteration)
-        restart_run = instrumenter.run(restart=True, fail_at_iteration=None,
-                                       recover_names=recover_names)
+                                  ) -> Tuple[InstrumentedRun, InstrumentedRun]:
+        # One instrumenter (one interpreter) serves every study run.
+        if self._instrumenter is None:
+            self._instrumenter = CheckpointInstrumenter(
+                self.module, self.main_loop, seed=self.seed)
+        config = FTIConfig(directory=directory)
+        failed_run = self._instrumenter.run(
+            variables, config, restart=False,
+            fail_at_iteration=fail_at_iteration)
+        restart_run = self._instrumenter.run(
+            variables, config, restart=True, fail_at_iteration=None,
+            recover_names=recover_names)
         return failed_run, restart_run
 
     # ------------------------------------------------------------------ #
@@ -175,6 +177,9 @@ class RestartValidator:
         return result
 
     def close(self) -> None:
+        if self._instrumenter is not None:
+            self._instrumenter.close()
+            self._instrumenter = None
         if self._own_dir is not None:
             self._own_dir.cleanup()
             self._own_dir = None

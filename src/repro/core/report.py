@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import MainLoopSpec
 from repro.util.formatting import format_bytes, render_table
@@ -75,6 +75,39 @@ class CacheInfo:
     path: Optional[str] = None
 
 
+class Deferred:
+    """A report section that is not decoded yet: ``decode(*args)`` builds
+    it.  A report from a store hit holds its DDGs and R/W events this way
+    (see :class:`_Section`)."""
+
+    __slots__ = ("decode", "args")
+
+    def __init__(self, decode: Callable[..., Any], *args: Any) -> None:
+        self.decode = decode
+        self.args = args
+
+
+class _Section:
+    """A report field that may hold a :class:`Deferred`: its first read
+    decodes it and keeps the value.  Decoding is idempotent, so readers
+    that race on the first read decode equal values, and one of them is
+    kept."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report: Any, owner: Optional[type] = None) -> Any:
+        if report is None:
+            return None  # the field's default
+        value = report.__dict__[self.name]
+        if value.__class__ is Deferred:
+            value = report.__dict__[self.name] = value.decode(*value.args)
+        return value
+
+    def __set__(self, report: Any, value: Any) -> None:
+        report.__dict__[self.name] = value
+
+
 @dataclass
 class AutoCheckReport:
     """Everything AutoCheck produces for one benchmark run."""
@@ -83,9 +116,10 @@ class AutoCheckReport:
     critical_variables: List[CriticalVariable] = field(default_factory=list)
     mli_variable_names: List[str] = field(default_factory=list)
     induction_variable: Optional[str] = None
-    complete_ddg: Optional[object] = None      # repro.core.ddg.DDG
-    contracted_ddg: Optional[object] = None    # repro.core.ddg.DDG
-    rw_sequence: Optional[object] = None       # repro.core.rwdeps.RWDependencies
+    complete_ddg: Optional[object] = _Section()    # repro.core.ddg.DDG
+    contracted_ddg: Optional[object] = _Section()  # repro.core.ddg.DDG
+    #: repro.core.rwdeps.RWDependencies
+    rw_sequence: Optional[object] = _Section()
     timings: TimingBreakdown = field(default_factory=TimingBreakdown)
     trace_stats: TraceStats = field(default_factory=TraceStats)
     #: Artifact-store provenance (hit/miss, key) — per-run metadata, hence

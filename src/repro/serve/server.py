@@ -54,7 +54,7 @@ import threading
 import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.apps.registry import get_app
@@ -98,11 +98,16 @@ ERR_TRACE_DIGEST_MISMATCH = "TRACE_DIGEST_MISMATCH"
 ERR_INVALID_TRACE = "INVALID_TRACE"
 ERR_REQUEST_TIMEOUT = "REQUEST_TIMEOUT"
 ERR_PAYLOAD_TOO_LARGE = "PAYLOAD_TOO_LARGE"
+ERR_BODY_TRUNCATED = "BODY_TRUNCATED"
 
 #: Largest request body the daemon reads, in bytes: about five times the
 #: largest bundled app's binary trace (amg's, 13.3 MB).  A longer declared
 #: ``Content-Length`` answers 413 before anything is read or allocated.
 MAX_UPLOAD_BYTES = 64 * 1024 * 1024
+#: Largest single read of a request body: a body is read in chunks of at
+#: most this many bytes, so what a client holds is bounded by what it sent,
+#: not by the length it declared.
+BODY_CHUNK_BYTES = 1024 * 1024
 
 #: Default ceiling a blocking ``POST /analyze`` waits for a cold walk.
 DEFAULT_WAIT_SECONDS = 600.0
@@ -714,13 +719,28 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeError(413, ERR_PAYLOAD_TOO_LARGE,
                              f"request body of {length} bytes exceeds the "
                              f"{MAX_UPLOAD_BYTES}-byte limit")
+        chunks: List[bytes] = []
+        received = 0
         try:
-            return self.rfile.read(length) if length else b""
+            while received < length:
+                chunk = self.rfile.read(min(BODY_CHUNK_BYTES,
+                                            length - received))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                received += len(chunk)
         except TimeoutError:
             self.close_connection = True
             raise ServeError(408, ERR_REQUEST_TIMEOUT,
                              f"request body not received within "
                              f"{self.timeout:g} s") from None
+        if received < length:
+            # The client closed its side mid-body: nothing to answer from.
+            self.close_connection = True
+            raise ServeError(400, ERR_BODY_TRUNCATED,
+                             f"request body ended after {received} of the "
+                             f"{length} bytes its Content-Length declared")
+        return b"".join(chunks)
 
     # -- routing --------------------------------------------------------- #
     def _route(self, method: str) -> None:

@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AutoCheckConfig, MainLoopSpec
 from repro.core.pipeline import AutoCheck
+from repro.ir.module import Module
 from repro.store.cache import default_cache_dir
 from repro.util.formatting import render_table
 
@@ -327,12 +328,15 @@ class PreparedAppAnalysis:
     (``autocheck.run()``).  The serve daemon stages requests this way so
     it can consult the store and the request-coalescing table before
     committing a worker to the walk; the batch path runs it immediately.
+    ``module`` is the app's one compile, which the campaign runner also
+    executes.
     """
 
     app_name: str
     trace_path: str
     config: AutoCheckConfig
     spec: MainLoopSpec
+    module: Module
     autocheck: AutoCheck
 
 
@@ -373,6 +377,7 @@ def prepare_app_analysis(app_name: str,
     # the single-app harness (experiments.common.analyze_app) passes it.
     return PreparedAppAnalysis(
         app_name=app.name, trace_path=trace_path, config=config, spec=spec,
+        module=module,
         autocheck=AutoCheck(config, trace_path=trace_path, module=module))
 
 
@@ -396,8 +401,7 @@ def analyze_app_cached(app_name: str,
     The single-app equivalent of an ``{"app": ...}`` batch entry: the binary
     trace is generated into ``trace_dir`` once and reused forever, and a warm
     store turns the analysis into a digest lookup.  Returns the
-    :class:`~repro.core.report.AutoCheckReport`.  The campaign runner uses
-    this for its per-app prep step.
+    :class:`~repro.core.report.AutoCheckReport`.
     """
     if trace_dir is None:
         trace_dir = os.path.join(cache_dir or default_cache_dir(), "traces")

@@ -41,6 +41,14 @@ layout) is corrupt, and corrupt entries are **self-healing**:
 caller recompute.  The strict path (:meth:`ArtifactStore.load_entry`)
 raises :class:`StoreError` naming the offending file and key, for callers
 that need the diagnosis.
+
+A hit decodes only what its caller reads.  :meth:`ArtifactStore.load`
+decodes the report's small fields at once and leaves its DDGs and R/W
+events (the bulk of the entry) as :class:`~repro.core.report.Deferred`
+values over the checked, parsed entry; each decodes on its first read.
+A section that does not decode then raises :class:`StoreError` naming
+the file and key.  The strict :meth:`ArtifactStore.load_entry` decodes
+everything with :func:`~repro.store.serialize.report_from_dict`.
 """
 
 from __future__ import annotations
@@ -56,11 +64,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.config import AutoCheckConfig
-from repro.core.report import AutoCheckReport
+from repro.core.report import AutoCheckReport, Deferred
 from repro.store.serialize import (
     SCHEMA_VERSION,
     canonical_report_json,
+    decode_section,
     report_from_dict,
+    report_with_sections,
     timings_to_dict,
 )
 
@@ -75,6 +85,19 @@ _T = TypeVar("_T")
 
 class StoreError(Exception):
     """A store entry could not be read; names the file path and key."""
+
+
+def _decode_stored_section(path: str, key: str, name: str,
+                           value: Any) -> Any:
+    """Report section ``name`` of the entry at ``path``, decoded on its
+    first read (a :class:`Deferred` of a hit's report)."""
+    try:
+        return decode_section(name, value)
+    except (KeyError, IndexError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise StoreError(
+            f"corrupt artifact store entry {path!r} (key {key}): its "
+            f"{name} does not decode: {exc!r}") from exc
 
 
 def is_store_key(key: str) -> bool:
@@ -242,11 +265,25 @@ class ArtifactStore:
                 the file path and the store key so a corrupt entry surfaced
                 from a batch run is attributable immediately.
         """
+        return self._decode_entry(path, key, report_from_dict)
+
+    def _load_deferred(self, path: str, key: str) -> AutoCheckReport:
+        """:meth:`load_entry`, with the DDGs and R/W events left to
+        decode on first read."""
+        return self._decode_entry(path, key, lambda payload: (
+            report_with_sections(payload, lambda name, value: Deferred(
+                _decode_stored_section, path, key, name, value))))
+
+    def _decode_entry(self, path: str, key: str,
+                      decode: Callable[[Dict[str, Any]], AutoCheckReport]
+                      ) -> AutoCheckReport:
+        """``decode`` of the checked entry's parsed report line, with the
+        header's timings put back."""
         header, body = self._checked_entry(path, key)
         try:
             payload = json.loads(body)
             payload["timings"] = header["timings"]
-            return report_from_dict(payload)
+            return decode(payload)
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreError(
                 f"corrupt artifact store entry {path!r} "
@@ -269,8 +306,13 @@ class ArtifactStore:
         slot heals on the next store) and ``None`` is returned.  A hit
         touches the entry's mtime, so :meth:`gc`'s oldest-first eviction
         tracks *use*, not creation — hot entries survive.
+
+        The report's ``complete_ddg``, ``contracted_ddg`` and
+        ``rw_sequence`` decode on first read, from the entry this call
+        checked and parsed; a section that does not decode raises
+        :class:`StoreError` on that read.
         """
-        return self._lookup(key, self.load_entry)
+        return self._lookup(key, self._load_deferred)
 
     def load_canonical(self, key: str) -> Optional[bytes]:
         """The canonical bytes of the report stored under ``key`` (its

@@ -34,12 +34,18 @@ Format notes:
 * per-run provenance (:class:`repro.core.report.CacheInfo`) is excluded —
   it describes one run's relationship to the store, not the analysis
   content.
+
+:func:`report_from_dict` decodes every field and is the round trip's
+reference.  :func:`report_with_sections` decodes the same payload but takes
+the DDGs and R/W events from a callback: a store hit hands them over as
+:class:`~repro.core.report.Deferred` values of :func:`decode_section`, so a
+caller that reads only the critical variables never builds them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.config import MainLoopSpec
 from repro.core.ddg import DDG, NodeKind
@@ -171,12 +177,32 @@ def _decode_rw(payload: Optional[Dict[str, Any]]) -> Optional[RWDependencies]:
                                     payload["post_loop_events"])
 
 
+def decode_section(name: str, value: Any) -> Any:
+    """Decode the payload ``value`` of the report section ``name``:
+    ``complete_ddg``, ``contracted_ddg`` or ``rw_sequence``."""
+    return _decode_rw(value) if name == "rw_sequence" else _decode_ddg(value)
+
+
 def report_from_dict(payload: Dict[str, Any]) -> AutoCheckReport:
     """Decode a dict produced by :func:`report_to_dict`.
 
     Raises:
         SerializationError: when the payload kind or schema version does
             not match, or a required field is missing/mistyped.
+    """
+    return report_with_sections(payload, decode_section)
+
+
+def report_with_sections(payload: Dict[str, Any],
+                         section: Callable[[str, Any], Any]
+                         ) -> AutoCheckReport:
+    """:func:`report_from_dict`, but each of the fields ``complete_ddg``,
+    ``contracted_ddg`` and ``rw_sequence`` is ``section(name,
+    payload[name])``.
+
+    Raises:
+        SerializationError: as :func:`report_from_dict`, for the fields it
+            decodes.
     """
     if not isinstance(payload, dict):
         raise SerializationError(
@@ -224,9 +250,10 @@ def report_from_dict(payload: Dict[str, Any]) -> AutoCheckReport:
             critical_variables=critical,
             mli_variable_names=list(payload["mli_variable_names"]),
             induction_variable=payload["induction_variable"],
-            complete_ddg=_decode_ddg(payload["complete_ddg"]),
-            contracted_ddg=_decode_ddg(payload["contracted_ddg"]),
-            rw_sequence=_decode_rw(payload["rw_sequence"]),
+            complete_ddg=section("complete_ddg", payload["complete_ddg"]),
+            contracted_ddg=section("contracted_ddg",
+                                   payload["contracted_ddg"]),
+            rw_sequence=section("rw_sequence", payload["rw_sequence"]),
             timings=timings,
             trace_stats=stats,
         )

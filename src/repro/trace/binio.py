@@ -91,7 +91,7 @@ BINARY_VERSION = 2
 #: Versions :func:`read_layout` accepts.
 SUPPORTED_VERSIONS = (1, 2)
 #: One block-index entry is emitted every this many records.
-INDEX_STRIDE = 256
+INDEX_STRIDE = 64
 
 _HEADER = struct.Struct("<4sHHH")
 _TRAILER = struct.Struct("<Q4s")

@@ -12,7 +12,11 @@ time: a constant, or a global's pointer built once), which computes,
 writes its result register and, when the run has a sink, emits its
 record.  ``_call_function`` then runs a block as its list of steps.
 Traced and execute-only runs share the step builders; without a sink
-nothing is built per record.  A record's static part is its instruction's
+nothing is built per record.  A traced interpreter runs once and drops
+its blocks when the run returns.  An execute-only interpreter may run
+its module again: each run starts from a fresh machine and reuses the
+blocks earlier runs compiled, until :meth:`Interpreter.close`.  A
+record's static part is its instruction's
 :class:`repro.trace.binio.EmitTemplate`, built at the instruction's first
 emission; the step caches the writer's emitters by the classes of its
 runtime values, so each execution packs its record in one ``struct``
@@ -350,7 +354,10 @@ class Interpreter:
     """Execute a module and (optionally) emit its dynamic instruction trace.
 
     ``trace_sink`` is the :class:`TraceBinaryWriter` the records go to;
-    without one the run only executes.
+    without one the run only executes, and the interpreter may run again
+    (see :meth:`run`).  Its compiled steps refer back to it, so an
+    execute-only interpreter is freed by reference counting only once
+    :meth:`close` (or the end of a ``with`` block) drops them.
     """
 
     def __init__(self, module: Module,
@@ -371,10 +378,11 @@ class Interpreter:
         self.global_allocations: Dict[str, Allocation] = {}
         self._block_hooks: Dict[Tuple[str, str], List[Callable[[HookContext], None]]] = {}
         self._block_entry_counts: Dict[Tuple[str, str], int] = {}
-        self._globals_ready = False
-        #: this run's compiled blocks (their steps refer back to the
-        #: interpreter, so :meth:`run` drops them when it returns)
+        #: the compiled blocks (their steps refer back to the interpreter:
+        #: a traced run drops them when it returns, an execute-only
+        #: interpreter keeps them for its next run until :meth:`close`)
         self._blocks: Dict[BasicBlock, CompiledBlock] = {}
+        self._ran = False
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -399,28 +407,70 @@ class Interpreter:
     # ------------------------------------------------------------------ #
     def run(self, entry: str = "main",
             args: Sequence[RuntimeValue] = ()) -> ExecutionResult:
+        """Run the module from ``entry``.
+
+        An execute-only interpreter may run again.  Each run starts from a
+        fresh machine: memory, RNG and clock, output, step counter, frames,
+        globals and block entry counts.  It reuses the blocks earlier runs
+        compiled: globals are allocated in module order from the same base
+        every run, so the global pointers the steps hold stay valid.  The
+        hooks registered before a run serve that run only.  A traced
+        interpreter runs once.
+        """
+        if self._ran:
+            if self.sink is not None:
+                raise InterpreterError(
+                    "a traced interpreter runs once: its trace is written")
+            self._start_again()
+        self._ran = True
         self._setup_globals()
         failed = False
         failure: Optional[SimulatedFailure] = None
         return_value: Optional[RuntimeValue] = None
         try:
-            function = self.module.function(entry)
-        except KeyError as exc:
-            raise InterpreterError(f"no function named {entry!r}") from exc
-        try:
-            return_value = self._call_function(function, list(args))
-        except SimulatedFailure as exc:
-            failed = True
-            failure = exc
+            try:
+                function = self.module.function(entry)
+            except KeyError as exc:
+                raise InterpreterError(
+                    f"no function named {entry!r}") from exc
+            try:
+                return_value = self._call_function(function, list(args))
+            except SimulatedFailure as exc:
+                failed = True
+                # Without its traceback: the frames it holds would keep
+                # this interpreter alive for as long as the result.
+                failure = exc.with_traceback(None)
         finally:
-            self._blocks.clear()
+            self._block_hooks.clear()
+            if self.sink is not None:
+                self._blocks.clear()
         return ExecutionResult(output=list(self.output), return_value=return_value,
                                steps=self.steps, failed=failed, failure=failure,
                                memory=self.memory)
 
+    def close(self) -> None:
+        """Drop the compiled blocks; a later run compiles them again."""
+        self._blocks.clear()
+
+    def __enter__(self) -> "Interpreter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _start_again(self) -> None:
+        """A fresh machine for the next run.  The steps hold the cell
+        store, the output list and the runtime, so those are emptied in
+        place; the last run's result keeps its memory."""
+        self.memory = self.memory.renew()
+        self.runtime.restart()
+        self.output.clear()
+        self.steps = 0
+        self.frames = []
+        self.global_allocations = {}
+        self._block_entry_counts.clear()
+
     def _setup_globals(self) -> None:
-        if self._globals_ready:
-            return
         for gvar in self.module.globals:
             value_type = gvar.value_type
             if isinstance(value_type, ArrayType):
@@ -441,7 +491,6 @@ class Interpreter:
                     name=gvar.name, address=allocation.address,
                     size_bytes=allocation.size_bytes,
                     element_bits=element_bits, is_array=is_array))
-        self._globals_ready = True
 
     # ------------------------------------------------------------------ #
     # Function execution
@@ -607,15 +656,14 @@ class Interpreter:
         var_name = inst.var_name
         assert inst.result is not None
         result = inst.result.rid
-        allocate = self.memory.allocate_stack
         function_name = function.name
         traced = emission is not None
         if traced:
             get, miss = emission.emitters.get, emission.emitter
 
         def step(frame: Frame) -> None:
-            allocation = allocate(var_name, element_bits, count, is_array,
-                                  function_name)
+            allocation = self.memory.allocate_stack(
+                var_name, element_bits, count, is_array, function_name)
             frame.allocations[var_name] = allocation
             address = allocation.address
             frame.regs[result] = PointerValue(address, var_name, element_bits)

@@ -19,7 +19,7 @@ whole-process checkpoint size is derived from them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.tracer.values import RuntimeValue
 
@@ -152,11 +152,19 @@ class Memory:
         """Size of the whole simulated process image (globals + peak stack)."""
         return self.total_global_bytes + self.peak_stack_bytes
 
-    def find_allocation(self, address: int) -> Optional[Allocation]:
-        for allocation in self.global_allocations:
-            if allocation.contains(address):
-                return allocation
-        for allocation in reversed(self.stack_allocations):
-            if allocation.contains(address):
-                return allocation
-        return None
+    # ------------------------------------------------------------------ #
+    # A new machine over the same cell store
+    # ------------------------------------------------------------------ #
+    def renew(self) -> "Memory":
+        """An empty memory that takes over this one's ``cells`` dict.
+
+        An interpreter that runs its module again keeps its compiled
+        steps, and they read and write that dict, so the next run's memory
+        must be the same dict, emptied.  This memory keeps a copy of its
+        cells, and its allocations and statistics stay as they were.
+        """
+        fresh = Memory()
+        fresh.cells, self.cells = self.cells, dict(self.cells)
+        fresh.cells.clear()
+        return fresh
+

@@ -82,6 +82,12 @@ class Runtime:
         self._clock_ticks += 1
         return float(self._clock_ticks)
 
+    def restart(self) -> None:
+        """Draw from the seed and tick from zero again, as a new runtime
+        would (the builtins stay bound to this one)."""
+        self.rng.reseed(self.rng.seed)
+        self._clock_ticks = 0
+
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #

@@ -22,12 +22,6 @@ class PointerValue:
     symbol: str
     element_bits: int = 64
 
-    def offset_by(self, elements: int, element_bits: int) -> "PointerValue":
-        byte_offset = elements * (element_bits // 8)
-        return PointerValue(address=self.address + byte_offset,
-                            symbol=self.symbol,
-                            element_bits=element_bits)
-
     def with_symbol(self, symbol: str) -> "PointerValue":
         return PointerValue(address=self.address, symbol=symbol,
                             element_bits=self.element_bits)

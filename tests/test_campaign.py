@@ -342,7 +342,7 @@ class TestCampaignRobustness:
         def boom(*args, **kwargs):
             raise RuntimeError("analysis exploded")
 
-        monkeypatch.setattr(runner_mod, "analyze_app_cached", boom)
+        monkeypatch.setattr(runner_mod, "prepare_app_analysis", boom)
         config = CampaignConfig(apps=["example"], trials=1,
                                 content_policies=["critical"],
                                 cache_dir=str(tmp_path / "cache"))

@@ -12,10 +12,10 @@ from repro.core import MainLoopSpec
 class TestInstrumenter:
     def test_instrumented_run_writes_checkpoints(self, mg_analysis, tmp_path):
         report = mg_analysis.report
-        instrumenter = CheckpointInstrumenter(
-            mg_analysis.module, report.main_loop, report.names(),
-            FTIConfig(directory=str(tmp_path)))
-        run = instrumenter.run()
+        instrumenter = CheckpointInstrumenter(mg_analysis.module,
+                                              report.main_loop)
+        run = instrumenter.run(report.names(),
+                               FTIConfig(directory=str(tmp_path)))
         assert not run.failed
         assert run.checkpoints_written >= 5
         latest = run.fti.last_checkpoint()
@@ -23,37 +23,37 @@ class TestInstrumenter:
 
     def test_fault_injection_stops_run_mid_loop(self, mg_analysis, tmp_path):
         report = mg_analysis.report
-        instrumenter = CheckpointInstrumenter(
-            mg_analysis.module, report.main_loop, report.names(),
-            FTIConfig(directory=str(tmp_path)))
-        run = instrumenter.run(fail_at_iteration=2)
+        instrumenter = CheckpointInstrumenter(mg_analysis.module,
+                                              report.main_loop)
+        run = instrumenter.run(report.names(),
+                               FTIConfig(directory=str(tmp_path)),
+                               fail_at_iteration=2)
         assert run.failed
         assert len(run.output) < 6
 
     def test_restart_restores_latest_iteration(self, mg_analysis, tmp_path):
         report = mg_analysis.report
-        instrumenter = CheckpointInstrumenter(
-            mg_analysis.module, report.main_loop, report.names(),
-            FTIConfig(directory=str(tmp_path)))
-        instrumenter.run(fail_at_iteration=3)
-        restart = instrumenter.run(restart=True)
+        config = FTIConfig(directory=str(tmp_path))
+        with CheckpointInstrumenter(mg_analysis.module,
+                                    report.main_loop) as instrumenter:
+            instrumenter.run(report.names(), config, fail_at_iteration=3)
+            restart = instrumenter.run(report.names(), config, restart=True)
         assert restart.restored_iteration == 3
         assert not restart.failed
 
     def test_unknown_protected_variable_rejected(self, mg_analysis, tmp_path):
         report = mg_analysis.report
-        instrumenter = CheckpointInstrumenter(
-            mg_analysis.module, report.main_loop, ["no_such_variable"],
-            FTIConfig(directory=str(tmp_path)))
+        instrumenter = CheckpointInstrumenter(mg_analysis.module,
+                                              report.main_loop)
         with pytest.raises(InstrumentationError):
-            instrumenter.run()
+            instrumenter.run(["no_such_variable"],
+                             FTIConfig(directory=str(tmp_path)))
 
     def test_bad_loop_location_rejected(self, mg_analysis, tmp_path):
         with pytest.raises(InstrumentationError):
             CheckpointInstrumenter(
                 mg_analysis.module,
-                MainLoopSpec("main", start_line=1, end_line=2),
-                ["u"], FTIConfig(directory=str(tmp_path)))
+                MainLoopSpec("main", start_line=1, end_line=2))
 
 
 class TestRestartValidation:

@@ -7,8 +7,10 @@ complete one, and a restarted process must reclaim the stale tmp files the
 dead writer left behind.
 """
 
+import functools
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -158,8 +160,13 @@ class TestInstrumentedTornWrite:
                 end = number
         spec = MainLoopSpec(function="main", start_line=start, end_line=end)
         config = FTIConfig(directory=str(tmp_path / "ckpt"))
-        return CheckpointInstrumenter(simple_loop_module, spec,
-                                      ["it", "total", "data"], config)
+        with CheckpointInstrumenter(simple_loop_module, spec) as instrumenter:
+            # Every run of these tests protects the same variables in the
+            # same directory.
+            yield SimpleNamespace(
+                run=functools.partial(instrumenter.run,
+                                      ["it", "total", "data"], config),
+                fti_config=config)
 
     def test_kill_during_checkpoint_write_then_restart(self, instrumented):
         reference = instrumented.run().output

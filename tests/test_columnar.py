@@ -225,6 +225,36 @@ def test_text_trace_report_equals_binary_report(fleet, tmp_path):
     assert _report_sha256(report) == GOLDEN["example"]["report_sha256"]
 
 
+def test_stride_256_file_reports_as_the_stride_64_file(fleet, tmp_path,
+                                                       monkeypatch):
+    """A file written at the writer's former 256-record index stride
+    still reads: the reader takes the stride from the footer.
+    ``encode_trace`` writes through ``write_record``, which reads
+    ``INDEX_STRIDE`` at each call (the interpreter's generated emitters
+    bake it in, so patching the constant would not reach them)."""
+    from repro.trace import binio
+
+    entry = fleet.apps["example"]
+    current = read_layout(entry.trace_path)
+    assert current.index_stride == 64
+    trace = read_trace_file(entry.trace_path)
+    monkeypatch.setattr(binio, "INDEX_STRIDE", 256)
+    data, _ = binio.encode_trace(trace.module_name, trace.globals,
+                                 trace.records)
+    monkeypatch.undo()
+    path = str(tmp_path / "stride256.btrace")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    layout = read_layout(path)
+    assert layout.index_stride == 256
+    assert len(layout.block_offsets) == -(-layout.record_count // 256)
+    assert len(layout.block_offsets) < len(current.block_offsets)
+    assert layout.content_digest == current.content_digest
+    report = AutoCheck(entry.config(), trace_path=path,
+                       module=entry.module).run()
+    assert _report_sha256(report) == GOLDEN["example"]["report_sha256"]
+
+
 def test_version1_binary_trace_report_equals_version2_report(fleet,
                                                              tmp_path):
     """A version-1 file (no footer digest) is re-encoded into memory and

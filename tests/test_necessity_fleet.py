@@ -59,10 +59,10 @@ def fleet_analyses(fleet):
 
 def _loop_variables(analysis, tmp_path):
     """Variables live at the app's main loop (a failure-free baseline)."""
-    instrumenter = CheckpointInstrumenter(
-        analysis.module, analysis.spec, [],
-        FTIConfig(directory=str(tmp_path / "baseline")))
-    baseline = instrumenter.run()
+    with CheckpointInstrumenter(analysis.module,
+                                analysis.spec) as instrumenter:
+        baseline = instrumenter.run(
+            [], FTIConfig(directory=str(tmp_path / "baseline")))
     assert not baseline.failed
     return baseline.loop_variables
 

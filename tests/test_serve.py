@@ -320,6 +320,80 @@ class TestEndpoints:
         assert server.store.stats().entries == 0
 
 
+    @staticmethod
+    def _post_then_close(server, content_length, body, content_type):
+        """POST /analyze declaring ``content_length`` but sending only
+        ``body``, then close the sending side."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            sock.sendall((
+                "POST /analyze?function=main&start=1&end=2 HTTP/1.1\r\n"
+                "Host: localhost\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {content_length}\r\n\r\n").encode()
+                + body)
+            sock.shutdown(socket.SHUT_WR)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+            assert sock.recv(1024) == b""
+            return response.status, payload
+
+    @pytest.mark.parametrize("content_type, declared, body", [
+        # A cut JSON body that still parses must not be analysed.
+        ("application/json", 40, b'{"app": "example"}'),
+        # A cut binary body must not be blamed on the trace's bytes.
+        ("application/octet-stream", 1000, b"ACTB" + bytes(20)),
+    ])
+    def test_body_shorter_than_its_content_length_is_400(
+            self, server, content_type, declared, body):
+        status, payload = self._post_then_close(server, declared, body,
+                                                content_type)
+        assert status == 400
+        error = payload["error"]
+        assert error["code"] == "BODY_TRUNCATED"
+        assert f"after {len(body)} of the {declared} bytes" \
+            in error["message"]
+        assert server.jobs.stats()["submitted"] == 0
+        assert server.store.stats().entries == 0
+
+    def test_body_is_read_in_bounded_chunks(self, server, client,
+                                            example_trace, example_spec,
+                                            monkeypatch):
+        """No single read asks for more than ``BODY_CHUNK_BYTES``, so a
+        client holds what it sent, not what it declared."""
+        chunk = 4096
+        monkeypatch.setattr(serve_module, "BODY_CHUNK_BYTES", chunk)
+        sizes = []
+
+        class ReadSpy:
+            def __init__(self, rfile):
+                self._rfile = rfile
+
+            def read(self, size=-1):
+                sizes.append(size)
+                return self._rfile.read(size)
+
+            def __getattr__(self, name):
+                return getattr(self._rfile, name)
+
+        original_setup = _Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.rfile = ReadSpy(handler.rfile)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        upload = example_trace.encoded()[0]
+        status, headers, _ = client.analyze_trace(
+            upload, example_spec.function, example_spec.start_line,
+            example_spec.end_line)
+        assert status == 200
+        assert headers["x-autocheck-cache"] == "miss"
+        assert len(sizes) == -(-len(upload) // chunk)
+        assert 0 < max(sizes) <= chunk
+
+
 # --------------------------------------------------------------------------- #
 # App-request fields: checked before they key anything
 # --------------------------------------------------------------------------- #

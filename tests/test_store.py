@@ -1021,3 +1021,128 @@ class TestErrorContext:
         message = str(excinfo.value)
         assert "bad.trace:2:" in message
         assert "not-hex" in message
+
+
+# --------------------------------------------------------------------------- #
+# A hit decodes only what its caller reads
+# --------------------------------------------------------------------------- #
+#: Malformed DDG and R/W sections of an entry whose digest still matches.
+MALFORMED_SECTIONS = {
+    "nodes-not-a-list": ("complete_ddg", {"nodes": 5, "edges": []}),
+    "unknown-node-kind": ("complete_ddg",
+                          {"nodes": [["x", "bogus", "x"]], "edges": []}),
+    "short-node": ("complete_ddg", {"nodes": [["x"]], "edges": []}),
+    "edge-to-no-node": ("contracted_ddg", {"nodes": [], "edges": [["a", "b"]]}),
+    "section-is-a-list": ("complete_ddg", []),
+    "short-event-row": ("rw_sequence", {"loop_events": [[1, 2]],
+                                        "post_loop_events": []}),
+    "no-post-events": ("rw_sequence", {"loop_events": []}),
+    "unknown-event-kind": ("rw_sequence", {
+        "loop_events": [[1, "v", "v", "Peek", 3, "main", 0]],
+        "post_loop_events": []}),
+}
+
+
+class TestLazyHit:
+    APPS = ["example", "is"]
+
+    @staticmethod
+    def _spy(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_warm_batch_decodes_no_ddg_and_no_rw_events(self, tmp_path,
+                                                        monkeypatch):
+        from repro.core.rwdeps import RWDependencies
+        from repro.store import batch, serialize
+
+        cache_dir = str(tmp_path / "cache")
+        entries = [BatchEntry(app=name) for name in self.APPS]
+        assert run_batch(entries, cache_dir=cache_dir).misses == 2
+        ddgs = self._spy(monkeypatch, serialize, "_decode_ddg")
+        rows = self._spy(monkeypatch, RWDependencies, "from_rows")
+        warm = run_batch(entries, cache_dir=cache_dir)
+        assert warm.all_ok and warm.hits == 2
+        assert (len(ddgs), len(rows)) == (0, 0)
+
+        store = ArtifactStore(cache_dir)
+        for name in self.APPS:
+            hit = batch.prepare_app_analysis(
+                name, cache_dir=cache_dir).autocheck.run()
+            assert hit.cache_info.hit
+            reference = store.load_entry(hit.cache_info.path,
+                                         hit.cache_info.key)
+            assert hit.complete_ddg == reference.complete_ddg
+            assert hit.contracted_ddg == reference.contracted_ddg
+            assert hit.rw_sequence.rows() == reference.rw_sequence.rows()
+            assert hit.rw_sequence.rows(post=True) \
+                == reference.rw_sequence.rows(post=True)
+            assert report_to_json(hit) == report_to_json(reference)
+            assert hit == reference
+        # The spies were live: the reads above decoded the sections.
+        assert len(ddgs) >= 2 * len(self.APPS)
+        assert len(rows) >= len(self.APPS)
+
+    def test_concurrent_first_reads_see_equal_values(self, tmp_path,
+                                                     example_trace,
+                                                     example_spec):
+        import threading
+
+        config = AutoCheckConfig(main_loop=example_spec, use_cache=True,
+                                 cache_dir=str(tmp_path / "cache"))
+        cold = AutoCheck(config, trace=example_trace).run()
+        hit = ArtifactStore(config.cache_dir).load(cold.cache_info.key)
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append((hit.complete_ddg, hit.rw_sequence.rows()))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(seen) == 4
+        for ddg, rows in seen:
+            assert ddg == cold.complete_ddg
+            assert rows == cold.rw_sequence.rows()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
+    def test_malformed_section_raises_store_error_on_read(
+            self, tmp_path, example_trace, example_spec, case):
+        """An entry whose digest matches its body (forged, since every
+        publish writes a report that decodes) but whose section does not
+        decode is a hit; reading the section names the entry."""
+        section, value = MALFORMED_SECTIONS[case]
+        config = AutoCheckConfig(main_loop=example_spec, use_cache=True,
+                                 cache_dir=str(tmp_path / "cache"))
+        cold = AutoCheck(config, trace=example_trace).run()
+        path, key = cold.cache_info.path, cold.cache_info.key
+        with open(path, "rb") as handle:
+            head, body = handle.read().split(b"\n")
+        header, payload = json.loads(head), json.loads(body)
+        payload[section] = value
+        body = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode()
+        header["report_sha256"] = hashlib.sha256(body).hexdigest()
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n" + body)
+
+        hit = ArtifactStore(config.cache_dir).load(key)
+        assert hit is not None
+        assert hit.names() == cold.names()
+        with pytest.raises(StoreError) as excinfo:
+            getattr(hit, section)
+        message = str(excinfo.value)
+        assert path in message and key in message and section in message
+        with pytest.raises(StoreError, match="corrupt artifact store entry"):
+            ArtifactStore(config.cache_dir).load_entry(path, key)

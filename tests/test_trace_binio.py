@@ -263,9 +263,9 @@ class TestErrors:
 # Footers that lie about their record count or index stride
 # --------------------------------------------------------------------------- #
 #: Rewrites of a footer's ``u32 stride | u64 record count``, as functions of
-#: the genuine pair.  On ``example``'s trace (2,363 records at stride 256,
-#: 10 index entries) the footer checks refuse the first five; the last
-#: three keep ``ceil(count / stride) == 10``, so only the walk's scan of
+#: the genuine pair.  On ``example``'s trace (2,363 records at stride 64,
+#: 37 index entries) the footer checks refuse the first five; the last
+#: three keep ``ceil(count / stride) == 37``, so only the walk's scan of
 #: the trailing partial index block can tell.
 FOOTER_LIES = {
     "count+1000": lambda stride, count: (stride, count + 1000),

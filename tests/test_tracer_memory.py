@@ -7,12 +7,6 @@ from repro.tracer.values import PointerValue, as_number
 
 
 class TestPointerValue:
-    def test_offset_by_elements(self):
-        ptr = PointerValue(address=1000, symbol="u", element_bits=64)
-        moved = ptr.offset_by(3, 64)
-        assert moved.address == 1024
-        assert moved.symbol == "u"
-
     def test_with_symbol_preserves_address(self):
         ptr = PointerValue(address=2000, symbol="a", element_bits=32)
         renamed = ptr.with_symbol("p")
@@ -100,13 +94,6 @@ class TestLoadsAndStores:
         alloc = memory.allocate_global("v", 64, 4, True)
         with pytest.raises(MemoryError_):
             memory.write_block(alloc, [1.0, 2.0])
-
-    def test_find_allocation_by_address(self):
-        memory = Memory()
-        alloc = memory.allocate_global("v", 64, 4, True)
-        inside = alloc.address + 8
-        assert memory.find_allocation(inside) is alloc
-        assert memory.find_allocation(alloc.end_address + 4096) is None
 
     def test_statistics(self):
         memory = Memory()

@@ -39,24 +39,26 @@ from repro.tracer import (
 from repro.tracer.interpreter import InMemoryTraceSink
 
 #: SHA-256 of each fleet app's whole binary trace (``trace_to_file``,
-#: default seed), footer string table included.
+#: default seed), footer string table included.  Re-pinned when the writer's
+#: index stride went from 256 to 64 records: the block index is longer,
+#: and the record bytes, content digests and record counts are unchanged.
 FLEET_TRACE_SHA256 = {
-    "example": "85a202cc9e9c4be4ccd94df452275e67395209bfbf2a02c6cb71709f511ebfcb",
-    "himeno": "5ad76ffb36509613bcfa2824f017a095db832a205e7aea770691ea9bb160b20c",
-    "hpccg": "dcc99adfe94b481a7dbcf7b16f49273140d4893d04173674a45b513a17aea8fd",
-    "cg": "c40ea4fe8a1f84cdf36667d7a50e7b75fd5916c83274cf44efb027ed61e0aa38",
-    "mg": "ef4e035ba34c75110d8e8d033f17620a67826095c357f3137547ca4a1e53bcd7",
-    "ft": "7086d5dae8fad780c93fe04ae33df99db078f992a4e90ce21b5257274b2776bc",
-    "sp": "12dab2e11315d5caa899da603e889610e4cbb9ed9c3e27758f6a25f77b1b302d",
-    "ep": "5b9b3f51135dc077ccd2856aef0551ad54aaafbfe7bded8b82f6fdbba3b5f260",
-    "is": "1997423cd265ff91d368f1622f77e395e7e8e40ff141f6b0c419c35fbb046095",
-    "bt": "4c28cca6a87f2cbcb9261bd7748f0c1fcacde5a097fb0b3b9d330e3fad7048d3",
-    "lu": "1a21a1d9db7b509d6a8d6c07d1bfee67b03d0b64576aab944e829adf349b92f4",
-    "comd": "2f3bd3555619b8f9ab8cd84ab38c23f4738f2e84da4daa92793c232028343a0e",
-    "miniamr": "a481933189b4d6302a5fa45395fdf4ffd2ab5c17cbd92b0ad1703a4b97016667",
-    "amg": "e92a81062994fda214e5d6ba1cc9e8e80bb58b14609a4630e2e08045e4aba907",
-    "hacc": "0b75d7d5689300dd947d502e02257ef9192c73d3692a6a8d9bc3d68086e0fe9a",
-    "bigarray": "796ec35167543b70d9cf1db57a3eebccca3a7a7559eeed3670c282a8db9a20b0",
+    "example": "f6a36e23477b06b52472db5b515d5e6adc14638283844a60ae43862321444b49",
+    "himeno": "7688abccabc11b0264b9a6c52e1ea08dd1392635171b792d816f68979a71ac59",
+    "hpccg": "204b921d088f00461cfa6e9ea2ae106feba78c41a2ac81b6de1fd53c541c7437",
+    "cg": "28b4c300641350bec93aa96d97a5ffe9a7b8e5cc1f52c7fa579b2b440bb88f67",
+    "mg": "0e3b43e32bd8a081ac438380fb14fbf1c66a19d628098993c4ba3f29737591b4",
+    "ft": "d63eb7f8f87997a6b8b2ec9112ee2fea5a504cdc9749006dbde80c4dd9de3aed",
+    "sp": "178c82fff9ad989d76eae951a253048efe565eb91424264fde983231cbc1acb6",
+    "ep": "d2120354b229dbd8e0af49dcd6c27556c5c4355b442e56ab76499fe61304b6dd",
+    "is": "8c6d257cb9d175901469151c4ab9f5a2d27991ea1aea96ffee1df811d0530bb9",
+    "bt": "2ec13afb31017946ba12dc95b289be5f53b14a5d5f00ae4f401dd61e9881685b",
+    "lu": "0a855682f2d25c593ed03d0fe58ec4bd423dafe832fc3744f05a8f3f380447d5",
+    "comd": "4c032a1dba0f8165275ecbdbf62ea636bce4af4bc0e2773755a800c509c5e838",
+    "miniamr": "55b8438c651af2ee0501cb9687d292f84bfcb977312b0dd4bc417a0d491492e6",
+    "amg": "690dfea7ee037bd1c99044fa975977f1741f97095be588f4b6f59803cdb07de9",
+    "hacc": "8eee4e9457c3dfd0ffe2e40e8b46b7414679c7a88b5d009008f5ded87ca060f3",
+    "bigarray": "67897c58dd9722be95e71584222c9c7f06df1f23778010870eeb96859ec032e2",
 }
 
 
