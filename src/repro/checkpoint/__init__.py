@@ -19,7 +19,11 @@ against the tracing interpreter:
   baseline of Table IV.
 """
 
-from repro.checkpoint.storage import CheckpointData, CheckpointStorage
+from repro.checkpoint.storage import (
+    CheckpointData,
+    CheckpointError,
+    CheckpointStorage,
+)
 from repro.checkpoint.fti import FTI, FTIConfig, FTILevel, FTIError
 from repro.checkpoint.instrument import CheckpointInstrumenter, InstrumentedRun
 from repro.checkpoint.validate import (
@@ -31,6 +35,7 @@ from repro.checkpoint.blcr import BLCRModel, StorageComparison, compare_storage_
 
 __all__ = [
     "CheckpointData",
+    "CheckpointError",
     "CheckpointStorage",
     "FTI",
     "FTIConfig",

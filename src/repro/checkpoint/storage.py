@@ -11,9 +11,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 Number = Union[int, float]
+
+#: The types a checkpointed element value may have (``bool`` is not one).
+_NUMBER_TYPES = frozenset({int, float})
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not read back as a checkpoint; the
+    message names the file and what is wrong with it."""
 
 
 @dataclass
@@ -93,15 +101,26 @@ class CheckpointStorage:
         return [os.path.join(self.directory, name) for name in sorted(names)]
 
     def load(self, path: str) -> CheckpointData:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return CheckpointData(
-            iteration=int(payload["iteration"]),
-            variables={name: list(values)
-                       for name, values in payload["variables"].items()},
-            sizes_bytes={name: int(size)
-                         for name, size in payload.get("sizes_bytes", {}).items()},
-        )
+        """The checkpoint in the file at ``path``.
+
+        Raises:
+            CheckpointError: naming ``path``, when the file is not JSON or
+                not a checkpoint (see :meth:`write` for the layout).
+            OSError: when the file cannot be opened.
+        """
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        # not UTF-8, not JSON, or nested deeper than the parser goes
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(
+                f"checkpoint {path!r} is not JSON: {exc}") from exc
+        problem = _layout_problem(payload)
+        if problem:
+            raise CheckpointError(f"checkpoint {path!r}: {problem}")
+        return CheckpointData(iteration=payload["iteration"],
+                              variables=payload["variables"],
+                              sizes_bytes=payload.get("sizes_bytes", {}))
 
     def latest(self) -> Optional[CheckpointData]:
         paths = self.list_paths()
@@ -119,3 +138,22 @@ class CheckpointStorage:
 
     def storage_bytes_on_disk(self) -> int:
         return sum(os.path.getsize(path) for path in self.list_paths())
+
+
+def _layout_problem(payload: Any) -> Optional[str]:
+    """What keeps the parsed file ``payload`` from being a checkpoint as
+    :meth:`CheckpointStorage.write` lays it out, or ``None``."""
+    if not isinstance(payload, dict):
+        return f"it holds a JSON {type(payload).__name__}, not an object"
+    if type(payload.get("iteration")) is not int:
+        return f"its iteration {payload.get('iteration')!r} is not an integer"
+    variables = payload.get("variables")
+    if not isinstance(variables, dict) or not all(
+            isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
+            for values in variables.values()):
+        return "its 'variables' is not an object of number lists"
+    sizes = payload.get("sizes_bytes", {})
+    if not isinstance(sizes, dict) or not all(
+            type(size) is int for size in sizes.values()):
+        return "its 'sizes_bytes' is not an object of integers"
+    return None

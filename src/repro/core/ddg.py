@@ -121,6 +121,15 @@ class DDG:
                 out.append((parent, child))
         return out
 
+    def edges_by_parent(self) -> List[Tuple[str, List[str]]]:
+        """The edges in ``(parent, child)`` key order, grouped by parent:
+        each parent with a child, in key order, with its children in key
+        order (the order :func:`sorted` gives :meth:`edges`)."""
+        children = self._children
+        return [(parent, sorted(children[parent]))
+                for parent in sorted([key for key, child_keys
+                                      in children.items() if child_keys])]
+
     def mli_nodes(self) -> List[DDGNode]:
         return [node for node in self._nodes.values() if node.is_mli]
 

@@ -810,7 +810,8 @@ class _Handler(BaseHTTPRequestHandler):
                 content_type == "" and body.lstrip()[:1] == b"{"):
             try:
                 payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # not UTF-8, not JSON, or nested deeper than the parser goes
+            except (ValueError, RecursionError) as exc:
                 raise ServeError(400, ERR_BAD_JSON,
                                  f"body is not JSON: {exc}") from exc
             if not isinstance(payload, dict):

@@ -174,7 +174,8 @@ def load_manifest(path: str) -> Tuple[List[BatchEntry], Optional[str]]:
             payload = json.load(handle)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # not UTF-8, not JSON, or nested deeper than the parser goes
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest {path!r} is not JSON: {exc}") from exc
 
     manifest_dir = os.path.dirname(os.path.abspath(path))

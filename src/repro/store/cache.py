@@ -236,7 +236,8 @@ class ArtifactStore:
         head, newline, body = data.partition(b"\n")
         try:
             header = json.loads(head) if newline else None
-        except ValueError:  # not JSON, or not UTF-8
+        # not JSON, not UTF-8, or nested deeper than the parser goes
+        except (ValueError, RecursionError):
             header = None
         if not isinstance(header, dict):
             problem = "it is not a header line followed by a report line"
@@ -284,7 +285,7 @@ class ArtifactStore:
             payload = json.loads(body)
             payload["timings"] = header["timings"]
             return decode(payload)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise StoreError(
                 f"corrupt artifact store entry {path!r} "
                 f"(key {key}): {exc!r}") from exc

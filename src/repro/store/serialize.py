@@ -35,6 +35,22 @@ Format notes:
   it describes one run's relationship to the store, not the analysis
   content.
 
+How the bytes are written: one private writer, :func:`_write_report`,
+produces the text of both :func:`canonical_report_json` and
+:func:`report_to_json` (which adds ``timings``).  It writes the top-level
+members in sorted key order, without spaces, each from the report's own
+structures — the R/W rows from the event columns and the ``variables`` /
+``functions`` tables, one ``%`` format per slice of rows; the DDG nodes in
+insertion order; the edges in ``(parent, child)`` order from
+:meth:`DDG.edges_by_parent` — and the small members through
+:func:`json.dumps`.  Each distinct string is escaped once, with
+``json.encoder.encode_basestring_ascii``, the escaper ``json.dumps`` itself
+uses, so the text equals ``json.dumps(payload, sort_keys=True,
+separators=(",", ":"))`` of the payload dict byte for byte.  No list per
+row or tuple per edge is built.  ``tests/reference_serialize.py`` keeps
+that dict route, and ``tests/test_serialize_writer.py`` holds the writer
+to it.  :func:`report_to_dict` is the parse of :func:`report_to_json`.
+
 :func:`report_from_dict` decodes every field and is the round trip's
 reference.  :func:`report_with_sections` decodes the same payload but takes
 the DDGs and R/W events from a callback: a store hit hands them over as
@@ -45,7 +61,10 @@ caller that reads only the critical variables never builds them.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable, Dict, Optional
+
+import numpy as np
 
 from repro.core.config import MainLoopSpec
 from repro.core.ddg import DDG, NodeKind
@@ -55,7 +74,7 @@ from repro.core.report import (
     DependencyType,
     TraceStats,
 )
-from repro.core.rwdeps import RWDependencies
+from repro.core.rwdeps import EventColumns, RWDependencies
 from repro.util.timing import TimingBreakdown
 
 #: Bump on any change to the serialized shape; part of the store key.
@@ -72,20 +91,78 @@ class SerializationError(ValueError):
 # --------------------------------------------------------------------------- #
 # Encoding
 # --------------------------------------------------------------------------- #
-def _encode_ddg(ddg: Optional[DDG]) -> Optional[Dict[str, Any]]:
+#: A node kind's JSON text, and an access event's by its ``write`` flag.
+_NODE_KIND_TEXT = {kind: _escape(kind.value) for kind in NodeKind}
+_ACCESS_TEXT = np.array([_escape("Read"), _escape("Write")], dtype=object)
+
+#: One R/W event row: dyn id, variable (key and name), kind, line,
+#: function and element offset.
+_ROW = "[%d,%s,%s,%d,%s,%d]"
+#: Rows formatted per slice, so the slice's Python objects stay bounded.
+_SLICE_ROWS = 4096
+_SLICE_FORMAT = ",".join([_ROW] * _SLICE_ROWS)
+
+
+def _dumps(value: Any) -> str:
+    """``value`` in the canonical form: sorted keys, no spaces, ASCII."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class _Escaped(dict):
+    """String -> its JSON text, escaped on its first lookup only."""
+
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = _escape(text)
+        return escaped
+
+
+def _ddg_json(ddg: Optional[DDG], escaped: _Escaped) -> str:
     if ddg is None:
-        return None
-    return {
-        "nodes": [[node.key, node.kind.value, node.label]
-                  for node in ddg.nodes()],
-        "edges": sorted(ddg.edges()),
-    }
+        return "null"
+    nodes = ",".join([
+        f"[{escaped[node.key]},{_NODE_KIND_TEXT[node.kind]},"
+        f"{escaped[node.label]}]"
+        for node in ddg.nodes()])
+    edges = []
+    for parent, children in ddg.edges_by_parent():
+        head = "[" + escaped[parent] + ","
+        edges.append(",".join([head + escaped[child] + "]"
+                               for child in children]))
+    return "".join(['{"edges":[', ",".join(edges), '],"nodes":[', nodes,
+                    "]}"])
 
 
-def _encode_rw(rw: Optional[RWDependencies]) -> Optional[Dict[str, Any]]:
+def _rows_json(columns: EventColumns, variables: np.ndarray,
+               functions: np.ndarray) -> str:
+    """The rows of ``columns`` (without the enclosing brackets);
+    ``variables`` and ``functions`` hold the JSON text of each code."""
+    parts = []
+    for start in range(0, len(columns), _SLICE_ROWS):
+        stop = min(start + _SLICE_ROWS, len(columns))
+        cells = np.empty((stop - start, 6), dtype=object)
+        cells[:, 0] = columns.dyn_id[start:stop]
+        cells[:, 1] = variables[columns.variable[start:stop]]
+        cells[:, 2] = _ACCESS_TEXT[columns.write[start:stop].view(np.uint8)]
+        cells[:, 3] = columns.line[start:stop]
+        cells[:, 4] = functions[columns.function[start:stop]]
+        cells[:, 5] = columns.offset[start:stop]
+        form = (_SLICE_FORMAT if stop - start == _SLICE_ROWS
+                else ",".join([_ROW] * (stop - start)))
+        parts.append(form % tuple(cells.ravel().tolist()))
+    return ",".join(parts)
+
+
+def _rw_json(rw: Optional[RWDependencies], escaped: _Escaped) -> str:
     if rw is None:
-        return None
-    return {"loop_events": rw.rows(), "post_loop_events": rw.rows(post=True)}
+        return "null"
+    variables = np.array([escaped[key] + "," + escaped[name]
+                          for key, name in rw.variables], dtype=object)
+    functions = np.array([escaped[function] for function in rw.functions],
+                         dtype=object)
+    return "".join(['{"loop_events":[',
+                    _rows_json(rw.loop, variables, functions),
+                    '],"post_loop_events":[',
+                    _rows_json(rw.post, variables, functions), "]}"])
 
 
 def timings_to_dict(timings: TimingBreakdown) -> Dict[str, Any]:
@@ -94,10 +171,17 @@ def timings_to_dict(timings: TimingBreakdown) -> Dict[str, Any]:
     return {"stages": dict(timings.stages), "counts": dict(timings.counts)}
 
 
-def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
-    """Encode ``report`` as a JSON-ready dict (schema ``SCHEMA_VERSION``)."""
+def _write_report(report: AutoCheckReport, timings: bool) -> str:
+    """The report's JSON text, keys sorted and no spaces: the canonical
+    bytes, with the ``timings`` member when ``timings`` is set.
+
+    Each member's text is written on its own, in key order.  The DDGs and
+    R/W events are written from the report's structures, each distinct
+    string escaped once; the small members go through :func:`_dumps`.
+    """
     spec = report.main_loop
-    return {
+    stats = report.trace_stats
+    small: Dict[str, Any] = {
         "kind": PAYLOAD_KIND,
         "schema": SCHEMA_VERSION,
         "main_loop": {
@@ -119,36 +203,53 @@ def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
         ],
         "mli_variable_names": list(report.mli_variable_names),
         "induction_variable": report.induction_variable,
-        "complete_ddg": _encode_ddg(report.complete_ddg),
-        "contracted_ddg": _encode_ddg(report.contracted_ddg),
-        "rw_sequence": _encode_rw(report.rw_sequence),
-        "timings": timings_to_dict(report.timings),
         "trace_stats": {
-            "record_count": report.trace_stats.record_count,
-            "before_count": report.trace_stats.before_count,
-            "inside_count": report.trace_stats.inside_count,
-            "after_count": report.trace_stats.after_count,
-            "global_count": report.trace_stats.global_count,
-            "trace_bytes": report.trace_stats.trace_bytes,
+            "record_count": stats.record_count,
+            "before_count": stats.before_count,
+            "inside_count": stats.inside_count,
+            "after_count": stats.after_count,
+            "global_count": stats.global_count,
+            "trace_bytes": stats.trace_bytes,
         },
     }
+    if timings:
+        small["timings"] = timings_to_dict(report.timings)
+    members = {name: _dumps(value) for name, value in small.items()}
+    escaped = _Escaped()
+    members["complete_ddg"] = _ddg_json(report.complete_ddg, escaped)
+    members["contracted_ddg"] = _ddg_json(report.contracted_ddg, escaped)
+    members["rw_sequence"] = _rw_json(report.rw_sequence, escaped)
+    out = []
+    for name in sorted(members):
+        out += ["," if out else "{", f'"{name}":', members[name]]
+    out.append("}")
+    return "".join(out)
+
+
+def report_to_dict(report: AutoCheckReport) -> Dict[str, Any]:
+    """``report`` as a JSON-ready dict (schema ``SCHEMA_VERSION``): the
+    parse of :func:`report_to_json`'s text."""
+    return json.loads(_write_report(report, timings=True))
 
 
 def report_to_json(report: AutoCheckReport,
                    indent: Optional[int] = None) -> str:
-    """Serialize ``report`` to a JSON string.
+    """Serialize ``report`` to a JSON string, keys sorted.
 
     Args:
         report: the report to encode.
-        indent: forwarded to :func:`json.dumps` for human-readable output
-            (keys then sorted); the default is compact.
+        indent: forwarded to :func:`json.dumps` for human-readable output;
+            the default is compact (no spaces): the canonical bytes plus
+            the ``timings`` member.
 
     Returns:
         A JSON document satisfying
         ``report_from_json(report_to_json(r)) == r``.
     """
-    return json.dumps(report_to_dict(report), indent=indent,
-                      sort_keys=indent is not None)
+    text = _write_report(report, timings=True)
+    if indent is None:
+        return text
+    return json.dumps(json.loads(text), indent=indent, sort_keys=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -293,6 +394,4 @@ def canonical_report_json(report: AutoCheckReport) -> str:
     in its header (:mod:`repro.store.cache`), so the serve daemon answers a
     stored report with the bytes its publish wrote.
     """
-    payload = report_to_dict(report)
-    payload.pop("timings", None)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _write_report(report, timings=False)

@@ -4,7 +4,8 @@ A checkpoint writer can die anywhere, including inside the
 ``write()``/``os.replace()`` window.  A reader (the restarting process) must
 never observe a torn checkpoint, recovery must fall back to the previous
 complete one, and a restarted process must reclaim the stale tmp files the
-dead writer left behind.
+dead writer left behind.  A file that is not a checkpoint is refused with
+a :class:`CheckpointError` naming it.
 """
 
 import functools
@@ -16,7 +17,11 @@ import pytest
 
 from repro.checkpoint.fti import FTI, FTIConfig
 from repro.checkpoint.instrument import CheckpointInstrumenter
-from repro.checkpoint.storage import CheckpointData, CheckpointStorage
+from repro.checkpoint.storage import (
+    CheckpointData,
+    CheckpointError,
+    CheckpointStorage,
+)
 from repro.core.config import MainLoopSpec
 from repro.tracer.faults import SimulatedFailure
 
@@ -40,6 +45,39 @@ def test_checkpoint_file_is_one_json_dumps(tmp_path):
                                "variables": checkpoint.variables,
                                "sizes_bytes": checkpoint.sizes_bytes})
     assert storage.load(path) == checkpoint
+
+
+#: Checkpoint files that are not checkpoints, and what the refusal says.
+MALFORMED_CHECKPOINTS = {
+    "no variables": (b'{"iteration": 3}', "'variables'"),
+    "a list": (b"[]", "JSON list, not an object"),
+    "variables a list": (b'{"iteration": 1, "variables": [1]}',
+                         "'variables'"),
+    "nested past the parser": (b"[" * 100000, "is not JSON"),
+    "not JSON": (b"nope", "is not JSON"),
+    "not UTF-8": (b"\xff", "is not JSON"),
+    "iteration a string": (b'{"iteration": "3", "variables": {}}',
+                           "iteration '3'"),
+    "a value not a number": (b'{"iteration": 3, "variables": {"x": ["1"]}}',
+                             "'variables'"),
+    "a size not an integer": (
+        b'{"iteration": 3, "variables": {}, "sizes_bytes": {"x": 1.5}}',
+        "'sizes_bytes'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_refused_naming_the_file(tmp_path, case):
+    contents, problem = MALFORMED_CHECKPOINTS[case]
+    storage = CheckpointStorage(str(tmp_path))
+    path = os.path.join(str(tmp_path), "ckpt_00000003.json")
+    with open(path, "wb") as handle:
+        handle.write(contents)
+    for read in (lambda: storage.load(path), storage.latest):
+        with pytest.raises(CheckpointError) as excinfo:
+            read()
+        assert path in str(excinfo.value)
+        assert problem in str(excinfo.value)
 
 
 class TestWriterKilledMidReplace:

@@ -183,6 +183,19 @@ class TestEndpoints:
         assert status == 400
         assert json.loads(body)["error"]["code"] == "BAD_JSON"
 
+    @pytest.mark.parametrize("body, content_type", [
+        (b"[" * 100000, "application/json"),
+        (b'{"a":' * 50000, None),
+    ], ids=["array", "object"])
+    def test_deeply_nested_json_is_structured_400(self, client, body,
+                                                  content_type):
+        status, _, answer = client.request("POST", "/analyze", body,
+                                           content_type=content_type)
+        assert status == 400
+        error = json.loads(answer)["error"]
+        assert error["code"] == "BAD_JSON"
+        assert "recursion" in error["message"]
+
     def test_missing_app_field_is_400(self, client):
         status, _, body = client.request(
             "POST", "/analyze", b"{}", content_type="application/json")
@@ -204,6 +217,18 @@ class TestEndpoints:
             status, _, body = client.report(key)
             assert status == 404
             assert json.loads(body)["error"]["code"] == "REPORT_NOT_FOUND"
+
+    def test_deeply_nested_entry_header_is_404_and_heals(self, server,
+                                                        client):
+        key = "ab" + "2" * 62
+        path = server.store.entry_path(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(b"[" * 100000 + b"\n{}")
+        status, _, body = client.report(key)
+        assert status == 404
+        assert json.loads(body)["error"]["code"] == "REPORT_NOT_FOUND"
+        assert not os.path.exists(path)
 
     def test_report_name_outside_the_store_touches_nothing(self, server,
                                                            client):

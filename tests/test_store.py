@@ -407,6 +407,36 @@ class TestEntryChecks:
         assert getattr(store, read)(key) is None
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("line, read", [
+        ("header", "load"), ("header", "load_canonical"), ("report", "load")])
+    def test_deeply_nested_entry_is_a_miss_and_heals(
+            self, tmp_path, example_trace, example_spec, line, read):
+        """A header or report line nested deeper than the JSON parser goes
+        is a corrupt entry.  The report line's digest is made to match, so
+        only its parse refuses it (``load_canonical`` does not parse it)."""
+        _, cold, store = self._published(tmp_path, example_trace,
+                                         example_spec)
+        path, key = cold.cache_info.path, cold.cache_info.key
+        with open(path, "rb") as handle:
+            head, body = handle.read().split(b"\n")
+        nested = b"[" * 100000
+        if line == "header":
+            head = nested
+        else:
+            body = nested
+            head = json.dumps(dict(
+                json.loads(head),
+                report_sha256=hashlib.sha256(body).hexdigest())).encode()
+        with open(path, "wb") as handle:
+            handle.write(head + b"\n" + body)
+
+        with pytest.raises(StoreError) as excinfo:
+            store.load_entry(path, key)
+        assert path in str(excinfo.value)
+        assert key in str(excinfo.value)
+        assert getattr(store, read)(key) is None
+        assert not os.path.exists(path)
+
     def test_single_document_entry_is_a_miss_and_heals(
             self, tmp_path, example_trace, example_spec):
         """An entry written before the two-line layout (one JSON document
@@ -980,6 +1010,17 @@ class TestBatch:
             load_manifest(bad)
         with pytest.raises(ManifestError, match="cannot read"):
             load_manifest(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("contents", [b"[" * 100000, b"\xff"],
+                             ids=["nested", "not UTF-8"])
+    def test_manifest_that_does_not_parse_names_the_file(self, tmp_path,
+                                                         contents):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "wb") as handle:
+            handle.write(contents)
+        with pytest.raises(ManifestError, match="is not JSON") as excinfo:
+            load_manifest(bad)
+        assert bad in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
