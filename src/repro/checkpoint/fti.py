@@ -115,10 +115,23 @@ class FTI:
 
         ``names`` optionally restricts restoration to a subset (used by the
         necessity study, which deliberately drops one variable at a time).
+        Raises :class:`FTIError` when there is no checkpoint.
+        """
+        latest = self.try_recover(names)
+        if latest is None:
+            raise FTIError("no checkpoint available to recover from")
+        return latest
+
+    def try_recover(self, names: Optional[Sequence[str]] = None,
+                    ) -> Optional[CheckpointData]:
+        """:meth:`recover` when there is a checkpoint, else ``None``.
+
+        A restarting run's :meth:`status` and :meth:`recover` in one read
+        of the latest checkpoint.
         """
         latest = self.storage.latest()
         if latest is None:
-            raise FTIError("no checkpoint available to recover from")
+            return None
         restore_names = set(names) if names is not None else set(latest.variables)
         for name, values in latest.variables.items():
             if name not in restore_names:

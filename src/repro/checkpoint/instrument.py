@@ -196,8 +196,8 @@ class CheckpointInstrumenter:
                 state["registered"] = True
             if restart and not state["restored"]:
                 state["restored"] = True
-                if fti.status():
-                    recovered = fti.recover(names=recover_names)
+                recovered = fti.try_recover(names=recover_names)
+                if recovered is not None:
                     run_info.restored_iteration = recovered.iteration
                 return
             # Header entry N (N >= 1) marks completion of iteration N-1.

@@ -6,7 +6,11 @@ struct-packed records plus a footer carrying a *block-offset index*, which
 is what lets :mod:`repro.trace.columnar` decode whole runs of records in
 lockstep.  The tracing interpreter writes it directly, one emit template
 per instruction (:meth:`TraceBinaryWriter.template`) and one packer per
-value-flag signature (:meth:`TraceBinaryWriter.emitter`).  Every analysis
+value-flag signature (:meth:`TraceBinaryWriter.emitter`).  A packer only
+appends its record's bytes; the writer writes them out in whole blocks
+of ``INDEX_STRIDE`` records (:meth:`TraceBinaryWriter.write_blocks`) when
+the interpreter enters a basic block, after each ``write_record`` and at
+``close``, so blocks start every ``INDEX_STRIDE`` records.  Every analysis
 walks this encoding, and an in-memory :class:`~repro.trace.records.Trace`
 holds it with its :class:`BinaryTraceLayout`: a trace built from records,
 a text file or a version-1 file is encoded once by :func:`encode_trace`,
@@ -92,6 +96,9 @@ BINARY_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 #: One block-index entry is emitted every this many records.
 INDEX_STRIDE = 64
+#: The buffer of a trace file the writer opens, so its blocks go out in
+#: few ``write`` system calls rather than one per block.
+_FILE_BUFFER_BYTES = 1 << 20
 
 _HEADER = struct.Struct("<4sHHH")
 _TRAILER = struct.Struct("<Q4s")
@@ -334,12 +341,15 @@ def _emitter_factory(addresses: Tuple[bool, ...]) -> Callable[..., Emitter]:
 
     An emitter takes its arguments in record order, so it hands them to
     one ``struct.Struct.pack`` with each slot's constant bytes between
-    them (the record head rides with the first slot's head).  It is
-    generated once per layout, as :mod:`dataclasses` generates
-    ``__init__``: a Python loop that interleaved the constants would cost
-    more than the pack itself.  A value the packer refuses (an int outside
-    int64, or a value that is not an int) falls back to
-    ``encode(dyn_id, fields)``, the per-slot encoder of ``write_record``.
+    them (the record head rides with the first slot's head), and appends
+    the record's bytes to the writer's pending list; it counts nothing,
+    since the writer cuts blocks by the list's length
+    (:meth:`TraceBinaryWriter.write_blocks`).  It is generated once per
+    layout, as :mod:`dataclasses` generates ``__init__``: a Python loop
+    that interleaved the constants would cost more than the pack itself.
+    A value the packer refuses (an int outside int64, or a value that is
+    not an int) falls back to ``encode(dyn_id, fields)``, the per-slot
+    encoder of ``write_record``.
     """
     factory = _EMITTER_FACTORIES.get(addresses)
     if factory is None:
@@ -357,17 +367,13 @@ def _emitter_factory(addresses: Tuple[bool, ...]) -> Callable[..., Emitter]:
         constants = "".join(f"c{slot}, "
                             for slot in range(max(1, len(addresses))))
         source = (
-            f"def factory(pack, constants, encode, append, count, flush):\n"
+            f"def factory(pack, constants, encode, append):\n"
             f"    {constants}= constants\n"
             f"    def emit({', '.join(params)}):\n"
             f"        try:\n"
-            f"            record = pack({', '.join(packed)})\n"
+            f"            append(pack({', '.join(packed)}))\n"
             f"        except error:\n"
-            f"            record = encode(dyn_id, ({''.join(f + ', ' for f in fields)}))\n"
-            f"        append(record)\n"
-            f"        count[0] += 1\n"
-            f"        if count[0] == {INDEX_STRIDE}:\n"
-            f"            flush()\n"
+            f"            append(encode(dyn_id, ({''.join(f + ', ' for f in fields)})))\n"
             f"    return emit\n")
         namespace: Dict[str, object] = {"error": struct.error}
         exec(source, namespace)
@@ -383,10 +389,14 @@ class TraceBinaryWriter:
     :class:`TraceRecord`.  The tracing interpreter instead compiles one
     :class:`EmitTemplate` per instruction with :meth:`template` and hands
     an :meth:`emitter` of it only the dynamic fields of each execution,
-    so no record object is built.  Both paths append to a pending block:
-    every ``INDEX_STRIDE`` records (and at :meth:`close`) the writer adds
-    the block-index entry, writes the block once and folds it into the
-    digest once.  Globals and the string table
+    so no record object is built.  Both paths append one ``bytes`` object
+    per record to a pending list, and neither counts: the records are
+    written out in whole blocks of ``INDEX_STRIDE`` by
+    :meth:`write_blocks`, which the tracing interpreter calls at each
+    basic-block entry and :meth:`write_record` after each record.  Each
+    block gets its block-index entry, one write and one digest fold, so
+    blocks start exactly every ``INDEX_STRIDE`` records; :meth:`close`
+    writes the rest as the last block.  Globals and the string table
     live in the footer, so they may arrive at any point before
     :meth:`close`.
 
@@ -406,8 +416,9 @@ class TraceBinaryWriter:
         self.path = path
         self.module_name = module_name
         self._owns_handle = fileobj is None
-        self._fh: Optional[IO[bytes]] = (open(path, "wb") if fileobj is None
-                                         else fileobj)
+        self._fh: Optional[IO[bytes]] = (
+            open(path, "wb", buffering=_FILE_BUFFER_BYTES) if fileobj is None
+            else fileobj)
         name_bytes = module_name.encode()
         self._fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, 0,
                                     len(name_bytes)))
@@ -417,12 +428,11 @@ class TraceBinaryWriter:
         self._strings: List[str] = []
         self._string_ids: dict = {}
         self._index: List[int] = []
-        #: records already written out; the pending block holds the rest
+        #: records already written out; the pending list holds the rest
         self._written_records = 0
-        #: the block being built: its byte chunks, and (in a cell the
-        #: emitters share) its record count
+        #: the bytes of each record not yet written out, one per record
+        #: (the emitters append to this list)
         self._pending: List[bytes] = []
-        self._block_records = [0]
         self._fold = _DigestFold(self._records_start)
         #: the layout of the bytes written; set by :meth:`close`
         self.layout: Optional[BinaryTraceLayout] = None
@@ -436,30 +446,45 @@ class TraceBinaryWriter:
             self._string_ids[text] = string_id
         return string_id
 
-    def _write_operand(self, operand: TraceOperand) -> None:
+    def _operand_bytes(self, operand: TraceOperand) -> bytes:
         flags, value_bytes = _encode_operand_value(operand.value,
                                                    operand.address)
-        self._pending.append(_OPERAND_FIXED.pack(
+        return _OPERAND_FIXED.pack(
             (1 if operand.is_register else 0) | flags,
             self._intern(operand.index), operand.bits,
-            self._intern(operand.name)))
-        self._pending.append(value_bytes)
+            self._intern(operand.name)) + value_bytes
 
-    def _flush(self) -> None:
-        """Write the pending records as one block: index entry, one write,
-        one digest fold.  Runs every ``INDEX_STRIDE`` records and at
-        :meth:`close`, so each block starts at an index stride."""
-        if not self._pending:
-            return
+    def write_blocks(self) -> None:
+        """Write out every whole block of ``INDEX_STRIDE`` records still
+        pending; fewer records stay pending.
+
+        The tracing interpreter calls it at each basic-block entry, so
+        fewer than ``INDEX_STRIDE`` records plus one basic block's are
+        ever pending.
+        """
+        pending = len(self._pending)
+        if pending >= INDEX_STRIDE:
+            self._write_out(pending - pending % INDEX_STRIDE)
+
+    def _write_out(self, count: int) -> None:
+        """Write the first ``count`` pending records as blocks of
+        ``INDEX_STRIDE`` (the last one shorter when ``count`` is not a
+        multiple): each block gets its index entry, one write and one
+        digest fold."""
         assert self._fh is not None
-        block = b"".join(self._pending)
-        self._written_records += self._block_records[0]
-        self._block_records[0] = 0
-        self._pending.clear()
-        self._index.append(self._offset)
-        self._fh.write(block)
-        self._fold.add(self._offset, block)
-        self._offset += len(block)
+        pending = self._pending
+        write, fold, index = self._fh.write, self._fold, self._index
+        offset = self._offset
+        for start in range(0, count, INDEX_STRIDE):
+            block = b"".join(pending[start:start + INDEX_STRIDE])
+            index.append(offset)
+            write(block)
+            fold.add(offset, block)
+            offset += len(block)
+        # In place: the emitters hold this list's ``append``.
+        del pending[:count]
+        self._offset = offset
+        self._written_records += count
 
     def write_global(self, symbol: GlobalSymbol) -> None:
         """Queue one module global for the footer's preamble section.
@@ -481,20 +506,18 @@ class TraceBinaryWriter:
         """
         assert self._fh is not None
         intern = self._intern
-        self._pending.append(_RECORD_FIXED.pack(
+        parts = [_RECORD_FIXED.pack(
             record.dyn_id, record.opcode, record.line, record.column,
             record.bb_label,
             intern(record.opcode_name), intern(record.function),
             intern(record.bb_id), intern(record.callee),
-            len(record.operands), 0 if record.result is None else 1))
+            len(record.operands), 0 if record.result is None else 1)]
         for operand in record.operands:
-            self._write_operand(operand)
+            parts.append(self._operand_bytes(operand))
         if record.result is not None:
-            self._write_operand(record.result)
-        count = self._block_records
-        count[0] += 1
-        if count[0] == INDEX_STRIDE:
-            self._flush()
+            parts.append(self._operand_bytes(record.result))
+        self._pending.append(b"".join(parts))
+        self.write_blocks()
 
     def template(self, opcode: int, opcode_name: str, function: str,
                  line: int, column: int, bb_label: int, bb_id: str,
@@ -589,13 +612,13 @@ class TraceBinaryWriter:
                 tuple(bool(flags & 0x02) for flags in signature))(
                 struct.Struct("<q" + layout).pack, constants,
                 functools.partial(self._encode_record, template, symbol),
-                self._pending.append, self._block_records, self._flush)
+                self._pending.append)
         return emit
 
     @property
     def record_count(self) -> int:
-        """Number of records written so far."""
-        return self._written_records + self._block_records[0]
+        """Number of records written so far, the pending ones included."""
+        return self._written_records + len(self._pending)
 
     def _write_footer(self) -> None:
         assert self._fh is not None
@@ -628,14 +651,15 @@ class TraceBinaryWriter:
             content_digest=digest.hex())
 
     def close(self) -> None:
-        """Write the pending records, the footer (globals + string table +
-        block index + content digest) and the trailer, then close the
-        file and set :attr:`layout`.  Idempotent; a file without its
+        """Write the pending records (whole blocks, then the rest as the
+        last block), the footer (globals + string table + block index +
+        content digest) and the trailer, then close the file and set
+        :attr:`layout`.  Idempotent; a file without its
         trailer is detected as truncated by :func:`read_layout`.  An
         externally supplied ``fileobj`` is left open (the caller owns
         it)."""
         if self._fh is not None:
-            self._flush()
+            self._write_out(len(self._pending))
             self._write_footer()
             if self._owns_handle:
                 self._fh.close()

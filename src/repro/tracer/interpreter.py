@@ -20,8 +20,14 @@ record's static part is its instruction's
 :class:`repro.trace.binio.EmitTemplate`, built at the instruction's first
 emission; the step caches the writer's emitters by the classes of its
 runtime values, so each execution packs its record in one ``struct``
-call.  Block entry hooks allow checkpoint instrumentation and fault
-injection to observe and alter a run without touching the program itself.
+call and appends it.  At each block entry a traced run has the writer
+write out every whole block of 64 records still pending
+(:meth:`~repro.trace.binio.TraceBinaryWriter.write_blocks`).  Pointers
+and allocations are slotted dataclasses, not frozen ones: every GEP
+builds a :class:`~repro.tracer.values.PointerValue`, and every
+``Alloca`` one and an :class:`~repro.tracer.memory.Allocation`.  Block
+entry hooks allow checkpoint instrumentation and fault injection to
+observe and alter a run without touching the program itself.
 """
 
 from __future__ import annotations
@@ -507,6 +513,7 @@ class Interpreter:
         blocks = self._blocks
         entry_counts = self._block_entry_counts
         hooks = self._block_hooks
+        write_blocks = self.sink.write_blocks if self.sink is not None else None
         try:
             block = function.entry
             while True:
@@ -514,6 +521,8 @@ class Interpreter:
                 if compiled is None:
                     compiled = blocks[block] = self._compile_block(function,
                                                                    block)
+                if write_blocks is not None:
+                    write_blocks()
                 key, runs = compiled
                 count = entry_counts.get(key, 0) + 1
                 entry_counts[key] = count
@@ -633,9 +642,8 @@ class Interpreter:
         if isinstance(value, Constant):
             return None, value.value
         if isinstance(value, GlobalVariable):
-            allocation = self.global_allocations[value.name]
-            return None, PointerValue(allocation.address, value.name,
-                                      allocation.element_bits)
+            return None, PointerValue(
+                self.global_allocations[value.name].address, value.name)
         raise InterpreterError(f"cannot evaluate operand {value!r}")
 
     def _number_operand(self, value: Value) -> Tuple[Optional[int],
@@ -666,7 +674,7 @@ class Interpreter:
                 var_name, element_bits, count, is_array, function_name)
             frame.allocations[var_name] = allocation
             address = allocation.address
-            frame.regs[result] = PointerValue(address, var_name, element_bits)
+            frame.regs[result] = PointerValue(address, var_name)
             if traced:
                 emit = get(()) or miss((), (count, None, 0, address))
                 emit(self.steps - back, count, 0, address)
@@ -776,7 +784,7 @@ class Interpreter:
             number = index.address if cls is PointerValue else index
             address = base_address + int(number) * element_bits // 8
             symbol = base.symbol
-            regs[result] = PointerValue(address, symbol, element_bits)
+            regs[result] = PointerValue(address, symbol)
             if traced:
                 if cls is PointerValue:
                     emit = get((cls, symbol)) or miss(
@@ -795,13 +803,9 @@ class Interpreter:
 
     def _bitcast_step(self, function: Function, inst: BitCastInst, back: int,
                       emission: Optional[_Emission]) -> Step:
+        # A bitcast passes its value through: a pointer keeps its address
+        # and symbol, and a GEP scales by its own element type.
         key, fixed = self._operand(inst.operands[0])
-        result_type = inst.result.type if inst.result is not None else None
-        pointee_bits = (result_type.pointee.size_in_bits()
-                        if isinstance(result_type, PointerType) else None)
-        if (key is None and pointee_bits is not None
-                and isinstance(fixed, PointerValue)):
-            fixed = PointerValue(fixed.address, fixed.symbol, pointee_bits)
         assert inst.result is not None
         result = inst.result.rid
         traced = emission is not None
@@ -810,13 +814,7 @@ class Interpreter:
 
         def step(frame: Frame) -> None:
             regs = frame.regs
-            if key is None:
-                value = fixed
-            else:
-                value = regs[key]
-                if pointee_bits is not None and value.__class__ is PointerValue:
-                    value = PointerValue(value.address, value.symbol,
-                                         pointee_bits)
+            value = regs[key] if key is not None else fixed
             regs[result] = value
             if traced:
                 cls = value.__class__

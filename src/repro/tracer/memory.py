@@ -19,6 +19,7 @@ whole-process checkpoint size is derived from them).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List
 
 from repro.tracer.values import RuntimeValue
@@ -37,7 +38,10 @@ def _align(value: int, alignment: int = _ALIGNMENT) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-@dataclass(frozen=True)
+# Slotted and not frozen, as :class:`~repro.tracer.values.PointerValue`
+# is: every Alloca builds one.  It compares and hashes by value, which
+# holds because nothing assigns to its fields after it is built.
+@dataclass(slots=True, unsafe_hash=True)
 class Allocation:
     """Metadata describing one allocated variable."""
 
@@ -58,11 +62,12 @@ class Allocation:
     def end_address(self) -> int:
         return self.address + self.size_bytes
 
-    def contains(self, address: int) -> bool:
-        return self.address <= address < self.end_address
-
     def element_addresses(self) -> List[int]:
-        return [self.address + i * self.element_bytes for i in range(self.count)]
+        step = self.element_bytes
+        if step == 0:  # elements narrower than a byte share one address
+            return [self.address] * self.count
+        return list(range(self.address, self.address + self.count * step,
+                          step))
 
 
 class Memory:
@@ -122,9 +127,15 @@ class Memory:
     def store(self, address: int, value: RuntimeValue) -> None:
         self.cells[address] = value
 
+    # A checkpoint reads and writes whole variables: one pass over the
+    # cell dict per block, in ``element_addresses()`` order.  Elements
+    # narrower than a byte share one address, so each reads that address's
+    # value, and the last value written to it wins, as with one store per
+    # element.
     def read_block(self, allocation: Allocation,
                    default: RuntimeValue = 0) -> List[RuntimeValue]:
-        return [self.load(addr, default) for addr in allocation.element_addresses()]
+        return list(map(self.cells.get, allocation.element_addresses(),
+                        repeat(default, allocation.count)))
 
     def write_block(self, allocation: Allocation,
                     values: List[RuntimeValue]) -> None:
@@ -133,8 +144,7 @@ class Memory:
             raise MemoryError_(
                 f"block size mismatch for {allocation.name!r}: "
                 f"{len(values)} values for {len(addresses)} elements")
-        for address, value in zip(addresses, values):
-            self.store(address, value)
+        self.cells.update(zip(addresses, values))
 
     # ------------------------------------------------------------------ #
     # Statistics (Table IV)

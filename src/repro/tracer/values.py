@@ -6,7 +6,11 @@ from dataclasses import dataclass
 from typing import Union
 
 
-@dataclass(frozen=True)
+# Slotted and not frozen: a frozen dataclass sets each field through
+# ``object.__setattr__``, and every GEP and Alloca builds a pointer.
+# ``unsafe_hash`` hashes it by value, which holds because nothing assigns
+# to a pointer's fields after it is built.
+@dataclass(slots=True, unsafe_hash=True)
 class PointerValue:
     """A runtime pointer: concrete address plus the symbol it was derived from.
 
@@ -20,11 +24,9 @@ class PointerValue:
 
     address: int
     symbol: str
-    element_bits: int = 64
 
     def with_symbol(self, symbol: str) -> "PointerValue":
-        return PointerValue(address=self.address, symbol=symbol,
-                            element_bits=self.element_bits)
+        return PointerValue(self.address, symbol)
 
 
 #: Anything a virtual register can hold at run time.

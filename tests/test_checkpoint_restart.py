@@ -1,11 +1,15 @@
 """Integration tests for checkpoint instrumentation, restart validation and
 the BLCR storage model (paper Sec. VI-B and Table IV machinery)."""
 
+import hashlib
+
 import pytest
 
+from repro.campaign import CampaignConfig, run_campaign
 from repro.checkpoint import BLCRModel, RestartValidator, compare_storage_cost
 from repro.checkpoint.fti import FTIConfig
 from repro.checkpoint.instrument import CheckpointInstrumenter, InstrumentationError
+from repro.checkpoint.storage import CheckpointStorage
 from repro.core import MainLoopSpec
 
 
@@ -54,6 +58,47 @@ class TestInstrumenter:
             CheckpointInstrumenter(
                 mg_analysis.module,
                 MainLoopSpec("main", start_line=1, end_line=2))
+
+
+#: The restart runs of ``example``'s campaign (3 trials per cell, every
+#: content policy, seed 1): the iteration each restored, ``None`` where
+#: the kill came before the first checkpoint, and the SHA-256 of the
+#: campaign JSON.  Measured when each restore read its checkpoint twice.
+EXAMPLE_RESTORED = [None, 4, None, None, 4, 2, None, 4, 10]
+EXAMPLE_CAMPAIGN_SHA256 = \
+    "adc4a1a59a299e041e2537f16bb9562e4e577799692fe4b745bcaba929f7c91e"
+
+
+class TestRestoreReadsOnce:
+    def test_each_restore_loads_its_checkpoint_once(self, monkeypatch,
+                                                    tmp_path):
+        """A restart finds and restores the latest checkpoint in one read:
+        5 of the 9 restarts have a checkpoint, and each loads it once."""
+        loads = []
+        restored = []
+        original_load = CheckpointStorage.load
+        original_run = CheckpointInstrumenter.run
+
+        def load(self, path):
+            loads.append(path)
+            return original_load(self, path)
+
+        def run(self, *args, **kwargs):
+            outcome = original_run(self, *args, **kwargs)
+            if kwargs.get("restart"):
+                restored.append(outcome.restored_iteration)
+            return outcome
+
+        monkeypatch.setattr(CheckpointStorage, "load", load)
+        monkeypatch.setattr(CheckpointInstrumenter, "run", run)
+        report = run_campaign(CampaignConfig(
+            apps=["example"], trials=3, seed=1,
+            cache_dir=str(tmp_path / "cache"),
+            trace_dir=str(tmp_path / "traces")))
+        assert restored == EXAMPLE_RESTORED
+        assert len(loads) == 5
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() \
+            == EXAMPLE_CAMPAIGN_SHA256
 
 
 class TestRestartValidation:

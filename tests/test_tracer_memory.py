@@ -8,7 +8,7 @@ from repro.tracer.values import PointerValue, as_number
 
 class TestPointerValue:
     def test_with_symbol_preserves_address(self):
-        ptr = PointerValue(address=2000, symbol="a", element_bits=32)
+        ptr = PointerValue(address=2000, symbol="a")
         renamed = ptr.with_symbol("p")
         assert renamed.address == 2000
         assert renamed.symbol == "p"
@@ -66,10 +66,8 @@ class TestMemoryAllocation:
         alloc = memory.allocate_global("u", 64, 10, True)
         assert alloc.element_bytes == 8
         assert alloc.end_address == alloc.address + alloc.size_bytes
-        assert alloc.contains(alloc.address)
-        assert alloc.contains(alloc.end_address - 1)
-        assert not alloc.contains(alloc.end_address)
-        assert len(alloc.element_addresses()) == 10
+        assert alloc.element_addresses() == [alloc.address + 8 * index
+                                             for index in range(10)]
 
 
 class TestLoadsAndStores:
@@ -84,10 +82,32 @@ class TestLoadsAndStores:
         assert memory.load(500) == 2.75
 
     def test_read_write_block_roundtrip(self):
+        """A block reads and writes what one load or store per element
+        does, in ``element_addresses()`` order: a float array, an int
+        array, a scalar, and elements narrower than a byte, which share
+        one address (the last value written wins)."""
+        blocks = [("v", 64, 4, True, [1.0, 2.0, 3.0, 4.0]),
+                  ("keys", 32, 5, True, [7, -2, 0, 2 ** 40, 3]),
+                  ("n", 64, 1, False, [42]),
+                  ("flags", 1, 3, True, [1, 0, 5])]
         memory = Memory()
-        alloc = memory.allocate_global("v", 64, 4, True)
-        memory.write_block(alloc, [1.0, 2.0, 3.0, 4.0])
-        assert memory.read_block(alloc) == [1.0, 2.0, 3.0, 4.0]
+        for name, bits, count, is_array, values in blocks:
+            alloc = memory.allocate_global(name, bits, count, is_array)
+            assert memory.read_block(alloc) == [0] * count
+            assert memory.read_block(alloc, default=0.5) == [0.5] * count
+            memory.write_block(alloc, values)
+            reference = Memory()
+            for address, value in zip(alloc.element_addresses(), values):
+                reference.store(address, value)
+            expected = [reference.load(address)
+                        for address in alloc.element_addresses()]
+            assert memory.read_block(alloc) == expected
+        assert memory.read_block(memory.global_allocations[0]) == \
+            [1.0, 2.0, 3.0, 4.0]
+        assert memory.read_block(memory.global_allocations[1]) == \
+            [7, -2, 0, 2 ** 40, 3]
+        assert memory.read_block(memory.global_allocations[2]) == [42]
+        assert memory.read_block(memory.global_allocations[3]) == [5, 5, 5]
 
     def test_write_block_size_mismatch(self):
         memory = Memory()

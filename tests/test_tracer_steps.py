@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import weakref
 
 import pytest
@@ -27,7 +28,7 @@ from repro.ir.module import Function, Module
 from repro.ir.opcodes import Opcode
 from repro.ir.types import I32, PointerType
 from repro.ir.values import GlobalVariable, Register
-from repro.trace.binio import encode_trace
+from repro.trace.binio import INDEX_STRIDE, TraceBinaryWriter, encode_trace
 from repro.trace.records import Trace, TraceOperand, TraceRecord
 from repro.tracer import (
     FaultInjector,
@@ -145,6 +146,75 @@ def test_traced_bytes_equal_the_encoding_of_their_records():
     data = sink.getvalue()
     trace = Trace.from_binary(data)
     assert encode_trace("m", trace.globals, trace.records)[0] == data
+
+
+#: A straight-line entry block of 97 instructions (more than one index
+#: stride), then a loop whose body calls a user function.
+STRIDE_PROGRAM = """\
+int f(int n) { int s = 0; for (int i = 0; i < n; ++i) { s = s + i; } return s; }
+int main() {
+  int a = 1;
+""" + "".join(f"  a = a + {k};\n" for k in range(30)) + """\
+  int t = 0;
+  for (int k = 0; k < 20; ++k) { t = t + f(k); }
+  print(a, t);
+  return 0;
+}
+"""
+
+
+def test_blocks_start_every_stride_records():
+    """Emitters only append, and at each block entry the interpreter has
+    the writer write out every whole block still pending: the traced
+    bytes, block index included, are what ``write_record`` writes for
+    the records they decode to, across a block longer than a stride and
+    across calls.  An open writer's ``record_count`` counts the records
+    still pending."""
+    module = compile_source(STRIDE_PROGRAM, module_name="stride")
+    entry = module.function("main").entry
+    assert len(entry.instructions) > INDEX_STRIDE
+    buffer = io.BytesIO()
+    writer = TraceBinaryWriter(None, module_name="stride", fileobj=buffer)
+    interpreter = Interpreter(module, trace_sink=writer)
+    entries = []
+    for function in module.functions.values():
+        for block in function.blocks:
+            interpreter.register_block_hook(
+                function.name, block.name,
+                lambda context: entries.append(
+                    (writer.record_count, context.interpreter.steps,
+                     buffer.tell())))
+    result = interpreter.run()
+    assert result.output == compile_and_run(STRIDE_PROGRAM).output
+    assert writer.record_count == result.steps > 4 * INDEX_STRIDE
+    writer.close()
+    data = buffer.getvalue()
+    layout = writer.layout
+    assert len(layout.block_offsets) == -(-result.steps // INDEX_STRIDE)
+    block_ends = [*layout.block_offsets, layout.records_end]
+    assert all(records == steps for records, steps, _ in entries)
+    assert any(records % INDEX_STRIDE for records, _, _ in entries)
+    assert all(written == block_ends[records // INDEX_STRIDE]
+               for records, _, written in entries)
+    trace = Trace.from_binary(data)
+    assert encode_trace("stride", trace.globals, trace.records)[0] == data
+
+
+def test_record_count_includes_pending_records():
+    operands, result, fields, symbol = LAYOUTS["int"]
+    writer = InMemoryTraceSink(module_name="m")
+    emit = writer.emitter(_template(writer, operands, result, symbol),
+                          fields, symbol)
+    present = [item for item in fields if item is not None]
+    for dyn_id in range(INDEX_STRIDE + 6):
+        emit(dyn_id, *present)
+        assert writer.record_count == dyn_id + 1
+    writer.write_blocks()
+    assert writer.record_count == INDEX_STRIDE + 6
+    writer.close()
+    assert writer.record_count == INDEX_STRIDE + 6
+    assert writer.layout.record_count == INDEX_STRIDE + 6
+    assert len(writer.layout.block_offsets) == 2
 
 
 def test_emitter_is_cached_per_signature_and_symbol():
