@@ -13,7 +13,10 @@ maintains:
 * the **complete DDG** — variable and register vertices with "depends on"
   edges.  The paper's reg-reg map (Fig. 5b) is the DDG's
   register-to-register edges, added by arithmetic and forwarding
-  instructions and by single-``Call`` records (the Fig. 6a case);
+  instructions and by single-``Call`` records (the Fig. 6a case: a
+  ``Call`` that binds no parameter acts as arithmetic over its argument
+  registers, and the engine hands most of them to the pass as
+  ``KIND_ARITHMETIC`` rows);
   variable vertices gain their incoming edges when ``Store``
   instructions terminate computations, and function calls with a traced body
   (the Fig. 6b case) connect arguments to parameters through the recorded
@@ -51,11 +54,13 @@ The walk is hosted by :class:`repro.core.engine.AnalysisEngine`, and
   / activation / ``Ret`` read or change both.  These run by the per-row
   rules at their own point in the walk (a span selection holds the rows,
   with the operand slots past the first two; owner-less rows are walked
-  before the binding stacks next change).  A reg-var read sees the last
-  write before it in stream order: the span's per-row writes and its bulk
-  rows, whose owners are final up to the reading row, else the map.  The
-  node touches, edges and writes of these rows are kept with their
-  positions and join the bulk effects in row order.
+  before the binding stacks next change; a ``Call`` reaches
+  :meth:`DependencyPass.on_call` only when it splits its span: it binds
+  parameters, its callee's body follows, or it ends the span).  A reg-var
+  read sees the last write before it in stream order: the span's per-row
+  writes and its bulk rows, whose owners are final up to the reading row,
+  else the map.  The node touches, edges and writes of these rows are kept
+  with their positions and join the bulk effects in row order.
 
 A node is created at its first touch in stream order, through
 :meth:`DDG.add_node`'s get-or-create by key string (so two codes that name
@@ -90,12 +95,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.ddg import DDG, NodeKind
 from repro.core.engine import (
+    KIND_ALLOCA,
     KIND_ARITHMETIC,
     KIND_FORWARDING,
     KIND_GEP,
@@ -293,12 +299,12 @@ class DependencyPass(AnalysisPass):
         self._queued_rows = 0
         #: the string table register codes index, its text -> id map, and
         #: per string id its canonical id (the one ``id_of`` gives its
-        #: text; the array only when the table repeats a string) and
-        #: whether the string is empty
+        #: text; the engine's array, None when the table repeats no
+        #: string, and as a sequence) and whether the string is empty
         self._strings: Optional[List[str]] = None
         self._id_of: Dict[str, int] = {}
         self._canon: Optional[np.ndarray] = None
-        self._canon_list: List[int] = []
+        self._canon_list: Sequence[int] = []
         self._empty = np.empty(0, dtype=bool)
         #: variable id -> its node key and label; owner id -> variable id
         self._var_ids: Dict[str, int] = {}
@@ -331,19 +337,21 @@ class DependencyPass(AnalysisPass):
             self._var_labels.append(info.name)
         return var
 
-    def _use_strings(self, strings: List[str], id_of: Dict[str, int]) -> None:
-        """Bind the walk's string table, which register codes index: every
-        block of one walk shares it."""
+    def _use_strings(self, table: AccessTable) -> None:
+        """Bind the walk's string table, which register codes index (every
+        block of one walk shares it), and the engine's canonical ids."""
+        strings = table.block.strings
         if self._strings is not None:
             if strings is not self._strings:
                 raise ValueError("the blocks of one walk share one string "
                                  "table")
             return
         self._strings = strings
-        self._id_of = id_of
-        self._canon_list = [id_of[text] for text in strings]
-        self._canon = (np.array(self._canon_list, dtype=np.int64)
-                       if len(id_of) < len(strings) else None)
+        self._id_of = table.block.id_of
+        self._canon = table.canon
+        # (a range: every id is its own canonical id)
+        self._canon_list = (table.canon.tolist() if table.canon is not None
+                            else range(len(strings)))
         self._empty = np.array([not text for text in strings], dtype=bool)
 
     def _node(self, key: str, kind: NodeKind, label: str) -> int:
@@ -599,12 +607,6 @@ class DependencyPass(AnalysisPass):
     # ------------------------------------------------------------------ #
     # Scope records
     # ------------------------------------------------------------------ #
-    def on_alloca(self, record: TraceRecord, region: int) -> None:
-        # Registration happens in the engine (shared map); the pass only
-        # keeps the "selective iteration" statistic faithful.
-        if region == REGION_INSIDE:
-            self._inspected += 1
-
     def on_call(self, record: TraceRecord, region: int, row: int) -> None:
         if region != REGION_INSIDE:
             return
@@ -619,9 +621,11 @@ class DependencyPass(AnalysisPass):
         touched: List = []
         if not params:
             # Single-Call form (builtin / external, Fig. 6a): behave like an
-            # arithmetic instruction over the argument registers.  It may
-            # still be a zero-parameter *user* function whose body follows —
-            # the engine's activation detection on the next record decides.
+            # arithmetic instruction over the argument registers, as the
+            # bulk path does for the Calls the engine relabels.  This one is
+            # a zero-parameter *user* function whose body follows, or ends
+            # its span — the engine's activation detection on the next
+            # record decides.
             if record.result is not None:
                 result = fcode | id_of[record.result.name]
                 touched.append(result)
@@ -693,15 +697,17 @@ class DependencyPass(AnalysisPass):
 
         Every row's shape and register codes come from the block's columns
         in one set of vector ops; the owners that complete them are read
-        when the span closes.
+        when the span closes.  The span's data rows and Allocas count as
+        inspected.
         """
         if region != REGION_INSIDE:
             return None
         block = table.block
-        self._use_strings(block.strings, block.id_of)
+        self._use_strings(table)
         span = self._span = _Span(table)
         picked = np.flatnonzero(table.kinds < KIND_OTHER)
-        self._inspected += len(picked)
+        self._inspected += len(picked) + int(
+            np.count_nonzero(table.kinds == KIND_ALLOCA))
         flags = block.op_flags
         if not picked.size or not flags.size:
             # A block without any operand slot has no row that touches a

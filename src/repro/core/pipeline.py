@@ -111,7 +111,7 @@ class InductionProbePass(AnalysisPass):
         pick = np.flatnonzero(
             (kind != KIND_GEP) & (owners >= 0)
             & (block.line[rows] == spec.start_line)
-            & (block.function_id[rows]
+            & (table.canonical(block.function_id[rows])
                == block.id_of.get(spec.function, -1)))
         pick = pick[self._candidate.array()[owners[pick]]]
         registrations = self.varmap.registrations

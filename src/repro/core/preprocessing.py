@@ -141,7 +141,7 @@ class MLICollectionPass(AnalysisPass):
         owners = owners[keep]
         qualifies = self._candidate.array()[owners]
         block = table.block
-        in_spec = (block.function_id[table.rows[keep]]
+        in_spec = (table.canonical(block.function_id[table.rows[keep]])
                    == block.id_of.get(self.spec.function, -1))
         if self.include_global_accesses_in_calls:
             in_spec |= self._is_global.array()[owners]

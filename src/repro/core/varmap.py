@@ -57,6 +57,10 @@ from repro.ir.opcodes import Opcode
 from repro.trace.records import GlobalSymbol, TraceRecord
 
 
+#: the name of an ``Alloca`` record's operand that holds its element count
+COUNT_OPERAND = "count"
+
+
 @dataclass(frozen=True)
 class VariableInfo:
     """A named storage interval (global or stack allocation)."""
@@ -171,7 +175,7 @@ class VariableMap:
             return None
         count = 1
         for operand in record.operands:
-            if operand.name == "count":
+            if operand.name == COUNT_OPERAND:
                 try:
                     count = int(operand.value)
                 except (ValueError, OverflowError):
@@ -180,20 +184,31 @@ class VariableMap:
                         f"{operand.value!r} elements of {record.result.name!r}"
                         f"; the trace is corrupt") from None
                 break
-        element_bits = record.result.bits or 32
+        return self.add_alloca(record.result.name,
+                               record.result.address or 0, count,
+                               record.result.bits, record.function,
+                               record.line)
+
+    def add_alloca(self, name: str, address: int, count: int,
+                   element_bits: int, function: str,
+                   line: int) -> VariableInfo:
+        """Register a stack variable of ``count`` elements of
+        ``element_bits`` bits (0 reads as 32) at ``address``, as an
+        ``Alloca`` of ``function`` at ``line`` declares it."""
+        element_bits = element_bits or 32
         # Ceil division: sub-byte element types (i1 booleans) still occupy a
         # whole addressable byte each — floor division would produce a
         # zero-byte, unresolvable interval.
         size_bytes = count * max(1, (element_bits + 7) // 8)
         return self.add(VariableInfo(
-            name=record.result.name,
-            base_address=record.result.address or 0,
+            name=name,
+            base_address=address,
             size_bytes=size_bytes,
             element_bits=element_bits,
             is_array=count > 1,
             is_global=False,
-            function=record.function,
-            decl_line=record.line,
+            function=function,
+            decl_line=line,
         ))
 
     # ------------------------------------------------------------------ #

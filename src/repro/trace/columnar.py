@@ -9,9 +9,10 @@ whole runs of record blocks into :class:`ColumnarBlock` objects — parallel
 arrays (columns) for the fields the analysis engine actually consults per
 record — in a small number of bulk sweeps, with full
 :class:`~repro.trace.records.TraceRecord` materialization deferred to the
-rare records that need it (``Alloca`` / ``Call`` / ``Ret``, plus anything a
-pass explicitly requests via :meth:`ColumnarBlock.record`).  It is the only
-input of the analysis engine (:mod:`repro.core.engine`).
+rare records that need it (the ``Call`` / ``Ret`` records that change a
+scope, plus anything a pass explicitly requests via
+:meth:`ColumnarBlock.record`).  It is the only input of the analysis
+engine (:mod:`repro.core.engine`).
 
 Decoded columns, all numpy arrays (everything else stays lazy)::
 
@@ -19,7 +20,8 @@ Decoded columns, all numpy arrays (everything else stays lazy)::
                  op_start (slot prefix sum, result slot included),
                  has_result, rec_off (byte offset, for materialization)
     per operand  op_flags, op_name_id, op_address (0 when absent:
-                 ``op_flags & 2`` tells the two apart)
+                 ``op_flags & 2`` tells the two apart), op_off (byte
+                 offset, for :meth:`ColumnarBlock.slot_field`)
 
 Two scan implementations produce equal columns:
 
@@ -63,6 +65,7 @@ from repro.trace.binio import (
     _U32,
     _U64,
     _VALUE_BIG,
+    _VALUE_INT,
     BinaryTraceError,
     BinaryTraceLayout,
     _decode_record,
@@ -100,6 +103,13 @@ _NP_HDR_DTYPE = np.dtype({
     "offsets": [0, 8, 12, 28, 36, 41],
     "itemsize": _HDR_SIZE,
 })
+#: the operand-head fields :meth:`ColumnarBlock.slot_field` reads: name
+#: -> (byte offset in the slot, dtype)
+_SLOT_FIELDS = {"index_id": (1, "<u4"), "bits": (5, "<i4")}
+#: byte offsets of a record header's opcode-name and basic-block string
+#: ids, which only the record decoder reads
+_OPCODE_NAME_ID_AT = 24
+_BB_ID_AT = 32
 
 
 class _BigIntInChunk(Exception):
@@ -124,7 +134,8 @@ class ColumnarBlock:
     ``has_result`` / ``op_flags`` (``uint8``), ``op_name_id``
     (``uint32``), ``op_address`` (``uint64``, 0 where an operand carries
     no address: its ``op_flags`` bit 2 is clear), and ``dyn_id`` /
-    ``callee_id`` / ``rec_off``.  The walk masks and gathers them a span
+    ``callee_id`` / ``rec_off`` / ``op_off`` (each slot's byte offset in
+    ``buf``).  The walk masks and gathers them a span
     at a time; a pass that loops over rows in Python lists the columns it
     reads itself (wrap a single element in ``int()``).
     Operand slots of record ``row`` are ``op_start[row]`` to
@@ -137,7 +148,8 @@ class ColumnarBlock:
     __slots__ = ("name", "base_index", "count", "strings", "id_of", "buf",
                  "dyn_id", "opcode", "line", "function_id", "callee_id",
                  "op_start", "has_result", "rec_off",
-                 "op_flags", "op_name_id", "op_address", "_records")
+                 "op_flags", "op_name_id", "op_address", "op_off",
+                 "_records")
 
     def __init__(self, name: str, base_index: int, strings: List[str],
                  id_of: Dict[str, int], buf) -> None:
@@ -165,10 +177,64 @@ class ColumnarBlock:
             self._records[row] = record
         return record
 
-    def loop_rows(self, function_id: int, start_line: int, end_line: int):
+    def slot_field(self, name: str, slots):
+        """The ``index_id`` or ``bits`` field of each operand slot in
+        ``slots`` (a numpy array of slot numbers), in one gather from the
+        block's bytes."""
+        offset, dtype = _SLOT_FIELDS[name]
+        return _at_every_byte(self.buf, dtype)[self.op_off[slots] + offset]
+
+    def int_values(self, slots):
+        """``(values, plain)`` of the operand slots ``slots``: ``plain``
+        marks the slots whose value is an int64 (not a float or a big
+        integer), and ``values`` holds it there, gathered from the block's
+        bytes (0 elsewhere)."""
+        plain = (self.op_flags[slots] >> 4) == _VALUE_INT
+        values = np.zeros(len(slots), dtype=np.int64)
+        values[plain] = _at_every_byte(self.buf, "<i8")[
+            self.op_off[slots[plain]] + _OP_FIXED_SIZE]
+        return values, plain
+
+    def operand_slots(self, rows):
+        """``(slots, bounds)``: the operand slots of ``rows`` (a numpy
+        array; result slots included), row after row, where row ``k``'s
+        are ``slots[bounds[k]:bounds[k + 1]]``."""
+        first = self.op_start[rows]
+        counts = self.op_start[rows + 1] - first
+        bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        slots = np.arange(bounds[-1]) + np.repeat(first - bounds[:-1], counts)
+        return slots, bounds
+
+    def decodes_as_scanned(self, rows, slots, bounds):
+        """Per row of ``rows`` (with its operand slots as
+        :meth:`operand_slots` gives them), whether the checks that only
+        the record decoder makes hold: its opcode-name and basic-block ids
+        and every slot's index id lie in the string table, and no slot
+        holds a big integer (whose digits only the decoder parses).  A row
+        a walk reads from columns alone must pass, so that it reads
+        nothing :meth:`record` would refuse."""
+        size = len(self.strings)
+        ids = _at_every_byte(self.buf, "<u4")
+        at = self.rec_off[rows]
+        ok = (ids[at + _OPCODE_NAME_ID_AT] < size) & (ids[at + _BB_ID_AT]
+                                                      < size)
+        bad = ((self.slot_field("index_id", slots) >= size)
+               | ((self.op_flags[slots] >> 4) == _VALUE_BIG))
+        seen = np.zeros(len(slots) + 1, dtype=np.int64)
+        np.cumsum(bad, out=seen[1:])
+        return ok & (seen[bounds[1:]] == seen[bounds[:-1]])
+
+    def loop_rows(self, function_id: int, start_line: int, end_line: int,
+                  canon=None):
         """Rows matching the main-loop spec (function + line range), as a
-        numpy array."""
-        return np.flatnonzero((self.function_id == function_id)
+        numpy array.  ``function_id`` is the canonical id of the spec's
+        function (``id_of``'s), and ``canon`` maps each string id to its
+        canonical one (None: the string table repeats no string), so a
+        row names the function by any of its ids."""
+        function_ids = (self.function_id if canon is None
+                        else canon[self.function_id])
+        return np.flatnonzero((function_ids == function_id)
                               & (self.line >= start_line)
                               & (self.line <= end_line))
 
@@ -200,6 +266,7 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     op_flags: List[int] = []
     op_name_ids: List[int] = []
     op_addresses: List[int] = []
+    op_offs: List[int] = []
     slot_total = 0
     position = 0
     try:
@@ -217,6 +284,7 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
             position += _HDR_SIZE
             for _ in range(operand_count + has_result):
                 flags, _index_id, _bits, name_id = op_hdr(buf, position)
+                op_offs.append(position)
                 op_flags.append(flags)
                 op_name_ids.append(name_id)
                 size = sizes[flags]
@@ -263,6 +331,7 @@ def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
     block.op_flags = np.array(op_flags, dtype=np.uint8)
     block.op_name_id = np.array(op_name_ids, dtype=np.uint32)
     block.op_address = np.array(op_addresses, dtype=np.uint64)
+    block.op_off = np.array(op_offs, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -352,6 +421,7 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     np.cumsum(slots_stream, out=block.op_start[1:])
 
     flags_u8 = arr[flat_op_off]
+    block.op_off = flat_op_off
     block.op_flags = flags_u8
     block.op_name_id = _at_every_byte(buf, "<u4")[flat_op_off + 9]
     has_addr = (flags_u8 & 2) != 0

@@ -6,7 +6,11 @@ span's effects in vector ops: it consumes every data-carrying row of a
 segment one Python row at a time, in stream order, and creates each node
 at its first touch.  ``test_dependency_reference.py`` walks both passes
 over the same blocks and requires equal results.  ``on_call`` takes the
-row of its record, as the engine now passes it, and ignores it.
+row of its record, as the engine now passes it, and ignores it.  A
+``Call`` that binds no parameter and opens no activation reaches it as a
+``KIND_ARITHMETIC`` row, which the row loop treats as arithmetic; the
+span's ``Alloca`` rows, which reach no hook, count as inspected in a loop
+over the span's kind column.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from repro.core.ddg import DDG, NodeKind
 from repro.core.dependency import DependencyResult
 from repro.core.engine import (
+    KIND_ALLOCA,
     KIND_ARITHMETIC,
     KIND_FORWARDING,
     KIND_GEP,
@@ -172,12 +177,6 @@ class ReferenceDependencyPass(AnalysisPass):
     # ------------------------------------------------------------------ #
     # Scope records
     # ------------------------------------------------------------------ #
-    def on_alloca(self, record: TraceRecord, region: int) -> None:
-        # Registration happens in the engine (shared map); the pass only
-        # keeps the "selective iteration" statistic faithful.
-        if region == REGION_INSIDE:
-            self._inspected += 1
-
     def on_call(self, record: TraceRecord, region: int,
                 row: int) -> None:
         if region != REGION_INSIDE:
@@ -252,6 +251,9 @@ class ReferenceDependencyPass(AnalysisPass):
         """Every data-carrying row of the span, inside the loop only."""
         if region != REGION_INSIDE:
             return None
+        for kind in table.kinds.tolist():
+            if kind == KIND_ALLOCA:
+                self._inspected += 1
         block = table.block
         if block is not self._block:
             self._block = block

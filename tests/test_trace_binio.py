@@ -6,7 +6,6 @@ import os
 import struct
 from typing import Dict
 
-import numpy as np
 import pytest
 from conftest import FLEET_NAMES
 
@@ -526,7 +525,6 @@ class TestTraceViews:
         nothing is encoded, and nothing is decoded outside the walk."""
         import repro.trace.binio as binio_module
         from repro.store.serialize import canonical_report_json
-        from repro.trace.columnar import TraceColumnarReader
         from repro.tracer.driver import run_and_trace
 
         from test_golden_reports import GOLDEN
@@ -544,15 +542,20 @@ class TestTraceViews:
         report = AutoCheck(AutoCheckConfig(main_loop=example_spec),
                            trace=trace, module=example_module).run()
         assert encodes == [] and written == []
-        # The walk decodes every record once in bulk and materializes its
-        # scope records one at a time; nothing else is decoded.
+        # The walk decodes every record once in bulk and materializes the
+        # scope records that split their spans one at a time: each Ret,
+        # and each Call that binds parameters or whose body follows.
+        # Allocas register from columns.  Nothing else is decoded.
         walked = decode_counter["records"]
-        scope = [Opcode.ALLOCA, Opcode.CALL, Opcode.RET]
-        scope_records = sum(
-            int(np.isin(block.opcode, scope).sum())
-            for block in TraceColumnarReader(
-                buffer=trace.encoded()[0]).iter_blocks())
-        assert walked == report.trace_stats.record_count + scope_records
+        records = trace.records
+        splitting = sum(record.opcode == Opcode.RET for record in records)
+        splitting += sum(
+            record.opcode == Opcode.CALL
+            and bool(record.parameter_operands()
+                     or following.function == record.callee)
+            for record, following in zip(records, records[1:]))
+        assert splitting == 21  # foo's 10 Calls and 10 Rets, main's Ret
+        assert walked == report.trace_stats.record_count + splitting
         canonical = canonical_report_json(report).encode()
         assert (hashlib.sha256(canonical).hexdigest()
                 == GOLDEN["example"]["report_sha256"])
