@@ -386,11 +386,8 @@ class _ScopeRows:
     ``alloca_plain`` marks those that register from columns: a result slot
     after a first operand named ``count`` whose value is an int64 in
     ``[0, 2**32]``, and an extent that does not wrap past the top
-    address.  A plain row of either kind also passes
-    :meth:`~repro.trace.columnar.ColumnarBlock.decodes_as_scanned`, so
-    the rows left undecoded are ones the record decoder would accept.  Per
-    Alloca, ``slot`` is its first operand slot and ``[base, end)`` its
-    extent (where plain).  ``registrations`` holds the plain ones'
+    address.  Per Alloca, ``slot`` is its first operand slot and ``[base,
+    end)`` its extent (where plain).  ``registrations`` holds the plain ones'
     :meth:`~repro.core.varmap.VariableMap.add_alloca` arguments, and
     ``registered_rows`` their rows (a list).
     """
@@ -738,9 +735,7 @@ class AnalysisEngine:
                                             len(self._params) - 1)]
             seen = np.zeros(len(slots) + 1, dtype=np.int64)
             np.cumsum(binds, out=seen[1:])
-            plain[pick[(seen[bounds[1:]] > seen[bounds[:-1]])
-                       | ~block.decodes_as_scanned(rows, slots,
-                                                   bounds)]] = False
+            plain[pick[seen[bounds[1:]] > seen[bounds[:-1]]]] = False
 
         rows = known.alloca_rows = np.flatnonzero(opcode == Opcode.ALLOCA)
         known.alloca_plain = np.zeros(len(rows), dtype=bool)
@@ -757,8 +752,6 @@ class AnalysisEngine:
         plain &= ((self._canonical(block.op_name_id[first[pick]])
                    == self._count_id)
                   & (count >= 0) & (count <= 1 << 32))
-        plain &= block.decodes_as_scanned(rows[pick],
-                                          *block.operand_slots(rows[pick]))
         pick = pick[plain]
         count = count[plain]
         result = result[pick]

@@ -61,6 +61,7 @@ through whole index blocks in lockstep.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -964,7 +965,12 @@ def _decode_operand_slow(buf, position: int,
     position += 4
     if position + digit_count > len(buf):
         raise struct.error("big-integer value overruns the buffer")
-    value = int(bytes(buf[position:position + digit_count]))
+    digits = bytes(buf[position:position + digit_count])
+    try:
+        value = int(digits)
+    except ValueError:
+        raise ValueError(f"big-integer digits {digits[:40]!r} do not "
+                         f"parse") from None
     position += digit_count
     if flags & 2:
         (address,) = _U64.unpack_from(buf, position)
@@ -981,6 +987,8 @@ def _decode_record(buf, position: int, strings: List[str],
     (dyn_id, opcode, line, column, bb_label, opcode_name_id, function_id,
      bb_id_id, callee_id, operand_count,
      has_result) = _RECORD_FIXED.unpack_from(buf, position)
+    if has_result > 1:
+        raise ValueError(f"has-result byte {has_result}")
     position += _RECORD_FIXED.size
     table = _OPERAND_TABLE
     operands: List[TraceOperand] = []
@@ -1011,6 +1019,39 @@ def _decode_record(buf, position: int, strings: List[str],
     return record, position
 
 
+def _refused_field(buf, position: int, strings: List[str]) -> Optional[str]:
+    """The field :func:`_decode_record` refuses in the record block at
+    ``position`` when it is a string id past the table or a has-result
+    byte above 1, in the columnar scan's words (``"has function id 7,
+    past the 5-entry string table"``); else None."""
+    ids: List[Tuple[str, int]] = []
+    with contextlib.suppress(struct.error):  # a header or slot cut short
+        fields = _RECORD_FIXED.unpack_from(buf, position)
+        if fields[10] > 1:
+            return f"has a has-result byte of {fields[10]}, not 0 or 1"
+        ids += zip(("opcode-name", "function", "basic-block", "callee"),
+                   fields[5:9])
+        position += _RECORD_FIXED.size
+        for _ in range(fields[9] + fields[10]):
+            flags, index_id, _, name_id = _OPERAND_FIXED.unpack_from(
+                buf, position)
+            ids += [("operand-index", index_id), ("operand-name", name_id)]
+            entry = _OPERAND_TABLE[flags]
+            if entry is not None:
+                position += entry[1]
+            elif flags >> 4 == _VALUE_BIG:  # digit count, digits, address
+                at = position + _OPERAND_FIXED.size
+                position = (at + 4 + _U32.unpack_from(buf, at)[0]
+                            + (8 if flags & 2 else 0))
+            else:
+                break  # an unknown value tag, which the decoder names
+    for what, value in ids:
+        if value >= len(strings):
+            return (f"has {what} id {value}, past the {len(strings)}-entry "
+                    f"string table")
+    return None
+
+
 def decode_records(data, layout: BinaryTraceLayout,
                    name: Optional[str] = None) -> Iterator[TraceRecord]:
     """Decode every record of a whole binary file's bytes ``data``, in file
@@ -1018,10 +1059,11 @@ def decode_records(data, layout: BinaryTraceLayout,
 
     The per-record reference decoder: a :class:`Trace`'s records and
     iteration and the re-encode of a version-1 file go through it, and
-    the columnar scans are held to it.  A record block that does not
-    decode, or a record region that holds another number of records than
-    the footer counts, is a :class:`BinaryTraceError` naming ``name``,
-    the source the bytes came from (``'<buffer>'`` when ``None``).
+    the columnar scan is held to it.  A record block that does not
+    decode is a :class:`BinaryTraceError` naming ``name``, the source the
+    bytes came from (``'<buffer>'`` when ``None``), the record and the
+    field, and so is a record region that holds another number of
+    records than the footer counts.
     """
     name = name or "<buffer>"
     position = layout.records_start
@@ -1035,9 +1077,11 @@ def decode_records(data, layout: BinaryTraceLayout,
             if position > end:
                 raise struct.error("it overruns the record region")
         except (IndexError, ValueError, struct.error) as exc:
+            why = (_refused_field(data, start, strings)
+                   or f"does not decode: {exc}")
             raise BinaryTraceError(
-                f"{name!r}: the record block at byte {start} does not "
-                f"decode: {exc}") from None
+                f"{name!r}: record {count} (the record block at byte "
+                f"{start}) {why}") from None
         count += 1
         yield record
     if count != layout.record_count:

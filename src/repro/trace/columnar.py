@@ -23,20 +23,27 @@ Decoded columns, all numpy arrays (everything else stays lazy)::
                  ``op_flags & 2`` tells the two apart), op_off (byte
                  offset, for :meth:`ColumnarBlock.slot_field`)
 
-Two scan implementations produce equal columns:
+One scan turns record bytes into columns, a **numpy lockstep scan**: the
+block index gives the byte offset of every ``INDEX_STRIDE``-th record, so
+a chunk of B index blocks is decoded *simultaneously* — one vector step
+per record slot k advances all B lanes at once, and the operand walk
+advances each lane by a flags-byte size lookup.  The trailing partial
+index block is the last chunk's short last lane, which leaves the
+lockstep once its records end.  A big-integer operand (variable length)
+has no size in the lookup, so its lane stops advancing and misses the
+end the block index gives it; such a chunk is scanned again by the same
+function with big-integer sizing on, which reads each big integer's digit
+count and parses its digits as the record decoder does, so the common
+chunk pays nothing for it.
 
-* a **numpy lockstep scan** for runs of full index blocks: the block
-  index gives the byte offset of every ``INDEX_STRIDE``-th record, so a
-  chunk of B full index blocks is decoded *simultaneously* — one vector
-  step per record slot k advances all B lanes at once, and the operand
-  walk advances each lane by a flags-byte size lookup.  Big-integer
-  operands (variable length) abort the chunk to the pure-Python scan;
-* a **pure-Python scan** for the trailing partial index block and for
-  chunks holding a big-integer operand.
-
-Both check that their records end exactly where the block index says
-their span ends, and every block's function, callee and operand-name ids
-are checked against the string table; either failure names the file.
+The scan then refuses every field the record decoder would refuse: records
+that do not end exactly where the block index says their span ends, a
+string id past the string table (a record's opcode-name, function,
+basic-block or callee id, or a slot's index or name id), a has-result
+byte above 1, an unknown value tag and big-integer digits that do not
+parse.  Each is a :class:`~repro.trace.binio.BinaryTraceError` naming the
+file and the record, so every record of a block the scan yields decodes
+(:meth:`ColumnarBlock.record`).
 
 The reader accepts a ``path`` or an already-open ``buffer``/``mmap`` of the
 whole file, with the layout already known where there is one: a version-2
@@ -53,8 +60,7 @@ the footer digest's key.
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NoReturn, Optional
 
 import numpy as np
 
@@ -62,8 +68,6 @@ from repro.trace.binio import (
     _OPERAND_FIXED,
     _OPERAND_TABLE,
     _RECORD_FIXED,
-    _U32,
-    _U64,
     _VALUE_BIG,
     _VALUE_INT,
     BinaryTraceError,
@@ -79,41 +83,35 @@ from repro.trace.records import TraceRecord
 #: the index stride keeps whole index blocks in lockstep).
 DEFAULT_CHUNK_RECORDS = 65536
 
-#: flags byte -> total encoded operand size (0 marks the variable-length
-#: big-integer layout, which the lockstep scan cannot size vectorially).
+#: flags byte -> total encoded operand size (0 marks a value tag the
+#: lookup cannot size: the variable-length big integer, or an unknown one).
 _SIZE_BY_FLAGS = tuple(entry[1] if entry is not None else 0
                        for entry in _OPERAND_TABLE)
 
 _HDR_SIZE = _RECORD_FIXED.size  # 42
 _OP_FIXED_SIZE = _OPERAND_FIXED.size  # 13
+#: the lowest flags byte whose value tag the size lookup cannot size
+_FLAGS_BIG = _VALUE_BIG << 4
 
 # int32 everywhere the values are byte offsets: offsets into one chunk
 # buffer always fit, and halving the index-array width measurably cuts
-# the gather traffic of the lockstep scan (int64 variants cover the
-# implausible >2 GiB-buffer case).
+# the gather traffic of the lockstep scan (int64 variants cover
+# big-integer sizing and the implausible >2 GiB-buffer case).
 _NP_SIZE_LUT = np.array(_SIZE_BY_FLAGS, dtype=np.int64)
 _NP_SIZE_LUT32 = np.array(_SIZE_BY_FLAGS, dtype=np.int32)
 #: the fixed record header reinterpreted in place — one bulk gather of
 #: the 42 header bytes per record, then per-field strided views instead
 #: of one copy per field.
 _NP_HDR_DTYPE = np.dtype({
-    "names": ["dyn_id", "opcode", "line", "function_id", "callee_id",
-              "has_result"],
-    "formats": ["<i8", "<i4", "<i4", "<u4", "<u4", "u1"],
-    "offsets": [0, 8, 12, 28, 36, 41],
+    "names": ["dyn_id", "opcode", "line", "opcode_name_id", "function_id",
+              "bb_id", "callee_id", "has_result"],
+    "formats": ["<i8", "<i4", "<i4", "<u4", "<u4", "<u4", "<u4", "u1"],
+    "offsets": [0, 8, 12, 24, 28, 32, 36, 41],
     "itemsize": _HDR_SIZE,
 })
 #: the operand-head fields :meth:`ColumnarBlock.slot_field` reads: name
 #: -> (byte offset in the slot, dtype)
 _SLOT_FIELDS = {"index_id": (1, "<u4"), "bits": (5, "<i4")}
-#: byte offsets of a record header's opcode-name and basic-block string
-#: ids, which only the record decoder reads
-_OPCODE_NAME_ID_AT = 24
-_BB_ID_AT = 32
-
-
-class _BigIntInChunk(Exception):
-    """Internal: a lockstep chunk met a big-integer operand; fall back."""
 
 
 def _at_every_byte(buf, dtype):
@@ -129,8 +127,8 @@ def _at_every_byte(buf, dtype):
 class ColumnarBlock:
     """One decoded run of records as parallel numpy columns.
 
-    Every column is a numpy array, whichever scan decoded the block:
-    ``opcode`` / ``line`` / ``function_id`` / ``op_start`` (``int64``),
+    Every column is a numpy array: ``opcode`` / ``line`` /
+    ``function_id`` / ``op_start`` (``int64``),
     ``has_result`` / ``op_flags`` (``uint8``), ``op_name_id``
     (``uint32``), ``op_address`` (``uint64``, 0 where an operand carries
     no address: its ``op_flags`` bit 2 is clear), and ``dyn_id`` /
@@ -162,18 +160,12 @@ class ColumnarBlock:
         # The scan that decodes the block sets ``count`` and every column.
 
     def record(self, row: int) -> TraceRecord:
-        """Materialize (and cache) the full record at ``row`` (a block that
-        does not decode is a :class:`BinaryTraceError` naming the file and
-        the record)."""
+        """Materialize (and cache) the full record at ``row`` (the scan
+        refused every block with a record that does not decode)."""
         record = self._records.get(row)
         if record is None:
-            try:
-                record, _ = _decode_record(self.buf, int(self.rec_off[row]),
-                                           self.strings)
-            except (IndexError, ValueError, struct.error) as exc:
-                raise BinaryTraceError(
-                    f"{self.name!r}: record {self.base_index + row} does "
-                    f"not decode: {exc}") from None
+            record, _ = _decode_record(self.buf, int(self.rec_off[row]),
+                                       self.strings)
             self._records[row] = record
         return record
 
@@ -206,25 +198,6 @@ class ColumnarBlock:
         slots = np.arange(bounds[-1]) + np.repeat(first - bounds[:-1], counts)
         return slots, bounds
 
-    def decodes_as_scanned(self, rows, slots, bounds):
-        """Per row of ``rows`` (with its operand slots as
-        :meth:`operand_slots` gives them), whether the checks that only
-        the record decoder makes hold: its opcode-name and basic-block ids
-        and every slot's index id lie in the string table, and no slot
-        holds a big integer (whose digits only the decoder parses).  A row
-        a walk reads from columns alone must pass, so that it reads
-        nothing :meth:`record` would refuse."""
-        size = len(self.strings)
-        ids = _at_every_byte(self.buf, "<u4")
-        at = self.rec_off[rows]
-        ok = (ids[at + _OPCODE_NAME_ID_AT] < size) & (ids[at + _BB_ID_AT]
-                                                      < size)
-        bad = ((self.slot_field("index_id", slots) >= size)
-               | ((self.op_flags[slots] >> 4) == _VALUE_BIG))
-        seen = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(bad, out=seen[1:])
-        return ok & (seen[bounds[1:]] == seen[bounds[:-1]])
-
     def loop_rows(self, function_id: int, start_line: int, end_line: int,
                   canon=None):
         """Rows matching the main-loop spec (function + line range), as a
@@ -240,164 +213,107 @@ class ColumnarBlock:
 
 
 # --------------------------------------------------------------------------- #
-# Pure-Python scan (trailing partial block + big-int chunks)
+# The lockstep scan
 # --------------------------------------------------------------------------- #
-def _scan_python(block: ColumnarBlock, buf, count: int, end: int) -> None:
-    """Fill ``block`` with the ``count`` records in ``buf[:end]``.
+def _refuse(block: ColumnarBlock, row: int, what: str) -> NoReturn:
+    raise BinaryTraceError(
+        f"{block.name!r}: record {block.base_index + row} {what}")
 
-    Produces the lockstep scan's columns — including for big-integer
-    operands — from per-record lists.
-    Raises :class:`BinaryTraceError` naming the block's file when the records
-    overrun the buffer or do not end exactly at ``end``, the byte where
-    the block index says the span ends.
+
+def _scan(block: ColumnarBlock, starts: List[int], end: int, stride: int,
+          count: int, big: bool = False) -> bool:
+    """Fill ``block`` with the ``count`` records of its chunk, or return
+    False for the caller to scan it again with ``big`` on.
+
+    ``starts`` are the byte offsets (in ``block.buf``) of the chunk's
+    index blocks, its lanes, and each lane ends where the next starts,
+    the last at ``end``.  Every lane holds ``stride`` records but the
+    last, which may hold fewer.  ``block.buf`` extends at least one byte
+    past ``end``: finished lanes park their cursor on the next block's
+    first byte.
+
+    A big integer is *not* tested for in the hot loop: its size-lookup
+    entry is 0, so its lane stops advancing and misses its end.  Only
+    with ``big`` does the loop size it, and only then is a lane that
+    misses its end refused.  Every other field the record decoder would
+    refuse is refused either way (:func:`_check`), naming the file and
+    the record.
     """
-    name = block.name
-    hdr = _RECORD_FIXED.unpack_from
-    op_hdr = _OPERAND_FIXED.unpack_from
-    sizes = _SIZE_BY_FLAGS
-    dyn_ids: List[int] = []
-    opcodes: List[int] = []
-    lines: List[int] = []
-    function_ids: List[int] = []
-    callee_ids: List[int] = []
-    op_starts = [0]
-    has_results: List[int] = []
-    rec_offs: List[int] = []
-    op_flags: List[int] = []
-    op_name_ids: List[int] = []
-    op_addresses: List[int] = []
-    op_offs: List[int] = []
-    slot_total = 0
-    position = 0
-    try:
-        for _ in range(count):
-            (dyn_id, opcode, line, _column, _bb_label, _opcode_name_id,
-             function_id, _bb_id_id, callee_id, operand_count,
-             has_result) = hdr(buf, position)
-            rec_offs.append(position)
-            dyn_ids.append(dyn_id)
-            opcodes.append(opcode)
-            lines.append(line)
-            function_ids.append(function_id)
-            callee_ids.append(callee_id)
-            has_results.append(has_result)
-            position += _HDR_SIZE
-            for _ in range(operand_count + has_result):
-                flags, _index_id, _bits, name_id = op_hdr(buf, position)
-                op_offs.append(position)
-                op_flags.append(flags)
-                op_name_ids.append(name_id)
-                size = sizes[flags]
-                if size == 0:
-                    if (flags >> 4) != _VALUE_BIG:
-                        raise BinaryTraceError(
-                            f"{name!r}: unknown operand value tag "
-                            f"{flags >> 4} in record "
-                            f"{block.base_index + len(opcodes) - 1}")
-                    (digit_count,) = _U32.unpack_from(
-                        buf, position + _OP_FIXED_SIZE)
-                    size = _OP_FIXED_SIZE + 4 + digit_count
-                    if flags & 2:
-                        size += 8
-                if flags & 2:
-                    (address,) = _U64.unpack_from(buf, position + size - 8)
-                    op_addresses.append(address)
-                else:
-                    op_addresses.append(0)
-                position += size
-            if position > end:
-                raise struct.error("record block overruns the span")
-            slot_total += operand_count + has_result
-            op_starts.append(slot_total)
-    except (IndexError, struct.error):
-        raise BinaryTraceError(
-            f"{name!r}: the records from record {block.base_index} on "
-            f"overrun their span in the block index") from None
-    if position != end:
-        raise BinaryTraceError(
-            f"{name!r}: records {block.base_index} to "
-            f"{block.base_index + count - 1} end {end - position} bytes "
-            f"short of their span in the block index (the footer's record "
-            f"count or block index is wrong)")
-    block.count = count
-    block.dyn_id = np.array(dyn_ids, dtype=np.int64)
-    block.callee_id = np.array(callee_ids, dtype=np.int64)
-    block.rec_off = np.array(rec_offs, dtype=np.int64)
-    block.opcode = np.array(opcodes, dtype=np.int64)
-    block.line = np.array(lines, dtype=np.int64)
-    block.function_id = np.array(function_ids, dtype=np.int64)
-    block.op_start = np.array(op_starts, dtype=np.int64)
-    block.has_result = np.array(has_results, dtype=np.uint8)
-    block.op_flags = np.array(op_flags, dtype=np.uint8)
-    block.op_name_id = np.array(op_name_ids, dtype=np.uint32)
-    block.op_address = np.array(op_addresses, dtype=np.uint64)
-    block.op_off = np.array(op_offs, dtype=np.int64)
-
-
-# --------------------------------------------------------------------------- #
-# numpy lockstep scan
-# --------------------------------------------------------------------------- #
-def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
-                expected_ends: List[int], stride: int) -> None:
-    """Decode ``len(block_starts)`` *full* index blocks in lockstep.
-
-    ``block_starts`` are byte offsets (relative to ``buf``) of consecutive
-    index blocks, each containing exactly ``stride`` records, and
-    ``expected_ends`` the matching one-past-the-end offsets from the block
-    index; ``buf`` must extend at least one byte past the last block
-    (finished lanes park their cursor on the next block's first byte).
-    Fills ``block`` in stream order.  Raises :class:`_BigIntInChunk` when
-    a big-integer operand is met — the caller re-scans the span with
-    :func:`_scan_python`.
-
-    Big-integer operands are *not* tested for in the hot loop: their
-    size-LUT entry is 0, so a lane that meets one stops advancing and its
-    final cursor misses the next block boundary the footer index promises —
-    one vector comparison after the walk catches that (and any other
-    corruption) and triggers the fallback.
-    """
+    buf = block.buf
+    if count * _HDR_SIZE > end:  # more records than their bytes can hold
+        _refuse(block, 0, "and the records after it overrun their span in "
+                          "the block index")
     arr = np.frombuffer(buf, dtype=np.uint8)
-    lanes = len(block_starts)
-    if len(buf) <= 0x7FFFFF00:  # offsets (and offset sums) fit in int32
-        off_dtype = np.int32
-        size_lut = _NP_SIZE_LUT32
-    else:  # pragma: no cover - >2 GiB chunk buffers
-        off_dtype = np.int64
-        size_lut = _NP_SIZE_LUT
-    cur = np.asarray(block_starts, dtype=off_dtype)
-    rec_off = np.empty((stride, lanes), off_dtype)
-    slot_counts = np.empty((stride, lanes), np.int64)
+    lanes = len(starts)
+    short = count - (lanes - 1) * stride  # the last lane's records
+    steps = stride if lanes > 1 else count
+    if big or len(buf) > 0x7FFFFF00:  # a digit count can reach past 2 GiB
+        off_dtype, size_lut = np.int64, _NP_SIZE_LUT
+    else:  # offsets (and offset sums) fit in int32
+        off_dtype, size_lut = np.int32, _NP_SIZE_LUT32
+    cur = np.asarray(starts, dtype=off_dtype)
+    final = np.empty(lanes, np.int64)
+    rec_off = np.empty((steps, lanes), off_dtype)
+    slot_counts = np.zeros((steps, lanes), np.int64)
     # Operand offsets write straight into their stream-assembly cube slot
     # (grown in the rare record with more slots than the initial guess).
-    cube = np.empty((stride, 8, lanes), off_dtype)
+    cube = np.empty((steps, 8, lanes), off_dtype)
+    # The live lanes' rows of rec_off and slot_counts (all but the short
+    # lane once it has ended).
+    width, rows, counts = lanes, rec_off, slot_counts
     max_slots = 0
-    for k in range(stride):
-        rec_off[k] = cur
-        slots = arr[cur + 40].astype(np.int64)
-        slots += arr[cur + 41]
-        slot_counts[k] = slots
-        op_cur = cur + _HDR_SIZE
-        limit = int(slots.max())
-        if limit > cube.shape[1]:
-            grown = np.empty((stride, limit, lanes), off_dtype)
-            grown[:, :cube.shape[1], :] = cube
-            cube = grown
-        if limit > max_slots:
-            max_slots = limit
-        row_cube = cube[k]
-        for j in range(limit):
-            row_cube[j] = op_cur
-            sizes = size_lut[arr[op_cur]]
-            sizes *= slots > j  # freeze finished (and big-int) lanes
-            op_cur += sizes
-        cur = op_cur
-    if not bool(np.array_equal(cur, np.asarray(expected_ends,
-                                               dtype=np.int64))):
-        raise _BigIntInChunk
+    try:
+        for k in range(steps):
+            if k == short:  # the short last lane has ended
+                width -= 1
+                final[width] = cur[width]
+                cur = cur[:width]
+                rows, counts = rec_off[:, :width], slot_counts[:, :width]
+            rows[k] = cur
+            slots = arr[cur + 40].astype(np.int64)
+            slots += arr[cur + 41]
+            counts[k] = slots
+            op_cur = cur + _HDR_SIZE
+            limit = int(slots.max())
+            if limit > cube.shape[1]:
+                grown = np.empty((steps, limit, lanes), off_dtype)
+                grown[:, :cube.shape[1], :] = cube
+                cube = grown
+            if limit > max_slots:
+                max_slots = limit
+            row_cube = cube[k, :, :width]
+            for j in range(limit):
+                row_cube[j] = op_cur
+                flags = arr[op_cur]
+                sizes = size_lut[flags]
+                live = slots > j
+                sizes *= live  # freeze finished (and unsized) lanes
+                if big:
+                    _size_big_integers(block, flags, sizes, op_cur, live,
+                                       stride, k)
+                op_cur += sizes
+            cur = op_cur
+    except IndexError:
+        if not big:
+            return False
+        _refuse(block, 0, "and the records after it overrun their span in "
+                          "the block index")
+    final[:width] = cur
+    ends = np.array(starts[1:] + [end], dtype=np.int64)
+    if not bool(np.array_equal(final, ends)):
+        if not big:
+            return False
+        lane = int(np.flatnonzero(final != ends)[0])
+        missing = int(ends[lane] - final[lane])
+        _refuse(block, lane * stride,
+                f"and the records after it end {abs(missing)} bytes "
+                f"{'short of' if missing > 0 else 'past'} their span in the "
+                f"block index (the footer's record count or block index is "
+                f"wrong)")
 
-    # Assemble stream order: record (lane b, slot k) sorts by (b, k).
-    rec_off_stream = rec_off.T.ravel()
-    slots_stream = slot_counts.T.ravel()
+    # Assemble stream order: record (lane b, step k) sorts by (b, k), and
+    # the short lane's missing records sort last.
+    rec_off_stream = rec_off.T.ravel()[:count]
     if max_slots:
         valid = (np.arange(max_slots)[None, :, None]
                  < slot_counts[:, None, :])
@@ -405,10 +321,13 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
                        [valid.transpose(2, 0, 1)])
     else:
         flat_op_off = np.empty(0, off_dtype)
+    flags_u8 = arr[flat_op_off]
+    if not big and flags_u8.size and int(flags_u8.max()) >= _FLAGS_BIG:
+        return False  # a frozen lane met its end by chance
 
     # Bulk header gather: one fancy index, then per-field struct views.
     recs = _at_every_byte(buf, _NP_HDR_DTYPE)[rec_off_stream]
-    block.count = len(recs)
+    block.count = count
     block.dyn_id = recs["dyn_id"]
     block.callee_id = recs["callee_id"]
     block.rec_off = rec_off_stream
@@ -416,36 +335,76 @@ def _scan_numpy(block: ColumnarBlock, buf, block_starts: List[int],
     block.line = recs["line"].astype(np.int64)
     block.function_id = recs["function_id"].astype(np.int64)
     block.has_result = recs["has_result"]
-    block.op_start = np.empty(len(recs) + 1, np.int64)
+    block.op_start = np.empty(count + 1, np.int64)
     block.op_start[0] = 0
-    np.cumsum(slots_stream, out=block.op_start[1:])
+    np.cumsum(slot_counts.T.ravel()[:count], out=block.op_start[1:])
 
-    flags_u8 = arr[flat_op_off]
     block.op_off = flat_op_off
     block.op_flags = flags_u8
     block.op_name_id = _at_every_byte(buf, "<u4")[flat_op_off + 9]
     has_addr = (flags_u8 & 2) != 0
     block.op_address = np.zeros(len(flat_op_off), dtype=np.uint64)
     if bool(has_addr.any()):
-        addr_off = flat_op_off[has_addr] + size_lut[flags_u8[has_addr]] - 8
-        block.op_address[has_addr] = _at_every_byte(buf, "<u8")[addr_off]
+        at = flat_op_off[has_addr]
+        sizes = size_lut[flags_u8[has_addr]]
+        if big:  # a big integer's address follows its digits
+            bigs = sizes == 0
+            sizes[bigs] = (_OP_FIXED_SIZE + 4 + 8
+                           + _at_every_byte(buf, "<u4")[at[bigs]
+                                                        + _OP_FIXED_SIZE])
+        block.op_address[has_addr] = _at_every_byte(buf, "<u8")[at + sizes
+                                                                 - 8]
+    _check(block, recs)
+    return True
 
 
-def _check_string_ids(block: ColumnarBlock) -> None:
-    """Refuse a block whose function, callee or operand-name ids reach past
-    the string table (one vector max per column), naming the file and the
-    first such record."""
+def _size_big_integers(block: ColumnarBlock, flags, sizes, at, live,
+                       stride: int, k: int) -> None:
+    """Size each live lane's operand at ``at`` that the size lookup left
+    at 0 in ``sizes``: a big integer, whose digits must parse as the
+    record decoder parses them.  Any other value tag is refused, naming
+    the lane's ``k``-th record."""
+    buf = block.buf
+    for lane in np.flatnonzero(live & (sizes == 0)).tolist():
+        tag = int(flags[lane]) >> 4
+        if tag != _VALUE_BIG:
+            _refuse(block, lane * stride + k,
+                    f"has unknown operand value tag {tag}")
+        position = int(at[lane]) + _OP_FIXED_SIZE
+        digits = int.from_bytes(buf[position:position + 4], "little")
+        text = bytes(buf[position + 4:position + 4 + digits])
+        try:
+            int(text)
+        except ValueError:
+            _refuse(block, lane * stride + k,
+                    f"has big-integer digits {text[:40]!r} that do not parse")
+        sizes[lane] = (_OP_FIXED_SIZE + 4 + digits
+                       + (8 if flags[lane] & 2 else 0))
+
+
+def _check(block: ColumnarBlock, header) -> None:
+    """Refuse ``block`` when a record's string id reaches past the string
+    table or its has-result byte is above 1 (one vector max per column),
+    naming the file and the first such record; ``header`` is the records'
+    header structs."""
     size = len(block.strings)
-    for what, ids in (("function", block.function_id),
+    index_ids = _at_every_byte(block.buf, "<u4")[block.op_off + 1]
+    for what, ids in (("opcode-name", header["opcode_name_id"]),
+                      ("function", block.function_id),
+                      ("basic-block", header["bb_id"]),
                       ("callee", block.callee_id),
+                      ("operand-index", index_ids),
                       ("operand-name", block.op_name_id)):
         if ids.size and int(ids.max()) >= size:
             at = int(np.flatnonzero(ids >= size)[0])
-            row = (at if what != "operand-name" else
-                   int(np.searchsorted(block.op_start, at, "right")) - 1)
-            raise BinaryTraceError(
-                f"{block.name!r}: record {block.base_index + row} has {what}"
-                f" id {int(ids[at])}, past the {size}-entry string table")
+            row = (int(np.searchsorted(block.op_start, at, "right")) - 1
+                   if what.startswith("operand") else at)
+            _refuse(block, row, f"has {what} id {int(ids[at])}, past the "
+                                f"{size}-entry string table")
+    if block.count and int(block.has_result.max()) > 1:
+        row = int(np.flatnonzero(block.has_result > 1)[0])
+        _refuse(block, row, f"has a has-result byte of "
+                            f"{int(block.has_result[row])}, not 0 or 1")
 
 
 # --------------------------------------------------------------------------- #
@@ -525,10 +484,9 @@ class TraceColumnarReader:
                     ) -> Iterator[ColumnarBlock]:
         """Yield the whole trace's records as columns, in stream order.
 
-        Chunks hold whole index blocks and decode via the lockstep scan;
-        the trailing partial index block (and any chunk containing a
-        big-integer operand) takes the pure-Python scan, with identical
-        columns either way.  Memory stays bounded by ``chunk_records``.
+        Chunks hold whole index blocks, the last of them the trailing
+        partial one, and decode via the lockstep scan.  Memory stays
+        bounded by ``chunk_records``.
 
         With ``verify_digest`` the walk folds the content digest over the
         record bytes as it reads them and, after the last block, raises
@@ -546,33 +504,21 @@ class TraceColumnarReader:
         stride = layout.index_stride
         offsets = layout.block_offsets
         name = self.name or "<buffer>"
-        full_blocks = layout.record_count // stride
         blocks_per_chunk = max(1, chunk_records // stride)
-        for first in range(0, full_blocks, blocks_per_chunk):
-            stop = min(first + blocks_per_chunk, full_blocks)
+        for first in range(0, len(offsets), blocks_per_chunk):
+            stop = min(first + blocks_per_chunk, len(offsets))
             chunk_start = offsets[first]
             chunk_end = (offsets[stop] if stop < len(offsets)
                          else layout.records_end)
             # One guard byte past the chunk (the footer always follows
             # the record region): finished lanes park their cursor there.
             buf = self._read_span(chunk_start, chunk_end - chunk_start, 1)
-            starts = [offsets[b] - chunk_start for b in range(first, stop)]
-            ends = starts[1:] + [chunk_end - chunk_start]
+            starts = [offset - chunk_start for offset in offsets[first:stop]]
+            count = min(stop * stride, layout.record_count) - first * stride
             block = ColumnarBlock(name, first * stride, self.strings,
                                   self.id_of, buf)
-            try:
-                _scan_numpy(block, buf, starts, ends, stride)
-            except (_BigIntInChunk, IndexError):
-                _scan_python(block, buf, (stop - first) * stride, ends[-1])
-            _check_string_ids(block)
-            yield block
-
-        # Trailing partial index block.
-        tail = full_blocks * stride
-        if tail < layout.record_count:
-            start = offsets[full_blocks]
-            buf = self._read_span(start, layout.records_end - start)
-            block = ColumnarBlock(name, tail, self.strings, self.id_of, buf)
-            _scan_python(block, buf, layout.record_count - tail, len(buf))
-            _check_string_ids(block)
+            if not _scan(block, starts, chunk_end - chunk_start, stride,
+                         count):
+                _scan(block, starts, chunk_end - chunk_start, stride, count,
+                      big=True)
             yield block

@@ -5,12 +5,13 @@ Three layers of evidence pin the columnar route down:
 1. **Decode equivalence** — the columns (and lazily materialized records)
    of :class:`repro.trace.columnar.TraceColumnarReader` match the
    per-record :func:`repro.trace.binio.decode_records` decoder exactly,
-   and every block holds the same numpy columns whichever scan decoded
-   it: property-tested on
-   randomized round-tripped traces (hypothesis, reusing the
-   binary-roundtrip strategies), and deterministically on traces large
-   enough to exercise the numpy lockstep scan, the big-integer fallback
-   and the pure-Python-scanned trailing partial block.
+   and every block holds the same numpy columns with or without
+   big-integer sizing: property-tested on randomized round-tripped
+   traces (hypothesis, reusing the binary-roundtrip strategies), and
+   deterministically on traces large enough to exercise the lockstep
+   scan's full lanes, its big-integer rescan and the trailing partial
+   index block as a chunk's short last lane.  An operand the decoder
+   refuses is refused by the scan too, naming the file and the record.
 2. **Report equality, fleet-wide** — an in-memory trace (encoded into
    memory, then walked) produces the committed golden report on every
    bundled app.
@@ -34,6 +35,7 @@ from test_property_based import _binary_record_strategy
 from repro.core import AutoCheck
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import (
+    BinaryTraceError,
     read_layout,
     write_trace_file_binary,
 )
@@ -181,14 +183,71 @@ def test_columnar_small_chunks_equal_records(lockstep_trace):
 
 
 def test_columnar_bigint_fallback_equals_records(tmp_path_factory):
-    """A >64-bit operand value aborts the lockstep chunk to the Python
-    scan; the columns must come out identical anyway."""
+    """A >64-bit operand value makes the lockstep chunk scan again with
+    big-integer sizing; the columns must come out identical anyway."""
     records = [_synthetic_record(index, big_int_rows={3, 300})
                for index in range(600)]
     path = str(tmp_path_factory.mktemp("col") / "bigint.btrace")
     write_trace_file_binary(Trace(module_name="bigint", records=records),
                             path)
     _assert_columnar_equals_records(path)
+
+
+@pytest.mark.parametrize("row, chunk_records", [(590, None), (541, None),
+                                               (250, 256)])
+def test_columnar_bigint_in_a_last_lane_equals_records(tmp_path_factory,
+                                                       row, chunk_records):
+    """A big integer with an address in the trailing partial index block
+    (row 590, the short last lane) or in a chunk's last full lane (row
+    541 before the short lane; row 250 in the first of 256-record
+    chunks): sized by the rescan, its columns equal the records."""
+    records = [_synthetic_record(index, big_int_rows={row})
+               for index in range(600)]
+    assert records[row].operands[0].address is not None
+    path = str(tmp_path_factory.mktemp("col") / "lanes.btrace")
+    write_trace_file_binary(Trace(module_name="lanes", records=records),
+                            path)
+    _assert_columnar_equals_records(path, chunk_records)
+
+
+#: undecodable operand -> (byte offset in a big-integer slot, the bytes
+#: written there, the words its refusal must hold): the first digits past
+#: the 13-byte head and the digit count, or the flags byte
+_UNDECODABLE_OPERAND = {
+    "digits": (17, b"1x", r"big-integer digits b'1x"),
+    "value_tag": (0, b"\x30", r"unknown operand value tag 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE_OPERAND))
+def test_columnar_refuses_an_undecodable_operand_naming_the_record(
+        tmp_path, case):
+    """Digits ``1x`` or a value tag of 3 in a record's big-integer slot:
+    the scan refuses the block, and the record decoder the record, with
+    a ``BinaryTraceError`` naming the file and the record (never an
+    ``IndexError`` or a bare ``ValueError``)."""
+    from repro.trace.binio import _decode_record
+
+    records = [_synthetic_record(index, big_int_rows={301})
+               for index in range(600)]
+    trace = Trace(module_name="bad", records=records)
+    data = bytearray(trace.encoded()[0])
+    layout = trace.layout
+    position = layout.block_offsets[301 // 64]
+    for _ in range(301 % 64):
+        position = _decode_record(data, position, layout.strings)[1]
+    at, written, words = _UNDECODABLE_OPERAND[case]
+    at += position + 42  # past the record's fixed header
+    data[at:at + len(written)] = written
+    path = str(tmp_path / "bad.btrace")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    refusal = rf"bad\.btrace'?: record 301 .*{words}"
+    with (TraceColumnarReader(path) as reader,
+          pytest.raises(BinaryTraceError, match=refusal)):
+        list(reader.iter_blocks())
+    with pytest.raises(BinaryTraceError, match=refusal):
+        read_trace_file(path).records
 
 
 # --------------------------------------------------------------------------- #

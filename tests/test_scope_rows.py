@@ -478,7 +478,6 @@ def _slot_columns_match(blocks, records):
 def test_slot_fields_read_as_the_decoder(example_trace):
     blocks = list(TraceColumnarReader(
         buffer=example_trace.encoded()[0]).iter_blocks())
-    assert len(blocks) == 2  # a lockstep-scanned chunk and a Python tail
     _slot_columns_match(blocks, example_trace.records)
 
 

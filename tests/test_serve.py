@@ -61,9 +61,11 @@ from test_golden_reports import GOLDEN
 from test_store import ALL_APP_NAMES
 from test_trace_binio import (
     FOOTER_LIES,
+    RECORD_PROBES,
     UNDECODABLE,
     WALK_REFUSED,
     lying_footer,
+    record_probe,
     undecodable_cases,
 )
 from test_trace_format import MALFORMED_TEXT, malformed_text
@@ -1042,6 +1044,25 @@ class TestTraceUpload:
         assert (status, error["code"]) == (400, "BAD_FIELD")
         assert "'<upload>'" in error["message"]
         assert re.search(UNDECODABLE[case], error["message"])
+        assert server.store.stats().entries == 0
+
+    @pytest.mark.parametrize("case", RECORD_PROBES)
+    def test_undecodable_record_upload_is_422_never_500(
+            self, server, client, example_trace, example_spec, case):
+        """A record the decoder refuses (a string id past the table, a
+        has-result byte of 2, an unknown value tag or big-integer digits
+        that do not parse), under a digest folded again over its bytes:
+        the walk refuses it naming ``<upload>``, the record and the field,
+        and nothing is stored."""
+        upload, refusal = record_probe(example_trace.encoded()[0], case,
+                                       example_spec)
+        status, _, body = client.analyze_trace(
+            upload, example_spec.function, example_spec.start_line,
+            example_spec.end_line)
+        error = json.loads(body)["error"]
+        assert (status, error["code"]) == (422, "INVALID_TRACE")
+        assert re.search(rf"'<upload>': record \d+ .*{refusal}",
+                         error["message"])
         assert server.store.stats().entries == 0
 
     @pytest.mark.parametrize("lie", sorted(FOOTER_LIES))

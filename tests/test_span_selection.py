@@ -6,8 +6,8 @@ between two scope records) of that selection at a time.  These tests pin
 the properties that must survive that layout:
 
 * **block and span boundaries** — the same trace read in small chunks
-  (so spans, segments and the pure-Python-scanned trailing block are cut
-  at many more places), or walked in spans of a few rows, gives the
+  (so spans, segments and the trailing partial index block are cut at
+  many more places), or walked in spans of a few rows, gives the
   golden report bytes with the module, and the default walk's report on
   the module-less route that runs the dynamic induction probe;
 * **unknown opcodes** — a corrupt opcode inside the loop, past the kind
@@ -146,9 +146,10 @@ def test_unknown_opcode_inside_the_loop_fails_loudly(ep_inside_load, opcode):
 
 def test_block_without_operand_slots_selects_and_walks():
     """Records with no operand and no result leave a block's operand
-    columns empty — here one lockstep-scanned index block and a
-    pure-Python-scanned tail: the dependency selection must not index the
-    empty ``op_name_id``, and the walk inspects every record."""
+    columns empty — here a chunk of four full index blocks and one that
+    holds only the trailing partial one: the dependency selection must
+    not index the empty ``op_name_id``, and the walk inspects every
+    record."""
     kinds = (_LOAD, _STORE, int(Opcode.ADD), int(Opcode.GETELEMENTPTR))
     records = [TraceRecord(dyn_id=index + 1, opcode=kinds[index % 4],
                            opcode_name="Op", function="main", line=5,

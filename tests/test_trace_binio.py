@@ -1,10 +1,11 @@
 """Unit tests for the block-indexed binary trace format."""
 
+import dataclasses
 import functools
 import hashlib
 import os
 import struct
-from typing import Dict
+from typing import Dict, Tuple
 
 import pytest
 from conftest import FLEET_NAMES
@@ -362,31 +363,53 @@ class TestLyingFooter:
 
 
 # --------------------------------------------------------------------------- #
-# String ids that reach past the string table
+# Record fields the decoder refuses
 # --------------------------------------------------------------------------- #
 #: Rewrites of one u32 string id in ``example``'s record blocks to 0xFFFFFF:
 #: ``(opcode of the record, True for the first such record inside the main
 #: loop or False for the trace's first record, byte offset of the id in
 #: its record block)``.  42 + 9 is the first operand's name id; an ``Add``
-#: is taken only when that operand is a register.
+#: is taken only when that operand is a register.  The in-loop ``Load`` is
+#: a data row, which the walk reads from columns alone.
 STRING_ID_PAST_THE_TABLE = {
     "alloca_function": (Opcode.ALLOCA, False, 28),
     "alloca_opcode_name": (Opcode.ALLOCA, False, 24),
     "add_operand_name": (Opcode.ADD, True, 42 + 9),
+    "load_opcode_name": (Opcode.LOAD, True, 24),
+    "load_basic_block": (Opcode.LOAD, True, 32),
     "load_operand_name": (Opcode.LOAD, True, 42 + 9),
     "gep_operand_name": (Opcode.GETELEMENTPTR, True, 42 + 9),
 }
+#: byte offset of a string id in its record block -> the errors' name for it
+STRING_ID_FIELD = {24: "opcode-name", 28: "function", 32: "basic-block",
+                   42 + 9: "operand-name"}
+
+#: Rewrites of ``example``'s first in-loop record of an opcode that the
+#: record decoder refuses for another field than a string id -> the words
+#: its error must hold.  ``*_has_result``: the has-result byte set to 2,
+#: with a second copy of the result slot after the record, so the block
+#: index and the trailer agree with the bytes; ``load_value_tag``: the
+#: first operand's value tag set to 3; ``load_big_integer_digits``: the
+#: first operand's value made a big integer, whose digits then start
+#: ``1x``.  The content digest of each is folded again.
+UNDECODABLE_RECORD = {
+    "add_has_result": r"has-result byte of 2, not 0 or 1",
+    "bitcast_has_result": r"has-result byte of 2, not 0 or 1",
+    "load_value_tag": r"unknown operand value tag 3",
+    "load_big_integer_digits": r"big-integer digits b'1x",
+}
 
 
-def string_id_past_the_table(data: bytes, case: str, spec) -> bytes:
-    """A version-2 trace's bytes with ``STRING_ID_PAST_THE_TABLE[case]``
-    applied (``spec`` locates the main loop)."""
+def _first_record(data: bytes, opcode, inside: bool, spec):
+    """``(index, byte offset, record)`` of the first record of ``data``
+    or, with ``inside``, of the first ``opcode`` record inside the main
+    loop ``spec`` locates (an ``Add`` only when its first operand is a
+    register)."""
     from repro.trace.binio import _decode_record
 
-    opcode, inside, at = STRING_ID_PAST_THE_TABLE[case]
     layout = layout_from_buffer(data)
     position = layout.records_start
-    while True:
+    for index in range(layout.record_count):
         record, end = _decode_record(data, position, layout.strings)
         if (not inside or (record.opcode == opcode
                            and record.function == spec.function
@@ -394,11 +417,95 @@ def string_id_past_the_table(data: bytes, case: str, spec) -> bytes:
                            and (opcode != Opcode.ADD
                                 or record.operands[0].is_register))):
             assert record.opcode == opcode
-            break
+            return index, position, record
         position = end
+    raise AssertionError(f"no {opcode!r} record in the main loop")
+
+
+def refolded(data: bytes) -> bytes:
+    """A version-2 trace's bytes with the footer's content digest folded
+    again over their record bytes, as a writer of those records would
+    have written it: only the walk can refuse them."""
+    from repro.trace.binio import _DigestFold, encode_globals
+
+    layout = layout_from_buffer(data)
+    fold = _DigestFold(layout.records_start)
+    fold.add(layout.records_start,
+             data[layout.records_start:layout.records_end])
+    digest = fold.finish(encode_globals(layout.globals))
+    return data[:-12 - len(digest)] + digest + data[-12:]
+
+
+def string_id_past_the_table(data: bytes, case: str, spec) -> bytes:
+    """A version-2 trace's bytes with ``STRING_ID_PAST_THE_TABLE[case]``
+    applied (``spec`` locates the main loop)."""
+    opcode, inside, at = STRING_ID_PAST_THE_TABLE[case]
+    _, position, _ = _first_record(data, opcode, inside, spec)
     out = bytearray(data)
     struct.pack_into("<I", out, position + at, 0xFFFFFF)
     return bytes(out)
+
+
+def _with_a_second_result(data: bytes, position: int, record) -> bytes:
+    """``data`` with the record block at ``position`` given a has-result
+    byte of 2 and a copy of its result slot after it; the later block
+    index entries and the trailer's footer offset move with the bytes."""
+    from repro.trace.binio import _OPERAND_TABLE
+
+    layout = layout_from_buffer(data)
+    slot = position + 42
+    for _ in record.operands:
+        slot += _OPERAND_TABLE[data[slot]][1]
+    end = slot + _OPERAND_TABLE[data[slot]][1]
+    grown = end - slot
+    out = bytearray(data[:end] + data[slot:end] + data[end:])
+    out[position + 41] = 2
+    offsets = [offset + grown if offset > position else offset
+               for offset in layout.block_offsets]
+    struct.pack_into(f"<{len(offsets)}Q", out,
+                     len(out) - 12 - 33 - 8 * len(offsets), *offsets)
+    struct.pack_into("<Q", out, len(out) - 12, layout.records_end + grown)
+    return bytes(out)
+
+
+def undecodable_record(data: bytes, case: str, spec) -> bytes:
+    """``example``'s version-2 trace bytes ``data`` with
+    ``UNDECODABLE_RECORD[case]`` applied and the digest folded again."""
+    opcode = {"add": Opcode.ADD, "bitcast": Opcode.BITCAST,
+              "load": Opcode.LOAD}[case.split("_")[0]]
+    index, position, record = _first_record(data, opcode, True, spec)
+    if case.endswith("has_result"):
+        return refolded(_with_a_second_result(data, position, record))
+    if case == "load_big_integer_digits":
+        trace = Trace.from_binary(data)
+        records = list(trace.records)
+        first = record.operands[0]
+        records[index] = dataclasses.replace(record, operands=[
+            dataclasses.replace(first, value=2 ** 80), *record.operands[1:]])
+        data, _ = encode_trace(trace.module_name, trace.globals, records)
+        _, position, _ = _first_record(data, opcode, True, spec)
+    out = bytearray(data)
+    slot = position + 42
+    if case == "load_value_tag":
+        out[slot] = 0x30 | (out[slot] & 0x0F)
+    else:
+        out[slot + 17:slot + 19] = b"1x"  # past the head and digit count
+    return refolded(bytes(out))
+
+
+def record_probe(data: bytes, case: str, spec) -> Tuple[bytes, str]:
+    """A ``STRING_ID_PAST_THE_TABLE`` or ``UNDECODABLE_RECORD`` case applied
+    to ``example``'s version-2 trace bytes ``data``, with the digest folded
+    again, and the words its error must hold."""
+    if case in UNDECODABLE_RECORD:
+        return undecodable_record(data, case, spec), UNDECODABLE_RECORD[case]
+    field = STRING_ID_FIELD[STRING_ID_PAST_THE_TABLE[case][2]]
+    return (refolded(string_id_past_the_table(data, case, spec)),
+            rf"has {field} id 16777215, past the \d+-entry string table")
+
+
+#: every case of :func:`record_probe`
+RECORD_PROBES = sorted(STRING_ID_PAST_THE_TABLE) + sorted(UNDECODABLE_RECORD)
 
 
 class TestStringIdsPastTheTable:
@@ -411,16 +518,41 @@ class TestStringIdsPastTheTable:
         with open(path, "wb") as handle:
             handle.write(string_id_past_the_table(example_btrace_bytes, case,
                                                   example_spec))
+        field = STRING_ID_FIELD[STRING_ID_PAST_THE_TABLE[case][2]]
+        refusal = (rf"record \d+ has {field} id 16777215, past the "
+                   rf"\d+-entry string table")
         config = AutoCheckConfig(main_loop=example_spec)
-        with pytest.raises(BinaryTraceError,
-                           match=r"ids\.btrace.*record \d+ (has .* id "
-                                 r"16777215, past the \d+-entry string "
-                                 r"table|does not decode)"):
+        with pytest.raises(BinaryTraceError, match=rf"ids\.btrace.*{refusal}"):
             AutoCheck(config, trace_path=path).run()
-        if case != "alloca_opcode_name":  # refused by the scan itself
-            with (TraceColumnarReader(path) as reader,
-                  pytest.raises(BinaryTraceError, match="string table")):
-                list(reader.iter_blocks())
+        with (TraceColumnarReader(path) as reader,
+              pytest.raises(BinaryTraceError, match=refusal)):
+            list(reader.iter_blocks())
+        with pytest.raises(BinaryTraceError,
+                           match=rf"ids\.btrace.*record \d+ \(the record "
+                                 rf"block at byte \d+\) has {field} id "
+                                 rf"16777215, past the 84-entry string "
+                                 rf"table"):
+            read_trace_file(path).records
+
+
+class TestUndecodableRecords:
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE_RECORD))
+    def test_walk_and_records_refuse_naming_the_field(
+            self, example_btrace_bytes, example_spec, tmp_path, case):
+        """Each rewrite passes the digest check, then is refused by the
+        walk and by the record decoder, naming the file, the record and
+        the field."""
+        data = undecodable_record(example_btrace_bytes, case, example_spec)
+        path = str(tmp_path / "record.btrace")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        check_content_digest(Trace.from_binary(data))
+        refusal = rf"record\.btrace.*record \d+ .*{UNDECODABLE_RECORD[case]}"
+        config = AutoCheckConfig(main_loop=example_spec)
+        with pytest.raises(BinaryTraceError, match=refusal):
+            AutoCheck(config, trace_path=path).run()
+        with pytest.raises(BinaryTraceError, match=refusal):
+            read_trace_file(path).records
 
 
 # --------------------------------------------------------------------------- #

@@ -13,7 +13,11 @@ the store off and with it on in a fresh directory.  What must hold:
 * with the store on, a mutant that changed only record bytes yields the
   genuine report or an error: the publishing walk folds the content
   digest over the record bytes it reads, so it never stores the report
-  of changed records under the footer's key.
+  of changed records under the footer's key;
+* every block the columnar scan yields decodes record by record, with
+  the fields its columns hold: the scan refuses whatever the record
+  decoder would, so a walk that reads a row from columns alone reads
+  nothing the decoder refuses.
 
 String-table rewrites that stay valid UTF-8 are left out of the second
 property: the digest does not cover the string table, so such a mutant
@@ -35,13 +39,14 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutoCheck, AutoCheckConfig
 from repro.core.errors import AnalysisError
 from repro.store.serialize import canonical_report_json
 from repro.trace.binio import BinaryTraceError, layout_from_buffer
+from repro.trace.columnar import TraceColumnarReader
 from repro.trace.records import Trace
 
 #: the parts of the file a flip or an overwrite lands in
@@ -212,6 +217,50 @@ def test_mutant_with_the_store_never_reports_changed_records(genuine,
         outcome = _outcome(genuine, mutant, cache_dir)
     if records_only and not isinstance(outcome, Exception):
         assert canonical_report_json(outcome) == genuine.report_json
+
+
+def _scanned_blocks(mutant: bytes):
+    """The blocks the columnar scan yields for ``mutant``, up to the named
+    error it refuses the rest with."""
+    try:
+        yield from TraceColumnarReader(buffer=mutant).iter_blocks()
+    except BinaryTraceError:
+        return
+
+
+#: The high byte of record 177's opcode-name id set to 0xFF: an in-loop
+#: ``Load`` of ``example``, a data row the walk reads from columns alone,
+#: whose block's first byte is 15,878 bytes into the record region.
+_LOAD_OPCODE_NAME = [("overwrite", "records", 15878 + 27, 0xFF)]
+
+
+@_SETTINGS
+@given(edits=_EDITS)
+@example(edits=_LOAD_OPCODE_NAME)
+def test_scanned_blocks_decode_record_by_record(genuine, edits):
+    mutant, _ = _mutate(genuine, edits)
+    with _no_hang():
+        for block in _scanned_blocks(mutant):
+            strings = block.strings
+            for row in range(block.count):
+                record = block.record(row)
+                assert record.opcode == block.opcode[row]
+                assert record.line == block.line[row]
+                assert record.function == strings[block.function_id[row]]
+                assert record.callee == strings[block.callee_id[row]]
+                slots = list(record.operands)
+                if record.result is not None:
+                    slots.append(record.result)
+                first = int(block.op_start[row])
+                assert int(block.op_start[row + 1]) - first == len(slots)
+                for slot, operand in enumerate(slots, first):
+                    flags = int(block.op_flags[slot])
+                    assert bool(flags & 1) == operand.is_register
+                    assert ((flags >> 4 == 1)
+                            == isinstance(operand.value, float))
+                    assert strings[block.op_name_id[slot]] == operand.name
+                    assert operand.address == (
+                        int(block.op_address[slot]) if flags & 2 else None)
 
 
 @pytest.mark.parametrize("count", [float("nan"), float("inf")])
